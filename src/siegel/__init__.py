@@ -17,7 +17,6 @@ from .errors import (
     NonInvertibleError,
     NonPositiveEntryError,
     NotUnimodularError,
-    RngExhaustedError,
     SiegelError,
     ToleranceNotMetError,
 )
@@ -29,7 +28,6 @@ from .iwasawa import (
     UnimodularIntMatrix,
     decompose,
     decompose_nak,
-    recompose,
     siegel_membership,
 )
 from .haar import (
@@ -66,7 +64,6 @@ from .intersections import (
     enumerate_intersections,
     find_witness,
     finest_partition,
-    height,
     height_bound,
     lemma_filter_chain,
     leading_entries,
@@ -89,7 +86,6 @@ __all__ = [
     "NotUnimodularError",
     "PartitionAnalysis",
     "ReductionResult",
-    "RngExhaustedError",
     "RngStream",
     "SiegelCoordinatePoint",
     "SiegelError",
@@ -108,13 +104,11 @@ __all__ = [
     "finest_partition",
     "growth_table",
     "harder_volume",
-    "height",
     "height_bound",
     "leading_entries",
     "lemma_filter_chain",
     "normalization_ratio",
     "ratio_C",
-    "recompose",
     "sample_haar_so",
     "sample_siegel_point",
     "siegel_density",

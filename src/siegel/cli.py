@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .errors import MalformedConfigError, SiegelError
-from .haar import RngStream, a_integral_mc, a_integral_quadrature, sample_haar_so, sample_siegel_point
+from .haar import RngStream, a_integral_mc, a_integral_quadrature, sample_haar_so, sample_siegel_block
 from .iwasawa import (
     MINIMAL_PARAMS,
     SiegelParams,
@@ -47,6 +47,7 @@ from .volumes import (
     vol_symmetric_space,
 )
 from .intersections import (
+    DEFAULT_BUDGET,
     count_bounds,
     enumerate_intersections,
     height_bound_variants,
@@ -119,6 +120,13 @@ def load_config(path: str | None) -> RunConfig:
         else:
             raise MalformedConfigError(f"unknown config key {key!r}")
     return cfg
+
+
+def _setting(flag, config: RunConfig, key: str, default=None):
+    """Effective value of a setting: explicit flag, else config, else default."""
+    if flag is not None:
+        return flag
+    return config.budgets.get(key, default)
 
 
 def _read_matrix(path: str) -> np.ndarray:
@@ -229,8 +237,7 @@ def _cmd_decompose(args, config: RunConfig, fmt: str) -> int:
 
 def _cmd_reduce(args, config: RunConfig, fmt: str) -> int:
     g = _read_matrix(args.input)
-    max_iter = args.max_iter or config.budgets.get("max_iter")
-    res = siegel_reduce(g, max_iter=max_iter)
+    res = siegel_reduce(g, max_iter=_setting(args.max_iter, config, "max_iter"))
     _report(config, "reduce", res.to_json_dict(), fmt)
     return 0
 
@@ -238,23 +245,23 @@ def _cmd_reduce(args, config: RunConfig, fmt: str) -> int:
 def _cmd_sample(args, config: RunConfig, fmt: str) -> int:
     stream = RngStream(config.seed, 0)
     p = SiegelParams(args.t, getattr(args, "lam"))
-    result: dict = {"what": args.what, "n": args.n, "count": args.count}
+    if args.what == "a-integral":
+        count = _setting(args.count, config, "mc_samples", 1)
+    else:
+        count = 1 if args.count is None else args.count
+    result: dict = {"what": args.what, "n": args.n, "count": count}
     if args.what == "rotation":
         gen = stream.generator()
         result["samples"] = [
-            matrix_to_json_dict(sample_haar_so(args.n, gen)) for _ in range(args.count)
+            matrix_to_json_dict(sample_haar_so(args.n, gen)) for _ in range(count)
         ]
     elif args.what == "point":
-        gen = stream.generator()
         b_min = args.b_min if args.b_min is not None else p.t / 16.0
         result["b_min"] = b_min
-        result["samples"] = [
-            sample_siegel_point(args.n, p, b_min, gen).to_json_dict()
-            for _ in range(args.count)
-        ]
+        block = sample_siegel_block(args.n, p, [b_min] * count, stream)
+        result["samples"] = [block.point(i).to_json_dict() for i in range(count)]
     else:  # a-integral estimate
-        samples = config.budgets.get("mc_samples", args.count)
-        rep = a_integral_mc(args.n, p.t, samples, stream, b_min=args.b_min)
+        rep = a_integral_mc(args.n, p.t, count, stream, b_min=args.b_min)
         result["report"] = rep.to_json_dict()
         result["quadrature"] = a_integral_quadrature(args.n, p.t)
     _report(config, "sample", result, fmt)
@@ -262,7 +269,7 @@ def _cmd_sample(args, config: RunConfig, fmt: str) -> int:
 
 
 def _cmd_enumerate(args, config: RunConfig, fmt: str) -> int:
-    budget = args.budget or config.budgets.get("budget_per_candidate", 400)
+    budget = _setting(args.budget, config, "budget_per_candidate", DEFAULT_BUDGET)
     reports, summary = enumerate_intersections(
         args.n,
         SiegelParams(args.t, getattr(args, "lam")),
@@ -354,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("sample", parents=[common], help="seeded sampling / Monte Carlo estimates")
     sub.add_argument("--what", choices=("rotation", "point", "a-integral"), default="point")
     sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--count", type=int, default=1)
+    sub.add_argument("--count", type=int, default=None, help="samples (default 1)")
     sub.add_argument("--b-min", type=float, default=None)
     _add_siegel_params(sub)
     sub.set_defaults(func=_cmd_sample)

@@ -47,7 +47,3 @@ class MalformedConfigError(SiegelError, ValueError):
         super().__init__(message)
         self.line = line
         self.column = column
-
-
-class RngExhaustedError(SiegelError, RuntimeError):
-    """Random stream ran out of entropy (never happens in practice)."""

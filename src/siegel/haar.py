@@ -5,7 +5,7 @@ carries the Jacobian ``prod_{i<j} a_i/a_j`` against ``dk da du``.  In the
 ratio coordinates ``b[i] = a[i]/a[i+1]`` that Jacobian becomes
 ``prod b[i]**(i*(n-i))`` and the full integrand over the diagonal block is
 ``(1/2) * prod b[i]**(i*(n-i)-1)``.  This module evaluates those kernels,
-samples Haar-uniform rotations and Siegel coordinate points, and provides
+samples Haar-uniform rotations and blocks of Siegel coordinate points, and provides
 two independent numerical integrators (product Gauss-Legendre quadrature
 and importance-sampled Monte Carlo) for the diagonal-block integral.
 """
@@ -23,7 +23,7 @@ from .errors import (
     NonPositiveEntryError,
     ToleranceNotMetError,
 )
-from .iwasawa import DET_TOL, ORTHO_TOL, SiegelParams, a_from_b
+from .iwasawa import DET_TOL, ORTHO_TOL, SiegelParams, a_from_b, unit_upper_stack
 
 _MASK64 = (1 << 64) - 1
 
@@ -99,7 +99,12 @@ def sample_haar_so_batch(n: int, size: int, rng) -> np.ndarray:
     if n < 2:
         raise InvalidArgumentError("n must be >= 2")
     gen = _as_generator(rng)
-    z = gen.standard_normal((size, n, n))
+    return _haar_so_from_normals(gen.standard_normal((size, n, n)))
+
+
+def _haar_so_from_normals(z: np.ndarray) -> np.ndarray:
+    """The Haar step of :func:`sample_haar_so_batch` on an (m, n, n) stack
+    of standard normals."""
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     sign = np.where(diag < 0.0, -1.0, 1.0)
@@ -167,20 +172,63 @@ def _point_weight(b: np.ndarray) -> float:
     return float(siegel_density(b) * np.prod(b))
 
 
+@dataclass(frozen=True)
+class SiegelPointBlock:
+    """m coordinate points as stacks: ``b`` (m, n-1), ``u`` and ``k``
+    (m, n, n).  Row i materializes exactly as ``point(i)`` does."""
+
+    b: np.ndarray
+    u: np.ndarray
+    k: np.ndarray
+
+    def group_elements(self) -> np.ndarray:
+        """Every row as ``k @ diag(a) @ u``, shape (m, n, n)."""
+        return self.k @ (a_from_b(self.b)[..., None] * self.u)
+
+    def point(self, i: int) -> SiegelCoordinatePoint:
+        b = self.b[i].copy()
+        return SiegelCoordinatePoint(
+            b=b, u=self.u[i].copy(), k=self.k[i].copy(), weight=_point_weight(b)
+        )
+
+
+def sample_siegel_block(n: int, p: SiegelParams, b_lows, rng) -> SiegelPointBlock:
+    """Draw one coordinate point per entry of ``b_lows``: b log-uniform on
+    [b_lows[i], t], u uniform on the lam-box, k Haar on SO(n).
+
+    Each row draws b, then u, then the n*n normals of its rotation, so a
+    block of m rows consumes the stream exactly as m blocks of one do and
+    gives the same points bit for bit; the Haar QR and sign fix run once
+    on the whole stack.
+    """
+    if n < 2:
+        raise InvalidArgumentError("n must be >= 2")
+    lows = np.asarray(b_lows, dtype=float).reshape(-1)
+    bad = ~((lows > 0.0) & (lows < p.t))
+    if bad.any():
+        b_min = float(lows[np.argmax(bad)])
+        raise InvalidRangeError(f"need 0 < b_min < t, got b_min={b_min}, t={p.t}")
+    gen = _as_generator(rng)
+    m = lows.size
+    log_t = math.log(p.t)
+    log_b = np.empty((m, n - 1))
+    u_vals = np.empty((m, n * (n - 1) // 2))
+    z = np.empty((m, n, n))
+    for i, lo in enumerate(lows.tolist()):
+        log_b[i] = gen.uniform(math.log(lo), log_t, size=n - 1)
+        u_vals[i] = gen.uniform(-p.lam, p.lam, size=u_vals.shape[1])
+        z[i] = gen.standard_normal((n, n))
+    return SiegelPointBlock(
+        b=np.exp(log_b), u=unit_upper_stack(u_vals, n), k=_haar_so_from_normals(z)
+    )
+
+
 def sample_siegel_point(
     n: int, p: SiegelParams, b_min: float, rng
 ) -> SiegelCoordinatePoint:
     """Draw one coordinate point: b log-uniform on [b_min, t], u uniform
-    on the lam-box, k Haar on SO(n)."""
-    if not (0.0 < b_min < p.t):
-        raise InvalidRangeError(f"need 0 < b_min < t, got b_min={b_min}, t={p.t}")
-    gen = _as_generator(rng)
-    b = np.exp(gen.uniform(math.log(b_min), math.log(p.t), size=n - 1))
-    u = np.eye(n)
-    iu = np.triu_indices(n, k=1)
-    u[iu] = gen.uniform(-p.lam, p.lam, size=iu[0].size)
-    k = sample_haar_so(n, gen)
-    return SiegelCoordinatePoint(b=b, u=u, k=k, weight=_point_weight(b))
+    on the lam-box, k Haar on SO(n).  A block of one."""
+    return sample_siegel_block(n, p, [b_min], rng).point(0)
 
 
 def _gauss_legendre_block(n: int, t: float, nodes: int) -> float:

@@ -14,7 +14,10 @@ seeded importance sampling plus local refinement, and exhaustively
 enumerates the small-n candidate set together with the two-sided count
 bounds.  The search is one-sided: it can certify membership in the
 intersecting set, and can exclude only via the height bound; everything
-else stays ``unknown``.
+else stays ``unknown``.  Boundary probes, random samples and refinement
+trials are scored in stacks by the batched membership kernel; hits are
+still taken in sample order, so verdicts do not depend on block
+boundaries.
 
 Caveat on conventions: witnesses are verified against the k-left
 membership predicate (the one :func:`siegel.iwasawa.siegel_membership`
@@ -42,7 +45,13 @@ from .errors import (
     InvalidArgumentError,
     InvalidWitnessError,
 )
-from .haar import RngStream, SiegelCoordinatePoint, _point_weight, sample_haar_so
+from .haar import (
+    RngStream,
+    SiegelCoordinatePoint,
+    SiegelPointBlock,
+    _point_weight,
+    sample_siegel_block,
+)
 from .iwasawa import (
     MINIMAL_PARAMS,
     SiegelParams,
@@ -50,6 +59,7 @@ from .iwasawa import (
     a_from_b,
     decompose_nak,
     membership_excess,
+    unit_upper_stack,
 )
 from .volumes import ratio_C
 
@@ -60,11 +70,6 @@ STATUS_UNKNOWN = "unknown"
 DEFAULT_WITNESS_TOL = 1e-7
 STRICT_WITNESS_TOL = 1e-9
 DEFAULT_BUDGET = 400
-
-
-def height(gamma: UnimodularIntMatrix) -> int:
-    """Largest absolute entry."""
-    return gamma.height()
 
 
 def leading_entries(gamma: UnimodularIntMatrix) -> list[tuple[int, int]]:
@@ -291,29 +296,21 @@ class IntersectionReport:
         }
 
 
-def _strict_upper_indices(n: int):
-    return np.triu_indices(n, k=1)
-
-
-def _probe_points(n: int, p: SiegelParams) -> list[SiegelCoordinatePoint]:
+def _probe_block(n: int, p: SiegelParams) -> SiegelPointBlock:
     """Deterministic first guesses: identity diagonal, every corner/center
     pattern of the unipotent box.  These sit exactly on the boundary, which
     is where translate overlaps concentrate."""
-    iu = _strict_upper_indices(n)
-    m = iu[0].size
-    b = np.ones(n - 1)
-    out = []
-    for pattern in _iter_product((0.0, -p.lam, p.lam), repeat=m):
-        u = np.eye(n)
-        u[iu] = pattern
-        out.append(
-            SiegelCoordinatePoint(b=b.copy(), u=u, k=np.eye(n), weight=_point_weight(b))
-        )
-    return out
+    patterns = np.array(list(_iter_product((0.0, -p.lam, p.lam), repeat=n * (n - 1) // 2)))
+    count = patterns.shape[0]
+    return SiegelPointBlock(
+        b=np.ones((count, n - 1)),
+        u=unit_upper_stack(patterns, n),
+        k=np.broadcast_to(np.eye(n), (count, n, n)),
+    )
 
 
-def _pair_excess(gf: np.ndarray, point: SiegelCoordinatePoint, p: SiegelParams) -> float:
-    s = point.to_group_element()
+def _pair_excess(gf: np.ndarray, s: np.ndarray, p: SiegelParams):
+    """Membership excess of gamma @ s, for one s or an (m, n, n) stack."""
     return membership_excess(gf @ s, p, check=False)
 
 
@@ -327,64 +324,72 @@ def _givens(n: int, i: int, j: int, theta: float) -> np.ndarray:
     return r
 
 
+_SIGNS = np.array([1.0, -1.0])
+
+
 def _refine_point(
     gf: np.ndarray,
-    point: SiegelCoordinatePoint,
+    b: np.ndarray,
+    u: np.ndarray,
+    k: np.ndarray,
     p: SiegelParams,
     target: float,
     max_rounds: int = 60,
 ) -> tuple[SiegelCoordinatePoint, float]:
     """Coordinate descent on the witness coordinates (log b, u, k-angles),
     keeping the point itself inside the box, minimizing the membership
-    excess of gamma @ s."""
-    n = point.n
-    iu = _strict_upper_indices(n)
-    m = iu[0].size
+    excess of gamma @ s.
+
+    Each coordinate's + and - trial are scored as one stack of two; the
+    + step is taken if it improves, else the - step if that does.
+    """
+    n = b.size + 1
+    iu = np.triu_indices(n, k=1)
     log_t = math.log(p.t)
-    log_b = np.minimum(np.log(point.b), log_t)
-    u_vals = point.u[iu].copy()
-    k = point.k.copy()
+    log_b = np.minimum(np.log(b), log_t)
+    u_vals = u[iu]
 
-    def build(log_b, u_vals, k):
-        u = np.eye(n)
-        u[iu] = u_vals
-        b = np.exp(log_b)
-        return SiegelCoordinatePoint(b=b, u=u, k=k, weight=_point_weight(b))
+    def excess(log_b, u, k):
+        # (log_b, u, k) broadcast against each other; a stack in any of
+        # them scores every trial at once
+        return _pair_excess(gf, k @ (a_from_b(np.exp(log_b))[..., None] * u), p)
 
-    current = build(log_b, u_vals, k)
-    best = _pair_excess(gf, current, p)
-    pairs = list(zip(*iu))
+    u = unit_upper_stack(u_vals, n)
+    best = excess(log_b, u, k)
     step_b = np.full(n - 1, 0.25)
-    step_u = np.full(m, 0.2 * p.lam)
-    step_k = np.full(m, 0.25)
+    step_u = np.full(u_vals.size, 0.2 * p.lam)
+    step_k = np.full(u_vals.size, 0.25)
+
+    def pick(trial_excess):
+        """Index of the trial to take (+ first), or None."""
+        nonlocal best
+        for t, exc in enumerate(trial_excess.tolist()):
+            if exc < best:
+                best = exc
+                return t
+        return None
+
     for _ in range(max_rounds):
         improved = False
         for c in range(n - 1):
-            for sign in (1.0, -1.0):
-                trial = log_b.copy()
-                trial[c] = min(trial[c] + sign * step_b[c], log_t)
-                cand = build(trial, u_vals, k)
-                exc = _pair_excess(gf, cand, p)
-                if exc < best:
-                    log_b, best, improved = trial, exc, True
-                    break
-        for c in range(m):
-            for sign in (1.0, -1.0):
-                trial = u_vals.copy()
-                trial[c] = float(np.clip(trial[c] + sign * step_u[c], -p.lam, p.lam))
-                cand = build(log_b, trial, k)
-                exc = _pair_excess(gf, cand, p)
-                if exc < best:
-                    u_vals, best, improved = trial, exc, True
-                    break
-        for c, (i, j) in enumerate(pairs):
-            for sign in (1.0, -1.0):
-                trial_k = k @ _givens(n, int(i), int(j), sign * step_k[c])
-                cand = build(log_b, u_vals, trial_k)
-                exc = _pair_excess(gf, cand, p)
-                if exc < best:
-                    k, best, improved = trial_k, exc, True
-                    break
+            trials = np.repeat(log_b[None], 2, axis=0)
+            trials[:, c] = np.minimum(log_b[c] + _SIGNS * step_b[c], log_t)
+            t = pick(excess(trials, u, k))
+            if t is not None:
+                log_b, improved = trials[t], True
+        for c in range(u_vals.size):
+            trials = np.repeat(u_vals[None], 2, axis=0)
+            trials[:, c] = np.clip(u_vals[c] + _SIGNS * step_u[c], -p.lam, p.lam)
+            trial_u = unit_upper_stack(trials, n)
+            t = pick(excess(log_b, trial_u, k))
+            if t is not None:
+                u_vals, u, improved = trials[t], trial_u[t], True
+        for c, (i, j) in enumerate(zip(*iu)):
+            rot = np.stack([_givens(n, int(i), int(j), sign * step_k[c]) for sign in (1.0, -1.0)])
+            trial_k = k @ rot
+            t = pick(excess(log_b, u, trial_k))
+            if t is not None:
+                k, improved = trial_k[t], True
         if best <= target:
             break
         if not improved:
@@ -393,19 +398,12 @@ def _refine_point(
             step_k *= 0.5
             if max(step_b.max(), step_u.max(), step_k.max()) < 1e-13:
                 break
-    return build(log_b, u_vals, k), best
+    b = np.exp(log_b)
+    return SiegelCoordinatePoint(b=b, u=u, k=k, weight=_point_weight(b)), best
 
 
-def _sample_search_point(
-    gen: np.random.Generator, n: int, p: SiegelParams, b_min: float, emphasize: bool
-) -> SiegelCoordinatePoint:
-    lo = p.t / math.sqrt(2.0) if emphasize else b_min
-    b = np.exp(gen.uniform(math.log(lo), math.log(p.t), size=n - 1))
-    iu = _strict_upper_indices(n)
-    u = np.eye(n)
-    u[iu] = gen.uniform(-p.lam, p.lam, size=iu[0].size)
-    k = sample_haar_so(n, gen)
-    return SiegelCoordinatePoint(b=b, u=u, k=k, weight=_point_weight(b))
+#: Size of the first block of random samples; each later block doubles.
+_FIRST_BLOCK = 16
 
 
 def find_witness(
@@ -430,6 +428,13 @@ def find_witness(
     search continues, so a ``witnessed`` verdict is always backed by a
     clean trace.  Larger budgets extend the same sample sequence, so
     verdicts never regress from witnessed to unknown.
+
+    Evaluation is batched, the order is not: all probes are scored as one
+    stack, random points are drawn and scored in blocks that double from
+    16, and refinement trials in stacks of two.  Hits are then taken in
+    index order and the first verified witness returns, so every verdict
+    and report is the one a point-by-point search gives, bit for bit,
+    whatever the block boundaries.
     """
     if rng is None:
         rng = RngStream(0, 0)
@@ -468,23 +473,30 @@ def find_witness(
         rejected.extend(c for c in checks if not c.passed)
         return None
 
-    for point in _probe_points(n, p):
-        exc = _pair_excess(gf, point, p)
-        if exc <= strict_tol:
-            report = attempt(point, exc)
-            if report is not None:
-                return report
+    probes = _probe_block(n, p)
+    probe_excess = _pair_excess(gf, probes.group_elements(), p)
+    for i in np.flatnonzero(probe_excess <= strict_tol):
+        report = attempt(probes.point(i), probe_excess[i])
+        if report is not None:
+            return report
 
     gen = rng.generator()
-    for i in range(budget):
-        point = _sample_search_point(gen, n, p, b_min, emphasize=bool(i % 2))
-        exc = _pair_excess(gf, point, p)
-        if exc <= near_hit:
-            refined, final = _refine_point(gf, point, p, target=strict_tol)
+    top_band = p.t / math.sqrt(2.0)
+    drawn, size = 0, _FIRST_BLOCK
+    while drawn < budget:
+        lows = [top_band if i % 2 else b_min for i in range(drawn, min(drawn + size, budget))]
+        block = sample_siegel_block(n, p, lows, gen)
+        sample_excess = _pair_excess(gf, block.group_elements(), p)
+        for i in np.flatnonzero(sample_excess <= near_hit):
+            refined, final = _refine_point(
+                gf, block.b[i], block.u[i], block.k[i], p, target=strict_tol
+            )
             if final <= witness_tol:
                 report = attempt(refined, final)
                 if report is not None:
                     return report
+        drawn += len(lows)
+        size *= 2
     # chain failures from rejected near-witnesses stay visible in the trace
     return IntersectionReport(
         gamma, STATUS_UNKNOWN, None, [height_check] + rejected, None,
@@ -502,9 +514,9 @@ def verify_witness(
     """Re-verify a claimed witness at a stricter tolerance, optionally
     running extra refinement first."""
     gf = gamma.to_array()
-    exc = _pair_excess(gf, point, p)
+    exc = _pair_excess(gf, point.to_group_element(), p)
     if exc > tol and refine:
-        point, exc = _refine_point(gf, point, p, target=tol, max_rounds=120)
+        point, exc = _refine_point(gf, point.b, point.u, point.k, p, target=tol, max_rounds=120)
     return exc <= tol and membership_excess(point.to_group_element(), p, check=False) <= tol
 
 

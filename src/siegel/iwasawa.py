@@ -71,6 +71,21 @@ def as_square_matrix(g, min_n: int = 2) -> np.ndarray:
     return arr
 
 
+def as_matrix_stack(g, min_n: int = 2) -> np.ndarray:
+    """Validate ``g`` as an (m, n, n) float stack with finite entries; a
+    single (n, n) matrix is returned as the stack of one."""
+    arr = np.asarray(g, dtype=float)
+    if arr.ndim != 3:
+        return as_square_matrix(arr, min_n)[None]
+    if arr.shape[1] != arr.shape[2] or arr.shape[1] < min_n:
+        raise InvalidArgumentError(
+            f"expected a stack of square matrices of dimension >= {min_n}, got shape {arr.shape}"
+        )
+    if not np.all(np.isfinite(arr)):
+        raise InvalidArgumentError("matrix entries must be finite")
+    return arr
+
+
 def _bareiss_det(rows: list[list[int]]) -> int:
     """Exact determinant of an integer matrix (fraction-free elimination)."""
     n = len(rows)
@@ -182,24 +197,26 @@ def matrix_from_json(text: str) -> np.ndarray:
 
 
 def b_from_a(a: np.ndarray) -> np.ndarray:
-    """Successive ratios ``b[i] = a[i] / a[i+1]``."""
+    """Successive ratios ``b[i] = a[i] / a[i+1]`` (row-wise on a stack)."""
     a = np.asarray(a, dtype=float)
-    return a[:-1] / a[1:]
+    return a[..., :-1] / a[..., 1:]
 
 
 def a_from_b(b: np.ndarray) -> np.ndarray:
     """Invert :func:`b_from_a` under the constraint ``prod(a) == 1``.
 
     ``a[i] = a[n-1] * prod(b[i:])`` and ``a[n-1] = prod(b[l]**(l+1)) ** (-1/n)``
-    (exponent ``l+1`` counts how many a-entries each ratio touches).
+    (exponent ``l+1`` counts how many a-entries each ratio touches).  Works
+    row-wise on an (m, n-1) stack, and every row equals the 1-d result bit
+    for bit.
     """
     b = np.asarray(b, dtype=float)
-    n = b.size + 1
+    n = b.shape[-1] + 1
     log_b = np.log(b)
-    log_an = -np.dot(np.arange(1, n), log_b) / n
+    log_an = -np.sum(log_b * np.arange(1, n), axis=-1, keepdims=True) / n
     # log a[i] = log a[n-1] + sum of log b[i:]
-    suffix = np.concatenate([np.cumsum(log_b[::-1])[::-1], [0.0]])
-    return np.exp(log_an + suffix)
+    suffix = np.cumsum(log_b[..., ::-1], axis=-1)[..., ::-1]
+    return np.exp(log_an + np.concatenate([suffix, np.zeros_like(log_an)], axis=-1))
 
 
 @dataclass(frozen=True)
@@ -318,22 +335,50 @@ def decompose_nak(g, **kwargs) -> NakFactors:
     return NakFactors(u=u, a=a, k=k)
 
 
-def recompose(f: IwasawaFactors) -> np.ndarray:
-    """Multiply factors back together; inverse of :func:`decompose`."""
-    return f.reconstruct()
-
-
-def membership_excess(g, p: SiegelParams, **kwargs) -> float:
+def membership_excess(
+    g,
+    p: SiegelParams,
+    *,
+    det_tol: float = DET_TOL,
+    singular_tol: float = SINGULAR_TOL,
+    cond_max: float = COND_MAX,
+    check: bool = True,
+):
     """Largest constraint violation of g's Siegel coordinates.
 
     Negative means strictly inside, zero on the boundary, positive outside.
+    ``g`` is one matrix, its :class:`IwasawaFactors`, or an (m, n, n)
+    stack; a stack gives an array of m excesses, each equal bit for bit to
+    the excess of its matrix alone, so callers may batch freely.  Only the
+    triangular factor is needed: ``a`` is the absolute diagonal of the QR
+    ``R`` and ``|u[i, j]| = |R[i, j]| / a[i]``, exactly what
+    :func:`decompose` yields before its sign fix.  The guards are those of
+    :func:`decompose`, applied to every matrix of the stack.
     """
-    f = g if isinstance(g, IwasawaFactors) else decompose(g, **kwargs)
-    n = f.n
-    iu = np.triu_indices(n, k=1)
-    excess_b = float(np.max(f.b - p.t))
-    excess_u = float(np.max(np.abs(f.u[iu]) - p.lam))
-    return max(excess_b, excess_u)
+    if isinstance(g, IwasawaFactors):
+        single = True
+        a = g.a[None]
+        abs_u = np.abs(g.u)[None]
+    else:
+        g = np.asarray(g, dtype=float)
+        single = g.ndim == 2
+        stack = as_matrix_stack(g)
+        if check:
+            for matrix in stack:
+                _check_group_element(matrix, det_tol, cond_max)
+        r = np.linalg.qr(stack, mode="r")
+        a = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+        if a.size and np.min(a) < singular_tol:
+            raise NonInvertibleError(
+                f"column pivot {np.min(a):.3e} below {singular_tol:.1e}"
+            )
+        abs_u = np.abs(r) / a[:, :, None]
+    # rounding is monotone, so max(x) - c == max(x - c) bit for bit; the
+    # zeros triu leaves on and below the diagonal never exceed an |u| entry
+    excess_b = np.max(b_from_a(a), axis=-1) - p.t
+    excess_u = np.max(np.triu(abs_u, 1), axis=(-2, -1)) - p.lam
+    excess = np.maximum(excess_b, excess_u)
+    return float(excess[0]) if single else excess
 
 
 def siegel_membership(g, p: SiegelParams, tol: float, **kwargs) -> str:
@@ -367,4 +412,16 @@ def unit_upper(n: int, coeffs: dict | None = None, value: float | None = None) -
     elif value is not None:
         iu = np.triu_indices(n, k=1)
         u[iu] = value
+    return u
+
+
+def unit_upper_stack(vals: np.ndarray, n: int) -> np.ndarray:
+    """Unit upper triangular (m, n, n) stack whose strict upper entries,
+    in ``triu_indices`` order, are the rows of ``vals`` (m, n(n-1)/2)."""
+    vals = np.asarray(vals, dtype=float)
+    u = np.zeros(vals.shape[:-1] + (n, n))
+    idx = np.arange(n)
+    u[..., idx, idx] = 1.0
+    iu = np.triu_indices(n, k=1)
+    u[..., iu[0], iu[1]] = vals
     return u

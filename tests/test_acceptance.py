@@ -31,7 +31,6 @@ from siegel.iwasawa import (
     MINIMAL_PARAMS,
     UnimodularIntMatrix,
     decompose,
-    recompose,
     siegel_membership,
 )
 from siegel.reduction import STATUS_REDUCED, siegel_reduce
@@ -65,7 +64,7 @@ def test_criterion_01_iwasawa_round_trip():
         for _ in range(10_000):
             g = random_sl(rng, n)
             f = decompose(g)
-            worst = max(worst, float(np.max(np.abs(recompose(f) - g))))
+            worst = max(worst, float(np.max(np.abs(f.reconstruct() - g))))
     elapsed = time.monotonic() - start
     ok = worst <= 1e-10 and elapsed < 30.0
     _report(1, "iwasawa round trip", ok, f"max recon err {worst:.2e}, {elapsed:.1f}s")

@@ -158,3 +158,45 @@ def test_parser_rejects_global_flag_anywhere(capsys):
     code2, out2, _ = run_cli(capsys, "growth-table", "--n-max", "3", "--format", "csv")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_explicit_zero_budget_is_honoured(tmp_path, capsys):
+    def budget(*argv):
+        code, out, _ = run_cli(capsys, "enumerate-intersections", "--n", "2",
+                               "--max-height", "1", "--seed", "3", *argv)
+        assert code == 0
+        return json.loads(out.strip().split("\n")[-1])["summary"]["budgets"]
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"budget_per_candidate": 7}))
+    assert budget("--budget", "0") == {"budget_per_candidate": 0}
+    assert budget("--config", str(path), "--budget", "0") == {"budget_per_candidate": 0}
+    assert budget("--config", str(path)) == {"budget_per_candidate": 7}
+    assert budget() == {"budget_per_candidate": 400}
+
+
+def test_explicit_zero_max_iter_is_honoured(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(matrix_to_json_dict(np.diag([4.0, 0.25]))))
+    code, out, _ = run_cli(capsys, "reduce", "--input", str(path), "--max-iter", "0")
+    assert code == 0
+    doc = json.loads(out)["result"]
+    assert doc["iterations"] == 0 and doc["status"] != "reduced"
+    code, out, _ = run_cli(capsys, "reduce", "--input", str(path))
+    assert json.loads(out)["result"]["status"] == "reduced"
+
+
+def test_explicit_count_beats_config_mc_samples(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"mc_samples": 300}))
+
+    def samples(*argv):
+        code, out, _ = run_cli(capsys, "--config", str(path), "sample", "--what",
+                               "a-integral", "--n", "2", *argv)
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["count"] == result["report"]["samples"]
+        return result["count"]
+
+    assert samples("--count", "200") == 200
+    assert samples() == 300

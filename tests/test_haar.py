@@ -20,6 +20,7 @@ from siegel.haar import (
     conjugation_jacobian,
     sample_haar_so,
     sample_haar_so_batch,
+    sample_siegel_block,
     sample_siegel_point,
     siegel_density,
 )
@@ -129,6 +130,24 @@ def test_sample_siegel_point_invariants():
         )
     with pytest.raises(InvalidRangeError):
         sample_siegel_point(3, p, 2.0 * p.t, gen)
+
+
+def test_block_draw_equals_sequential_point_draws():
+    p = MINIMAL_PARAMS
+    for n in (2, 3, 4, 5):
+        lows = [p.t / math.sqrt(2.0) if i % 2 else p.t / 16.0 for i in range(37)]
+        block = sample_siegel_block(n, p, lows, RngStream(21, n))
+        gen = RngStream(21, n).generator()
+        group = block.group_elements()
+        for i, lo in enumerate(lows):
+            pt = sample_siegel_point(n, p, lo, gen)
+            got = block.point(i)
+            for name in ("b", "u", "k"):
+                assert np.array_equal(getattr(got, name), getattr(pt, name)), (n, i, name)
+            assert got.weight == pt.weight
+            assert np.array_equal(group[i], pt.to_group_element())
+    with pytest.raises(InvalidRangeError):
+        sample_siegel_block(3, p, [p.t / 16.0, p.t], RngStream(1))
 
 
 def test_sample_siegel_point_materializes_as_member():

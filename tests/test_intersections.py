@@ -1,20 +1,24 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
 from siegel.errors import DimensionTooLargeError, InvalidWitnessError
-from siegel.haar import RngStream
+from siegel.haar import RngStream, SiegelCoordinatePoint, sample_siegel_point, siegel_density
 from siegel.intersections import (
+    DEFAULT_WITNESS_TOL,
     STATUS_EXCLUDED,
     STATUS_UNKNOWN,
     STATUS_WITNESSED,
+    STRICT_WITNESS_TOL,
+    FilterCheck,
+    IntersectionReport,
     count_bounds,
     enumerate_intersections,
     find_witness,
     finest_partition,
-    height,
     height_bound,
     height_bound_variants,
     lemma_filter_chain,
@@ -25,7 +29,7 @@ from siegel.intersections import (
     sl_candidates,
     verify_witness,
 )
-from siegel.iwasawa import MINIMAL_PARAMS, UnimodularIntMatrix, unit_upper
+from siegel.iwasawa import MINIMAL_PARAMS, UnimodularIntMatrix, a_from_b, membership_excess, unit_upper
 from siegel.volumes import ratio_C
 
 from conftest import random_unimodular
@@ -41,9 +45,9 @@ BIG_SHEAR = UnimodularIntMatrix.from_rows([[1, 5], [0, 1]])
 
 
 def test_height_examples():
-    assert height(I2) == 1
-    assert height(UnimodularIntMatrix.from_rows([[2, 1], [1, 1]])) == 2
-    assert height(BIG_SHEAR) == 5
+    assert I2.height() == 1
+    assert UnimodularIntMatrix.from_rows([[2, 1], [1, 1]]).height() == 2
+    assert BIG_SHEAR.height() == 5
 
 
 def test_leading_entries_examples():
@@ -154,7 +158,7 @@ def test_witnessed_never_violates_height_bound():
         gamma = random_unimodular(gen, 2, height_cap=12)
         rep = find_witness(gamma, budget=60, rng=RngStream(3, 0))
         if rep.status == STATUS_WITNESSED:
-            assert height(gamma) <= height_bound(2)
+            assert gamma.height() <= height_bound(2)
 
 
 def test_budget_monotonicity():
@@ -203,7 +207,7 @@ def test_witness_relation_is_inverse_closed():
         # inv maps it back onto the exact member s
         assert membership_excess(gs, P) <= 1e-6
         assert membership_excess(inv.to_array() @ gs, P) <= 1e-6
-        assert height(inv) <= height_bound(2)
+        assert inv.height() <= height_bound(2)
         checked += 1
     assert checked >= 3
 
@@ -250,7 +254,7 @@ def test_enumerate_intersections_n2():
     for r in reports:
         if r.status == STATUS_WITNESSED:
             assert all(c.passed for c in r.filter_trace)
-            assert height(r.gamma) <= 2
+            assert r.gamma.height() <= 2
         assert r.status in (STATUS_WITNESSED, STATUS_EXCLUDED, STATUS_UNKNOWN)
 
 
@@ -304,3 +308,121 @@ def test_jsonl_emission_round_trips():
     assert len(lines) == 52
     doc = json.loads(lines[0])
     assert set(doc) >= {"gamma", "status", "witness", "filter_trace"}
+
+
+def _point(b, u_vals, k):
+    n = b.size + 1
+    u = unit_upper(n, coeffs={(i + 1, j + 1): v for i, j, v in zip(*np.triu_indices(n, 1), u_vals)})
+    return SiegelCoordinatePoint(b=b, u=u, k=k, weight=siegel_density(b) * float(np.prod(b)))
+
+
+def _reference_refine(gf, point, target, max_rounds=60):
+    """Coordinate descent one trial at a time: + step if it improves, else - step."""
+    n = point.n
+    pairs = list(zip(*np.triu_indices(n, 1)))
+    log_t = math.log(P.t)
+    state = [np.minimum(np.log(point.b), log_t), point.u[np.triu_indices(n, 1)], point.k]
+
+    def excess(log_b, u_vals, k):
+        s = _point(np.exp(log_b), u_vals, k).to_group_element()
+        return membership_excess(gf @ s, P, check=False)
+
+    def moved(slot, c, step):
+        if slot == 2:
+            i, j = pairs[c]
+            r = np.eye(n)
+            r[i, i] = r[j, j] = math.cos(step)
+            r[i, j], r[j, i] = -math.sin(step), math.sin(step)
+            return state[2] @ r
+        v = state[slot].copy()
+        v[c] = min(v[c] + step, log_t) if slot == 0 else float(np.clip(v[c] + step, -P.lam, P.lam))
+        return v
+
+    best = excess(*state)
+    steps = [np.full(n - 1, 0.25), np.full(len(pairs), 0.2 * P.lam), np.full(len(pairs), 0.25)]
+    for _ in range(max_rounds):
+        improved = False
+        for slot in range(3):
+            for c in range(steps[slot].size):
+                for sign in (1.0, -1.0):
+                    trial = list(state)
+                    trial[slot] = moved(slot, c, sign * steps[slot][c])
+                    exc = excess(*trial)
+                    if exc < best:
+                        state, best, improved = trial, exc, True
+                        break
+        if best <= target:
+            break
+        if not improved:
+            steps = [x * 0.5 for x in steps]
+            if max(x.max() for x in steps) < 1e-13:
+                break
+    return _point(np.exp(state[0]), state[1], state[2]), best
+
+
+def reference_search(gamma, budget, rng, near_hit=0.08):
+    """Point-by-point witness search in find_witness's documented order,
+    built from single-matrix calls only."""
+    n, gf = gamma.n, gamma.to_array()
+    head = FilterCheck("height_bound", (), gamma.height() <= height_bound(n),
+                       float(gamma.height()), height_bound(n))
+    if not head.passed:
+        return IntersectionReport(gamma, STATUS_EXCLUDED, None, [head], None)
+    rejected = []
+
+    def attempt(point, exc):
+        try:
+            checks = lemma_filter_chain(gamma, point.to_group_element(), p=P,
+                                        membership_tol=max(DEFAULT_WITNESS_TOL, exc * 2.0 + 1e-15))
+        except InvalidWitnessError:
+            return None
+        if all(c.passed for c in checks):
+            return IntersectionReport(gamma, STATUS_WITNESSED, point, [head] + checks, float(exc),
+                                      rejected_witnesses=len(rejected))
+        rejected.extend(c for c in checks if not c.passed)
+
+    def excess(point):
+        return membership_excess(gf @ point.to_group_element(), P, check=False)
+
+    for pattern in itertools.product((0.0, -P.lam, P.lam), repeat=n * (n - 1) // 2):
+        point = _point(np.ones(n - 1), pattern, np.eye(n))
+        exc = excess(point)
+        if exc <= STRICT_WITNESS_TOL and (rep := attempt(point, exc)):
+            return rep
+    gen = rng.generator()
+    for i in range(budget):
+        point = sample_siegel_point(n, P, P.t / math.sqrt(2.0) if i % 2 else P.t / 16.0, gen)
+        if excess(point) <= near_hit:
+            refined, final = _reference_refine(gf, point, STRICT_WITNESS_TOL)
+            if final <= DEFAULT_WITNESS_TOL and (rep := attempt(refined, final)):
+                return rep
+    return IntersectionReport(gamma, STATUS_UNKNOWN, None, [head] + rejected, None,
+                              rejected_witnesses=len(rejected))
+
+
+def _report_bytes(rep):
+    return json.dumps(rep.to_json_dict(), sort_keys=True)
+
+
+def test_find_witness_matches_point_by_point_reference_n2():
+    statuses = set()
+    for idx, gamma in enumerate(sl_candidates(2, 2)):
+        rep = find_witness(gamma, budget=400, rng=RngStream(2718, idx))
+        assert _report_bytes(rep) == _report_bytes(
+            reference_search(gamma, 400, RngStream(2718, idx))
+        ), gamma.entries
+        statuses.add(rep.status)
+    assert statuses == {STATUS_WITNESSED, STATUS_UNKNOWN}
+
+
+def test_find_witness_matches_point_by_point_reference_n3():
+    cands = sl_candidates(3, 1)
+    picked = np.random.default_rng(3).choice(len(cands), size=60, replace=False)
+    statuses = set()
+    for idx in sorted(picked.tolist()):
+        rep = find_witness(cands[idx], budget=3, rng=RngStream(1, idx))
+        assert _report_bytes(rep) == _report_bytes(
+            reference_search(cands[idx], 3, RngStream(1, idx))
+        ), cands[idx].entries
+        statuses.add(rep.status)
+    assert STATUS_WITNESSED in statuses

@@ -18,7 +18,6 @@ from siegel.iwasawa import (
     matrix_from_json,
     matrix_to_json,
     membership_excess,
-    recompose,
     siegel_membership,
     unit_upper,
 )
@@ -52,7 +51,7 @@ def test_decompose_round_trip(n, rng):
         assert errs["det_k"] <= 1e-9
         assert errs["prod_a"] <= 1e-9
         assert np.all(f.a > 0)
-        assert np.max(np.abs(recompose(f) - g)) <= 1e-10
+        assert np.max(np.abs(f.reconstruct() - g)) <= 1e-10
 
 
 def test_factor_uniqueness(rng):
@@ -90,7 +89,7 @@ def test_nonsquare_rejected():
 
 def test_recompose_diagonal_case():
     f = decompose(np.diag([2.0, 0.5]))
-    assert np.allclose(recompose(f), np.diag([2.0, 0.5]))
+    assert np.allclose(f.reconstruct(), np.diag([2.0, 0.5]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -186,3 +185,34 @@ def test_siegel_params_validation():
         SiegelParams(-1.0, 0.5)
     assert math.isclose(MINIMAL_PARAMS.t, 2.0 / math.sqrt(3.0))
     assert MINIMAL_PARAMS.lam == 0.5
+
+
+def test_stacked_membership_excess_equals_single_calls(rng):
+    for n in (2, 3, 4, 5):
+        stack = np.array([random_sl(rng, n) for _ in range(64)])
+        stack[::4] *= [1.0] + [3.0] * (n - 1)  # some well outside the set
+        stacked = membership_excess(stack, MINIMAL_PARAMS, check=False)
+        assert stacked.shape == (64,)
+        single = [membership_excess(g, MINIMAL_PARAMS, check=False) for g in stack]
+        assert stacked.tolist() == single
+        factored = [membership_excess(decompose(g, check=False), MINIMAL_PARAMS) for g in stack]
+        assert factored == single
+
+
+def test_stacked_membership_excess_keeps_guards(rng):
+    good = np.array([random_sl(rng, 3) for _ in range(4)])
+    assert membership_excess(good[:0], MINIMAL_PARAMS).shape == (0,)
+    bad = good.copy()
+    bad[2, 0, 0] = np.nan
+    with pytest.raises(InvalidArgumentError):
+        membership_excess(bad, MINIMAL_PARAMS, check=False)
+    bad = good.copy()
+    bad[1, :, 1] = bad[1, :, 0]  # singular
+    with pytest.raises(NonInvertibleError):
+        membership_excess(bad, MINIMAL_PARAMS, check=False)
+    bad = good.copy()
+    bad[3] *= 2.0  # det 8
+    with pytest.raises(NotUnimodularError):
+        membership_excess(bad, MINIMAL_PARAMS)
+    with pytest.raises(InvalidArgumentError):
+        membership_excess(np.ones((2, 3, 2)), MINIMAL_PARAMS)
