@@ -67,6 +67,7 @@ TOLERANCE_KEYS = (
 )
 BUDGET_KEYS = ("max_iter", "budget_per_candidate", "mc_samples")
 OUTPUT_FORMATS = ("json", "csv", "pretty")
+DEFAULT_MC_SAMPLES = 100_000
 
 
 @dataclass
@@ -246,7 +247,7 @@ def _cmd_sample(args, config: RunConfig, fmt: str) -> int:
     stream = RngStream(config.seed, 0)
     p = SiegelParams(args.t, getattr(args, "lam"))
     if args.what == "a-integral":
-        count = _setting(args.count, config, "mc_samples", 1)
+        count = _setting(args.count, config, "mc_samples", DEFAULT_MC_SAMPLES)
     else:
         count = 1 if args.count is None else args.count
     result: dict = {"what": args.what, "n": args.n, "count": count}
@@ -361,7 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("sample", parents=[common], help="seeded sampling / Monte Carlo estimates")
     sub.add_argument("--what", choices=("rotation", "point", "a-integral"), default="point")
     sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--count", type=int, default=None, help="samples (default 1)")
+    sub.add_argument(
+        "--count", type=int, default=None,
+        help=f"samples (default 1; {DEFAULT_MC_SAMPLES} for a-integral)",
+    )
     sub.add_argument("--b-min", type=float, default=None)
     _add_siegel_params(sub)
     sub.set_defaults(func=_cmd_sample)

@@ -1,16 +1,17 @@
 """Exact symbolic volumes and their log-space evaluation.
 
 Every closed-form quantity here is a product of: a rational coefficient,
-rational powers of 2, 3 and pi, and integer powers of Gamma(i/2), zeta(i)
-and i!.  :class:`SymbolicVolume` keeps those exponents exact (Fractions
-and ints), so identities between formulas can be checked with zero drift;
-floats only appear when ``log_value``/``value`` are called.
+rational powers of 2, 3 and pi, and integer powers of zeta(i) and i!.
+:class:`SymbolicVolume` keeps those exponents exact (Fractions and ints),
+so identities between formulas can be checked with zero drift; floats
+only appear when ``log_value``/``value`` are called.
 
-Gamma(i/2) factors are rewritten into the factorial/pi/2 basis on
-construction (Gamma(m) = (m-1)!, Gamma(m + 1/2) = sqrt(pi) (2m)!/(4^m m!)),
-which makes equal quantities structurally equal and keeps printed forms
-clean.  Arbitrary positive constants (a non-canonical Siegel parameter t,
-say) are tracked as labeled numeric factors with exact exponents.
+Gamma(i/2) factors are rewritten into the factorial/pi/2 basis as they are
+added (Gamma(m) = (m-1)!, Gamma(m + 1/2) = sqrt(pi) (2m)!/(4^m m!)), which
+makes equal quantities structurally equal and keeps printed forms clean.
+Builders add exponents in one pass; :func:`growth_table` evaluates the same
+closed forms in log space with numpy.  Arbitrary positive constants (a
+non-canonical Siegel parameter t, say) are labeled numeric factors.
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ _BERNOULLI = (
 )
 
 _ZETA_CUTOFF = 16
+
+# zeta(s) - 1 < 2^-s (1 + 2/(s-1)) < 2^-53, so zeta(s) rounds to 1.0, for s >= 54.
+_ZETA_IS_ONE = 54
 
 
 @lru_cache(maxsize=None)
@@ -92,6 +96,39 @@ def _scale(d: dict, mult: int) -> dict:
     return {k: v * mult for k, v in d.items() if v * mult}
 
 
+def _fold_factorial(fact: dict, i: int, exp: int) -> int:
+    """Add ``exp`` to the exponent of i! in ``fact``, folding 0! = 1! = 1
+    and 2! = 2; returns the power of 2 split off."""
+    if i < 0:
+        raise InvalidArgumentError("factorial factors need i >= 0")
+    if i <= 1 or not exp:
+        return 0
+    if i == 2:
+        return exp
+    fact[i] = fact.get(i, 0) + exp
+    if not fact[i]:
+        del fact[i]
+    return 0
+
+
+def _fold_gamma_half(fact: dict, indices, exp: int) -> tuple[int, int]:
+    """Add prod_{i in indices} Gamma(i/2)^exp to ``fact`` in the factorial
+    basis; returns the powers of 2 and of sqrt(pi) split off.
+
+    Even i = 2m: Gamma(m) = (m-1)!.  Odd i = 2m+1:
+    Gamma(m + 1/2) = sqrt(pi) * (2m)! / (4**m * m!).
+    """
+    pow2 = half_pi = 0
+    for i in indices:
+        m = i // 2
+        if i % 2 == 0:
+            pow2 += _fold_factorial(fact, m - 1, exp)
+        else:
+            pow2 += _fold_factorial(fact, 2 * m, exp) + _fold_factorial(fact, m, -exp) - 2 * m * exp
+            half_pi += exp
+    return pow2, half_pi
+
+
 def _adic_split(value: int, base: int) -> tuple[int, int]:
     exp = 0
     while value % base == 0:
@@ -118,7 +155,7 @@ class SymbolicVolume:
     """Exact multiplicative expression with a log-space evaluator.
 
     Fields hold exact exponents: ``pow2``/``pow3``/``pow_pi`` are rational,
-    the maps give integer exponents per Gamma(i/2), zeta(i), i! factor, and
+    the maps give integer exponents per zeta(i) and i! factor, and
     ``numeric`` holds exact rational exponents of arbitrary positive floats.
     Multiplication and division add exponents exactly; nothing is rounded
     until ``log_value``/``value``.
@@ -128,7 +165,6 @@ class SymbolicVolume:
     pow2: Fraction = Fraction(0)
     pow3: Fraction = Fraction(0)
     pow_pi: Fraction = Fraction(0)
-    gamma_half: dict = field(default_factory=dict)  # i -> exponent of Gamma(i/2)
     zeta_pow: dict = field(default_factory=dict)  # i -> exponent of zeta(i)
     factorial: dict = field(default_factory=dict)  # i -> exponent of i!
     numeric: dict = field(default_factory=dict)  # float base -> Fraction exponent
@@ -168,31 +204,19 @@ class SymbolicVolume:
     @classmethod
     def factorial_factor(cls, i: int, exp: int = 1) -> "SymbolicVolume":
         """i! to an integer power, folded so that 0!, 1! vanish and 2! -> 2."""
-        if i < 0:
-            raise InvalidArgumentError("factorial factors need i >= 0")
-        if exp == 0 or i <= 1:
-            return cls()
-        if i == 2:
-            return cls(pow2=Fraction(exp))
-        return cls(factorial={i: exp})
+        fact: dict = {}
+        pow2 = _fold_factorial(fact, i, exp)
+        return cls(pow2=Fraction(pow2), factorial=fact)
 
     @classmethod
     def gamma_half_factor(cls, i: int, exp: int = 1) -> "SymbolicVolume":
-        """Gamma(i/2) to an integer power, rewritten into the factorial basis.
-
-        Even i = 2m: Gamma(m) = (m-1)!.  Odd i = 2m+1:
-        Gamma(m + 1/2) = sqrt(pi) * (2m)! / (4**m * m!).
-        """
+        """Gamma(i/2) to an integer power, rewritten into the factorial basis
+        (see :func:`_fold_gamma_half`)."""
         if i < 1:
             raise InvalidArgumentError("gamma factors need i >= 1")
-        if exp == 0:
-            return cls()
-        if i % 2 == 0:
-            return cls.factorial_factor(i // 2 - 1, exp)
-        m = (i - 1) // 2
-        out = cls(pow_pi=Fraction(exp, 2), pow2=Fraction(-2 * m * exp))
-        out = out * cls.factorial_factor(2 * m, exp) * cls.factorial_factor(m, -exp)
-        return out
+        fact: dict = {}
+        pow2, half_pi = _fold_gamma_half(fact, (i,), exp)
+        return cls(pow2=Fraction(pow2), pow_pi=Fraction(half_pi, 2), factorial=fact)
 
     @classmethod
     def numeric_factor(cls, base: float, exp) -> "SymbolicVolume":
@@ -224,7 +248,6 @@ class SymbolicVolume:
             pow2=self.pow2 + other.pow2,
             pow3=self.pow3 + other.pow3,
             pow_pi=self.pow_pi + other.pow_pi,
-            gamma_half=_merge(self.gamma_half, other.gamma_half, +1),
             zeta_pow=_merge(self.zeta_pow, other.zeta_pow, +1),
             factorial=_merge(self.factorial, other.factorial, +1),
             numeric=_merge(self.numeric, other.numeric, +1),
@@ -236,7 +259,6 @@ class SymbolicVolume:
             pow2=self.pow2 - other.pow2,
             pow3=self.pow3 - other.pow3,
             pow_pi=self.pow_pi - other.pow_pi,
-            gamma_half=_merge(self.gamma_half, other.gamma_half, -1),
             zeta_pow=_merge(self.zeta_pow, other.zeta_pow, -1),
             factorial=_merge(self.factorial, other.factorial, -1),
             numeric=_merge(self.numeric, other.numeric, -1),
@@ -250,44 +272,31 @@ class SymbolicVolume:
             pow2=self.pow2 * exp,
             pow3=self.pow3 * exp,
             pow_pi=self.pow_pi * exp,
-            gamma_half=_scale(self.gamma_half, exp),
             zeta_pow=_scale(self.zeta_pow, exp),
             factorial=_scale(self.factorial, exp),
-            numeric={k: v * exp for k, v in self.numeric.items()},
+            numeric=_scale(self.numeric, exp),
         )
 
     def normalized(self) -> "SymbolicVolume":
-        """Canonical form: coefficient coprime to 6, Gamma factors
-        rewritten, trivial keys folded."""
+        """Canonical form: coefficient coprime to 6, trivial keys folded."""
         rest, p2, p3 = _split_coeff(self.coeff)
-        out = SymbolicVolume(
+        fact: dict = {}
+        for i, e in self.factorial.items():
+            p2 += _fold_factorial(fact, i, e)
+        return SymbolicVolume(
             coeff=rest,
             pow2=self.pow2 + p2,
             pow3=self.pow3 + p3,
             pow_pi=self.pow_pi,
             numeric={k: v for k, v in self.numeric.items() if v},
             zeta_pow={k: v for k, v in self.zeta_pow.items() if v},
+            factorial=fact,
         )
-        for i, e in self.factorial.items():
-            out = out * SymbolicVolume.factorial_factor(i, e)
-        for i, e in self.gamma_half.items():
-            out = out * SymbolicVolume.gamma_half_factor(i, e)
-        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymbolicVolume):
             return NotImplemented
-        a, b = self.normalized(), other.normalized()
-        return (
-            a.coeff == b.coeff
-            and a.pow2 == b.pow2
-            and a.pow3 == b.pow3
-            and a.pow_pi == b.pow_pi
-            and a.gamma_half == b.gamma_half
-            and a.zeta_pow == b.zeta_pow
-            and a.factorial == b.factorial
-            and a.numeric == b.numeric
-        )
+        return vars(self.normalized()) == vars(other.normalized())  # compares every field
 
     __hash__ = None
 
@@ -299,8 +308,6 @@ class SymbolicVolume:
         total += float(self.pow2) * _LN2
         total += float(self.pow3) * _LN3
         total += float(self.pow_pi) * _LNPI
-        for i, e in self.gamma_half.items():
-            total += e * math.lgamma(i / 2.0)
         for i, e in self.zeta_pow.items():
             total += e * math.log(zeta(i))
         for i, e in self.factorial.items():
@@ -342,10 +349,6 @@ class SymbolicVolume:
             parts.append(self._pow_str("3", self.pow3))
         if self.pow_pi:
             parts.append(self._pow_str("pi", self.pow_pi))
-        for i in sorted(self.gamma_half):
-            e = self.gamma_half[i]
-            label = f"gamma({i // 2})" if i % 2 == 0 else f"gamma({i}/2)"
-            parts.append(self._pow_str(label, Fraction(e)))
         for i in sorted(self.factorial):
             e = self.factorial[i]
             parts.append(f"{i}!" if e == 1 else f"({i}!)^{'(%d)' % e if e < 0 else e}")
@@ -378,11 +381,13 @@ def vol_so(n: int) -> SymbolicVolume:
     """
     if n < 1:
         raise InvalidArgumentError("n must be >= 1")
-    out = SymbolicVolume.two_pow(Fraction(n - 1) * (Fraction(n, 4) + 1))
-    for i in range(2, n + 1):
-        out = out * SymbolicVolume.pi_pow(Fraction(i, 2))
-        out = out / SymbolicVolume.gamma_half_factor(i)
-    return out
+    fact: dict = {}
+    pow2, half_pi = _fold_gamma_half(fact, range(2, n + 1), -1)
+    return SymbolicVolume(
+        pow2=Fraction((n - 1) * (n + 4), 4) + pow2,
+        pow_pi=Fraction(n * n + n - 2 + 2 * half_pi, 4),
+        factorial=fact,
+    )
 
 
 def vol_so_recursive(n: int) -> SymbolicVolume:
@@ -429,12 +434,13 @@ def vol_quotient(n: int) -> SymbolicVolume:
     """
     if n < 2:
         raise InvalidArgumentError("n must be >= 2")
-    out = SymbolicVolume.two_pow(Fraction(1, 2))
-    for i in range(2, n + 1):
-        out = out * SymbolicVolume.zeta_factor(i)
-    for i in range(1, n):
-        out = out * SymbolicVolume.two_pow(-(i - 1)) / SymbolicVolume.factorial_factor(i)
-    return out
+    fact: dict = {}
+    pow2 = sum(_fold_factorial(fact, i, -1) for i in range(1, n)) - (n - 1) * (n - 2) // 2
+    return SymbolicVolume(
+        pow2=Fraction(1, 2) + pow2,
+        zeta_pow=dict.fromkeys(range(2, n + 1), 1),
+        factorial=fact,
+    )
 
 
 def vol_quotient_rightmost(n: int) -> SymbolicVolume:
@@ -446,11 +452,13 @@ def vol_quotient_rightmost(n: int) -> SymbolicVolume:
     """
     if n < 2:
         raise InvalidArgumentError("n must be >= 2")
-    out = SymbolicVolume.two_pow(-Fraction(n * n - 3 * n + 1, 2))
-    for i in range(2, n + 1):
-        out = out * SymbolicVolume.zeta_factor(i)
-        out = out / SymbolicVolume.factorial_factor(i)
-    return out
+    fact: dict = {}
+    pow2 = sum(_fold_factorial(fact, i, -1) for i in range(2, n + 1))
+    return SymbolicVolume(
+        pow2=pow2 - Fraction(n * n - 3 * n + 1, 2),
+        zeta_pow=dict.fromkeys(range(2, n + 1), 1),
+        factorial=fact,
+    )
 
 
 def ratio_C(n: int) -> SymbolicVolume:
@@ -469,16 +477,16 @@ def ratio_C_display(n: int) -> SymbolicVolume:
     (3^((n^3-n)/12) ((n-1)!)^2 prod Gamma(i/2) prod zeta(i)).
     Disagrees with the direct quotient by 2^(3n-1); kept for the check.
     """
-    out = SymbolicVolume.two_pow(Fraction(2 * n**3 + 9 * n**2 + 25 * n - 30, 12))
-    out = out * SymbolicVolume.pi_pow(Fraction(n * n + n - 2, 4))
-    for i in range(1, n):
-        out = out * SymbolicVolume.factorial_factor(i)
-    out = out * SymbolicVolume.three_pow(-Fraction(n**3 - n, 12))
-    out = out * SymbolicVolume.factorial_factor(n - 1, -2)
-    for i in range(2, n + 1):
-        out = out / SymbolicVolume.gamma_half_factor(i)
-        out = out / SymbolicVolume.zeta_factor(i)
-    return out
+    fact: dict = {}
+    pow2 = sum(_fold_factorial(fact, i, 1) for i in range(1, n)) + _fold_factorial(fact, n - 1, -2)
+    p2, half_pi = _fold_gamma_half(fact, range(2, n + 1), -1)
+    return SymbolicVolume(
+        pow2=Fraction(2 * n**3 + 9 * n**2 + 25 * n - 30, 12) + pow2 + p2,
+        pow3=-Fraction(n**3 - n, 12),
+        pow_pi=Fraction(n * n + n - 2 + 2 * half_pi, 4),
+        zeta_pow=dict.fromkeys(range(2, n + 1), -1),
+        factorial=fact,
+    )
 
 
 def vol_symmetric_space(n: int) -> SymbolicVolume:
@@ -501,14 +509,15 @@ def harder_volume(n: int) -> SymbolicVolume:
     """
     if n < 2:
         raise InvalidArgumentError("n must be >= 2")
-    tau = harder_tau(n)
     e = Fraction(n * (n + 3), 2)
-    out = SymbolicVolume.two_pow(-e - tau) * SymbolicVolume.pi_pow(-e)
-    for i in range(1, n):
-        out = out * SymbolicVolume.factorial_factor(i)
-    for i in range(2, n + 1):
-        out = out * SymbolicVolume.zeta_factor(i)
-    return out / SymbolicVolume.factorial_factor(n)
+    fact: dict = {}
+    pow2 = sum(_fold_factorial(fact, i, 1) for i in range(1, n)) + _fold_factorial(fact, n, -1)
+    return SymbolicVolume(
+        pow2=pow2 - e - harder_tau(n),
+        pow_pi=-e,
+        zeta_pow=dict.fromkeys(range(2, n + 1), 1),
+        factorial=fact,
+    )
 
 
 def normalization_ratio(n: int) -> SymbolicVolume:
@@ -521,15 +530,14 @@ def normalization_ratio_display(n: int) -> SymbolicVolume:
     """The displayed simplification of the same conversion factor:
     2^((n^2-5n-2)/4 - tau) (prod i!)^2 / (n! pi^((n^2+5n+2)/4) prod Gamma(i/2)).
     Disagrees with the direct quotient by 2^n; kept for the check."""
-    tau = harder_tau(n)
-    out = SymbolicVolume.two_pow(Fraction(n * n - 5 * n - 2, 4) - tau)
-    for i in range(1, n):
-        out = out * SymbolicVolume.factorial_factor(i, 2)
-    out = out / SymbolicVolume.factorial_factor(n)
-    out = out * SymbolicVolume.pi_pow(-Fraction(n * n + 5 * n + 2, 4))
-    for i in range(2, n + 1):
-        out = out / SymbolicVolume.gamma_half_factor(i)
-    return out
+    fact: dict = {}
+    pow2 = sum(_fold_factorial(fact, i, 2) for i in range(1, n)) + _fold_factorial(fact, n, -1)
+    p2, half_pi = _fold_gamma_half(fact, range(2, n + 1), -1)
+    return SymbolicVolume(
+        pow2=Fraction(n * n - 5 * n - 2, 4) - harder_tau(n) + pow2 + p2,
+        pow_pi=Fraction(2 * half_pi - n * n - 5 * n - 2, 4),
+        factorial=fact,
+    )
 
 
 @dataclass(frozen=True)
@@ -600,49 +608,39 @@ class GrowthRow:
         }
 
 
-def _so_pow2_exponent(n: int) -> Fraction:
-    return Fraction(n - 1) * (Fraction(n, 4) + 1)
-
-
 def growth_table(n_max: int) -> list[GrowthRow]:
-    """Log-space growth data for n = 2..n_max (canonical Siegel parameters).
+    """Log-space growth data for n = 2..n_max (canonical Siegel parameters
+    t = 2/sqrt(3), lam = 1/2), as a vectorised closed form.
 
-    log_C comes from the symbolic quotient, so the identity
-    log_C = log_vol_siegel - log_vol_quotient holds up to float rounding
-    of the evaluation, exactly in the algebra.  The SO(n) and covolume
-    expressions are extended incrementally per row; rebuilding them from
-    scratch for every n would be cubic in n_max.
+    With G(n) = sum_{i=2}^n lgamma(i/2), F(n) = sum_{i=2}^n lgamma(i) and
+    Z(n) = sum_{i=2}^n log zeta(i), the docstrings of :func:`vol_so`,
+    :func:`vol_siegel` and :func:`vol_quotient` give
+
+        log vol_siegel   = (2n^3 + 3n^2 + 7n - 24)/12 log 2 - (n^3 - n)/12 log 3
+                           + (n^2 + n - 2)/4 log pi - G(n) - 2 lgamma(n)
+        log vol_quotient = (1 - (n-1)(n-2))/2 log 2 + Z(n) - F(n)
+        log_C            = log vol_siegel - log vol_quotient
+
+    The exponents are exact integers and the three sums are numpy cumulative
+    sums, so the table is O(n_max) and builds no :class:`SymbolicVolume`.
     """
     if not (2 <= n_max <= 2000):
         raise InvalidArgumentError("n_max must be in [2, 2000]")
-    rows = []
-    so = vol_so(2)
-    quo = vol_quotient(2)
-    t = MINIMAL_PARAMS.t
-    for n in range(2, n_max + 1):
-        if n > 2:
-            so = so * SymbolicVolume.two_pow(
-                _so_pow2_exponent(n) - _so_pow2_exponent(n - 1)
-            ) * SymbolicVolume.pi_pow(Fraction(n, 2)) / SymbolicVolume.gamma_half_factor(n)
-            quo = quo * SymbolicVolume.zeta_factor(n) * SymbolicVolume.two_pow(
-                -(n - 2)
-            ) / SymbolicVolume.factorial_factor(n - 1)
-        sie = (
-            SymbolicVolume.rational(1, 2)
-            * so
-            * SymbolicVolume.numeric_factor(t, Fraction(n * (n * n - 1), 6))
-            * SymbolicVolume.factorial_factor(n - 1, -2)
-        )
-        rows.append(
-            GrowthRow(
-                n=n,
-                log_vol_siegel=sie.log_value(),
-                log_vol_quotient=quo.log_value(),
-                log_C=(sie / quo).log_value(),
-                log_height_bound=(n * n - 1) / 2.0 * math.log(n),
-            )
-        )
-    return rows
+    n = np.arange(2, n_max + 1, dtype=np.int64)
+    lgamma_n = np.array([math.lgamma(k) for k in range(2, n_max + 1)])
+    lgamma_half = np.array([math.lgamma(i / 2.0) for i in range(2, n_max + 1)])
+    log_zeta = np.zeros(n_max - 1)
+    for s in range(2, min(n_max + 1, _ZETA_IS_ONE)):
+        log_zeta[s - 2] = math.log(zeta(s))
+    log_sie = (
+        (2 * n**3 + 3 * n**2 + 7 * n - 24) * _LN2
+        - (n**3 - n) * _LN3
+        + 3 * (n * n + n - 2) * _LNPI
+    ) / 12.0 - np.cumsum(lgamma_half) - 2.0 * lgamma_n
+    log_quo = (1 - (n - 1) * (n - 2)) * (_LN2 / 2.0) + np.cumsum(log_zeta) - np.cumsum(lgamma_n)
+    log_height = (n * n - 1) / 2.0 * np.log(n)
+    columns = (n, log_sie, log_quo, log_sie - log_quo, log_height)
+    return [GrowthRow(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 GROWTH_CSV_HEADER = "n,log_vol_siegel,log_vol_quotient,log_C,log_height_bound"

@@ -249,8 +249,8 @@ def test_criterion_08_growth_asymptotics():
     assert bounds_ok
     assert timing_ok
     # At n = 1000 the true gap is ~9.7%: the n^2 log n corrections are
-    # still 10% of the n^3 term there and only fall under 6% near
-    # n = 2000.  The band is asserted as stated and fails honestly.
+    # still 10% of the n^3 term there and first fall under 6% at
+    # n = 1710.  The band is asserted as stated and fails honestly.
     assert limit_ok, (
         f"log_C(1000)/1000^3 = {ratio:.6f} is {limit_gap:.1%} from the limit "
         f"{limit:.6f}; the 6% band is unattainable at n = 1000"

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from siegel.cli import RunConfig, build_parser, load_config, run
+from siegel.cli import DEFAULT_MC_SAMPLES, RunConfig, build_parser, load_config, run
 from siegel.errors import MalformedConfigError
 from siegel.iwasawa import matrix_to_json_dict
 
@@ -200,3 +200,10 @@ def test_explicit_count_beats_config_mc_samples(tmp_path, capsys):
 
     assert samples("--count", "200") == 200
     assert samples() == 300
+
+
+def test_a_integral_default_count_runs(capsys):
+    code, out, _ = run_cli(capsys, "sample", "--what", "a-integral", "--n", "2")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["count"] == DEFAULT_MC_SAMPLES == result["report"]["samples"]

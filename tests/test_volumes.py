@@ -10,6 +10,7 @@ from siegel.errors import InvalidArgumentError
 from siegel.haar import a_integral_quadrature
 from siegel.iwasawa import MINIMAL_PARAMS, SiegelParams
 from siegel.volumes import (
+    _ZETA_IS_ONE,
     GROWTH_CSV_HEADER,
     SymbolicVolume,
     compare_normalization_forms,
@@ -20,10 +21,13 @@ from siegel.volumes import (
     harder_tau,
     harder_volume,
     normalization_ratio,
+    normalization_ratio_display,
     ratio_C,
+    ratio_C_display,
     signed_perm_order,
     sphere_volume,
     vol_quotient,
+    vol_quotient_rightmost,
     vol_siegel,
     vol_so,
     vol_so_recursive,
@@ -53,6 +57,13 @@ def test_zeta_3_against_direct_sum_oracle():
 def test_zeta_large_arguments():
     assert zeta(60) == pytest.approx(1.0 + 2.0**-60, rel=1e-15)
     assert zeta(2000) == 1.0
+
+
+def test_zeta_rounds_to_one_from_the_cutoff():
+    # growth_table sums log zeta(i) only below the cutoff; above it every
+    # term is log(1.0) = 0 in binary64
+    assert zeta(_ZETA_IS_ONE - 1) > 1.0
+    assert all(zeta(s) == 1.0 for s in range(_ZETA_IS_ONE, 2001))
 
 
 def test_zeta_domain_errors():
@@ -92,6 +103,29 @@ def test_symbolic_log_matches_direct_evaluation(p, q, e, i):
         * math.factorial(i) ** float(e)
     )
     assert math.isclose(math.exp(expr.log_value()), direct, rel_tol=1e-12)
+
+
+def test_zero_power_is_one():
+    x = SymbolicVolume.numeric_factor(1.7, 2)
+    assert str(x**0) == "1"
+    assert x**0 == SymbolicVolume.one()
+    assert str(x**-1) == "1.7^(-2)"
+    assert str(vol_siegel(3, SiegelParams(1.7, 0.5)) ** 0) == "1"
+
+
+@pytest.mark.parametrize("i", range(1, 31))
+def test_gamma_half_factor_log_matches_lgamma(i):
+    for e in (-2, -1, 1, 2):
+        got = SymbolicVolume.gamma_half_factor(i, e).log_value()
+        assert math.isclose(got, e * math.lgamma(i / 2.0), rel_tol=1e-13, abs_tol=1e-13)
+    assert SymbolicVolume.gamma_half_factor(i, 0) == SymbolicVolume.one()
+
+
+def test_normalized_folds_trivial_factorials():
+    x = SymbolicVolume(factorial={0: 3, 1: -2, 2: 5, 7: 0, 9: 1}, zeta_pow={3: 0})
+    y = x.normalized()
+    assert y.factorial == {9: 1} and y.zeta_pow == {} and y.pow2 == 5
+    assert x == SymbolicVolume.two_pow(5) * SymbolicVolume.factorial_factor(9)
 
 
 def test_mul_div_round_trip():
@@ -272,6 +306,100 @@ def test_normalization_display_form_differs_by_two_to_n():
         assert math.isclose(fc.log_mismatch, n * math.log(2.0), abs_tol=1e-8)
 
 
+# --- one-pass builders against factor-by-factor products ---
+#
+# Each reference multiplies the factors of the builder's docstring one at a
+# time with the public constructors (O(n) products, each merging O(n) maps).
+
+SV = SymbolicVolume
+
+
+def _product(*factors):
+    out = SV.one()
+    for f in factors:
+        out = out * f
+    return out
+
+
+def _prod_over(make, indices):
+    return _product(*(make(i) for i in indices))
+
+
+def ref_vol_so(n):
+    return SV.two_pow(Fraction(n - 1) * (Fraction(n, 4) + 1)) * _prod_over(
+        lambda i: SV.pi_pow(Fraction(i, 2)) / SV.gamma_half_factor(i), range(2, n + 1)
+    )
+
+
+def ref_vol_quotient(n):
+    return (
+        SV.two_pow(Fraction(1, 2))
+        * _prod_over(SV.zeta_factor, range(2, n + 1))
+        * _prod_over(lambda i: SV.one() / (SV.two_pow(i - 1) * SV.factorial_factor(i)), range(1, n))
+    )
+
+
+def ref_vol_quotient_rightmost(n):
+    return _prod_over(SV.zeta_factor, range(2, n + 1)) / (
+        SV.two_pow(Fraction(n * n - 3 * n + 1, 2)) * _prod_over(SV.factorial_factor, range(2, n + 1))
+    )
+
+
+def ref_ratio_C_display(n):
+    num = (
+        SV.two_pow(Fraction(2 * n**3 + 9 * n**2 + 25 * n - 30, 12))
+        * SV.pi_pow(Fraction(n * n + n - 2, 4))
+        * _prod_over(SV.factorial_factor, range(1, n))
+    )
+    den = (
+        SV.three_pow(Fraction(n**3 - n, 12))
+        * SV.factorial_factor(n - 1) ** 2
+        * _prod_over(SV.gamma_half_factor, range(2, n + 1))
+        * _prod_over(SV.zeta_factor, range(2, n + 1))
+    )
+    return num / den
+
+
+def ref_harder_volume(n):
+    two_pi = SV.two_pow(1) * SV.pi_pow(1)
+    return (
+        _prod_over(SV.factorial_factor, range(1, n))
+        * _prod_over(SV.zeta_factor, range(2, n + 1))
+        / (two_pi ** (n * (n + 3) // 2) * SV.two_pow(harder_tau(n)) * SV.factorial_factor(n))
+    )
+
+
+def ref_normalization_ratio_display(n):
+    num = SV.two_pow(Fraction(n * n - 5 * n - 2, 4) - harder_tau(n)) * _prod_over(
+        SV.factorial_factor, range(1, n)
+    ) ** 2
+    den = (
+        SV.factorial_factor(n)
+        * SV.pi_pow(Fraction(n * n + 5 * n + 2, 4))
+        * _prod_over(SV.gamma_half_factor, range(2, n + 1))
+    )
+    return num / den
+
+
+@pytest.mark.parametrize(
+    "builder,reference",
+    [
+        (vol_so, ref_vol_so),
+        (vol_quotient, ref_vol_quotient),
+        (vol_quotient_rightmost, ref_vol_quotient_rightmost),
+        (ratio_C_display, ref_ratio_C_display),
+        (harder_volume, ref_harder_volume),
+        (normalization_ratio_display, ref_normalization_ratio_display),
+    ],
+    ids=lambda f: f.__name__,
+)
+def test_one_pass_builder_equals_factor_product(builder, reference):
+    for n in range(2, 81):
+        got, want = builder(n), reference(n)
+        assert got == want, n
+        assert str(got) == str(want), n
+
+
 # --- growth table ---
 
 def test_growth_table_row_two_matches_direct_values():
@@ -304,6 +432,46 @@ def test_growth_table_csv_shape():
     # 17-significant-digit floats round-trip
     val = float(lines[1].split(",")[1])
     assert val == growth_table(5)[0].log_vol_siegel
+
+
+def test_growth_table_matches_symbolic_rows_to_1e12():
+    for row in growth_table(60):
+        assert math.isclose(row.log_C, ratio_C(row.n).log_value(), rel_tol=1e-12)
+        assert math.isclose(row.log_vol_siegel, vol_siegel(row.n).log_value(), rel_tol=1e-12)
+        assert math.isclose(row.log_vol_quotient, vol_quotient(row.n).log_value(), rel_tol=1e-12)
+
+
+def test_growth_table_against_mpmath_oracle():
+    # every row to n = 2000 against the closed forms summed at 30 digits
+    mpmath = pytest.importorskip("mpmath")
+    rows = growth_table(2000)
+    assert [r.n for r in rows] == list(range(2, 2001))
+    with mpmath.workdps(30):
+        ln2, ln3, lnpi = mpmath.log(2), mpmath.log(3), mpmath.log(mpmath.pi)
+        so_sum = zeta_sum = fact_sum = mpmath.mpf(0)
+        for r in rows:
+            n = mpmath.mpf(r.n)
+            so_sum += n / 2 * lnpi - mpmath.loggamma(n / 2)
+            zeta_sum += mpmath.log(mpmath.zeta(n))
+            fact_sum += (n - 2) * ln2 + mpmath.loggamma(n)
+            log_so = (n - 1) * (n / 4 + 1) * ln2 + so_sum
+            log_sie = -ln2 + log_so + n * (n * n - 1) / 6 * (ln2 - ln3 / 2) - 2 * mpmath.loggamma(n)
+            log_quo = ln2 / 2 + zeta_sum - fact_sum
+            want = (log_sie, log_quo, log_sie - log_quo, (n * n - 1) / 2 * mpmath.log(n))
+            got = (r.log_vol_siegel, r.log_vol_quotient, r.log_C, r.log_height_bound)
+            for g, w in zip(got, want):
+                assert math.isclose(g, float(w), rel_tol=1e-12), (r.n, g, w)
+
+
+def test_criterion_8_gap_closes_only_near_n_1710():
+    # log_C(n)/n^3 approaches ln2/6 - ln3/12 from above; the 6% band of
+    # acceptance criterion 8 is first met at n = 1710, not at n = 1000
+    limit = math.log(2.0) / 6.0 - math.log(3.0) / 12.0
+    gap = {r.n: (r.log_C / r.n**3 - limit) / limit for r in growth_table(2000)}
+    assert round(gap[1000], 4) == 0.0968
+    assert round(gap[2000], 4) == 0.0521
+    assert min(n for n, g in gap.items() if g <= 0.06) == 1710
+    assert all(g <= 0.06 for n, g in gap.items() if n >= 1710)
 
 
 def test_growth_table_bounds_checked():
