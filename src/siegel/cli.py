@@ -20,7 +20,14 @@ import numpy as np
 
 from . import __version__
 from .errors import MalformedConfigError, SiegelError
-from .haar import RngStream, a_integral_mc, a_integral_quadrature, sample_haar_so, sample_siegel_block
+from .haar import (
+    DEFAULT_B_MIN_FRACTION,
+    RngStream,
+    a_integral_mc,
+    a_integral_quadrature,
+    sample_haar_so,
+    sample_siegel_block,
+)
 from .iwasawa import (
     MINIMAL_PARAMS,
     SiegelParams,
@@ -57,14 +64,8 @@ from .intersections import (
 
 SEED_ENV_VAR = "SIEGEL_SEED"
 
-TOLERANCE_KEYS = (
-    "det_tol",
-    "ortho_tol",
-    "recon_tol",
-    "singular_tol",
-    "membership_tol",
-    "witness_tol",
-)
+#: ``membership_tol`` is the slack of the ``decompose`` membership verdict.
+TOLERANCE_KEYS = ("membership_tol",)
 BUDGET_KEYS = ("max_iter", "budget_per_candidate", "mc_samples")
 OUTPUT_FORMATS = ("json", "csv", "pretty")
 DEFAULT_MC_SAMPLES = 100_000
@@ -115,8 +116,10 @@ def load_config(path: str | None) -> RunConfig:
             cfg.tolerances[key] = float(value)
         elif key in BUDGET_KEYS:
             v = int(value)
-            if v <= 0:
-                raise MalformedConfigError(f"budget {key} must be positive")
+            # 0 exchanges or 0 random samples are valid runs, as with the flags
+            least = 1 if key == "mc_samples" else 0
+            if v < least:
+                raise MalformedConfigError(f"budget {key} must be >= {least}")
             cfg.budgets[key] = v
         else:
             raise MalformedConfigError(f"unknown config key {key!r}")
@@ -257,7 +260,7 @@ def _cmd_sample(args, config: RunConfig, fmt: str) -> int:
             matrix_to_json_dict(sample_haar_so(args.n, gen)) for _ in range(count)
         ]
     elif args.what == "point":
-        b_min = args.b_min if args.b_min is not None else p.t / 16.0
+        b_min = args.b_min if args.b_min is not None else p.t * DEFAULT_B_MIN_FRACTION
         result["b_min"] = b_min
         block = sample_siegel_block(args.n, p, [b_min] * count, stream)
         result["samples"] = [block.point(i).to_json_dict() for i in range(count)]

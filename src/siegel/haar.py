@@ -55,7 +55,7 @@ def _as_generator(rng) -> np.random.Generator:
     raise InvalidArgumentError(f"expected RngStream or numpy Generator, got {type(rng)}")
 
 
-def conjugation_jacobian(a, *, det_tol: float = DET_TOL) -> float:
+def conjugation_jacobian(a) -> float:
     """Determinant of ``u -> a u a^{-1}`` on strict upper coordinates.
 
     The map scales the (i, j) coordinate by ``a_i / a_j``, so the value is
@@ -66,8 +66,8 @@ def conjugation_jacobian(a, *, det_tol: float = DET_TOL) -> float:
         raise NonPositiveEntryError("all diagonal entries must be positive")
     n = a.size
     prod = float(np.prod(a))
-    if abs(prod - 1.0) > det_tol:
-        raise InvalidArgumentError(f"prod(a) = {prod!r}, expected 1 within {det_tol}")
+    if abs(prod - 1.0) > DET_TOL:
+        raise InvalidArgumentError(f"prod(a) = {prod!r}, expected 1 within {DET_TOL}")
     # sum_{i<j} (log a_i - log a_j) = sum_i (n - 2i + 1) log a_i  (1-based i)
     weights = n - 2.0 * np.arange(1, n + 1) + 1.0
     return float(math.exp(np.dot(weights, np.log(a))))
@@ -145,14 +145,14 @@ class SiegelCoordinatePoint:
         """Materialize as ``k @ diag(a) @ u`` (the membership order)."""
         return self.k @ (self.a[:, None] * self.u)
 
-    def check(self, p: SiegelParams, ortho_tol: float = ORTHO_TOL) -> None:
+    def check(self, p: SiegelParams) -> None:
         n = self.n
         if np.any(self.b <= 0.0) or np.any(self.b > p.t):
             raise InvalidArgumentError("b out of (0, t]")
         iu = np.triu_indices(n, k=1)
         if np.any(np.abs(self.u[iu]) > p.lam):
             raise InvalidArgumentError("u out of [-lam, lam]")
-        if np.max(np.abs(self.k.T @ self.k - np.eye(n))) > ortho_tol:
+        if np.max(np.abs(self.k.T @ self.k - np.eye(n))) > ORTHO_TOL:
             raise InvalidArgumentError("k not orthogonal")
         if not self.weight > 0.0:
             raise InvalidArgumentError("weight must be positive")
@@ -303,6 +303,9 @@ class MonteCarloReport:
 
 DEFAULT_B_MIN_FRACTION = 1.0 / 16.0
 
+#: Monte Carlo draws per generator call; bounds the sampler's memory.
+_MC_CHUNK = 1 << 18
+
 
 def a_integral_mc(
     n: int,
@@ -310,7 +313,6 @@ def a_integral_mc(
     samples: int,
     rng: RngStream,
     b_min: float | None = None,
-    chunk: int = 1 << 18,
 ) -> MonteCarloReport:
     """Monte Carlo estimate of the same integral as :func:`a_integral_quadrature`.
 
@@ -331,13 +333,11 @@ def a_integral_mc(
     exponents = siegel_density_exponents(n).astype(float) + 1.0  # density * prod(b)
     scale = 0.5 * log_span ** (n - 1)
 
-    total = 0.0
-    total_sq = 0.0
     done = 0
     sums = []
     sq_sums = []
     while done < samples:
-        m = min(chunk, samples - done)
+        m = min(_MC_CHUNK, samples - done)
         b = np.exp(gen.uniform(math.log(b_min), math.log(t), size=(m, n - 1)))
         w = np.prod(b ** exponents[None, :], axis=1)
         sums.append(float(np.sum(w)))

@@ -46,6 +46,7 @@ from .errors import (
     InvalidWitnessError,
 )
 from .haar import (
+    DEFAULT_B_MIN_FRACTION,
     RngStream,
     SiegelCoordinatePoint,
     SiegelPointBlock,
@@ -56,6 +57,7 @@ from .iwasawa import (
     MINIMAL_PARAMS,
     SiegelParams,
     UnimodularIntMatrix,
+    _bareiss_det,
     a_from_b,
     decompose_nak,
     membership_excess,
@@ -70,6 +72,10 @@ STATUS_UNKNOWN = "unknown"
 DEFAULT_WITNESS_TOL = 1e-7
 STRICT_WITNESS_TOL = 1e-9
 DEFAULT_BUDGET = 400
+#: Relative slack of each inequality of the chain.
+CHAIN_TOL = 1e-9
+#: Random samples with a pair excess up to this value are refined.
+NEAR_HIT = 0.08
 
 
 def leading_entries(gamma: UnimodularIntMatrix) -> list[tuple[int, int]]:
@@ -211,10 +217,8 @@ class FilterCheck:
 def lemma_filter_chain(
     gamma: UnimodularIntMatrix,
     s: np.ndarray,
-    gamma_s: np.ndarray | None = None,
     p: SiegelParams = MINIMAL_PARAMS,
     membership_tol: float = DEFAULT_WITNESS_TOL,
-    chain_tol: float = 1e-9,
 ) -> list[FilterCheck]:
     """Evaluate the full inequality chain on a concrete witness pair.
 
@@ -222,13 +226,12 @@ def lemma_filter_chain(
     gamma @ s (the order in which the chain's derivation writes Siegel
     elements).  Raises :class:`InvalidWitnessError` unless both elements
     satisfy the membership constraints within ``membership_tol``.  Every
-    check is recorded; on a genuine witness all of them are expected to
-    pass, and a failure is a loud signal of a numerical or logical fault.
+    check is recorded and passes within a relative slack of ``CHAIN_TOL``;
+    on a genuine witness all of them are expected to pass, and a failure
+    is a loud signal of a numerical or logical fault.
     """
     n = gamma.n
-    gf = gamma.to_array()
-    if gamma_s is None:
-        gamma_s = gf @ s
+    gamma_s = gamma.to_array() @ s
     exc_s = membership_excess(s, p, check=False)
     exc_gs = membership_excess(gamma_s, p, check=False)
     if exc_s > membership_tol or exc_gs > membership_tol:
@@ -245,7 +248,7 @@ def lemma_filter_chain(
             FilterCheck(
                 name=name,
                 indices=indices,
-                passed=bool(lhs <= rhs + chain_tol * max(1.0, rhs)),
+                passed=bool(lhs <= rhs + CHAIN_TOL * max(1.0, rhs)),
                 lhs=float(lhs),
                 rhs=float(rhs),
             )
@@ -411,22 +414,20 @@ def find_witness(
     p: SiegelParams = MINIMAL_PARAMS,
     budget: int = DEFAULT_BUDGET,
     rng: RngStream | None = None,
-    *,
-    witness_tol: float = DEFAULT_WITNESS_TOL,
-    strict_tol: float = STRICT_WITNESS_TOL,
-    b_min: float | None = None,
-    near_hit: float = 0.08,
 ) -> IntersectionReport:
     """Search for s in the Siegel set with gamma @ s also in the set.
 
     Order of business: the height bound (failing it proves exclusion),
-    then deterministic boundary probes, then seeded random points (half
-    of them with diagonal ratios in the top band [t/sqrt(2), t], where
-    overlaps concentrate) with coordinate-descent refinement of near
-    hits.  A candidate witness only counts once the inequality chain
-    passes on it; a chain violation is recorded in the trace and the
-    search continues, so a ``witnessed`` verdict is always backed by a
-    clean trace.  Larger budgets extend the same sample sequence, so
+    then deterministic boundary probes (kept when the pair excess is at
+    most ``STRICT_WITNESS_TOL``), then seeded random points with diagonal
+    ratios from ``t * DEFAULT_B_MIN_FRACTION`` (every other one from the
+    top band [t/sqrt(2), t], where overlaps concentrate).  Samples whose
+    pair excess is at most ``NEAR_HIT`` are refined by coordinate
+    descent towards ``STRICT_WITNESS_TOL`` and kept at
+    ``DEFAULT_WITNESS_TOL``.  A candidate witness only counts once the
+    inequality chain passes on it; a chain violation is recorded in the
+    trace and the search continues, so a ``witnessed`` verdict is always
+    backed by a clean trace.  Larger budgets extend the same sample sequence, so
     verdicts never regress from witnessed to unknown.
 
     Evaluation is batched, the order is not: all probes are scored as one
@@ -446,8 +447,7 @@ def find_witness(
     if not height_check.passed:
         return IntersectionReport(gamma, STATUS_EXCLUDED, None, [height_check], None)
     gf = gamma.to_array()
-    if b_min is None:
-        b_min = p.t / 16.0
+    b_min = p.t * DEFAULT_B_MIN_FRACTION
     rejected: list[FilterCheck] = []
 
     def attempt(point: SiegelCoordinatePoint, excess: float):
@@ -457,7 +457,7 @@ def find_witness(
                 gamma,
                 point.to_group_element(),
                 p=p,
-                membership_tol=max(witness_tol, excess * 2.0 + 1e-15),
+                membership_tol=max(DEFAULT_WITNESS_TOL, excess * 2.0 + 1e-15),
             )
         except InvalidWitnessError:
             return None
@@ -475,7 +475,7 @@ def find_witness(
 
     probes = _probe_block(n, p)
     probe_excess = _pair_excess(gf, probes.group_elements(), p)
-    for i in np.flatnonzero(probe_excess <= strict_tol):
+    for i in np.flatnonzero(probe_excess <= STRICT_WITNESS_TOL):
         report = attempt(probes.point(i), probe_excess[i])
         if report is not None:
             return report
@@ -487,11 +487,11 @@ def find_witness(
         lows = [top_band if i % 2 else b_min for i in range(drawn, min(drawn + size, budget))]
         block = sample_siegel_block(n, p, lows, gen)
         sample_excess = _pair_excess(gf, block.group_elements(), p)
-        for i in np.flatnonzero(sample_excess <= near_hit):
+        for i in np.flatnonzero(sample_excess <= NEAR_HIT):
             refined, final = _refine_point(
-                gf, block.b[i], block.u[i], block.k[i], p, target=strict_tol
+                gf, block.b[i], block.u[i], block.k[i], p, target=STRICT_WITNESS_TOL
             )
-            if final <= witness_tol:
+            if final <= DEFAULT_WITNESS_TOL:
                 report = attempt(refined, final)
                 if report is not None:
                     return report
@@ -509,13 +509,12 @@ def verify_witness(
     point: SiegelCoordinatePoint,
     p: SiegelParams = MINIMAL_PARAMS,
     tol: float = STRICT_WITNESS_TOL,
-    refine: bool = True,
 ) -> bool:
-    """Re-verify a claimed witness at a stricter tolerance, optionally
-    running extra refinement first."""
+    """Re-verify a claimed witness at a stricter tolerance, refining it
+    first when it misses."""
     gf = gamma.to_array()
     exc = _pair_excess(gf, point.to_group_element(), p)
-    if exc > tol and refine:
+    if exc > tol:
         point, exc = _refine_point(gf, point.b, point.u, point.k, p, target=tol, max_rounds=120)
     return exc <= tol and membership_excess(point.to_group_element(), p, check=False) <= tol
 
@@ -535,47 +534,24 @@ def sl_candidates(n: int, max_h: int) -> list[UnimodularIntMatrix]:
     """Every SL(n,Z) element with all entries bounded by max_h, in
     lexicographic row order.
 
-    Backtracking over rows; rows with gcd != 1 can never appear in a
-    determinant-1 matrix, and partial row sets must stay of full rank.
+    Rows with gcd != 1 can never appear in a determinant-1 matrix.  For
+    each prefix of n - 1 primitive rows, ``det = x . c`` with ``c`` the
+    integer cofactor vector of the prefix, so the last rows are exactly
+    the primitive rows x with ``x . c == 1`` (none when the prefix is
+    rank-deficient and c vanishes).
     """
-    from fractions import Fraction
-
-    from .iwasawa import _bareiss_det
-
     rows = _primitive_rows(n, max_h)
+    row_array = np.array(rows, dtype=np.int64).reshape(len(rows), n)
     out: list[UnimodularIntMatrix] = []
-    chosen: list[tuple[int, ...]] = []
-
-    def full_rank(new_row) -> bool:
-        # exact rank check over Q for the partial row set
-        m = [[Fraction(x) for x in r] for r in chosen + [new_row]]
-        rank = 0
-        for col in range(n):
-            piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
-            if piv is None:
-                continue
-            m[rank], m[piv] = m[piv], m[rank]
-            for r in range(rank + 1, len(m)):
-                f = m[r][col] / m[rank][col]
-                if f:
-                    for c in range(col, n):
-                        m[r][c] -= f * m[rank][c]
-            rank += 1
-        return rank == len(chosen) + 1
-
-    def recurse():
-        if len(chosen) == n:
-            if _bareiss_det([list(r) for r in chosen]) == 1:
-                out.append(UnimodularIntMatrix.from_rows(chosen))
-            return
-        for row in rows:
-            if chosen and len(chosen) < n - 1 and not full_rank(row):
-                continue
-            chosen.append(row)
-            recurse()
-            chosen.pop()
-
-    recurse()
+    for prefix in _iter_product(rows, repeat=n - 1):
+        c = [
+            (-1) ** (n - 1 + j) * _bareiss_det([r[:j] + r[j + 1:] for r in prefix])
+            for j in range(n)
+        ]
+        if not any(c):
+            continue
+        for i in np.flatnonzero(row_array @ np.array(c, dtype=np.int64) == 1):
+            out.append(UnimodularIntMatrix.from_rows(prefix + (rows[i],)))
     return out
 
 
@@ -593,8 +569,8 @@ def count_bounds(n: int) -> tuple[float, float]:
 
 
 def _witness_task(args):
-    gamma, p, budget, seed, idx, kwargs = args
-    return idx, find_witness(gamma, p, budget, RngStream(seed, idx), **kwargs)
+    gamma, p, budget, seed, idx = args
+    return idx, find_witness(gamma, p, budget, RngStream(seed, idx))
 
 
 def enumerate_intersections(
@@ -605,7 +581,6 @@ def enumerate_intersections(
     *,
     max_height: int | None = None,
     workers: int = 1,
-    **witness_kwargs,
 ) -> tuple[list[IntersectionReport], dict]:
     """Run the witness search over every candidate of height up to the bound.
 
@@ -625,7 +600,7 @@ def enumerate_intersections(
     cap = int(math.floor(height_bound(n))) if max_height is None else int(max_height)
     candidates = sl_candidates(n, cap)
     tasks = [
-        (gamma, p, budget_per_candidate, rng.seed, idx, witness_kwargs)
+        (gamma, p, budget_per_candidate, rng.seed, idx)
         for idx, gamma in enumerate(candidates)
     ]
     reports: list[IntersectionReport | None] = [None] * len(candidates)

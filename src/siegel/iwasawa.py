@@ -30,8 +30,7 @@ from .errors import (
     NotUnimodularError,
 )
 
-# Tolerance defaults, sized for binary64 at n <= 50.
-RECON_TOL = 1e-10
+# Numerical guards, sized for binary64 at n <= 50.
 ORTHO_TOL = 1e-10
 DET_TOL = 1e-9
 SINGULAR_TOL = 1e-12
@@ -106,7 +105,7 @@ def _bareiss_det(rows: list[list[int]]) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return sign * m[n - 1][n - 1] if n else 1
 
 
 @dataclass(frozen=True)
@@ -275,23 +274,16 @@ class NakFactors:
         return (self.u * self.a[None, :]) @ self.k
 
 
-def _check_group_element(g: np.ndarray, det_tol: float, cond_max: float) -> None:
+def _check_group_element(g: np.ndarray) -> None:
     det = np.linalg.det(g)
-    if abs(det - 1.0) > det_tol:
-        raise NotUnimodularError(f"det(g) = {det!r}, expected 1 within {det_tol}")
+    if abs(det - 1.0) > DET_TOL:
+        raise NotUnimodularError(f"det(g) = {det!r}, expected 1 within {DET_TOL}")
     cond = np.linalg.cond(g)
-    if not np.isfinite(cond) or cond > cond_max:
-        raise NonInvertibleError(f"condition number {cond:.3e} exceeds {cond_max:.1e}")
+    if not np.isfinite(cond) or cond > COND_MAX:
+        raise NonInvertibleError(f"condition number {cond:.3e} exceeds {COND_MAX:.1e}")
 
 
-def decompose(
-    g,
-    *,
-    det_tol: float = DET_TOL,
-    singular_tol: float = SINGULAR_TOL,
-    cond_max: float = COND_MAX,
-    check: bool = True,
-) -> IwasawaFactors:
+def decompose(g, *, check: bool = True) -> IwasawaFactors:
     """Factor ``g = k @ diag(a) @ u`` by orthonormalizing the columns of g.
 
     Computed with a Householder QR and a positive-diagonal sign fix, which
@@ -301,12 +293,12 @@ def decompose(
     """
     g = as_square_matrix(g)
     if check:
-        _check_group_element(g, det_tol, cond_max)
+        _check_group_element(g)
     q, r = np.linalg.qr(g)
     diag = np.diagonal(r).copy()
-    if np.min(np.abs(diag)) < singular_tol:
+    if np.min(np.abs(diag)) < SINGULAR_TOL:
         raise NonInvertibleError(
-            f"column pivot {np.min(np.abs(diag)):.3e} below {singular_tol:.1e}"
+            f"column pivot {np.min(np.abs(diag)):.3e} below {SINGULAR_TOL:.1e}"
         )
     sign = np.where(diag < 0.0, -1.0, 1.0)
     k = q * sign
@@ -318,7 +310,7 @@ def decompose(
     return IwasawaFactors(k=k, a=a, u=u)
 
 
-def decompose_nak(g, **kwargs) -> NakFactors:
+def decompose_nak(g, *, check: bool = True) -> NakFactors:
     """Factor ``g = u @ diag(a) @ k`` (unipotent part on the left).
 
     Uses the anti-transpose identity: if ``J`` is the reversal matrix then
@@ -328,22 +320,14 @@ def decompose_nak(g, **kwargs) -> NakFactors:
     g = as_square_matrix(g)
     n = g.shape[0]
     j = np.fliplr(np.eye(n))
-    f = decompose(j @ g.T @ j, **kwargs)
+    f = decompose(j @ g.T @ j, check=check)
     u = j @ f.u.T @ j
     a = f.a[::-1].copy()
     k = j @ f.k.T @ j
     return NakFactors(u=u, a=a, k=k)
 
 
-def membership_excess(
-    g,
-    p: SiegelParams,
-    *,
-    det_tol: float = DET_TOL,
-    singular_tol: float = SINGULAR_TOL,
-    cond_max: float = COND_MAX,
-    check: bool = True,
-):
+def membership_excess(g, p: SiegelParams, *, check: bool = True):
     """Largest constraint violation of g's Siegel coordinates.
 
     Negative means strictly inside, zero on the boundary, positive outside.
@@ -365,12 +349,12 @@ def membership_excess(
         stack = as_matrix_stack(g)
         if check:
             for matrix in stack:
-                _check_group_element(matrix, det_tol, cond_max)
+                _check_group_element(matrix)
         r = np.linalg.qr(stack, mode="r")
         a = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-        if a.size and np.min(a) < singular_tol:
+        if a.size and np.min(a) < SINGULAR_TOL:
             raise NonInvertibleError(
-                f"column pivot {np.min(a):.3e} below {singular_tol:.1e}"
+                f"column pivot {np.min(a):.3e} below {SINGULAR_TOL:.1e}"
             )
         abs_u = np.abs(r) / a[:, :, None]
     # rounding is monotone, so max(x) - c == max(x - c) bit for bit; the
@@ -381,7 +365,7 @@ def membership_excess(
     return float(excess[0]) if single else excess
 
 
-def siegel_membership(g, p: SiegelParams, tol: float, **kwargs) -> str:
+def siegel_membership(g, p: SiegelParams, tol: float, *, check: bool = True) -> str:
     """Classify g against the Siegel set: inside / outside / boundary.
 
     ``inside`` iff every ``b[i] <= t - tol`` and ``|u[i, j]| <= lam - tol``;
@@ -390,7 +374,7 @@ def siegel_membership(g, p: SiegelParams, tol: float, **kwargs) -> str:
     """
     if tol < 0:
         raise InvalidArgumentError("tol must be >= 0")
-    excess = membership_excess(g, p, **kwargs)
+    excess = membership_excess(g, p, check=check)
     if excess <= -tol:
         return MEMBERSHIP_INSIDE
     if excess > tol:

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .iwasawa import (
-    COND_MAX,
-    DET_TOL,
     MINIMAL_PARAMS,
     SiegelParams,
     UnimodularIntMatrix,
@@ -114,8 +112,6 @@ def siegel_reduce(
     max_iter: int | None = None,
     p: SiegelParams = MINIMAL_PARAMS,
     *,
-    det_tol: float = DET_TOL,
-    cond_max: float = COND_MAX,
     potential_trace: list | None = None,
 ) -> ReductionResult:
     """Find gamma in SL(n,Z) with g = sigma @ gamma and sigma in the Siegel set.
@@ -129,7 +125,7 @@ def siegel_reduce(
     n = g.shape[0]
     if max_iter is None:
         max_iter = 10 * n * n
-    _check_group_element(g, det_tol, cond_max)
+    _check_group_element(g)
 
     m = [[int(i == j) for j in range(n)] for i in range(n)]
     m_inv = [[int(i == j) for j in range(n)] for i in range(n)]

@@ -65,19 +65,16 @@ def _zeta_default(s: int) -> float:
     return total
 
 
-def zeta(s: int, rel_tol: float = 1e-14) -> float:
+def zeta(s: int) -> float:
     """Riemann zeta at an integer s >= 2.
 
     Direct summation to a fixed cutoff plus the Euler-Maclaurin tail with
     Bernoulli corrections through B_20; the first omitted term is below
     1e-20 relative for every s >= 2, so the result is correct to binary64
-    rounding.  Tolerances tighter than 1e-15 are outside what binary64
-    can certify and are rejected.
+    rounding.
     """
     if not isinstance(s, (int, np.integer)) or s < 2:
         raise InvalidArgumentError(f"zeta requires an integer s >= 2, got {s!r}")
-    if rel_tol < 1e-15:
-        raise InvalidArgumentError("rel_tol below 1e-15 is not attainable in binary64")
     return _zeta_default(int(s))
 
 

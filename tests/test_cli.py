@@ -112,10 +112,40 @@ def test_load_config_defaults_and_overrides(tmp_path):
     path.write_text(json.dumps({"seed": 42}))
     cfg = load_config(str(path))
     assert cfg.seed == 42 and cfg.output_format == "json"
-    path.write_text(json.dumps({"seed": 1, "det_tol": 1e-8, "max_iter": 50}))
+    path.write_text(json.dumps({"seed": 1, "membership_tol": 1e-8, "max_iter": 50}))
     cfg = load_config(str(path))
-    assert cfg.tolerances == {"det_tol": 1e-8}
+    assert cfg.tolerances == {"membership_tol": 1e-8}
     assert cfg.budgets == {"max_iter": 50}
+
+
+@pytest.mark.parametrize("key", ["det_tol", "ortho_tol", "recon_tol", "singular_tol", "witness_tol"])
+def test_config_rejects_tolerances_nothing_applies(tmp_path, capsys, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: 1e-8}))
+    with pytest.raises(MalformedConfigError):
+        load_config(str(path))
+    code, _, err = run_cli(capsys, "--config", str(path), "bounds", "--n", "2")
+    assert code == 1
+    assert json.loads(err)["error"] == "MalformedConfigError"
+
+
+def test_config_membership_tol_is_echoed_and_applied(tmp_path, capsys):
+    # |u| sits 1e-4 inside lambda = 1/2: inside at the default slack of
+    # 1e-9, on the boundary once the slack is 1e-3
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps(matrix_to_json_dict(np.array([[1.0, 0.4999], [0.0, 1.0]]))))
+    code, out, _ = run_cli(capsys, "decompose", "--input", str(matrix))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config"]["tolerances"] == {}
+    assert doc["result"]["membership"] == "inside"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"membership_tol": 1e-3}))
+    code, out, _ = run_cli(capsys, "--config", str(path), "decompose", "--input", str(matrix))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config"]["tolerances"] == {"membership_tol": 1e-3}
+    assert doc["result"]["membership"] == "boundary"
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):
@@ -173,6 +203,8 @@ def test_explicit_zero_budget_is_honoured(tmp_path, capsys):
     assert budget("--config", str(path), "--budget", "0") == {"budget_per_candidate": 0}
     assert budget("--config", str(path)) == {"budget_per_candidate": 7}
     assert budget() == {"budget_per_candidate": 400}
+    path.write_text(json.dumps({"budget_per_candidate": 0}))
+    assert budget("--config", str(path)) == {"budget_per_candidate": 0}
 
 
 def test_explicit_zero_max_iter_is_honoured(tmp_path, capsys):
@@ -184,6 +216,12 @@ def test_explicit_zero_max_iter_is_honoured(tmp_path, capsys):
     assert doc["iterations"] == 0 and doc["status"] != "reduced"
     code, out, _ = run_cli(capsys, "reduce", "--input", str(path))
     assert json.loads(out)["result"]["status"] == "reduced"
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"max_iter": 0}))
+    code, out, _ = run_cli(capsys, "--config", str(config), "reduce", "--input", str(path))
+    assert code == 0
+    doc = json.loads(out)["result"]
+    assert doc["iterations"] == 0 and doc["status"] != "reduced"
 
 
 def test_explicit_count_beats_config_mc_samples(tmp_path, capsys):

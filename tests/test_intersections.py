@@ -232,13 +232,15 @@ def test_candidate_enumeration_matches_brute_force():
 def test_candidate_enumeration_n3_small_cap():
     cands = sl_candidates(3, 1)
     assert all(c.det() == 1 and c.height() <= 1 for c in cands)
-    # brute force over the 3^9 grid
-    count = 0
-    for flat in itertools.product((-1, 0, 1), repeat=9):
-        m = np.array(flat, dtype=float).reshape(3, 3)
-        if round(np.linalg.det(m)) == 1:
-            count += 1
-    assert len(cands) == count == 3480
+    # brute force over the 3^9 grid, in the same lexicographic order: the
+    # candidate index seeds each search stream, so the order is pinned too
+    brute = [
+        flat
+        for flat in itertools.product((-1, 0, 1), repeat=9)
+        if round(np.linalg.det(np.array(flat, dtype=float).reshape(3, 3))) == 1
+    ]
+    assert [sum(c.entries, ()) for c in cands] == brute
+    assert len(cands) == len(brute) == 3480
 
 
 def test_enumerate_intersections_n2():
