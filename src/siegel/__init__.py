@@ -23,11 +23,9 @@ from .errors import (
 from .iwasawa import (
     IwasawaFactors,
     MINIMAL_PARAMS,
-    NakFactors,
     SiegelParams,
     UnimodularIntMatrix,
     decompose,
-    decompose_nak,
     siegel_membership,
 )
 from .haar import (
@@ -80,7 +78,6 @@ __all__ = [
     "MINIMAL_PARAMS",
     "MalformedConfigError",
     "MonteCarloReport",
-    "NakFactors",
     "NonInvertibleError",
     "NonPositiveEntryError",
     "NotUnimodularError",
@@ -98,7 +95,6 @@ __all__ = [
     "conjugation_jacobian",
     "count_bounds",
     "decompose",
-    "decompose_nak",
     "enumerate_intersections",
     "find_witness",
     "finest_partition",

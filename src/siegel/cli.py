@@ -3,8 +3,9 @@ deterministic, machine-readable output.
 
 Subcommands: decompose, reduce, volume, growth-table, sample,
 enumerate-intersections, bounds.  One JSON document (or CSV table) per
-invocation on stdout; every report embeds the effective seed, tolerance
-overrides and tool version so runs can be reproduced byte for byte.
+invocation on stdout; every report embeds the effective seed, the
+tolerance overrides the command applied and the tool version so runs can
+be reproduced byte for byte.
 Exit codes: 0 success, 1 computation error, 2 usage error.
 """
 
@@ -64,7 +65,8 @@ from .intersections import (
 
 SEED_ENV_VAR = "SIEGEL_SEED"
 
-#: ``membership_tol`` is the slack of the ``decompose`` membership verdict.
+#: ``membership_tol`` is the slack of the ``decompose`` membership verdict;
+#: no other command applies it, so no other report echoes it.
 TOLERANCE_KEYS = ("membership_tol",)
 BUDGET_KEYS = ("max_iter", "budget_per_candidate", "mc_samples")
 OUTPUT_FORMATS = ("json", "csv", "pretty")
@@ -80,17 +82,26 @@ class RunConfig:
     output_format: str = "json"
     budgets: dict = field(default_factory=dict)
 
-    def report_header(self) -> dict:
+    def report_header(self, command: str) -> dict:
+        tolerances = self.tolerances if command == "decompose" else {}
         return {
             "seed": self.seed,
-            "tolerances": dict(sorted(self.tolerances.items())),
+            "tolerances": dict(sorted(tolerances.items())),
             "tool_version": __version__,
         }
 
 
+def _config_int(key: str, value) -> int:
+    # JSON integers only: bool is an int subclass, and a float or string
+    # would otherwise be truncated or parsed
+    if type(value) is not int:
+        raise MalformedConfigError(f"config key {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def load_config(path: str | None) -> RunConfig:
-    """Read a flat JSON object; unknown keys are rejected, absent keys
-    default."""
+    """Read a flat JSON object; unknown keys and values of the wrong type
+    are rejected, absent keys default."""
     cfg = RunConfig()
     if path is None:
         return cfg
@@ -107,15 +118,19 @@ def load_config(path: str | None) -> RunConfig:
         raise MalformedConfigError("config must be a flat JSON object")
     for key, value in raw.items():
         if key == "seed":
-            cfg.seed = int(value)
+            cfg.seed = _config_int(key, value)
         elif key == "output_format":
             if value not in OUTPUT_FORMATS:
                 raise MalformedConfigError(f"unknown output_format {value!r}")
             cfg.output_format = value
         elif key in TOLERANCE_KEYS:
+            if type(value) not in (int, float) or not 0 <= value <= sys.float_info.max:
+                raise MalformedConfigError(
+                    f"config key {key!r} must be a finite number >= 0, got {value!r}"
+                )
             cfg.tolerances[key] = float(value)
         elif key in BUDGET_KEYS:
-            v = int(value)
+            v = _config_int(key, value)
             # 0 exchanges or 0 random samples are valid runs, as with the flags
             least = 1 if key == "mc_samples" else 0
             if v < least:
@@ -149,7 +164,7 @@ def _emit_pretty(doc: dict) -> None:
 
 
 def _report(config: RunConfig, command: str, result: dict, fmt: str) -> None:
-    doc = {"command": command, "config": config.report_header(), "result": result}
+    doc = {"command": command, "config": config.report_header(command), "result": result}
     if fmt == "pretty":
         _emit_pretty(doc)
     else:
@@ -290,7 +305,7 @@ def _cmd_enumerate(args, config: RunConfig, fmt: str) -> int:
     sys.stdout.write(reports_to_jsonl(reports))
     doc = {
         "command": "enumerate-intersections",
-        "config": config.report_header(),
+        "config": config.report_header("enumerate-intersections"),
         "summary": summary,
     }
     _emit_json(doc)

@@ -22,13 +22,14 @@ boundaries.
 Caveat on conventions: witnesses are verified against the k-left
 membership predicate (the one :func:`siegel.iwasawa.siegel_membership`
 implements), while the chain and the height bound are certified for the
-u-left reading of the Siegel set.  The two predicates provably differ,
-and under the k-left one the height bound is heuristic: at n = 2 the
-shear with entry 5 admits a verified k-left witness.  ``witnessed``
-therefore always means a concretely verified pair that also passes the
-chain; ``excluded`` means the published bound fails; near-witnesses that
-break the chain are counted in ``rejected_witnesses`` and the candidate
-stays ``unknown``.
+u-left reading of the Siegel set; the chain reads the u-left diagonals
+as the reversed k-left ``a`` of the anti-transposes ``J s^T J``.  The two
+predicates provably differ, and under the k-left one the height bound is
+heuristic: at n = 2 the shear with entry 5 admits a verified k-left
+witness.  ``witnessed`` therefore always means a concretely verified pair
+that also passes the chain; ``excluded`` means the published bound fails;
+near-witnesses that break the chain are counted in ``rejected_witnesses``
+and the candidate stays ``unknown``.
 """
 
 from __future__ import annotations
@@ -58,8 +59,9 @@ from .iwasawa import (
     SiegelParams,
     UnimodularIntMatrix,
     _bareiss_det,
+    _siegel_coordinates,
     a_from_b,
-    decompose_nak,
+    as_square_matrix,
     membership_excess,
     unit_upper_stack,
 )
@@ -224,22 +226,26 @@ def lemma_filter_chain(
 
     ``alpha`` and ``beta`` are the diagonal u-left factors of s and
     gamma @ s (the order in which the chain's derivation writes Siegel
-    elements).  Raises :class:`InvalidWitnessError` unless both elements
-    satisfy the membership constraints within ``membership_tol``.  Every
+    elements): the reversed ``a`` of the anti-transposes ``J @ s.T @ J``
+    and ``J @ (gamma @ s).T @ J``, with ``J`` the reversal matrix, read
+    as one stack of two.  Raises :class:`InvalidWitnessError` unless both
+    elements satisfy the membership constraints within ``membership_tol``
+    (also scored as one stack of two).  Every
     check is recorded and passes within a relative slack of ``CHAIN_TOL``;
     on a genuine witness all of them are expected to pass, and a failure
     is a loud signal of a numerical or logical fault.
     """
     n = gamma.n
+    s = as_square_matrix(s)
     gamma_s = gamma.to_array() @ s
-    exc_s = membership_excess(s, p, check=False)
-    exc_gs = membership_excess(gamma_s, p, check=False)
+    exc_s, exc_gs = membership_excess(np.stack([s, gamma_s]), p, check=False).tolist()
     if exc_s > membership_tol or exc_gs > membership_tol:
         raise InvalidWitnessError(
             f"membership violated: excess(s)={exc_s:.3e}, excess(gamma s)={exc_gs:.3e}"
         )
-    alpha = decompose_nak(s, check=False).a
-    beta = decompose_nak(gamma_s, check=False).a
+    j = np.fliplr(np.eye(n))
+    a, _ = _siegel_coordinates(np.stack([j @ s.T @ j, j @ gamma_s.T @ j]))
+    alpha, beta = a[:, ::-1]
     sqrt_n = math.sqrt(n)
     checks: list[FilterCheck] = []
 
@@ -570,7 +576,7 @@ def count_bounds(n: int) -> tuple[float, float]:
 
 def _witness_task(args):
     gamma, p, budget, seed, idx = args
-    return idx, find_witness(gamma, p, budget, RngStream(seed, idx))
+    return find_witness(gamma, p, budget, RngStream(seed, idx))
 
 
 def enumerate_intersections(
@@ -603,16 +609,12 @@ def enumerate_intersections(
         (gamma, p, budget_per_candidate, rng.seed, idx)
         for idx, gamma in enumerate(candidates)
     ]
-    reports: list[IntersectionReport | None] = [None] * len(candidates)
+    # both maps return results in input order
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for idx, rep in pool.map(_witness_task, tasks, chunksize=8):
-                reports[idx] = rep
+            reports = list(pool.map(_witness_task, tasks, chunksize=8))
     else:
-        for task in tasks:
-            idx, rep = _witness_task(task)
-            reports[idx] = rep
-    reports = [r for r in reports if r is not None]
+        reports = list(map(_witness_task, tasks))
     counts = {
         STATUS_WITNESSED: sum(r.status == STATUS_WITNESSED for r in reports),
         STATUS_EXCLUDED: sum(r.status == STATUS_EXCLUDED for r in reports),

@@ -8,11 +8,18 @@ successive ratios ``b[i] = a[i] / a[i+1]`` are the natural coordinates on
 the diagonal part: the Siegel set with parameters ``(t, lam)`` is the set
 of ``g`` whose factors satisfy ``b[i] <= t`` and ``|u[i, j]| <= lam``.
 
-The mirror-order factorization ``g = u @ diag(a) @ k`` (unipotent part on
-the left) is also provided; the two factorizations of the same matrix do
+Only :func:`decompose` forms ``k``.  Membership, the reduction and the
+inequality chain read ``(a, u)`` alone, so they share one private kernel:
+an R-only QR of a stack, with the singular-pivot guard and the
+positive-diagonal sign fix applied once, equal bit for bit to the ``a``
+and ``u`` of :func:`decompose`.
+
+The mirror order ``g = u @ diag(a) @ k`` (unipotent part on the left) has
+no function of its own: with ``J`` the reversal matrix, its ``a`` is the
+reversed ``a`` of the anti-transpose ``J @ g.T @ J``.  The two orders do
 NOT share (a, u) in general, so the two membership predicates differ.
 Membership tests in this package always use the k-left factors; the
-u-left factors feed the inequality chain in :mod:`siegel.intersections`.
+u-left diagonal feeds the inequality chain in :mod:`siegel.intersections`.
 """
 
 from __future__ import annotations
@@ -254,26 +261,6 @@ class IwasawaFactors:
         return errs
 
 
-@dataclass(frozen=True)
-class NakFactors:
-    """Factors of the mirror order ``g = u @ diag(a) @ k`` (u-left)."""
-
-    u: np.ndarray
-    a: np.ndarray
-    k: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.a.size
-
-    @property
-    def b(self) -> np.ndarray:
-        return b_from_a(self.a)
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.a[None, :]) @ self.k
-
-
 def _check_group_element(g: np.ndarray) -> None:
     det = np.linalg.det(g)
     if abs(det - 1.0) > DET_TOL:
@@ -281,6 +268,31 @@ def _check_group_element(g: np.ndarray) -> None:
     cond = np.linalg.cond(g)
     if not np.isfinite(cond) or cond > COND_MAX:
         raise NonInvertibleError(f"condition number {cond:.3e} exceeds {COND_MAX:.1e}")
+
+
+def _factors_from_r(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(sign, a, u)`` with ``r = diag(sign * a) @ u``, for one QR factor
+    ``r`` or an (m, n, n) stack of them.
+
+    ``a`` is positive and ``u`` unit upper triangular, with an exact unit
+    diagonal and zero lower triangle independent of rounding.  A pivot
+    below ``SINGULAR_TOL`` raises :class:`NonInvertibleError`.
+    """
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    a = np.abs(diag)
+    if a.size and np.min(a) < SINGULAR_TOL:
+        raise NonInvertibleError(f"column pivot {np.min(a):.3e} below {SINGULAR_TOL:.1e}")
+    # the sign fix: row i over its signed pivot is (sign * r) / a bit for
+    # bit, x / x is exactly 1.0, and triu turns the -0.0 below into +0.0
+    return diag / a, a, np.triu(r / diag[..., :, None])
+
+
+def _siegel_coordinates(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` (m, n) and ``u`` (m, n, n) of every matrix of a validated
+    (m, n, n) stack, from an R-only QR; ``k`` is never formed.  Each row
+    equals the ``a`` and ``u`` of :func:`decompose` bit for bit."""
+    _, a, u = _factors_from_r(np.linalg.qr(stack, mode="r"))
+    return a, u
 
 
 def decompose(g, *, check: bool = True) -> IwasawaFactors:
@@ -295,74 +307,33 @@ def decompose(g, *, check: bool = True) -> IwasawaFactors:
     if check:
         _check_group_element(g)
     q, r = np.linalg.qr(g)
-    diag = np.diagonal(r).copy()
-    if np.min(np.abs(diag)) < SINGULAR_TOL:
-        raise NonInvertibleError(
-            f"column pivot {np.min(np.abs(diag)):.3e} below {SINGULAR_TOL:.1e}"
-        )
-    sign = np.where(diag < 0.0, -1.0, 1.0)
-    k = q * sign
-    a = np.abs(diag)
-    u = (sign[:, None] * r) / a[:, None]
-    # exact unit diagonal / zero lower triangle, independent of rounding
-    np.fill_diagonal(u, 1.0)
-    u = np.triu(u)
-    return IwasawaFactors(k=k, a=a, u=u)
-
-
-def decompose_nak(g, *, check: bool = True) -> NakFactors:
-    """Factor ``g = u @ diag(a) @ k`` (unipotent part on the left).
-
-    Uses the anti-transpose identity: if ``J`` is the reversal matrix then
-    ``J g^T J`` is k-left decomposable and its factors, reversed, are the
-    u-left factors of ``g``.
-    """
-    g = as_square_matrix(g)
-    n = g.shape[0]
-    j = np.fliplr(np.eye(n))
-    f = decompose(j @ g.T @ j, check=check)
-    u = j @ f.u.T @ j
-    a = f.a[::-1].copy()
-    k = j @ f.k.T @ j
-    return NakFactors(u=u, a=a, k=k)
+    sign, a, u = _factors_from_r(r)
+    return IwasawaFactors(k=q * sign, a=a, u=u)
 
 
 def membership_excess(g, p: SiegelParams, *, check: bool = True):
     """Largest constraint violation of g's Siegel coordinates.
 
     Negative means strictly inside, zero on the boundary, positive outside.
-    ``g`` is one matrix, its :class:`IwasawaFactors`, or an (m, n, n)
-    stack; a stack gives an array of m excesses, each equal bit for bit to
-    the excess of its matrix alone, so callers may batch freely.  Only the
-    triangular factor is needed: ``a`` is the absolute diagonal of the QR
-    ``R`` and ``|u[i, j]| = |R[i, j]| / a[i]``, exactly what
-    :func:`decompose` yields before its sign fix.  The guards are those of
-    :func:`decompose`, applied to every matrix of the stack.
+    ``g`` is one matrix or an (m, n, n) stack; a stack gives an array of m
+    excesses, each equal bit for bit to the excess of its matrix alone, so
+    callers may batch freely.  Only ``a`` and ``u`` are read, from the
+    R-only kernel with the guards of :func:`decompose`, applied to every
+    matrix of the stack.
     """
-    if isinstance(g, IwasawaFactors):
-        single = True
-        a = g.a[None]
-        abs_u = np.abs(g.u)[None]
-    else:
-        g = np.asarray(g, dtype=float)
-        single = g.ndim == 2
-        stack = as_matrix_stack(g)
-        if check:
-            for matrix in stack:
-                _check_group_element(matrix)
-        r = np.linalg.qr(stack, mode="r")
-        a = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-        if a.size and np.min(a) < SINGULAR_TOL:
-            raise NonInvertibleError(
-                f"column pivot {np.min(a):.3e} below {SINGULAR_TOL:.1e}"
-            )
-        abs_u = np.abs(r) / a[:, :, None]
-    # rounding is monotone, so max(x) - c == max(x - c) bit for bit; the
-    # zeros triu leaves on and below the diagonal never exceed an |u| entry
+    g = np.asarray(g, dtype=float)
+    stack = as_matrix_stack(g)
+    if check:
+        for matrix in stack:
+            _check_group_element(matrix)
+    a, u = _siegel_coordinates(stack)
+    # rounding is monotone, so max(x) - c == max(x - c) bit for bit; |u| - I
+    # leaves the strict upper |u| as they are and zeros elsewhere, which
+    # never exceed an |u| entry
     excess_b = np.max(b_from_a(a), axis=-1) - p.t
-    excess_u = np.max(np.triu(abs_u, 1), axis=(-2, -1)) - p.lam
+    excess_u = np.max(np.abs(u) - np.eye(u.shape[-1]), axis=(-2, -1)) - p.lam
     excess = np.maximum(excess_b, excess_u)
-    return float(excess[0]) if single else excess
+    return float(excess[0]) if g.ndim == 2 else excess
 
 
 def siegel_membership(g, p: SiegelParams, tol: float, *, check: bool = True) -> str:

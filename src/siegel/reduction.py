@@ -11,6 +11,8 @@ exact integer matrix of determinant +1:
   Gram-Schmidt norm a[i] because the shear step already capped |u[i, i+1]|
   at 1/2 and t >= 2/sqrt(3).
 
+Each step reads only ``a`` and ``u`` of the working matrix, so both
+decompositions of an exchange are R-only QRs and ``k`` is never formed.
 The accumulated integer matrix gamma satisfies sigma @ gamma = g exactly
 up to two float matrix products; its determinant is checked exactly.
 Ratios sitting exactly on the threshold are left alone (the Siegel set is
@@ -27,9 +29,11 @@ from .iwasawa import (
     MINIMAL_PARAMS,
     SiegelParams,
     UnimodularIntMatrix,
+    as_matrix_stack,
     as_square_matrix,
-    decompose,
+    b_from_a,
     _check_group_element,
+    _siegel_coordinates,
 )
 
 STATUS_REDUCED = "reduced"
@@ -51,16 +55,21 @@ class ReductionResult:
     status: str
 
     def to_json_dict(self) -> dict:
-        f = decompose(self.sigma, check=False)
-        n = f.n
-        iu = np.triu_indices(n, k=1)
+        a, u = _coordinates(self.sigma)
+        iu = np.triu_indices(a.size, k=1)
         return {
             "gamma": self.gamma.to_json_dict(),
             "iterations": self.iterations,
             "status": self.status,
-            "b": [float(x) for x in f.b],
-            "u_max": float(np.max(np.abs(f.u[iu]))) if iu[0].size else 0.0,
+            "b": [float(x) for x in b_from_a(a)],
+            "u_max": float(np.max(np.abs(u[iu]))) if iu[0].size else 0.0,
         }
+
+
+def _coordinates(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` and ``u`` of one finite square matrix; k is never formed."""
+    a, u = _siegel_coordinates(as_matrix_stack(g))
+    return a[0], u[0]
 
 
 def log_potential(a: np.ndarray) -> float:
@@ -132,18 +141,16 @@ def siegel_reduce(
     m_float = np.eye(n)
     exchanges = 0
     while True:
-        working = g @ m_float
-        f = decompose(working, check=False)
+        a, u = _coordinates(g @ m_float)
         if potential_trace is not None:
-            potential_trace.append(log_potential(f.a))
-        ops = _shear_ops(f.u)
+            potential_trace.append(log_potential(a))
+        ops = _shear_ops(u)
         if ops:
             for i, j, r in ops:
                 _apply_shear(m, m_inv, i, j, r)
             m_float = np.array(m, dtype=float)
-            working = g @ m_float
-            f = decompose(working, check=False)
-        over = np.nonzero(f.b > p.t)[0]
+            a, u = _coordinates(g @ m_float)
+        over = np.nonzero(b_from_a(a) > p.t)[0]
         if over.size == 0:
             status = STATUS_REDUCED
             break

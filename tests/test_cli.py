@@ -146,6 +146,25 @@ def test_config_membership_tol_is_echoed_and_applied(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["config"]["tolerances"] == {"membership_tol": 1e-3}
     assert doc["result"]["membership"] == "boundary"
+    # no other command applies the slack, so none echoes it
+    code, out, _ = run_cli(capsys, "--config", str(path), "reduce", "--input", str(matrix))
+    assert code == 0
+    assert json.loads(out)["config"]["tolerances"] == {}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"max_iter": 2.7}, {"seed": 1.9}, {"membership_tol": True}, {"membership_tol": "abc"},
+     {"seed": True}],
+)
+def test_config_rejects_wrong_types(tmp_path, capsys, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(MalformedConfigError, match=repr(next(iter(config)))):
+        load_config(str(path))
+    code, _, err = run_cli(capsys, "--config", str(path), "bounds", "--n", "2")
+    assert code == 1
+    assert json.loads(err)["error"] == "MalformedConfigError"
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):

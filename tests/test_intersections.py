@@ -29,7 +29,14 @@ from siegel.intersections import (
     sl_candidates,
     verify_witness,
 )
-from siegel.iwasawa import MINIMAL_PARAMS, UnimodularIntMatrix, a_from_b, membership_excess, unit_upper
+from siegel.iwasawa import (
+    MINIMAL_PARAMS,
+    UnimodularIntMatrix,
+    a_from_b,
+    decompose,
+    membership_excess,
+    unit_upper,
+)
 from siegel.volumes import ratio_C
 
 from conftest import random_unimodular
@@ -123,6 +130,33 @@ def test_chain_shear_boundary_witness_passes():
     s = unit_upper(2, coeffs={(1, 2): -0.5})
     checks = lemma_filter_chain(SHEAR, s)
     assert all(c.passed for c in checks)
+
+
+def test_chain_reads_u_left_diagonal_of_the_anti_transpose():
+    # alpha and beta are the reversed k-left a of J s^T J and J (gamma s)^T J
+    rows = ([[1, 1], [0, 1]], [[0, -1], [1, 0]], [[1, 0], [-1, 1]], [[1, 1], [-1, 0]])
+    for idx, rows_ in enumerate(rows):
+        gamma = UnimodularIntMatrix.from_rows(rows_)
+        rep = find_witness(gamma, budget=40, rng=RngStream(3, idx))
+        assert rep.status == STATUS_WITNESSED
+        s = rep.witness.to_group_element()
+        flip = np.fliplr(np.eye(2))
+        alpha = decompose(flip @ s.T @ flip).a[::-1]
+        beta = decompose(flip @ (gamma.to_array() @ s).T @ flip).a[::-1]
+        sqrt_n = math.sqrt(2.0)
+        comp = sqrt_n ** 3
+        expected = {
+            "leading_entry_ratio": lambda i, j: (alpha[j - 1], sqrt_n * beta[i - 1]),
+            "diagonal_ratio": lambda k: (alpha[k - 1], sqrt_n * beta[k - 1]),
+            "reverse_ratio": lambda k: (beta[k - 1], sqrt_n * alpha[k - 1]),
+            "component_ratio": lambda i, j: (beta[j - 1], comp * alpha[i - 1]),
+            "height_bound": lambda: (float(gamma.height()), comp),
+        }
+        checks = lemma_filter_chain(gamma, s)
+        assert {c.name for c in checks} == set(expected)
+        for c in checks:
+            lhs, rhs = expected[c.name](*c.indices)
+            assert (c.lhs, c.rhs) == (float(lhs), float(rhs)), c
 
 
 def test_chain_rejects_non_witness():

@@ -11,10 +11,10 @@ from siegel.iwasawa import (
     MINIMAL_PARAMS,
     SiegelParams,
     UnimodularIntMatrix,
+    _siegel_coordinates,
     a_from_b,
     b_from_a,
     decompose,
-    decompose_nak,
     matrix_from_json,
     matrix_to_json,
     membership_excess,
@@ -130,16 +130,6 @@ def test_det_k_is_always_plus_one(rng):
             assert abs(np.linalg.det(f.k) - 1.0) <= 1e-9
 
 
-def test_nak_order_reconstructs(rng):
-    for n in (2, 3, 5):
-        g = random_sl(rng, n)
-        nf = decompose_nak(g)
-        assert np.max(np.abs(nf.reconstruct() - g)) <= 1e-10
-        assert np.all(nf.a > 0)
-        assert np.allclose(np.tril(nf.u, -1), 0.0)
-        assert np.allclose(np.diag(nf.u), 1.0)
-
-
 def test_two_orders_agree_only_sometimes():
     """The k-left and u-left membership predicates are NOT equivalent.
 
@@ -148,16 +138,18 @@ def test_two_orders_agree_only_sometimes():
     entry inflates to t/2 > 1/2.
     """
     p = MINIMAL_PARAMS
+    j = np.fliplr(np.eye(2))
     a = a_from_b(np.array([p.t]))
     s = np.diag(a) @ unit_upper(2, value=0.5)
     assert siegel_membership(s, p, 1e-9) == "boundary"
-    nf = decompose_nak(s)
-    assert abs(nf.u[0, 1]) > p.lam + 0.07  # u-left coordinates are outside
+    # the u-left factors of s are the mirrored k-left factors of J s^T J
+    f = decompose(j @ s.T @ j)
+    assert abs(f.u[0, 1]) > p.lam + 0.07  # u-left coordinates are outside
     # and on rotations the two predicates coincide exactly
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
     assert membership_excess(rot, p) <= 0.0
-    nf = decompose_nak(rot)
-    assert np.allclose(nf.a, 1.0) and np.allclose(nf.u, np.eye(2))
+    f = decompose(j @ rot.T @ j)
+    assert np.allclose(f.a, 1.0) and np.allclose(f.u, np.eye(2))
 
 
 def test_unimodular_det_checked_exactly():
@@ -195,8 +187,6 @@ def test_stacked_membership_excess_equals_single_calls(rng):
         assert stacked.shape == (64,)
         single = [membership_excess(g, MINIMAL_PARAMS, check=False) for g in stack]
         assert stacked.tolist() == single
-        factored = [membership_excess(decompose(g, check=False), MINIMAL_PARAMS) for g in stack]
-        assert factored == single
 
 
 def test_stacked_membership_excess_keeps_guards(rng):
@@ -216,3 +206,29 @@ def test_stacked_membership_excess_keeps_guards(rng):
         membership_excess(bad, MINIMAL_PARAMS)
     with pytest.raises(InvalidArgumentError):
         membership_excess(np.ones((2, 3, 2)), MINIMAL_PARAMS)
+
+
+def _column_skewed(rng, g, decades=2.5, cond_max=1e7):
+    """Columns scaled by up to ``decades`` decades each way (product 1),
+    redrawn until the condition number is at most ``cond_max``."""
+    n = g.shape[0]
+    while True:
+        d = 10.0 ** rng.uniform(-decades, decades, size=n)
+        h = g * (d / np.prod(d) ** (1.0 / n))[None, :]
+        if np.linalg.cond(h) <= cond_max:
+            return h
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_coordinate_kernel_equals_decompose(n, rng):
+    plain = [random_sl(rng, n) for _ in range(24)]
+    skewed = [_column_skewed(rng, random_sl(rng, n)) for _ in range(24)]
+    for mats in (plain, skewed):
+        stack_a, stack_u = _siegel_coordinates(np.array(mats))
+        for g, a_row, u_row in zip(mats, stack_a, stack_u):
+            f = decompose(g, check=False)
+            a, u = _siegel_coordinates(g[None])
+            assert np.array_equal(a[0], f.a) and np.array_equal(u[0], f.u)
+            assert np.array_equal(a_row, f.a) and np.array_equal(u_row, f.u)
+        assert np.all(np.diagonal(stack_u, axis1=1, axis2=2) == 1.0)
+        assert np.all(np.tril(stack_u, -1) == 0.0)
