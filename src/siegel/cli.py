@@ -32,7 +32,6 @@ from .haar import (
 from .iwasawa import (
     MINIMAL_PARAMS,
     SiegelParams,
-    UnimodularIntMatrix,
     decompose,
     matrix_from_json_dict,
     matrix_to_json_dict,
@@ -40,7 +39,6 @@ from .iwasawa import (
 )
 from .reduction import siegel_reduce
 from .volumes import (
-    GROWTH_CSV_HEADER,
     compare_normalization_forms,
     compare_quotient_forms,
     compare_ratio_forms,
@@ -68,7 +66,9 @@ SEED_ENV_VAR = "SIEGEL_SEED"
 #: ``membership_tol`` is the slack of the ``decompose`` membership verdict;
 #: no other command applies it, so no other report echoes it.
 TOLERANCE_KEYS = ("membership_tol",)
-BUDGET_KEYS = ("max_iter", "budget_per_candidate", "mc_samples")
+#: the least value of each budget, flag or config: 0 exchanges or 0 random
+#: samples per candidate are valid runs, a Monte Carlo estimate needs one
+_BUDGET_LEAST = {"max_iter": 0, "budget_per_candidate": 0, "mc_samples": 1}
 OUTPUT_FORMATS = ("json", "csv", "pretty")
 DEFAULT_MC_SAMPLES = 100_000
 
@@ -129,23 +129,25 @@ def load_config(path: str | None) -> RunConfig:
                     f"config key {key!r} must be a finite number >= 0, got {value!r}"
                 )
             cfg.tolerances[key] = float(value)
-        elif key in BUDGET_KEYS:
-            v = _config_int(key, value)
-            # 0 exchanges or 0 random samples are valid runs, as with the flags
-            least = 1 if key == "mc_samples" else 0
-            if v < least:
-                raise MalformedConfigError(f"budget {key} must be >= {least}")
-            cfg.budgets[key] = v
+        elif key in _BUDGET_LEAST:
+            cfg.budgets[key] = _bounded(key, _config_int(key, value))
         else:
             raise MalformedConfigError(f"unknown config key {key!r}")
     return cfg
 
 
-def _setting(flag, config: RunConfig, key: str, default=None):
-    """Effective value of a setting: explicit flag, else config, else default."""
+def _bounded(key: str, value: int) -> int:
+    if value < _BUDGET_LEAST[key]:
+        raise MalformedConfigError(f"budget {key} must be >= {_BUDGET_LEAST[key]}")
+    return value
+
+
+def _setting(flag, budgets: dict, key: str, default=None):
+    """Effective value of a setting: explicit flag (held to the config key's
+    bound), else ``budgets[key]``, else default."""
     if flag is not None:
-        return flag
-    return config.budgets.get(key, default)
+        return _bounded(key, flag)
+    return budgets.get(key, default)
 
 
 def _read_matrix(path: str) -> np.ndarray:
@@ -255,8 +257,8 @@ def _cmd_decompose(args, config: RunConfig, fmt: str) -> int:
 
 
 def _cmd_reduce(args, config: RunConfig, fmt: str) -> int:
-    g = _read_matrix(args.input)
-    res = siegel_reduce(g, max_iter=_setting(args.max_iter, config, "max_iter"))
+    max_iter = _setting(args.max_iter, config.budgets, "max_iter")
+    res = siegel_reduce(_read_matrix(args.input), max_iter=max_iter)
     _report(config, "reduce", res.to_json_dict(), fmt)
     return 0
 
@@ -265,9 +267,9 @@ def _cmd_sample(args, config: RunConfig, fmt: str) -> int:
     stream = RngStream(config.seed, 0)
     p = SiegelParams(args.t, getattr(args, "lam"))
     if args.what == "a-integral":
-        count = _setting(args.count, config, "mc_samples", DEFAULT_MC_SAMPLES)
+        count = _setting(args.count, config.budgets, "mc_samples", DEFAULT_MC_SAMPLES)
     else:
-        count = 1 if args.count is None else args.count
+        count = _setting(args.count, {}, "mc_samples", 1)
     result: dict = {"what": args.what, "n": args.n, "count": count}
     if args.what == "rotation":
         gen = stream.generator()
@@ -288,7 +290,7 @@ def _cmd_sample(args, config: RunConfig, fmt: str) -> int:
 
 
 def _cmd_enumerate(args, config: RunConfig, fmt: str) -> int:
-    budget = _setting(args.budget, config, "budget_per_candidate", DEFAULT_BUDGET)
+    budget = _setting(args.budget, config.budgets, "budget_per_candidate", DEFAULT_BUDGET)
     reports, summary = enumerate_intersections(
         args.n,
         SiegelParams(args.t, getattr(args, "lam")),

@@ -5,18 +5,21 @@ the working matrix, every move realized by right multiplication with an
 exact integer matrix of determinant +1:
 
 * size reduction: integer column shears push every unipotent coordinate
-  u[i, j] into [-1/2, 1/2] without touching the diagonal part;
+  u[i, j] into [-1/2, 1/2] without touching the diagonal part, one row
+  sweep per i from the bottom (as in Lenstra-Lenstra-Lovasz size reduction);
 * exchange: where a ratio b[i] exceeds t, the two adjacent columns are
   swapped (one sign flipped to keep det +1), which strictly shrinks the
   Gram-Schmidt norm a[i] because the shear step already capped |u[i, i+1]|
   at 1/2 and t >= 2/sqrt(3).
 
-Each step reads only ``a`` and ``u`` of the working matrix, so both
-decompositions of an exchange are R-only QRs and ``k`` is never formed.
-The accumulated integer matrix gamma satisfies sigma @ gamma = g exactly
-up to two float matrix products; its determinant is checked exactly.
-Ratios sitting exactly on the threshold are left alone (the Siegel set is
-closed), so a result may legitimately sit on the boundary.
+Each round makes one R-only QR (``k`` is never formed): the shears are unit
+upper triangular, so they change ``u`` but not ``a``, and the exchange test
+reads the ``a`` of that QR.  The integer matrix and its inverse are exact
+Python integers; the float copy made for each QR raises
+:class:`NonInvertibleError` rather than round an entry of 2**53 or more.
+sigma @ gamma = g up to two float matrix products, and gamma's determinant
+is checked exactly.  Ratios sitting exactly on the threshold are left alone
+(the Siegel set is closed), so a result may legitimately sit on the boundary.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonInvertibleError
 from .iwasawa import (
     MINIMAL_PARAMS,
     SiegelParams,
@@ -38,6 +42,8 @@ from .iwasawa import (
 
 STATUS_REDUCED = "reduced"
 STATUS_BUDGET_EXHAUSTED = "budget_exhausted"
+#: integers from here on are not all exactly representable as floats
+_FLOAT_EXACT = 2**53
 
 
 @dataclass(frozen=True)
@@ -83,37 +89,28 @@ def log_potential(a: np.ndarray) -> float:
     return float(np.dot(weights, np.log(a)))
 
 
-def _shear_ops(u: np.ndarray) -> list[tuple[int, int, int]]:
-    """Column ops (i, j, r) meaning col_j -= r * col_i, in application
-    order, that size-reduce the unit upper triangular u."""
-    n = u.shape[0]
-    uu = u.copy()
-    ops = []
-    for j in range(1, n):
-        for i in range(j - 1, -1, -1):
-            r = int(np.round(uu[i, j]))
-            if r:
-                uu[:, j] -= r * uu[:, i]
-                ops.append((i, j, r))
-    return ops
+def _exact_float(m: np.ndarray) -> np.ndarray:
+    """Float copy of the exact integer matrix ``m``; an entry a float cannot
+    hold exactly raises rather than giving an inexact sigma."""
+    if np.max(np.abs(m)) >= _FLOAT_EXACT:
+        raise NonInvertibleError("reduction matrix entry exceeds 2**53, beyond exact float")
+    return m.astype(float)
 
 
-def _apply_shear(m: list[list[int]], m_inv: list[list[int]], i: int, j: int, r: int) -> None:
-    # m <- m @ T with T = I - r E_ij ; m_inv <- T^{-1} @ m_inv
-    n = len(m)
-    for row in range(n):
-        m[row][j] -= r * m[row][i]
-    for col in range(n):
-        m_inv[i][col] += r * m_inv[j][col]
+def _size_reduce(u: np.ndarray, m: np.ndarray, m_inv: np.ndarray) -> None:
+    """Push u[i, j] into [-1/2, 1/2] by unit upper integer shears, in place.
 
-
-def _apply_exchange(m: list[list[int]], m_inv: list[list[int]], i: int) -> None:
-    # m <- m @ P with P the det-corrected adjacent swap: new col_i = col_{i+1},
-    # new col_{i+1} = -col_i ; m_inv <- P^{-1} @ m_inv
-    n = len(m)
-    for row in range(n):
-        m[row][i], m[row][i + 1] = m[row][i + 1], -m[row][i]
-    m_inv[i], m_inv[i + 1] = m_inv[i + 1], [-x for x in m_inv[i]]
+    One row sweep per i from the bottom: the shear col_j -= r_j col_i for
+    every j > i at once, applied to ``u`` and ``m`` on the right and
+    inverted onto ``m_inv`` on the left.
+    """
+    for i in range(u.shape[0] - 2, -1, -1):
+        r = np.round(u[i, i + 1:])
+        if r.any():
+            u[: i + 1, i + 1:] -= np.outer(u[: i + 1, i], r)
+            r = np.array([int(x) for x in r], dtype=object)
+            m[:, i + 1:] -= np.outer(m[:, i], r)
+            m_inv[i] += r @ m_inv[i + 1:]
 
 
 def siegel_reduce(
@@ -136,20 +133,14 @@ def siegel_reduce(
         max_iter = 10 * n * n
     _check_group_element(g)
 
-    m = [[int(i == j) for j in range(n)] for i in range(n)]
-    m_inv = [[int(i == j) for j in range(n)] for i in range(n)]
-    m_float = np.eye(n)
+    m = np.identity(n, dtype=int).astype(object)
+    m_inv = m.copy()
     exchanges = 0
     while True:
-        a, u = _coordinates(g @ m_float)
+        a, u = _coordinates(g @ _exact_float(m))
         if potential_trace is not None:
             potential_trace.append(log_potential(a))
-        ops = _shear_ops(u)
-        if ops:
-            for i, j, r in ops:
-                _apply_shear(m, m_inv, i, j, r)
-            m_float = np.array(m, dtype=float)
-            a, u = _coordinates(g @ m_float)
+        _size_reduce(u, m, m_inv)
         over = np.nonzero(b_from_a(a) > p.t)[0]
         if over.size == 0:
             status = STATUS_REDUCED
@@ -157,10 +148,13 @@ def siegel_reduce(
         if exchanges >= max_iter:
             status = STATUS_BUDGET_EXHAUSTED
             break
-        _apply_exchange(m, m_inv, int(over[0]))
+        i = int(over[0])
+        # m <- m P with P the det-corrected swap (col_i, col_i+1) <- (col_i+1,
+        # -col_i); m_inv <- P^-1 m_inv, the same move on rows
+        m[:, [i, i + 1]] = m[:, [i + 1, i]] * (1, -1)
+        m_inv[[i, i + 1]] = m_inv[[i + 1, i]] * ((1,), (-1,))
         exchanges += 1
-        m_float = np.array(m, dtype=float)
 
-    sigma = g @ m_float
+    sigma = g @ _exact_float(m)
     gamma = UnimodularIntMatrix.from_rows(m_inv)
     return ReductionResult(gamma=gamma, sigma=sigma, iterations=exchanges, status=status)

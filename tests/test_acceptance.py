@@ -13,7 +13,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from siegel.haar import (
     RngStream,

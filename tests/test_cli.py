@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from siegel.cli import DEFAULT_MC_SAMPLES, RunConfig, build_parser, load_config, run
+from siegel.cli import DEFAULT_MC_SAMPLES, RunConfig, load_config, run
 from siegel.errors import MalformedConfigError
 from siegel.iwasawa import matrix_to_json_dict
 
@@ -164,6 +164,35 @@ def test_config_rejects_wrong_types(tmp_path, capsys, config):
         load_config(str(path))
     code, _, err = run_cli(capsys, "--config", str(path), "bounds", "--n", "2")
     assert code == 1
+    assert json.loads(err)["error"] == "MalformedConfigError"
+
+
+@pytest.mark.parametrize(
+    "key, flag_argv, value",
+    [
+        ("max_iter", ("reduce", "--input", "m.json", "--max-iter"), -1),
+        ("budget_per_candidate", ("enumerate-intersections", "--n", "2", "--budget"), -3),
+        ("mc_samples", ("sample", "--what", "a-integral", "--n", "2", "--count"), 0),
+        ("mc_samples", ("sample", "--n", "2", "--count"), -2),
+        ("mc_samples", ("sample", "--what", "rotation", "--n", "2", "--count"), 0),
+    ],
+)
+def test_flags_follow_the_config_bounds(tmp_path, capsys, monkeypatch, key, flag_argv, value):
+    # a budget below its least value fails alike as a flag and as a config
+    # key, before any input is read, and nothing is printed on stdout
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.json").write_text(json.dumps(matrix_to_json_dict(np.eye(2))))
+    code, out, err = run_cli(capsys, *flag_argv, str(value))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "MalformedConfigError",
+        "message": f"budget {key} must be >= {1 if key == 'mc_samples' else 0}",
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+    with pytest.raises(MalformedConfigError, match=key):
+        load_config("cfg.json")
+    code, out, err = run_cli(capsys, "--config", "cfg.json", *flag_argv[:-1])
+    assert code == 1 and out == ""
     assert json.loads(err)["error"] == "MalformedConfigError"
 
 

@@ -12,7 +12,6 @@ from siegel.errors import (
     ToleranceNotMetError,
 )
 from siegel.haar import (
-    MonteCarloReport,
     RngStream,
     a_integral_closed_form,
     a_integral_mc,
@@ -24,7 +23,7 @@ from siegel.haar import (
     sample_siegel_point,
     siegel_density,
 )
-from siegel.iwasawa import MINIMAL_PARAMS, SiegelParams
+from siegel.iwasawa import MINIMAL_PARAMS
 
 T_MIN = MINIMAL_PARAMS.t
 

@@ -32,7 +32,6 @@ from siegel.intersections import (
 from siegel.iwasawa import (
     MINIMAL_PARAMS,
     UnimodularIntMatrix,
-    a_from_b,
     decompose,
     membership_excess,
     unit_upper,

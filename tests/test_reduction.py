@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from siegel.errors import NotUnimodularError
+from siegel import iwasawa
+from siegel.errors import NonInvertibleError, NotUnimodularError
 from siegel.iwasawa import (
     MINIMAL_PARAMS,
     UnimodularIntMatrix,
@@ -14,6 +16,7 @@ from siegel.iwasawa import (
 from siegel.reduction import (
     STATUS_BUDGET_EXHAUSTED,
     STATUS_REDUCED,
+    _size_reduce,
     log_potential,
     siegel_reduce,
 )
@@ -120,3 +123,96 @@ def test_log_potential_definition():
     a = np.array([2.0, 1.0, 0.5])
     # weights n - i over 1-based i: 2, 1, 0
     assert math.isclose(log_potential(a), 2 * math.log(2.0) + math.log(1.0), rel_tol=1e-12)
+
+
+def column_size_reduction(u):
+    """Reference size reduction one scalar at a time, column by column:
+    j ascending, i descending, col_j -= round(u[i, j]) col_i.  Returns the
+    integer matrix of all the shears and the reduced u."""
+    n = u.shape[0]
+    uu = u.copy()
+    t = [[int(i == j) for j in range(n)] for i in range(n)]
+    for j in range(1, n):
+        for i in range(j - 1, -1, -1):
+            r = int(np.round(uu[i, j]))
+            uu[:, j] -= r * uu[:, i]
+            for row in t:
+                row[j] -= r * row[i]
+    return t, uu
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_row_sweeps_equal_column_by_column_reduction(n):
+    rng = np.random.default_rng(700 + n)
+    strict = np.triu_indices(n, k=1)
+    for _ in range(50):
+        u = np.eye(n)
+        u[strict] = rng.uniform(-20.0, 20.0, size=strict[0].size)
+        t, reduced = column_size_reduction(u)
+        m = np.identity(n, dtype=int).astype(object)
+        m_inv = m.copy()
+        swept = u.copy()
+        _size_reduce(swept, m, m_inv)
+        assert m.tolist() == t
+        assert (m_inv @ m).tolist() == np.identity(n, dtype=int).tolist()
+        assert np.max(np.abs(swept[strict])) <= 0.5
+        assert np.max(np.abs(reduced[strict])) <= 0.5
+
+
+def exact_inverse(rows):
+    """Inverse of an integer matrix of determinant +1, by exact elimination."""
+    n = len(rows)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(rows)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if aug[r][c])
+        aug[c], aug[p] = aug[p], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c]:
+                aug[r] = [x - aug[r][c] * y for x, y in zip(aug[r], aug[c])]
+    return [[int(x) for x in row[n:]] for row in aug]
+
+
+def column_skewed_sl(rng, n):
+    """Gaussian SL(n,R) element with its columns scaled apart (det kept) until
+    its condition number lies in [1e11, COND_MAX]."""
+    g = random_sl(rng, n)
+    d = rng.uniform(-1.0, 1.0, size=n)
+    d -= d.mean()
+    d /= d.max() - d.min()
+    lo, hi = 0.0, 30.0  # decades between the largest and smallest column scale
+    while True:
+        s = 0.5 * (lo + hi)
+        h = g * 10.0 ** (s * d)
+        cond = np.linalg.cond(h)
+        if cond < 1e11:
+            lo = s
+        elif cond > iwasawa.COND_MAX:
+            hi = s
+        else:
+            return h
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_ill_conditioned_inputs_reduce(n):
+    rng = np.random.default_rng(7100 + n)
+    eps = np.finfo(float).eps
+    for _ in range(20):
+        g = column_skewed_sl(rng, n)
+        trace = []
+        res = siegel_reduce(g, potential_trace=trace)
+        assert res.status == STATUS_REDUCED
+        gamma = res.gamma.to_array()
+        m = np.array(exact_inverse(res.gamma.entries), dtype=float)
+        bound = 16 * n * eps * (np.abs(g) @ np.abs(m)) @ np.abs(gamma)
+        assert np.all(np.abs(res.sigma @ gamma - g) <= bound)
+        assert np.all(np.diff(trace) <= 0)
+
+
+def test_integer_beyond_float_precision_raises(monkeypatch):
+    # with the condition guard lifted, one shear by 2**60 is exact in the
+    # integers but not in a float copy, so no sigma may be returned
+    monkeypatch.setattr(iwasawa, "COND_MAX", math.inf)
+    with pytest.raises(NonInvertibleError):
+        siegel_reduce([[1.0, 2.0**60], [0.0, 1.0]])
