@@ -47,7 +47,6 @@ from .volumes import (
     normalization_ratio,
     ratio_C,
     signed_perm_order,
-    sphere_volume,
     vol_quotient,
     vol_siegel,
     vol_so,
@@ -111,7 +110,6 @@ __all__ = [
     "siegel_membership",
     "siegel_reduce",
     "signed_perm_order",
-    "sphere_volume",
     "vol_quotient",
     "vol_siegel",
     "vol_so",

@@ -136,38 +136,6 @@ def finest_partition(gamma: UnimodularIntMatrix) -> PartitionAnalysis:
     )
 
 
-def reachability_components(gamma: UnimodularIntMatrix) -> list[tuple[int, int]]:
-    """Independent route to the same partition, via index sequences.
-
-    Build edges i -> j whenever i <= j or (i, j) is a leading entry; two
-    indices share a component iff each reaches the other.  Used as the
-    exact cross-check oracle for :func:`finest_partition`.
-    """
-    n = gamma.n
-    reach = [[i <= j for j in range(n)] for i in range(n)]
-    for (i, j) in leading_entries(gamma):
-        reach[i - 1][j - 1] = True
-    for mid in range(n):
-        for i in range(n):
-            if reach[i][mid]:
-                row_mid = reach[mid]
-                row_i = reach[i]
-                for j in range(n):
-                    if row_mid[j]:
-                        row_i[j] = True
-    # upward reachability is free, so indices i < j are mutually reachable
-    # iff j reaches i; component breaks are exactly the non-mutual
-    # adjacent pairs, and components are intervals.
-    components = []
-    start = 1
-    for c in range(n - 1):
-        if not reach[c + 1][c]:
-            components.append((start, c + 1))
-            start = c + 2
-    components.append((start, n))
-    return components
-
-
 def log_height_bound(n: int) -> float:
     """log of the proof-traceable bound (sqrt n)^(n^2 - 1)."""
     if n < 2:

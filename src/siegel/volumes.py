@@ -357,17 +357,6 @@ class SymbolicVolume:
         return " * ".join(parts) if parts else "1"
 
 
-def sphere_volume(m: int) -> SymbolicVolume:
-    """Surface volume of the unit sphere S^m: 2 pi^((m+1)/2) / Gamma((m+1)/2)."""
-    if m < 1:
-        raise InvalidArgumentError("sphere dimension must be >= 1")
-    return (
-        SymbolicVolume.rational(2)
-        * SymbolicVolume.pi_pow(Fraction(m + 1, 2))
-        / SymbolicVolume.gamma_half_factor(m + 1)
-    )
-
-
 def vol_so(n: int) -> SymbolicVolume:
     """Volume of SO(n): 2^((n-1)(n/4+1)) * prod_{i=2}^n pi^(i/2)/Gamma(i/2).
 
@@ -385,16 +374,6 @@ def vol_so(n: int) -> SymbolicVolume:
         pow_pi=Fraction(n * n + n - 2 + 2 * half_pi, 4),
         factorial=fact,
     )
-
-
-def vol_so_recursive(n: int) -> SymbolicVolume:
-    """The submersion recursion evaluated symbolically (cross-check route)."""
-    if n < 1:
-        raise InvalidArgumentError("n must be >= 1")
-    out = SymbolicVolume.one()
-    for m in range(2, n + 1):
-        out = out * SymbolicVolume.two_pow(Fraction(m - 1, 2)) * sphere_volume(m - 1)
-    return out
 
 
 def signed_perm_order(n: int) -> int:

@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from siegel.iwasawa import UnimodularIntMatrix
+from siegel.volumes import SymbolicVolume
 
 
 def random_sl(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -38,6 +41,25 @@ def random_unimodular(rng: np.random.Generator, n: int, height_cap: int = 10,
         if max(abs(x) for row in trial for x in row) <= height_cap:
             m = trial
     return UnimodularIntMatrix.from_rows(m)
+
+
+def sphere_volume(m: int) -> SymbolicVolume:
+    """Surface volume of the unit sphere S^m: 2 pi^((m+1)/2) / Gamma((m+1)/2)."""
+    return (
+        SymbolicVolume.rational(2)
+        * SymbolicVolume.pi_pow(Fraction(m + 1, 2))
+        / SymbolicVolume.gamma_half_factor(m + 1)
+    )
+
+
+def vol_so_recursive(n: int) -> SymbolicVolume:
+    """vol(SO(n)) by the submersion recursion
+    vol(SO(n)) = 2^((n-1)/2) vol(S^(n-1)) vol(SO(n-1)), evaluated
+    symbolically: the cross-check route for the closed form ``vol_so``."""
+    out = SymbolicVolume.one()
+    for m in range(2, n + 1):
+        out = out * SymbolicVolume.two_pow(Fraction(m - 1, 2)) * sphere_volume(m - 1)
+    return out
 
 
 @pytest.fixture

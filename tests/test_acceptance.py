@@ -40,12 +40,11 @@ from siegel.volumes import (
     signed_perm_order,
     vol_quotient,
     vol_so,
-    vol_so_recursive,
     vol_symmetric_space,
     zeta,
 )
 
-from conftest import random_sl
+from conftest import random_sl, vol_so_recursive
 
 P = MINIMAL_PARAMS
 T_MIN = P.t

@@ -24,7 +24,6 @@ from siegel.intersections import (
     lemma_filter_chain,
     leading_entries,
     log_height_bound,
-    reachability_components,
     reports_to_jsonl,
     sl_candidates,
     verify_witness,
@@ -70,6 +69,35 @@ def test_finest_partition_examples():
     assert finest_partition(ROT).components == [(1, 2)]
     block = UnimodularIntMatrix.from_rows([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
     assert finest_partition(block).components == [(1, 2), (3, 3)]
+
+
+def reachability_components(gamma):
+    """Independent route to the partition of :func:`finest_partition`, via
+    index sequences: edges i -> j whenever i <= j or (i, j) is a leading
+    entry; two indices share a component iff each reaches the other."""
+    n = gamma.n
+    reach = [[i <= j for j in range(n)] for i in range(n)]
+    for (i, j) in leading_entries(gamma):
+        reach[i - 1][j - 1] = True
+    for mid in range(n):
+        for i in range(n):
+            if reach[i][mid]:
+                row_mid = reach[mid]
+                row_i = reach[i]
+                for j in range(n):
+                    if row_mid[j]:
+                        row_i[j] = True
+    # upward reachability is free, so indices i < j are mutually reachable
+    # iff j reaches i; component breaks are exactly the non-mutual
+    # adjacent pairs, and components are intervals.
+    components = []
+    start = 1
+    for c in range(n - 1):
+        if not reach[c + 1][c]:
+            components.append((start, c + 1))
+            start = c + 2
+    components.append((start, n))
+    return components
 
 
 def test_partition_matches_reachability_on_seeded_corpus():

@@ -9,6 +9,7 @@ from siegel.errors import NonInvertibleError, NotUnimodularError
 from siegel.iwasawa import (
     MINIMAL_PARAMS,
     UnimodularIntMatrix,
+    b_from_a,
     decompose,
     siegel_membership,
     unit_upper,
@@ -16,6 +17,8 @@ from siegel.iwasawa import (
 from siegel.reduction import (
     STATUS_BUDGET_EXHAUSTED,
     STATUS_REDUCED,
+    _coordinates,
+    _exact_float,
     _size_reduce,
     log_potential,
     siegel_reduce,
@@ -174,9 +177,10 @@ def exact_inverse(rows):
     return [[int(x) for x in row[n:]] for row in aug]
 
 
-def column_skewed_sl(rng, n):
+def column_skewed_sl(rng, n, cond_lo=1e11, cond_hi=None):
     """Gaussian SL(n,R) element with its columns scaled apart (det kept) until
-    its condition number lies in [1e11, COND_MAX]."""
+    its condition number lies in [cond_lo, cond_hi] (default [1e11, COND_MAX])."""
+    cond_hi = iwasawa.COND_MAX if cond_hi is None else cond_hi
     g = random_sl(rng, n)
     d = rng.uniform(-1.0, 1.0, size=n)
     d -= d.mean()
@@ -186,9 +190,9 @@ def column_skewed_sl(rng, n):
         s = 0.5 * (lo + hi)
         h = g * 10.0 ** (s * d)
         cond = np.linalg.cond(h)
-        if cond < 1e11:
+        if cond < cond_lo:
             lo = s
-        elif cond > iwasawa.COND_MAX:
+        elif cond > cond_hi:
             hi = s
         else:
             return h
@@ -216,3 +220,73 @@ def test_integer_beyond_float_precision_raises(monkeypatch):
     monkeypatch.setattr(iwasawa, "COND_MAX", math.inf)
     with pytest.raises(NonInvertibleError):
         siegel_reduce([[1.0, 2.0**60], [0.0, 1.0]])
+
+
+def test_refreshes_count_the_fresh_qrs():
+    # no exchange: the first QR already shows the reduced basis
+    assert siegel_reduce(unit_upper(3, value=7.3)).refreshes == 1
+    # an exchange is carried, so a fresh QR has to confirm the end
+    res = siegel_reduce(np.diag([4.0, 0.25]))
+    assert res.iterations >= 1
+    assert res.refreshes >= 2
+    assert "refreshes" not in res.to_json_dict()
+
+
+def fresh_qr_reduce(g, max_iter=None, p=P):
+    """The reduction loop with one fresh R-only QR per round and a full
+    sweep after it: the reference the carried factor must reproduce."""
+    g = np.asarray(g, dtype=float)
+    n = g.shape[0]
+    if max_iter is None:
+        max_iter = 10 * n * n
+    m = np.identity(n, dtype=int).astype(object)
+    m_inv = m.copy()
+    exchanges = 0
+    while True:
+        a, u = _coordinates(g @ _exact_float(m))
+        _size_reduce(u, m, m_inv)
+        over = np.nonzero(b_from_a(a) > p.t)[0]
+        if over.size == 0:
+            status = STATUS_REDUCED
+            break
+        if exchanges >= max_iter:
+            status = STATUS_BUDGET_EXHAUSTED
+            break
+        i = int(over[0])
+        m[:, [i, i + 1]] = m[:, [i + 1, i]] * (1, -1)
+        m_inv[[i, i + 1]] = m_inv[[i + 1, i]] * ((1,), (-1,))
+        exchanges += 1
+    return UnimodularIntMatrix.from_rows(m_inv), exchanges, status
+
+
+def reduction_corpus(n, seed):
+    """Plain, column-skewed to cond <= 1e7 and ill-conditioned (cond in
+    [1e11, 1e12]) SL(n,R) elements, seeded."""
+    rng = np.random.default_rng(seed)
+    plain = [random_sl(rng, n) for _ in range(12)]
+    skewed = [column_skewed_sl(rng, n, 1e5, 1e7) for _ in range(12)]
+    ill = [column_skewed_sl(rng, n, 1e11, 1e12) for _ in range(6)]
+    return plain + skewed + ill
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_carried_factor_equals_fresh_qr_per_round(n):
+    for g in reduction_corpus(n, 7300 + n):
+        res = siegel_reduce(g)
+        gamma, iterations, status = fresh_qr_reduce(g)
+        assert res.gamma.entries == gamma.entries
+        assert res.iterations == iterations
+        assert res.status == status
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_carried_potential_stays_on_the_fresh_one(n):
+    # every budget k stops after k exchanges on a carried factor, so the last
+    # reading must agree with a fresh QR of the returned sigma
+    for g in reduction_corpus(n, 7400 + n)[::5]:
+        for k in range(siegel_reduce(g).iterations + 1):
+            trace = []
+            res = siegel_reduce(g, max_iter=k, potential_trace=trace)
+            assert len(trace) == k + 1
+            a, _ = _coordinates(res.sigma)
+            assert abs(trace[-1] - log_potential(a)) <= 1e-10

@@ -25,15 +25,15 @@ from siegel.volumes import (
     ratio_C,
     ratio_C_display,
     signed_perm_order,
-    sphere_volume,
     vol_quotient,
     vol_quotient_rightmost,
     vol_siegel,
     vol_so,
-    vol_so_recursive,
     vol_symmetric_space,
     zeta,
 )
+
+from conftest import sphere_volume, vol_so_recursive
 
 SQ2 = math.sqrt(2.0)
 
