@@ -21,8 +21,15 @@ rows i+1 down to 0 need sweeping.  ``R`` comes from an R-only QR (``k`` is
 never formed) only at the start and when the carried factor shows nothing
 left to do: that fresh round ends the call if it finds no exchange either,
 and otherwise the loop carries on from the fresh factor, so every status is
-decided on fresh coordinates.  The integer matrix and its inverse are exact
-Python integers; the float copy made for each QR raises
+decided on fresh coordinates.
+
+Between QRs the loop runs on plain Python scalars, with no numpy call: ``a``
+and the rows of ``u`` are float lists taken exactly from the QR by
+``tolist``, the integer matrix ``m`` is a list of columns of Python ints and
+its inverse a list of rows, so an exchange is a list swap with one negation
+on each and a shear is one scalar loop over a column of ``m`` and a row of
+the inverse.  Every float update is a single rounded operation (no fused
+multiply-add), the rotation included.  The float copy of ``m`` made for each QR and for sigma raises
 :class:`NonInvertibleError` rather than round an entry of 2**53 or more.
 sigma @ gamma = g up to two float matrix products, and gamma's determinant
 is checked exactly.  Ratios sitting exactly on the threshold are left alone
@@ -31,11 +38,13 @@ is checked exactly.  Ratios sitting exactly on the threshold are left alone
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .errors import NonInvertibleError
+from .errors import InvalidArgumentError, NonInvertibleError
 from .iwasawa import (
     MINIMAL_PARAMS,
     SiegelParams,
@@ -98,54 +107,71 @@ def log_potential(a: np.ndarray) -> float:
     return float(np.dot(weights, np.log(a)))
 
 
-def _exact_float(m: np.ndarray) -> np.ndarray:
-    """Float copy of the exact integer matrix ``m``; an entry a float cannot
-    hold exactly raises rather than giving an inexact sigma."""
-    if np.max(np.abs(m)) >= _FLOAT_EXACT:
+def _exact_float(m: list[list[int]]) -> np.ndarray:
+    """Float copy of the exact integer matrix with columns ``m``; an entry a
+    float cannot hold exactly raises rather than giving an inexact sigma."""
+    if max(map(abs, chain.from_iterable(m))) >= _FLOAT_EXACT:
         raise NonInvertibleError("reduction matrix entry exceeds 2**53, beyond exact float")
-    return m.astype(float)
+    return np.array(m, dtype=float).T.copy()
 
 
-def _size_reduce(u: np.ndarray, m: np.ndarray, m_inv: np.ndarray, top: int | None = None) -> None:
-    """Push u[i, j] into [-1/2, 1/2] by unit upper integer shears, in place.
+def _size_reduce(
+    u: list[list[float]], m: list[list[int]], m_inv: list[list[int]], top: int | None = None
+) -> None:
+    """Push u[i][j] into [-1/2, 1/2] by unit upper integer shears, in place.
 
-    One row sweep per i from ``top`` (default the bottom row n - 2) up to 0:
-    the shear col_j -= r_j col_i for every j > i at once, applied to ``u``
-    and ``m`` on the right and inverted onto ``m_inv`` on the left.
+    ``u`` is a list of rows, ``m`` a list of columns and ``m_inv`` a list of
+    rows.  One row sweep per i from ``top`` (default the bottom row n - 2)
+    up to 0: every r_j = round(u[i][j]), j > i, is read first (``round``
+    ties to even, as ``np.round`` does), then the shear col_j -= r_j col_i
+    is applied to ``u`` and ``m`` on the right and inverted onto ``m_inv``
+    on the left.
     """
     if top is None:
-        top = u.shape[0] - 2
+        top = len(u) - 2
     for i in range(top, -1, -1):
-        r = np.round(u[i, i + 1:])
-        if r.any():
-            u[: i + 1, i + 1:] -= np.outer(u[: i + 1, i], r)
-            r = np.array([int(x) for x in r], dtype=object)
-            m[:, i + 1:] -= np.outer(m[:, i], r)
-            m_inv[i] += r @ m_inv[i + 1:]
+        row = u[i]
+        shears = [(j, r) for j in range(i + 1, len(row)) if (r := round(row[j]))]
+        if not shears:
+            continue
+        for uk in u[: i + 1]:
+            uki = uk[i]
+            for j, r in shears:
+                uk[j] -= uki * r
+        col_i = m[i]
+        row_i = m_inv[i]
+        for j, r in shears:
+            m[j] = [x - r * y for x, y in zip(m[j], col_i)]
+            row_i = [x + r * y for x, y in zip(row_i, m_inv[j])]
+        m_inv[i] = row_i
 
 
-def _exchange(a: np.ndarray, u: np.ndarray, m: np.ndarray, m_inv: np.ndarray, i: int) -> None:
+def _exchange(
+    a: list[float], u: list[list[float]], m: list[list[int]], m_inv: list[list[int]], i: int
+) -> None:
     """Apply the det-corrected swap (col_i, col_i+1) <- (col_i+1, -col_i) to
     ``m`` and its inverse to the rows of ``m_inv``, and update ``a`` and
     ``u`` of ``R = diag(a) @ u`` in place: the same swap on the columns of
     R, then one Givens rotation of rows i, i+1 back to a positive diagonal.
     """
     j = i + 1
-    col = m[:, i].copy()
-    m[:, i] = m[:, j]
-    m[:, j] = -col
-    row = m_inv[i].copy()
-    m_inv[i] = m_inv[j]
-    m_inv[j] = -row
+    m[i], m[j] = m[j], [-x for x in m[i]]
+    m_inv[i], m_inv[j] = m_inv[j], [-x for x in m_inv[i]]
     # rows i, i+1 of R, columns swapped: block [[a_i u_ij, -a_i], [a_j, 0]]
-    r = a[i:j + 1, None] * u[i:j + 1]
-    r[:, i], r[:, j] = r[:, j], -r[:, i]
-    c, s = r[:, i] / np.hypot(r[0, i], r[1, i])
-    r = np.array([[c, s], [-s, c]]) @ r
-    r[1, i] = 0.0
-    a[i], a[j] = r[0, i], r[1, j]
-    u[i:j + 1] = r / a[i:j + 1, None]
-    u[:i, i], u[:i, j] = u[:i, j], -u[:i, i]
+    ai, aj = a[i], a[j]
+    ui, uj = u[i], u[j]
+    x = ai * ui[j]
+    h = math.hypot(x, aj)
+    c, s = x / h, aj / h
+    a[i] = ri = c * x + s * aj
+    a[j] = rj = s * ai  # the rotated second row is [0, s a_i, ...]
+    ui[j] = -(c * ai) / ri
+    for k in range(j + 1, len(ui)):
+        xk, yk = ai * ui[k], aj * uj[k]
+        ui[k] = (c * xk + s * yk) / ri
+        uj[k] = (c * yk - s * xk) / rj
+    for uk in u[:i]:
+        uk[i], uk[j] = uk[j], -uk[i]
 
 
 def siegel_reduce(
@@ -158,7 +184,8 @@ def siegel_reduce(
     """Find gamma in SL(n,Z) with g = sigma @ gamma and sigma in the Siegel set.
 
     Default budget is 10 n^2 exchange steps; exhausting it is reported in
-    ``status``, never silently truncated.  Pass a list as
+    ``status``, never silently truncated; a ``max_iter`` that is not an
+    integer >= 0 raises :class:`InvalidArgumentError`.  Pass a list as
     ``potential_trace`` to record the reduction potential once per basis:
     at the start and after each exchange, from the carried ``a`` (it never
     increases).  A fresh QR of a basis already recorded adds no reading.
@@ -167,33 +194,36 @@ def siegel_reduce(
     n = g.shape[0]
     if max_iter is None:
         max_iter = 10 * n * n
+    elif isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
+        raise InvalidArgumentError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     _check_group_element(g)
 
-    m = np.identity(n, dtype=int).astype(object)
-    m_inv = m.copy()
+    m = [[int(r == c) for r in range(n)] for c in range(n)]  # columns
+    m_inv = [[int(r == c) for c in range(n)] for r in range(n)]  # rows
     exchanges = refreshes = 0
     fresh = True
+    t = p.t
     while True:
         if fresh:
             a, u = _coordinates(g @ _exact_float(m))
+            a, u = a.tolist(), u.tolist()
             refreshes += 1
             top = None
             if potential_trace is not None and refreshes == 1:
                 potential_trace.append(log_potential(a))
         _size_reduce(u, m, m_inv, top)
-        over = np.nonzero(b_from_a(a) > p.t)[0]
-        if not fresh and (over.size == 0 or exchanges >= max_iter):
+        i = next((k for k in range(n - 1) if a[k] / a[k + 1] > t), None)
+        if not fresh and (i is None or exchanges >= max_iter):
             # only a fresh factor may end the call: it confirms or corrects
             # what the carried one shows
             fresh = True
             continue
-        if over.size == 0:
+        if i is None:
             status = STATUS_REDUCED
             break
         if exchanges >= max_iter:
             status = STATUS_BUDGET_EXHAUSTED
             break
-        i = int(over[0])
         _exchange(a, u, m, m_inv, i)
         exchanges += 1
         if potential_trace is not None:

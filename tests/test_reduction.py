@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from siegel import iwasawa
-from siegel.errors import NonInvertibleError, NotUnimodularError
+from siegel.errors import InvalidArgumentError, NonInvertibleError, NotUnimodularError
 from siegel.iwasawa import (
     MINIMAL_PARAMS,
     UnimodularIntMatrix,
@@ -144,6 +144,22 @@ def column_size_reduction(u):
     return t, uu
 
 
+def array_row_sweeps(u):
+    """The same row sweeps in whole-array numpy steps (u only): every
+    product and difference is one IEEE operation either way, so the floats
+    must agree bit for bit."""
+    uu = u.copy()
+    for i in range(uu.shape[0] - 2, -1, -1):
+        r = np.round(uu[i, i + 1:])
+        uu[: i + 1, i + 1:] -= np.outer(uu[: i + 1, i], r)
+    return uu
+
+
+def identity_columns(n):
+    """The identity as a list of integer columns (or rows)."""
+    return [[int(r == c) for r in range(n)] for c in range(n)]
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_row_sweeps_equal_column_by_column_reduction(n):
     rng = np.random.default_rng(700 + n)
@@ -152,13 +168,16 @@ def test_row_sweeps_equal_column_by_column_reduction(n):
         u = np.eye(n)
         u[strict] = rng.uniform(-20.0, 20.0, size=strict[0].size)
         t, reduced = column_size_reduction(u)
-        m = np.identity(n, dtype=int).astype(object)
-        m_inv = m.copy()
-        swept = u.copy()
+        m = identity_columns(n)
+        m_inv = identity_columns(n)
+        swept = u.tolist()
         _size_reduce(swept, m, m_inv)
-        assert m.tolist() == t
-        assert (m_inv @ m).tolist() == np.identity(n, dtype=int).tolist()
-        assert np.max(np.abs(swept[strict])) <= 0.5
+        assert [list(row) for row in zip(*m)] == t
+        assert [[sum(x * y for x, y in zip(row, col)) for col in m] for row in m_inv] == (
+            identity_columns(n)
+        )
+        assert np.max(np.abs(np.array(swept)[strict])) <= 0.5
+        assert np.array_equal(np.array(swept), array_row_sweeps(u))
         assert np.max(np.abs(reduced[strict])) <= 0.5
 
 
@@ -222,6 +241,25 @@ def test_integer_beyond_float_precision_raises(monkeypatch):
         siegel_reduce([[1.0, 2.0**60], [0.0, 1.0]])
 
 
+def test_largest_exact_integer_is_held(monkeypatch):
+    # one shear by 2**53 - 1 still has an exact float copy, so the reduction
+    # succeeds and sigma @ gamma gives the input back; 2**53 does not
+    monkeypatch.setattr(iwasawa, "COND_MAX", math.inf)
+    g = np.array([[1.0, 2.0**53 - 1], [0.0, 1.0]])
+    res = siegel_reduce(g)
+    assert res.status == STATUS_REDUCED
+    assert res.gamma.entries == ((1, 2**53 - 1), (0, 1))
+    assert np.array_equal(res.sigma @ res.gamma.to_array(), g)
+    with pytest.raises(NonInvertibleError):
+        siegel_reduce([[1.0, 2.0**53], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("max_iter", [-3, -1, 2.0, 1.5, True, "4"])
+def test_max_iter_must_be_a_nonnegative_integer(max_iter):
+    with pytest.raises(InvalidArgumentError):
+        siegel_reduce(np.diag([4.0, 0.25]), max_iter=max_iter)
+
+
 def test_refreshes_count_the_fresh_qrs():
     # no exchange: the first QR already shows the reduced basis
     assert siegel_reduce(unit_upper(3, value=7.3)).refreshes == 1
@@ -239,12 +277,12 @@ def fresh_qr_reduce(g, max_iter=None, p=P):
     n = g.shape[0]
     if max_iter is None:
         max_iter = 10 * n * n
-    m = np.identity(n, dtype=int).astype(object)
-    m_inv = m.copy()
+    m = identity_columns(n)
+    m_inv = identity_columns(n)
     exchanges = 0
     while True:
         a, u = _coordinates(g @ _exact_float(m))
-        _size_reduce(u, m, m_inv)
+        _size_reduce(u.tolist(), m, m_inv)
         over = np.nonzero(b_from_a(a) > p.t)[0]
         if over.size == 0:
             status = STATUS_REDUCED
@@ -253,8 +291,8 @@ def fresh_qr_reduce(g, max_iter=None, p=P):
             status = STATUS_BUDGET_EXHAUSTED
             break
         i = int(over[0])
-        m[:, [i, i + 1]] = m[:, [i + 1, i]] * (1, -1)
-        m_inv[[i, i + 1]] = m_inv[[i + 1, i]] * ((1,), (-1,))
+        m[i], m[i + 1] = m[i + 1], [-x for x in m[i]]
+        m_inv[i], m_inv[i + 1] = m_inv[i + 1], [-x for x in m_inv[i]]
         exchanges += 1
     return UnimodularIntMatrix.from_rows(m_inv), exchanges, status
 
