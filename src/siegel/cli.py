@@ -173,30 +173,22 @@ def _report(config: RunConfig, command: str, result: dict, fmt: str) -> None:
         _emit_json(doc)
 
 
-_VOLUME_OBJECTS = ("so", "siegel", "quotient", "ratio", "symmetric", "harder", "norm-ratio")
-
-
-def _volume_expression(obj: str, n: int, p: SiegelParams):
-    if obj == "so":
-        return vol_so(n)
-    if obj == "siegel":
-        return vol_siegel(n, p)
-    if obj == "quotient":
-        return vol_quotient(n)
-    if obj == "ratio":
-        return ratio_C(n)
-    if obj == "symmetric":
-        return vol_symmetric_space(n)
-    if obj == "harder":
-        return harder_volume(n)
-    if obj == "norm-ratio":
-        return normalization_ratio(n)
-    raise SiegelError(f"unknown volume object {obj!r}")
+#: volume object -> (builder of its expression from (n, params), the check
+#: of its published simplification or None)
+_VOLUMES = {
+    "so": (lambda n, p: vol_so(n), None),
+    "siegel": (vol_siegel, None),
+    "quotient": (lambda n, p: vol_quotient(n), compare_quotient_forms),
+    "ratio": (lambda n, p: ratio_C(n), compare_ratio_forms),
+    "symmetric": (lambda n, p: vol_symmetric_space(n), None),
+    "harder": (lambda n, p: harder_volume(n), None),
+    "norm-ratio": (lambda n, p: normalization_ratio(n), compare_normalization_forms),
+}
 
 
 def _cmd_volume(args, config: RunConfig, fmt: str) -> int:
-    p = SiegelParams(args.t, getattr(args, "lam"))
-    expr = _volume_expression(args.object, args.n, p)
+    build, form_check = _VOLUMES[args.object]
+    expr = build(args.n, SiegelParams(args.t, getattr(args, "lam")))
     log = expr.log_value()
     result = {
         "object": args.object,
@@ -207,12 +199,8 @@ def _cmd_volume(args, config: RunConfig, fmt: str) -> int:
         "log_value": log,
         "value": expr.value(),
     }
-    if args.object == "quotient":
-        result["form_check"] = compare_quotient_forms(args.n).to_json_dict()
-    elif args.object == "ratio":
-        result["form_check"] = compare_ratio_forms(args.n).to_json_dict()
-    elif args.object == "norm-ratio":
-        result["form_check"] = compare_normalization_forms(args.n).to_json_dict()
+    if form_check is not None:
+        result["form_check"] = form_check(args.n).to_json_dict()
     if fmt == "pretty":
         sys.stdout.write(f"{result['expression']}\n= {result['value']!r} (log {log!r})\n")
         if "form_check" in result:
@@ -360,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     sub = commands.add_parser("volume", help="closed-form volumes and ratios", parents=[common])
-    sub.add_argument("--object", required=True, choices=_VOLUME_OBJECTS)
+    sub.add_argument("--object", required=True, choices=tuple(_VOLUMES))
     sub.add_argument("--n", type=int, required=True)
     _add_siegel_params(sub)
     sub.set_defaults(func=_cmd_volume)

@@ -61,6 +61,7 @@ from .iwasawa import (
     _bareiss_det,
     _siegel_coordinates,
     a_from_b,
+    as_count,
     as_square_matrix,
     membership_excess,
     unit_upper_stack,
@@ -402,7 +403,8 @@ def find_witness(
     inequality chain passes on it; a chain violation is recorded in the
     trace and the search continues, so a ``witnessed`` verdict is always
     backed by a clean trace.  Larger budgets extend the same sample sequence, so
-    verdicts never regress from witnessed to unknown.
+    verdicts never regress from witnessed to unknown.  A ``budget`` that is
+    not an integer >= 0 raises :class:`InvalidArgumentError`.
 
     Evaluation is batched, the order is not: all probes are scored as one
     stack, random points are drawn and scored in blocks that double from
@@ -411,6 +413,7 @@ def find_witness(
     and report is the one a point-by-point search gives, bit for bit,
     whatever the block boundaries.
     """
+    budget = as_count(budget, "budget")
     if rng is None:
         rng = RngStream(0, 0)
     n = gamma.n
@@ -569,6 +572,7 @@ def enumerate_intersections(
         raise InvalidArgumentError("n must be >= 2")
     if n > 3:
         raise DimensionTooLargeError("exhaustive enumeration is desk-scale only (n <= 3)")
+    budget_per_candidate = as_count(budget_per_candidate, "budget_per_candidate")
     if rng is None:
         rng = RngStream(0, 0)
     cap = int(math.floor(height_bound(n))) if max_height is None else int(max_height)
@@ -608,6 +612,7 @@ def enumerate_intersections(
 
 
 def reports_to_jsonl(reports: list[IntersectionReport]) -> str:
+    """One JSON line per report; no reports give the empty string."""
     import json
 
-    return "\n".join(json.dumps(r.to_json_dict(), sort_keys=True) for r in reports) + "\n"
+    return "".join(json.dumps(r.to_json_dict(), sort_keys=True) + "\n" for r in reports)

@@ -56,8 +56,8 @@ class SiegelParams:
     lam: float
 
     def __post_init__(self):
-        if not (self.t > 0 and self.lam > 0):
-            raise InvalidArgumentError("Siegel parameters must be positive")
+        if not (0 < self.t < math.inf and 0 < self.lam < math.inf):
+            raise InvalidArgumentError("Siegel parameters must be positive and finite")
 
 
 #: Smallest parameters for which the Siegel set still covers SL(n,R)
@@ -90,6 +90,13 @@ def as_matrix_stack(g, min_n: int = 2) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise InvalidArgumentError("matrix entries must be finite")
     return arr
+
+
+def as_count(value, name: str) -> int:
+    """Validate ``value`` as an integer >= 0 (a bool or a float is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise InvalidArgumentError(f"{name} must be an integer >= 0, got {value!r}")
+    return int(value)
 
 
 def _bareiss_det(rows: list[list[int]]) -> int:
@@ -283,8 +290,9 @@ def _factors_from_r(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if a.size and np.min(a) < SINGULAR_TOL:
         raise NonInvertibleError(f"column pivot {np.min(a):.3e} below {SINGULAR_TOL:.1e}")
     # the sign fix: row i over its signed pivot is (sign * r) / a bit for
-    # bit, x / x is exactly 1.0, and triu turns the -0.0 below into +0.0
-    return diag / a, a, np.triu(r / diag[..., :, None])
+    # bit, x / x is exactly 1.0, and adding +0.0 turns every -0.0 (the zeros
+    # below a negative pivot among them) into +0.0; r is already triangular
+    return diag / a, a, r / diag[..., :, None] + 0.0
 
 
 def _siegel_coordinates(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -343,8 +351,8 @@ def siegel_membership(g, p: SiegelParams, tol: float, *, check: bool = True) -> 
     ``outside`` iff some constraint is exceeded by more than ``tol``;
     ``boundary`` otherwise.  The coordinates are the k-left factors of g.
     """
-    if tol < 0:
-        raise InvalidArgumentError("tol must be >= 0")
+    if not 0 <= tol < math.inf:
+        raise InvalidArgumentError(f"tol must be a finite number >= 0, got {tol!r}")
     excess = membership_excess(g, p, check=check)
     if excess <= -tol:
         return MEMBERSHIP_INSIDE

@@ -44,11 +44,12 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NonInvertibleError
+from .errors import NonInvertibleError
 from .iwasawa import (
     MINIMAL_PARAMS,
     SiegelParams,
     UnimodularIntMatrix,
+    as_count,
     as_matrix_stack,
     as_square_matrix,
     b_from_a,
@@ -192,10 +193,7 @@ def siegel_reduce(
     """
     g = as_square_matrix(g)
     n = g.shape[0]
-    if max_iter is None:
-        max_iter = 10 * n * n
-    elif isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
-        raise InvalidArgumentError(f"max_iter must be an integer >= 0, got {max_iter!r}")
+    max_iter = 10 * n * n if max_iter is None else as_count(max_iter, "max_iter")
     _check_group_element(g)
 
     m = [[int(r == c) for r in range(n)] for c in range(n)]  # columns

@@ -6,12 +6,16 @@ rational powers of 2, 3 and pi, and integer powers of zeta(i) and i!.
 so identities between formulas can be checked with zero drift; floats
 only appear when ``log_value``/``value`` are called.
 
-Gamma(i/2) factors are rewritten into the factorial/pi/2 basis as they are
-added (Gamma(m) = (m-1)!, Gamma(m + 1/2) = sqrt(pi) (2m)!/(4^m m!)), which
-makes equal quantities structurally equal and keeps printed forms clean.
-Builders add exponents in one pass; :func:`growth_table` evaluates the same
-closed forms in log space with numpy.  Arbitrary positive constants (a
-non-canonical Siegel parameter t, say) are labeled numeric factors.
+Every :class:`SymbolicVolume` is folded into one canonical form when it
+is built, so equal quantities have equal fields and ``==`` is exact.
+Gamma(i/2) factors enter in the factorial/pi/2 basis
+(Gamma(m) = (m-1)!, Gamma(m + 1/2) = sqrt(pi) (2m)!/(4^m m!)), which keeps
+printed forms clean.  ``log_value`` is one correctly rounded sum over the
+atoms, so equal quantities also evaluate to equal floats.  Each builder
+passes the raw exponent maps of its docstring formula to one constructor
+call; :func:`growth_table` evaluates the same closed forms in log space
+with numpy.  Arbitrary positive constants (a non-canonical Siegel
+parameter t, say) are labeled numeric factors.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -78,52 +82,41 @@ def zeta(s: int) -> float:
     return _zeta_default(int(s))
 
 
-def _merge(d1: dict, d2: dict, sign: int) -> dict:
-    out = dict(d1)
-    for key, exp in d2.items():
-        new = out.get(key, 0) + sign * exp
-        if new:
-            out[key] = new
-        else:
-            out.pop(key, None)
+def _add(*maps: dict) -> dict:
+    """Sum of exponent maps, keyed by atom; zero exponents are dropped.
+    The largest map is copied and the others are merged into it."""
+    *rest, largest = sorted(maps, key=len)
+    out = dict(largest)
+    for d in rest:
+        for key, exp in d.items():
+            new = out.get(key, 0) + exp
+            if new:
+                out[key] = new
+            else:
+                out.pop(key, None)
     return out
 
 
-def _scale(d: dict, mult: int) -> dict:
-    return {k: v * mult for k, v in d.items() if v * mult}
-
-
-def _fold_factorial(fact: dict, i: int, exp: int) -> int:
-    """Add ``exp`` to the exponent of i! in ``fact``, folding 0! = 1! = 1
-    and 2! = 2; returns the power of 2 split off."""
-    if i < 0:
-        raise InvalidArgumentError("factorial factors need i >= 0")
-    if i <= 1 or not exp:
-        return 0
-    if i == 2:
-        return exp
-    fact[i] = fact.get(i, 0) + exp
-    if not fact[i]:
-        del fact[i]
-    return 0
-
-
-def _fold_gamma_half(fact: dict, indices, exp: int) -> tuple[int, int]:
-    """Add prod_{i in indices} Gamma(i/2)^exp to ``fact`` in the factorial
-    basis; returns the powers of 2 and of sqrt(pi) split off.
+def _gamma_half(indices, exp: int) -> tuple[dict, int, int]:
+    """prod_{i in indices} Gamma(i/2)^exp in the factorial basis, as
+    ``(factorials, pow2, half_pi)``: an exponent map of i!, a power of 2 and
+    a power of sqrt(pi).
 
     Even i = 2m: Gamma(m) = (m-1)!.  Odd i = 2m+1:
     Gamma(m + 1/2) = sqrt(pi) * (2m)! / (4**m * m!).
     """
+    fact: dict = {}
     pow2 = half_pi = 0
     for i in indices:
         m = i // 2
         if i % 2 == 0:
-            pow2 += _fold_factorial(fact, m - 1, exp)
+            fact[m - 1] = fact.get(m - 1, 0) + exp
         else:
-            pow2 += _fold_factorial(fact, 2 * m, exp) + _fold_factorial(fact, m, -exp) - 2 * m * exp
+            fact[2 * m] = fact.get(2 * m, 0) + exp
+            fact[m] = fact.get(m, 0) - exp
+            pow2 -= 2 * m * exp
             half_pi += exp
-    return pow2, half_pi
+    return fact, pow2, half_pi
 
 
 def _adic_split(value: int, base: int) -> tuple[int, int]:
@@ -134,17 +127,16 @@ def _adic_split(value: int, base: int) -> tuple[int, int]:
     return value, exp
 
 
-def _split_coeff(c: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-    """Factor a rational as (rest, pow2, pow3) with rest coprime to 6."""
-    num, den = abs(c.numerator), c.denominator
-    num, a2 = _adic_split(num, 2)
-    num, a3 = _adic_split(num, 3)
-    den, b2 = _adic_split(den, 2)
-    den, b3 = _adic_split(den, 3)
-    rest = Fraction(num, den)
-    if c < 0:
-        rest = -rest
-    return rest, Fraction(a2 - b2), Fraction(a3 - b3)
+#: Numeric bases that are exact products of powers of 2 and 3:
+#: base -> (exponent of 2, exponent of 3) per unit exponent of the base.
+_EXACT_BASES = {
+    1.0: (0, 0),
+    2.0: (1, 0),
+    0.5: (-1, 0),
+    4.0: (2, 0),
+    3.0: (0, 1),
+    2.0 / math.sqrt(3.0): (1, Fraction(-1, 2)),
+}
 
 
 @dataclass(frozen=True)
@@ -156,6 +148,13 @@ class SymbolicVolume:
     ``numeric`` holds exact rational exponents of arbitrary positive floats.
     Multiplication and division add exponents exactly; nothing is rounded
     until ``log_value``/``value``.
+
+    Every instance is canonical from construction on: the coefficient is
+    coprime to 6 (its powers of 2 and 3 move to ``pow2``/``pow3``), 0! and
+    1! are dropped and 2! becomes a power of 2, numeric bases that are
+    powers of 2 and 3 fold into those, and no exponent is zero.  Equal
+    quantities therefore have equal fields, and the dataclass ``==`` is
+    exact.
     """
 
     coeff: Fraction = Fraction(1)
@@ -166,6 +165,39 @@ class SymbolicVolume:
     factorial: dict = field(default_factory=dict)  # i -> exponent of i!
     numeric: dict = field(default_factory=dict)  # float base -> Fraction exponent
 
+    def __post_init__(self):
+        # The one folding rule.  Each step sets only what it changes, so
+        # products and powers of canonical instances pass with a few checks.
+        fold = partial(object.__setattr__, self)
+        for name in ("coeff", "pow2", "pow3", "pow_pi"):
+            if type(getattr(self, name)) is not Fraction:
+                fold(name, Fraction(getattr(self, name)))
+        c = self.coeff
+        if not c:
+            raise InvalidArgumentError("volumes are nonzero")
+        if math.gcd(c.numerator * c.denominator, 6) != 1:
+            num, a2 = _adic_split(c.numerator, 2)
+            num, a3 = _adic_split(num, 3)
+            den, b2 = _adic_split(c.denominator, 2)
+            den, b3 = _adic_split(den, 3)
+            fold("coeff", Fraction(num, den))
+            fold("pow2", self.pow2 + (a2 - b2))
+            fold("pow3", self.pow3 + (a3 - b3))
+        if not all(self.zeta_pow.values()):
+            fold("zeta_pow", {i: e for i, e in self.zeta_pow.items() if e})
+        fact = self.factorial
+        if 0 in fact or 1 in fact or 2 in fact or not all(fact.values()):
+            fold("pow2", self.pow2 + fact.get(2, 0))
+            fold("factorial", {i: e for i, e in fact.items() if i > 2 and e})
+        numeric = self.numeric
+        if not (all(numeric.values()) and _EXACT_BASES.keys().isdisjoint(numeric)):
+            for base, e in numeric.items():
+                if base in _EXACT_BASES:
+                    p2, p3 = _EXACT_BASES[base]
+                    fold("pow2", self.pow2 + p2 * e)
+                    fold("pow3", self.pow3 + p3 * e)
+            fold("numeric", {b: e for b, e in numeric.items() if e and b not in _EXACT_BASES})
+
     # --- constructors ---
 
     @classmethod
@@ -174,68 +206,51 @@ class SymbolicVolume:
 
     @classmethod
     def rational(cls, p, q=1) -> "SymbolicVolume":
-        c = Fraction(p, q)
-        if c == 0:
-            raise InvalidArgumentError("volumes are nonzero")
-        rest, p2, p3 = _split_coeff(c)
-        return cls(coeff=rest, pow2=p2, pow3=p3)
+        return cls(coeff=Fraction(p, q))
 
     @classmethod
     def two_pow(cls, exp) -> "SymbolicVolume":
-        return cls(pow2=Fraction(exp))
+        return cls(pow2=exp)
 
     @classmethod
     def three_pow(cls, exp) -> "SymbolicVolume":
-        return cls(pow3=Fraction(exp))
+        return cls(pow3=exp)
 
     @classmethod
     def pi_pow(cls, exp) -> "SymbolicVolume":
-        return cls(pow_pi=Fraction(exp))
+        return cls(pow_pi=exp)
 
     @classmethod
     def zeta_factor(cls, i: int, exp: int = 1) -> "SymbolicVolume":
         if i < 2:
             raise InvalidArgumentError("zeta factors need i >= 2")
-        return cls(zeta_pow={i: exp} if exp else {})
+        return cls(zeta_pow={i: exp})
 
     @classmethod
     def factorial_factor(cls, i: int, exp: int = 1) -> "SymbolicVolume":
-        """i! to an integer power, folded so that 0!, 1! vanish and 2! -> 2."""
-        fact: dict = {}
-        pow2 = _fold_factorial(fact, i, exp)
-        return cls(pow2=Fraction(pow2), factorial=fact)
+        """i! to an integer power (0! and 1! vanish, 2! becomes 2)."""
+        if i < 0:
+            raise InvalidArgumentError("factorial factors need i >= 0")
+        return cls(factorial={i: exp})
 
     @classmethod
     def gamma_half_factor(cls, i: int, exp: int = 1) -> "SymbolicVolume":
         """Gamma(i/2) to an integer power, rewritten into the factorial basis
-        (see :func:`_fold_gamma_half`)."""
+        (see :func:`_gamma_half`)."""
         if i < 1:
             raise InvalidArgumentError("gamma factors need i >= 1")
-        fact: dict = {}
-        pow2, half_pi = _fold_gamma_half(fact, (i,), exp)
-        return cls(pow2=Fraction(pow2), pow_pi=Fraction(half_pi, 2), factorial=fact)
+        fact, pow2, half_pi = _gamma_half((i,), exp)
+        return cls(pow2=pow2, pow_pi=Fraction(half_pi, 2), factorial=fact)
 
     @classmethod
     def numeric_factor(cls, base: float, exp) -> "SymbolicVolume":
-        """base**exp for an arbitrary positive base, recognizing bases that
-        are exactly expressible through 2 and 3 (1, 2, 1/2, 4, 3, 2/sqrt(3))."""
-        exp = Fraction(exp)
+        """base**exp for an arbitrary positive base; bases that are exactly
+        expressible through 2 and 3 (1, 2, 1/2, 4, 3, 2/sqrt(3)) fold into
+        those."""
         base = float(base)
-        if base <= 0.0 or not math.isfinite(base):
+        if not 0.0 < base < math.inf:
             raise InvalidArgumentError("numeric bases must be positive and finite")
-        if exp == 0 or base == 1.0:
-            return cls()
-        if base == 2.0:
-            return cls(pow2=exp)
-        if base == 0.5:
-            return cls(pow2=-exp)
-        if base == 4.0:
-            return cls(pow2=2 * exp)
-        if base == 3.0:
-            return cls(pow3=exp)
-        if base == 2.0 / math.sqrt(3.0):
-            return cls(pow2=exp, pow3=-exp / 2)
-        return cls(numeric={base: exp})
+        return cls(numeric={base: Fraction(exp)})
 
     # --- algebra ---
 
@@ -245,21 +260,13 @@ class SymbolicVolume:
             pow2=self.pow2 + other.pow2,
             pow3=self.pow3 + other.pow3,
             pow_pi=self.pow_pi + other.pow_pi,
-            zeta_pow=_merge(self.zeta_pow, other.zeta_pow, +1),
-            factorial=_merge(self.factorial, other.factorial, +1),
-            numeric=_merge(self.numeric, other.numeric, +1),
+            zeta_pow=_add(self.zeta_pow, other.zeta_pow),
+            factorial=_add(self.factorial, other.factorial),
+            numeric=_add(self.numeric, other.numeric),
         )
 
     def __truediv__(self, other: "SymbolicVolume") -> "SymbolicVolume":
-        return SymbolicVolume(
-            coeff=self.coeff / other.coeff,
-            pow2=self.pow2 - other.pow2,
-            pow3=self.pow3 - other.pow3,
-            pow_pi=self.pow_pi - other.pow_pi,
-            zeta_pow=_merge(self.zeta_pow, other.zeta_pow, -1),
-            factorial=_merge(self.factorial, other.factorial, -1),
-            numeric=_merge(self.numeric, other.numeric, -1),
-        )
+        return self * other**-1
 
     def __pow__(self, exp: int) -> "SymbolicVolume":
         if not isinstance(exp, int):
@@ -269,49 +276,29 @@ class SymbolicVolume:
             pow2=self.pow2 * exp,
             pow3=self.pow3 * exp,
             pow_pi=self.pow_pi * exp,
-            zeta_pow=_scale(self.zeta_pow, exp),
-            factorial=_scale(self.factorial, exp),
-            numeric=_scale(self.numeric, exp),
+            zeta_pow={i: e * exp for i, e in self.zeta_pow.items()},
+            factorial={i: e * exp for i, e in self.factorial.items()},
+            numeric={b: e * exp for b, e in self.numeric.items()},
         )
-
-    def normalized(self) -> "SymbolicVolume":
-        """Canonical form: coefficient coprime to 6, trivial keys folded."""
-        rest, p2, p3 = _split_coeff(self.coeff)
-        fact: dict = {}
-        for i, e in self.factorial.items():
-            p2 += _fold_factorial(fact, i, e)
-        return SymbolicVolume(
-            coeff=rest,
-            pow2=self.pow2 + p2,
-            pow3=self.pow3 + p3,
-            pow_pi=self.pow_pi,
-            numeric={k: v for k, v in self.numeric.items() if v},
-            zeta_pow={k: v for k, v in self.zeta_pow.items() if v},
-            factorial=fact,
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymbolicVolume):
-            return NotImplemented
-        return vars(self.normalized()) == vars(other.normalized())  # compares every field
-
-    __hash__ = None
 
     # --- evaluation ---
 
     def log_value(self) -> float:
-        """Natural log of the absolute value; exact-exponent sums over atom logs."""
-        total = math.log(abs(self.coeff.numerator)) - math.log(self.coeff.denominator)
-        total += float(self.pow2) * _LN2
-        total += float(self.pow3) * _LN3
-        total += float(self.pow_pi) * _LNPI
-        for i, e in self.zeta_pow.items():
-            total += e * math.log(zeta(i))
-        for i, e in self.factorial.items():
-            total += e * math.lgamma(i + 1.0)
-        for base, e in self.numeric.items():
-            total += float(e) * math.log(base)
-        return total
+        """Natural log of the absolute value: the correctly rounded sum
+        (``math.fsum``) of one term per atom, so equal expressions evaluate
+        to equal floats whatever order their factors were added in."""
+        c = self.coeff
+        terms = [
+            math.log(abs(c.numerator)),
+            -math.log(c.denominator),
+            float(self.pow2) * _LN2,
+            float(self.pow3) * _LN3,
+            float(self.pow_pi) * _LNPI,
+        ]
+        terms += [e * math.log(zeta(i)) for i, e in self.zeta_pow.items()]
+        terms += [e * math.lgamma(i + 1.0) for i, e in self.factorial.items()]
+        terms += [float(e) * math.log(base) for base, e in self.numeric.items()]
+        return math.fsum(terms)
 
     def sign(self) -> int:
         return -1 if self.coeff < 0 else 1
@@ -367,12 +354,11 @@ def vol_so(n: int) -> SymbolicVolume:
     """
     if n < 1:
         raise InvalidArgumentError("n must be >= 1")
-    fact: dict = {}
-    pow2, half_pi = _fold_gamma_half(fact, range(2, n + 1), -1)
+    gamma_fact, gamma_pow2, half_pi = _gamma_half(range(2, n + 1), -1)
     return SymbolicVolume(
-        pow2=Fraction((n - 1) * (n + 4), 4) + pow2,
+        pow2=Fraction((n - 1) * (n + 4), 4) + gamma_pow2,
         pow_pi=Fraction(n * n + n - 2 + 2 * half_pi, 4),
-        factorial=fact,
+        factorial=gamma_fact,
     )
 
 
@@ -393,11 +379,11 @@ def vol_siegel(n: int, p: SiegelParams = MINIMAL_PARAMS) -> SymbolicVolume:
     """
     if n < 2:
         raise InvalidArgumentError("n must be >= 2")
-    out = SymbolicVolume.rational(1, 2) * vol_so(n)
-    out = out * SymbolicVolume.numeric_factor(2.0 * p.lam, Fraction(n * (n - 1), 2))
-    out = out * SymbolicVolume.numeric_factor(p.t, Fraction(n * (n * n - 1), 6))
-    out = out * SymbolicVolume.factorial_factor(n - 1, -2)
-    return out
+    return vol_so(n) * SymbolicVolume(
+        coeff=Fraction(1, 2),
+        factorial={n - 1: -2},
+        numeric=_add({2.0 * p.lam: Fraction(n * (n - 1), 2)}, {p.t: Fraction(n * (n * n - 1), 6)}),
+    )
 
 
 def vol_quotient(n: int) -> SymbolicVolume:
@@ -410,12 +396,10 @@ def vol_quotient(n: int) -> SymbolicVolume:
     """
     if n < 2:
         raise InvalidArgumentError("n must be >= 2")
-    fact: dict = {}
-    pow2 = sum(_fold_factorial(fact, i, -1) for i in range(1, n)) - (n - 1) * (n - 2) // 2
     return SymbolicVolume(
-        pow2=Fraction(1, 2) + pow2,
+        pow2=Fraction(1, 2) - (n - 1) * (n - 2) // 2,
         zeta_pow=dict.fromkeys(range(2, n + 1), 1),
-        factorial=fact,
+        factorial=dict.fromkeys(range(1, n), -1),
     )
 
 
@@ -428,12 +412,10 @@ def vol_quotient_rightmost(n: int) -> SymbolicVolume:
     """
     if n < 2:
         raise InvalidArgumentError("n must be >= 2")
-    fact: dict = {}
-    pow2 = sum(_fold_factorial(fact, i, -1) for i in range(2, n + 1))
     return SymbolicVolume(
-        pow2=pow2 - Fraction(n * n - 3 * n + 1, 2),
+        pow2=-Fraction(n * n - 3 * n + 1, 2),
         zeta_pow=dict.fromkeys(range(2, n + 1), 1),
-        factorial=fact,
+        factorial=dict.fromkeys(range(2, n + 1), -1),
     )
 
 
@@ -453,15 +435,13 @@ def ratio_C_display(n: int) -> SymbolicVolume:
     (3^((n^3-n)/12) ((n-1)!)^2 prod Gamma(i/2) prod zeta(i)).
     Disagrees with the direct quotient by 2^(3n-1); kept for the check.
     """
-    fact: dict = {}
-    pow2 = sum(_fold_factorial(fact, i, 1) for i in range(1, n)) + _fold_factorial(fact, n - 1, -2)
-    p2, half_pi = _fold_gamma_half(fact, range(2, n + 1), -1)
+    gamma_fact, gamma_pow2, half_pi = _gamma_half(range(2, n + 1), -1)
     return SymbolicVolume(
-        pow2=Fraction(2 * n**3 + 9 * n**2 + 25 * n - 30, 12) + pow2 + p2,
+        pow2=Fraction(2 * n**3 + 9 * n**2 + 25 * n - 30, 12) + gamma_pow2,
         pow3=-Fraction(n**3 - n, 12),
         pow_pi=Fraction(n * n + n - 2 + 2 * half_pi, 4),
         zeta_pow=dict.fromkeys(range(2, n + 1), -1),
-        factorial=fact,
+        factorial=_add(dict.fromkeys(range(1, n), 1), {n - 1: -2}, gamma_fact),
     )
 
 
@@ -486,13 +466,11 @@ def harder_volume(n: int) -> SymbolicVolume:
     if n < 2:
         raise InvalidArgumentError("n must be >= 2")
     e = Fraction(n * (n + 3), 2)
-    fact: dict = {}
-    pow2 = sum(_fold_factorial(fact, i, 1) for i in range(1, n)) + _fold_factorial(fact, n, -1)
     return SymbolicVolume(
-        pow2=pow2 - e - harder_tau(n),
+        pow2=-e - harder_tau(n),
         pow_pi=-e,
         zeta_pow=dict.fromkeys(range(2, n + 1), 1),
-        factorial=fact,
+        factorial={**dict.fromkeys(range(1, n), 1), n: -1},
     )
 
 
@@ -506,13 +484,11 @@ def normalization_ratio_display(n: int) -> SymbolicVolume:
     """The displayed simplification of the same conversion factor:
     2^((n^2-5n-2)/4 - tau) (prod i!)^2 / (n! pi^((n^2+5n+2)/4) prod Gamma(i/2)).
     Disagrees with the direct quotient by 2^n; kept for the check."""
-    fact: dict = {}
-    pow2 = sum(_fold_factorial(fact, i, 2) for i in range(1, n)) + _fold_factorial(fact, n, -1)
-    p2, half_pi = _fold_gamma_half(fact, range(2, n + 1), -1)
+    gamma_fact, gamma_pow2, half_pi = _gamma_half(range(2, n + 1), -1)
     return SymbolicVolume(
-        pow2=Fraction(n * n - 5 * n - 2, 4) - harder_tau(n) + pow2 + p2,
+        pow2=Fraction(n * n - 5 * n - 2, 4) - harder_tau(n) + gamma_pow2,
         pow_pi=Fraction(2 * half_pi - n * n - 5 * n - 2, 4),
-        factorial=fact,
+        factorial=_add({**dict.fromkeys(range(1, n), 2), n: -1}, gamma_fact),
     )
 
 

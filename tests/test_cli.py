@@ -106,6 +106,32 @@ def test_computation_error_exit_code(tmp_path, capsys):
     assert json.loads(err)["error"] == "NotUnimodularError"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decompose", "--t", "inf"),
+        ("decompose", "--lambda", "inf"),
+        ("enumerate-intersections", "--n", "2", "--budget", "0", "--t", "inf"),
+        ("volume", "--object", "siegel", "--n", "3", "--lambda", "inf"),
+    ],
+)
+def test_infinite_siegel_params_rejected(tmp_path, capsys, argv):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(matrix_to_json_dict(np.diag([3.0, 1.0 / 3.0]))))
+    if argv[0] == "decompose":
+        argv = argv + ("--input", str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "InvalidArgumentError"
+
+
+def test_enumerate_without_candidates_prints_only_the_summary(capsys):
+    code, out, _ = run_cli(capsys, "enumerate-intersections", "--n", "2", "--max-height", "0")
+    assert code == 0
+    assert out.count("\n") == 1
+    assert json.loads(out)["summary"]["candidates"] == 0
+
+
 def test_load_config_defaults_and_overrides(tmp_path):
     assert load_config(None) == RunConfig()
     path = tmp_path / "cfg.json"

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from siegel.errors import DimensionTooLargeError, InvalidWitnessError
+from siegel.errors import DimensionTooLargeError, InvalidArgumentError, InvalidWitnessError
 from siegel.haar import RngStream, SiegelCoordinatePoint, sample_siegel_point, siegel_density
 from siegel.intersections import (
     DEFAULT_WITNESS_TOL,
@@ -361,6 +361,20 @@ def test_count_bounds():
     assert math.isclose(hi / (n**4 * math.log(n)), 0.5, rel_tol=2e-3)
     lo, _ = count_bounds(n)
     assert lo / n**3 > 0.02
+
+
+@pytest.mark.parametrize("budget", [-5, True, 2.5, "4"])
+def test_budget_must_be_a_nonnegative_integer(budget):
+    with pytest.raises(InvalidArgumentError):
+        find_witness(UnimodularIntMatrix.identity(2), budget=budget)
+    with pytest.raises(InvalidArgumentError):
+        enumerate_intersections(2, budget_per_candidate=budget, max_height=1)
+
+
+def test_no_reports_give_empty_jsonl():
+    assert reports_to_jsonl([]) == ""
+    reports, _ = enumerate_intersections(2, budget_per_candidate=0, max_height=0)
+    assert reports == [] and reports_to_jsonl(reports) == ""
 
 
 def test_jsonl_emission_round_trips():

@@ -112,6 +112,23 @@ def test_membership_examples():
     assert siegel_membership(np.diag(a), p, 1e-9) == "boundary"
 
 
+@pytest.mark.parametrize("tol", [-1e-9, math.nan, math.inf])
+def test_membership_tol_must_be_finite_and_nonnegative(tol):
+    g = np.diag([3.0, 1.0 / 3.0])  # b = 9 > t
+    assert siegel_membership(g, MINIMAL_PARAMS, 0.0) == "outside"
+    with pytest.raises(InvalidArgumentError):
+        siegel_membership(g, MINIMAL_PARAMS, tol)
+
+
+def test_unipotent_factor_has_no_negative_zeros():
+    # negative pivots leave -0.0 in r / diag; u holds +0.0 wherever it is 0
+    for g in ([[0.0, 1.0], [-1.0, 0.0]], [[-1.0, 0.0], [0.0, -1.0]], [[0.0, 2.0], [-0.5, 0.0]]):
+        f = decompose(g)
+        _, u = _siegel_coordinates(np.array([g]))
+        assert not np.any(np.signbit(f.u)) and not np.any(np.signbit(u))
+        assert np.array_equal(f.u, np.eye(2)) and np.array_equal(u[0], np.eye(2))
+
+
 def test_membership_uses_k_left_coordinates(rng):
     # multiplying by a rotation on the left never changes the verdict
     p = MINIMAL_PARAMS
@@ -175,6 +192,9 @@ def test_matrix_json_round_trip(rng):
 def test_siegel_params_validation():
     with pytest.raises(InvalidArgumentError):
         SiegelParams(-1.0, 0.5)
+    for t, lam in ((math.inf, 0.5), (1.0, math.inf), (math.nan, 0.5), (1.0, math.nan)):
+        with pytest.raises(InvalidArgumentError):
+            SiegelParams(t, lam)
     assert math.isclose(MINIMAL_PARAMS.t, 2.0 / math.sqrt(3.0))
     assert MINIMAL_PARAMS.lam == 0.5
 

@@ -119,11 +119,44 @@ def test_gamma_half_factor_log_matches_lgamma(i):
     assert SymbolicVolume.gamma_half_factor(i, 0) == SymbolicVolume.one()
 
 
-def test_normalized_folds_trivial_factorials():
+def test_construction_folds_trivial_factorials():
     x = SymbolicVolume(factorial={0: 3, 1: -2, 2: 5, 7: 0, 9: 1}, zeta_pow={3: 0})
-    y = x.normalized()
-    assert y.factorial == {9: 1} and y.zeta_pow == {} and y.pow2 == 5
+    assert x.factorial == {9: 1} and x.zeta_pow == {} and x.pow2 == 5
     assert x == SymbolicVolume.two_pow(5) * SymbolicVolume.factorial_factor(9)
+
+
+def test_construction_folds_coefficient_and_exact_numeric_bases():
+    x = SymbolicVolume(coeff=Fraction(-72, 35), pow2=1, numeric={2.0: 3, 1.7: 0, 4.0: Fraction(1, 2)})
+    assert (x.coeff, x.pow2, x.pow3, x.numeric) == (Fraction(-1, 35), 8, 2, {})
+    assert all(type(v) is Fraction for v in (x.coeff, x.pow2, x.pow3, x.pow_pi))
+    assert x == SymbolicVolume.rational(-1, 35) * SymbolicVolume.two_pow(8) * SymbolicVolume.three_pow(2)
+    t = SymbolicVolume.numeric_factor(2.0 / math.sqrt(3.0), 6)
+    assert (t.pow2, t.pow3, t.numeric) == (6, -3, {})
+
+
+def test_constructor_domain_errors():
+    for bad in (
+        lambda: SymbolicVolume.rational(0),
+        lambda: SymbolicVolume.zeta_factor(1),
+        lambda: SymbolicVolume.factorial_factor(-1),
+        lambda: SymbolicVolume.gamma_half_factor(0),
+        lambda: SymbolicVolume.numeric_factor(-2.0, 1),
+        lambda: SymbolicVolume.numeric_factor(math.inf, 1),
+        lambda: SymbolicVolume.numeric_factor(math.nan, 1),
+        lambda: SymbolicVolume.two_pow(1) ** 0.5,
+    ):
+        with pytest.raises(InvalidArgumentError):
+            bad()
+
+
+def test_equal_expressions_evaluate_to_equal_floats():
+    # log_value is one correctly rounded sum over the atoms, so it cannot
+    # depend on the order in which equal expressions collected them
+    for n in range(2, 61):
+        lhs, rhs = vol_symmetric_space(n) * vol_so(n), vol_quotient(n)
+        assert lhs == rhs and lhs.log_value() == rhs.log_value(), n
+        lhs, rhs = normalization_ratio(n), harder_volume(n) * vol_so(n) / vol_quotient(n)
+        assert lhs == rhs and lhs.log_value() == rhs.log_value(), n
 
 
 def test_mul_div_round_trip():
@@ -437,6 +470,24 @@ def test_growth_table_matches_symbolic_rows_to_1e12():
         assert math.isclose(row.log_C, ratio_C(row.n).log_value(), rel_tol=1e-12)
         assert math.isclose(row.log_vol_siegel, vol_siegel(row.n).log_value(), rel_tol=1e-12)
         assert math.isclose(row.log_vol_quotient, vol_quotient(row.n).log_value(), rel_tol=1e-12)
+
+
+def test_symbolic_log_values_against_mpmath():
+    # vol_so, vol_quotient and ratio_C from their docstring formulas at 50 digits
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        ln2, ln3, lnpi = mpmath.log(2), mpmath.log(3), mpmath.log(mpmath.pi)
+        for n in range(2, 61):
+            so = (n - 1) * (mpmath.mpf(n) / 4 + 1) * ln2 + mpmath.fsum(
+                mpmath.mpf(i) / 2 * lnpi - mpmath.loggamma(mpmath.mpf(i) / 2) for i in range(2, n + 1)
+            )
+            quo = ln2 / 2 + mpmath.fsum(mpmath.log(mpmath.zeta(i)) for i in range(2, n + 1)) - mpmath.fsum(
+                (i - 1) * ln2 + mpmath.loggamma(i + 1) for i in range(1, n)
+            )
+            sie = -ln2 + so + mpmath.mpf(n * (n * n - 1)) / 6 * (ln2 - ln3 / 2) - 2 * mpmath.loggamma(n)
+            for got, want in ((vol_so(n), so), (vol_quotient(n), quo), (ratio_C(n), sie - quo)):
+                want = float(want)
+                assert abs(got.log_value() - want) <= 1e-15 * max(1000.0, abs(want)), (n, got)
 
 
 def test_growth_table_against_mpmath_oracle():
