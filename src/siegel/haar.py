@@ -121,17 +121,18 @@ def sample_haar_so(n: int, rng) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SiegelCoordinatePoint:
-    """A sampled point of the Siegel coordinate box.
-
-    ``weight`` is the density times the log-uniform importance correction
-    ``prod(b)``, so that box-volume-normalized weighted averages estimate
-    integrals against the true diagonal-block density.
-    """
+    """A sampled point of the Siegel coordinate box."""
 
     b: np.ndarray
     u: np.ndarray
     k: np.ndarray
-    weight: float
+
+    @property
+    def weight(self) -> float:
+        """The density times the log-uniform importance correction
+        ``prod(b)``, so that box-volume-normalized weighted averages
+        estimate integrals against the true diagonal-block density."""
+        return float(siegel_density(self.b) * np.prod(self.b))
 
     @property
     def n(self) -> int:
@@ -154,8 +155,6 @@ class SiegelCoordinatePoint:
             raise InvalidArgumentError("u out of [-lam, lam]")
         if np.max(np.abs(self.k.T @ self.k - np.eye(n))) > ORTHO_TOL:
             raise InvalidArgumentError("k not orthogonal")
-        if not self.weight > 0.0:
-            raise InvalidArgumentError("weight must be positive")
 
     def to_json_dict(self) -> dict:
         from .iwasawa import matrix_to_json_dict
@@ -164,12 +163,8 @@ class SiegelCoordinatePoint:
             "b": [float(x) for x in self.b],
             "u": matrix_to_json_dict(self.u),
             "k": matrix_to_json_dict(self.k),
-            "weight": float(self.weight),
+            "weight": self.weight,
         }
-
-
-def _point_weight(b: np.ndarray) -> float:
-    return float(siegel_density(b) * np.prod(b))
 
 
 @dataclass(frozen=True)
@@ -186,10 +181,7 @@ class SiegelPointBlock:
         return self.k @ (a_from_b(self.b)[..., None] * self.u)
 
     def point(self, i: int) -> SiegelCoordinatePoint:
-        b = self.b[i].copy()
-        return SiegelCoordinatePoint(
-            b=b, u=self.u[i].copy(), k=self.k[i].copy(), weight=_point_weight(b)
-        )
+        return SiegelCoordinatePoint(b=self.b[i].copy(), u=self.u[i].copy(), k=self.k[i].copy())
 
 
 def sample_siegel_block(n: int, p: SiegelParams, b_lows, rng) -> SiegelPointBlock:

@@ -51,7 +51,6 @@ from .haar import (
     RngStream,
     SiegelCoordinatePoint,
     SiegelPointBlock,
-    _point_weight,
     sample_siegel_block,
 )
 from .iwasawa import (
@@ -103,18 +102,7 @@ class PartitionAnalysis:
     (k, k) corner vanishes, and components are the maximal uncut runs.
     """
 
-    gamma: UnimodularIntMatrix
-    leading_entries: list[tuple[int, int]]
     components: list[tuple[int, int]]
-
-    def component_of(self, i: int) -> int:
-        for idx, (lo, hi) in enumerate(self.components):
-            if lo <= i <= hi:
-                return idx
-        raise InvalidArgumentError(f"index {i} outside 1..n")
-
-    def same_component(self, i: int, j: int) -> bool:
-        return self.component_of(i) == self.component_of(j)
 
 
 def finest_partition(gamma: UnimodularIntMatrix) -> PartitionAnalysis:
@@ -132,9 +120,7 @@ def finest_partition(gamma: UnimodularIntMatrix) -> PartitionAnalysis:
         components.append((start, k))
         start = k + 1
     components.append((start, n))
-    return PartitionAnalysis(
-        gamma=gamma, leading_entries=leading_entries(gamma), components=components
-    )
+    return PartitionAnalysis(components=components)
 
 
 def log_height_bound(n: int) -> float:
@@ -238,10 +224,15 @@ def lemma_filter_chain(
     for j in range(1, n + 1):
         record("reverse_ratio", (j,), beta[j - 1], rev * alpha[j - 1])
     comp = sqrt_n ** (n * n - 1)
-    partition = finest_partition(gamma)
+    # component index of each 0-based position
+    component = [
+        idx
+        for idx, (lo, hi) in enumerate(finest_partition(gamma).components)
+        for _ in range(lo, hi + 1)
+    ]
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            if partition.same_component(i, j):
+            if component[i - 1] == component[j - 1]:
                 record("component_ratio", (i, j), beta[j - 1], comp * alpha[i - 1])
     record("height_bound", (), float(gamma.height()), comp)
     return checks
@@ -287,22 +278,9 @@ def _probe_block(n: int, p: SiegelParams) -> SiegelPointBlock:
     )
 
 
-def _pair_excess(gf: np.ndarray, s: np.ndarray, p: SiegelParams):
-    """Membership excess of gamma @ s, for one s or an (m, n, n) stack."""
-    return membership_excess(gf @ s, p, check=False)
-
-
-def _givens(n: int, i: int, j: int, theta: float) -> np.ndarray:
-    r = np.eye(n)
-    c, s = math.cos(theta), math.sin(theta)
-    r[i, i] = c
-    r[j, j] = c
-    r[i, j] = -s
-    r[j, i] = s
-    return r
-
-
 _SIGNS = np.array([1.0, -1.0])
+#: Rounds of coordinate descent per refinement.
+_REFINE_ROUNDS = 60
 
 
 def _refine_point(
@@ -312,7 +290,6 @@ def _refine_point(
     k: np.ndarray,
     p: SiegelParams,
     target: float,
-    max_rounds: int = 60,
 ) -> tuple[SiegelCoordinatePoint, float]:
     """Coordinate descent on the witness coordinates (log b, u, k-angles),
     keeping the point itself inside the box, minimizing the membership
@@ -322,62 +299,57 @@ def _refine_point(
     + step is taken if it improves, else the - step if that does.
     """
     n = b.size + 1
-    iu = np.triu_indices(n, k=1)
     log_t = math.log(p.t)
-    log_b = np.minimum(np.log(b), log_t)
-    u_vals = u[iu]
+    pairs = list(zip(*np.triu_indices(n, k=1)))
+
+    def move_b(log_b, c, deltas):
+        trials = np.repeat(log_b[None], 2, axis=0)
+        trials[:, c] = np.minimum(log_b[c] + deltas, log_t)
+        return trials
+
+    def move_u(u, ij, deltas):
+        trials = np.repeat(u[None], 2, axis=0)
+        trials[:, ij[0], ij[1]] = np.clip(u[ij] + deltas, -p.lam, p.lam)
+        return trials
+
+    def move_k(k, ij, deltas):
+        # a Givens rotation in the (i, j) plane per trial angle
+        i, j = ij
+        rot = np.repeat(np.eye(n)[None], 2, axis=0)
+        for r, theta in zip(rot, deltas.tolist()):
+            c, s = math.cos(theta), math.sin(theta)
+            r[i, i] = r[j, j] = c
+            r[i, j], r[j, i] = -s, s
+        return k @ rot
 
     def excess(log_b, u, k):
         # (log_b, u, k) broadcast against each other; a stack in any of
         # them scores every trial at once
-        return _pair_excess(gf, k @ (a_from_b(np.exp(log_b))[..., None] * u), p)
+        s = k @ (a_from_b(np.exp(log_b))[..., None] * u)
+        return membership_excess(gf @ s, p, check=False)
 
-    u = unit_upper_stack(u_vals, n)
-    best = excess(log_b, u, k)
-    step_b = np.full(n - 1, 0.25)
-    step_u = np.full(u_vals.size, 0.2 * p.lam)
-    step_k = np.full(u_vals.size, 0.25)
-
-    def pick(trial_excess):
-        """Index of the trial to take (+ first), or None."""
-        nonlocal best
-        for t, exc in enumerate(trial_excess.tolist()):
-            if exc < best:
-                best = exc
-                return t
-        return None
-
-    for _ in range(max_rounds):
+    slots = [(move_b, range(n - 1)), (move_u, pairs), (move_k, pairs)]
+    state = [np.minimum(np.log(b), log_t), u, k]
+    steps = [0.25, 0.2 * p.lam, 0.25]
+    best = excess(*state)
+    for _ in range(_REFINE_ROUNDS):
         improved = False
-        for c in range(n - 1):
-            trials = np.repeat(log_b[None], 2, axis=0)
-            trials[:, c] = np.minimum(log_b[c] + _SIGNS * step_b[c], log_t)
-            t = pick(excess(trials, u, k))
-            if t is not None:
-                log_b, improved = trials[t], True
-        for c in range(u_vals.size):
-            trials = np.repeat(u_vals[None], 2, axis=0)
-            trials[:, c] = np.clip(u_vals[c] + _SIGNS * step_u[c], -p.lam, p.lam)
-            trial_u = unit_upper_stack(trials, n)
-            t = pick(excess(log_b, trial_u, k))
-            if t is not None:
-                u_vals, u, improved = trials[t], trial_u[t], True
-        for c, (i, j) in enumerate(zip(*iu)):
-            rot = np.stack([_givens(n, int(i), int(j), sign * step_k[c]) for sign in (1.0, -1.0)])
-            trial_k = k @ rot
-            t = pick(excess(log_b, u, trial_k))
-            if t is not None:
-                k, improved = trial_k[t], True
+        for slot, (move, coords) in enumerate(slots):
+            for c in coords:
+                args = list(state)
+                args[slot] = trials = move(state[slot], c, _SIGNS * steps[slot])
+                for t, exc in enumerate(excess(*args).tolist()):
+                    if exc < best:
+                        best, state[slot], improved = exc, trials[t], True
+                        break
         if best <= target:
             break
         if not improved:
-            step_b *= 0.5
-            step_u *= 0.5
-            step_k *= 0.5
-            if max(step_b.max(), step_u.max(), step_k.max()) < 1e-13:
+            steps = [step * 0.5 for step in steps]
+            if max(steps) < 1e-13:
                 break
-    b = np.exp(log_b)
-    return SiegelCoordinatePoint(b=b, u=u, k=k, weight=_point_weight(b)), best
+    log_b, u, k = state
+    return SiegelCoordinatePoint(b=np.exp(log_b), u=u, k=k), best
 
 
 #: Size of the first block of random samples; each later block doubles.
@@ -451,7 +423,7 @@ def find_witness(
         return None
 
     probes = _probe_block(n, p)
-    probe_excess = _pair_excess(gf, probes.group_elements(), p)
+    probe_excess = membership_excess(gf @ probes.group_elements(), p, check=False)
     for i in np.flatnonzero(probe_excess <= STRICT_WITNESS_TOL):
         report = attempt(probes.point(i), probe_excess[i])
         if report is not None:
@@ -463,7 +435,7 @@ def find_witness(
     while drawn < budget:
         lows = [top_band if i % 2 else b_min for i in range(drawn, min(drawn + size, budget))]
         block = sample_siegel_block(n, p, lows, gen)
-        sample_excess = _pair_excess(gf, block.group_elements(), p)
+        sample_excess = membership_excess(gf @ block.group_elements(), p, check=False)
         for i in np.flatnonzero(sample_excess <= NEAR_HIT):
             refined, final = _refine_point(
                 gf, block.b[i], block.u[i], block.k[i], p, target=STRICT_WITNESS_TOL
@@ -479,21 +451,6 @@ def find_witness(
         gamma, STATUS_UNKNOWN, None, [height_check] + rejected, None,
         rejected_witnesses=len(rejected),
     )
-
-
-def verify_witness(
-    gamma: UnimodularIntMatrix,
-    point: SiegelCoordinatePoint,
-    p: SiegelParams = MINIMAL_PARAMS,
-    tol: float = STRICT_WITNESS_TOL,
-) -> bool:
-    """Re-verify a claimed witness at a stricter tolerance, refining it
-    first when it misses."""
-    gf = gamma.to_array()
-    exc = _pair_excess(gf, point.to_group_element(), p)
-    if exc > tol:
-        point, exc = _refine_point(gf, point.b, point.u, point.k, p, target=tol, max_rounds=120)
-    return exc <= tol and membership_excess(point.to_group_element(), p, check=False) <= tol
 
 
 def _primitive_rows(n: int, max_h: int) -> list[tuple[int, ...]]:
