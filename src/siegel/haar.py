@@ -259,12 +259,6 @@ def a_integral_quadrature(n: int, t: float, rel_tol: float = 1e-10) -> float:
     return hi
 
 
-def a_integral_closed_form(n: int, t: float) -> float:
-    """Closed form (1/2) * t**(n(n^2-1)/6) / ((n-1)!)**2 of the same integral."""
-    log_val = math.log(0.5) + n * (n * n - 1) / 6.0 * math.log(t) - 2.0 * math.lgamma(n)
-    return math.exp(log_val)
-
-
 @dataclass(frozen=True)
 class MonteCarloReport:
     """Importance-sampling estimate with its standard error.

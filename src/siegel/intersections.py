@@ -245,6 +245,8 @@ class IntersectionReport:
     ``witnessed`` carries a verified witness point and its residual
     membership excess; ``excluded`` means the height bound (a proven
     necessary condition) failed; ``unknown`` is an honest timeout.
+    ``rejected_witnesses`` counts the verified witnesses that the chain
+    rejected before the verdict.
     """
 
     gamma: UnimodularIntMatrix
@@ -397,7 +399,8 @@ def find_witness(
         return IntersectionReport(gamma, STATUS_EXCLUDED, None, [height_check], None)
     gf = gamma.to_array()
     b_min = p.t * DEFAULT_B_MIN_FRACTION
-    rejected: list[FilterCheck] = []
+    # the failed checks of each chain-rejected witness
+    rejected: list[list[FilterCheck]] = []
 
     def attempt(point: SiegelCoordinatePoint, excess: float):
         """Chain-check a verified candidate; return a report or None."""
@@ -419,7 +422,7 @@ def find_witness(
                 float(excess),
                 rejected_witnesses=len(rejected),
             )
-        rejected.extend(c for c in checks if not c.passed)
+        rejected.append([c for c in checks if not c.passed])
         return None
 
     probes = _probe_block(n, p)
@@ -448,7 +451,8 @@ def find_witness(
         size *= 2
     # chain failures from rejected near-witnesses stay visible in the trace
     return IntersectionReport(
-        gamma, STATUS_UNKNOWN, None, [height_check] + rejected, None,
+        gamma, STATUS_UNKNOWN, None,
+        [height_check] + [c for failed in rejected for c in failed], None,
         rejected_witnesses=len(rejected),
     )
 

@@ -24,7 +24,6 @@ u-left diagonal feeds the inequality chain in :mod:`siegel.intersections`.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -201,14 +200,6 @@ def matrix_from_json_dict(obj: dict) -> np.ndarray:
     return flat.reshape(n, n)
 
 
-def matrix_to_json(g: np.ndarray) -> str:
-    return json.dumps(matrix_to_json_dict(g), sort_keys=True)
-
-
-def matrix_from_json(text: str) -> np.ndarray:
-    return matrix_from_json_dict(json.loads(text))
-
-
 def b_from_a(a: np.ndarray) -> np.ndarray:
     """Successive ratios ``b[i] = a[i] / a[i+1]`` (row-wise on a stack)."""
     a = np.asarray(a, dtype=float)
@@ -359,23 +350,6 @@ def siegel_membership(g, p: SiegelParams, tol: float, *, check: bool = True) -> 
     if excess > tol:
         return MEMBERSHIP_OUTSIDE
     return MEMBERSHIP_BOUNDARY
-
-
-def unit_upper(n: int, coeffs: dict | None = None, value: float | None = None) -> np.ndarray:
-    """Unit upper triangular matrix from ``{(i, j): value}`` (1-based, i < j).
-
-    With ``value`` given and no coeffs, every strict upper entry is set to it.
-    """
-    u = np.eye(n)
-    if coeffs:
-        for (i, j), v in coeffs.items():
-            if not (1 <= i < j <= n):
-                raise InvalidArgumentError(f"({i}, {j}) is not strictly upper")
-            u[i - 1, j - 1] = v
-    elif value is not None:
-        iu = np.triu_indices(n, k=1)
-        u[iu] = value
-    return u
 
 
 def unit_upper_stack(vals: np.ndarray, n: int) -> np.ndarray:

@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import repeat
 
 import numpy as np
 
@@ -47,6 +48,8 @@ _BERNOULLI = (
     Fraction(43867, 798),
     Fraction(-174611, 330),
 )
+# The tail coefficients B_2j / (2j)!.
+_EM_COEFFS = tuple(float(bern) / math.factorial(2 * j) for j, bern in enumerate(_BERNOULLI, start=1))
 
 _ZETA_CUTOFF = 16
 
@@ -62,8 +65,8 @@ def _zeta_default(s: int) -> float:
     total += n ** (1.0 - s) / (s - 1.0)
     rising = float(s)
     npow = n ** (-float(s) - 1.0)
-    for j, bern in enumerate(_BERNOULLI, start=1):
-        total += float(bern) / math.factorial(2 * j) * rising * npow
+    for j, coeff in enumerate(_EM_COEFFS, start=1):
+        total += coeff * rising * npow
         rising *= (s + 2 * j - 1) * (s + 2 * j)
         npow /= n * n
     return total
@@ -127,6 +130,16 @@ def _adic_split(value: int, base: int) -> tuple[int, int]:
     return value, exp
 
 
+def _check_indices(exponents: dict, least: int, atom: str) -> None:
+    """Every key of an exponent map is an integer index >= ``least``."""
+    if exponents and not (
+        all(map(isinstance, exponents, repeat((int, np.integer)))) and min(exponents) >= least
+    ):
+        raise InvalidArgumentError(
+            f"{atom} factors need integer indices >= {least}, got {list(exponents)}"
+        )
+
+
 #: Numeric bases that are exact products of powers of 2 and 3:
 #: base -> (exponent of 2, exponent of 3) per unit exponent of the base.
 _EXACT_BASES = {
@@ -175,6 +188,8 @@ class SymbolicVolume:
         c = self.coeff
         if not c:
             raise InvalidArgumentError("volumes are nonzero")
+        _check_indices(self.zeta_pow, 2, "zeta")
+        _check_indices(self.factorial, 0, "factorial")
         if math.gcd(c.numerator * c.denominator, 6) != 1:
             num, a2 = _adic_split(c.numerator, 2)
             num, a3 = _adic_split(num, 3)
@@ -222,15 +237,11 @@ class SymbolicVolume:
 
     @classmethod
     def zeta_factor(cls, i: int, exp: int = 1) -> "SymbolicVolume":
-        if i < 2:
-            raise InvalidArgumentError("zeta factors need i >= 2")
         return cls(zeta_pow={i: exp})
 
     @classmethod
     def factorial_factor(cls, i: int, exp: int = 1) -> "SymbolicVolume":
         """i! to an integer power (0! and 1! vanish, 2! becomes 2)."""
-        if i < 0:
-            raise InvalidArgumentError("factorial factors need i >= 0")
         return cls(factorial={i: exp})
 
     @classmethod

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -41,6 +42,13 @@ def random_unimodular(rng: np.random.Generator, n: int, height_cap: int = 10,
         if max(abs(x) for row in trial for x in row) <= height_cap:
             m = trial
     return UnimodularIntMatrix.from_rows(m)
+
+
+def a_integral_closed_form(n: int, t: float) -> float:
+    """Closed form (1/2) * t**(n(n^2-1)/6) / ((n-1)!)**2 of the diagonal-block
+    integral (1/2) * Int_{(0,t]^{n-1}} prod b**(i(n-i)-1) db."""
+    log_val = math.log(0.5) + n * (n * n - 1) / 6.0 * math.log(t) - 2.0 * math.lgamma(n)
+    return math.exp(log_val)
 
 
 def sphere_volume(m: int) -> SymbolicVolume:

@@ -16,7 +16,6 @@ import numpy as np
 
 from siegel.haar import (
     RngStream,
-    a_integral_closed_form,
     a_integral_mc,
     a_integral_quadrature,
     conjugation_jacobian,
@@ -44,7 +43,7 @@ from siegel.volumes import (
     zeta,
 )
 
-from conftest import random_sl, vol_so_recursive
+from conftest import a_integral_closed_form, random_sl, vol_so_recursive
 
 P = MINIMAL_PARAMS
 T_MIN = P.t

@@ -13,7 +13,6 @@ from siegel.errors import (
 )
 from siegel.haar import (
     RngStream,
-    a_integral_closed_form,
     a_integral_mc,
     a_integral_quadrature,
     conjugation_jacobian,
@@ -24,6 +23,8 @@ from siegel.haar import (
     siegel_density,
 )
 from siegel.iwasawa import MINIMAL_PARAMS
+
+from conftest import a_integral_closed_form
 
 T_MIN = MINIMAL_PARAMS.t
 

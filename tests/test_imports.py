@@ -1,6 +1,8 @@
-"""Every imported name is used: an AST scan of the package and the tests.
+"""AST scans: every imported name is used, in the package and the tests;
+every name the package defines is used by the package or is public.
 
-``siegel/__init__.py`` is left out, its imports are the public re-exports.
+``siegel/__init__.py`` is left out of the import scan, its imports are the
+public re-exports.
 """
 
 import ast
@@ -8,9 +10,12 @@ from pathlib import Path
 
 import pytest
 
+import siegel
+
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "siegel"
 SOURCES = sorted(
-    p for p in (ROOT / "src" / "siegel").glob("*.py") if p.name != "__init__.py"
+    p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"
 ) + sorted((ROOT / "tests").glob("*.py"))
 
 
@@ -38,3 +43,55 @@ def test_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def defined_names(stmt: ast.stmt) -> list[str]:
+    """Names a module-level statement defines (imports excluded)."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
+def referenced_names(node: ast.AST) -> set[str]:
+    refs = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            refs.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            refs.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            refs.update(alias.name for alias in sub.names)
+    return refs
+
+
+def unreferenced_names(modules: dict[str, str], public: set[str]) -> list[str]:
+    """``module.name`` for each module-level definition outside ``__init__``
+    that no other statement of any module references and that is not public."""
+    stmts = [(module, stmt) for module, text in modules.items() for stmt in ast.parse(text).body]
+    refs = [referenced_names(stmt) for _, stmt in stmts]
+    return [
+        f"{module}.{name}"
+        for idx, (module, stmt) in enumerate(stmts)
+        if module != "__init__"
+        for name in defined_names(stmt)
+        if name not in public and not any(name in r for j, r in enumerate(refs) if j != idx)
+    ]
+
+
+def test_scan_flags_an_unreferenced_name():
+    modules = {
+        "__init__": "from .a import api\n",
+        "a": "LIMIT = 3\n\ndef api():\n    return helper() + LIMIT\n\n"
+             "def helper():\n    return 1\n\ndef loop():\n    return loop()\n",
+        "b": "class Unused:\n    pass\n",
+    }
+    assert unreferenced_names(modules, {"api"}) == ["a.loop", "b.Unused"]
+
+
+def test_every_package_name_is_used_or_public():
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_names(modules, set(siegel.__all__)) == []

@@ -32,7 +32,7 @@ from siegel.iwasawa import (
     UnimodularIntMatrix,
     decompose,
     membership_excess,
-    unit_upper,
+    unit_upper_stack,
 )
 from siegel.volumes import ratio_C
 
@@ -153,7 +153,7 @@ def test_chain_identity_witness_passes():
 
 
 def test_chain_shear_boundary_witness_passes():
-    s = unit_upper(2, coeffs={(1, 2): -0.5})
+    s = unit_upper_stack([-0.5], 2)
     checks = lemma_filter_chain(SHEAR, s)
     assert all(c.passed for c in checks)
 
@@ -382,9 +382,7 @@ def test_jsonl_emission_round_trips():
 
 
 def _point(b, u_vals, k):
-    n = b.size + 1
-    u = unit_upper(n, coeffs={(i + 1, j + 1): v for i, j, v in zip(*np.triu_indices(n, 1), u_vals)})
-    return SiegelCoordinatePoint(b=b, u=u, k=k)
+    return SiegelCoordinatePoint(b=b, u=unit_upper_stack(u_vals, b.size + 1), k=k)
 
 
 def _reference_refine(gf, point, target, max_rounds=60):
@@ -450,7 +448,7 @@ def reference_search(gamma, budget, rng, near_hit=0.08):
         if all(c.passed for c in checks):
             return IntersectionReport(gamma, STATUS_WITNESSED, point, [head] + checks, float(exc),
                                       rejected_witnesses=len(rejected))
-        rejected.extend(c for c in checks if not c.passed)
+        rejected.append([c for c in checks if not c.passed])
 
     def excess(point):
         return membership_excess(gf @ point.to_group_element(), P, check=False)
@@ -467,7 +465,8 @@ def reference_search(gamma, budget, rng, near_hit=0.08):
             refined, final = _reference_refine(gf, point, STRICT_WITNESS_TOL)
             if final <= DEFAULT_WITNESS_TOL and (rep := attempt(refined, final)):
                 return rep
-    return IntersectionReport(gamma, STATUS_UNKNOWN, None, [head] + rejected, None,
+    return IntersectionReport(gamma, STATUS_UNKNOWN, None,
+                              [head] + [c for failed in rejected for c in failed], None,
                               rejected_witnesses=len(rejected))
 
 
@@ -497,3 +496,25 @@ def test_find_witness_matches_point_by_point_reference_n3():
         ), cands[idx].entries
         statuses.add(rep.status)
     assert STATUS_WITNESSED in statuses
+
+
+def test_rejected_witnesses_counts_chain_rejected_witnesses(monkeypatch):
+    import siegel.intersections as intersections
+
+    chain = intersections.lemma_filter_chain
+    rejected = []
+
+    def counting_chain(*args, **kwargs):
+        checks = chain(*args, **kwargs)
+        rejected[-1] += not all(c.passed for c in checks)
+        return checks
+
+    monkeypatch.setattr(intersections, "lemma_filter_chain", counting_chain)
+    counts = {}
+    for idx, gamma in enumerate(sl_candidates(2, 2)):
+        rejected.append(0)
+        rep = find_witness(gamma, budget=400, rng=RngStream(2024, idx))
+        assert rep.rejected_witnesses == rejected[-1], gamma.entries
+        counts[gamma.entries] = rep.rejected_witnesses
+    assert counts[((-1, 0), (2, -1))] == 11
+    assert sum(c > 0 for c in counts.values()) == 24

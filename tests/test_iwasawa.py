@@ -15,11 +15,11 @@ from siegel.iwasawa import (
     a_from_b,
     b_from_a,
     decompose,
-    matrix_from_json,
-    matrix_to_json,
+    matrix_from_json_dict,
+    matrix_to_json_dict,
     membership_excess,
     siegel_membership,
-    unit_upper,
+    unit_upper_stack,
 )
 
 from conftest import random_sl
@@ -106,7 +106,7 @@ def test_a_b_round_trip(log_b):
 def test_membership_examples():
     p = MINIMAL_PARAMS
     assert siegel_membership(np.diag([2.0, 0.5]), p, 1e-9) == "outside"
-    assert siegel_membership(unit_upper(2, value=0.4), p, 1e-9) == "inside"
+    assert siegel_membership(unit_upper_stack([0.4], 2), p, 1e-9) == "inside"
     # ratio exactly at the threshold in n = 3
     a = a_from_b(np.array([p.t, 1.0]))
     assert siegel_membership(np.diag(a), p, 1e-9) == "boundary"
@@ -134,7 +134,7 @@ def test_membership_uses_k_left_coordinates(rng):
     p = MINIMAL_PARAMS
     from siegel.haar import RngStream, sample_haar_so
 
-    g = unit_upper(3, value=0.3)
+    g = unit_upper_stack([0.3] * 3, 3)
     k = sample_haar_so(3, RngStream(11, 0))
     assert siegel_membership(g, p, 1e-9) == siegel_membership(k @ g, p, 1e-9)
 
@@ -157,7 +157,7 @@ def test_two_orders_agree_only_sometimes():
     p = MINIMAL_PARAMS
     j = np.fliplr(np.eye(2))
     a = a_from_b(np.array([p.t]))
-    s = np.diag(a) @ unit_upper(2, value=0.5)
+    s = np.diag(a) @ unit_upper_stack([0.5], 2)
     assert siegel_membership(s, p, 1e-9) == "boundary"
     # the u-left factors of s are the mirrored k-left factors of J s^T J
     f = decompose(j @ s.T @ j)
@@ -183,7 +183,7 @@ def test_unimodular_det_checked_exactly():
 
 def test_matrix_json_round_trip(rng):
     g = random_sl(rng, 3)
-    assert np.allclose(matrix_from_json(matrix_to_json(g)), g)
+    assert np.allclose(matrix_from_json_dict(json.loads(json.dumps(matrix_to_json_dict(g)))), g)
     m = UnimodularIntMatrix.from_rows([[1, 10**25], [0, 1]])
     back = UnimodularIntMatrix.from_json_dict(json.loads(json.dumps(m.to_json_dict())))
     assert back.entries == m.entries

@@ -12,7 +12,7 @@ from siegel.iwasawa import (
     b_from_a,
     decompose,
     siegel_membership,
-    unit_upper,
+    unit_upper_stack,
 )
 from siegel.reduction import (
     STATUS_BUDGET_EXHAUSTED,
@@ -64,7 +64,7 @@ def test_diagonal_example_with_plane_oracle():
 
 
 def test_shear_only_needs_size_reduction():
-    g = unit_upper(2, value=7.3)
+    g = unit_upper_stack([7.3], 2)
     res = siegel_reduce(g)
     assert res.status == STATUS_REDUCED
     assert res.iterations == 0  # no exchange, only shears
@@ -262,7 +262,7 @@ def test_max_iter_must_be_a_nonnegative_integer(max_iter):
 
 def test_refreshes_count_the_fresh_qrs():
     # no exchange: the first QR already shows the reduced basis
-    assert siegel_reduce(unit_upper(3, value=7.3)).refreshes == 1
+    assert siegel_reduce(unit_upper_stack([7.3] * 3, 3)).refreshes == 1
     # an exchange is carried, so a fresh QR has to confirm the end
     res = siegel_reduce(np.diag([4.0, 0.25]))
     assert res.iterations >= 1

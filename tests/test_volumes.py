@@ -139,6 +139,10 @@ def test_constructor_domain_errors():
         lambda: SymbolicVolume.rational(0),
         lambda: SymbolicVolume.zeta_factor(1),
         lambda: SymbolicVolume.factorial_factor(-1),
+        lambda: SymbolicVolume(zeta_pow={1: 1}),
+        lambda: SymbolicVolume(zeta_pow={2.5: 1}),
+        lambda: SymbolicVolume(factorial={-1: 1}),
+        lambda: SymbolicVolume(factorial={3.0: 1}),
         lambda: SymbolicVolume.gamma_half_factor(0),
         lambda: SymbolicVolume.numeric_factor(-2.0, 1),
         lambda: SymbolicVolume.numeric_factor(math.inf, 1),
