@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import repeat
 
 import numpy as np
 
@@ -133,7 +132,7 @@ def _adic_split(value: int, base: int) -> tuple[int, int]:
 def _check_indices(exponents: dict, least: int, atom: str) -> None:
     """Every key of an exponent map is an integer index >= ``least``."""
     if exponents and not (
-        all(map(isinstance, exponents, repeat((int, np.integer)))) and min(exponents) >= least
+        all(isinstance(i, (int, np.integer)) for i in exponents) and min(exponents) >= least
     ):
         raise InvalidArgumentError(
             f"{atom} factors need integer indices >= {least}, got {list(exponents)}"
