@@ -56,7 +56,6 @@ from .volumes import (
 from .reduction import ReductionResult, siegel_reduce
 from .intersections import (
     IntersectionReport,
-    PartitionAnalysis,
     count_bounds,
     enumerate_intersections,
     find_witness,
@@ -80,7 +79,6 @@ __all__ = [
     "NonInvertibleError",
     "NonPositiveEntryError",
     "NotUnimodularError",
-    "PartitionAnalysis",
     "ReductionResult",
     "RngStream",
     "SiegelCoordinatePoint",

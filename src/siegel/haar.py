@@ -23,7 +23,7 @@ from .errors import (
     NonPositiveEntryError,
     ToleranceNotMetError,
 )
-from .iwasawa import DET_TOL, ORTHO_TOL, SiegelParams, a_from_b, unit_upper_stack
+from .iwasawa import DET_TOL, SiegelParams, a_from_b, matrix_to_json_dict, unit_upper_stack
 
 _MASK64 = (1 << 64) - 1
 
@@ -146,19 +146,7 @@ class SiegelCoordinatePoint:
         """Materialize as ``k @ diag(a) @ u`` (the membership order)."""
         return self.k @ (self.a[:, None] * self.u)
 
-    def check(self, p: SiegelParams) -> None:
-        n = self.n
-        if np.any(self.b <= 0.0) or np.any(self.b > p.t):
-            raise InvalidArgumentError("b out of (0, t]")
-        iu = np.triu_indices(n, k=1)
-        if np.any(np.abs(self.u[iu]) > p.lam):
-            raise InvalidArgumentError("u out of [-lam, lam]")
-        if np.max(np.abs(self.k.T @ self.k - np.eye(n))) > ORTHO_TOL:
-            raise InvalidArgumentError("k not orthogonal")
-
     def to_json_dict(self) -> dict:
-        from .iwasawa import matrix_to_json_dict
-
         return {
             "b": [float(x) for x in self.b],
             "u": matrix_to_json_dict(self.u),

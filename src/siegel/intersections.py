@@ -93,34 +93,24 @@ def leading_entries(gamma: UnimodularIntMatrix) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class PartitionAnalysis:
+def finest_partition(gamma: UnimodularIntMatrix) -> list[tuple[int, int]]:
     """Finest interval partition w.r.t. which gamma is block upper triangular.
 
-    ``components`` are inclusive 1-based intervals (start, end) covering
-    1..n; a cut after index k is allowed iff every entry below-left of the
-    (k, k) corner vanishes, and components are the maximal uncut runs.
+    Components are inclusive 1-based intervals (start, end) covering 1..n;
+    a cut after index k is allowed iff every entry below-left of the (k, k)
+    corner vanishes (gamma[i, j] == 0 for all i > k, j <= k), and
+    components are the maximal uncut runs.
     """
-
-    components: list[tuple[int, int]]
-
-
-def finest_partition(gamma: UnimodularIntMatrix) -> PartitionAnalysis:
-    """Scan for allowed cuts; a cut after k needs gamma[i, j] == 0 for all
-    i > k, j <= k."""
     n = gamma.n
     e = gamma.entries
-    cuts = []
-    for k in range(1, n):
-        if all(e[i][j] == 0 for i in range(k, n) for j in range(k)):
-            cuts.append(k)
     components = []
     start = 1
-    for k in cuts:
-        components.append((start, k))
-        start = k + 1
+    for k in range(1, n):
+        if all(e[i][j] == 0 for i in range(k, n) for j in range(k)):
+            components.append((start, k))
+            start = k + 1
     components.append((start, n))
-    return PartitionAnalysis(components=components)
+    return components
 
 
 def log_height_bound(n: int) -> float:
@@ -227,7 +217,7 @@ def lemma_filter_chain(
     # component index of each 0-based position
     component = [
         idx
-        for idx, (lo, hi) in enumerate(finest_partition(gamma).components)
+        for idx, (lo, hi) in enumerate(finest_partition(gamma))
         for _ in range(lo, hi + 1)
     ]
     for i in range(1, n + 1):
@@ -489,7 +479,7 @@ def sl_candidates(n: int, max_h: int) -> list[UnimodularIntMatrix]:
         if not any(c):
             continue
         for i in np.flatnonzero(row_array @ np.array(c, dtype=np.int64) == 1):
-            out.append(UnimodularIntMatrix.from_rows(prefix + (rows[i],)))
+            out.append(UnimodularIntMatrix(prefix + (rows[i],)))
     return out
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from .errors import (
 )
 
 # Numerical guards, sized for binary64 at n <= 50.
-ORTHO_TOL = 1e-10
 DET_TOL = 1e-9
 SINGULAR_TOL = 1e-12
 COND_MAX = 1e12
@@ -64,27 +62,27 @@ class SiegelParams:
 MINIMAL_PARAMS = SiegelParams(t=2.0 / math.sqrt(3.0), lam=0.5)
 
 
-def as_square_matrix(g, min_n: int = 2) -> np.ndarray:
+def as_square_matrix(g) -> np.ndarray:
     """Validate and return ``g`` as an (n, n) float array with finite entries."""
     arr = np.asarray(g, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InvalidArgumentError(f"expected a square matrix, got shape {arr.shape}")
-    if arr.shape[0] < min_n:
-        raise InvalidArgumentError(f"dimension must be >= {min_n}, got {arr.shape[0]}")
+    if arr.shape[0] < 2:
+        raise InvalidArgumentError(f"dimension must be >= 2, got {arr.shape[0]}")
     if not np.all(np.isfinite(arr)):
         raise InvalidArgumentError("matrix entries must be finite")
     return arr
 
 
-def as_matrix_stack(g, min_n: int = 2) -> np.ndarray:
+def as_matrix_stack(g) -> np.ndarray:
     """Validate ``g`` as an (m, n, n) float stack with finite entries; a
     single (n, n) matrix is returned as the stack of one."""
     arr = np.asarray(g, dtype=float)
     if arr.ndim != 3:
-        return as_square_matrix(arr, min_n)[None]
-    if arr.shape[1] != arr.shape[2] or arr.shape[1] < min_n:
+        return as_square_matrix(arr)[None]
+    if arr.shape[1] != arr.shape[2] or arr.shape[1] < 2:
         raise InvalidArgumentError(
-            f"expected a stack of square matrices of dimension >= {min_n}, got shape {arr.shape}"
+            f"expected a stack of square matrices of dimension >= 2, got shape {arr.shape}"
         )
     if not np.all(np.isfinite(arr)):
         raise InvalidArgumentError("matrix entries must be finite")
@@ -123,7 +121,11 @@ def _bareiss_det(rows: list[list[int]]) -> int:
 
 @dataclass(frozen=True)
 class UnimodularIntMatrix:
-    """Element of SL(n,Z): exact integer entries, determinant exactly +1."""
+    """Element of SL(n,Z): exact integer entries, determinant exactly +1.
+
+    ``entries`` may be any square nested sequence of integers; it is stored
+    as a tuple of tuples of Python ints.
+    """
 
     entries: tuple[tuple[int, ...], ...]
 
@@ -141,27 +143,8 @@ class UnimodularIntMatrix:
     def n(self) -> int:
         return len(self.entries)
 
-    @classmethod
-    def identity(cls, n: int) -> "UnimodularIntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "UnimodularIntMatrix":
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
-
     def det(self) -> int:
         return _bareiss_det([list(r) for r in self.entries])
-
-    def __matmul__(self, other: "UnimodularIntMatrix") -> "UnimodularIntMatrix":
-        if self.n != other.n:
-            raise InvalidArgumentError("dimension mismatch")
-        a, b = self.entries, other.entries
-        n = self.n
-        rows = tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
-        return UnimodularIntMatrix(rows)
 
     def to_array(self) -> np.ndarray:
         return np.array(self.entries, dtype=float)
@@ -174,17 +157,6 @@ class UnimodularIntMatrix:
             "n": self.n,
             "entries": [str(x) for row in self.entries for x in row],
         }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "UnimodularIntMatrix":
-        n = int(obj["n"])
-        flat = [int(s) for s in obj["entries"]]
-        if len(flat) != n * n:
-            raise InvalidArgumentError("entries length does not match n*n")
-        return cls(tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n)))
-
-    def __str__(self):
-        return "\n".join(" ".join(str(x) for x in row) for row in self.entries)
 
 
 def matrix_to_json_dict(g: np.ndarray) -> dict:
@@ -246,17 +218,16 @@ class IwasawaFactors:
     def reconstruct(self) -> np.ndarray:
         return self.k @ (self.a[:, None] * self.u)
 
-    def max_errors(self, source: np.ndarray | None = None) -> dict:
-        """Invariant residuals: orthogonality, det(k), prod(a), reconstruction."""
+    def max_errors(self, source: np.ndarray) -> dict:
+        """Invariant residuals: orthogonality, det(k), prod(a), reconstruction
+        of ``source``."""
         n = self.n
-        errs = {
+        return {
             "ortho": float(np.max(np.abs(self.k.T @ self.k - np.eye(n)))),
             "det_k": float(abs(np.linalg.det(self.k) - 1.0)),
             "prod_a": float(abs(np.prod(self.a) - 1.0)),
+            "recon": float(np.max(np.abs(self.reconstruct() - source))),
         }
-        if source is not None:
-            errs["recon"] = float(np.max(np.abs(self.reconstruct() - source)))
-        return errs
 
 
 def _check_group_element(g: np.ndarray) -> None:

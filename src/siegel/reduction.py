@@ -230,7 +230,7 @@ def siegel_reduce(
         top = i + 1
 
     sigma = g @ _exact_float(m)
-    gamma = UnimodularIntMatrix.from_rows(m_inv)
+    gamma = UnimodularIntMatrix(m_inv)
     return ReductionResult(
         gamma=gamma, sigma=sigma, iterations=exchanges, status=status, refreshes=refreshes
     )

@@ -157,9 +157,9 @@ class SymbolicVolume:
 
     Fields hold exact exponents: ``pow2``/``pow3``/``pow_pi`` are rational,
     the maps give integer exponents per zeta(i) and i! factor, and
-    ``numeric`` holds exact rational exponents of arbitrary positive floats.
-    Multiplication and division add exponents exactly; nothing is rounded
-    until ``log_value``/``value``.
+    ``numeric`` holds exact rational exponents of arbitrary positive finite
+    floats.  Multiplication and division add exponents exactly; nothing is
+    rounded until ``log_value``/``value``.
 
     Every instance is canonical from construction on: the coefficient is
     coprime to 6 (its powers of 2 and 3 move to ``pow2``/``pow3``), 0! and
@@ -189,6 +189,10 @@ class SymbolicVolume:
             raise InvalidArgumentError("volumes are nonzero")
         _check_indices(self.zeta_pow, 2, "zeta")
         _check_indices(self.factorial, 0, "factorial")
+        if self.numeric and not all(0.0 < base < math.inf for base in self.numeric):
+            raise InvalidArgumentError(
+                f"numeric bases must be positive and finite, got {list(self.numeric)}"
+            )
         if math.gcd(c.numerator * c.denominator, 6) != 1:
             num, a2 = _adic_split(c.numerator, 2)
             num, a3 = _adic_split(num, 3)
@@ -211,56 +215,6 @@ class SymbolicVolume:
                     fold("pow2", self.pow2 + p2 * e)
                     fold("pow3", self.pow3 + p3 * e)
             fold("numeric", {b: e for b, e in numeric.items() if e and b not in _EXACT_BASES})
-
-    # --- constructors ---
-
-    @classmethod
-    def one(cls) -> "SymbolicVolume":
-        return cls()
-
-    @classmethod
-    def rational(cls, p, q=1) -> "SymbolicVolume":
-        return cls(coeff=Fraction(p, q))
-
-    @classmethod
-    def two_pow(cls, exp) -> "SymbolicVolume":
-        return cls(pow2=exp)
-
-    @classmethod
-    def three_pow(cls, exp) -> "SymbolicVolume":
-        return cls(pow3=exp)
-
-    @classmethod
-    def pi_pow(cls, exp) -> "SymbolicVolume":
-        return cls(pow_pi=exp)
-
-    @classmethod
-    def zeta_factor(cls, i: int, exp: int = 1) -> "SymbolicVolume":
-        return cls(zeta_pow={i: exp})
-
-    @classmethod
-    def factorial_factor(cls, i: int, exp: int = 1) -> "SymbolicVolume":
-        """i! to an integer power (0! and 1! vanish, 2! becomes 2)."""
-        return cls(factorial={i: exp})
-
-    @classmethod
-    def gamma_half_factor(cls, i: int, exp: int = 1) -> "SymbolicVolume":
-        """Gamma(i/2) to an integer power, rewritten into the factorial basis
-        (see :func:`_gamma_half`)."""
-        if i < 1:
-            raise InvalidArgumentError("gamma factors need i >= 1")
-        fact, pow2, half_pi = _gamma_half((i,), exp)
-        return cls(pow2=pow2, pow_pi=Fraction(half_pi, 2), factorial=fact)
-
-    @classmethod
-    def numeric_factor(cls, base: float, exp) -> "SymbolicVolume":
-        """base**exp for an arbitrary positive base; bases that are exactly
-        expressible through 2 and 3 (1, 2, 1/2, 4, 3, 2/sqrt(3)) fold into
-        those."""
-        base = float(base)
-        if not 0.0 < base < math.inf:
-            raise InvalidArgumentError("numeric bases must be positive and finite")
-        return cls(numeric={base: Fraction(exp)})
 
     # --- algebra ---
 

@@ -41,7 +41,7 @@ def random_unimodular(rng: np.random.Generator, n: int, height_cap: int = 10,
                 trial[r][i], trial[r][j] = trial[r][j], -trial[r][i]
         if max(abs(x) for row in trial for x in row) <= height_cap:
             m = trial
-    return UnimodularIntMatrix.from_rows(m)
+    return UnimodularIntMatrix(m)
 
 
 def a_integral_closed_form(n: int, t: float) -> float:
@@ -51,22 +51,32 @@ def a_integral_closed_form(n: int, t: float) -> float:
     return math.exp(log_val)
 
 
+def gamma_half(i: int, exp: int = 1) -> SymbolicVolume:
+    """Gamma(i/2)**exp for an integer i >= 1, written out case by case:
+    Gamma(m) = (m-1)! for i = 2m, and
+    Gamma(m + 1/2) = sqrt(pi) (2m)! / (4^m m!) for i = 2m + 1."""
+    m = i // 2
+    if i % 2 == 0:
+        return SymbolicVolume(factorial={m - 1: exp})
+    return SymbolicVolume(
+        pow2=-2 * m * exp,
+        pow_pi=Fraction(exp, 2),
+        factorial={2 * m: exp, m: -exp} if m else {},
+    )
+
+
 def sphere_volume(m: int) -> SymbolicVolume:
     """Surface volume of the unit sphere S^m: 2 pi^((m+1)/2) / Gamma((m+1)/2)."""
-    return (
-        SymbolicVolume.rational(2)
-        * SymbolicVolume.pi_pow(Fraction(m + 1, 2))
-        / SymbolicVolume.gamma_half_factor(m + 1)
-    )
+    return SymbolicVolume(coeff=2, pow_pi=Fraction(m + 1, 2)) / gamma_half(m + 1)
 
 
 def vol_so_recursive(n: int) -> SymbolicVolume:
     """vol(SO(n)) by the submersion recursion
     vol(SO(n)) = 2^((n-1)/2) vol(S^(n-1)) vol(SO(n-1)), evaluated
     symbolically: the cross-check route for the closed form ``vol_so``."""
-    out = SymbolicVolume.one()
+    out = SymbolicVolume()
     for m in range(2, n + 1):
-        out = out * SymbolicVolume.two_pow(Fraction(m - 1, 2)) * sphere_volume(m - 1)
+        out = out * SymbolicVolume(pow2=Fraction(m - 1, 2)) * sphere_volume(m - 1)
     return out
 
 

@@ -136,7 +136,7 @@ def test_criterion_05_signed_permutation_count():
                 for r, (c, s) in enumerate(zip(perm, signs)):
                     rows[r][c] = s
                 try:
-                    UnimodularIntMatrix.from_rows(rows)
+                    UnimodularIntMatrix(rows)
                     count += 1
                 except Exception:
                     pass

@@ -124,7 +124,9 @@ def test_sample_siegel_point_invariants():
     gen = RngStream(9).generator()
     for _ in range(200):
         pt = sample_siegel_point(3, p, p.t / 16.0, gen)
-        pt.check(p)
+        assert np.all((pt.b > 0.0) & (pt.b <= p.t))
+        assert np.max(np.abs(np.triu(pt.u, 1))) <= p.lam
+        assert np.max(np.abs(pt.k.T @ pt.k - np.eye(3))) <= 1e-10
         assert math.isclose(
             pt.weight, siegel_density(pt.b) * float(np.prod(pt.b)), rel_tol=1e-12
         )

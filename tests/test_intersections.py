@@ -40,34 +40,33 @@ from conftest import random_unimodular
 
 P = MINIMAL_PARAMS
 
-I2 = UnimodularIntMatrix.identity(2)
-NEG_I2 = UnimodularIntMatrix.from_rows([[-1, 0], [0, -1]])
-SHEAR = UnimodularIntMatrix.from_rows([[1, 1], [0, 1]])
-SHEAR_INV = UnimodularIntMatrix.from_rows([[1, -1], [0, 1]])
-ROT = UnimodularIntMatrix.from_rows([[0, -1], [1, 0]])
-BIG_SHEAR = UnimodularIntMatrix.from_rows([[1, 5], [0, 1]])
+I2 = UnimodularIntMatrix([[1, 0], [0, 1]])
+I3 = UnimodularIntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+NEG_I2 = UnimodularIntMatrix([[-1, 0], [0, -1]])
+SHEAR = UnimodularIntMatrix([[1, 1], [0, 1]])
+SHEAR_INV = UnimodularIntMatrix([[1, -1], [0, 1]])
+ROT = UnimodularIntMatrix([[0, -1], [1, 0]])
+BIG_SHEAR = UnimodularIntMatrix([[1, 5], [0, 1]])
 
 
 def test_height_examples():
     assert I2.height() == 1
-    assert UnimodularIntMatrix.from_rows([[2, 1], [1, 1]]).height() == 2
+    assert UnimodularIntMatrix([[2, 1], [1, 1]]).height() == 2
     assert BIG_SHEAR.height() == 5
 
 
 def test_leading_entries_examples():
-    assert leading_entries(UnimodularIntMatrix.identity(3)) == [(1, 1), (2, 2), (3, 3)]
+    assert leading_entries(I3) == [(1, 1), (2, 2), (3, 3)]
     assert leading_entries(ROT) == [(1, 2), (2, 1)]
-    m = UnimodularIntMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    m = UnimodularIntMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
     assert leading_entries(m) == [(1, 1), (2, 2), (3, 3)]
 
 
 def test_finest_partition_examples():
-    assert finest_partition(UnimodularIntMatrix.identity(3)).components == [
-        (1, 1), (2, 2), (3, 3),
-    ]
-    assert finest_partition(ROT).components == [(1, 2)]
-    block = UnimodularIntMatrix.from_rows([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
-    assert finest_partition(block).components == [(1, 2), (3, 3)]
+    assert finest_partition(I3) == [(1, 1), (2, 2), (3, 3)]
+    assert finest_partition(ROT) == [(1, 2)]
+    block = UnimodularIntMatrix([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
+    assert finest_partition(block) == [(1, 2), (3, 3)]
 
 
 def reachability_components(gamma):
@@ -105,7 +104,7 @@ def test_partition_matches_reachability_on_seeded_corpus():
     for n in (2, 3, 4, 5):
         for _ in range(250):
             gamma = random_unimodular(gen, n, height_cap=10)
-            assert finest_partition(gamma).components == reachability_components(gamma)
+            assert finest_partition(gamma) == reachability_components(gamma)
             checked += 1
     assert checked == 1000
 
@@ -114,14 +113,14 @@ def test_partition_is_block_upper_triangular_and_finest():
     gen = np.random.default_rng(17)
     for _ in range(100):
         gamma = random_unimodular(gen, 4, height_cap=10)
-        pa = finest_partition(gamma)
+        components = finest_partition(gamma)
         # block upper triangular w.r.t. the components
-        for (lo_i, hi_i), (lo_j, hi_j) in itertools.combinations(pa.components, 2):
+        for (lo_i, hi_i), (lo_j, hi_j) in itertools.combinations(components, 2):
             for i in range(lo_j, hi_j + 1):
                 for j in range(lo_i, hi_i + 1):
                     assert gamma.entries[i - 1][j - 1] == 0
         # each interior cut of a component is blocked by a nonzero entry
-        for lo, hi in pa.components:
+        for lo, hi in components:
             for cut in range(lo, hi):
                 assert any(
                     gamma.entries[i - 1][j - 1] != 0
@@ -162,7 +161,7 @@ def test_chain_reads_u_left_diagonal_of_the_anti_transpose():
     # alpha and beta are the reversed k-left a of J s^T J and J (gamma s)^T J
     rows = ([[1, 1], [0, 1]], [[0, -1], [1, 0]], [[1, 0], [-1, 1]], [[1, 1], [-1, 0]])
     for idx, rows_ in enumerate(rows):
-        gamma = UnimodularIntMatrix.from_rows(rows_)
+        gamma = UnimodularIntMatrix(rows_)
         rep = find_witness(gamma, budget=40, rng=RngStream(3, idx))
         assert rep.status == STATUS_WITNESSED
         s = rep.witness.to_group_element()
@@ -251,11 +250,10 @@ def test_witness_relation_is_inverse_closed():
         if rep.status != STATUS_WITNESSED:
             continue
         gamma = rep.gamma
-        inv = UnimodularIntMatrix.from_rows(
+        inv = UnimodularIntMatrix(
             [[gamma.entries[1][1], -gamma.entries[0][1]],
              [-gamma.entries[1][0], gamma.entries[0][0]]]
         )
-        assert (gamma @ inv).entries == I2.entries
         s = rep.witness.to_group_element()
         gs = gamma.to_array() @ s
         # swapped pair: gs is a member within the witness tolerance, and
@@ -326,7 +324,7 @@ def test_enumerate_intersections_n3_smoke():
     )
     assert summary["candidates"] == 3480
     witnessed = {r.gamma.entries for r in reports if r.status == STATUS_WITNESSED}
-    assert UnimodularIntMatrix.identity(3).entries in witnessed
+    assert I3.entries in witnessed
     assert summary["witnessed"] + summary["excluded"] + summary["unknown"] == 3480
 
 
@@ -360,7 +358,7 @@ def test_count_bounds():
 @pytest.mark.parametrize("budget", [-5, True, 2.5, "4"])
 def test_budget_must_be_a_nonnegative_integer(budget):
     with pytest.raises(InvalidArgumentError):
-        find_witness(UnimodularIntMatrix.identity(2), budget=budget)
+        find_witness(I2, budget=budget)
     with pytest.raises(InvalidArgumentError):
         enumerate_intersections(2, budget_per_candidate=budget, max_height=1)
 

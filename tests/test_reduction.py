@@ -46,7 +46,7 @@ def test_already_inside_is_untouched():
     res = siegel_reduce(np.eye(3))
     assert res.status == STATUS_REDUCED
     assert res.iterations == 0
-    assert res.gamma.entries == UnimodularIntMatrix.identity(3).entries
+    assert res.gamma.entries == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert np.allclose(res.sigma, np.eye(3))
 
 
@@ -294,7 +294,7 @@ def fresh_qr_reduce(g, max_iter=None, p=P):
         m[i], m[i + 1] = m[i + 1], [-x for x in m[i]]
         m_inv[i], m_inv[i + 1] = m_inv[i + 1], [-x for x in m_inv[i]]
         exchanges += 1
-    return UnimodularIntMatrix.from_rows(m_inv), exchanges, status
+    return UnimodularIntMatrix(m_inv), exchanges, status
 
 
 def reduction_corpus(n, seed):

@@ -33,7 +33,7 @@ from siegel.volumes import (
     zeta,
 )
 
-from conftest import sphere_volume, vol_so_recursive
+from conftest import gamma_half, sphere_volume, vol_so_recursive
 
 SQ2 = math.sqrt(2.0)
 
@@ -74,8 +74,8 @@ def test_zeta_domain_errors():
 # --- symbolic algebra ---
 
 def test_symbolic_equality_is_structural():
-    four_pi = SymbolicVolume.rational(4) * SymbolicVolume.pi_pow(1)
-    also = SymbolicVolume.two_pow(2) * SymbolicVolume.pi_pow(1)
+    four_pi = SymbolicVolume(coeff=4) * SymbolicVolume(pow_pi=1)
+    also = SymbolicVolume(pow2=2) * SymbolicVolume(pow_pi=1)
     assert four_pi == also
     assert str(also) == "2^2 * pi"
 
@@ -89,10 +89,10 @@ def test_symbolic_equality_is_structural():
 )
 def test_symbolic_log_matches_direct_evaluation(p, q, e, i):
     expr = (
-        SymbolicVolume.rational(p, q)
-        * SymbolicVolume.pi_pow(Fraction(e, 2))
-        * SymbolicVolume.zeta_factor(i)
-        * SymbolicVolume.factorial_factor(i, e)
+        SymbolicVolume(coeff=Fraction(p, q))
+        * SymbolicVolume(pow_pi=Fraction(e, 2))
+        * SymbolicVolume(zeta_pow={i: 1})
+        * SymbolicVolume(factorial={i: e})
     )
     direct = (
         (p / q)
@@ -104,9 +104,9 @@ def test_symbolic_log_matches_direct_evaluation(p, q, e, i):
 
 
 def test_zero_power_is_one():
-    x = SymbolicVolume.numeric_factor(1.7, 2)
+    x = SymbolicVolume(numeric={1.7: 2})
     assert str(x**0) == "1"
-    assert x**0 == SymbolicVolume.one()
+    assert x**0 == SymbolicVolume()
     assert str(x**-1) == "1.7^(-2)"
     assert str(vol_siegel(3, SiegelParams(1.7, 0.5)) ** 0) == "1"
 
@@ -114,43 +114,43 @@ def test_zero_power_is_one():
 @pytest.mark.parametrize("i", range(1, 31))
 def test_gamma_half_factor_log_matches_lgamma(i):
     for e in (-2, -1, 1, 2):
-        got = SymbolicVolume.gamma_half_factor(i, e).log_value()
+        got = gamma_half(i, e).log_value()
         assert math.isclose(got, e * math.lgamma(i / 2.0), rel_tol=1e-13, abs_tol=1e-13)
-    assert SymbolicVolume.gamma_half_factor(i, 0) == SymbolicVolume.one()
+    assert gamma_half(i, 0) == SymbolicVolume()
 
 
 def test_construction_folds_trivial_factorials():
     x = SymbolicVolume(factorial={0: 3, 1: -2, 2: 5, 7: 0, 9: 1}, zeta_pow={3: 0})
     assert x.factorial == {9: 1} and x.zeta_pow == {} and x.pow2 == 5
-    assert x == SymbolicVolume.two_pow(5) * SymbolicVolume.factorial_factor(9)
+    assert x == SymbolicVolume(pow2=5) * SymbolicVolume(factorial={9: 1})
 
 
 def test_construction_folds_coefficient_and_exact_numeric_bases():
     x = SymbolicVolume(coeff=Fraction(-72, 35), pow2=1, numeric={2.0: 3, 1.7: 0, 4.0: Fraction(1, 2)})
     assert (x.coeff, x.pow2, x.pow3, x.numeric) == (Fraction(-1, 35), 8, 2, {})
     assert all(type(v) is Fraction for v in (x.coeff, x.pow2, x.pow3, x.pow_pi))
-    assert x == SymbolicVolume.rational(-1, 35) * SymbolicVolume.two_pow(8) * SymbolicVolume.three_pow(2)
-    t = SymbolicVolume.numeric_factor(2.0 / math.sqrt(3.0), 6)
+    assert x == SymbolicVolume(coeff=Fraction(-1, 35)) * SymbolicVolume(pow2=8) * SymbolicVolume(pow3=2)
+    t = SymbolicVolume(numeric={2.0 / math.sqrt(3.0): 6})
     assert (t.pow2, t.pow3, t.numeric) == (6, -3, {})
 
 
 def test_constructor_domain_errors():
     for bad in (
-        lambda: SymbolicVolume.rational(0),
-        lambda: SymbolicVolume.zeta_factor(1),
-        lambda: SymbolicVolume.factorial_factor(-1),
+        lambda: SymbolicVolume(coeff=0),
         lambda: SymbolicVolume(zeta_pow={1: 1}),
         lambda: SymbolicVolume(zeta_pow={2.5: 1}),
         lambda: SymbolicVolume(factorial={-1: 1}),
         lambda: SymbolicVolume(factorial={3.0: 1}),
-        lambda: SymbolicVolume.gamma_half_factor(0),
-        lambda: SymbolicVolume.numeric_factor(-2.0, 1),
-        lambda: SymbolicVolume.numeric_factor(math.inf, 1),
-        lambda: SymbolicVolume.numeric_factor(math.nan, 1),
-        lambda: SymbolicVolume.two_pow(1) ** 0.5,
+        lambda: SymbolicVolume(pow2=1) ** 0.5,
     ):
         with pytest.raises(InvalidArgumentError):
             bad()
+
+
+@pytest.mark.parametrize("base", [-2.0, 0.0, math.inf, math.nan])
+def test_numeric_bases_are_checked_at_construction(base):
+    with pytest.raises(InvalidArgumentError, match="positive and finite"):
+        SymbolicVolume(numeric={base: 1})
 
 
 def test_equal_expressions_evaluate_to_equal_floats():
@@ -193,7 +193,7 @@ def test_sphere_volumes():
 
 
 def test_vol_so_values():
-    assert vol_so(1) == SymbolicVolume.one()
+    assert vol_so(1) == SymbolicVolume()
     assert str(vol_so(2)) == "2^(3/2) * pi"
     assert math.isclose(vol_so(2).value(), 2.0**1.5 * math.pi, rel_tol=1e-12)
     assert math.isclose(vol_so(3).value(), 2.0**4.5 * math.pi**2, rel_tol=1e-12)
@@ -238,7 +238,7 @@ def test_vol_siegel_minimal_values():
 
 def test_vol_siegel_unit_t():
     v = vol_siegel(2, SiegelParams(1.0, 0.5))
-    assert v == SymbolicVolume.two_pow(Fraction(1, 2)) * SymbolicVolume.pi_pow(1)
+    assert v == SymbolicVolume(pow2=Fraction(1, 2)) * SymbolicVolume(pow_pi=1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -253,7 +253,7 @@ def test_vol_siegel_against_quadrature(n):
 # --- covolume ---
 
 def test_vol_quotient_base_case_exact_in_the_algebra():
-    assert vol_quotient(2) == SymbolicVolume.two_pow(Fraction(1, 2)) * SymbolicVolume.zeta_factor(2)
+    assert vol_quotient(2) == SymbolicVolume(pow2=Fraction(1, 2)) * SymbolicVolume(zeta_pow={2: 1})
     assert abs(vol_quotient(2).value() - SQ2 * math.pi**2 / 6.0) <= 1e-12
 
 
@@ -344,13 +344,13 @@ def test_normalization_display_form_differs_by_two_to_n():
 # --- one-pass builders against factor-by-factor products ---
 #
 # Each reference multiplies the factors of the builder's docstring one at a
-# time with the public constructors (O(n) products, each merging O(n) maps).
+# time, one constructor call per factor (O(n) products, each merging O(n) maps).
 
 SV = SymbolicVolume
 
 
 def _product(*factors):
-    out = SV.one()
+    out = SV()
     for f in factors:
         out = out * f
     return out
@@ -361,57 +361,58 @@ def _prod_over(make, indices):
 
 
 def ref_vol_so(n):
-    return SV.two_pow(Fraction(n - 1) * (Fraction(n, 4) + 1)) * _prod_over(
-        lambda i: SV.pi_pow(Fraction(i, 2)) / SV.gamma_half_factor(i), range(2, n + 1)
+    return SV(pow2=Fraction(n - 1) * (Fraction(n, 4) + 1)) * _prod_over(
+        lambda i: SV(pow_pi=Fraction(i, 2)) / gamma_half(i), range(2, n + 1)
     )
 
 
 def ref_vol_quotient(n):
     return (
-        SV.two_pow(Fraction(1, 2))
-        * _prod_over(SV.zeta_factor, range(2, n + 1))
-        * _prod_over(lambda i: SV.one() / (SV.two_pow(i - 1) * SV.factorial_factor(i)), range(1, n))
+        SV(pow2=Fraction(1, 2))
+        * _prod_over(lambda i: SV(zeta_pow={i: 1}), range(2, n + 1))
+        * _prod_over(lambda i: SV() / (SV(pow2=i - 1) * SV(factorial={i: 1})), range(1, n))
     )
 
 
 def ref_vol_quotient_rightmost(n):
-    return _prod_over(SV.zeta_factor, range(2, n + 1)) / (
-        SV.two_pow(Fraction(n * n - 3 * n + 1, 2)) * _prod_over(SV.factorial_factor, range(2, n + 1))
+    return _prod_over(lambda i: SV(zeta_pow={i: 1}), range(2, n + 1)) / (
+        SV(pow2=Fraction(n * n - 3 * n + 1, 2))
+        * _prod_over(lambda i: SV(factorial={i: 1}), range(2, n + 1))
     )
 
 
 def ref_ratio_C_display(n):
     num = (
-        SV.two_pow(Fraction(2 * n**3 + 9 * n**2 + 25 * n - 30, 12))
-        * SV.pi_pow(Fraction(n * n + n - 2, 4))
-        * _prod_over(SV.factorial_factor, range(1, n))
+        SV(pow2=Fraction(2 * n**3 + 9 * n**2 + 25 * n - 30, 12))
+        * SV(pow_pi=Fraction(n * n + n - 2, 4))
+        * _prod_over(lambda i: SV(factorial={i: 1}), range(1, n))
     )
     den = (
-        SV.three_pow(Fraction(n**3 - n, 12))
-        * SV.factorial_factor(n - 1) ** 2
-        * _prod_over(SV.gamma_half_factor, range(2, n + 1))
-        * _prod_over(SV.zeta_factor, range(2, n + 1))
+        SV(pow3=Fraction(n**3 - n, 12))
+        * SV(factorial={n - 1: 1}) ** 2
+        * _prod_over(gamma_half, range(2, n + 1))
+        * _prod_over(lambda i: SV(zeta_pow={i: 1}), range(2, n + 1))
     )
     return num / den
 
 
 def ref_harder_volume(n):
-    two_pi = SV.two_pow(1) * SV.pi_pow(1)
+    two_pi = SV(pow2=1) * SV(pow_pi=1)
     return (
-        _prod_over(SV.factorial_factor, range(1, n))
-        * _prod_over(SV.zeta_factor, range(2, n + 1))
-        / (two_pi ** (n * (n + 3) // 2) * SV.two_pow(harder_tau(n)) * SV.factorial_factor(n))
+        _prod_over(lambda i: SV(factorial={i: 1}), range(1, n))
+        * _prod_over(lambda i: SV(zeta_pow={i: 1}), range(2, n + 1))
+        / (two_pi ** (n * (n + 3) // 2) * SV(pow2=harder_tau(n)) * SV(factorial={n: 1}))
     )
 
 
 def ref_normalization_ratio_display(n):
-    num = SV.two_pow(Fraction(n * n - 5 * n - 2, 4) - harder_tau(n)) * _prod_over(
-        SV.factorial_factor, range(1, n)
+    num = SV(pow2=Fraction(n * n - 5 * n - 2, 4) - harder_tau(n)) * _prod_over(
+        lambda i: SV(factorial={i: 1}), range(1, n)
     ) ** 2
     den = (
-        SV.factorial_factor(n)
-        * SV.pi_pow(Fraction(n * n + 5 * n + 2, 4))
-        * _prod_over(SV.gamma_half_factor, range(2, n + 1))
+        SV(factorial={n: 1})
+        * SV(pow_pi=Fraction(n * n + 5 * n + 2, 4))
+        * _prod_over(gamma_half, range(2, n + 1))
     )
     return num / den
 
