@@ -67,8 +67,9 @@ SEED_ENV_VAR = "SIEGEL_SEED"
 #: no other command applies it, so no other report echoes it.
 TOLERANCE_KEYS = ("membership_tol",)
 #: the least value of each budget, flag or config: 0 exchanges or 0 random
-#: samples per candidate are valid runs, a Monte Carlo estimate needs one
-_BUDGET_LEAST = {"max_iter": 0, "budget_per_candidate": 0, "mc_samples": 1}
+#: samples per candidate are valid runs, a Monte Carlo estimate (mean and
+#: standard error) needs two
+_BUDGET_LEAST = {"max_iter": 0, "budget_per_candidate": 0, "mc_samples": 2}
 OUTPUT_FORMATS = ("json", "csv", "pretty")
 DEFAULT_MC_SAMPLES = 100_000
 
@@ -257,7 +258,9 @@ def _cmd_sample(args, config: RunConfig, fmt: str) -> int:
     if args.what == "a-integral":
         count = _setting(args.count, config.budgets, "mc_samples", DEFAULT_MC_SAMPLES)
     else:
-        count = _setting(args.count, {}, "mc_samples", 1)
+        count = 1 if args.count is None else args.count
+        if count < 1:
+            raise MalformedConfigError("--count must be >= 1")
     result: dict = {"what": args.what, "n": args.n, "count": count}
     if args.what == "rotation":
         gen = stream.generator()

@@ -133,10 +133,8 @@ def height_bound(n: int) -> float:
 
 def height_bound_variants(n: int) -> dict[str, float]:
     """All published forms of the bound, keyed by their exponent of sqrt(n)."""
-    if n < 2:
-        raise InvalidArgumentError("n must be >= 2")
     return {
-        "exponent_n2_minus_1": math.exp((n * n - 1) / 2.0 * math.log(n)),
+        "exponent_n2_minus_1": height_bound(n),
         "exponent_n2_minus_n": math.exp((n * n - n) / 2.0 * math.log(n)),
     }
 
@@ -213,7 +211,7 @@ def lemma_filter_chain(
     rev = sqrt_n ** (n - 1)
     for j in range(1, n + 1):
         record("reverse_ratio", (j,), beta[j - 1], rev * alpha[j - 1])
-    comp = sqrt_n ** (n * n - 1)
+    comp = height_bound(n)
     # component index of each 0-based position
     component = [
         idx

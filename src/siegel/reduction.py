@@ -1,4 +1,5 @@
-"""Reduce any g in SL(n,R) into the Siegel set by a right SL(n,Z) move.
+"""Reduce any g in SL(n,R) into the Siegel set of the canonical parameters
+t = 2/sqrt(3), lam = 1/2 by a right SL(n,Z) move.
 
 Classical size-reduction/exchange reduction on the Iwasawa coordinates of
 the working matrix, every move realized by right multiplication with an
@@ -10,7 +11,7 @@ exact integer matrix of determinant +1:
 * exchange: where a ratio b[i] exceeds t, the two adjacent columns are
   swapped (one sign flipped to keep det +1), which strictly shrinks the
   Gram-Schmidt norm a[i] because the shear step already capped |u[i, i+1]|
-  at 1/2 and t >= 2/sqrt(3).
+  at 1/2 and t = 2/sqrt(3).
 
 The float triangular factor ``R = diag(a) @ u`` of the working matrix is
 carried across rounds, as in the incremental Gram-Schmidt update of LLL
@@ -47,7 +48,6 @@ import numpy as np
 from .errors import NonInvertibleError
 from .iwasawa import (
     MINIMAL_PARAMS,
-    SiegelParams,
     UnimodularIntMatrix,
     as_count,
     as_matrix_stack,
@@ -68,9 +68,10 @@ class ReductionResult:
     """Outcome of :func:`siegel_reduce`.
 
     ``sigma @ gamma.to_array()`` reconstructs the input; when status is
-    ``reduced``, sigma's coordinates satisfy the Siegel constraints
-    (inside or on the boundary).  ``iterations`` counts exchange steps,
-    ``refreshes`` the R-only QRs made from scratch (not in the JSON form).
+    ``reduced``, sigma's coordinates satisfy the Siegel constraints of
+    ``MINIMAL_PARAMS`` (inside or on the boundary).  ``iterations`` counts
+    exchange steps, ``refreshes`` the R-only QRs made from scratch (not in
+    the JSON form).
     """
 
     gamma: UnimodularIntMatrix
@@ -176,13 +177,14 @@ def _exchange(
 
 
 def siegel_reduce(
-    g,
-    max_iter: int | None = None,
-    p: SiegelParams = MINIMAL_PARAMS,
-    *,
-    potential_trace: list | None = None,
+    g, max_iter: int | None = None, *, potential_trace: list | None = None
 ) -> ReductionResult:
     """Find gamma in SL(n,Z) with g = sigma @ gamma and sigma in the Siegel set.
+
+    The Siegel set is the one of the canonical parameters ``MINIMAL_PARAMS``
+    (t = 2/sqrt(3), lam = 1/2), the smallest that still covers SL(n,R):
+    size reduction always rounds to |u| <= 1/2, so ``reduced`` means that
+    sigma is a member at those parameters and no other set is promised.
 
     Default budget is 10 n^2 exchange steps; exhausting it is reported in
     ``status``, never silently truncated; a ``max_iter`` that is not an
@@ -200,7 +202,7 @@ def siegel_reduce(
     m_inv = [[int(r == c) for c in range(n)] for r in range(n)]  # rows
     exchanges = refreshes = 0
     fresh = True
-    t = p.t
+    t = MINIMAL_PARAMS.t
     while True:
         if fresh:
             a, u = _coordinates(g @ _exact_float(m))

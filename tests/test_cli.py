@@ -201,19 +201,23 @@ def test_config_rejects_wrong_types(tmp_path, capsys, config):
         ("mc_samples", ("sample", "--what", "a-integral", "--n", "2", "--count"), 0),
         ("mc_samples", ("sample", "--n", "2", "--count"), -2),
         ("mc_samples", ("sample", "--what", "rotation", "--n", "2", "--count"), 0),
+        ("mc_samples", ("sample", "--what", "a-integral", "--n", "2", "--count"), 1),
     ],
 )
 def test_flags_follow_the_config_bounds(tmp_path, capsys, monkeypatch, key, flag_argv, value):
     # a budget below its least value fails alike as a flag and as a config
-    # key, before any input is read, and nothing is printed on stdout
+    # key, before any input is read, and nothing is printed on stdout; a
+    # point or rotation --count is held to 1 on its own (mc_samples does
+    # not apply to it)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "m.json").write_text(json.dumps(matrix_to_json_dict(np.eye(2))))
     code, out, err = run_cli(capsys, *flag_argv, str(value))
     assert code == 1 and out == ""
-    assert json.loads(err) == {
-        "error": "MalformedConfigError",
-        "message": f"budget {key} must be >= {1 if key == 'mc_samples' else 0}",
-    }
+    least = {"max_iter": 0, "budget_per_candidate": 0, "mc_samples": 2}[key]
+    message = f"budget {key} must be >= {least}"
+    if key == "mc_samples" and "a-integral" not in flag_argv:
+        message = "--count must be >= 1"
+    assert json.loads(err) == {"error": "MalformedConfigError", "message": message}
     (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
     with pytest.raises(MalformedConfigError, match=key):
         load_config("cfg.json")

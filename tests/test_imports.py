@@ -1,5 +1,6 @@
 """AST scans: every imported name is used, in the package and the tests;
-every name the package defines is used by the package or is public.
+every name the package defines is used by the package or is public; every
+method of a package class is used by the package.
 
 ``siegel/__init__.py`` is left out of the import scan, its imports are the
 public re-exports.
@@ -92,6 +93,46 @@ def test_scan_flags_an_unreferenced_name():
     assert unreferenced_names(modules, {"api"}) == ["a.loop", "b.Unused"]
 
 
+def package_modules() -> dict[str, str]:
+    return {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+
+
 def test_every_package_name_is_used_or_public():
-    modules = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
-    assert unreferenced_names(modules, set(siegel.__all__)) == []
+    assert unreferenced_names(package_modules(), set(siegel.__all__)) == []
+
+
+def unreferenced_members(modules: dict[str, str]) -> list[str]:
+    """``Class.name`` for each non-dunder method, property or classmethod of
+    a module-level class whose name no attribute reference of any module
+    makes outside the member's own body."""
+    trees = [ast.parse(text) for text in modules.values()]
+    attrs = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    flagged = []
+    for tree in trees:
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if not isinstance(fn, ast.FunctionDef) or (
+                    fn.name.startswith("__") and fn.name.endswith("__")
+                ):
+                    continue
+                own = {id(node) for node in ast.walk(fn)}
+                if not any(a.attr == fn.name and id(a) not in own for a in attrs):
+                    flagged.append(f"{cls.name}.{fn.name}")
+    return flagged
+
+
+def test_member_scan_flags_an_unreferenced_member():
+    modules = {
+        "a": "class A:\n    def used(self):\n        return self.helper()\n\n"
+             "    @property\n    def helper(self):\n        return 1\n\n"
+             "    @classmethod\n    def loop(cls):\n        return cls.loop()\n\n"
+             "    def __repr__(self):\n        return ''\n",
+        "b": "def f(x):\n    return x.used()\n",
+    }
+    assert unreferenced_members(modules) == ["A.loop"]
+
+
+def test_every_class_member_is_used_by_the_package():
+    assert unreferenced_members(package_modules()) == []

@@ -169,7 +169,7 @@ def test_chain_reads_u_left_diagonal_of_the_anti_transpose():
         alpha = decompose(flip @ s.T @ flip).a[::-1]
         beta = decompose(flip @ (gamma.to_array() @ s).T @ flip).a[::-1]
         sqrt_n = math.sqrt(2.0)
-        comp = sqrt_n ** 3
+        comp = height_bound(2)  # the component bound is the height bound
         expected = {
             "leading_entry_ratio": lambda i, j: (alpha[j - 1], sqrt_n * beta[i - 1]),
             "diagonal_ratio": lambda k: (alpha[k - 1], sqrt_n * beta[k - 1]),
@@ -182,6 +182,16 @@ def test_chain_reads_u_left_diagonal_of_the_anti_transpose():
         for c in checks:
             lhs, rhs = expected[c.name](*c.indices)
             assert (c.lhs, c.rhs) == (float(lhs), float(rhs)), c
+
+
+def test_witnessed_trace_holds_one_height_bound():
+    # the search's own height check and the chain's last check compare the
+    # height against one value
+    for n, gamma in ((2, SHEAR), (3, I3)):
+        rep = find_witness(gamma, rng=RngStream(1, 0))
+        assert rep.status == STATUS_WITNESSED
+        bounds = [c.rhs for c in rep.filter_trace if c.name == "height_bound"]
+        assert bounds == [height_bound(n)] * 2
 
 
 def test_chain_rejects_non_witness():

@@ -8,6 +8,7 @@ from siegel import iwasawa
 from siegel.errors import InvalidArgumentError, NonInvertibleError, NotUnimodularError
 from siegel.iwasawa import (
     MINIMAL_PARAMS,
+    SiegelParams,
     UnimodularIntMatrix,
     b_from_a,
     decompose,
@@ -48,6 +49,13 @@ def test_already_inside_is_untouched():
     assert res.iterations == 0
     assert res.gamma.entries == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert np.allclose(res.sigma, np.eye(3))
+
+
+def test_reduction_takes_no_siegel_parameters():
+    # size reduction always rounds to |u| <= 1/2, so the reduction can only
+    # promise the canonical Siegel set; it accepts no other
+    with pytest.raises(TypeError):
+        siegel_reduce([[1.0, 0.45], [0.0, 1.0]], p=SiegelParams(1.2, 0.3))
 
 
 def test_diagonal_example_with_plane_oracle():
