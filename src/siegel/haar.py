@@ -135,10 +135,6 @@ class SiegelCoordinatePoint:
         return float(siegel_density(self.b) * np.prod(self.b))
 
     @property
-    def n(self) -> int:
-        return self.b.size + 1
-
-    @property
     def a(self) -> np.ndarray:
         return a_from_b(self.b)
 

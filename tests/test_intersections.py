@@ -395,7 +395,7 @@ def _point(b, u_vals, k):
 
 def _reference_refine(gf, point, target, max_rounds=60):
     """Coordinate descent one trial at a time: + step if it improves, else - step."""
-    n = point.n
+    n = point.b.size + 1
     pairs = list(zip(*np.triu_indices(n, 1)))
     log_t = math.log(P.t)
     state = [np.minimum(np.log(point.b), log_t), point.u[np.triu_indices(n, 1)], point.k]

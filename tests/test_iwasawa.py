@@ -182,6 +182,9 @@ def test_unimodular_det_checked_exactly():
 def test_matrix_json_round_trip(rng):
     g = random_sl(rng, 3)
     assert np.allclose(matrix_from_json_dict(json.loads(json.dumps(matrix_to_json_dict(g)))), g)
+    # integer matrices are written exactly, as decimal strings
+    m = UnimodularIntMatrix([[1, 10**25], [0, 1]])
+    assert m.to_json_dict() == {"n": 2, "entries": ["1", str(10**25), "0", "1"]}
 
 
 def test_siegel_params_validation():
