@@ -3,9 +3,11 @@ deterministic, machine-readable output.
 
 Subcommands: decompose, reduce, volume, growth-table, sample,
 enumerate-intersections, bounds.  One JSON document (or CSV table) per
-invocation on stdout; every report embeds the effective seed, the
-tolerance overrides the command applied and the tool version so runs can
-be reproduced byte for byte.
+invocation on stdout.  A command accepts only the settings it reads, and
+its report echoes only those: the seed where random numbers are drawn
+(sample, enumerate-intersections), the tolerance overrides the command
+applied, and always the tool version, so runs can be reproduced byte for
+byte.
 Exit codes: 0 success, 1 computation error, 2 usage error.
 """
 
@@ -13,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -61,8 +62,9 @@ from .intersections import (
     reports_to_jsonl,
 )
 
-SEED_ENV_VAR = "SIEGEL_SEED"
-
+#: the commands that draw random numbers: only they take ``--seed`` and
+#: echo the seed
+_SEEDED_COMMANDS = ("sample", "enumerate-intersections")
 #: ``membership_tol`` is the slack of the ``decompose`` membership verdict;
 #: no other command applies it, so no other report echoes it.
 TOLERANCE_KEYS = ("membership_tol",)
@@ -76,7 +78,7 @@ DEFAULT_MC_SAMPLES = 100_000
 
 @dataclass
 class RunConfig:
-    """Effective run configuration echoed into every report."""
+    """Effective run configuration; each report echoes the part its command reads."""
 
     seed: int = 0
     tolerances: dict = field(default_factory=dict)
@@ -85,11 +87,10 @@ class RunConfig:
 
     def report_header(self, command: str) -> dict:
         tolerances = self.tolerances if command == "decompose" else {}
-        return {
-            "seed": self.seed,
-            "tolerances": dict(sorted(tolerances.items())),
-            "tool_version": __version__,
-        }
+        header = {"tolerances": dict(sorted(tolerances.items())), "tool_version": __version__}
+        if command in _SEEDED_COMMANDS:
+            header["seed"] = self.seed
+        return header
 
 
 def _config_int(key: str, value) -> int:
@@ -151,6 +152,23 @@ def _setting(flag, budgets: dict, key: str, default=None):
     return budgets.get(key, default)
 
 
+def _siegel_params(args) -> SiegelParams:
+    """``--t`` and ``--lambda`` of a command that reads them; an absent flag
+    is the canonical value."""
+    return SiegelParams(
+        MINIMAL_PARAMS.t if args.t is None else args.t,
+        MINIMAL_PARAMS.lam if args.lam is None else args.lam,
+    )
+
+
+def _refuse(args, where: str, *dests: str) -> None:
+    """Reject any flag given among ``dests``: ``where`` does not read them."""
+    flags = {"t": "--t", "lam": "--lambda", "b_min": "--b-min"}
+    given = [flags[d] for d in dests if getattr(args, d) is not None]
+    if given:
+        raise MalformedConfigError(f"{where} does not read {', '.join(given)}")
+
+
 def _read_matrix(path: str) -> np.ndarray:
     if path == "-":
         return matrix_from_json_dict(json.load(sys.stdin))
@@ -174,32 +192,31 @@ def _report(config: RunConfig, command: str, result: dict, fmt: str) -> None:
         _emit_json(doc)
 
 
-#: volume object -> (builder of its expression from (n, params), the check
-#: of its published simplification or None)
+#: volume object -> (builder of its expression from n, the check of its
+#: published simplification or None); only ``siegel`` also reads (t, lambda)
 _VOLUMES = {
-    "so": (lambda n, p: vol_so(n), None),
+    "so": (vol_so, None),
     "siegel": (vol_siegel, None),
-    "quotient": (lambda n, p: vol_quotient(n), compare_quotient_forms),
-    "ratio": (lambda n, p: ratio_C(n), compare_ratio_forms),
-    "symmetric": (lambda n, p: vol_symmetric_space(n), None),
-    "harder": (lambda n, p: harder_volume(n), None),
-    "norm-ratio": (lambda n, p: normalization_ratio(n), compare_normalization_forms),
+    "quotient": (vol_quotient, compare_quotient_forms),
+    "ratio": (ratio_C, compare_ratio_forms),
+    "symmetric": (vol_symmetric_space, None),
+    "harder": (harder_volume, None),
+    "norm-ratio": (normalization_ratio, compare_normalization_forms),
 }
 
 
 def _cmd_volume(args, config: RunConfig, fmt: str) -> int:
     build, form_check = _VOLUMES[args.object]
-    expr = build(args.n, SiegelParams(args.t, getattr(args, "lam")))
+    result: dict = {"object": args.object, "n": args.n}
+    if args.object == "siegel":
+        p = _siegel_params(args)
+        expr = build(args.n, p)
+        result["t"], result["lambda"] = p.t, p.lam
+    else:
+        _refuse(args, f"--object {args.object}", "t", "lam")
+        expr = build(args.n)
     log = expr.log_value()
-    result = {
-        "object": args.object,
-        "n": args.n,
-        "t": args.t,
-        "lambda": getattr(args, "lam"),
-        "expression": str(expr),
-        "log_value": log,
-        "value": expr.value(),
-    }
+    result.update(expression=str(expr), log_value=log, value=expr.value())
     if form_check is not None:
         result["form_check"] = form_check(args.n).to_json_dict()
     if fmt == "pretty":
@@ -231,13 +248,13 @@ def _cmd_decompose(args, config: RunConfig, fmt: str) -> int:
     f = decompose(g)
     n = f.n
     iu = np.triu_indices(n, k=1)
-    p = SiegelParams(args.t, getattr(args, "lam"))
+    p = _siegel_params(args)
     result = {
         "k": matrix_to_json_dict(f.k),
         "a": [float(x) for x in f.a],
         "u": matrix_to_json_dict(f.u),
         "b": [float(x) for x in f.b],
-        "u_max": float(np.max(np.abs(f.u[iu]))) if iu[0].size else 0.0,
+        "u_max": float(np.max(np.abs(f.u[iu]))),
         "membership": siegel_membership(g, p, tol),
         "residuals": f.max_errors(g),
     }
@@ -253,8 +270,12 @@ def _cmd_reduce(args, config: RunConfig, fmt: str) -> int:
 
 
 def _cmd_sample(args, config: RunConfig, fmt: str) -> int:
+    if args.what == "rotation":
+        _refuse(args, "--what rotation", "t", "lam", "b_min")
+    elif args.what == "a-integral":
+        _refuse(args, "--what a-integral", "lam")
     stream = RngStream(config.seed, 0)
-    p = SiegelParams(args.t, getattr(args, "lam"))
+    p = _siegel_params(args)
     if args.what == "a-integral":
         count = _setting(args.count, config.budgets, "mc_samples", DEFAULT_MC_SAMPLES)
     else:
@@ -284,11 +305,10 @@ def _cmd_enumerate(args, config: RunConfig, fmt: str) -> int:
     budget = _setting(args.budget, config.budgets, "budget_per_candidate", DEFAULT_BUDGET)
     reports, summary = enumerate_intersections(
         args.n,
-        SiegelParams(args.t, getattr(args, "lam")),
+        _siegel_params(args),
         budget_per_candidate=budget,
         rng=RngStream(config.seed, 0),
         max_height=args.max_height,
-        workers=args.threads,
     )
     if fmt == "pretty":
         for r in reports:
@@ -319,10 +339,11 @@ def _cmd_bounds(args, config: RunConfig, fmt: str) -> int:
 
 
 def _add_siegel_params(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--t", type=float, default=MINIMAL_PARAMS.t, help="ratio bound t")
+    # None tells an absent flag from a given one; readers resolve it
+    sub.add_argument("--t", type=float, default=None, help="ratio bound t (default 2/sqrt(3))")
     sub.add_argument(
-        "--lambda", dest="lam", type=float, default=MINIMAL_PARAMS.lam,
-        help="unipotent bound lambda",
+        "--lambda", dest="lam", type=float, default=None,
+        help="unipotent bound lambda (default 1/2)",
     )
 
 
@@ -332,12 +353,7 @@ def _global_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
     # subcommand without the subparser default clobbering a given value
     d = argparse.SUPPRESS if suppress else None
     parser.add_argument("--config", default=d, help="path to a flat JSON config")
-    parser.add_argument("--seed", type=int, default=d, help="override the config seed")
     parser.add_argument("--format", choices=OUTPUT_FORMATS, default=d)
-    parser.add_argument(
-        "--threads", type=int, default=argparse.SUPPRESS if suppress else 1,
-        help="worker processes (default 1)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,6 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n", type=int, required=True)
     sub.set_defaults(func=_cmd_bounds)
 
+    for name in _SEEDED_COMMANDS:
+        commands.choices[name].add_argument(
+            "--seed", type=int, default=None, help="override the config seed"
+        )
     return parser
 
 
@@ -407,14 +427,9 @@ def run(argv: list[str]) -> int:
         return int(exc.code) if exc.code is not None else 2
     try:
         config = load_config(args.config)
-        if args.seed is not None:
+        if getattr(args, "seed", None) is not None:
             config.seed = args.seed
-        elif os.environ.get(SEED_ENV_VAR):
-            config.seed = int(os.environ[SEED_ENV_VAR])
         fmt = args.format or config.output_format
-        threads = args.threads
-        if threads < 1:
-            raise MalformedConfigError("--threads must be >= 1")
         return args.func(args, config, fmt)
     except SiegelError as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}

@@ -34,7 +34,7 @@ class RngStream:
 
     Identical keys always produce bitwise-identical draws; distinct
     stream indices give statistically independent streams, which is what
-    per-candidate and per-worker sampling use.
+    per-candidate sampling uses.
     """
 
     seed: int
@@ -223,12 +223,16 @@ def _gauss_legendre_block(n: int, t: float, nodes: int) -> float:
     return value
 
 
-def a_integral_quadrature(n: int, t: float, rel_tol: float = 1e-10) -> float:
+#: Relative agreement of the 64- and 32-node rules that certifies a quadrature.
+_QUADRATURE_REL_TOL = 1e-10
+
+
+def a_integral_quadrature(n: int, t: float) -> float:
     """Diagonal-block integral (1/2) * Int_{(0,t]^{n-1}} prod b**(i(n-i)-1) db.
 
     64-node Gauss-Legendre per dimension (exact for monomials up to degree
     127, far above the exponents for n <= 11); the result is certified by
-    agreement with a 32-node rule.
+    agreement with a 32-node rule to ``_QUADRATURE_REL_TOL``.
     """
     if n < 2:
         raise InvalidArgumentError("n must be >= 2")
@@ -236,9 +240,9 @@ def a_integral_quadrature(n: int, t: float, rel_tol: float = 1e-10) -> float:
         raise InvalidArgumentError("t must be positive")
     hi = _gauss_legendre_block(n, t, 64)
     lo = _gauss_legendre_block(n, t, 32)
-    if abs(hi - lo) > rel_tol * max(abs(hi), 1e-300):
+    if abs(hi - lo) > _QUADRATURE_REL_TOL * max(abs(hi), 1e-300):
         raise ToleranceNotMetError(
-            f"quadrature orders disagree: {hi!r} vs {lo!r} (rel_tol={rel_tol})"
+            f"quadrature orders disagree: {hi!r} vs {lo!r} (rel_tol={_QUADRATURE_REL_TOL})"
         )
     return hi
 

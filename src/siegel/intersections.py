@@ -35,7 +35,6 @@ and the candidate stays ``unknown``.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product as _iter_product
 
@@ -279,11 +278,10 @@ def _refine_point(
     u: np.ndarray,
     k: np.ndarray,
     p: SiegelParams,
-    target: float,
 ) -> tuple[SiegelCoordinatePoint, float]:
     """Coordinate descent on the witness coordinates (log b, u, k-angles),
     keeping the point itself inside the box, minimizing the membership
-    excess of gamma @ s.
+    excess of gamma @ s until it is at most ``STRICT_WITNESS_TOL``.
 
     Each coordinate's + and - trial are scored as one stack of two; the
     + step is taken if it improves, else the - step if that does.
@@ -332,7 +330,7 @@ def _refine_point(
                     if exc < best:
                         best, state[slot], improved = exc, trials[t], True
                         break
-        if best <= target:
+        if best <= STRICT_WITNESS_TOL:
             break
         if not improved:
             steps = [step * 0.5 for step in steps]
@@ -428,9 +426,7 @@ def find_witness(
         block = sample_siegel_block(n, p, lows, gen)
         sample_excess = membership_excess(gf @ block.group_elements(), p, check=False)
         for i in np.flatnonzero(sample_excess <= NEAR_HIT):
-            refined, final = _refine_point(
-                gf, block.b[i], block.u[i], block.k[i], p, target=STRICT_WITNESS_TOL
-            )
+            refined, final = _refine_point(gf, block.b[i], block.u[i], block.k[i], p)
             if final <= DEFAULT_WITNESS_TOL:
                 report = attempt(refined, final)
                 if report is not None:
@@ -494,11 +490,6 @@ def count_bounds(n: int) -> tuple[float, float]:
     return log_lower, log_upper
 
 
-def _witness_task(args):
-    gamma, p, budget, seed, idx = args
-    return find_witness(gamma, p, budget, RngStream(seed, idx))
-
-
 def enumerate_intersections(
     n: int,
     p: SiegelParams = MINIMAL_PARAMS,
@@ -506,7 +497,6 @@ def enumerate_intersections(
     rng: RngStream | None = None,
     *,
     max_height: int | None = None,
-    workers: int = 1,
 ) -> tuple[list[IntersectionReport], dict]:
     """Run the witness search over every candidate of height up to the bound.
 
@@ -514,8 +504,7 @@ def enumerate_intersections(
     floor(height_bound(n)) (overridable via ``max_height``; at n = 3 the
     full bound is 81 and the exhaustive grid is astronomically large, so
     practical runs cap it).  Each candidate owns the stream
-    (seed, candidate_index), so reports are deterministic and
-    worker-count independent.
+    (seed, candidate_index), so reports are deterministic.
     """
     if n < 2:
         raise InvalidArgumentError("n must be >= 2")
@@ -526,16 +515,10 @@ def enumerate_intersections(
         rng = RngStream(0, 0)
     cap = int(math.floor(height_bound(n))) if max_height is None else int(max_height)
     candidates = sl_candidates(n, cap)
-    tasks = [
-        (gamma, p, budget_per_candidate, rng.seed, idx)
+    reports = [
+        find_witness(gamma, p, budget_per_candidate, RngStream(rng.seed, idx))
         for idx, gamma in enumerate(candidates)
     ]
-    # both maps return results in input order
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_witness_task, tasks, chunksize=8))
-    else:
-        reports = list(map(_witness_task, tasks))
     counts = {
         STATUS_WITNESSED: sum(r.status == STATUS_WITNESSED for r in reports),
         STATUS_EXCLUDED: sum(r.status == STATUS_EXCLUDED for r in reports),

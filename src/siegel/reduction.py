@@ -88,7 +88,7 @@ class ReductionResult:
             "iterations": self.iterations,
             "status": self.status,
             "b": [float(x) for x in b_from_a(a)],
-            "u_max": float(np.max(np.abs(u[iu]))) if iu[0].size else 0.0,
+            "u_max": float(np.max(np.abs(u[iu]))),
         }
 
 

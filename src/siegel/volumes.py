@@ -1,7 +1,7 @@
 """Exact symbolic volumes and their log-space evaluation.
 
-Every closed-form quantity here is a product of: a rational coefficient,
-rational powers of 2, 3 and pi, and integer powers of zeta(i) and i!.
+Every closed-form quantity here is a product of rational powers of 2, 3
+and pi and integer powers of zeta(i) and i!.
 :class:`SymbolicVolume` keeps those exponents exact (Fractions and ints),
 so identities between formulas can be checked with zero drift; floats
 only appear when ``log_value``/``value`` are called.
@@ -121,14 +121,6 @@ def _gamma_half(indices, exp: int) -> tuple[dict, int, int]:
     return fact, pow2, half_pi
 
 
-def _adic_split(value: int, base: int) -> tuple[int, int]:
-    exp = 0
-    while value % base == 0:
-        value //= base
-        exp += 1
-    return value, exp
-
-
 def _check_indices(exponents: dict, least: int, atom: str) -> None:
     """Every key of an exponent map is an integer index >= ``least``."""
     if exponents and not (
@@ -161,15 +153,13 @@ class SymbolicVolume:
     floats.  Multiplication and division add exponents exactly; nothing is
     rounded until ``log_value``/``value``.
 
-    Every instance is canonical from construction on: the coefficient is
-    coprime to 6 (its powers of 2 and 3 move to ``pow2``/``pow3``), 0! and
-    1! are dropped and 2! becomes a power of 2, numeric bases that are
-    powers of 2 and 3 fold into those, and no exponent is zero.  Equal
+    Every instance is canonical from construction on: 0! and 1! are
+    dropped and 2! becomes a power of 2, numeric bases that are powers of
+    2 and 3 fold into those, and no exponent is zero.  Equal
     quantities therefore have equal fields, and the dataclass ``==`` is
     exact.
     """
 
-    coeff: Fraction = Fraction(1)
     pow2: Fraction = Fraction(0)
     pow3: Fraction = Fraction(0)
     pow_pi: Fraction = Fraction(0)
@@ -181,26 +171,15 @@ class SymbolicVolume:
         # The one folding rule.  Each step sets only what it changes, so
         # products and powers of canonical instances pass with a few checks.
         fold = partial(object.__setattr__, self)
-        for name in ("coeff", "pow2", "pow3", "pow_pi"):
+        for name in ("pow2", "pow3", "pow_pi"):
             if type(getattr(self, name)) is not Fraction:
                 fold(name, Fraction(getattr(self, name)))
-        c = self.coeff
-        if not c:
-            raise InvalidArgumentError("volumes are nonzero")
         _check_indices(self.zeta_pow, 2, "zeta")
         _check_indices(self.factorial, 0, "factorial")
         if self.numeric and not all(0.0 < base < math.inf for base in self.numeric):
             raise InvalidArgumentError(
                 f"numeric bases must be positive and finite, got {list(self.numeric)}"
             )
-        if math.gcd(c.numerator * c.denominator, 6) != 1:
-            num, a2 = _adic_split(c.numerator, 2)
-            num, a3 = _adic_split(num, 3)
-            den, b2 = _adic_split(c.denominator, 2)
-            den, b3 = _adic_split(den, 3)
-            fold("coeff", Fraction(num, den))
-            fold("pow2", self.pow2 + (a2 - b2))
-            fold("pow3", self.pow3 + (a3 - b3))
         if not all(self.zeta_pow.values()):
             fold("zeta_pow", {i: e for i, e in self.zeta_pow.items() if e})
         fact = self.factorial
@@ -220,7 +199,6 @@ class SymbolicVolume:
 
     def __mul__(self, other: "SymbolicVolume") -> "SymbolicVolume":
         return SymbolicVolume(
-            coeff=self.coeff * other.coeff,
             pow2=self.pow2 + other.pow2,
             pow3=self.pow3 + other.pow3,
             pow_pi=self.pow_pi + other.pow_pi,
@@ -236,7 +214,6 @@ class SymbolicVolume:
         if not isinstance(exp, int):
             raise InvalidArgumentError("only integer powers of expressions")
         return SymbolicVolume(
-            coeff=self.coeff**exp,
             pow2=self.pow2 * exp,
             pow3=self.pow3 * exp,
             pow_pi=self.pow_pi * exp,
@@ -248,13 +225,10 @@ class SymbolicVolume:
     # --- evaluation ---
 
     def log_value(self) -> float:
-        """Natural log of the absolute value: the correctly rounded sum
-        (``math.fsum``) of one term per atom, so equal expressions evaluate
-        to equal floats whatever order their factors were added in."""
-        c = self.coeff
+        """Natural log: the correctly rounded sum (``math.fsum``) of one term
+        per atom, so equal expressions evaluate to equal floats whatever
+        order their factors were added in."""
         terms = [
-            math.log(abs(c.numerator)),
-            -math.log(c.denominator),
             float(self.pow2) * _LN2,
             float(self.pow3) * _LN3,
             float(self.pow_pi) * _LNPI,
@@ -264,15 +238,12 @@ class SymbolicVolume:
         terms += [float(e) * math.log(base) for base, e in self.numeric.items()]
         return math.fsum(terms)
 
-    def sign(self) -> int:
-        return -1 if self.coeff < 0 else 1
-
     def value(self) -> float:
         """Binary64 value; overflows to inf for astronomically large results."""
         log = self.log_value()
         if log > 709.0:
-            return math.inf * self.sign()
-        return self.sign() * math.exp(log)
+            return math.inf
+        return math.exp(log)
 
     # --- pretty printing ---
 
@@ -289,8 +260,6 @@ class SymbolicVolume:
 
     def __str__(self) -> str:
         parts = []
-        if self.coeff != 1:
-            parts.append(str(self.coeff))
         if self.pow2:
             parts.append(self._pow_str("2", self.pow2))
         if self.pow3:
@@ -344,7 +313,7 @@ def vol_siegel(n: int, p: SiegelParams = MINIMAL_PARAMS) -> SymbolicVolume:
     if n < 2:
         raise InvalidArgumentError("n must be >= 2")
     return vol_so(n) * SymbolicVolume(
-        coeff=Fraction(1, 2),
+        pow2=-1,
         factorial={n - 1: -2},
         numeric=_add({2.0 * p.lam: Fraction(n * (n - 1), 2)}, {p.t: Fraction(n * (n * n - 1), 6)}),
     )

@@ -67,7 +67,7 @@ def gamma_half(i: int, exp: int = 1) -> SymbolicVolume:
 
 def sphere_volume(m: int) -> SymbolicVolume:
     """Surface volume of the unit sphere S^m: 2 pi^((m+1)/2) / Gamma((m+1)/2)."""
-    return SymbolicVolume(coeff=2, pow_pi=Fraction(m + 1, 2)) / gamma_half(m + 1)
+    return SymbolicVolume(pow2=1, pow_pi=Fraction(m + 1, 2)) / gamma_half(m + 1)
 
 
 def vol_so_recursive(n: int) -> SymbolicVolume:

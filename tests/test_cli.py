@@ -24,6 +24,7 @@ def test_volume_quotient_n2(capsys):
         doc["result"]["value"], math.sqrt(2.0) * math.pi**2 / 6.0, rel_tol=1e-12
     )
     assert doc["result"]["form_check"]["agrees"] is False
+    assert "t" not in doc["result"] and "lambda" not in doc["result"]
 
 
 def test_volume_so_n2(capsys):
@@ -71,16 +72,6 @@ def test_sample_report_embeds_config(capsys):
     assert doc["config"]["tool_version"]
     assert "tolerances" in doc["config"]
     assert len(doc["result"]["samples"]) == 2
-
-
-def test_seed_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("SIEGEL_SEED", "123")
-    code, out, _ = run_cli(capsys, "bounds", "--n", "2")
-    assert code == 0
-    assert json.loads(out)["config"]["seed"] == 123
-    # explicit --seed wins over the environment
-    code, out, _ = run_cli(capsys, "bounds", "--n", "2", "--seed", "5")
-    assert json.loads(out)["config"]["seed"] == 5
 
 
 def test_determinism_byte_identical(capsys):
@@ -245,9 +236,20 @@ def test_load_config_reports_parse_position(tmp_path):
 def test_config_file_drives_run(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"seed": 11, "output_format": "pretty"}))
-    code, out, _ = run_cli(capsys, "--config", str(path), "bounds", "--n", "2")
+    sample = ("sample", "--what", "point", "--n", "2")
+    code, out, _ = run_cli(capsys, "--config", str(path), *sample)
     assert code == 0
     assert '"seed": 11' in out  # pretty-printed
+    # an explicit --seed beats the config's
+    code, out, _ = run_cli(capsys, "--config", str(path), *sample, "--seed", "5")
+    assert code == 0
+    assert '"seed": 5' in out
+    path.write_text(json.dumps({"seed": 11}))
+    code, out, _ = run_cli(capsys, "--config", str(path), "enumerate-intersections",
+                           "--n", "2", "--max-height", "0")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config"]["seed"] == doc["summary"]["seed"] == 11
 
 
 def test_malformed_config_is_a_clean_failure(tmp_path, capsys):
@@ -323,3 +325,60 @@ def test_a_integral_default_count_runs(capsys):
     assert code == 0
     result = json.loads(out)["result"]
     assert result["count"] == DEFAULT_MC_SAMPLES == result["report"]["samples"]
+
+
+_COMMANDS = {
+    "volume": ("volume", "--object", "so", "--n", "2"),
+    "growth-table": ("growth-table", "--n-max", "3"),
+    "decompose": ("decompose", "--input", "m.json"),
+    "reduce": ("reduce", "--input", "m.json"),
+    "sample": ("sample", "--what", "rotation", "--n", "2"),
+    "enumerate-intersections": ("enumerate-intersections", "--n", "2", "--max-height", "0"),
+    "bounds": ("bounds", "--n", "2"),
+}
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_each_command_takes_only_the_settings_it_reads(tmp_path, capsys, monkeypatch, command):
+    # no command takes --threads; --seed belongs to the two commands that
+    # draw random numbers, and only their reports echo a seed
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.json").write_text(json.dumps(matrix_to_json_dict(np.eye(2))))
+    argv = _COMMANDS[command]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    seeded = command in ("sample", "enumerate-intersections")
+    assert ("seed" in json.loads(out.splitlines()[-1])["config"]) is seeded
+    for extra in (argv + ("--threads", "1"), ("--threads", "1") + argv):
+        assert run_cli(capsys, *extra)[:2] == (2, "")
+    code, out, _ = run_cli(capsys, *argv, "--seed", "5")
+    if seeded:
+        assert code == 0 and json.loads(out.splitlines()[-1])["config"]["seed"] == 5
+    else:
+        assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *[("volume", "--object", obj, "--n", "2", flag, "0.9")
+          for obj in ("so", "quotient", "ratio", "symmetric", "harder", "norm-ratio")
+          for flag in ("--t", "--lambda")],
+        *[("sample", "--what", "rotation", "--n", "2", flag, "0.9")
+          for flag in ("--t", "--lambda", "--b-min")],
+        ("sample", "--what", "a-integral", "--n", "2", "--count", "2", "--lambda", "0.9"),
+    ],
+    ids=" ".join,
+)
+def test_flags_a_mode_does_not_read_are_refused(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "MalformedConfigError"
+
+
+def test_siegel_volume_echoes_the_parameters_it_read(capsys):
+    argv = ("volume", "--object", "siegel", "--n", "3")
+    result = json.loads(run_cli(capsys, *argv)[1])["result"]
+    assert (result["t"], result["lambda"]) == (2.0 / math.sqrt(3.0), 0.5)
+    result = json.loads(run_cli(capsys, *argv, "--t", "1.7", "--lambda", "0.3")[1])["result"]
+    assert (result["t"], result["lambda"]) == (1.7, 0.3)

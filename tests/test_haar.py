@@ -11,6 +11,7 @@ from siegel.errors import (
     NonPositiveEntryError,
     ToleranceNotMetError,
 )
+from siegel import haar
 from siegel.haar import (
     RngStream,
     a_integral_mc,
@@ -176,9 +177,10 @@ def test_quadrature_matches_closed_form(n, t):
     assert abs(q - c) / c <= 1e-10
 
 
-def test_quadrature_rejects_impossible_tolerance():
-    with pytest.raises((ToleranceNotMetError, InvalidArgumentError)):
-        a_integral_quadrature(3, T_MIN, rel_tol=0.0)
+def test_quadrature_rejects_impossible_tolerance(monkeypatch):
+    monkeypatch.setattr(haar, "_QUADRATURE_REL_TOL", 0.0)
+    with pytest.raises(ToleranceNotMetError):
+        a_integral_quadrature(3, T_MIN)
 
 
 def test_mc_estimate_n2_matches_truncated_exact():

@@ -74,7 +74,7 @@ def test_zeta_domain_errors():
 # --- symbolic algebra ---
 
 def test_symbolic_equality_is_structural():
-    four_pi = SymbolicVolume(coeff=4) * SymbolicVolume(pow_pi=1)
+    four_pi = SymbolicVolume(numeric={4.0: 1}) * SymbolicVolume(pow_pi=1)
     also = SymbolicVolume(pow2=2) * SymbolicVolume(pow_pi=1)
     assert four_pi == also
     assert str(also) == "2^2 * pi"
@@ -89,7 +89,7 @@ def test_symbolic_equality_is_structural():
 )
 def test_symbolic_log_matches_direct_evaluation(p, q, e, i):
     expr = (
-        SymbolicVolume(coeff=Fraction(p, q))
+        SymbolicVolume(numeric={p / q: 1})
         * SymbolicVolume(pow_pi=Fraction(e, 2))
         * SymbolicVolume(zeta_pow={i: 1})
         * SymbolicVolume(factorial={i: e})
@@ -125,18 +125,17 @@ def test_construction_folds_trivial_factorials():
     assert x == SymbolicVolume(pow2=5) * SymbolicVolume(factorial={9: 1})
 
 
-def test_construction_folds_coefficient_and_exact_numeric_bases():
-    x = SymbolicVolume(coeff=Fraction(-72, 35), pow2=1, numeric={2.0: 3, 1.7: 0, 4.0: Fraction(1, 2)})
-    assert (x.coeff, x.pow2, x.pow3, x.numeric) == (Fraction(-1, 35), 8, 2, {})
-    assert all(type(v) is Fraction for v in (x.coeff, x.pow2, x.pow3, x.pow_pi))
-    assert x == SymbolicVolume(coeff=Fraction(-1, 35)) * SymbolicVolume(pow2=8) * SymbolicVolume(pow3=2)
+def test_construction_folds_exact_numeric_bases():
+    x = SymbolicVolume(pow2=1, numeric={2.0: 3, 0.5: -3, 1.7: 0, 4.0: Fraction(1, 2), 3.0: 2})
+    assert (x.pow2, x.pow3, x.numeric) == (8, 2, {})
+    assert all(type(v) is Fraction for v in (x.pow2, x.pow3, x.pow_pi))
+    assert x == SymbolicVolume(pow2=8) * SymbolicVolume(pow3=2)
     t = SymbolicVolume(numeric={2.0 / math.sqrt(3.0): 6})
     assert (t.pow2, t.pow3, t.numeric) == (6, -3, {})
 
 
 def test_constructor_domain_errors():
     for bad in (
-        lambda: SymbolicVolume(coeff=0),
         lambda: SymbolicVolume(zeta_pow={1: 1}),
         lambda: SymbolicVolume(zeta_pow={2.5: 1}),
         lambda: SymbolicVolume(factorial={-1: 1}),
