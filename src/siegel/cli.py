@@ -2,12 +2,16 @@
 deterministic, machine-readable output.
 
 Subcommands: decompose, reduce, volume, growth-table, sample,
-enumerate-intersections, bounds.  One JSON document (or CSV table) per
-invocation on stdout.  A command accepts only the settings it reads, and
-its report echoes only those: the seed where random numbers are drawn
-(sample, enumerate-intersections), the tolerance overrides the command
-applied, and always the tool version, so runs can be reproduced byte for
-byte.
+enumerate-intersections, bounds.  Each command returns its report and
+:func:`run` alone writes it to stdout: one JSON document per invocation
+(enumerate-intersections first writes one per candidate), on one line
+under ``--format json`` and indented under ``pretty``.  Only
+growth-table writes ``csv``; every other command refuses it.  A command
+accepts only the settings it reads, and its report echoes only those:
+the seed where random numbers are drawn (sample,
+enumerate-intersections), the tolerance overrides the command applied,
+t and lambda where volume and sample read them, and always the tool
+version, so runs can be reproduced byte for byte.
 Exit codes: 0 success, 1 computation error, 2 usage error.
 """
 
@@ -27,7 +31,7 @@ from .haar import (
     RngStream,
     a_integral_mc,
     a_integral_quadrature,
-    sample_haar_so,
+    sample_haar_so_batch,
     sample_siegel_block,
 )
 from .iwasawa import (
@@ -176,22 +180,6 @@ def _read_matrix(path: str) -> np.ndarray:
         return matrix_from_json_dict(json.load(fh))
 
 
-def _emit_json(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
-
-
-def _emit_pretty(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-
-def _report(config: RunConfig, command: str, result: dict, fmt: str) -> None:
-    doc = {"command": command, "config": config.report_header(command), "result": result}
-    if fmt == "pretty":
-        _emit_pretty(doc)
-    else:
-        _emit_json(doc)
-
-
 #: volume object -> (builder of its expression from n, the check of its
 #: published simplification or None); only ``siegel`` also reads (t, lambda)
 _VOLUMES = {
@@ -205,7 +193,7 @@ _VOLUMES = {
 }
 
 
-def _cmd_volume(args, config: RunConfig, fmt: str) -> int:
+def _cmd_volume(args, config: RunConfig) -> dict:
     build, form_check = _VOLUMES[args.object]
     result: dict = {"object": args.object, "n": args.n}
     if args.object == "siegel":
@@ -215,61 +203,39 @@ def _cmd_volume(args, config: RunConfig, fmt: str) -> int:
     else:
         _refuse(args, f"--object {args.object}", "t", "lam")
         expr = build(args.n)
-    log = expr.log_value()
-    result.update(expression=str(expr), log_value=log, value=expr.value())
+    result.update(expression=str(expr), log_value=expr.log_value(), value=expr.value())
     if form_check is not None:
         result["form_check"] = form_check(args.n).to_json_dict()
-    if fmt == "pretty":
-        sys.stdout.write(f"{result['expression']}\n= {result['value']!r} (log {log!r})\n")
-        if "form_check" in result:
-            fc = result["form_check"]
-            tag = "agrees" if fc["agrees"] else "DOCUMENTED DISCREPANCY"
-            sys.stdout.write(
-                f"published simplification {tag}: log mismatch {fc['log_mismatch']!r}\n"
-            )
-        return 0
-    _report(config, "volume", result, fmt)
-    return 0
+    return result
 
 
-def _cmd_growth_table(args, config: RunConfig, fmt: str) -> int:
-    rows = growth_table(args.n_max)
-    if fmt == "csv":
-        sys.stdout.write(growth_table_csv(rows))
-        return 0
-    result = {"n_max": args.n_max, "rows": [r.to_json_dict() for r in rows]}
-    _report(config, "growth-table", result, fmt)
-    return 0
+def _cmd_growth_table(args, config: RunConfig) -> list:
+    return growth_table(args.n_max)
 
 
-def _cmd_decompose(args, config: RunConfig, fmt: str) -> int:
+def _cmd_decompose(args, config: RunConfig) -> dict:
     g = _read_matrix(args.input)
     tol = config.tolerances.get("membership_tol", 1e-9)
     f = decompose(g)
-    n = f.n
-    iu = np.triu_indices(n, k=1)
-    p = _siegel_params(args)
-    result = {
+    iu = np.triu_indices(f.n, k=1)
+    return {
         "k": matrix_to_json_dict(f.k),
         "a": [float(x) for x in f.a],
         "u": matrix_to_json_dict(f.u),
         "b": [float(x) for x in f.b],
         "u_max": float(np.max(np.abs(f.u[iu]))),
-        "membership": siegel_membership(g, p, tol),
+        # decompose has just run the det/condition guard on g
+        "membership": siegel_membership(g, _siegel_params(args), tol, check=False),
         "residuals": f.max_errors(g),
     }
-    _report(config, "decompose", result, fmt)
-    return 0
 
 
-def _cmd_reduce(args, config: RunConfig, fmt: str) -> int:
+def _cmd_reduce(args, config: RunConfig) -> dict:
     max_iter = _setting(args.max_iter, config.budgets, "max_iter")
-    res = siegel_reduce(_read_matrix(args.input), max_iter=max_iter)
-    _report(config, "reduce", res.to_json_dict(), fmt)
-    return 0
+    return siegel_reduce(_read_matrix(args.input), max_iter=max_iter).to_json_dict()
 
 
-def _cmd_sample(args, config: RunConfig, fmt: str) -> int:
+def _cmd_sample(args, config: RunConfig) -> dict:
     if args.what == "rotation":
         _refuse(args, "--what rotation", "t", "lam", "b_min")
     elif args.what == "a-integral":
@@ -284,58 +250,72 @@ def _cmd_sample(args, config: RunConfig, fmt: str) -> int:
             raise MalformedConfigError("--count must be >= 1")
     result: dict = {"what": args.what, "n": args.n, "count": count}
     if args.what == "rotation":
-        gen = stream.generator()
-        result["samples"] = [
-            matrix_to_json_dict(sample_haar_so(args.n, gen)) for _ in range(count)
-        ]
+        batch = sample_haar_so_batch(args.n, count, stream.generator())
+        result["samples"] = [matrix_to_json_dict(q) for q in batch]
     elif args.what == "point":
         b_min = args.b_min if args.b_min is not None else p.t * DEFAULT_B_MIN_FRACTION
-        result["b_min"] = b_min
+        result.update({"t": p.t, "lambda": p.lam, "b_min": b_min})
         block = sample_siegel_block(args.n, p, [b_min] * count, stream)
         result["samples"] = [block.point(i).to_json_dict() for i in range(count)]
     else:  # a-integral estimate
+        result["t"] = p.t
         rep = a_integral_mc(args.n, p.t, count, stream, b_min=args.b_min)
         result["report"] = rep.to_json_dict()
         result["quadrature"] = a_integral_quadrature(args.n, p.t)
-    _report(config, "sample", result, fmt)
-    return 0
+    return result
 
 
-def _cmd_enumerate(args, config: RunConfig, fmt: str) -> int:
+def _cmd_enumerate(args, config: RunConfig) -> tuple:
     budget = _setting(args.budget, config.budgets, "budget_per_candidate", DEFAULT_BUDGET)
-    reports, summary = enumerate_intersections(
+    return enumerate_intersections(
         args.n,
-        _siegel_params(args),
         budget_per_candidate=budget,
         rng=RngStream(config.seed, 0),
         max_height=args.max_height,
     )
-    if fmt == "pretty":
-        for r in reports:
-            sys.stdout.write(f"{r.gamma.entries}  {r.status}\n")
-        sys.stdout.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
-        return 0
-    sys.stdout.write(reports_to_jsonl(reports))
-    doc = {
-        "command": "enumerate-intersections",
-        "config": config.report_header("enumerate-intersections"),
-        "summary": summary,
-    }
-    _emit_json(doc)
-    return 0
 
 
-def _cmd_bounds(args, config: RunConfig, fmt: str) -> int:
+def _cmd_bounds(args, config: RunConfig) -> dict:
     log_lower, log_upper = count_bounds(args.n)
-    result = {
+    return {
         "n": args.n,
         "log_lower": log_lower,
         "log_upper": log_upper,
         "log_height_bound": log_height_bound(args.n),
         "height_bound_variants": height_bound_variants(args.n),
     }
-    _report(config, "bounds", result, fmt)
-    return 0
+
+
+def _write(args, config: RunConfig, fmt: str, out) -> None:
+    """Write a command's report to stdout, the only place the CLI does.
+
+    ``csv`` is the growth table's rows.  ``json`` and ``pretty`` are the
+    same documents, compact or indented by 2: the ``command``, its
+    ``config`` header and its ``result``; ``enumerate-intersections``
+    first writes one document per candidate report (in ``json`` the lines
+    of :func:`reports_to_jsonl`) and then its ``summary`` in place of a
+    ``result``.
+    """
+    if fmt == "csv":
+        sys.stdout.write(growth_table_csv(out))
+        return
+    layout = {"indent": 2} if fmt == "pretty" else {"separators": (",", ":")}
+
+    def dumps(doc) -> str:
+        return json.dumps(doc, sort_keys=True, **layout) + "\n"
+
+    doc = {"command": args.command, "config": config.report_header(args.command)}
+    if args.command == "enumerate-intersections":
+        reports, doc["summary"] = out
+        if fmt == "json":
+            sys.stdout.write(reports_to_jsonl(reports))
+        else:
+            sys.stdout.write("".join(dumps(r.to_json_dict()) for r in reports))
+    elif args.command == "growth-table":
+        doc["result"] = {"n_max": args.n_max, "rows": [r.to_json_dict() for r in out]}
+    else:
+        doc["result"] = out
+    sys.stdout.write(dumps(doc))
 
 
 def _add_siegel_params(sub: argparse.ArgumentParser) -> None:
@@ -404,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--budget", type=int, default=None)
     sub.add_argument("--max-height", type=int, default=None)
-    _add_siegel_params(sub)
     sub.set_defaults(func=_cmd_enumerate)
 
     sub = commands.add_parser("bounds", parents=[common], help="two-sided intersection count bounds")
@@ -430,7 +409,10 @@ def run(argv: list[str]) -> int:
         if getattr(args, "seed", None) is not None:
             config.seed = args.seed
         fmt = args.format or config.output_format
-        return args.func(args, config, fmt)
+        if fmt == "csv" and args.command != "growth-table":
+            raise MalformedConfigError(f"{args.command} does not write csv; only growth-table does")
+        _write(args, config, fmt, args.func(args, config))
+        return 0
     except SiegelError as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, MalformedConfigError) and exc.line is not None:

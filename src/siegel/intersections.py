@@ -14,7 +14,12 @@ seeded importance sampling plus local refinement, and exhaustively
 enumerates the small-n candidate set together with the two-sided count
 bounds.  The search is one-sided: it can certify membership in the
 intersecting set, and can exclude only via the height bound; everything
-else stays ``unknown``.  Boundary probes, random samples and refinement
+else stays ``unknown``.  The bounds are those of the canonical Siegel
+set (t = 2/sqrt(3), lambda = 1/2): :func:`find_witness` takes any set
+inside it, where an element above the height bound still cannot
+intersect, and refuses a larger one; :func:`enumerate_intersections`
+searches the canonical set alone, the one its lower bound ceil(C(n))
+counts for.  Boundary probes, random samples and refinement
 trials are scored in stacks by the batched membership kernel; hits are
 still taken in sample order, so verdicts do not depend on block
 boundaries.
@@ -364,7 +369,10 @@ def find_witness(
     trace and the search continues, so a ``witnessed`` verdict is always
     backed by a clean trace.  Larger budgets extend the same sample sequence, so
     verdicts never regress from witnessed to unknown.  A ``budget`` that is
-    not an integer >= 0 raises :class:`InvalidArgumentError`.
+    not an integer >= 0 raises :class:`InvalidArgumentError`, and so does
+    a ``p`` with ``t`` or ``lam`` above :data:`MINIMAL_PARAMS`: the height
+    bound is proved for the canonical set, and so for every set inside
+    it, but not for a larger one.
 
     Evaluation is batched, the order is not: all probes are scored as one
     stack, random points are drawn and scored in blocks that double from
@@ -374,6 +382,12 @@ def find_witness(
     whatever the block boundaries.
     """
     budget = as_count(budget, "budget")
+    if p.t > MINIMAL_PARAMS.t or p.lam > MINIMAL_PARAMS.lam:
+        raise InvalidArgumentError(
+            f"the height bound holds only inside the canonical Siegel set "
+            f"(t <= {MINIMAL_PARAMS.t!r}, lambda <= {MINIMAL_PARAMS.lam!r}), "
+            f"got t={p.t!r}, lambda={p.lam!r}"
+        )
     if rng is None:
         rng = RngStream(0, 0)
     n = gamma.n
@@ -492,19 +506,21 @@ def count_bounds(n: int) -> tuple[float, float]:
 
 def enumerate_intersections(
     n: int,
-    p: SiegelParams = MINIMAL_PARAMS,
     budget_per_candidate: int = DEFAULT_BUDGET,
     rng: RngStream | None = None,
     *,
     max_height: int | None = None,
 ) -> tuple[list[IntersectionReport], dict]:
-    """Run the witness search over every candidate of height up to the bound.
+    """Run the witness search for the canonical Siegel set
+    (:data:`MINIMAL_PARAMS`) over every candidate of height up to the bound.
 
-    Candidates are exactly the SL(n,Z) elements with height at most
-    floor(height_bound(n)) (overridable via ``max_height``; at n = 3 the
-    full bound is 81 and the exhaustive grid is astronomically large, so
-    practical runs cap it).  Each candidate owns the stream
-    (seed, candidate_index), so reports are deterministic.
+    The canonical set is the one both count bounds are stated for: the
+    height bound that fixes the candidates and excludes, and the volume
+    ratio behind ``lower_bound``.  Candidates are exactly the SL(n,Z)
+    elements with height at most floor(height_bound(n)) (overridable via
+    ``max_height``; at n = 3 the full bound is 81 and the exhaustive grid
+    is astronomically large, so practical runs cap it).  Each candidate
+    owns the stream (seed, candidate_index), so reports are deterministic.
     """
     if n < 2:
         raise InvalidArgumentError("n must be >= 2")
@@ -516,7 +532,7 @@ def enumerate_intersections(
     cap = int(math.floor(height_bound(n))) if max_height is None else int(max_height)
     candidates = sl_candidates(n, cap)
     reports = [
-        find_witness(gamma, p, budget_per_candidate, RngStream(rng.seed, idx))
+        find_witness(gamma, MINIMAL_PARAMS, budget_per_candidate, RngStream(rng.seed, idx))
         for idx, gamma in enumerate(candidates)
     ]
     counts = {

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from siegel.cli import DEFAULT_MC_SAMPLES, RunConfig, load_config, run
+from siegel.haar import RngStream, sample_haar_so
 from siegel.errors import MalformedConfigError
 from siegel.iwasawa import matrix_to_json_dict
 
@@ -102,7 +103,7 @@ def test_computation_error_exit_code(tmp_path, capsys):
     [
         ("decompose", "--t", "inf"),
         ("decompose", "--lambda", "inf"),
-        ("enumerate-intersections", "--n", "2", "--budget", "0", "--t", "inf"),
+        ("sample", "--what", "point", "--n", "2", "--t", "inf"),
         ("volume", "--object", "siegel", "--n", "3", "--lambda", "inf"),
     ],
 )
@@ -333,7 +334,8 @@ _COMMANDS = {
     "decompose": ("decompose", "--input", "m.json"),
     "reduce": ("reduce", "--input", "m.json"),
     "sample": ("sample", "--what", "rotation", "--n", "2"),
-    "enumerate-intersections": ("enumerate-intersections", "--n", "2", "--max-height", "0"),
+    "enumerate-intersections": ("enumerate-intersections", "--n", "2", "--max-height", "1",
+                                "--budget", "0"),
     "bounds": ("bounds", "--n", "2"),
 }
 
@@ -382,3 +384,75 @@ def test_siegel_volume_echoes_the_parameters_it_read(capsys):
     assert (result["t"], result["lambda"]) == (2.0 / math.sqrt(3.0), 0.5)
     result = json.loads(run_cli(capsys, *argv, "--t", "1.7", "--lambda", "0.3")[1])["result"]
     assert (result["t"], result["lambda"]) == (1.7, 0.3)
+
+
+def _documents(text):
+    """Every JSON document of a stdout, in order, however it is laid out."""
+    decoder, docs, at = json.JSONDecoder(), [], 0
+    while text[at:].strip():
+        at += len(text[at:]) - len(text[at:].lstrip())
+        doc, at = decoder.raw_decode(text, at)
+        docs.append(doc)
+    return docs
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_pretty_writes_the_json_documents_indented(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.json").write_text(json.dumps(matrix_to_json_dict(np.eye(2))))
+    code, out, _ = run_cli(capsys, *_COMMANDS[command])
+    assert code == 0
+    code, pretty, _ = run_cli(capsys, *_COMMANDS[command], "--format", "pretty")
+    assert code == 0
+    docs = _documents(out)
+    assert _documents(pretty) == docs
+    assert docs[-1]["command"] == command and "config" in docs[-1]
+    assert pretty == "".join(json.dumps(d, sort_keys=True, indent=2) + "\n" for d in docs)
+    if command == "enumerate-intersections":
+        assert len(docs) > 1 and all("config" not in d for d in docs[:-1])
+
+
+@pytest.mark.parametrize("command", [c for c in _COMMANDS if c != "growth-table"])
+def test_only_growth_table_writes_csv(tmp_path, capsys, monkeypatch, command):
+    # refused before anything is computed: decompose and reduce would
+    # otherwise fail on their missing input file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"output_format": "csv"}))
+    argv = _COMMANDS[command]
+    for extra in (("--format", "csv") + argv, argv + ("--format", "csv"),
+                  ("--config", "cfg.json") + argv):
+        code, out, err = run_cli(capsys, *extra)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "MalformedConfigError"
+
+
+@pytest.mark.parametrize("flag", ["--t", "--lambda"])
+def test_enumerate_takes_no_siegel_parameters(capsys, flag):
+    # its bounds are those of the canonical Siegel set alone
+    argv = _COMMANDS["enumerate-intersections"] + (flag, "0.4")
+    assert run_cli(capsys, *argv)[:2] == (2, "")
+
+
+def test_sample_echoes_the_parameters_it_read(capsys):
+    def result(*argv):
+        code, out, _ = run_cli(capsys, "sample", "--n", "2", "--count", "2", *argv)
+        assert code == 0
+        return json.loads(out)["result"]
+
+    point = result("--what", "point", "--t", "1.4", "--lambda", "0.7")
+    assert (point["t"], point["lambda"], point["b_min"]) == (1.4, 0.7, 1.4 / 16)
+    point = result("--what", "point")
+    assert (point["t"], point["lambda"]) == (2.0 / math.sqrt(3.0), 0.5)
+    estimate = result("--what", "a-integral", "--t", "1.4")
+    assert estimate["t"] == 1.4 and "lambda" not in estimate
+    rotation = result("--what", "rotation")
+    assert "t" not in rotation and "lambda" not in rotation
+
+
+def test_rotation_samples_are_sequential_haar_draws(capsys):
+    code, out, _ = run_cli(capsys, "sample", "--what", "rotation", "--n", "3",
+                           "--count", "4", "--seed", "7")
+    assert code == 0
+    gen = RngStream(7, 0).generator()
+    expected = [matrix_to_json_dict(sample_haar_so(3, gen)) for _ in range(4)]
+    assert json.loads(out)["result"]["samples"] == expected

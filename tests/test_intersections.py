@@ -29,6 +29,7 @@ from siegel.intersections import (
 )
 from siegel.iwasawa import (
     MINIMAL_PARAMS,
+    SiegelParams,
     UnimodularIntMatrix,
     decompose,
     membership_excess,
@@ -219,6 +220,22 @@ def test_find_witness_large_shear_excluded_by_height_bound():
     assert rep.status == STATUS_EXCLUDED
     assert rep.witness is None
     assert any(c.name == "height_bound" and not c.passed for c in rep.filter_trace)
+
+
+def test_find_witness_refuses_a_set_beyond_the_canonical_one():
+    # at lambda = 20 both s = I and gamma @ s are members, so gamma
+    # intersects although it is far above the height bound: the bound
+    # proves nothing for a set larger than the canonical one
+    gamma = UnimodularIntMatrix([[1, 15], [0, 1]])
+    wide = SiegelParams(MINIMAL_PARAMS.t, 20.0)
+    assert gamma.height() > height_bound(2)
+    assert membership_excess(np.eye(2), wide) < 0
+    assert membership_excess(gamma.to_array(), wide) < 0
+    for p in (wide, SiegelParams(1.2, MINIMAL_PARAMS.lam)):
+        with pytest.raises(InvalidArgumentError, match="canonical"):
+            find_witness(gamma, p, budget=0)
+    # inside the canonical set the bound still excludes
+    assert find_witness(gamma, SiegelParams(1.0, 0.4), budget=0).status == STATUS_EXCLUDED
 
 
 def test_witnessed_never_violates_height_bound():
