@@ -10,8 +10,8 @@ growth-table writes ``csv``; every other command refuses it.  A command
 accepts only the settings it reads, and its report echoes only those:
 the seed where random numbers are drawn (sample,
 enumerate-intersections), the tolerance overrides the command applied,
-t and lambda where volume and sample read them, and always the tool
-version, so runs can be reproduced byte for byte.
+t and lambda where decompose, volume and sample read them, and always
+the tool version, so runs can be reproduced byte for byte.
 Exit codes: 0 success, 1 computation error, 2 usage error.
 """
 
@@ -216,6 +216,7 @@ def _cmd_growth_table(args, config: RunConfig) -> list:
 def _cmd_decompose(args, config: RunConfig) -> dict:
     g = _read_matrix(args.input)
     tol = config.tolerances.get("membership_tol", 1e-9)
+    p = _siegel_params(args)
     f = decompose(g)
     iu = np.triu_indices(f.n, k=1)
     return {
@@ -225,7 +226,9 @@ def _cmd_decompose(args, config: RunConfig) -> dict:
         "b": [float(x) for x in f.b],
         "u_max": float(np.max(np.abs(f.u[iu]))),
         # decompose has just run the det/condition guard on g
-        "membership": siegel_membership(g, _siegel_params(args), tol, check=False),
+        "membership": siegel_membership(g, p, tol, check=False),
+        "t": p.t,
+        "lambda": p.lam,
         "residuals": f.max_errors(g),
     }
 

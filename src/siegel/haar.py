@@ -172,10 +172,12 @@ def sample_siegel_block(n: int, p: SiegelParams, b_lows, rng) -> SiegelPointBloc
     """Draw one coordinate point per entry of ``b_lows``: b log-uniform on
     [b_lows[i], t], u uniform on the lam-box, k Haar on SO(n).
 
-    Each row draws b, then u, then the n*n normals of its rotation, so a
-    block of m rows consumes the stream exactly as m blocks of one do and
-    gives the same points bit for bit; the Haar QR and sign fix run once
-    on the whole stack.
+    A block of m rows makes three generator calls whatever m is: all m*(n-1)
+    log b, then all m*n(n-1)/2 u entries, then the m*n*n normals of the
+    rotations, each row-major.  So the points depend on m, not only on the
+    stream: a block of m is not m blocks of one (a block of one is
+    :func:`sample_siegel_point`).  The Haar QR and sign fix run once on the
+    whole stack.
     """
     if n < 2:
         raise InvalidArgumentError("n must be >= 2")
@@ -186,14 +188,9 @@ def sample_siegel_block(n: int, p: SiegelParams, b_lows, rng) -> SiegelPointBloc
         raise InvalidRangeError(f"need 0 < b_min < t, got b_min={b_min}, t={p.t}")
     gen = _as_generator(rng)
     m = lows.size
-    log_t = math.log(p.t)
-    log_b = np.empty((m, n - 1))
-    u_vals = np.empty((m, n * (n - 1) // 2))
-    z = np.empty((m, n, n))
-    for i, lo in enumerate(lows.tolist()):
-        log_b[i] = gen.uniform(math.log(lo), log_t, size=n - 1)
-        u_vals[i] = gen.uniform(-p.lam, p.lam, size=u_vals.shape[1])
-        z[i] = gen.standard_normal((n, n))
+    log_b = gen.uniform(np.log(lows)[:, None], math.log(p.t), size=(m, n - 1))
+    u_vals = gen.uniform(-p.lam, p.lam, size=(m, n * (n - 1) // 2))
+    z = gen.standard_normal((m, n, n))
     return SiegelPointBlock(
         b=np.exp(log_b), u=unit_upper_stack(u_vals, n), k=_haar_so_from_normals(z)
     )

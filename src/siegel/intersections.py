@@ -21,8 +21,9 @@ intersect, and refuses a larger one; :func:`enumerate_intersections`
 searches the canonical set alone, the one its lower bound ceil(C(n))
 counts for.  Boundary probes, random samples and refinement
 trials are scored in stacks by the batched membership kernel; hits are
-still taken in sample order, so verdicts do not depend on block
-boundaries.
+still taken in sample order.  Random samples come in blocks of a fixed
+schedule, so each sample depends only on the seed and its index, never on
+the budget.
 
 Caveat on conventions: witnesses are verified against the k-left
 membership predicate (the one :func:`siegel.iwasawa.siegel_membership`
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as _iter_product
 
 import numpy as np
@@ -63,6 +65,7 @@ from .iwasawa import (
     UnimodularIntMatrix,
     _bareiss_det,
     _siegel_coordinates,
+    _strict_upper_indices,
     a_from_b,
     as_count,
     as_square_matrix,
@@ -259,17 +262,18 @@ class IntersectionReport:
         }
 
 
+@lru_cache(maxsize=None)
 def _probe_block(n: int, p: SiegelParams) -> SiegelPointBlock:
     """Deterministic first guesses: identity diagonal, every corner/center
     pattern of the unipotent box.  These sit exactly on the boundary, which
-    is where translate overlaps concentrate."""
+    is where translate overlaps concentrate.  Built once per (n, p); the
+    arrays are read-only because every search shares them."""
     patterns = np.array(list(_iter_product((0.0, -p.lam, p.lam), repeat=n * (n - 1) // 2)))
     count = patterns.shape[0]
-    return SiegelPointBlock(
-        b=np.ones((count, n - 1)),
-        u=unit_upper_stack(patterns, n),
-        k=np.broadcast_to(np.eye(n), (count, n, n)),
-    )
+    b = np.ones((count, n - 1))
+    u = unit_upper_stack(patterns, n)
+    b.flags.writeable = u.flags.writeable = False
+    return SiegelPointBlock(b=b, u=u, k=np.broadcast_to(np.eye(n), (count, n, n)))
 
 
 _SIGNS = np.array([1.0, -1.0])
@@ -293,7 +297,7 @@ def _refine_point(
     """
     n = b.size + 1
     log_t = math.log(p.t)
-    pairs = list(zip(*np.triu_indices(n, k=1)))
+    pairs = list(zip(*_strict_upper_indices(n)))
 
     def move_b(log_b, c, deltas):
         trials = np.repeat(log_b[None], 2, axis=0)
@@ -367,19 +371,23 @@ def find_witness(
     ``DEFAULT_WITNESS_TOL``.  A candidate witness only counts once the
     inequality chain passes on it; a chain violation is recorded in the
     trace and the search continues, so a ``witnessed`` verdict is always
-    backed by a clean trace.  Larger budgets extend the same sample sequence, so
-    verdicts never regress from witnessed to unknown.  A ``budget`` that is
-    not an integer >= 0 raises :class:`InvalidArgumentError`, and so does
-    a ``p`` with ``t`` or ``lam`` above :data:`MINIMAL_PARAMS`: the height
-    bound is proved for the canonical set, and so for every set inside
-    it, but not for a larger one.
+    backed by a clean trace.  Larger budgets extend the same sample
+    sequence, so a witnessed report stays the same report, byte for byte,
+    at every larger budget.  A ``budget`` that is not an integer >= 0
+    raises :class:`InvalidArgumentError`, and so does a ``p`` with ``t``
+    or ``lam`` above :data:`MINIMAL_PARAMS`: the height bound is proved
+    for the canonical set, and so for every set inside it, but not for a
+    larger one.
 
     Evaluation is batched, the order is not: all probes are scored as one
-    stack, random points are drawn and scored in blocks that double from
-    16, and refinement trials in stacks of two.  Hits are then taken in
-    index order and the first verified witness returns, so every verdict
-    and report is the one a point-by-point search gives, bit for bit,
-    whatever the block boundaries.
+    stack, random points are drawn in blocks of 16, 32, 64, ... (each in
+    three generator calls, see :func:`sample_siegel_block`), and
+    refinement trials are scored in stacks of two.  Every block is drawn
+    at its full size and only its first ``budget - drawn`` rows are
+    scored, so block contents depend only on the seed and the block index.
+    Hits are then taken in index order and the first verified witness
+    returns, so every verdict and report is the one a point-by-point
+    search of the same samples gives, bit for bit.
     """
     budget = as_count(budget, "budget")
     if p.t > MINIMAL_PARAMS.t or p.lam > MINIMAL_PARAMS.lam:
@@ -436,16 +444,19 @@ def find_witness(
     top_band = p.t / math.sqrt(2.0)
     drawn, size = 0, _FIRST_BLOCK
     while drawn < budget:
-        lows = [top_band if i % 2 else b_min for i in range(drawn, min(drawn + size, budget))]
-        block = sample_siegel_block(n, p, lows, gen)
-        sample_excess = membership_excess(gf @ block.group_elements(), p, check=False)
+        # block sizes are even, so row i of every block has the parity of
+        # its sample index
+        block = sample_siegel_block(n, p, np.tile([b_min, top_band], size // 2), gen)
+        # rows past the budget are drawn, never scored
+        s = block.group_elements()[: budget - drawn]
+        sample_excess = membership_excess(gf @ s, p, check=False)
         for i in np.flatnonzero(sample_excess <= NEAR_HIT):
             refined, final = _refine_point(gf, block.b[i], block.u[i], block.k[i], p)
             if final <= DEFAULT_WITNESS_TOL:
                 report = attempt(refined, final)
                 if report is not None:
                     return report
-        drawn += len(lows)
+        drawn += size
         size *= 2
     # chain failures from rejected near-witnesses stay visible in the trace
     return IntersectionReport(

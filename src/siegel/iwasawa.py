@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -323,6 +324,15 @@ def siegel_membership(g, p: SiegelParams, tol: float, *, check: bool = True) -> 
     return MEMBERSHIP_BOUNDARY
 
 
+@lru_cache(maxsize=None)
+def _strict_upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, k=1)``, built once per n; the arrays are
+    read-only because every caller shares them."""
+    rows, cols = np.triu_indices(n, k=1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def unit_upper_stack(vals: np.ndarray, n: int) -> np.ndarray:
     """Unit upper triangular (m, n, n) stack whose strict upper entries,
     in ``triu_indices`` order, are the rows of ``vals`` (m, n(n-1)/2)."""
@@ -330,6 +340,6 @@ def unit_upper_stack(vals: np.ndarray, n: int) -> np.ndarray:
     u = np.zeros(vals.shape[:-1] + (n, n))
     idx = np.arange(n)
     u[..., idx, idx] = 1.0
-    iu = np.triu_indices(n, k=1)
-    u[..., iu[0], iu[1]] = vals
+    rows, cols = _strict_upper_indices(n)
+    u[..., rows, cols] = vals
     return u

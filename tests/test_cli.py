@@ -98,6 +98,22 @@ def test_computation_error_exit_code(tmp_path, capsys):
     assert json.loads(err)["error"] == "NotUnimodularError"
 
 
+def test_decompose_echoes_the_siegel_params_it_reads(tmp_path, capsys):
+    # |u| = 0.6: outside the canonical lambda = 1/2, inside lambda = 0.7
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 2, "entries": [1.0, 0.6, 0.0, 1.0]}))
+    code, default, _ = run_cli(capsys, "decompose", "--input", str(path))
+    assert code == 0
+    code, wide, _ = run_cli(capsys, "decompose", "--input", str(path), "--lambda", "0.7")
+    assert code == 0
+    default, wide = json.loads(default), json.loads(wide)
+    assert default["config"] == wide["config"]
+    assert default["result"]["membership"] == "outside"
+    assert wide["result"]["membership"] == "inside"
+    assert (default["result"]["t"], default["result"]["lambda"]) == (2.0 / math.sqrt(3.0), 0.5)
+    assert (wide["result"]["t"], wide["result"]["lambda"]) == (2.0 / math.sqrt(3.0), 0.7)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

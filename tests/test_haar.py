@@ -23,7 +23,7 @@ from siegel.haar import (
     sample_siegel_point,
     siegel_density,
 )
-from siegel.iwasawa import MINIMAL_PARAMS
+from siegel.iwasawa import MINIMAL_PARAMS, unit_upper_stack
 
 from conftest import a_integral_closed_form
 
@@ -135,22 +135,65 @@ def test_sample_siegel_point_invariants():
         sample_siegel_point(3, p, 2.0 * p.t, gen)
 
 
-def test_block_draw_equals_sequential_point_draws():
+class CountingGenerator(np.random.Generator):
+    """A generator that counts its calls of each drawing method."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.calls = []
+
+    def uniform(self, *args, **kwargs):
+        self.calls.append("uniform")
+        return super().uniform(*args, **kwargs)
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls.append("standard_normal")
+        return super().standard_normal(*args, **kwargs)
+
+
+def test_block_of_one_is_a_point_draw():
+    # one row draws b, then u, then its normals, as a single point always
+    # has; the lows are the default b_min and the search's top band
+    p = MINIMAL_PARAMS
+    for n in (2, 3, 5):
+        for lo in (p.t / 16.0, p.t / math.sqrt(2.0)):
+            pt = sample_siegel_point(n, p, lo, RngStream(4, n))
+            got = sample_siegel_block(n, p, [lo], RngStream(4, n)).point(0)
+            gen = RngStream(4, n).generator()
+            b = np.exp(gen.uniform(math.log(lo), math.log(p.t), size=n - 1))
+            u_vals = gen.uniform(-p.lam, p.lam, size=n * (n - 1) // 2)
+            k = sample_haar_so(n, gen)
+            for name, want in (("b", b), ("u", unit_upper_stack(u_vals, n)), ("k", k)):
+                assert np.array_equal(getattr(got, name), want), (n, lo, name)
+                assert np.array_equal(getattr(pt, name), want), (n, lo, name)
+
+
+def test_block_draws_b_then_u_then_normals_as_whole_arrays():
     p = MINIMAL_PARAMS
     for n in (2, 3, 4, 5):
-        lows = [p.t / math.sqrt(2.0) if i % 2 else p.t / 16.0 for i in range(37)]
+        lows = np.tile([p.t / 16.0, p.t / math.sqrt(2.0)], 19)[:37]
         block = sample_siegel_block(n, p, lows, RngStream(21, n))
         gen = RngStream(21, n).generator()
+        log_b = gen.uniform(np.log(lows)[:, None], math.log(p.t), size=(37, n - 1))
+        u_vals = gen.uniform(-p.lam, p.lam, size=(37, n * (n - 1) // 2))
+        ks = sample_haar_so_batch(n, 37, gen)
         group = block.group_elements()
-        for i, lo in enumerate(lows):
-            pt = sample_siegel_point(n, p, lo, gen)
+        for i in range(37):
             got = block.point(i)
-            for name in ("b", "u", "k"):
-                assert np.array_equal(getattr(got, name), getattr(pt, name)), (n, i, name)
-            assert got.weight == pt.weight
-            assert np.array_equal(group[i], pt.to_group_element())
+            assert np.array_equal(got.b, np.exp(log_b[i])), (n, i)
+            assert np.array_equal(got.u, unit_upper_stack(u_vals[i], n)), (n, i)
+            assert np.array_equal(got.k, ks[i]), (n, i)
+            assert np.array_equal(group[i], got.to_group_element()), (n, i)
     with pytest.raises(InvalidRangeError):
         sample_siegel_block(3, p, [p.t / 16.0, p.t], RngStream(1))
+
+
+@pytest.mark.parametrize("m", [1, 2, 16, 257])
+def test_block_makes_three_generator_calls_whatever_its_size(m):
+    gen = CountingGenerator(5)
+    block = sample_siegel_block(3, MINIMAL_PARAMS, [0.1] * m, gen)
+    assert block.b.shape == (m, 2)
+    assert gen.calls == ["uniform", "uniform", "standard_normal"]
 
 
 def test_sample_siegel_point_materializes_as_member():
