@@ -8,6 +8,13 @@ ratio coordinates ``b[i] = a[i]/a[i+1]`` that Jacobian becomes
 samples Haar-uniform rotations and blocks of Siegel coordinate points, and provides
 two independent numerical integrators (product Gauss-Legendre quadrature
 and importance-sampled Monte Carlo) for the diagonal-block integral.
+
+The Monte Carlo weight of a draw is ``exp(log_b @ e)`` with ``e[i] = i*(n-i)``,
+accumulated relative to the largest log weight, so its sums neither overflow
+nor underflow.  Both integrators take ``n`` (and the sampler ``samples``) as
+integers by :func:`siegel.iwasawa.as_count`, reject a non-finite ``t``, and
+raise ``ToleranceNotMetError`` rather than return a value that is 0 or not
+finite in double precision.
 """
 
 from __future__ import annotations
@@ -23,7 +30,14 @@ from .errors import (
     NonPositiveEntryError,
     ToleranceNotMetError,
 )
-from .iwasawa import DET_TOL, SiegelParams, a_from_b, matrix_to_json_dict, unit_upper_stack
+from .iwasawa import (
+    DET_TOL,
+    SiegelParams,
+    a_from_b,
+    as_count,
+    matrix_to_json_dict,
+    unit_upper_stack,
+)
 
 _MASK64 = (1 << 64) - 1
 
@@ -224,22 +238,28 @@ def _gauss_legendre_block(n: int, t: float, nodes: int) -> float:
 _QUADRATURE_REL_TOL = 1e-10
 
 
+def _require_finite_t(t: float) -> None:
+    if not (math.isfinite(t) and t > 0.0):
+        raise InvalidArgumentError(f"t must be positive and finite, got {t!r}")
+
+
 def a_integral_quadrature(n: int, t: float) -> float:
     """Diagonal-block integral (1/2) * Int_{(0,t]^{n-1}} prod b**(i(n-i)-1) db.
 
     64-node Gauss-Legendre per dimension (exact for monomials up to degree
     127, far above the exponents for n <= 11); the result is certified by
-    agreement with a 32-node rule to ``_QUADRATURE_REL_TOL``.
+    agreement with a 32-node rule to ``_QUADRATURE_REL_TOL``.  A value that
+    is 0 or not finite in double precision is not certified either.
     """
+    n = as_count(n, "n")
     if n < 2:
         raise InvalidArgumentError("n must be >= 2")
-    if t <= 0.0:
-        raise InvalidArgumentError("t must be positive")
+    _require_finite_t(t)
     hi = _gauss_legendre_block(n, t, 64)
     lo = _gauss_legendre_block(n, t, 32)
-    if abs(hi - lo) > _QUADRATURE_REL_TOL * max(abs(hi), 1e-300):
+    if not (0.0 < hi < math.inf and abs(hi - lo) <= _QUADRATURE_REL_TOL * hi):
         raise ToleranceNotMetError(
-            f"quadrature orders disagree: {hi!r} vs {lo!r} (rel_tol={_QUADRATURE_REL_TOL})"
+            f"quadrature not certified: {hi!r} vs {lo!r} (rel_tol={_QUADRATURE_REL_TOL})"
         )
     return hi
 
@@ -288,11 +308,24 @@ def a_integral_mc(
     """Monte Carlo estimate of the same integral as :func:`a_integral_quadrature`.
 
     Draws b log-uniform on [b_min, t]^(n-1); each point carries weight
-    ``density(b) * prod(b)`` and the estimator multiplies the mean weight
-    by ``(1/2) * log(t/b_min)**(n-1)``.
+    ``density(b) * prod(b) = exp(log_b @ e)`` with ``e[i] = i*(n-i)``, and the
+    estimator multiplies the mean weight by ``(1/2) * log(t/b_min)**(n-1)``.
+
+    Each chunk of ``_MC_CHUNK`` draws is one uniform call, one matrix-vector
+    product and one ``exp`` per sample.  The weights are summed relative to
+    the chunk's largest log weight, the chunk sums are rescaled to the
+    overall largest one and combined with ``math.fsum``, and the scale
+    ``exp(log_scale + top)`` is applied once at the end, so neither the sums
+    nor the sums of squares overflow or underflow.  Raises
+    ``ToleranceNotMetError`` when the estimate is 0 or not finite, or its
+    standard error is not finite, in double precision; ``InvalidArgumentError``
+    for a non-integer ``n`` or ``samples`` or a non-finite ``t``.
     """
+    n = as_count(n, "n")
+    samples = as_count(samples, "samples")
     if n < 2:
         raise InvalidArgumentError("n must be >= 2")
+    _require_finite_t(t)
     if b_min is None:
         b_min = t * DEFAULT_B_MIN_FRACTION
     if not (0.0 < b_min < t):
@@ -300,26 +333,35 @@ def a_integral_mc(
     if samples < 2:
         raise InvalidArgumentError("need at least 2 samples")
     gen = rng.generator()
-    log_span = math.log(t / b_min)
-    exponents = siegel_density_exponents(n).astype(float) + 1.0  # density * prod(b)
-    scale = 0.5 * log_span ** (n - 1)
+    log_lo, log_hi = math.log(b_min), math.log(t)
+    exponents = siegel_density_exponents(n) + 1.0  # density * prod(b)
+    log_scale = math.log(0.5) + (n - 1) * math.log(log_hi - log_lo)
 
     done = 0
-    sums = []
-    sq_sums = []
+    tops, sums, sq_sums = [], [], []
     while done < samples:
         m = min(_MC_CHUNK, samples - done)
-        b = np.exp(gen.uniform(math.log(b_min), math.log(t), size=(m, n - 1)))
-        w = np.prod(b ** exponents[None, :], axis=1)
+        log_w = gen.uniform(log_lo, log_hi, size=(m, n - 1)) @ exponents
+        top = float(log_w.max())
+        w = np.exp(np.subtract(log_w, top, out=log_w), out=log_w)
+        tops.append(top)
         sums.append(float(np.sum(w)))
-        sq_sums.append(float(np.sum(w * w)))
+        sq_sums.append(float(np.dot(w, w)))
         done += m
-    total = math.fsum(sums)
-    total_sq = math.fsum(sq_sums)
+    top = max(tops)
+    total = math.fsum(s * math.exp(c - top) for s, c in zip(sums, tops))
+    total_sq = math.fsum(s * math.exp(2.0 * (c - top)) for s, c in zip(sq_sums, tops))
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0) * samples / (samples - 1)
-    estimate = scale * mean
-    std_error = scale * math.sqrt(var / samples)
+    with np.errstate(over="ignore"):
+        factor = float(np.exp(log_scale + top))
+    estimate = factor * mean
+    std_error = factor * math.sqrt(var / samples)
+    if not (0.0 < estimate < math.inf and math.isfinite(std_error)):
+        raise ToleranceNotMetError(
+            f"estimate {estimate!r} +- {std_error!r} is not a positive finite double: "
+            f"the log of its scale is {log_scale + top!r}"
+        )
     trunc = 1.0 - float(np.prod(1.0 - (b_min / t) ** exponents))
     return MonteCarloReport(
         estimate=estimate,

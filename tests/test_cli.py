@@ -337,6 +337,15 @@ def test_explicit_count_beats_config_mc_samples(tmp_path, capsys):
     assert samples() == 300
 
 
+def test_a_integral_beyond_double_range_exits_1_without_output(capsys):
+    # at n = 40 the estimate underflows and the quadrature overflows; the
+    # report once printed "quadrature":Infinity
+    code, out, err = run_cli(capsys, "sample", "--what", "a-integral", "--n", "40",
+                             "--count", "100")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ToleranceNotMetError"
+
+
 def test_a_integral_default_count_runs(capsys):
     code, out, _ = run_cli(capsys, "sample", "--what", "a-integral", "--n", "2")
     assert code == 0

@@ -1,4 +1,6 @@
 import math
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from siegel.errors import (
     InvalidArgumentError,
     InvalidRangeError,
     NonPositiveEntryError,
+    SiegelError,
     ToleranceNotMetError,
 )
 from siegel import haar
@@ -226,6 +229,43 @@ def test_quadrature_rejects_impossible_tolerance(monkeypatch):
         a_integral_quadrature(3, T_MIN)
 
 
+def test_quadrature_fails_closed():
+    # the 64- and 32-node rules both overflow at n = 40; inf - inf is nan
+    with pytest.raises(ToleranceNotMetError):
+        a_integral_quadrature(40, T_MIN)
+    for t in (math.nan, math.inf, 0.0):
+        with pytest.raises(InvalidArgumentError):
+            a_integral_quadrature(3, t)
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, True, np.float64(3.0)])
+def test_integrators_take_n_as_an_integer(n):
+    with pytest.raises(InvalidArgumentError):
+        a_integral_quadrature(n, T_MIN)
+    with pytest.raises(InvalidArgumentError):
+        a_integral_mc(n, T_MIN, 100, RngStream(0))
+
+
+def test_integrators_accept_numpy_integer_n():
+    assert a_integral_quadrature(np.int64(3), T_MIN) == a_integral_quadrature(3, T_MIN)
+    rep = a_integral_mc(np.int64(3), T_MIN, np.int64(100), RngStream(0))
+    assert rep == a_integral_mc(3, T_MIN, 100, RngStream(0))
+    assert type(rep.samples) is int
+
+
+@pytest.mark.parametrize("samples", [1e6, 100.0, True])
+def test_mc_takes_samples_as_an_integer(samples):
+    with pytest.raises(InvalidArgumentError):
+        a_integral_mc(3, T_MIN, samples, RngStream(0))
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_mc_rejects_a_non_finite_t_as_a_siegel_error(t):
+    # an infinite t once reached the generator and raised OverflowError
+    with pytest.raises(SiegelError):
+        a_integral_mc(2, t, 100, RngStream(0), b_min=0.1)
+
+
 def test_mc_estimate_n2_matches_truncated_exact():
     # exponent 0 in n = 2: the integral over [b_min, t] is (t - b_min)/2
     t, b_min = 1.0, 1.0 / 16.0
@@ -256,3 +296,67 @@ def test_mc_report_json_fields():
     doc = rep.to_json_dict()
     for key in ("estimate", "std_error", "samples", "seed", "b_min"):
         assert key in doc
+
+
+def product_form_mc(n, t, samples, rng, b_min):
+    """Test-only oracle: the estimator with ``exp`` of each draw, ``b**e`` and
+    a product per row, on the same draws in the same chunks."""
+    gen = rng.generator()
+    i = np.arange(1, n)
+    exponents = (i * (n - i)).astype(float)
+    sums, sq_sums, done = [], [], 0
+    while done < samples:
+        m = min(haar._MC_CHUNK, samples - done)
+        b = np.exp(gen.uniform(math.log(b_min), math.log(t), size=(m, n - 1)))
+        w = np.prod(b ** exponents[None, :], axis=1)
+        sums.append(float(np.sum(w)))
+        sq_sums.append(float(np.sum(w * w)))
+        done += m
+    mean = math.fsum(sums) / samples
+    var = max(math.fsum(sq_sums) / samples - mean * mean, 0.0) * samples / (samples - 1)
+    scale = 0.5 * math.log(t / b_min) ** (n - 1)
+    return scale * mean, scale * math.sqrt(var / samples)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_mc_log_space_weights_match_the_product_form(n):
+    samples = haar._MC_CHUNK + 3  # a full chunk and a chunk of three
+    b_min = T_MIN / 16.0
+    rep = a_integral_mc(n, T_MIN, samples, RngStream(31, n))
+    estimate, std_error = product_form_mc(n, T_MIN, samples, RngStream(31, n), b_min)
+    assert rep.b_min == b_min and rep.samples == samples
+    assert math.isclose(rep.estimate, estimate, rel_tol=1e-12)
+    assert math.isclose(rep.std_error, std_error, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("samples", [2, haar._MC_CHUNK, haar._MC_CHUNK + 3, 2 * haar._MC_CHUNK + 1])
+def test_mc_makes_one_uniform_call_per_chunk(samples):
+    gen = CountingGenerator(8)
+    a_integral_mc(3, T_MIN, samples, SimpleNamespace(seed=8, generator=lambda: gen))
+    assert gen.calls == ["uniform"] * -(-samples // haar._MC_CHUNK)
+
+
+def test_mc_sums_of_squares_do_not_underflow():
+    # every w**2 of the product form underflows here: its std_error read 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = a_integral_mc(20, T_MIN, 10_000, RngStream(0))
+    assert 0.0 < rep.estimate < math.inf
+    assert 0.0 < rep.std_error < math.inf
+
+
+def test_mc_sums_of_squares_do_not_overflow():
+    # the largest w**2 of the product form overflows here: its std_error read nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = a_integral_mc(12, 10.0, 1000, RngStream(0))
+    assert 0.0 < rep.estimate < math.inf
+    assert 0.0 < rep.std_error < math.inf
+
+
+@pytest.mark.parametrize(("n", "t"), [(12, 100.0), (24, T_MIN)])
+def test_mc_refuses_an_unrepresentable_estimate(n, t):
+    # (12, 100) overflows a double (it read inf +- nan), n = 24 at the
+    # canonical t underflows (it read 0.0 +- 0.0)
+    with pytest.raises(ToleranceNotMetError):
+        a_integral_mc(n, t, 1000, RngStream(0))
