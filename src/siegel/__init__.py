@@ -63,6 +63,7 @@ from .intersections import (
     height_bound,
     lemma_filter_chain,
     leading_entries,
+    reports_to_jsonl,
 )
 
 __all__ = [
@@ -102,6 +103,7 @@ __all__ = [
     "lemma_filter_chain",
     "normalization_ratio",
     "ratio_C",
+    "reports_to_jsonl",
     "sample_haar_so",
     "sample_siegel_point",
     "siegel_density",

@@ -63,7 +63,6 @@ from .intersections import (
     enumerate_intersections,
     height_bound_variants,
     log_height_bound,
-    reports_to_jsonl,
 )
 
 #: the commands that draw random numbers: only they take ``--seed`` and
@@ -259,7 +258,8 @@ def _cmd_sample(args, config: RunConfig) -> dict:
         b_min = args.b_min if args.b_min is not None else p.t * DEFAULT_B_MIN_FRACTION
         result.update({"t": p.t, "lambda": p.lam, "b_min": b_min})
         block = sample_siegel_block(args.n, p, [b_min] * count, stream)
-        result["samples"] = [block.point(i).to_json_dict() for i in range(count)]
+        points = [block[i] for i in range(count)]
+        result["samples"] = [{**pt.to_json_dict(), "log_weight": pt.log_weight} for pt in points]
     else:  # a-integral estimate
         result["t"] = p.t
         rep = a_integral_mc(args.n, p.t, count, stream, b_min=args.b_min)
@@ -293,11 +293,10 @@ def _write(args, config: RunConfig, fmt: str, out) -> None:
     """Write a command's report to stdout, the only place the CLI does.
 
     ``csv`` is the growth table's rows.  ``json`` and ``pretty`` are the
-    same documents, compact or indented by 2: the ``command``, its
-    ``config`` header and its ``result``; ``enumerate-intersections``
-    first writes one document per candidate report (in ``json`` the lines
-    of :func:`reports_to_jsonl`) and then its ``summary`` in place of a
-    ``result``.
+    same documents, compact (the layout of :func:`reports_to_jsonl`) or
+    indented by 2: the ``command``, its ``config`` header and its
+    ``result``; ``enumerate-intersections`` first writes one document per
+    candidate report and then its ``summary`` in place of a ``result``.
     """
     if fmt == "csv":
         sys.stdout.write(growth_table_csv(out))
@@ -310,10 +309,7 @@ def _write(args, config: RunConfig, fmt: str, out) -> None:
     doc = {"command": args.command, "config": config.report_header(args.command)}
     if args.command == "enumerate-intersections":
         reports, doc["summary"] = out
-        if fmt == "json":
-            sys.stdout.write(reports_to_jsonl(reports))
-        else:
-            sys.stdout.write("".join(dumps(r.to_json_dict()) for r in reports))
+        sys.stdout.write("".join(dumps(r.to_json_dict()) for r in reports))
     elif args.command == "growth-table":
         doc["result"] = {"n_max": args.n_max, "rows": [r.to_json_dict() for r in out]}
     else:

@@ -5,16 +5,18 @@ carries the Jacobian ``prod_{i<j} a_i/a_j`` against ``dk da du``.  In the
 ratio coordinates ``b[i] = a[i]/a[i+1]`` that Jacobian becomes
 ``prod b[i]**(i*(n-i))`` and the full integrand over the diagonal block is
 ``(1/2) * prod b[i]**(i*(n-i)-1)``.  This module evaluates those kernels,
-samples Haar-uniform rotations and blocks of Siegel coordinate points, and provides
-two independent numerical integrators (product Gauss-Legendre quadrature
-and importance-sampled Monte Carlo) for the diagonal-block integral.
+builds ``s = k @ diag(a) @ u`` from coordinates by one formula
+(:func:`group_elements`), samples Haar-uniform rotations and stacks of
+Siegel coordinate points, and provides two independent numerical
+integrators (product Gauss-Legendre quadrature and importance-sampled Monte
+Carlo) for the diagonal-block integral.
 
-The Monte Carlo weight of a draw is ``exp(log_b @ e)`` with ``e[i] = i*(n-i)``,
-accumulated relative to the largest log weight, so its sums neither overflow
-nor underflow.  Both integrators take ``n`` (and the sampler ``samples``) as
-integers by :func:`siegel.iwasawa.as_count`, reject a non-finite ``t``, and
-raise ``ToleranceNotMetError`` rather than return a value that is 0 or not
-finite in double precision.
+The importance weight of a draw is ``exp(log_b @ e)`` with ``e[i] = i*(n-i)``;
+the Monte Carlo sums accumulate it relative to the largest log weight, so
+they neither overflow nor underflow, and a point reports its log.  Every
+dimension and count is an integer by :func:`siegel.iwasawa.as_count`; the
+integrators reject a non-finite ``t`` and raise ``ToleranceNotMetError``
+rather than return a value that is 0 or not finite in double precision.
 """
 
 from __future__ import annotations
@@ -89,8 +91,14 @@ def conjugation_jacobian(a) -> float:
 
 def siegel_density_exponents(n: int) -> np.ndarray:
     """Exponents ``i*(n-i) - 1`` of the diagonal-block density, i = 1..n-1."""
-    i = np.arange(1, n)
+    i = np.arange(1, as_count(n, "n", least=2))
     return i * (n - i) - 1
+
+
+def _weight_exponents(n: int) -> np.ndarray:
+    """Exponents ``i*(n-i)`` of the density times ``prod(b)``, i = 1..n-1:
+    the log of an importance weight is ``log(b) @ _weight_exponents(n)``."""
+    return siegel_density_exponents(n) + 1.0
 
 
 def siegel_density(b) -> float:
@@ -110,8 +118,8 @@ def sample_haar_so_batch(n: int, size: int, rng) -> np.ndarray:
     negated, which maps the reflection component onto SO(n) preserving
     the measure.
     """
-    if n < 2:
-        raise InvalidArgumentError("n must be >= 2")
+    n = as_count(n, "n", least=2)
+    size = as_count(size, "size")
     gen = _as_generator(rng)
     return _haar_so_from_normals(gen.standard_normal((size, n, n)))
 
@@ -133,58 +141,50 @@ def sample_haar_so(n: int, rng) -> np.ndarray:
     return sample_haar_so_batch(n, 1, rng)[0]
 
 
+def group_elements(b, u, k) -> np.ndarray:
+    """``s = k @ diag(a_from_b(b)) @ u`` (the membership order) for Siegel
+    coordinates ``b`` (..., n-1), ``u`` and ``k`` (..., n, n); the three
+    broadcast, so a stack in any of them gives a stack of elements."""
+    return k @ (a_from_b(b)[..., None] * u)
+
+
 @dataclass(frozen=True)
 class SiegelCoordinatePoint:
-    """A sampled point of the Siegel coordinate box."""
+    """A point of the Siegel coordinate box, or a stack of them: ``b`` has
+    shape (..., n-1), ``u`` and ``k`` (..., n, n).  ``points[i]`` is point i
+    of a stack, as a copy."""
 
     b: np.ndarray
     u: np.ndarray
     k: np.ndarray
 
-    @property
-    def weight(self) -> float:
-        """The density times the log-uniform importance correction
-        ``prod(b)``, so that box-volume-normalized weighted averages
-        estimate integrals against the true diagonal-block density."""
-        return float(siegel_density(self.b) * np.prod(self.b))
+    def __getitem__(self, i) -> SiegelCoordinatePoint:
+        return SiegelCoordinatePoint(b=self.b[i].copy(), u=self.u[i].copy(), k=self.k[i].copy())
 
     @property
-    def a(self) -> np.ndarray:
-        return a_from_b(self.b)
+    def log_weight(self):
+        """log of the density times the log-uniform importance correction
+        ``prod(b)``, ``log(b) @ e`` with ``e[i] = i*(n-i)`` as in
+        :func:`a_integral_mc`; a float for one point, an array for a stack.
+        Finite wherever ``b`` is, however small the weight itself."""
+        return np.log(self.b) @ _weight_exponents(self.b.shape[-1] + 1)
 
     def to_group_element(self) -> np.ndarray:
         """Materialize as ``k @ diag(a) @ u`` (the membership order)."""
-        return self.k @ (self.a[:, None] * self.u)
+        return group_elements(self.b, self.u, self.k)
 
     def to_json_dict(self) -> dict:
+        """The coordinates of one point."""
         return {
             "b": [float(x) for x in self.b],
             "u": matrix_to_json_dict(self.u),
             "k": matrix_to_json_dict(self.k),
-            "weight": self.weight,
         }
 
 
-@dataclass(frozen=True)
-class SiegelPointBlock:
-    """m coordinate points as stacks: ``b`` (m, n-1), ``u`` and ``k``
-    (m, n, n).  Row i materializes exactly as ``point(i)`` does."""
-
-    b: np.ndarray
-    u: np.ndarray
-    k: np.ndarray
-
-    def group_elements(self) -> np.ndarray:
-        """Every row as ``k @ diag(a) @ u``, shape (m, n, n)."""
-        return self.k @ (a_from_b(self.b)[..., None] * self.u)
-
-    def point(self, i: int) -> SiegelCoordinatePoint:
-        return SiegelCoordinatePoint(b=self.b[i].copy(), u=self.u[i].copy(), k=self.k[i].copy())
-
-
-def sample_siegel_block(n: int, p: SiegelParams, b_lows, rng) -> SiegelPointBlock:
-    """Draw one coordinate point per entry of ``b_lows``: b log-uniform on
-    [b_lows[i], t], u uniform on the lam-box, k Haar on SO(n).
+def sample_siegel_block(n: int, p: SiegelParams, b_lows, rng) -> SiegelCoordinatePoint:
+    """Draw one coordinate point per entry of ``b_lows``, as a stack: b
+    log-uniform on [b_lows[i], t], u uniform on the lam-box, k Haar on SO(n).
 
     A block of m rows makes three generator calls whatever m is: all m*(n-1)
     log b, then all m*n(n-1)/2 u entries, then the m*n*n normals of the
@@ -193,8 +193,7 @@ def sample_siegel_block(n: int, p: SiegelParams, b_lows, rng) -> SiegelPointBloc
     :func:`sample_siegel_point`).  The Haar QR and sign fix run once on the
     whole stack.
     """
-    if n < 2:
-        raise InvalidArgumentError("n must be >= 2")
+    n = as_count(n, "n", least=2)
     lows = np.asarray(b_lows, dtype=float).reshape(-1)
     bad = ~((lows > 0.0) & (lows < p.t))
     if bad.any():
@@ -205,17 +204,15 @@ def sample_siegel_block(n: int, p: SiegelParams, b_lows, rng) -> SiegelPointBloc
     log_b = gen.uniform(np.log(lows)[:, None], math.log(p.t), size=(m, n - 1))
     u_vals = gen.uniform(-p.lam, p.lam, size=(m, n * (n - 1) // 2))
     z = gen.standard_normal((m, n, n))
-    return SiegelPointBlock(
+    return SiegelCoordinatePoint(
         b=np.exp(log_b), u=unit_upper_stack(u_vals, n), k=_haar_so_from_normals(z)
     )
 
 
-def sample_siegel_point(
-    n: int, p: SiegelParams, b_min: float, rng
-) -> SiegelCoordinatePoint:
+def sample_siegel_point(n: int, p: SiegelParams, b_min: float, rng) -> SiegelCoordinatePoint:
     """Draw one coordinate point: b log-uniform on [b_min, t], u uniform
     on the lam-box, k Haar on SO(n).  A block of one."""
-    return sample_siegel_block(n, p, [b_min], rng).point(0)
+    return sample_siegel_block(n, p, [b_min], rng)[0]
 
 
 def _gauss_legendre_block(n: int, t: float, nodes: int) -> float:
@@ -251,9 +248,7 @@ def a_integral_quadrature(n: int, t: float) -> float:
     agreement with a 32-node rule to ``_QUADRATURE_REL_TOL``.  A value that
     is 0 or not finite in double precision is not certified either.
     """
-    n = as_count(n, "n")
-    if n < 2:
-        raise InvalidArgumentError("n must be >= 2")
+    n = as_count(n, "n", least=2)
     _require_finite_t(t)
     hi = _gauss_legendre_block(n, t, 64)
     lo = _gauss_legendre_block(n, t, 32)
@@ -272,6 +267,14 @@ class MonteCarloReport:
     that the log-uniform proposal cannot see; the estimate is unbiased for
     the integral over [b_min, t]^{n-1} and undershoots the full integral
     by at most this fraction.
+
+    ``effective_samples`` is Kish's ``(sum w)**2 / sum w**2`` over the
+    importance weights.  ``std_error`` is an error bar only when it is
+    large: when a few draws carry nearly all the weight, the sample variance
+    misses the mass the proposal has not reached, and the estimate can sit
+    many standard errors below the integral.  At 10**5 samples and the
+    canonical t it is about 12 800 at n = 3, 8.5 at n = 6 (where the
+    estimate reads 3.4 standard errors low) and 2.4 at n = 8.
     """
 
     estimate: float
@@ -280,6 +283,7 @@ class MonteCarloReport:
     seed: int
     b_min: float
     truncation_bound: float
+    effective_samples: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -289,6 +293,7 @@ class MonteCarloReport:
             "seed": self.seed,
             "b_min": self.b_min,
             "truncation_bound": self.truncation_bound,
+            "effective_samples": self.effective_samples,
         }
 
 
@@ -321,20 +326,16 @@ def a_integral_mc(
     standard error is not finite, in double precision; ``InvalidArgumentError``
     for a non-integer ``n`` or ``samples`` or a non-finite ``t``.
     """
-    n = as_count(n, "n")
-    samples = as_count(samples, "samples")
-    if n < 2:
-        raise InvalidArgumentError("n must be >= 2")
+    n = as_count(n, "n", least=2)
+    samples = as_count(samples, "samples", least=2)
     _require_finite_t(t)
     if b_min is None:
         b_min = t * DEFAULT_B_MIN_FRACTION
     if not (0.0 < b_min < t):
         raise InvalidRangeError(f"need 0 < b_min < t, got b_min={b_min}, t={t}")
-    if samples < 2:
-        raise InvalidArgumentError("need at least 2 samples")
     gen = rng.generator()
     log_lo, log_hi = math.log(b_min), math.log(t)
-    exponents = siegel_density_exponents(n) + 1.0  # density * prod(b)
+    exponents = _weight_exponents(n)
     log_scale = math.log(0.5) + (n - 1) * math.log(log_hi - log_lo)
 
     done = 0
@@ -370,4 +371,5 @@ def a_integral_mc(
         seed=rng.seed,
         b_min=b_min,
         truncation_bound=trunc,
+        effective_samples=total * total / total_sq,
     )

@@ -40,6 +40,7 @@ and the candidate stays ``unknown``.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -56,7 +57,7 @@ from .haar import (
     DEFAULT_B_MIN_FRACTION,
     RngStream,
     SiegelCoordinatePoint,
-    SiegelPointBlock,
+    group_elements,
     sample_siegel_block,
 )
 from .iwasawa import (
@@ -66,7 +67,6 @@ from .iwasawa import (
     _bareiss_det,
     _siegel_coordinates,
     _strict_upper_indices,
-    a_from_b,
     as_count,
     as_square_matrix,
     membership_excess,
@@ -122,8 +122,7 @@ def finest_partition(gamma: UnimodularIntMatrix) -> list[tuple[int, int]]:
 
 def log_height_bound(n: int) -> float:
     """log of the proof-traceable bound (sqrt n)^(n^2 - 1)."""
-    if n < 2:
-        raise InvalidArgumentError("n must be >= 2")
+    n = as_count(n, "n", least=2)
     return (n * n - 1) / 2.0 * math.log(n)
 
 
@@ -263,7 +262,7 @@ class IntersectionReport:
 
 
 @lru_cache(maxsize=None)
-def _probe_block(n: int, p: SiegelParams) -> SiegelPointBlock:
+def _probe_block(n: int, p: SiegelParams) -> SiegelCoordinatePoint:
     """Deterministic first guesses: identity diagonal, every corner/center
     pattern of the unipotent box.  These sit exactly on the boundary, which
     is where translate overlaps concentrate.  Built once per (n, p); the
@@ -273,7 +272,7 @@ def _probe_block(n: int, p: SiegelParams) -> SiegelPointBlock:
     b = np.ones((count, n - 1))
     u = unit_upper_stack(patterns, n)
     b.flags.writeable = u.flags.writeable = False
-    return SiegelPointBlock(b=b, u=u, k=np.broadcast_to(np.eye(n), (count, n, n)))
+    return SiegelCoordinatePoint(b=b, u=u, k=np.broadcast_to(np.eye(n), (count, n, n)))
 
 
 _SIGNS = np.array([1.0, -1.0])
@@ -282,11 +281,7 @@ _REFINE_ROUNDS = 60
 
 
 def _refine_point(
-    gf: np.ndarray,
-    b: np.ndarray,
-    u: np.ndarray,
-    k: np.ndarray,
-    p: SiegelParams,
+    gf: np.ndarray, point: SiegelCoordinatePoint, p: SiegelParams
 ) -> tuple[SiegelCoordinatePoint, float]:
     """Coordinate descent on the witness coordinates (log b, u, k-angles),
     keeping the point itself inside the box, minimizing the membership
@@ -295,7 +290,7 @@ def _refine_point(
     Each coordinate's + and - trial are scored as one stack of two; the
     + step is taken if it improves, else the - step if that does.
     """
-    n = b.size + 1
+    n = point.b.size + 1
     log_t = math.log(p.t)
     pairs = list(zip(*_strict_upper_indices(n)))
 
@@ -320,13 +315,11 @@ def _refine_point(
         return k @ rot
 
     def excess(log_b, u, k):
-        # (log_b, u, k) broadcast against each other; a stack in any of
-        # them scores every trial at once
-        s = k @ (a_from_b(np.exp(log_b))[..., None] * u)
-        return membership_excess(gf @ s, p, check=False)
+        # a stack in any of (log_b, u, k) scores every trial at once
+        return membership_excess(gf @ group_elements(np.exp(log_b), u, k), p, check=False)
 
     slots = [(move_b, range(n - 1)), (move_u, pairs), (move_k, pairs)]
-    state = [np.minimum(np.log(b), log_t), u, k]
+    state = [np.minimum(np.log(point.b), log_t), point.u, point.k]
     steps = [0.25, 0.2 * p.lam, 0.25]
     best = excess(*state)
     for _ in range(_REFINE_ROUNDS):
@@ -434,9 +427,9 @@ def find_witness(
         return None
 
     probes = _probe_block(n, p)
-    probe_excess = membership_excess(gf @ probes.group_elements(), p, check=False)
+    probe_excess = membership_excess(gf @ probes.to_group_element(), p, check=False)
     for i in np.flatnonzero(probe_excess <= STRICT_WITNESS_TOL):
-        report = attempt(probes.point(i), probe_excess[i])
+        report = attempt(probes[i], probe_excess[i])
         if report is not None:
             return report
 
@@ -448,10 +441,10 @@ def find_witness(
         # its sample index
         block = sample_siegel_block(n, p, np.tile([b_min, top_band], size // 2), gen)
         # rows past the budget are drawn, never scored
-        s = block.group_elements()[: budget - drawn]
+        s = block.to_group_element()[: budget - drawn]
         sample_excess = membership_excess(gf @ s, p, check=False)
         for i in np.flatnonzero(sample_excess <= NEAR_HIT):
-            refined, final = _refine_point(gf, block.b[i], block.u[i], block.k[i], p)
+            refined, final = _refine_point(gf, block[i], p)
             if final <= DEFAULT_WITNESS_TOL:
                 report = attempt(refined, final)
                 if report is not None:
@@ -487,7 +480,8 @@ def sl_candidates(n: int, max_h: int) -> list[UnimodularIntMatrix]:
     the primitive rows x with ``x . c == 1`` (none when the prefix is
     rank-deficient and c vanishes).
     """
-    rows = _primitive_rows(n, max_h)
+    n = as_count(n, "n", least=2)
+    rows = _primitive_rows(n, as_count(max_h, "max_h"))
     row_array = np.array(rows, dtype=np.int64).reshape(len(rows), n)
     out: list[UnimodularIntMatrix] = []
     for prefix in _iter_product(rows, repeat=n - 1):
@@ -508,8 +502,7 @@ def count_bounds(n: int) -> tuple[float, float]:
     Lower: the volume ratio from :func:`siegel.volumes.ratio_C`.  Upper:
     the crude lattice-point count (n * height_bound(n))**(n^2 - n).
     """
-    if n < 2:
-        raise InvalidArgumentError("n must be >= 2")
+    n = as_count(n, "n", least=2)
     log_lower = ratio_C(n).log_value()
     log_upper = (n * n - n) * (math.log(n) + log_height_bound(n))
     return log_lower, log_upper
@@ -533,14 +526,15 @@ def enumerate_intersections(
     is astronomically large, so practical runs cap it).  Each candidate
     owns the stream (seed, candidate_index), so reports are deterministic.
     """
-    if n < 2:
-        raise InvalidArgumentError("n must be >= 2")
+    n = as_count(n, "n", least=2)
     if n > 3:
         raise DimensionTooLargeError("exhaustive enumeration is desk-scale only (n <= 3)")
     budget_per_candidate = as_count(budget_per_candidate, "budget_per_candidate")
     if rng is None:
         rng = RngStream(0, 0)
-    cap = int(math.floor(height_bound(n))) if max_height is None else int(max_height)
+    if max_height is None:
+        max_height = int(math.floor(height_bound(n)))
+    cap = as_count(max_height, "max_height")
     candidates = sl_candidates(n, cap)
     reports = [
         find_witness(gamma, MINIMAL_PARAMS, budget_per_candidate, RngStream(rng.seed, idx))
@@ -571,7 +565,8 @@ def enumerate_intersections(
 
 
 def reports_to_jsonl(reports: list[IntersectionReport]) -> str:
-    """One JSON line per report; no reports give the empty string."""
-    import json
-
-    return "".join(json.dumps(r.to_json_dict(), sort_keys=True) + "\n" for r in reports)
+    """One compact JSON line per report, the layout of every JSON document
+    the CLI writes; no reports give the empty string."""
+    return "".join(
+        json.dumps(r.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n" for r in reports
+    )

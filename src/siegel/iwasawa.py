@@ -90,10 +90,11 @@ def as_matrix_stack(g) -> np.ndarray:
     return arr
 
 
-def as_count(value, name: str) -> int:
-    """Validate ``value`` as an integer >= 0 (a bool or a float is not one)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise InvalidArgumentError(f"{name} must be an integer >= 0, got {value!r}")
+def as_count(value, name: str, least: int = 0) -> int:
+    """Validate ``value`` as an integer >= ``least`` (a bool or a float is
+    not one); the one input rule for every dimension, size and budget."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise InvalidArgumentError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
 

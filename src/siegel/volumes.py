@@ -28,7 +28,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .iwasawa import MINIMAL_PARAMS, SiegelParams
+from .iwasawa import MINIMAL_PARAMS, SiegelParams, as_count
 
 _LN2 = math.log(2.0)
 _LN3 = math.log(3.0)
@@ -79,9 +79,7 @@ def zeta(s: int) -> float:
     1e-20 relative for every s >= 2, so the result is correct to binary64
     rounding.
     """
-    if not isinstance(s, (int, np.integer)) or s < 2:
-        raise InvalidArgumentError(f"zeta requires an integer s >= 2, got {s!r}")
-    return _zeta_default(int(s))
+    return _zeta_default(as_count(s, "s", least=2))
 
 
 def _add(*maps: dict) -> dict:
@@ -233,7 +231,8 @@ class SymbolicVolume:
             float(self.pow3) * _LN3,
             float(self.pow_pi) * _LNPI,
         ]
-        terms += [e * math.log(zeta(i)) for i, e in self.zeta_pow.items()]
+        # the constructor has checked every zeta index
+        terms += [e * math.log(_zeta_default(i)) for i, e in self.zeta_pow.items()]
         terms += [e * math.lgamma(i + 1.0) for i, e in self.factorial.items()]
         terms += [float(e) * math.log(base) for base, e in self.numeric.items()]
         return math.fsum(terms)
@@ -285,8 +284,7 @@ def vol_so(n: int) -> SymbolicVolume:
     vol(SO(n)) = 2^((n-1)/2) vol(S^(n-1)) vol(SO(n-1)) that the closed
     form must reproduce exactly (tested symbolically).
     """
-    if n < 1:
-        raise InvalidArgumentError("n must be >= 1")
+    n = as_count(n, "n", least=1)
     gamma_fact, gamma_pow2, half_pi = _gamma_half(range(2, n + 1), -1)
     return SymbolicVolume(
         pow2=Fraction((n - 1) * (n + 4), 4) + gamma_pow2,
@@ -297,8 +295,7 @@ def vol_so(n: int) -> SymbolicVolume:
 
 def signed_perm_order(n: int) -> int:
     """Order of the signed permutation matrices of determinant +1: 2^(n-1) n!."""
-    if n < 1:
-        raise InvalidArgumentError("n must be >= 1")
+    n = as_count(n, "n", least=1)
     return 2 ** (n - 1) * math.factorial(n)
 
 
@@ -310,8 +307,7 @@ def vol_siegel(n: int, p: SiegelParams = MINIMAL_PARAMS) -> SymbolicVolume:
     an exact power of 2 and 3; other parameters enter as labeled numeric
     factors with exact exponents.
     """
-    if n < 2:
-        raise InvalidArgumentError("n must be >= 2")
+    n = as_count(n, "n", least=2)
     return vol_so(n) * SymbolicVolume(
         pow2=-1,
         factorial={n - 1: -2},
@@ -327,8 +323,7 @@ def vol_quotient(n: int) -> SymbolicVolume:
     :func:`compare_quotient_forms` for the (inequivalent) fully-simplified
     variant that drops a factor n!.
     """
-    if n < 2:
-        raise InvalidArgumentError("n must be >= 2")
+    n = as_count(n, "n", least=2)
     return SymbolicVolume(
         pow2=Fraction(1, 2) - (n - 1) * (n - 2) // 2,
         zeta_pow=dict.fromkeys(range(2, n + 1), 1),
@@ -343,8 +338,7 @@ def vol_quotient_rightmost(n: int) -> SymbolicVolume:
     Differs from :func:`vol_quotient` by exactly 1/n!; kept as a labeled
     alternative for the dual-evaluation check, never used as the value.
     """
-    if n < 2:
-        raise InvalidArgumentError("n must be >= 2")
+    n = as_count(n, "n", least=2)
     return SymbolicVolume(
         pow2=-Fraction(n * n - 3 * n + 1, 2),
         zeta_pow=dict.fromkeys(range(2, n + 1), 1),
@@ -368,6 +362,7 @@ def ratio_C_display(n: int) -> SymbolicVolume:
     (3^((n^3-n)/12) ((n-1)!)^2 prod Gamma(i/2) prod zeta(i)).
     Disagrees with the direct quotient by 2^(3n-1); kept for the check.
     """
+    n = as_count(n, "n", least=2)
     gamma_fact, gamma_pow2, half_pi = _gamma_half(range(2, n + 1), -1)
     return SymbolicVolume(
         pow2=Fraction(2 * n**3 + 9 * n**2 + 25 * n - 30, 12) + gamma_pow2,
@@ -380,14 +375,13 @@ def ratio_C_display(n: int) -> SymbolicVolume:
 
 def vol_symmetric_space(n: int) -> SymbolicVolume:
     """Covolume of SL(n,Z) acting on SL(n,R)/SO(n): vol_quotient / vol_so."""
-    if n < 2:
-        raise InvalidArgumentError("n must be >= 2")
     return vol_quotient(n) / vol_so(n)
 
 
 def harder_tau(n: int) -> int:
     """Parity constant in the canonical-normalization covolume: n odd -> n,
     n even -> n-1."""
+    n = as_count(n, "n", least=2)
     return n if n % 2 == 1 else n - 1
 
 
@@ -396,8 +390,7 @@ def harder_volume(n: int) -> SymbolicVolume:
     form) normalization:
     prod_{i=1}^{n-1} i! * prod_{i=2}^n zeta(i) / ((2 pi)^(n(n+3)/2) 2^tau n!).
     """
-    if n < 2:
-        raise InvalidArgumentError("n must be >= 2")
+    n = as_count(n, "n", least=2)
     e = Fraction(n * (n + 3), 2)
     return SymbolicVolume(
         pow2=-e - harder_tau(n),
@@ -417,6 +410,7 @@ def normalization_ratio_display(n: int) -> SymbolicVolume:
     """The displayed simplification of the same conversion factor:
     2^((n^2-5n-2)/4 - tau) (prod i!)^2 / (n! pi^((n^2+5n+2)/4) prod Gamma(i/2)).
     Disagrees with the direct quotient by 2^n; kept for the check."""
+    n = as_count(n, "n", least=2)
     gamma_fact, gamma_pow2, half_pi = _gamma_half(range(2, n + 1), -1)
     return SymbolicVolume(
         pow2=Fraction(n * n - 5 * n - 2, 4) - harder_tau(n) + gamma_pow2,
@@ -509,7 +503,7 @@ def growth_table(n_max: int) -> list[GrowthRow]:
     The exponents are exact integers and the three sums are numpy cumulative
     sums, so the table is O(n_max) and builds no :class:`SymbolicVolume`.
     """
-    if not (2 <= n_max <= 2000):
+    if as_count(n_max, "n_max", least=2) > 2000:
         raise InvalidArgumentError("n_max must be in [2, 2000]")
     n = np.arange(2, n_max + 1, dtype=np.int64)
     lgamma_n = np.array([math.lgamma(k) for k in range(2, n_max + 1)])

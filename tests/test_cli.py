@@ -7,6 +7,7 @@ import pytest
 from siegel.cli import DEFAULT_MC_SAMPLES, RunConfig, load_config, run
 from siegel.haar import RngStream, sample_haar_so
 from siegel.errors import MalformedConfigError
+from siegel.intersections import enumerate_intersections, reports_to_jsonl
 from siegel.iwasawa import matrix_to_json_dict
 
 
@@ -481,3 +482,26 @@ def test_rotation_samples_are_sequential_haar_draws(capsys):
     gen = RngStream(7, 0).generator()
     expected = [matrix_to_json_dict(sample_haar_so(3, gen)) for _ in range(4)]
     assert json.loads(out)["result"]["samples"] == expected
+
+
+def test_report_lines_are_reports_to_jsonl_byte_for_byte(capsys):
+    # a replay of the search may rebuild the CLI's report lines from the
+    # library; every JSON document the CLI writes has the one compact layout
+    code, out, _ = run_cli(capsys, "enumerate-intersections", "--n", "2", "--budget", "40",
+                           "--seed", "1")
+    assert code == 0
+    *lines, summary = out.splitlines(keepends=True)
+    reports, want = enumerate_intersections(2, budget_per_candidate=40, rng=RngStream(1, 0))
+    assert "".join(lines) == reports_to_jsonl(reports)
+    doc = json.loads(summary)
+    assert doc["summary"] == want
+    assert summary == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    assert any(json.loads(line)["witness"] for line in lines)
+
+
+def test_sample_point_writes_a_log_weight_that_does_not_underflow(capsys):
+    code, out, _ = run_cli(capsys, "sample", "--what", "point", "--n", "20", "--seed", "0")
+    assert code == 0
+    (sample,) = json.loads(out)["result"]["samples"]
+    assert set(sample) == {"b", "u", "k", "log_weight"}
+    assert -math.inf < sample["log_weight"] < 0.0

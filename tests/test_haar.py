@@ -132,7 +132,8 @@ def test_sample_siegel_point_invariants():
         assert np.max(np.abs(np.triu(pt.u, 1))) <= p.lam
         assert np.max(np.abs(pt.k.T @ pt.k - np.eye(3))) <= 1e-10
         assert math.isclose(
-            pt.weight, siegel_density(pt.b) * float(np.prod(pt.b)), rel_tol=1e-12
+            pt.log_weight, math.log(siegel_density(pt.b) * float(np.prod(pt.b))),
+            rel_tol=1e-12,
         )
     with pytest.raises(InvalidRangeError):
         sample_siegel_point(3, p, 2.0 * p.t, gen)
@@ -161,7 +162,7 @@ def test_block_of_one_is_a_point_draw():
     for n in (2, 3, 5):
         for lo in (p.t / 16.0, p.t / math.sqrt(2.0)):
             pt = sample_siegel_point(n, p, lo, RngStream(4, n))
-            got = sample_siegel_block(n, p, [lo], RngStream(4, n)).point(0)
+            got = sample_siegel_block(n, p, [lo], RngStream(4, n))[0]
             gen = RngStream(4, n).generator()
             b = np.exp(gen.uniform(math.log(lo), math.log(p.t), size=n - 1))
             u_vals = gen.uniform(-p.lam, p.lam, size=n * (n - 1) // 2)
@@ -180,9 +181,9 @@ def test_block_draws_b_then_u_then_normals_as_whole_arrays():
         log_b = gen.uniform(np.log(lows)[:, None], math.log(p.t), size=(37, n - 1))
         u_vals = gen.uniform(-p.lam, p.lam, size=(37, n * (n - 1) // 2))
         ks = sample_haar_so_batch(n, 37, gen)
-        group = block.group_elements()
+        group = block.to_group_element()
         for i in range(37):
-            got = block.point(i)
+            got = block[i]
             assert np.array_equal(got.b, np.exp(log_b[i])), (n, i)
             assert np.array_equal(got.u, unit_upper_stack(u_vals[i], n)), (n, i)
             assert np.array_equal(got.k, ks[i]), (n, i)
@@ -207,6 +208,25 @@ def test_sample_siegel_point_materializes_as_member():
     for _ in range(50):
         pt = sample_siegel_point(3, p, p.t / 16.0, gen)
         assert membership_excess(pt.to_group_element(), p) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_log_weight_is_finite_where_the_weight_underflows(n):
+    p = MINIMAL_PARAMS
+    pt = sample_siegel_point(n, p, p.t / 16.0, RngStream(0))
+    assert siegel_density(pt.b) * float(np.prod(pt.b)) == 0.0
+    assert -math.inf < pt.log_weight < 0.0
+
+
+def test_a_stack_computes_as_its_points():
+    # group_elements broadcasts: one u against a stack of b and k
+    p = MINIMAL_PARAMS
+    points = sample_siegel_block(3, p, [p.t / 16.0] * 5, RngStream(12))
+    one_u = haar.group_elements(points.b, points.u[0], points.k)
+    for i in range(5):
+        pt = points[i]
+        assert np.array_equal(one_u[i], haar.group_elements(pt.b, points.u[0], pt.k))
+        assert math.isclose(points.log_weight[i], pt.log_weight, rel_tol=1e-14)
 
 
 def test_quadrature_examples():
@@ -294,7 +314,7 @@ def test_mc_is_deterministic_per_stream():
 def test_mc_report_json_fields():
     rep = a_integral_mc(2, 1.0, 1000, RngStream(0))
     doc = rep.to_json_dict()
-    for key in ("estimate", "std_error", "samples", "seed", "b_min"):
+    for key in ("estimate", "std_error", "samples", "seed", "b_min", "effective_samples"):
         assert key in doc
 
 
@@ -360,3 +380,20 @@ def test_mc_refuses_an_unrepresentable_estimate(n, t):
     # canonical t underflows (it read 0.0 +- 0.0)
     with pytest.raises(ToleranceNotMetError):
         a_integral_mc(n, t, 1000, RngStream(0))
+
+
+def test_mc_effective_samples_flags_a_weight_dominated_estimate():
+    # n = 3: the proposal reaches the mass; n = 8: a few draws carry it all
+    # and the estimate reads thousands of standard errors low
+    assert a_integral_mc(3, T_MIN, 10**5, RngStream(3, 3)).effective_samples > 1000
+    assert a_integral_mc(8, T_MIN, 10**5, RngStream(3, 8)).effective_samples < 10
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_mc_effective_samples_is_kish_of_the_product_form(n):
+    rep = a_integral_mc(n, T_MIN, 5000, RngStream(32, n))
+    gen = RngStream(32, n).generator()
+    b = np.exp(gen.uniform(math.log(rep.b_min), math.log(T_MIN), size=(5000, n - 1)))
+    i = np.arange(1, n)
+    w = np.prod(b ** (i * (n - i)), axis=1)
+    assert math.isclose(rep.effective_samples, w.sum() ** 2 / np.dot(w, w), rel_tol=1e-10)

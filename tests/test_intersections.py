@@ -489,7 +489,7 @@ def reference_search(gamma, budget, rng, near_hit=0.08):
         lows = [P.t / math.sqrt(2.0) if i % 2 else P.t / 16.0 for i in range(size)]
         block = sample_siegel_block(n, P, lows, gen)
         for i in range(min(size, budget - drawn)):
-            point = block.point(i)
+            point = block[i]
             if excess(point) <= near_hit:
                 refined, final = _reference_refine(gf, point, STRICT_WITNESS_TOL)
                 if final <= DEFAULT_WITNESS_TOL and (rep := attempt(refined, final)):

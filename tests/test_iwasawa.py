@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from siegel import haar, intersections, volumes
 from siegel.errors import InvalidArgumentError, NonInvertibleError, NotUnimodularError
 from siegel.iwasawa import (
     MINIMAL_PARAMS,
@@ -250,3 +251,55 @@ def test_coordinate_kernel_equals_decompose(n, rng):
             assert np.array_equal(a_row, f.a) and np.array_equal(u_row, f.u)
         assert np.all(np.diagonal(stack_u, axis1=1, axis2=2) == 1.0)
         assert np.all(np.tril(stack_u, -1) == 0.0)
+
+
+#: every public function that takes a dimension, a size or a height, called
+#: with a float, a bool, a string or an integer below its least value
+_OUT_OF_DOMAIN = [
+    'volumes.vol_so(2.5)',
+    'volumes.vol_quotient(3.0)',
+    'volumes.ratio_C(3.0)',
+    'volumes.harder_volume(2.5)',
+    'intersections.count_bounds(2.5)',
+    'volumes.growth_table(5.5)',
+    'intersections.enumerate_intersections(2.0)',
+    'haar.sample_haar_so_batch(2.5, 1, RNG)',
+    'haar.sample_siegel_block(2.0, MINIMAL_PARAMS, [0.1], RNG)',
+    'volumes.vol_so(True)',
+    'volumes.ratio_C_display(1)',
+    'volumes.normalization_ratio_display(1)',
+    'intersections.log_height_bound(2.5)',
+    'intersections.enumerate_intersections(2, 0, max_height=-1)',
+    'intersections.enumerate_intersections(2, 0, max_height=1.5)',
+    'haar.sample_haar_so_batch(3, -1, RNG)',
+    'volumes.vol_so(0)',
+    'volumes.signed_perm_order(1.5)',
+    'volumes.vol_siegel(1)',
+    'volumes.vol_quotient_rightmost(2.0)',
+    'volumes.vol_symmetric_space(np.float64(3.0))',
+    'volumes.harder_tau(2.5)',
+    'volumes.normalization_ratio(1)',
+    'volumes.compare_quotient_forms(1)',
+    'volumes.compare_ratio_forms(2.5)',
+    'volumes.compare_normalization_forms("3")',
+    'volumes.growth_table(1)',
+    'volumes.growth_table(2001)',
+    'volumes.zeta(2.0)',
+    'intersections.height_bound(1)',
+    'intersections.height_bound_variants(2.5)',
+    'intersections.sl_candidates(2.0, 1)',
+    'intersections.sl_candidates(2, -1)',
+    'haar.sample_haar_so(1, RNG)',
+    'haar.sample_siegel_point(True, MINIMAL_PARAMS, 0.1, RNG)',
+    'haar.siegel_density_exponents(2.5)',
+    'haar.a_integral_quadrature(1, 1.0)',
+    'haar.a_integral_mc(3, 1.0, 1, RNG)',
+]
+
+
+@pytest.mark.parametrize("call", _OUT_OF_DOMAIN)
+def test_every_dimension_size_and_height_takes_the_one_input_rule(call):
+    namespace = {"haar": haar, "intersections": intersections, "volumes": volumes,
+                 "np": np, "MINIMAL_PARAMS": MINIMAL_PARAMS, "RNG": haar.RngStream(0)}
+    with pytest.raises(InvalidArgumentError):
+        eval(call, namespace)
