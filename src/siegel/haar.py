@@ -102,12 +102,20 @@ def _weight_exponents(n: int) -> np.ndarray:
 
 
 def siegel_density(b) -> float:
-    """Unnormalized density ``prod b[i]**(i*(n-i)-1)`` in ratio coordinates."""
+    """Unnormalized density ``prod b[i]**(i*(n-i)-1)`` in ratio coordinates.
+
+    Raises ``ToleranceNotMetError`` where that product leaves the float
+    range (0 or not finite), as it does for typical points from n = 20 on;
+    a point's ``log_weight`` holds the same information in log space.
+    """
     b = np.asarray(b, dtype=float)
     if np.any(b <= 0.0) or not np.all(np.isfinite(b)):
         raise NonPositiveEntryError("all ratio coordinates must be positive")
     n = b.size + 1
-    return float(np.prod(b ** siegel_density_exponents(n)))
+    density = float(np.prod(b ** siegel_density_exponents(n)))
+    if density == 0.0 or not math.isfinite(density):
+        raise ToleranceNotMetError(f"density is {density} in float at n = {n}; use log space")
+    return density
 
 
 def sample_haar_so_batch(n: int, size: int, rng) -> np.ndarray:

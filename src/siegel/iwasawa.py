@@ -141,6 +141,14 @@ class UnimodularIntMatrix:
         if self.det() != 1:
             raise NotUnimodularError(f"determinant is {self.det()}, must be +1")
 
+    @classmethod
+    def _trusted(cls, rows: list[list[int]]) -> UnimodularIntMatrix:
+        """Wrap rows of Python ints already known to have determinant +1
+        (a product of exact det +1 moves), with no conversion or check."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "entries", tuple(map(tuple, rows)))
+        return obj
+
     @property
     def n(self) -> int:
         return len(self.entries)

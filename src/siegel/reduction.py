@@ -8,33 +8,38 @@ exact integer matrix of determinant +1:
 * size reduction: integer column shears push every unipotent coordinate
   u[i, j] into [-1/2, 1/2] without touching the diagonal part, one row
   sweep per i from the bottom (as in Lenstra-Lenstra-Lovasz size reduction);
-* exchange: where a ratio b[i] exceeds t, the two adjacent columns are
-  swapped (one sign flipped to keep det +1), which strictly shrinks the
-  Gram-Schmidt norm a[i] because the shear step already capped |u[i, i+1]|
-  at 1/2 and t = 2/sqrt(3).
+* exchange: where a ratio b[i] exceeds t, the one shear of column i+1 by
+  column i caps |u[i, i+1]| at 1/2 and the two adjacent columns are swapped
+  (one sign flipped to keep det +1), which strictly shrinks the
+  Gram-Schmidt norm a[i] because t = 2/sqrt(3).
 
 The float triangular factor ``R = diag(a) @ u`` of the working matrix is
 carried across rounds, as in the incremental Gram-Schmidt update of LLL
 (Cohen, Alg. 2.6.3): the shears are unit upper triangular, so they change
 ``u`` but not ``a``; an exchange swaps two columns of ``R`` and one 2x2
-Givens rotation of rows i, i+1 makes it triangular again, after which only
-rows i+1 down to 0 need sweeping.  ``R`` comes from an R-only QR (``k`` is
-never formed) only at the start and when the carried factor shows nothing
-left to do: that fresh round ends the call if it finds no exchange either,
-and otherwise the loop carries on from the fresh factor, so every status is
-decided on fresh coordinates.
+Givens rotation of rows i, i+1 makes it triangular again.  Size reduction
+is lazy, as in LLL: an exchange at i reads only ``a`` and u[i, i+1], and an
+integer shear changes neither ``a`` nor any u[k, k+1] modulo 1, so between
+QRs only the exchanged pair is sheared and the full sweep runs once, right
+after each QR.  ``R`` comes from an R-only QR (``k`` is never formed) only
+at the start and when the carried factor shows nothing left to do: that
+fresh round ends the call if it finds no exchange either, and otherwise the
+loop carries on from the fresh factor, so every status is decided on fresh,
+fully swept coordinates.
 
 Between QRs the loop runs on plain Python scalars, with no numpy call: ``a``
 and the rows of ``u`` are float lists taken exactly from the QR by
 ``tolist``, the integer matrix ``m`` is a list of columns of Python ints and
-its inverse a list of rows, so an exchange is a list swap with one negation
-on each and a shear is one scalar loop over a column of ``m`` and a row of
-the inverse.  Every float update is a single rounded operation (no fused
-multiply-add), the rotation included.  The float copy of ``m`` made for each QR and for sigma raises
-:class:`NonInvertibleError` rather than round an entry of 2**53 or more.
-sigma @ gamma = g up to two float matrix products, and gamma's determinant
-is checked exactly.  Ratios sitting exactly on the threshold are left alone
-(the Siegel set is closed), so a result may legitimately sit on the boundary.
+its inverse a list of rows, so a swap is a list swap with one negation on
+each and a shear is one scalar loop over a column of ``m`` and a row of the
+inverse.  Every float update is a single rounded operation (no fused
+multiply-add), the rotation included.  The float copy of ``m`` made for each
+QR and for sigma raises :class:`NonInvertibleError` rather than round an
+entry of 2**53 or more.  sigma @ gamma = g up to two float matrix products,
+and gamma's determinant is +1 by construction, a product of exact det +1
+moves on Python ints.  Ratios sitting exactly on the threshold are left
+alone (the Siegel set is closed), so a result may legitimately sit on the
+boundary.
 """
 
 from __future__ import annotations
@@ -117,51 +122,63 @@ def _exact_float(m: list[list[int]]) -> np.ndarray:
     return np.array(m, dtype=float).T.copy()
 
 
-def _size_reduce(
-    u: list[list[float]], m: list[list[int]], m_inv: list[list[int]], top: int | None = None
+def _shear(
+    u: list[list[float]], m: list[list[int]], m_inv: list[list[int]], i: int,
+    shears: list[tuple[int, int]],
 ) -> None:
+    """col_j -= r col_i for every (j, r) in ``shears`` (all j > i), in place:
+    on rows 0..i of ``u`` and on ``m`` on the right, inverted onto ``m_inv``
+    on the left.  ``u`` is a list of rows, ``m`` a list of columns and
+    ``m_inv`` a list of rows."""
+    for uk in u[: i + 1]:
+        uki = uk[i]
+        for j, r in shears:
+            uk[j] -= uki * r
+    col_i = m[i]
+    row_i = m_inv[i]
+    for j, r in shears:
+        m[j] = [x - r * y for x, y in zip(m[j], col_i)]
+        row_i = [x + r * y for x, y in zip(row_i, m_inv[j])]
+    m_inv[i] = row_i
+
+
+def _size_reduce(u: list[list[float]], m: list[list[int]], m_inv: list[list[int]]) -> None:
     """Push u[i][j] into [-1/2, 1/2] by unit upper integer shears, in place.
 
-    ``u`` is a list of rows, ``m`` a list of columns and ``m_inv`` a list of
-    rows.  One row sweep per i from ``top`` (default the bottom row n - 2)
-    up to 0: every r_j = round(u[i][j]), j > i, is read first (``round``
-    ties to even, as ``np.round`` does), then the shear col_j -= r_j col_i
-    is applied to ``u`` and ``m`` on the right and inverted onto ``m_inv``
-    on the left.
+    One row sweep per i from the bottom row n - 2 up to 0: every
+    r_j = round(u[i][j]), j > i, is read first (``round`` ties to even, as
+    ``np.round`` does), then the shears col_j -= r_j col_i are applied.
+    Called once after each fresh QR; between QRs :func:`_exchange` shears
+    only the pair it swaps.
     """
-    if top is None:
-        top = len(u) - 2
-    for i in range(top, -1, -1):
+    for i in range(len(u) - 2, -1, -1):
         row = u[i]
-        shears = [(j, r) for j in range(i + 1, len(row)) if (r := round(row[j]))]
-        if not shears:
-            continue
-        for uk in u[: i + 1]:
-            uki = uk[i]
-            for j, r in shears:
-                uk[j] -= uki * r
-        col_i = m[i]
-        row_i = m_inv[i]
-        for j, r in shears:
-            m[j] = [x - r * y for x, y in zip(m[j], col_i)]
-            row_i = [x + r * y for x, y in zip(row_i, m_inv[j])]
-        m_inv[i] = row_i
+        if shears := [(j, r) for j in range(i + 1, len(row)) if (r := round(row[j]))]:
+            _shear(u, m, m_inv, i, shears)
 
 
 def _exchange(
     a: list[float], u: list[list[float]], m: list[list[int]], m_inv: list[list[int]], i: int
 ) -> None:
-    """Apply the det-corrected swap (col_i, col_i+1) <- (col_i+1, -col_i) to
-    ``m`` and its inverse to the rows of ``m_inv``, and update ``a`` and
-    ``u`` of ``R = diag(a) @ u`` in place: the same swap on the columns of
-    R, then one Givens rotation of rows i, i+1 back to a positive diagonal.
+    """Exchange columns i and i+1 of the working basis, in place.
+
+    First the one shear col_i+1 -= round(u[i][i+1]) col_i on rows 0..i of
+    ``u``, on ``m`` and inverted onto ``m_inv`` (a no-op right after a full
+    sweep): the swap reads only ``a`` and u[i][i+1], so no other entry of
+    ``u`` needs reducing between fresh QRs.  Then the det-corrected swap
+    (col_i, col_i+1) <- (col_i+1, -col_i) on ``m`` and its inverse on the
+    rows of ``m_inv``, and the same swap on the columns of
+    ``R = diag(a) @ u`` followed by one Givens rotation of rows i, i+1 back
+    to a positive diagonal.
     """
     j = i + 1
+    ui, uj = u[i], u[j]
+    if r := round(ui[j]):
+        _shear(u, m, m_inv, i, [(j, r)])
     m[i], m[j] = m[j], [-x for x in m[i]]
     m_inv[i], m_inv[j] = m_inv[j], [-x for x in m_inv[i]]
     # rows i, i+1 of R, columns swapped: block [[a_i u_ij, -a_i], [a_j, 0]]
     ai, aj = a[i], a[j]
-    ui, uj = u[i], u[j]
     x = ai * ui[j]
     h = math.hypot(x, aj)
     c, s = x / h, aj / h
@@ -208,10 +225,9 @@ def siegel_reduce(
             a, u = _coordinates(g @ _exact_float(m))
             a, u = a.tolist(), u.tolist()
             refreshes += 1
-            top = None
             if potential_trace is not None and refreshes == 1:
                 potential_trace.append(log_potential(a))
-        _size_reduce(u, m, m_inv, top)
+            _size_reduce(u, m, m_inv)
         i = next((k for k in range(n - 1) if a[k] / a[k + 1] > t), None)
         if not fresh and (i is None or exchanges >= max_iter):
             # only a fresh factor may end the call: it confirms or corrects
@@ -229,10 +245,10 @@ def siegel_reduce(
         if potential_trace is not None:
             potential_trace.append(log_potential(a))
         fresh = False
-        top = i + 1
 
     sigma = g @ _exact_float(m)
-    gamma = UnimodularIntMatrix(m_inv)
+    # m_inv is a product of exact det +1 moves on Python ints
+    gamma = UnimodularIntMatrix._trusted(m_inv)
     return ReductionResult(
         gamma=gamma, sigma=sigma, iterations=exchanges, status=status, refreshes=refreshes
     )

@@ -325,6 +325,31 @@ def test_carried_factor_equals_fresh_qr_per_round(n):
         assert res.status == status
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_every_budget_stops_where_the_fresh_qr_reference_stops(n):
+    # between fresh QRs only the exchanged pair is sheared, so a budget can
+    # run out while the carried u is only partly reduced
+    for g in reduction_corpus(n, 7500 + n)[::3]:
+        for k in range(siegel_reduce(g).iterations + 1):
+            res = siegel_reduce(g, max_iter=k)
+            gamma, iterations, status = fresh_qr_reduce(g, max_iter=k)
+            assert res.gamma.entries == gamma.entries
+            assert res.iterations == iterations
+            assert res.status == status
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_gamma_is_an_sl_n_z_element(n):
+    # gamma is built without the public constructor's conversion and
+    # determinant check; passing it through them must change nothing
+    for g in reduction_corpus(n, 7600 + n):
+        gamma = siegel_reduce(g).gamma
+        assert type(gamma.entries) is tuple
+        assert all(type(row) is tuple for row in gamma.entries)
+        assert all(type(x) is int for row in gamma.entries for x in row)
+        assert UnimodularIntMatrix(gamma.entries) == gamma
+
+
 @pytest.mark.parametrize("n", [3, 5, 8])
 def test_carried_potential_stays_on_the_fresh_one(n):
     # every budget k stops after k exchanges on a carried factor, so the last
