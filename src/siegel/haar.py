@@ -112,7 +112,9 @@ def siegel_density(b) -> float:
     if np.any(b <= 0.0) or not np.all(np.isfinite(b)):
         raise NonPositiveEntryError("all ratio coordinates must be positive")
     n = b.size + 1
-    density = float(np.prod(b ** siegel_density_exponents(n)))
+    # a product that leaves the float range raises below, without a warning
+    with np.errstate(over="ignore", under="ignore"):
+        density = float(np.prod(b ** siegel_density_exponents(n)))
     if density == 0.0 or not math.isfinite(density):
         raise ToleranceNotMetError(f"density is {density} in float at n = {n}; use log space")
     return density
@@ -190,6 +192,36 @@ class SiegelCoordinatePoint:
         }
 
 
+def _block_log_lows(p: SiegelParams, b_lows) -> np.ndarray:
+    """``log(b_lows)`` as a column, the lower ends of a block's log b draws;
+    the sampler's one range check, ``0 < b_low < t`` for every entry."""
+    lows = np.asarray(b_lows, dtype=float).reshape(-1)
+    bad = ~((lows > 0.0) & (lows < p.t))
+    if bad.any():
+        b_min = float(lows[np.argmax(bad)])
+        raise InvalidRangeError(f"need 0 < b_min < t, got b_min={b_min}, t={p.t}")
+    return np.log(lows)[:, None]
+
+
+def _draw_block(n: int, p: SiegelParams, log_lows: np.ndarray, gen: np.random.Generator):
+    """The three generator calls of a block of ``len(log_lows)`` points: all
+    log b, all u entries, all normals of the rotations, each row-major."""
+    m = log_lows.shape[0]
+    log_b = gen.uniform(log_lows, math.log(p.t), size=(m, n - 1))
+    u_vals = gen.uniform(-p.lam, p.lam, size=(m, n * (n - 1) // 2))
+    z = gen.standard_normal((m, n, n))
+    return log_b, u_vals, z
+
+
+def _assemble_block(log_b, u_vals, z) -> SiegelCoordinatePoint:
+    """The points of drawn rows, any stack of them: ``b = exp(log_b)``, u
+    from its strict upper entries, k by one Haar QR and sign fix.  Each row
+    depends only on its own draws."""
+    return SiegelCoordinatePoint(
+        b=np.exp(log_b), u=unit_upper_stack(u_vals, z.shape[-1]), k=_haar_so_from_normals(z)
+    )
+
+
 def sample_siegel_block(n: int, p: SiegelParams, b_lows, rng) -> SiegelCoordinatePoint:
     """Draw one coordinate point per entry of ``b_lows``, as a stack: b
     log-uniform on [b_lows[i], t], u uniform on the lam-box, k Haar on SO(n).
@@ -202,19 +234,8 @@ def sample_siegel_block(n: int, p: SiegelParams, b_lows, rng) -> SiegelCoordinat
     whole stack.
     """
     n = as_count(n, "n", least=2)
-    lows = np.asarray(b_lows, dtype=float).reshape(-1)
-    bad = ~((lows > 0.0) & (lows < p.t))
-    if bad.any():
-        b_min = float(lows[np.argmax(bad)])
-        raise InvalidRangeError(f"need 0 < b_min < t, got b_min={b_min}, t={p.t}")
-    gen = _as_generator(rng)
-    m = lows.size
-    log_b = gen.uniform(np.log(lows)[:, None], math.log(p.t), size=(m, n - 1))
-    u_vals = gen.uniform(-p.lam, p.lam, size=(m, n * (n - 1) // 2))
-    z = gen.standard_normal((m, n, n))
-    return SiegelCoordinatePoint(
-        b=np.exp(log_b), u=unit_upper_stack(u_vals, n), k=_haar_so_from_normals(z)
-    )
+    log_lows = _block_log_lows(p, b_lows)
+    return _assemble_block(*_draw_block(n, p, log_lows, _as_generator(rng)))
 
 
 def sample_siegel_point(n: int, p: SiegelParams, b_min: float, rng) -> SiegelCoordinatePoint:

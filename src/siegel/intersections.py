@@ -19,11 +19,20 @@ set (t = 2/sqrt(3), lambda = 1/2): :func:`find_witness` takes any set
 inside it, where an element above the height bound still cannot
 intersect, and refuses a larger one; :func:`enumerate_intersections`
 searches the canonical set alone, the one its lower bound ceil(C(n))
-counts for.  Boundary probes, random samples and refinement
-trials are scored in stacks by the batched membership kernel; hits are
-still taken in sample order.  Random samples come in blocks of a fixed
-schedule, so each sample depends only on the seed and its index, never on
-the budget.
+counts for.
+
+The search runs every candidate of an enumeration in lockstep, and
+:func:`find_witness` is its one-candidate case.  The boundary probes of
+all open candidates are scored as one stack.  Random samples come in
+blocks of a fixed schedule, each candidate drawing from its own stream, so
+each sample depends only on the seed, the candidate and the sample index,
+never on the budget; one stack per block round scores the blocks of all
+open candidates.  Near hits are refined in waves of at most one point per
+open candidate, the + and - trials of every point in one stack per
+coordinate.  Hits are still taken in sample order, candidate by
+candidate, so every report is the one the candidate's own search gives,
+byte for byte.  Candidates are taken in chunks so that no stack holds
+more than ``_STACK_ROWS`` rows.
 
 Caveat on conventions: witnesses are verified against the k-left
 membership predicate (the one :func:`siegel.iwasawa.siegel_membership`
@@ -42,7 +51,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product as _iter_product
 
@@ -57,8 +66,10 @@ from .haar import (
     DEFAULT_B_MIN_FRACTION,
     RngStream,
     SiegelCoordinatePoint,
+    _assemble_block,
+    _block_log_lows,
+    _draw_block,
     group_elements,
-    sample_siegel_block,
 )
 from .iwasawa import (
     MINIMAL_PARAMS,
@@ -262,88 +273,283 @@ class IntersectionReport:
 
 
 @lru_cache(maxsize=None)
-def _probe_block(n: int, p: SiegelParams) -> SiegelCoordinatePoint:
-    """Deterministic first guesses: identity diagonal, every corner/center
-    pattern of the unipotent box.  These sit exactly on the boundary, which
-    is where translate overlaps concentrate.  Built once per (n, p); the
-    arrays are read-only because every search shares them."""
+def _probe_block(n: int, p: SiegelParams) -> tuple[SiegelCoordinatePoint, np.ndarray]:
+    """Deterministic first guesses and their group elements: identity
+    diagonal, every corner/center pattern of the unipotent box.  These sit
+    exactly on the boundary, which is where translate overlaps concentrate.
+    Built once per (n, p); the arrays are read-only because every search
+    shares them."""
     patterns = np.array(list(_iter_product((0.0, -p.lam, p.lam), repeat=n * (n - 1) // 2)))
     count = patterns.shape[0]
     b = np.ones((count, n - 1))
     u = unit_upper_stack(patterns, n)
-    b.flags.writeable = u.flags.writeable = False
-    return SiegelCoordinatePoint(b=b, u=u, k=np.broadcast_to(np.eye(n), (count, n, n)))
+    probes = SiegelCoordinatePoint(b=b, u=u, k=np.broadcast_to(np.eye(n), (count, n, n)))
+    s = probes.to_group_element()
+    b.flags.writeable = u.flags.writeable = s.flags.writeable = False
+    return probes, s
 
 
 _SIGNS = np.array([1.0, -1.0])
 #: Rounds of coordinate descent per refinement.
 _REFINE_ROUNDS = 60
+#: Size of the first block of random samples; each later block doubles.
+_FIRST_BLOCK = 16
+#: Most rows in one stack of the search: candidates are searched in chunks
+#: whose probes, sample blocks and refinement trials fit in this many rows
+#: (a chunk of one when a single candidate's block is larger).
+_STACK_ROWS = 1 << 14
 
 
-def _refine_point(
-    gf: np.ndarray, point: SiegelCoordinatePoint, p: SiegelParams
-) -> tuple[SiegelCoordinatePoint, float]:
-    """Coordinate descent on the witness coordinates (log b, u, k-angles),
-    keeping the point itself inside the box, minimizing the membership
-    excess of gamma @ s until it is at most ``STRICT_WITNESS_TOL``.
+def _pair_excess(gf: np.ndarray, s: np.ndarray, p: SiegelParams) -> np.ndarray:
+    """Membership excess of every ``gf @ s``, the two broadcast to (..., n, n)."""
+    gs = gf @ s
+    n = gs.shape[-1]
+    return membership_excess(gs.reshape(-1, n, n), p, check=False).reshape(gs.shape[:-2])
 
-    Each coordinate's + and - trial are scored as one stack of two; the
-    + step is taken if it improves, else the - step if that does.
+
+def _refine_points(
+    gfs: np.ndarray, points: SiegelCoordinatePoint, p: SiegelParams
+) -> tuple[SiegelCoordinatePoint, list[float]]:
+    """Coordinate descent on the witness coordinates (log b, u, k-angles) of
+    every point of a stack, in lockstep, keeping each point inside the box
+    and minimizing the membership excess of ``gfs[i] @ s_i`` until it is at
+    most ``STRICT_WITNESS_TOL``.
+
+    For each coordinate, the + and - trial of every active point are scored
+    as one stack; a point takes its + step if it improves, else its - step
+    if that does.  Each point keeps its own steps, best value and stopping
+    rule and leaves the stack when it stops, so row i of the result is, bit
+    for bit, what point i gives alone.
     """
-    n = point.b.size + 1
+    m, n = points.b.shape[0], points.b.shape[-1] + 1
     log_t = math.log(p.t)
     pairs = list(zip(*_strict_upper_indices(n)))
+    eye = np.eye(n)
 
+    # every array below holds the active points along axis 0 and their
+    # trials along axis 1: one trial (the point itself) or the + and - trial
     def move_b(log_b, c, deltas):
-        trials = np.repeat(log_b[None], 2, axis=0)
-        trials[:, c] = np.minimum(log_b[c] + deltas, log_t)
+        trials = np.repeat(log_b, 2, axis=1)
+        trials[:, :, c] = np.minimum(log_b[:, :, c] + deltas, log_t)
         return trials
 
     def move_u(u, ij, deltas):
-        trials = np.repeat(u[None], 2, axis=0)
-        trials[:, ij[0], ij[1]] = np.clip(u[ij] + deltas, -p.lam, p.lam)
+        i, j = ij
+        trials = np.repeat(u, 2, axis=1)
+        trials[:, :, i, j] = np.clip(u[:, :, i, j] + deltas, -p.lam, p.lam)
         return trials
 
     def move_k(k, ij, deltas):
         # a Givens rotation in the (i, j) plane per trial angle
         i, j = ij
-        rot = np.repeat(np.eye(n)[None], 2, axis=0)
-        for r, theta in zip(rot, deltas.tolist()):
-            c, s = math.cos(theta), math.sin(theta)
-            r[i, i] = r[j, j] = c
-            r[i, j], r[j, i] = -s, s
+        cos_sin = np.array([(math.cos(x), math.sin(x)) for x in deltas.ravel().tolist()])
+        cos, sin = cos_sin.T.reshape((2,) + deltas.shape)
+        rot = np.empty(deltas.shape + (n, n))
+        rot[:] = eye
+        rot[..., i, i] = rot[..., j, j] = cos
+        rot[..., i, j], rot[..., j, i] = -sin, sin
         return k @ rot
 
-    def excess(log_b, u, k):
+    def excess(gf, log_b, u, k):
         # a stack in any of (log_b, u, k) scores every trial at once
-        return membership_excess(gf @ group_elements(np.exp(log_b), u, k), p, check=False)
+        return _pair_excess(gf, group_elements(np.exp(log_b), u, k), p)
 
     slots = [(move_b, range(n - 1)), (move_u, pairs), (move_k, pairs)]
-    state = [np.minimum(np.log(point.b), log_t), point.u, point.k]
-    steps = [0.25, 0.2 * p.lam, 0.25]
-    best = excess(*state)
+    out = [np.minimum(np.log(points.b), log_t), points.u.copy(), points.k.copy()]
+    best = excess(gfs, *out).tolist()
+    steps = [[0.25, 0.2 * p.lam, 0.25] for _ in range(m)]
+    # the points still descending: their rows of ``out``, their gammas, and
+    # their coordinates with a trial axis of one; views of ``out`` until the
+    # first point stops, copies after that
+    rows, gf, now = list(range(m)), gfs[:, None], [x[:, None] for x in out]
+
+    def settle():
+        if len(rows) < m:
+            for x, y in zip(out, now):
+                x[rows] = y[:, 0]
+
     for _ in range(_REFINE_ROUNDS):
-        improved = False
+        improved = [False] * len(rows)
+        # the + and - step of every point and slot, (points, slot, sign)
+        deltas = np.array([steps[r] for r in rows])[:, :, None] * _SIGNS
         for slot, (move, coords) in enumerate(slots):
             for c in coords:
-                args = list(state)
-                args[slot] = trials = move(state[slot], c, _SIGNS * steps[slot])
-                for t, exc in enumerate(excess(*args).tolist()):
-                    if exc < best:
-                        best, state[slot], improved = exc, trials[t], True
-                        break
-        if best <= STRICT_WITNESS_TOL:
-            break
-        if not improved:
-            steps = [step * 0.5 for step in steps]
-            if max(steps) < 1e-13:
+                args = list(now)
+                args[slot] = trials = move(now[slot], c, deltas[:, slot])
+                for a, (r, pair) in enumerate(zip(rows, excess(gf, *args).tolist())):
+                    # the + trial if it improves, else the - trial if that does
+                    for t, exc in enumerate(pair):
+                        if exc < best[r]:
+                            best[r], now[slot][a, 0], improved[a] = exc, trials[a, t], True
+                            break
+        keep = []
+        for a, r in enumerate(rows):
+            if best[r] <= STRICT_WITNESS_TOL:
+                continue
+            if not improved[a]:
+                steps[r] = [step * 0.5 for step in steps[r]]
+                if max(steps[r]) < 1e-13:
+                    continue
+            keep.append(a)
+        if len(keep) < len(rows):
+            settle()
+            if not keep:
                 break
-    log_b, u, k = state
+            rows, gf, now = [rows[a] for a in keep], gf[keep], [x[keep] for x in now]
+    else:
+        settle()
+    log_b, u, k = out
     return SiegelCoordinatePoint(b=np.exp(log_b), u=u, k=k), best
 
 
-#: Size of the first block of random samples; each later block doubles.
-_FIRST_BLOCK = 16
+@lru_cache(maxsize=None)
+def _sample_log_lows(p: SiegelParams, size: int) -> np.ndarray:
+    """The log lower ends of the b draws of a sample block of ``size``
+    points: ``t * DEFAULT_B_MIN_FRACTION`` on even rows and the top band
+    ``t / sqrt(2)`` on odd ones.  Block sizes are even, so row i of every
+    block has the parity of its sample index.  Built once per (p, size),
+    read-only."""
+    lows = np.tile([p.t * DEFAULT_B_MIN_FRACTION, p.t / math.sqrt(2.0)], size // 2)
+    log_lows = _block_log_lows(p, lows)
+    log_lows.flags.writeable = False
+    return log_lows
+
+
+def _blocks(budget: int):
+    """(size, scored rows) of every sample block a budget reaches: sizes 16,
+    32, 64, ..., the last one scored only up to the budget."""
+    drawn, size = 0, _FIRST_BLOCK
+    while drawn < budget:
+        yield size, min(size, budget - drawn)
+        drawn += size
+        size *= 2
+
+
+@dataclass(eq=False)
+class _Candidate:
+    """The search state of one candidate: its stream and generator, the
+    height check that heads its trace, the failed checks of each
+    chain-rejected witness, and its report once it has one."""
+
+    gamma: UnimodularIntMatrix
+    rng: RngStream
+    head: FilterCheck
+    gen: np.random.Generator | None = None
+    rejected: list[list[FilterCheck]] = field(default_factory=list)
+    report: IntersectionReport | None = None
+
+    def attempt(self, point: SiegelCoordinatePoint, excess: float, p: SiegelParams) -> None:
+        """Chain-check a verified candidate witness; a clean chain gives the
+        report, a failed one is counted in ``rejected``."""
+        try:
+            checks = lemma_filter_chain(
+                self.gamma,
+                point.to_group_element(),
+                p=p,
+                membership_tol=max(DEFAULT_WITNESS_TOL, excess * 2.0 + 1e-15),
+            )
+        except InvalidWitnessError:
+            return
+        if all(c.passed for c in checks):
+            self.report = IntersectionReport(
+                self.gamma,
+                STATUS_WITNESSED,
+                point,
+                [self.head] + checks,
+                float(excess),
+                rejected_witnesses=len(self.rejected),
+            )
+        else:
+            self.rejected.append([c for c in checks if not c.passed])
+
+
+def _search(
+    gammas: list[UnimodularIntMatrix], p: SiegelParams, budget: int, rngs: list[RngStream]
+) -> list[IntersectionReport]:
+    """The witness search of :func:`find_witness` for every candidate, in
+    lockstep; candidate i searches with stream ``rngs[i]``.  Candidates
+    above the height bound are excluded at once, the others are searched in
+    chunks that keep every stack within ``_STACK_ROWS`` rows."""
+    cands = []
+    for gamma, rng in zip(gammas, rngs):
+        bound, height = height_bound(gamma.n), float(gamma.height())
+        head = FilterCheck("height_bound", (), height <= bound, height, bound)
+        cand = _Candidate(gamma, rng, head)
+        if not head.passed:
+            cand.report = IntersectionReport(gamma, STATUS_EXCLUDED, None, [head], None)
+        cands.append(cand)
+    live = [c for c in cands if c.report is None]
+    if live:
+        n = live[0].gamma.n
+        # the most rows one candidate adds to a stack: its probes, its
+        # largest block or the two trials of its refined point
+        per_candidate = max([len(_probe_block(n, p)[1]), 2] + [size for size, _ in _blocks(budget)])
+        chunk = max(1, _STACK_ROWS // per_candidate)
+        for lo in range(0, len(live), chunk):
+            _search_chunk(live[lo:lo + chunk], p, budget)
+    return [c.report for c in cands]
+
+
+def _search_chunk(cands: list[_Candidate], p: SiegelParams, budget: int) -> None:
+    """Search candidates of one dimension in lockstep; every candidate
+    leaves with its report.
+
+    Probes of all candidates are scored as one stack.  In each block round
+    every open candidate draws its block from its own generator, and the
+    scored rows of all blocks go through one Haar QR, one ``group_elements``
+    and one membership stack.  Then each open candidate puts its next near
+    hit, in index order, into a wave; the wave is refined in lockstep and
+    its points are chain-checked in candidate order, until no open
+    candidate has a near hit left.
+    """
+    n = cands[0].gamma.n
+    gfs = np.stack([c.gamma.to_array() for c in cands])
+    probes, probe_s = _probe_block(n, p)
+    for cand, excess in zip(cands, _pair_excess(gfs[:, None], probe_s, p)):
+        for i in np.flatnonzero(excess <= STRICT_WITNESS_TOL):
+            cand.attempt(probes[i], excess[i], p)
+            if cand.report is not None:
+                break
+    for size, rows in _blocks(budget):
+        live = [i for i, c in enumerate(cands) if c.report is None]
+        if not live:
+            break
+        log_lows = _sample_log_lows(p, size)
+        draws = []
+        for i in live:
+            cand = cands[i]
+            if cand.gen is None:
+                cand.gen = cand.rng.generator()
+            draws.append(_draw_block(n, p, log_lows, cand.gen))
+        # rows past the budget are drawn, never assembled or scored
+        block = _assemble_block(*(np.concatenate([d[j][:rows] for d in draws]) for j in range(3)))
+        s = block.to_group_element().reshape(len(live), rows, n, n)
+        hits = [
+            np.flatnonzero(excess <= NEAR_HIT).tolist()
+            for excess in _pair_excess(gfs[live][:, None], s, p)
+        ]
+        while True:
+            # each open candidate's next near hit, taken off its list
+            wave = [
+                (i, pos * rows + h.pop(0))
+                for pos, (i, h) in enumerate(zip(live, hits))
+                if h and cands[i].report is None
+            ]
+            if not wave:
+                break
+            owners, picked = zip(*wave)
+            refined, finals = _refine_points(gfs[list(owners)], block[list(picked)], p)
+            for w, i in enumerate(owners):
+                if finals[w] <= DEFAULT_WITNESS_TOL:
+                    cands[i].attempt(refined[w], finals[w], p)
+    for cand in cands:
+        if cand.report is None:
+            # chain failures from rejected near-witnesses stay visible in the trace
+            cand.report = IntersectionReport(
+                cand.gamma, STATUS_UNKNOWN, None,
+                [cand.head] + [c for failed in cand.rejected for c in failed], None,
+                rejected_witnesses=len(cand.rejected),
+            )
 
 
 def find_witness(
@@ -372,15 +578,18 @@ def find_witness(
     for the canonical set, and so for every set inside it, but not for a
     larger one.
 
+    This is the one-candidate case of the lockstep search that
+    :func:`enumerate_intersections` runs over all its candidates, so each of
+    its reports is this function's report on that candidate and stream.
     Evaluation is batched, the order is not: all probes are scored as one
     stack, random points are drawn in blocks of 16, 32, 64, ... (each in
-    three generator calls, see :func:`sample_siegel_block`), and
-    refinement trials are scored in stacks of two.  Every block is drawn
-    at its full size and only its first ``budget - drawn`` rows are
-    scored, so block contents depend only on the seed and the block index.
-    Hits are then taken in index order and the first verified witness
-    returns, so every verdict and report is the one a point-by-point
-    search of the same samples gives, bit for bit.
+    three generator calls, see :func:`sample_siegel_block`), and the
+    + and - trials of each refinement coordinate are scored as one stack.
+    Every block is drawn at its full size and only its first
+    ``budget - drawn`` rows are scored, so block contents depend only on
+    the seed and the block index.  Hits are then taken in index order and
+    the first verified witness returns, so every verdict and report is the
+    one a point-by-point search of the same samples gives, bit for bit.
     """
     budget = as_count(budget, "budget")
     if p.t > MINIMAL_PARAMS.t or p.lam > MINIMAL_PARAMS.lam:
@@ -389,74 +598,7 @@ def find_witness(
             f"(t <= {MINIMAL_PARAMS.t!r}, lambda <= {MINIMAL_PARAMS.lam!r}), "
             f"got t={p.t!r}, lambda={p.lam!r}"
         )
-    if rng is None:
-        rng = RngStream(0, 0)
-    n = gamma.n
-    height_check = FilterCheck(
-        "height_bound", (), float(gamma.height()) <= height_bound(n),
-        float(gamma.height()), height_bound(n),
-    )
-    if not height_check.passed:
-        return IntersectionReport(gamma, STATUS_EXCLUDED, None, [height_check], None)
-    gf = gamma.to_array()
-    b_min = p.t * DEFAULT_B_MIN_FRACTION
-    # the failed checks of each chain-rejected witness
-    rejected: list[list[FilterCheck]] = []
-
-    def attempt(point: SiegelCoordinatePoint, excess: float):
-        """Chain-check a verified candidate; return a report or None."""
-        try:
-            checks = lemma_filter_chain(
-                gamma,
-                point.to_group_element(),
-                p=p,
-                membership_tol=max(DEFAULT_WITNESS_TOL, excess * 2.0 + 1e-15),
-            )
-        except InvalidWitnessError:
-            return None
-        if all(c.passed for c in checks):
-            return IntersectionReport(
-                gamma,
-                STATUS_WITNESSED,
-                point,
-                [height_check] + checks,
-                float(excess),
-                rejected_witnesses=len(rejected),
-            )
-        rejected.append([c for c in checks if not c.passed])
-        return None
-
-    probes = _probe_block(n, p)
-    probe_excess = membership_excess(gf @ probes.to_group_element(), p, check=False)
-    for i in np.flatnonzero(probe_excess <= STRICT_WITNESS_TOL):
-        report = attempt(probes[i], probe_excess[i])
-        if report is not None:
-            return report
-
-    gen = rng.generator()
-    top_band = p.t / math.sqrt(2.0)
-    drawn, size = 0, _FIRST_BLOCK
-    while drawn < budget:
-        # block sizes are even, so row i of every block has the parity of
-        # its sample index
-        block = sample_siegel_block(n, p, np.tile([b_min, top_band], size // 2), gen)
-        # rows past the budget are drawn, never scored
-        s = block.to_group_element()[: budget - drawn]
-        sample_excess = membership_excess(gf @ s, p, check=False)
-        for i in np.flatnonzero(sample_excess <= NEAR_HIT):
-            refined, final = _refine_point(gf, block[i], p)
-            if final <= DEFAULT_WITNESS_TOL:
-                report = attempt(refined, final)
-                if report is not None:
-                    return report
-        drawn += size
-        size *= 2
-    # chain failures from rejected near-witnesses stay visible in the trace
-    return IntersectionReport(
-        gamma, STATUS_UNKNOWN, None,
-        [height_check] + [c for failed in rejected for c in failed], None,
-        rejected_witnesses=len(rejected),
-    )
+    return _search([gamma], p, budget, [RngStream(0, 0) if rng is None else rng])[0]
 
 
 def _primitive_rows(n: int, max_h: int) -> list[tuple[int, ...]]:
@@ -525,6 +667,9 @@ def enumerate_intersections(
     ``max_height``; at n = 3 the full bound is 81 and the exhaustive grid
     is astronomically large, so practical runs cap it).  Each candidate
     owns the stream (seed, candidate_index), so reports are deterministic.
+    The candidates are searched in lockstep, and each report equals
+    ``find_witness(gamma, MINIMAL_PARAMS, budget_per_candidate,
+    RngStream(seed, candidate_index))`` byte for byte.
     """
     n = as_count(n, "n", least=2)
     if n > 3:
@@ -536,10 +681,12 @@ def enumerate_intersections(
         max_height = int(math.floor(height_bound(n)))
     cap = as_count(max_height, "max_height")
     candidates = sl_candidates(n, cap)
-    reports = [
-        find_witness(gamma, MINIMAL_PARAMS, budget_per_candidate, RngStream(rng.seed, idx))
-        for idx, gamma in enumerate(candidates)
-    ]
+    reports = _search(
+        candidates,
+        MINIMAL_PARAMS,
+        budget_per_candidate,
+        [RngStream(rng.seed, idx) for idx in range(len(candidates))],
+    )
     counts = {
         STATUS_WITNESSED: sum(r.status == STATUS_WITNESSED for r in reports),
         STATUS_EXCLUDED: sum(r.status == STATUS_EXCLUDED for r in reports),

@@ -70,7 +70,7 @@ def as_square_matrix(g) -> np.ndarray:
         raise InvalidArgumentError(f"expected a square matrix, got shape {arr.shape}")
     if arr.shape[0] < 2:
         raise InvalidArgumentError(f"dimension must be >= 2, got {arr.shape[0]}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidArgumentError("matrix entries must be finite")
     return arr
 
@@ -85,7 +85,7 @@ def as_matrix_stack(g) -> np.ndarray:
         raise InvalidArgumentError(
             f"expected a stack of square matrices of dimension >= 2, got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidArgumentError("matrix entries must be finite")
     return arr
 
@@ -199,10 +199,12 @@ def a_from_b(b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     n = b.shape[-1] + 1
     log_b = np.log(b)
-    log_an = -np.sum(log_b * np.arange(1, n), axis=-1, keepdims=True) / n
-    # log a[i] = log a[n-1] + sum of log b[i:]
-    suffix = np.cumsum(log_b[..., ::-1], axis=-1)[..., ::-1]
-    return np.exp(log_an + np.concatenate([suffix, np.zeros_like(log_an)], axis=-1))
+    log_an = -(log_b * np.arange(1, n)).sum(axis=-1, keepdims=True) / n
+    # log a[i] = log a[n-1] + sum of log b[i:], and log a[n-1] + 0.0 for i = n-1
+    log_a = np.zeros(b.shape[:-1] + (n,))
+    log_a[..., :-1] = np.cumsum(log_b[..., ::-1], axis=-1)[..., ::-1]
+    log_a += log_an
+    return np.exp(log_a, out=log_a)
 
 
 @dataclass(frozen=True)
@@ -259,8 +261,8 @@ def _factors_from_r(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     a = np.abs(diag)
-    if a.size and np.min(a) < SINGULAR_TOL:
-        raise NonInvertibleError(f"column pivot {np.min(a):.3e} below {SINGULAR_TOL:.1e}")
+    if a.size and a.min() < SINGULAR_TOL:
+        raise NonInvertibleError(f"column pivot {a.min():.3e} below {SINGULAR_TOL:.1e}")
     # the sign fix: row i over its signed pivot is (sign * r) / a bit for
     # bit, x / x is exactly 1.0, and adding +0.0 turns every -0.0 (the zeros
     # below a negative pivot among them) into +0.0; r is already triangular
@@ -310,8 +312,8 @@ def membership_excess(g, p: SiegelParams, *, check: bool = True):
     # rounding is monotone, so max(x) - c == max(x - c) bit for bit; |u| - I
     # leaves the strict upper |u| as they are and zeros elsewhere, which
     # never exceed an |u| entry
-    excess_b = np.max(b_from_a(a), axis=-1) - p.t
-    excess_u = np.max(np.abs(u) - np.eye(u.shape[-1]), axis=(-2, -1)) - p.lam
+    excess_b = b_from_a(a).max(axis=-1) - p.t
+    excess_u = (np.abs(u) - np.eye(u.shape[-1])).max(axis=(-2, -1)) - p.lam
     excess = np.maximum(excess_b, excess_u)
     return float(excess[0]) if g.ndim == 2 else excess
 

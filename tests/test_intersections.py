@@ -26,6 +26,7 @@ from siegel.intersections import (
     log_height_bound,
     reports_to_jsonl,
     sl_candidates,
+    _refine_points,
 )
 from siegel.iwasawa import (
     MINIMAL_PARAMS,
@@ -549,3 +550,89 @@ def test_rejected_witnesses_counts_chain_rejected_witnesses(monkeypatch):
         counts[gamma.entries] = rep.rejected_witnesses
     assert counts[((-1, 0), (2, -1))] == 8
     assert sum(c > 0 for c in counts.values()) == 19
+
+
+@pytest.mark.parametrize(
+    "n, budget, seed, cap", [(2, 400, 2024, None), (2, 400, 1, None), (3, 3, 1, 1)]
+)
+def test_enumeration_reports_are_the_one_candidate_searches(n, budget, seed, cap):
+    # the candidates are searched in lockstep, yet each report is the one
+    # find_witness gives on that candidate and its stream (seed, index)
+    reports, summary = enumerate_intersections(n, budget, RngStream(seed), max_height=cap)
+    alone = [
+        find_witness(gamma, P, budget, RngStream(seed, idx))
+        for idx, gamma in enumerate(sl_candidates(n, summary["height_cap"]))
+    ]
+    assert reports_to_jsonl(reports) == reports_to_jsonl(alone)
+
+
+def test_chunked_search_keeps_every_report_and_bounds_its_stacks(monkeypatch):
+    import siegel.intersections as intersections
+
+    # at n = 3 the 27 probes of 3 480 candidates alone would be a stack of
+    # 93 960 rows
+    scored = []
+    excess = intersections.membership_excess
+
+    def counting_excess(g, *args, **kwargs):
+        scored.append(len(g))
+        return excess(g, *args, **kwargs)
+
+    monkeypatch.setattr(intersections, "membership_excess", counting_excess)
+    enumerate_intersections(3, 0, RngStream(1), max_height=1)
+    assert 0 < max(scored) <= intersections._STACK_ROWS
+    monkeypatch.setattr(intersections, "membership_excess", excess)
+    # chunks of two candidates, and chunks of one when a block is larger
+    # than a stack may be
+    expected = reports_to_jsonl(enumerate_intersections(2, 200, RngStream(5))[0])
+    for rows in (600, 1):
+        monkeypatch.setattr(intersections, "_STACK_ROWS", rows)
+        assert reports_to_jsonl(enumerate_intersections(2, 200, RngStream(5))[0]) == expected
+
+
+def _stream_point(rng, index, n):
+    """Sample ``index`` of a search stream: its blocks of 16, 32, 64, ...
+    drawn in order, as find_witness draws them."""
+    gen = rng.generator()
+    start, size = 0, 16
+    while True:
+        lows = [P.t / math.sqrt(2.0) if i % 2 else P.t / 16.0 for i in range(size)]
+        block = sample_siegel_block(n, P, lows, gen)
+        if index < start + size:
+            return block[index - start]
+        start, size = start + size, size * 2
+
+
+def _bits(point, excess):
+    return (point.b.tobytes(), point.u.tobytes(), point.k.tobytes(), float(excess).hex())
+
+
+def test_refine_points_stacks_stragglers_with_points_that_stop_at_once():
+    # a near hit of the stream (3503041500, 29) whose descent runs all 60
+    # rounds: stopped one round earlier it ends elsewhere
+    slow = (UnimodularIntMatrix([[0, 1], [-1, 1]]), _stream_point(RngStream(3503041500, 29), 9, 2))
+    alone = _reference_refine(slow[0].to_array(), slow[1], STRICT_WITNESS_TOL)
+    cut = _reference_refine(slow[0].to_array(), slow[1], STRICT_WITNESS_TOL, max_rounds=59)
+    assert alone[1] > STRICT_WITNESS_TOL and _bits(*cut) != _bits(*alone)
+    # near hits of first blocks that reach the target in round one
+    quick = []
+    for idx, gamma in enumerate(sl_candidates(2, 2)):
+        gf = gamma.to_array()
+        lows = [P.t / 16.0, P.t / math.sqrt(2.0)] * 8
+        first = sample_siegel_block(2, P, lows, RngStream(2024, idx))
+        for i in np.flatnonzero(membership_excess(gf @ first.to_group_element(), P) <= 0.08):
+            _, best = _reference_refine(gf, first[i], STRICT_WITNESS_TOL, max_rounds=1)
+            if best <= STRICT_WITNESS_TOL:
+                quick.append((gamma, first[i]))
+        if len(quick) >= 3:
+            break
+    pairs = [quick[0], slow, quick[1], quick[2]]
+    refined, finals = _refine_points(
+        np.stack([gamma.to_array() for gamma, _ in pairs]),
+        SiegelCoordinatePoint(*(np.stack([getattr(pt, f) for _, pt in pairs]) for f in "buk")),
+        P,
+    )
+    for i, (gamma, point) in enumerate(pairs):
+        assert _bits(refined[i], finals[i]) == _bits(
+            *_reference_refine(gamma.to_array(), point, STRICT_WITNESS_TOL)
+        ), i
