@@ -155,7 +155,13 @@ def group_elements(b, u, k) -> np.ndarray:
     """``s = k @ diag(a_from_b(b)) @ u`` (the membership order) for Siegel
     coordinates ``b`` (..., n-1), ``u`` and ``k`` (..., n, n); the three
     broadcast, so a stack in any of them gives a stack of elements."""
-    return k @ (a_from_b(b)[..., None] * u)
+    return _group_elements_from_a(k, a_from_b(b), u)
+
+
+def _group_elements_from_a(k, a, u) -> np.ndarray:
+    """``s = k @ diag(a) @ u`` for the diagonal ``a`` (..., n) itself, for
+    callers that hold ``a`` already; broadcasts as :func:`group_elements`."""
+    return k @ (a[..., None] * u)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,10 @@ each sample depends only on the seed, the candidate and the sample index,
 never on the budget; one stack per block round scores the blocks of all
 open candidates.  Near hits are refined in waves of at most one point per
 open candidate, the + and - trials of every point in one stack per
-coordinate.  Hits are still taken in sample order, candidate by
+coordinate.  The inequality chain runs the same way: the probe hits of
+all candidates go through one chain stack, and so do the refined points
+of each wave, each candidate reading its checks from a chain plan built
+once from gamma.  Hits are still taken in sample order, candidate by
 candidate, so every report is the one the candidate's own search gives,
 byte for byte.  Candidates are taken in chunks so that no stack holds
 more than ``_STACK_ROWS`` rows.
@@ -52,7 +55,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as _iter_product
 
 import numpy as np
@@ -69,6 +72,7 @@ from .haar import (
     _assemble_block,
     _block_log_lows,
     _draw_block,
+    _group_elements_from_a,
     group_elements,
 )
 from .iwasawa import (
@@ -78,6 +82,7 @@ from .iwasawa import (
     _bareiss_det,
     _siegel_coordinates,
     _strict_upper_indices,
+    a_from_b,
     as_count,
     as_square_matrix,
     membership_excess,
@@ -176,6 +181,135 @@ class FilterCheck:
         }
 
 
+def _chain_passes(lhs, rhs):
+    """An inequality ``lhs <= rhs`` of the chain, within its relative slack."""
+    return lhs <= rhs + CHAIN_TOL * np.maximum(1.0, rhs)
+
+
+@dataclass(frozen=True)
+class _ChainPlan:
+    """The inequality chain of one gamma, fixed before any witness is seen.
+
+    Every check but the last reads the diagonals ``alpha`` and ``beta`` of
+    a pair as ``lhs = cols[lhs_col]`` and ``rhs = factor * cols[rhs_col]``,
+    with ``cols = [alpha | beta]``; the last, the height check, reads gamma
+    alone and is evaluated here once.
+    """
+
+    names: tuple[str, ...]
+    indices: tuple[tuple[int, ...], ...]
+    lhs_cols: np.ndarray
+    rhs_cols: np.ndarray
+    factors: np.ndarray
+    height: FilterCheck
+
+    @classmethod
+    def of(cls, gamma: UnimodularIntMatrix) -> _ChainPlan:
+        n = gamma.n
+        sqrt_n = math.sqrt(n)
+        rev = sqrt_n ** (n - 1)
+        comp = height_bound(n)
+        # (name, indices, lhs column, rhs column, rhs factor): alpha[i - 1]
+        # is column i - 1 and beta[i - 1] column n + i - 1
+        rows = [
+            ("leading_entry_ratio", (i, j), j - 1, n + i - 1, sqrt_n)
+            for i, j in leading_entries(gamma)
+        ]
+        rows += [("diagonal_ratio", (k,), k - 1, n + k - 1, sqrt_n) for k in range(1, n + 1)]
+        rows += [("reverse_ratio", (j,), n + j - 1, j - 1, rev) for j in range(1, n + 1)]
+        for lo, hi in finest_partition(gamma):
+            rows += [
+                ("component_ratio", (i, j), n + j - 1, i - 1, comp)
+                for i in range(lo, hi + 1)
+                for j in range(lo, hi + 1)
+            ]
+        names, indices, lhs_cols, rhs_cols, factors = zip(*rows)
+        height = float(gamma.height())
+        return cls(
+            names,
+            indices,
+            np.array(lhs_cols),
+            np.array(rhs_cols),
+            np.array(factors),
+            FilterCheck("height_bound", (), bool(_chain_passes(height, comp)), height, comp),
+        )
+
+
+@dataclass(frozen=True)
+class _Chain:
+    """The evaluated chain of one pair: its plan and, per check of the plan
+    but the height check, lhs, rhs and verdict."""
+
+    plan: _ChainPlan
+    lhs: list[float]
+    rhs: list[float]
+    passed: list[bool]
+
+    @property
+    def clean(self) -> bool:
+        return self.plan.height.passed and all(self.passed)
+
+    def checks(self, failed_only: bool = False) -> list[FilterCheck]:
+        """The checks as records, in chain order; all of them, or the
+        failed ones only."""
+        plan = self.plan
+        out = [
+            FilterCheck(name, indices, passed, lhs, rhs)
+            for name, indices, passed, lhs, rhs in zip(
+                plan.names, plan.indices, self.passed, self.lhs, self.rhs
+            )
+            if not (failed_only and passed)
+        ]
+        if not (failed_only and plan.height.passed):
+            out.append(plan.height)
+        return out
+
+
+def _chain_stack(
+    plans: list[_ChainPlan], gfs: np.ndarray, s: np.ndarray, tols: np.ndarray, p: SiegelParams
+) -> list[_Chain | InvalidWitnessError]:
+    """The inequality chain of every pair ``s[i]``, ``gfs[i] @ s[i]``
+    (stacks (m, n, n)) under ``plans[i]``, as one stack.
+
+    One ``membership_excess`` scores ``[s; gfs @ s]``; a pair with either
+    excess above its ``tols[i]`` gives the :class:`InvalidWitnessError` it
+    fails with (returned, not raised).  The other pairs read their
+    ``alpha`` and ``beta`` from one ``_siegel_coordinates`` over the
+    anti-transposes ``J s^T J`` and ``J (gamma s)^T J``, and every check of
+    every pair is evaluated as one array.  Each row equals the chain of its
+    pair alone, bit for bit.
+    """
+    m = len(plans)
+    pair = np.concatenate([s, gfs @ s])
+    exc = membership_excess(pair, p, check=False)
+    bad = (exc[:m] > tols) | (exc[m:] > tols)
+    out: list[_Chain | InvalidWitnessError] = [None] * m
+    for i in np.flatnonzero(bad).tolist():
+        out[i] = InvalidWitnessError(
+            f"membership violated: excess(s)={exc[i]:.3e}, excess(gamma s)={exc[m + i]:.3e}"
+        )
+    ok = np.flatnonzero(~bad)
+    if not ok.size:
+        return out
+    # J x^T J reverses both axes of x^T
+    anti = np.swapaxes(pair[np.concatenate([ok, ok + m])], -1, -2)[:, ::-1, ::-1]
+    a, _ = _siegel_coordinates(anti)
+    cols = np.concatenate([a[:ok.size, ::-1], a[ok.size:, ::-1]], axis=1)
+    ok = ok.tolist()
+    kept = [plans[i] for i in ok]
+    ends = np.cumsum([len(plan.names) for plan in kept])
+    rows = np.repeat(np.arange(len(ok)), np.diff(ends, prepend=0))
+    lhs = cols[rows, np.concatenate([plan.lhs_cols for plan in kept])]
+    rhs = np.concatenate([plan.factors for plan in kept]) * cols[
+        rows, np.concatenate([plan.rhs_cols for plan in kept])
+    ]
+    passed = _chain_passes(lhs, rhs).tolist()
+    lhs, rhs, ends = lhs.tolist(), rhs.tolist(), ends.tolist()
+    for i, plan, lo, hi in zip(ok, kept, [0] + ends, ends):
+        out[i] = _Chain(plan, lhs[lo:hi], rhs[lo:hi], passed[lo:hi])
+    return out
+
+
 def lemma_filter_chain(
     gamma: UnimodularIntMatrix,
     s: np.ndarray,
@@ -187,60 +321,27 @@ def lemma_filter_chain(
     ``alpha`` and ``beta`` are the diagonal u-left factors of s and
     gamma @ s (the order in which the chain's derivation writes Siegel
     elements): the reversed ``a`` of the anti-transposes ``J @ s.T @ J``
-    and ``J @ (gamma @ s).T @ J``, with ``J`` the reversal matrix, read
-    as one stack of two.  Raises :class:`InvalidWitnessError` unless both
-    elements satisfy the membership constraints within ``membership_tol``
-    (also scored as one stack of two).  Every
-    check is recorded and passes within a relative slack of ``CHAIN_TOL``;
-    on a genuine witness all of them are expected to pass, and a failure
-    is a loud signal of a numerical or logical fault.
+    and ``J @ (gamma @ s).T @ J``, with ``J`` the reversal matrix.  Raises
+    :class:`InvalidWitnessError` unless both elements satisfy the
+    membership constraints within ``membership_tol``, and
+    :class:`InvalidArgumentError` for a ``membership_tol`` that is not a
+    finite number >= 0.  Every check is recorded and passes within a
+    relative slack of ``CHAIN_TOL``; on a genuine witness all of them are
+    expected to pass, and a failure is a loud signal of a numerical or
+    logical fault.  This is the one-pair case of the stacked chain the
+    witness search runs on every candidate witness.
     """
-    n = gamma.n
+    if not 0 <= membership_tol < math.inf:
+        raise InvalidArgumentError(
+            f"membership_tol must be a finite number >= 0, got {membership_tol!r}"
+        )
     s = as_square_matrix(s)
-    gamma_s = gamma.to_array() @ s
-    exc_s, exc_gs = membership_excess(np.stack([s, gamma_s]), p, check=False).tolist()
-    if exc_s > membership_tol or exc_gs > membership_tol:
-        raise InvalidWitnessError(
-            f"membership violated: excess(s)={exc_s:.3e}, excess(gamma s)={exc_gs:.3e}"
-        )
-    j = np.fliplr(np.eye(n))
-    a, _ = _siegel_coordinates(np.stack([j @ s.T @ j, j @ gamma_s.T @ j]))
-    alpha, beta = a[:, ::-1]
-    sqrt_n = math.sqrt(n)
-    checks: list[FilterCheck] = []
-
-    def record(name, indices, lhs, rhs):
-        checks.append(
-            FilterCheck(
-                name=name,
-                indices=indices,
-                passed=bool(lhs <= rhs + CHAIN_TOL * max(1.0, rhs)),
-                lhs=float(lhs),
-                rhs=float(rhs),
-            )
-        )
-
-    leads = leading_entries(gamma)
-    for (i, j) in leads:
-        record("leading_entry_ratio", (i, j), alpha[j - 1], sqrt_n * beta[i - 1])
-    for k in range(1, n + 1):
-        record("diagonal_ratio", (k,), alpha[k - 1], sqrt_n * beta[k - 1])
-    rev = sqrt_n ** (n - 1)
-    for j in range(1, n + 1):
-        record("reverse_ratio", (j,), beta[j - 1], rev * alpha[j - 1])
-    comp = height_bound(n)
-    # component index of each 0-based position
-    component = [
-        idx
-        for idx, (lo, hi) in enumerate(finest_partition(gamma))
-        for _ in range(lo, hi + 1)
-    ]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if component[i - 1] == component[j - 1]:
-                record("component_ratio", (i, j), beta[j - 1], comp * alpha[i - 1])
-    record("height_bound", (), float(gamma.height()), comp)
-    return checks
+    chain = _chain_stack(
+        [_ChainPlan.of(gamma)], gamma.to_array()[None], s[None], np.array([membership_tol]), p
+    )[0]
+    if isinstance(chain, InvalidWitnessError):
+        raise chain
+    return chain.checks()
 
 
 @dataclass(frozen=True)
@@ -350,13 +451,16 @@ def _refine_points(
         rot[..., i, j], rot[..., j, i] = -sin, sin
         return k @ rot
 
-    def excess(gf, log_b, u, k):
-        # a stack in any of (log_b, u, k) scores every trial at once
-        return _pair_excess(gf, group_elements(np.exp(log_b), u, k), p)
+    def diagonal(log_b):
+        return a_from_b(np.exp(log_b))
+
+    def excess(gf, a, u, k):
+        # a stack in any of (a, u, k) scores every trial at once
+        return _pair_excess(gf, _group_elements_from_a(k, a, u), p)
 
     slots = [(move_b, range(n - 1)), (move_u, pairs), (move_k, pairs)]
     out = [np.minimum(np.log(points.b), log_t), points.u.copy(), points.k.copy()]
-    best = excess(gfs, *out).tolist()
+    best = excess(gfs, diagonal(out[0]), out[1], out[2]).tolist()
     steps = [[0.25, 0.2 * p.lam, 0.25] for _ in range(m)]
     # the points still descending: their rows of ``out``, their gammas, and
     # their coordinates with a trial axis of one; views of ``out`` until the
@@ -376,26 +480,31 @@ def _refine_points(
             for c in coords:
                 args = list(now)
                 args[slot] = trials = move(now[slot], c, deltas[:, slot])
-                for a, (r, pair) in enumerate(zip(rows, excess(gf, *args).tolist())):
+                if slot == 0:
+                    a = diagonal(trials)
+                for w, (r, pair) in enumerate(zip(rows, excess(gf, a, *args[1:]).tolist())):
                     # the + trial if it improves, else the - trial if that does
                     for t, exc in enumerate(pair):
                         if exc < best[r]:
-                            best[r], now[slot][a, 0], improved[a] = exc, trials[a, t], True
+                            best[r], now[slot][w, 0], improved[w] = exc, trials[w, t], True
                             break
+            if slot == 0:
+                # only the b slot moves b: the u and k trials share one a
+                a = diagonal(now[0])
         keep = []
-        for a, r in enumerate(rows):
+        for w, r in enumerate(rows):
             if best[r] <= STRICT_WITNESS_TOL:
                 continue
-            if not improved[a]:
+            if not improved[w]:
                 steps[r] = [step * 0.5 for step in steps[r]]
                 if max(steps[r]) < 1e-13:
                     continue
-            keep.append(a)
+            keep.append(w)
         if len(keep) < len(rows):
             settle()
             if not keep:
                 break
-            rows, gf, now = [rows[a] for a in keep], gf[keep], [x[keep] for x in now]
+            rows, gf, now = [rows[w] for w in keep], gf[keep], [x[keep] for x in now]
     else:
         settle()
     log_b, u, k = out
@@ -428,39 +537,50 @@ def _blocks(budget: int):
 @dataclass(eq=False)
 class _Candidate:
     """The search state of one candidate: its stream and generator, the
-    height check that heads its trace, the failed checks of each
+    height check that heads its trace, its chain plan (built from gamma
+    when the candidate first has a witness to check), the chain of each
     chain-rejected witness, and its report once it has one."""
 
     gamma: UnimodularIntMatrix
     rng: RngStream
     head: FilterCheck
     gen: np.random.Generator | None = None
-    rejected: list[list[FilterCheck]] = field(default_factory=list)
+    rejected: list[_Chain] = field(default_factory=list)
     report: IntersectionReport | None = None
 
-    def attempt(self, point: SiegelCoordinatePoint, excess: float, p: SiegelParams) -> None:
-        """Chain-check a verified candidate witness; a clean chain gives the
-        report, a failed one is counted in ``rejected``."""
-        try:
-            checks = lemma_filter_chain(
-                self.gamma,
-                point.to_group_element(),
-                p=p,
-                membership_tol=max(DEFAULT_WITNESS_TOL, excess * 2.0 + 1e-15),
-            )
-        except InvalidWitnessError:
+    @cached_property
+    def plan(self) -> _ChainPlan:
+        return _ChainPlan.of(self.gamma)
+
+    def attempt(
+        self, chain: _Chain | InvalidWitnessError, point: SiegelCoordinatePoint, excess: float
+    ) -> None:
+        """Take the chain of a verified candidate witness: a clean chain
+        gives the report, a failed one is counted in ``rejected``, and a
+        pair that fails membership is passed over."""
+        if isinstance(chain, InvalidWitnessError):
             return
-        if all(c.passed for c in checks):
+        if chain.clean:
             self.report = IntersectionReport(
                 self.gamma,
                 STATUS_WITNESSED,
                 point,
-                [self.head] + checks,
+                [self.head] + chain.checks(),
                 float(excess),
                 rejected_witnesses=len(self.rejected),
             )
         else:
-            self.rejected.append([c for c in checks if not c.passed])
+            self.rejected.append(chain)
+
+
+def _witness_chains(
+    cands: list[_Candidate], gfs: np.ndarray, s: np.ndarray, excess: np.ndarray, p: SiegelParams
+) -> list[_Chain | InvalidWitnessError]:
+    """The chains of candidate witnesses as one stack: ``s[i]`` for
+    ``cands[i]``, whose gamma is ``gfs[i]``, with the membership tolerance
+    its pair excess ``excess[i]`` earns."""
+    tols = np.maximum(DEFAULT_WITNESS_TOL, excess * 2.0 + 1e-15)
+    return _chain_stack([c.plan for c in cands], gfs, s, tols, p)
 
 
 def _search(
@@ -481,9 +601,12 @@ def _search(
     live = [c for c in cands if c.report is None]
     if live:
         n = live[0].gamma.n
-        # the most rows one candidate adds to a stack: its probes, its
-        # largest block or the two trials of its refined point
-        per_candidate = max([len(_probe_block(n, p)[1]), 2] + [size for size, _ in _blocks(budget)])
+        # the most rows one candidate adds to a stack: its probe hits (two
+        # rows each in their chain stack), its largest block or the two
+        # trials (or chain rows) of its refined point
+        per_candidate = max(
+            [2 * len(_probe_block(n, p)[1]), 2] + [size for size, _ in _blocks(budget)]
+        )
         chunk = max(1, _STACK_ROWS // per_candidate)
         for lo in range(0, len(live), chunk):
             _search_chunk(live[lo:lo + chunk], p, budget)
@@ -494,22 +617,29 @@ def _search_chunk(cands: list[_Candidate], p: SiegelParams, budget: int) -> None
     """Search candidates of one dimension in lockstep; every candidate
     leaves with its report.
 
-    Probes of all candidates are scored as one stack.  In each block round
-    every open candidate draws its block from its own generator, and the
-    scored rows of all blocks go through one Haar QR, one ``group_elements``
-    and one membership stack.  Then each open candidate puts its next near
+    Probes of all candidates are scored as one stack, and every probe hit
+    is chain-checked in one chain stack; each candidate then takes its hits
+    in index order, up to its first clean chain.  In each block round every
+    open candidate draws its block from its own generator, and the scored
+    rows of all blocks go through one Haar QR, one ``group_elements`` and
+    one membership stack.  Then each open candidate puts its next near
     hit, in index order, into a wave; the wave is refined in lockstep and
-    its points are chain-checked in candidate order, until no open
-    candidate has a near hit left.
+    its points that reach ``DEFAULT_WITNESS_TOL`` are chain-checked as one
+    stack, until no open candidate has a near hit left.
     """
     n = cands[0].gamma.n
     gfs = np.stack([c.gamma.to_array() for c in cands])
     probes, probe_s = _probe_block(n, p)
-    for cand, excess in zip(cands, _pair_excess(gfs[:, None], probe_s, p)):
-        for i in np.flatnonzero(excess <= STRICT_WITNESS_TOL):
-            cand.attempt(probes[i], excess[i], p)
-            if cand.report is not None:
-                break
+    excess = _pair_excess(gfs[:, None], probe_s, p)
+    # every probe hit, candidate by candidate and in index order within each
+    owner, probe = np.nonzero(excess <= STRICT_WITNESS_TOL)
+    if owner.size:
+        chains = _witness_chains(
+            [cands[i] for i in owner.tolist()], gfs[owner], probe_s[probe], excess[owner, probe], p
+        )
+        for i, j, chain in zip(owner.tolist(), probe.tolist(), chains):
+            if cands[i].report is None:
+                cands[i].attempt(chain, probes[j], excess[i, j])
     for size, rows in _blocks(budget):
         live = [i for i, c in enumerate(cands) if c.report is None]
         if not live:
@@ -539,15 +669,26 @@ def _search_chunk(cands: list[_Candidate], p: SiegelParams, budget: int) -> None
                 break
             owners, picked = zip(*wave)
             refined, finals = _refine_points(gfs[list(owners)], block[list(picked)], p)
-            for w, i in enumerate(owners):
-                if finals[w] <= DEFAULT_WITNESS_TOL:
-                    cands[i].attempt(refined[w], finals[w], p)
+            kept = [w for w, final in enumerate(finals) if final <= DEFAULT_WITNESS_TOL]
+            if not kept:
+                continue
+            mine = [owners[w] for w in kept]
+            chains = _witness_chains(
+                [cands[i] for i in mine],
+                gfs[mine],
+                group_elements(refined.b[kept], refined.u[kept], refined.k[kept]),
+                np.array([finals[w] for w in kept]),
+                p,
+            )
+            for w, i, chain in zip(kept, mine, chains):
+                cands[i].attempt(chain, refined[w], finals[w])
     for cand in cands:
         if cand.report is None:
             # chain failures from rejected near-witnesses stay visible in the trace
             cand.report = IntersectionReport(
                 cand.gamma, STATUS_UNKNOWN, None,
-                [cand.head] + [c for failed in cand.rejected for c in failed], None,
+                [cand.head] + [c for chain in cand.rejected for c in chain.checks(failed_only=True)],
+                None,
                 rejected_witnesses=len(cand.rejected),
             )
 
@@ -583,8 +724,10 @@ def find_witness(
     its reports is this function's report on that candidate and stream.
     Evaluation is batched, the order is not: all probes are scored as one
     stack, random points are drawn in blocks of 16, 32, 64, ... (each in
-    three generator calls, see :func:`sample_siegel_block`), and the
-    + and - trials of each refinement coordinate are scored as one stack.
+    three generator calls, see :func:`sample_siegel_block`), the
+    + and - trials of each refinement coordinate are scored as one stack,
+    and the chain checks the probe hits, and each wave of refined points,
+    as one stack.
     Every block is drawn at its full size and only its first
     ``budget - drawn`` rows are scored, so block contents depend only on
     the seed and the block index.  Hits are then taken in index order and

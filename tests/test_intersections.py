@@ -201,6 +201,57 @@ def test_chain_rejects_non_witness():
         lemma_filter_chain(I2, np.diag([4.0, 0.25]))
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_chain_refuses_a_membership_tol_that_is_not_finite_and_nonnegative(tol):
+    # a nan or inf tolerance would pass the pair outside the set
+    with pytest.raises(InvalidArgumentError):
+        lemma_filter_chain(I2, np.diag([4.0, 0.25]), membership_tol=tol)
+
+
+def _check_bits(check):
+    return check.name, check.indices, check.passed, check.lhs.hex(), check.rhs.hex()
+
+
+def test_stacked_chain_is_the_public_chain_row_by_row(monkeypatch):
+    import siegel.intersections as intersections
+
+    # the pairs the search chain-checks for ((-1, 0), (2, -1)) on stream
+    # (2024, 14): eight of them fail the chain
+    gamma = UnimodularIntMatrix([[-1, 0], [2, -1]])
+    stack, seen = intersections._chain_stack, []
+
+    def recording(plans, gfs, s, tols, p):
+        chains = stack(plans, gfs, s, tols, p)
+        seen.extend(zip(s, tols, chains))
+        return chains
+
+    monkeypatch.setattr(intersections, "_chain_stack", recording)
+    assert find_witness(gamma, budget=400, rng=RngStream(2024, 14)).rejected_witnesses == 8
+    rejected = next(
+        (s, tol) for s, tol, chain in seen if isinstance(chain, intersections._Chain) and not chain.clean
+    )
+    # one stack: a witnessed pair, the chain-rejected pair, a pair outside the set
+    rows = [(SHEAR, unit_upper_stack([-0.5], 2), DEFAULT_WITNESS_TOL), (gamma, *rejected),
+            (I2, np.diag([4.0, 0.25]), DEFAULT_WITNESS_TOL)]
+    chains = stack(
+        [intersections._ChainPlan.of(g) for g, _, _ in rows],
+        np.stack([g.to_array() for g, _, _ in rows]),
+        np.stack([s for _, s, _ in rows]),
+        np.array([tol for _, _, tol in rows]),
+        P,
+    )
+    assert [chain.clean for chain in chains[:2]] == [True, False]
+    for (g, s, tol), chain in zip(rows[:2], chains):
+        alone = lemma_filter_chain(g, s, P, float(tol))
+        assert [_check_bits(c) for c in chain.checks()] == [_check_bits(c) for c in alone]
+        assert [_check_bits(c) for c in chain.checks(failed_only=True)] == [
+            _check_bits(c) for c in alone if not c.passed
+        ]
+    assert isinstance(chains[2], InvalidWitnessError)
+    with pytest.raises(InvalidWitnessError):
+        lemma_filter_chain(I2, rows[2][1], P, rows[2][2])
+
+
 def test_find_witness_identity_and_sign_flip():
     rep = find_witness(I2, rng=RngStream(1, 0))
     assert rep.status == STATUS_WITNESSED
@@ -531,20 +582,21 @@ def test_find_witness_matches_point_by_point_reference_n3():
 
 
 def test_rejected_witnesses_counts_chain_rejected_witnesses(monkeypatch):
-    import siegel.intersections as intersections
-
-    chain = intersections.lemma_filter_chain
-    rejected = []
+    # the point-by-point reference runs the public chain once per verified
+    # witness it meets, so its failed chains are the rejections the search's
+    # report must count
+    chain, rejected = lemma_filter_chain, []
 
     def counting_chain(*args, **kwargs):
         checks = chain(*args, **kwargs)
         rejected[-1] += not all(c.passed for c in checks)
         return checks
 
-    monkeypatch.setattr(intersections, "lemma_filter_chain", counting_chain)
+    monkeypatch.setitem(reference_search.__globals__, "lemma_filter_chain", counting_chain)
     counts = {}
     for idx, gamma in enumerate(sl_candidates(2, 2)):
         rejected.append(0)
+        reference_search(gamma, 400, RngStream(2024, idx))
         rep = find_witness(gamma, budget=400, rng=RngStream(2024, idx))
         assert rep.rejected_witnesses == rejected[-1], gamma.entries
         counts[gamma.entries] = rep.rejected_witnesses
