@@ -12,7 +12,11 @@ Only :func:`decompose` forms ``k``.  Membership, the reduction and the
 inequality chain read ``(a, u)`` alone, so they share one private kernel:
 an R-only QR of a stack, with the singular-pivot guard and the
 positive-diagonal sign fix applied once, equal bit for bit to the ``a``
-and ``u`` of :func:`decompose`.
+and ``u`` of :func:`decompose`.  The reduction, whose loop runs on Python
+scalars, reads the same LAPACK factor of one matrix straight into Python
+lists, with the same guard, the same sign fix and the same bits.  The det
+and condition guards take one determinant and one singular-value call for
+a whole stack.
 
 The mirror order ``g = u @ diag(a) @ k`` (unipotent part on the left) has
 no function of its own: with ``J`` the reversal matrix, its ``a`` is the
@@ -25,6 +29,7 @@ u-left diagonal feeds the inequality chain in :mod:`siegel.intersections`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -63,9 +68,27 @@ class SiegelParams:
 MINIMAL_PARAMS = SiegelParams(t=2.0 / math.sqrt(3.0), lam=0.5)
 
 
+def _real_array(g) -> np.ndarray:
+    """``g`` as a float array of real entries, ragged nesting, complex numbers
+    and strings raising :class:`InvalidArgumentError` (numpy would take the
+    real part with a warning, parse ``"2"`` as 2.0, or fail without saying
+    why); a float ndarray is returned as it is."""
+    if isinstance(g, np.ndarray) and g.dtype == np.float64:
+        return g
+    try:
+        arr = np.asarray(g)
+    except ValueError as exc:
+        raise InvalidArgumentError(f"matrix entries do not form a regular array: {exc}") from None
+    if arr.dtype.kind == "O" and all(isinstance(x, numbers.Real) for x in arr.flat):
+        return arr.astype(float)
+    if arr.dtype.kind not in "biuf":
+        raise InvalidArgumentError(f"matrix entries must be real numbers, got dtype {arr.dtype}")
+    return arr.astype(float, copy=False)
+
+
 def as_square_matrix(g) -> np.ndarray:
     """Validate and return ``g`` as an (n, n) float array with finite entries."""
-    arr = np.asarray(g, dtype=float)
+    arr = _real_array(g)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InvalidArgumentError(f"expected a square matrix, got shape {arr.shape}")
     if arr.shape[0] < 2:
@@ -78,7 +101,7 @@ def as_square_matrix(g) -> np.ndarray:
 def as_matrix_stack(g) -> np.ndarray:
     """Validate ``g`` as an (m, n, n) float stack with finite entries; a
     single (n, n) matrix is returned as the stack of one."""
-    arr = np.asarray(g, dtype=float)
+    arr = _real_array(g)
     if arr.ndim != 3:
         return as_square_matrix(arr)[None]
     if arr.shape[1] != arr.shape[2] or arr.shape[1] < 2:
@@ -243,12 +266,21 @@ class IwasawaFactors:
 
 
 def _check_group_element(g: np.ndarray) -> None:
+    """Raise for the first matrix of ``g``, one (n, n) matrix or an (m, n, n)
+    stack, whose determinant is not 1 within ``DET_TOL`` or whose 2-norm
+    condition number exceeds ``COND_MAX``; a matrix's determinant is checked
+    before its condition.  One determinant and one singular-value call cover
+    the whole stack, and ``s[0] / s[-1]`` is the ratio ``np.linalg.cond``
+    takes (an exactly singular matrix gives inf, without a warning)."""
     det = np.linalg.det(g)
-    if abs(det - 1.0) > DET_TOL:
-        raise NotUnimodularError(f"det(g) = {det!r}, expected 1 within {DET_TOL}")
-    cond = np.linalg.cond(g)
-    if not np.isfinite(cond) or cond > COND_MAX:
-        raise NonInvertibleError(f"condition number {cond:.3e} exceeds {COND_MAX:.1e}")
+    s = np.linalg.svd(g, compute_uv=False)
+    with np.errstate(all="ignore"):
+        cond = s[..., 0] / s[..., -1]
+    for d, c in zip(np.reshape(det, -1), np.reshape(cond, -1)):
+        if abs(d - 1.0) > DET_TOL:
+            raise NotUnimodularError(f"det(g) = {d!r}, expected 1 within {DET_TOL}")
+        if not np.isfinite(c) or c > COND_MAX:
+            raise NonInvertibleError(f"condition number {c:.3e} exceeds {COND_MAX:.1e}")
 
 
 def _factors_from_r(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -277,6 +309,27 @@ def _siegel_coordinates(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, u
 
 
+def _coordinate_lists(g: np.ndarray) -> tuple[list[float], list[list[float]]]:
+    """``a`` and the rows of ``u`` of one validated (n, n) matrix as Python
+    float lists, equal bit for bit to the ``a`` and ``u`` of
+    :func:`_siegel_coordinates`.
+
+    The same LAPACK factor, read without the array passes: the raw QR's
+    transpose holds ``R`` on and above its diagonal, and each entry takes
+    the one rounded division of :func:`_factors_from_r`.
+    """
+    rows = np.linalg.qr(g, mode="raw")[0].T.tolist()
+    a = [abs(row[i]) for i, row in enumerate(rows)]
+    if min(a) < SINGULAR_TOL:
+        raise NonInvertibleError(f"column pivot {min(a):.3e} below {SINGULAR_TOL:.1e}")
+    # x / x is exactly 1.0 and the strict lower triangle is exactly 0.0, so
+    # both are written as constants; + 0.0 turns -0.0 into +0.0
+    return a, [
+        [0.0] * i + [1.0] + [x / row[i] + 0.0 for x in row[i + 1:]]
+        for i, row in enumerate(rows)
+    ]
+
+
 def decompose(g, *, check: bool = True) -> IwasawaFactors:
     """Factor ``g = k @ diag(a) @ u`` by orthonormalizing the columns of g.
 
@@ -303,11 +356,10 @@ def membership_excess(g, p: SiegelParams, *, check: bool = True):
     R-only kernel with the guards of :func:`decompose`, applied to every
     matrix of the stack.
     """
-    g = np.asarray(g, dtype=float)
+    g = _real_array(g)
     stack = as_matrix_stack(g)
     if check:
-        for matrix in stack:
-            _check_group_element(matrix)
+        _check_group_element(stack)
     a, u = _siegel_coordinates(stack)
     # rounding is monotone, so max(x) - c == max(x - c) bit for bit; |u| - I
     # leaves the strict upper |u| as they are and zeros elsewhere, which

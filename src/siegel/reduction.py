@@ -28,16 +28,18 @@ loop carries on from the fresh factor, so every status is decided on fresh,
 fully swept coordinates.
 
 Between QRs the loop runs on plain Python scalars, with no numpy call: ``a``
-and the rows of ``u`` are float lists taken exactly from the QR by
-``tolist``, the integer matrix ``m`` is a list of columns of Python ints and
-its inverse a list of rows, so a swap is a list swap with one negation on
-each and a shear is one scalar loop over a column of ``m`` and a row of the
-inverse.  Every float update is a single rounded operation (no fused
-multiply-add), the rotation included.  The float copy of ``m`` made for each
-QR and for sigma raises :class:`NonInvertibleError` rather than round an
-entry of 2**53 or more.  sigma @ gamma = g up to two float matrix products,
-and gamma's determinant is +1 by construction, a product of exact det +1
-moves on Python ints.  Ratios sitting exactly on the threshold are left
+and the rows of ``u`` are float lists read straight from the raw LAPACK
+factor of each QR (bit for bit the ``a`` and ``u`` of
+:func:`siegel.iwasawa.decompose`; the first QR factors ``g`` itself), the
+integer matrix ``m`` is a list of columns of Python ints and its inverse a
+list of rows, so a swap is a list swap with one negation on each and a shear
+is one scalar loop over a column of ``m`` and a row of the inverse.  Every
+float update is a single rounded operation (no fused multiply-add), the
+rotation included.  The float copy of ``m`` made for each later QR and for
+sigma raises :class:`NonInvertibleError` rather than round an entry of
+2**53 or more.  sigma @ gamma = g up to two float matrix products, and
+gamma's determinant is +1 by construction, a product of exact det +1 moves
+on Python ints.  Ratios sitting exactly on the threshold are left
 alone (the Siegel set is closed), so a result may legitimately sit on the
 boundary.
 """
@@ -59,6 +61,7 @@ from .iwasawa import (
     as_square_matrix,
     b_from_a,
     _check_group_element,
+    _coordinate_lists,
     _siegel_coordinates,
 )
 
@@ -222,8 +225,8 @@ def siegel_reduce(
     t = MINIMAL_PARAMS.t
     while True:
         if fresh:
-            a, u = _coordinates(g @ _exact_float(m))
-            a, u = a.tolist(), u.tolist()
+            # m is still the identity in the first round
+            a, u = _coordinate_lists(g @ _exact_float(m) if refreshes else g)
             refreshes += 1
             if potential_trace is not None and refreshes == 1:
                 potential_trace.append(log_potential(a))

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from siegel import iwasawa
 from siegel.iwasawa import UnimodularIntMatrix
 from siegel.volumes import SymbolicVolume
 
@@ -19,6 +20,27 @@ def random_sl(rng: np.random.Generator, n: int) -> np.ndarray:
     if np.linalg.det(g) < 0:
         g[:, -1] *= -1.0
     return g
+
+
+def column_skewed_sl(rng, n, cond_lo=1e11, cond_hi=None):
+    """Gaussian SL(n,R) element with its columns scaled apart (det kept) until
+    its condition number lies in [cond_lo, cond_hi] (default [1e11, COND_MAX])."""
+    cond_hi = iwasawa.COND_MAX if cond_hi is None else cond_hi
+    g = random_sl(rng, n)
+    d = rng.uniform(-1.0, 1.0, size=n)
+    d -= d.mean()
+    d /= d.max() - d.min()
+    lo, hi = 0.0, 30.0  # decades between the largest and smallest column scale
+    while True:
+        s = 0.5 * (lo + hi)
+        h = g * 10.0 ** (s * d)
+        cond = np.linalg.cond(h)
+        if cond < cond_lo:
+            lo = s
+        elif cond > cond_hi:
+            hi = s
+        else:
+            return h
 
 
 def random_unimodular(rng: np.random.Generator, n: int, height_cap: int = 10,

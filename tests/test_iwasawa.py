@@ -1,19 +1,24 @@
 import json
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siegel import haar, intersections, volumes
+from siegel import haar, intersections, iwasawa, volumes
 from siegel.errors import InvalidArgumentError, NonInvertibleError, NotUnimodularError
 from siegel.iwasawa import (
     MINIMAL_PARAMS,
     SiegelParams,
     UnimodularIntMatrix,
+    _check_group_element,
     _siegel_coordinates,
     a_from_b,
+    as_matrix_stack,
+    as_square_matrix,
     b_from_a,
     decompose,
     matrix_from_json_dict,
@@ -22,8 +27,9 @@ from siegel.iwasawa import (
     siegel_membership,
     unit_upper_stack,
 )
+from siegel.reduction import siegel_reduce
 
-from conftest import random_sl
+from conftest import column_skewed_sl, random_sl
 
 
 def test_decompose_identity():
@@ -251,6 +257,116 @@ def test_coordinate_kernel_equals_decompose(n, rng):
             assert np.array_equal(a_row, f.a) and np.array_equal(u_row, f.u)
         assert np.all(np.diagonal(stack_u, axis1=1, axis2=2) == 1.0)
         assert np.all(np.tril(stack_u, -1) == 0.0)
+
+
+def reference_guard(stack):
+    """The per-matrix guard loop: np.linalg.det, then np.linalg.cond, each
+    matrix in order; returns the first error as (type, message), or None."""
+    for g in stack:
+        det = np.linalg.det(g)
+        if abs(det - 1.0) > iwasawa.DET_TOL:
+            return NotUnimodularError, f"det(g) = {det!r}, expected 1 within {iwasawa.DET_TOL}"
+        cond = np.linalg.cond(g)
+        if not np.isfinite(cond) or cond > iwasawa.COND_MAX:
+            return NonInvertibleError, (
+                f"condition number {cond:.3e} exceeds {iwasawa.COND_MAX:.1e}"
+            )
+    return None
+
+
+def guard_outcome(check, g):
+    """(type, message) of the error ``check(g)`` raises, or None."""
+    try:
+        check(g)
+    except (NotUnimodularError, NonInvertibleError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def guard_corpus(rng, n):
+    """SL(n,R) elements with cond on both sides of COND_MAX (1e11 to 1e13)
+    and determinants on both sides of 1 +- DET_TOL."""
+    mats = [column_skewed_sl(rng, n, lo, 10.0 * lo) for lo in (1e11, 1e11, 1e12, 1e12)]
+    for rel in (-4.0, -0.5, 0.5, 4.0):
+        g = random_sl(rng, n)
+        g[:, 0] *= 1.0 + rel * iwasawa.DET_TOL
+        mats.append(g)
+    mats.append(random_sl(rng, n))
+    return mats
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_guard_decides_as_the_det_and_cond_loop(n):
+    rng = np.random.default_rng(8800 + n)
+    mats = guard_corpus(rng, n)
+    outcomes = [reference_guard([g]) for g in mats]
+    assert {o and o[0] for o in outcomes} == {None, NotUnimodularError, NonInvertibleError}
+    for g, expected in zip(mats, outcomes):
+        assert guard_outcome(_check_group_element, g) == expected
+    # a stack raises the error of its first failing matrix, det before cond
+    excess = lambda stack: membership_excess(stack, MINIMAL_PARAMS)
+    for _ in range(12):
+        stack = np.array([mats[i] for i in rng.permutation(len(mats))[:4]])
+        expected = reference_guard(stack)
+        assert guard_outcome(_check_group_element, stack) == expected
+        assert guard_outcome(excess, stack) == expected
+
+
+def test_guard_takes_exactly_singular_input_without_warning(monkeypatch):
+    good = np.eye(3)
+    singular = np.diag([1.0, 1.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # det is checked first, also when the singular matrix is one of a stack
+        with pytest.raises(NotUnimodularError):
+            _check_group_element(singular)
+        with pytest.raises(NotUnimodularError):
+            membership_excess(np.array([good, singular, good]), MINIMAL_PARAMS)
+        # with the det check lifted, s[-1] = 0 gives an infinite condition
+        monkeypatch.setattr(iwasawa, "DET_TOL", math.inf)
+        with pytest.raises(NonInvertibleError, match="inf"):
+            _check_group_element(singular)
+        with pytest.raises(NonInvertibleError, match="inf"):
+            _check_group_element(np.array([good, singular]))
+
+
+#: real matrices numpy would misread: a complex entry (its imaginary part
+#: dropped with a warning), a string (parsed as a number), ragged rows
+_NOT_REAL = {
+    "complex": [[1 + 5j, 0.0], [0.0, 1.0]],
+    "complex array": np.eye(2, dtype=complex),
+    "string": [["2", "0"], ["0", "0.5"]],
+    "ragged": [[1.0, 0.0], [0.0]],
+}
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: siegel_reduce(g),
+    lambda g: decompose(g),
+    lambda g: membership_excess(g, MINIMAL_PARAMS),
+    lambda g: membership_excess([g, g], MINIMAL_PARAMS),
+    lambda g: membership_excess(g, MINIMAL_PARAMS, check=False),
+], ids=["siegel_reduce", "decompose", "membership_excess", "membership_stack", "unchecked"])
+@pytest.mark.parametrize("kind", list(_NOT_REAL))
+def test_matrix_entries_must_be_real_numbers(call, kind):
+    with pytest.raises(InvalidArgumentError):
+        call(_NOT_REAL[kind])
+
+
+def test_ragged_stack_is_refused():
+    with pytest.raises(InvalidArgumentError):
+        membership_excess([np.eye(2), np.eye(3)], MINIMAL_PARAMS)
+
+
+def test_real_inputs_of_any_numeric_type_are_read():
+    g = np.diag([2.0, 0.5])
+    # a float array is used as it is, without a copy
+    assert as_square_matrix(g) is g
+    stack = g[None]
+    assert as_matrix_stack(stack) is stack
+    for same in ([[2, 0], [0, 0.5]], g.astype(np.float32), [[Fraction(2), 0], [0, Fraction(1, 2)]]):
+        assert np.array_equal(as_square_matrix(same), g)
+    assert np.array_equal(as_square_matrix([[True, False], [False, True]]), np.eye(2))
 
 
 #: every public function that takes a dimension, a size or a height, called

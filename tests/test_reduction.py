@@ -10,6 +10,8 @@ from siegel.iwasawa import (
     MINIMAL_PARAMS,
     SiegelParams,
     UnimodularIntMatrix,
+    _coordinate_lists,
+    _siegel_coordinates,
     b_from_a,
     decompose,
     siegel_membership,
@@ -25,7 +27,7 @@ from siegel.reduction import (
     siegel_reduce,
 )
 
-from conftest import random_sl
+from conftest import column_skewed_sl, random_sl
 
 P = MINIMAL_PARAMS
 
@@ -204,27 +206,6 @@ def exact_inverse(rows):
     return [[int(x) for x in row[n:]] for row in aug]
 
 
-def column_skewed_sl(rng, n, cond_lo=1e11, cond_hi=None):
-    """Gaussian SL(n,R) element with its columns scaled apart (det kept) until
-    its condition number lies in [cond_lo, cond_hi] (default [1e11, COND_MAX])."""
-    cond_hi = iwasawa.COND_MAX if cond_hi is None else cond_hi
-    g = random_sl(rng, n)
-    d = rng.uniform(-1.0, 1.0, size=n)
-    d -= d.mean()
-    d /= d.max() - d.min()
-    lo, hi = 0.0, 30.0  # decades between the largest and smallest column scale
-    while True:
-        s = 0.5 * (lo + hi)
-        h = g * 10.0 ** (s * d)
-        cond = np.linalg.cond(h)
-        if cond < cond_lo:
-            lo = s
-        elif cond > cond_hi:
-            hi = s
-        else:
-            return h
-
-
 @pytest.mark.parametrize("n", range(2, 9))
 def test_ill_conditioned_inputs_reduce(n):
     rng = np.random.default_rng(7100 + n)
@@ -313,6 +294,48 @@ def reduction_corpus(n, seed):
     skewed = [column_skewed_sl(rng, n, 1e5, 1e7) for _ in range(12)]
     ill = [column_skewed_sl(rng, n, 1e11, 1e12) for _ in range(6)]
     return plain + skewed + ill
+
+
+def negated_columns(g, rng):
+    """g with an even number of its columns negated (det kept), which flips
+    the sign of their QR pivots."""
+    flips = rng.permutation(g.shape[0])[: 2 * (g.shape[0] // 2)]
+    h = g.copy()
+    h[:, flips] *= -1.0
+    return h
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_coordinate_lists_equal_the_stack_kernel(n):
+    # the reduction's list reader and the stack kernel read the same LAPACK
+    # factor; a, the strict upper u (+0.0, never -0.0), the exact unit
+    # diagonal and the zero lower triangle must all agree bit for bit
+    rng = np.random.default_rng(7700 + n)
+    corpus = reduction_corpus(n, 7700 + n)
+    mats = corpus + [negated_columns(g, rng) for g in corpus] + [-np.eye(n), np.eye(n)[::-1]]
+    stack_a, stack_u = _siegel_coordinates(np.array(mats))
+    for g, a_row, u_row in zip(mats, stack_a, stack_u):
+        a, u = _coordinate_lists(g)
+        assert np.array(a).tobytes() == a_row.tobytes()
+        assert np.array(u).tobytes() == u_row.tobytes()
+        zeros = np.array(u)[np.array(u) == 0.0]
+        assert zeros.size >= n * (n - 1) // 2 and not np.any(np.signbit(zeros))
+        assert all(type(x) is float for x in a)
+        assert all(type(x) is float for row in u for x in row)
+
+
+@pytest.mark.parametrize("g", [
+    [[1.0, 1.0], [1.0, 1.0]],
+    [[1.0, 0.0, 0.0], [0.0, 1e-13, 0.0], [0.0, 0.0, 1e13]],
+    [[0.0, 0.0], [0.0, 1.0]],
+])
+def test_coordinate_lists_keep_the_pivot_guard(g):
+    g = np.array(g)
+    with pytest.raises(NonInvertibleError) as stacked:
+        _siegel_coordinates(g[None])
+    with pytest.raises(NonInvertibleError) as listed:
+        _coordinate_lists(g)
+    assert str(listed.value) == str(stacked.value)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
