@@ -57,12 +57,9 @@ from .iwasawa import (
     MINIMAL_PARAMS,
     UnimodularIntMatrix,
     as_count,
-    as_matrix_stack,
     as_square_matrix,
-    b_from_a,
     _check_group_element,
     _coordinate_lists,
-    _siegel_coordinates,
 )
 
 STATUS_REDUCED = "reduced"
@@ -89,21 +86,14 @@ class ReductionResult:
     refreshes: int
 
     def to_json_dict(self) -> dict:
-        a, u = _coordinates(self.sigma)
-        iu = np.triu_indices(a.size, k=1)
+        a, u = _coordinate_lists(self.sigma)
         return {
             "gamma": self.gamma.to_json_dict(),
             "iterations": self.iterations,
             "status": self.status,
-            "b": [float(x) for x in b_from_a(a)],
-            "u_max": float(np.max(np.abs(u[iu]))),
+            "b": [x / y for x, y in zip(a, a[1:])],
+            "u_max": max(abs(x) for i, row in enumerate(u) for x in row[i + 1:]),
         }
-
-
-def _coordinates(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``a`` and ``u`` of one finite square matrix; k is never formed."""
-    a, u = _siegel_coordinates(as_matrix_stack(g))
-    return a[0], u[0]
 
 
 def log_potential(a: np.ndarray) -> float:

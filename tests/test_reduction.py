@@ -20,7 +20,6 @@ from siegel.iwasawa import (
 from siegel.reduction import (
     STATUS_BUDGET_EXHAUSTED,
     STATUS_REDUCED,
-    _coordinates,
     _exact_float,
     _size_reduce,
     log_potential,
@@ -270,7 +269,7 @@ def fresh_qr_reduce(g, max_iter=None, p=P):
     m_inv = identity_columns(n)
     exchanges = 0
     while True:
-        a, u = _coordinates(g @ _exact_float(m))
+        (a,), (u,) = _siegel_coordinates((g @ _exact_float(m))[None])
         _size_reduce(u.tolist(), m, m_inv)
         over = np.nonzero(b_from_a(a) > p.t)[0]
         if over.size == 0:
@@ -382,5 +381,5 @@ def test_carried_potential_stays_on_the_fresh_one(n):
             trace = []
             res = siegel_reduce(g, max_iter=k, potential_trace=trace)
             assert len(trace) == k + 1
-            a, _ = _coordinates(res.sigma)
+            (a,), _ = _siegel_coordinates(res.sigma[None])
             assert abs(trace[-1] - log_potential(a)) <= 1e-10
