@@ -73,7 +73,7 @@ def _real_array(g) -> np.ndarray:
     and strings raising :class:`InvalidArgumentError` (numpy would take the
     real part with a warning, parse ``"2"`` as 2.0, or fail without saying
     why); a float ndarray is returned as it is."""
-    if isinstance(g, np.ndarray) and g.dtype == np.float64:
+    if type(g) is np.ndarray and g.dtype == np.float64:
         return g
     try:
         arr = np.asarray(g)
@@ -270,17 +270,19 @@ def _check_group_element(g: np.ndarray) -> None:
     stack, whose determinant is not 1 within ``DET_TOL`` or whose 2-norm
     condition number exceeds ``COND_MAX``; a matrix's determinant is checked
     before its condition.  One determinant and one singular-value call cover
-    the whole stack, and ``s[0] / s[-1]`` is the ratio ``np.linalg.cond``
-    takes (an exactly singular matrix gives inf, without a warning)."""
+    the whole stack."""
     det = np.linalg.det(g)
     s = np.linalg.svd(g, compute_uv=False)
-    with np.errstate(all="ignore"):
-        cond = s[..., 0] / s[..., -1]
-    for d, c in zip(np.reshape(det, -1), np.reshape(cond, -1)):
+    # the checks run on Python floats: on one small matrix, numpy scalar
+    # operations and an errstate block cost about as much as the LAPACK calls
+    spectra = np.reshape(s, (-1, s.shape[-1])).tolist()
+    for d, (s0, *_, s1) in zip(np.ravel(det).tolist(), spectra):
         if abs(d - 1.0) > DET_TOL:
-            raise NotUnimodularError(f"det(g) = {d!r}, expected 1 within {DET_TOL}")
-        if not np.isfinite(c) or c > COND_MAX:
-            raise NonInvertibleError(f"condition number {c:.3e} exceeds {COND_MAX:.1e}")
+            raise NotUnimodularError(f"det(g) = {np.float64(d)!r}, expected 1 within {DET_TOL}")
+        # the ratio np.linalg.cond takes; an exactly singular matrix gives inf
+        cond = s0 / s1 if s1 else math.inf
+        if not math.isfinite(cond) or cond > COND_MAX:
+            raise NonInvertibleError(f"condition number {cond:.3e} exceeds {COND_MAX:.1e}")
 
 
 def _factors_from_r(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -358,13 +358,19 @@ def test_ragged_stack_is_refused():
         membership_excess([np.eye(2), np.eye(3)], MINIMAL_PARAMS)
 
 
+class _SubArray(np.ndarray):
+    """An ndarray subclass, which the validation returns as a plain array."""
+
+
 def test_real_inputs_of_any_numeric_type_are_read():
     g = np.diag([2.0, 0.5])
     # a float array is used as it is, without a copy
     assert as_square_matrix(g) is g
     stack = g[None]
     assert as_matrix_stack(stack) is stack
-    for same in ([[2, 0], [0, 0.5]], g.astype(np.float32), [[Fraction(2), 0], [0, Fraction(1, 2)]]):
+    for same in ([[2, 0], [0, 0.5]], g.astype(np.float32), g.view(_SubArray),
+                 [[Fraction(2), 0], [0, Fraction(1, 2)]]):
+        assert type(as_square_matrix(same)) is np.ndarray
         assert np.array_equal(as_square_matrix(same), g)
     assert np.array_equal(as_square_matrix([[True, False], [False, True]]), np.eye(2))
 
