@@ -8,10 +8,13 @@ only appear when ``log_value``/``value`` are called.
 
 Every :class:`SymbolicVolume` is folded into one canonical form when it
 is built, so equal quantities have equal fields and ``==`` is exact.
+Products and integer powers of canonical expressions are canonical, so
+they are built without the constructor's checks.
 Gamma(i/2) factors enter in the factorial/pi/2 basis
 (Gamma(m) = (m-1)!, Gamma(m + 1/2) = sqrt(pi) (2m)!/(4^m m!)), which keeps
 printed forms clean.  ``log_value`` is one correctly rounded sum over the
-atoms, so equal quantities also evaluate to equal floats.  Each builder
+atoms, so equal quantities also evaluate to equal floats; log zeta(i)
+comes from a table of constants, as does :func:`zeta`.  Each builder
 passes the raw exponent maps of its docstring formula to one constructor
 call; :func:`growth_table` evaluates the same closed forms in log space
 with numpy.  Arbitrary positive constants (a non-canonical Siegel
@@ -23,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -34,52 +37,76 @@ _LN2 = math.log(2.0)
 _LN3 = math.log(3.0)
 _LNPI = math.log(math.pi)
 
-# Bernoulli numbers B_2 .. B_20 for the Euler-Maclaurin tail.
-_BERNOULLI = (
-    Fraction(1, 6),
-    Fraction(-1, 30),
-    Fraction(1, 42),
-    Fraction(-1, 30),
-    Fraction(5, 66),
-    Fraction(-691, 2730),
-    Fraction(7, 6),
-    Fraction(-3617, 510),
-    Fraction(43867, 798),
-    Fraction(-174611, 330),
-)
-# The tail coefficients B_2j / (2j)!.
-_EM_COEFFS = tuple(float(bern) / math.factorial(2 * j) for j, bern in enumerate(_BERNOULLI, start=1))
-
-_ZETA_CUTOFF = 16
-
 # zeta(s) - 1 < 2^-s (1 + 2/(s-1)) < 2^-53, so zeta(s) rounds to 1.0, for s >= 54.
 _ZETA_IS_ONE = 54
 
-
-@lru_cache(maxsize=None)
-def _zeta_default(s: int) -> float:
-    total = math.fsum(k ** -float(s) for k in range(1, _ZETA_CUTOFF))
-    n = float(_ZETA_CUTOFF)
-    total += 0.5 * n ** -float(s)
-    total += n ** (1.0 - s) / (s - 1.0)
-    rising = float(s)
-    npow = n ** (-float(s) - 1.0)
-    for j, coeff in enumerate(_EM_COEFFS, start=1):
-        total += coeff * rising * npow
-        rising *= (s + 2 * j - 1) * (s + 2 * j)
-        npow /= n * n
-    return total
+# zeta(s) for s = 2 .. _ZETA_IS_ONE - 1, correctly rounded to binary64: the
+# values of mpmath.zeta(s) at 60 significant digits (DLMF 25.6).
+_ZETA = (
+    1.6449340668482264,  # zeta(2)
+    1.2020569031595942,  # zeta(3)
+    1.0823232337111381,  # zeta(4)
+    1.03692775514337,  # zeta(5)
+    1.0173430619844492,  # zeta(6)
+    1.008349277381923,  # zeta(7)
+    1.0040773561979444,  # zeta(8)
+    1.0020083928260821,  # zeta(9)
+    1.000994575127818,  # zeta(10)
+    1.0004941886041194,  # zeta(11)
+    1.000246086553308,  # zeta(12)
+    1.0001227133475785,  # zeta(13)
+    1.0000612481350588,  # zeta(14)
+    1.000030588236307,  # zeta(15)
+    1.0000152822594086,  # zeta(16)
+    1.0000076371976379,  # zeta(17)
+    1.000003817293265,  # zeta(18)
+    1.0000019082127165,  # zeta(19)
+    1.0000009539620338,  # zeta(20)
+    1.0000004769329869,  # zeta(21)
+    1.0000002384505027,  # zeta(22)
+    1.000000119219926,  # zeta(23)
+    1.000000059608189,  # zeta(24)
+    1.0000000298035034,  # zeta(25)
+    1.0000000149015549,  # zeta(26)
+    1.0000000074507118,  # zeta(27)
+    1.000000003725334,  # zeta(28)
+    1.0000000018626598,  # zeta(29)
+    1.0000000009313275,  # zeta(30)
+    1.0000000004656628,  # zeta(31)
+    1.000000000232831,  # zeta(32)
+    1.0000000001164155,  # zeta(33)
+    1.0000000000582077,  # zeta(34)
+    1.0000000000291038,  # zeta(35)
+    1.000000000014552,  # zeta(36)
+    1.000000000007276,  # zeta(37)
+    1.000000000003638,  # zeta(38)
+    1.000000000001819,  # zeta(39)
+    1.0000000000009095,  # zeta(40)
+    1.0000000000004547,  # zeta(41)
+    1.0000000000002274,  # zeta(42)
+    1.0000000000001137,  # zeta(43)
+    1.0000000000000568,  # zeta(44)
+    1.0000000000000284,  # zeta(45)
+    1.0000000000000142,  # zeta(46)
+    1.000000000000007,  # zeta(47)
+    1.0000000000000036,  # zeta(48)
+    1.0000000000000018,  # zeta(49)
+    1.0000000000000009,  # zeta(50)
+    1.0000000000000004,  # zeta(51)
+    1.0000000000000002,  # zeta(52)
+    1.0000000000000002,  # zeta(53)
+)
+_LOG_ZETA = tuple(map(math.log, _ZETA))
 
 
 def zeta(s: int) -> float:
-    """Riemann zeta at an integer s >= 2.
+    """Riemann zeta at an integer s >= 2, correctly rounded to binary64.
 
-    Direct summation to a fixed cutoff plus the Euler-Maclaurin tail with
-    Bernoulli corrections through B_20; the first omitted term is below
-    1e-20 relative for every s >= 2, so the result is correct to binary64
-    rounding.
+    Read from a table of the correctly rounded values for s = 2..53 (from
+    mpmath at 60 digits); from s = 54 on zeta(s) rounds to 1.0.
     """
-    return _zeta_default(as_count(s, "s", least=2))
+    s = as_count(s, "s", least=2)
+    return _ZETA[s - 2] if s < _ZETA_IS_ONE else 1.0
 
 
 def _add(*maps: dict) -> dict:
@@ -95,6 +122,12 @@ def _add(*maps: dict) -> dict:
             else:
                 out.pop(key, None)
     return out
+
+
+def _plus(x: Fraction, y: Fraction) -> Fraction:
+    """``x + y`` for two Fraction exponents, with no Fraction arithmetic
+    when either is zero."""
+    return x + y if x and y else x or y
 
 
 def _gamma_half(indices, exp: int) -> tuple[dict, int, int]:
@@ -167,7 +200,7 @@ class SymbolicVolume:
 
     def __post_init__(self):
         # The one folding rule.  Each step sets only what it changes, so
-        # products and powers of canonical instances pass with a few checks.
+        # canonical fields pass with a few checks.
         fold = partial(object.__setattr__, self)
         for name in ("pow2", "pow3", "pow_pi"):
             if type(getattr(self, name)) is not Fraction:
@@ -189,20 +222,37 @@ class SymbolicVolume:
             for base, e in numeric.items():
                 if base in _EXACT_BASES:
                     p2, p3 = _EXACT_BASES[base]
-                    fold("pow2", self.pow2 + p2 * e)
-                    fold("pow3", self.pow3 + p3 * e)
+                    if p2:
+                        fold("pow2", self.pow2 + p2 * e)
+                    if p3:
+                        fold("pow3", self.pow3 + p3 * e)
             fold("numeric", {b: e for b, e in numeric.items() if e and b not in _EXACT_BASES})
+
+    @classmethod
+    def _trusted(cls, pow2, pow3, pow_pi, zeta_pow, factorial, numeric) -> SymbolicVolume:
+        """Wrap fields already in canonical form, with no check or fold.
+
+        A product or nonzero integer power of canonical instances is
+        canonical: exponents stay Fractions, ``_add`` drops the zeros, and
+        the index sets and numeric bases only merge, so no 0!, 1!, 2! or
+        exact numeric base can appear.
+        """
+        obj = object.__new__(cls)
+        obj.__dict__.update(
+            pow2=pow2, pow3=pow3, pow_pi=pow_pi, zeta_pow=zeta_pow, factorial=factorial, numeric=numeric
+        )
+        return obj
 
     # --- algebra ---
 
     def __mul__(self, other: "SymbolicVolume") -> "SymbolicVolume":
-        return SymbolicVolume(
-            pow2=self.pow2 + other.pow2,
-            pow3=self.pow3 + other.pow3,
-            pow_pi=self.pow_pi + other.pow_pi,
-            zeta_pow=_add(self.zeta_pow, other.zeta_pow),
-            factorial=_add(self.factorial, other.factorial),
-            numeric=_add(self.numeric, other.numeric),
+        return SymbolicVolume._trusted(
+            _plus(self.pow2, other.pow2),
+            _plus(self.pow3, other.pow3),
+            _plus(self.pow_pi, other.pow_pi),
+            _add(self.zeta_pow, other.zeta_pow),
+            _add(self.factorial, other.factorial),
+            _add(self.numeric, other.numeric),
         )
 
     def __truediv__(self, other: "SymbolicVolume") -> "SymbolicVolume":
@@ -211,13 +261,15 @@ class SymbolicVolume:
     def __pow__(self, exp: int) -> "SymbolicVolume":
         if not isinstance(exp, int):
             raise InvalidArgumentError("only integer powers of expressions")
-        return SymbolicVolume(
-            pow2=self.pow2 * exp,
-            pow3=self.pow3 * exp,
-            pow_pi=self.pow_pi * exp,
-            zeta_pow={i: e * exp for i, e in self.zeta_pow.items()},
-            factorial={i: e * exp for i, e in self.factorial.items()},
-            numeric={b: e * exp for b, e in self.numeric.items()},
+        if not exp:
+            return SymbolicVolume()
+        return SymbolicVolume._trusted(
+            self.pow2 * exp,
+            self.pow3 * exp,
+            self.pow_pi * exp,
+            {i: e * exp for i, e in self.zeta_pow.items()},
+            {i: e * exp for i, e in self.factorial.items()},
+            {b: e * exp for b, e in self.numeric.items()},
         )
 
     # --- evaluation ---
@@ -231,8 +283,8 @@ class SymbolicVolume:
             float(self.pow3) * _LN3,
             float(self.pow_pi) * _LNPI,
         ]
-        # the constructor has checked every zeta index
-        terms += [e * math.log(_zeta_default(i)) for i, e in self.zeta_pow.items()]
+        # every zeta index is an integer >= 2; log zeta(i) is 0.0 from the cutoff on
+        terms += [e * _LOG_ZETA[i - 2] for i, e in self.zeta_pow.items() if i < _ZETA_IS_ONE]
         terms += [e * math.lgamma(i + 1.0) for i, e in self.factorial.items()]
         terms += [float(e) * math.log(base) for base, e in self.numeric.items()]
         return math.fsum(terms)
@@ -287,7 +339,7 @@ def vol_so(n: int) -> SymbolicVolume:
     n = as_count(n, "n", least=1)
     gamma_fact, gamma_pow2, half_pi = _gamma_half(range(2, n + 1), -1)
     return SymbolicVolume(
-        pow2=Fraction((n - 1) * (n + 4), 4) + gamma_pow2,
+        pow2=Fraction((n - 1) * (n + 4) + 4 * gamma_pow2, 4),
         pow_pi=Fraction(n * n + n - 2 + 2 * half_pi, 4),
         factorial=gamma_fact,
     )
@@ -325,7 +377,7 @@ def vol_quotient(n: int) -> SymbolicVolume:
     """
     n = as_count(n, "n", least=2)
     return SymbolicVolume(
-        pow2=Fraction(1, 2) - (n - 1) * (n - 2) // 2,
+        pow2=Fraction(1 - (n - 1) * (n - 2), 2),
         zeta_pow=dict.fromkeys(range(2, n + 1), 1),
         factorial=dict.fromkeys(range(1, n), -1),
     )
@@ -340,7 +392,7 @@ def vol_quotient_rightmost(n: int) -> SymbolicVolume:
     """
     n = as_count(n, "n", least=2)
     return SymbolicVolume(
-        pow2=-Fraction(n * n - 3 * n + 1, 2),
+        pow2=Fraction(3 * n - n * n - 1, 2),
         zeta_pow=dict.fromkeys(range(2, n + 1), 1),
         factorial=dict.fromkeys(range(2, n + 1), -1),
     )
@@ -365,8 +417,8 @@ def ratio_C_display(n: int) -> SymbolicVolume:
     n = as_count(n, "n", least=2)
     gamma_fact, gamma_pow2, half_pi = _gamma_half(range(2, n + 1), -1)
     return SymbolicVolume(
-        pow2=Fraction(2 * n**3 + 9 * n**2 + 25 * n - 30, 12) + gamma_pow2,
-        pow3=-Fraction(n**3 - n, 12),
+        pow2=Fraction(2 * n**3 + 9 * n**2 + 25 * n - 30 + 12 * gamma_pow2, 12),
+        pow3=Fraction(n - n**3, 12),
         pow_pi=Fraction(n * n + n - 2 + 2 * half_pi, 4),
         zeta_pow=dict.fromkeys(range(2, n + 1), -1),
         factorial=_add(dict.fromkeys(range(1, n), 1), {n - 1: -2}, gamma_fact),
@@ -391,10 +443,10 @@ def harder_volume(n: int) -> SymbolicVolume:
     prod_{i=1}^{n-1} i! * prod_{i=2}^n zeta(i) / ((2 pi)^(n(n+3)/2) 2^tau n!).
     """
     n = as_count(n, "n", least=2)
-    e = Fraction(n * (n + 3), 2)
+    e = n * (n + 3)
     return SymbolicVolume(
-        pow2=-e - harder_tau(n),
-        pow_pi=-e,
+        pow2=Fraction(-e - 2 * harder_tau(n), 2),
+        pow_pi=Fraction(-e, 2),
         zeta_pow=dict.fromkeys(range(2, n + 1), 1),
         factorial={**dict.fromkeys(range(1, n), 1), n: -1},
     )
@@ -413,7 +465,7 @@ def normalization_ratio_display(n: int) -> SymbolicVolume:
     n = as_count(n, "n", least=2)
     gamma_fact, gamma_pow2, half_pi = _gamma_half(range(2, n + 1), -1)
     return SymbolicVolume(
-        pow2=Fraction(n * n - 5 * n - 2, 4) - harder_tau(n) + gamma_pow2,
+        pow2=Fraction(n * n - 5 * n - 2 + 4 * (gamma_pow2 - harder_tau(n)), 4),
         pow_pi=Fraction(2 * half_pi - n * n - 5 * n - 2, 4),
         factorial=_add({**dict.fromkeys(range(1, n), 2), n: -1}, gamma_fact),
     )
@@ -509,8 +561,7 @@ def growth_table(n_max: int) -> list[GrowthRow]:
     lgamma_n = np.array([math.lgamma(k) for k in range(2, n_max + 1)])
     lgamma_half = np.array([math.lgamma(i / 2.0) for i in range(2, n_max + 1)])
     log_zeta = np.zeros(n_max - 1)
-    for s in range(2, min(n_max + 1, _ZETA_IS_ONE)):
-        log_zeta[s - 2] = math.log(zeta(s))
+    log_zeta[: len(_LOG_ZETA)] = _LOG_ZETA[: n_max - 1]
     log_sie = (
         (2 * n**3 + 3 * n**2 + 7 * n - 24) * _LN2
         - (n**3 - n) * _LN3

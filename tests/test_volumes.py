@@ -10,6 +10,8 @@ from siegel.errors import InvalidArgumentError
 from siegel.haar import a_integral_quadrature
 from siegel.iwasawa import MINIMAL_PARAMS, SiegelParams
 from siegel.volumes import (
+    _LOG_ZETA,
+    _ZETA,
     _ZETA_IS_ONE,
     GROWTH_CSV_HEADER,
     SymbolicVolume,
@@ -71,6 +73,56 @@ def test_zeta_domain_errors():
         zeta(1)
 
 
+# Euler-Maclaurin oracle: direct summation below a cutoff plus the tail
+# with Bernoulli corrections B_2 .. B_20; the first omitted term is below
+# 1e-20 relative for every s >= 2.
+_BERNOULLI = (
+    Fraction(1, 6),
+    Fraction(-1, 30),
+    Fraction(1, 42),
+    Fraction(-1, 30),
+    Fraction(5, 66),
+    Fraction(-691, 2730),
+    Fraction(7, 6),
+    Fraction(-3617, 510),
+    Fraction(43867, 798),
+    Fraction(-174611, 330),
+)
+_EM_COEFFS = tuple(float(b) / math.factorial(2 * j) for j, b in enumerate(_BERNOULLI, start=1))
+
+
+def zeta_euler_maclaurin(s: int, cutoff: int = 16) -> float:
+    total = math.fsum(k ** -float(s) for k in range(1, cutoff))
+    n = float(cutoff)
+    total += 0.5 * n ** -float(s)
+    total += n ** (1.0 - s) / (s - 1.0)
+    rising = float(s)
+    npow = n ** (-float(s) - 1.0)
+    for j, coeff in enumerate(_EM_COEFFS, start=1):
+        total += coeff * rising * npow
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+        npow /= n * n
+    return total
+
+
+def test_zeta_table_is_correctly_rounded():
+    mpmath = pytest.importorskip("mpmath")
+    assert len(_ZETA) == _ZETA_IS_ONE - 2
+    with mpmath.workdps(60):
+        for s in range(2, _ZETA_IS_ONE):
+            assert _ZETA[s - 2] == float(mpmath.zeta(s)), s
+            assert zeta(s) == _ZETA[s - 2]
+
+
+def test_zeta_table_against_euler_maclaurin_oracle():
+    # the oracle rounds each step, so it may sit one ulp off the table
+    for s in range(2, _ZETA_IS_ONE):
+        assert abs(zeta_euler_maclaurin(s) - zeta(s)) <= math.ulp(zeta(s)), s
+    assert zeta_euler_maclaurin(_ZETA_IS_ONE) == 1.0
+    assert _LOG_ZETA == tuple(math.log(z) for z in _ZETA)
+    assert zeta(np.int64(_ZETA_IS_ONE - 1)) == _ZETA[-1]
+
+
 # --- symbolic algebra ---
 
 def test_symbolic_equality_is_structural():
@@ -101,6 +153,64 @@ def test_symbolic_log_matches_direct_evaluation(p, q, e, i):
         * math.factorial(i) ** float(e)
     )
     assert math.isclose(math.exp(expr.log_value()), direct, rel_tol=1e-12)
+
+
+#: canonical operands from the checking constructor: exact and labeled
+#: numeric bases, zero exponents and 0!, 1!, 2! (all folded), over index
+#: ranges small enough that products cancel atoms often
+_EXPONENT = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_SYMBOLIC = st.builds(
+    SymbolicVolume,
+    pow2=_EXPONENT,
+    pow3=_EXPONENT,
+    pow_pi=st.one_of(_EXPONENT, st.integers(-2, 2)),
+    zeta_pow=st.dictionaries(st.integers(2, 6) | st.integers(50, 60), st.integers(-2, 2), max_size=4),
+    factorial=st.dictionaries(st.integers(0, 6), st.integers(-2, 2), max_size=4),
+    numeric=st.dictionaries(
+        st.sampled_from([1.0, 2.0, 0.5, 4.0, 3.0, 2.0 / math.sqrt(3.0), 1.7, 0.3]),
+        st.one_of(_EXPONENT, st.integers(-2, 2)),
+        max_size=3,
+    ),
+)
+
+
+def _rebuilt(x):
+    """``x`` through the checking constructor, which would fold any
+    non-canonical field."""
+    return SymbolicVolume(
+        pow2=x.pow2, pow3=x.pow3, pow_pi=x.pow_pi,
+        zeta_pow=dict(x.zeta_pow), factorial=dict(x.factorial), numeric=dict(x.numeric),
+    )
+
+
+def _merged(x: dict, y: dict) -> dict:
+    out = dict(x)
+    for key, e in y.items():
+        out[key] = out.get(key, 0) + e
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SYMBOLIC, _SYMBOLIC, st.integers(min_value=-3, max_value=3))
+def test_products_and_powers_are_canonical(a, b, k):
+    # the product and power, each built once by the checking constructor
+    product = SymbolicVolume(
+        pow2=a.pow2 + b.pow2, pow3=a.pow3 + b.pow3, pow_pi=a.pow_pi + b.pow_pi,
+        zeta_pow=_merged(a.zeta_pow, b.zeta_pow),
+        factorial=_merged(a.factorial, b.factorial),
+        numeric=_merged(a.numeric, b.numeric),
+    )
+    power = SymbolicVolume(
+        pow2=a.pow2 * k, pow3=a.pow3 * k, pow_pi=a.pow_pi * k,
+        zeta_pow={i: e * k for i, e in a.zeta_pow.items()},
+        factorial={i: e * k for i, e in a.factorial.items()},
+        numeric={x: e * k for x, e in a.numeric.items()},
+    )
+    for got, want in ((a * b, product), (a ** k, power), (a / b, a * b ** -1), (a * a ** -1, SymbolicVolume())):
+        assert got == want == _rebuilt(got)
+        assert all(type(v) is Fraction for v in (got.pow2, got.pow3, got.pow_pi))
+        assert got.log_value() == want.log_value() == _rebuilt(got).log_value()
+    assert (a / b) * b == a
 
 
 def test_zero_power_is_one():
