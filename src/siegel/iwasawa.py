@@ -198,8 +198,11 @@ def matrix_to_json_dict(g: np.ndarray) -> dict:
 
 
 def matrix_from_json_dict(obj: dict) -> np.ndarray:
-    n = int(obj["n"])
-    flat = np.asarray(obj["entries"], dtype=float)
+    """The (n, n) float matrix of ``{"n": n, "entries": [...]}``, entries
+    row-major; ``n`` is held to :func:`as_count` and the entries to the
+    real-number rule of every matrix argument."""
+    n = as_count(obj["n"], "n", least=2)
+    flat = _real_array(obj["entries"])
     if flat.size != n * n:
         raise InvalidArgumentError("entries length does not match n*n")
     return flat.reshape(n, n)
@@ -377,10 +380,17 @@ def siegel_membership(g, p: SiegelParams, tol: float, *, check: bool = True) -> 
 
     ``inside`` iff every ``b[i] <= t - tol`` and ``|u[i, j]| <= lam - tol``;
     ``outside`` iff some constraint is exceeded by more than ``tol``;
-    ``boundary`` otherwise.  The coordinates are the k-left factors of g.
+    ``boundary`` otherwise.  The coordinates are the k-left factors of g,
+    one (n, n) matrix; :func:`membership_excess` scores a stack.
     """
     if not 0 <= tol < math.inf:
         raise InvalidArgumentError(f"tol must be a finite number >= 0, got {tol!r}")
+    g = _real_array(g)
+    if g.ndim != 2:
+        raise InvalidArgumentError(
+            f"siegel_membership classifies one (n, n) matrix, got shape {g.shape}; "
+            "membership_excess scores a stack"
+        )
     excess = membership_excess(g, p, check=check)
     if excess <= -tol:
         return MEMBERSHIP_INSIDE

@@ -99,6 +99,19 @@ def test_computation_error_exit_code(tmp_path, capsys):
     assert json.loads(err)["error"] == "NotUnimodularError"
 
 
+@pytest.mark.parametrize("doc", [
+    {"n": 2.9, "entries": ["1", 0, 0, "1"]},  # was read as the 2x2 identity
+    {"n": 2, "entries": ["1", 0, 0, "1"]},
+    {"n": 2.0, "entries": [1.0, 0.0, 0.0, 1.0]},
+])
+def test_decompose_refuses_a_malformed_matrix_file(tmp_path, capsys, doc):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "decompose", "--input", str(path))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "InvalidArgumentError"
+
+
 def test_decompose_echoes_the_siegel_params_it_reads(tmp_path, capsys):
     # |u| = 0.6: outside the canonical lambda = 1/2, inside lambda = 0.7
     path = tmp_path / "m.json"

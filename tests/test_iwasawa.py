@@ -194,6 +194,38 @@ def test_matrix_json_round_trip(rng):
     assert m.to_json_dict() == {"n": 2, "entries": ["1", str(10**25), "0", "1"]}
 
 
+#: JSON matrices the reader must refuse: n a float (it was truncated to 2),
+#: a bool, below 2, or not matching the entries; entries that are strings
+#: (they were parsed as numbers) or complex numbers
+_BAD_JSON_MATRICES = {
+    "float n": {"n": 2.9, "entries": ["1", 0, 0, "1"]},
+    "integral float n": {"n": 2.0, "entries": [1, 0, 0, 1]},
+    "bool n": {"n": True, "entries": [1]},
+    "n below 2": {"n": 1, "entries": [1]},
+    "string n": {"n": "2", "entries": [1, 0, 0, 1]},
+    "string entries": {"n": 2, "entries": ["1", 0, 0, "1"]},
+    "complex entries": {"n": 2, "entries": [1j, 0, 0, 1]},
+    "wrong length": {"n": 2, "entries": [1, 0, 0]},
+}
+
+
+@pytest.mark.parametrize("doc", list(_BAD_JSON_MATRICES.values()), ids=list(_BAD_JSON_MATRICES))
+def test_matrix_from_json_dict_refuses_malformed_documents(doc):
+    with pytest.raises(InvalidArgumentError):
+        matrix_from_json_dict(doc)
+
+
+def test_siegel_membership_refuses_a_stack():
+    stack = np.array([np.eye(2)] * 3)
+    with pytest.raises(InvalidArgumentError, match="membership_excess"):
+        siegel_membership(stack, MINIMAL_PARAMS, 1e-9)
+    with pytest.raises(InvalidArgumentError, match="membership_excess"):
+        siegel_membership(stack, MINIMAL_PARAMS, 1e-9, check=False)
+    # each matrix on its own is classified, and the stack is scored
+    assert [siegel_membership(g, MINIMAL_PARAMS, 1e-9) for g in stack] == ["inside"] * 3
+    assert membership_excess(stack, MINIMAL_PARAMS).tolist() == [1.0 - MINIMAL_PARAMS.t] * 3
+
+
 def test_siegel_params_validation():
     with pytest.raises(InvalidArgumentError):
         SiegelParams(-1.0, 0.5)
