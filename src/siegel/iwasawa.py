@@ -113,10 +113,16 @@ def as_matrix_stack(g) -> np.ndarray:
     return arr
 
 
+def is_int(value) -> bool:
+    """The package's integer rule: a Python or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def as_count(value, name: str, least: int = 0) -> int:
-    """Validate ``value`` as an integer >= ``least`` (a bool or a float is
-    not one); the one input rule for every dimension, size and budget."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+    """Validate ``value`` as an integer >= ``least`` by :func:`is_int` (a
+    bool or a float is not one); the one input rule for every dimension,
+    size and budget."""
+    if not is_int(value) or value < least:
         raise InvalidArgumentError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 

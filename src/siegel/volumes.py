@@ -9,16 +9,21 @@ only appear when ``log_value``/``value`` are called.
 Every :class:`SymbolicVolume` is folded into one canonical form when it
 is built, so equal quantities have equal fields and ``==`` is exact.
 Products and integer powers of canonical expressions are canonical, so
-they are built without the constructor's checks.
-Gamma(i/2) factors enter in the factorial/pi/2 basis
-(Gamma(m) = (m-1)!, Gamma(m + 1/2) = sqrt(pi) (2m)!/(4^m m!)), which keeps
-printed forms clean.  ``log_value`` is one correctly rounded sum over the
-atoms, so equal quantities also evaluate to equal floats; log zeta(i)
-comes from a table of constants, as does :func:`zeta`.  Each builder
-passes the raw exponent maps of its docstring formula to one constructor
-call; :func:`growth_table` evaluates the same closed forms in log space
-with numpy.  Arbitrary positive constants (a non-canonical Siegel
-parameter t, say) are labeled numeric factors.
+they are built without the constructor's checks.  Each builder writes the
+exponent maps of its docstring formula already in canonical form (0!, 1!
+dropped, 2! as a power of 2, no zero exponent) and wraps them the same
+way; the public constructor, with every check and its one fold rule, is
+for expressions from elsewhere.  The product prod_{i=2}^n Gamma(i/2)
+enters in closed form in the factorial/pi/2 basis, from
+Gamma(m) = (m-1)! and Gamma(m + 1/2) = sqrt(pi) (2m)!/(4^m m!) (see
+:func:`_inverse_gamma_half_product`), which keeps printed forms clean.
+``log_value`` is one correctly rounded sum over the atoms, so equal
+quantities also evaluate to equal floats; log zeta(i) comes from a table
+of constants, as does :func:`zeta`.  :func:`growth_table` evaluates the
+same closed forms in log space with numpy.  Arbitrary positive constants
+(a non-canonical Siegel parameter t, say) are labeled numeric factors;
+they are the one part of a builder that goes through the constructor,
+which folds the exact ones into powers of 2 and 3.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from functools import partial
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .iwasawa import MINIMAL_PARAMS, SiegelParams, as_count
+from .iwasawa import MINIMAL_PARAMS, SiegelParams, as_count, is_int
 
 _LN2 = math.log(2.0)
 _LN3 = math.log(3.0)
@@ -98,6 +103,8 @@ _ZETA = (
 )
 _LOG_ZETA = tuple(map(math.log, _ZETA))
 
+_ZERO = Fraction(0)
+
 
 def zeta(s: int) -> float:
     """Riemann zeta at an integer s >= 2, correctly rounded to binary64.
@@ -130,36 +137,56 @@ def _plus(x: Fraction, y: Fraction) -> Fraction:
     return x + y if x and y else x or y
 
 
-def _gamma_half(indices, exp: int) -> tuple[dict, int, int]:
-    """prod_{i in indices} Gamma(i/2)^exp in the factorial basis, as
-    ``(factorials, pow2, half_pi)``: an exponent map of i!, a power of 2 and
-    a power of sqrt(pi).
+def _inverse_gamma_half_product(n: int) -> tuple[dict, int, int]:
+    """prod_{i=2}^n 1/Gamma(i/2) in canonical form, as ``(factorials, pow2,
+    half_pi)``: an exponent map of i! (keys >= 3, no zero exponent), a
+    power of 2 and a power of sqrt(pi).
 
-    Even i = 2m: Gamma(m) = (m-1)!.  Odd i = 2m+1:
-    Gamma(m + 1/2) = sqrt(pi) * (2m)! / (4**m * m!).
+    Even i = 2m, m = 1..n//2, give Gamma(m) = (m-1)!; odd i = 2m+1,
+    m = 1..M with M = (n-1)//2, give Gamma(m + 1/2) = sqrt(pi) (2m)!/(4^m m!).
+    The (m-1)! for m = 1..n//2 cancel the m! for m = 1..M, except for a
+    1/M! when n is odd (then n//2 = M; for even n, n//2 = M + 1), so
+
+        prod_{i=2}^n 1/Gamma(i/2) = 2^(M(M+1)) pi^(-M/2) (M!)^[n odd] / prod_{m=1}^M (2m)!.
+
+    The 2! of m = 1 is a power of 2; the M! of odd n vanishes for M <= 1,
+    is a power of 2 for M = 2 and cancels its (2m)! for an even M >= 4.
     """
-    fact: dict = {}
-    pow2 = half_pi = 0
-    for i in indices:
-        m = i // 2
-        if i % 2 == 0:
-            fact[m - 1] = fact.get(m - 1, 0) + exp
+    M = (n - 1) // 2
+    fact = dict.fromkeys(range(4, 2 * M + 1, 2), -1)
+    pow2 = M * (M + 1) - (M > 0)
+    if n % 2 and M >= 2:
+        if M == 2:
+            pow2 += 1
+        elif M in fact:
+            del fact[M]
         else:
-            fact[2 * m] = fact.get(2 * m, 0) + exp
-            fact[m] = fact.get(m, 0) - exp
-            pow2 -= 2 * m * exp
-            half_pi += exp
-    return fact, pow2, half_pi
+            fact[M] = 1
+    return fact, pow2, -M
 
 
-def _check_indices(exponents: dict, least: int, atom: str) -> None:
-    """Every key of an exponent map is an integer index >= ``least``."""
-    if exponents and not (
-        all(isinstance(i, (int, np.integer)) for i in exponents) and min(exponents) >= least
-    ):
+def _check_integer_map(exponents: dict, least: int, atom: str) -> None:
+    """Every key of an exponent map is an integer index >= ``least`` and
+    every exponent an integer, both by :func:`~siegel.iwasawa.is_int`."""
+    if exponents and not (all(map(is_int, exponents)) and min(exponents) >= least):
         raise InvalidArgumentError(
             f"{atom} factors need integer indices >= {least}, got {list(exponents)}"
         )
+    if not all(map(is_int, exponents.values())):
+        raise InvalidArgumentError(
+            f"{atom} factors need integer exponents, got {list(exponents.values())}"
+        )
+
+
+def _as_exponent(value, atom: str) -> Fraction:
+    """``value`` as an exact Fraction exponent; a bool, a string, a
+    non-finite number or a type Fraction does not take is refused."""
+    if not isinstance(value, (bool, str)):
+        try:
+            return Fraction(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise InvalidArgumentError(f"{atom} exponents must be finite numbers, got {value!r}")
 
 
 #: Numeric bases that are exact products of powers of 2 and 3:
@@ -178,11 +205,13 @@ _EXACT_BASES = {
 class SymbolicVolume:
     """Exact multiplicative expression with a log-space evaluator.
 
-    Fields hold exact exponents: ``pow2``/``pow3``/``pow_pi`` are rational,
-    the maps give integer exponents per zeta(i) and i! factor, and
-    ``numeric`` holds exact rational exponents of arbitrary positive finite
-    floats.  Multiplication and division add exponents exactly; nothing is
-    rounded until ``log_value``/``value``.
+    Fields hold exact exponents: ``pow2``/``pow3``/``pow_pi`` are
+    Fractions, the maps give integer exponents per zeta(i) and i! factor,
+    and ``numeric`` holds Fraction exponents of arbitrary positive finite
+    floats.  The constructor converts scalar and numeric exponents to
+    Fractions and refuses a non-finite one.  Multiplication and division
+    add exponents exactly; nothing is rounded until
+    ``log_value``/``value``.
 
     Every instance is canonical from construction on: 0! and 1! are
     dropped and 2! becomes a power of 2, numeric bases that are powers of
@@ -204,13 +233,15 @@ class SymbolicVolume:
         fold = partial(object.__setattr__, self)
         for name in ("pow2", "pow3", "pow_pi"):
             if type(getattr(self, name)) is not Fraction:
-                fold(name, Fraction(getattr(self, name)))
-        _check_indices(self.zeta_pow, 2, "zeta")
-        _check_indices(self.factorial, 0, "factorial")
+                fold(name, _as_exponent(getattr(self, name), name))
+        _check_integer_map(self.zeta_pow, 2, "zeta")
+        _check_integer_map(self.factorial, 0, "factorial")
         if self.numeric and not all(0.0 < base < math.inf for base in self.numeric):
             raise InvalidArgumentError(
                 f"numeric bases must be positive and finite, got {list(self.numeric)}"
             )
+        if not all(type(e) is Fraction for e in self.numeric.values()):
+            fold("numeric", {b: _as_exponent(e, "numeric") for b, e in self.numeric.items()})
         if not all(self.zeta_pow.values()):
             fold("zeta_pow", {i: e for i, e in self.zeta_pow.items() if e})
         fact = self.factorial
@@ -235,7 +266,8 @@ class SymbolicVolume:
         A product or nonzero integer power of canonical instances is
         canonical: exponents stay Fractions, ``_add`` drops the zeros, and
         the index sets and numeric bases only merge, so no 0!, 1!, 2! or
-        exact numeric base can appear.
+        exact numeric base can appear.  The volume builders write their
+        fields in this form directly.
         """
         obj = object.__new__(cls)
         obj.__dict__.update(
@@ -246,6 +278,8 @@ class SymbolicVolume:
     # --- algebra ---
 
     def __mul__(self, other: "SymbolicVolume") -> "SymbolicVolume":
+        if not isinstance(other, SymbolicVolume):
+            return NotImplemented
         return SymbolicVolume._trusted(
             _plus(self.pow2, other.pow2),
             _plus(self.pow3, other.pow3),
@@ -256,11 +290,14 @@ class SymbolicVolume:
         )
 
     def __truediv__(self, other: "SymbolicVolume") -> "SymbolicVolume":
+        if not isinstance(other, SymbolicVolume):
+            return NotImplemented
         return self * other**-1
 
     def __pow__(self, exp: int) -> "SymbolicVolume":
-        if not isinstance(exp, int):
-            raise InvalidArgumentError("only integer powers of expressions")
+        if not is_int(exp):
+            raise InvalidArgumentError(f"only integer powers of expressions, got {exp!r}")
+        exp = int(exp)
         if not exp:
             return SymbolicVolume()
         return SymbolicVolume._trusted(
@@ -337,11 +374,14 @@ def vol_so(n: int) -> SymbolicVolume:
     form must reproduce exactly (tested symbolically).
     """
     n = as_count(n, "n", least=1)
-    gamma_fact, gamma_pow2, half_pi = _gamma_half(range(2, n + 1), -1)
-    return SymbolicVolume(
-        pow2=Fraction((n - 1) * (n + 4) + 4 * gamma_pow2, 4),
-        pow_pi=Fraction(n * n + n - 2 + 2 * half_pi, 4),
-        factorial=gamma_fact,
+    gamma_fact, gamma_pow2, half_pi = _inverse_gamma_half_product(n)
+    return SymbolicVolume._trusted(
+        Fraction((n - 1) * (n + 4) + 4 * gamma_pow2, 4),
+        _ZERO,
+        Fraction(n * n + n - 2 + 2 * half_pi, 4),
+        {},
+        gamma_fact,
+        {},
     )
 
 
@@ -360,9 +400,11 @@ def vol_siegel(n: int, p: SiegelParams = MINIMAL_PARAMS) -> SymbolicVolume:
     factors with exact exponents.
     """
     n = as_count(n, "n", least=2)
-    return vol_so(n) * SymbolicVolume(
-        pow2=-1,
-        factorial={n - 1: -2},
+    # (1/2) ((n-1)!)^-2: 1! is 1 and 2! is 2
+    half_fact = SymbolicVolume._trusted(
+        Fraction(-1 - 2 * (n == 3)), _ZERO, _ZERO, {}, {n - 1: -2} if n > 3 else {}, {}
+    )
+    return vol_so(n) * half_fact * SymbolicVolume(
         numeric=_add({2.0 * p.lam: Fraction(n * (n - 1), 2)}, {p.t: Fraction(n * (n * n - 1), 6)}),
     )
 
@@ -376,10 +418,14 @@ def vol_quotient(n: int) -> SymbolicVolume:
     variant that drops a factor n!.
     """
     n = as_count(n, "n", least=2)
-    return SymbolicVolume(
-        pow2=Fraction(1 - (n - 1) * (n - 2), 2),
-        zeta_pow=dict.fromkeys(range(2, n + 1), 1),
-        factorial=dict.fromkeys(range(1, n), -1),
+    # 1/1! is 1 and 1/2! (for n >= 3) a power of 2
+    return SymbolicVolume._trusted(
+        Fraction(1 - (n - 1) * (n - 2) - 2 * (n > 2), 2),
+        _ZERO,
+        _ZERO,
+        dict.fromkeys(range(2, n + 1), 1),
+        dict.fromkeys(range(3, n), -1),
+        {},
     )
 
 
@@ -391,10 +437,14 @@ def vol_quotient_rightmost(n: int) -> SymbolicVolume:
     alternative for the dual-evaluation check, never used as the value.
     """
     n = as_count(n, "n", least=2)
-    return SymbolicVolume(
-        pow2=Fraction(3 * n - n * n - 1, 2),
-        zeta_pow=dict.fromkeys(range(2, n + 1), 1),
-        factorial=dict.fromkeys(range(2, n + 1), -1),
+    # 1/2! is a power of 2
+    return SymbolicVolume._trusted(
+        Fraction(3 * n - n * n - 3, 2),
+        _ZERO,
+        _ZERO,
+        dict.fromkeys(range(2, n + 1), 1),
+        dict.fromkeys(range(3, n + 1), -1),
+        {},
     )
 
 
@@ -415,13 +465,20 @@ def ratio_C_display(n: int) -> SymbolicVolume:
     Disagrees with the direct quotient by 2^(3n-1); kept for the check.
     """
     n = as_count(n, "n", least=2)
-    gamma_fact, gamma_pow2, half_pi = _gamma_half(range(2, n + 1), -1)
-    return SymbolicVolume(
-        pow2=Fraction(2 * n**3 + 9 * n**2 + 25 * n - 30 + 12 * gamma_pow2, 12),
-        pow3=Fraction(n - n**3, 12),
-        pow_pi=Fraction(n * n + n - 2 + 2 * half_pi, 4),
-        zeta_pow=dict.fromkeys(range(2, n + 1), -1),
-        factorial=_add(dict.fromkeys(range(1, n), 1), {n - 1: -2}, gamma_fact),
+    gamma_fact, gamma_pow2, half_pi = _inverse_gamma_half_product(n)
+    # prod_{i=1}^{n-1} i! / ((n-1)!)^2 = prod_{i=3}^{n-2} i! / (n-1)!, where
+    # 2! is a 2 in the product (n >= 4) or a 1/2 as (n-1)! (n = 3)
+    fact = dict.fromkeys(range(3, n - 1), 1)
+    if n > 3:
+        fact[n - 1] = -1
+    pow2 = gamma_pow2 + (n > 3) - (n == 3)
+    return SymbolicVolume._trusted(
+        Fraction(2 * n**3 + 9 * n**2 + 25 * n - 30 + 12 * pow2, 12),
+        Fraction(n - n**3, 12),
+        Fraction(n * n + n - 2 + 2 * half_pi, 4),
+        dict.fromkeys(range(2, n + 1), -1),
+        _add(fact, gamma_fact),
+        {},
     )
 
 
@@ -444,11 +501,17 @@ def harder_volume(n: int) -> SymbolicVolume:
     """
     n = as_count(n, "n", least=2)
     e = n * (n + 3)
-    return SymbolicVolume(
-        pow2=Fraction(-e - 2 * harder_tau(n), 2),
-        pow_pi=Fraction(-e, 2),
-        zeta_pow=dict.fromkeys(range(2, n + 1), 1),
-        factorial={**dict.fromkeys(range(1, n), 1), n: -1},
+    # 2! is a 2 in the product (n >= 3) or a 1/2 as n! (n = 2)
+    fact = dict.fromkeys(range(3, n), 1)
+    if n > 2:
+        fact[n] = -1
+    return SymbolicVolume._trusted(
+        Fraction(-e - 2 * harder_tau(n) + (2 if n > 2 else -2), 2),
+        _ZERO,
+        Fraction(-e, 2),
+        dict.fromkeys(range(2, n + 1), 1),
+        fact,
+        {},
     )
 
 
@@ -463,11 +526,19 @@ def normalization_ratio_display(n: int) -> SymbolicVolume:
     2^((n^2-5n-2)/4 - tau) (prod i!)^2 / (n! pi^((n^2+5n+2)/4) prod Gamma(i/2)).
     Disagrees with the direct quotient by 2^n; kept for the check."""
     n = as_count(n, "n", least=2)
-    gamma_fact, gamma_pow2, half_pi = _gamma_half(range(2, n + 1), -1)
-    return SymbolicVolume(
-        pow2=Fraction(n * n - 5 * n - 2 + 4 * (gamma_pow2 - harder_tau(n)), 4),
-        pow_pi=Fraction(2 * half_pi - n * n - 5 * n - 2, 4),
-        factorial=_add({**dict.fromkeys(range(1, n), 2), n: -1}, gamma_fact),
+    gamma_fact, gamma_pow2, half_pi = _inverse_gamma_half_product(n)
+    # (2!)^2 is a 2^2 in the squared product (n >= 3); 2! is a 1/2 as n! (n = 2)
+    fact = dict.fromkeys(range(3, n), 2)
+    if n > 2:
+        fact[n] = -1
+    pow2 = gamma_pow2 - harder_tau(n) + (2 if n > 2 else -1)
+    return SymbolicVolume._trusted(
+        Fraction(n * n - 5 * n - 2 + 4 * pow2, 4),
+        _ZERO,
+        Fraction(2 * half_pi - n * n - 5 * n - 2, 4),
+        {},
+        _add(fact, gamma_fact),
+        {},
     )
 
 

@@ -11,6 +11,7 @@ from siegel.haar import a_integral_quadrature
 from siegel.iwasawa import MINIMAL_PARAMS, SiegelParams
 from siegel.volumes import (
     _LOG_ZETA,
+    _inverse_gamma_half_product,
     _ZETA,
     _ZETA_IS_ONE,
     GROWTH_CSV_HEADER,
@@ -250,10 +251,48 @@ def test_constructor_domain_errors():
         lambda: SymbolicVolume(zeta_pow={2.5: 1}),
         lambda: SymbolicVolume(factorial={-1: 1}),
         lambda: SymbolicVolume(factorial={3.0: 1}),
+        lambda: SymbolicVolume(factorial={True: 1}),
+        lambda: SymbolicVolume(factorial={3: 0.5}),
+        lambda: SymbolicVolume(zeta_pow={3: 0.5}),
+        lambda: SymbolicVolume(factorial={3: Fraction(2)}),
+        lambda: SymbolicVolume(zeta_pow={3: True}),
+        lambda: SymbolicVolume(pow2=math.nan),
+        lambda: SymbolicVolume(pow3=math.inf),
+        lambda: SymbolicVolume(pow_pi=True),
+        lambda: SymbolicVolume(pow2="1/2"),
+        lambda: SymbolicVolume(pow2=1j),
+        lambda: SymbolicVolume(numeric={1.7: math.nan}),
+        lambda: SymbolicVolume(numeric={1.7: -math.inf}),
         lambda: SymbolicVolume(pow2=1) ** 0.5,
     ):
         with pytest.raises(InvalidArgumentError):
             bad()
+
+
+def test_constructor_makes_exponents_fractions():
+    x = SymbolicVolume(numeric={3.5: 0.25, 1.7: 2})
+    assert x.numeric == {3.5: Fraction(1, 4), 1.7: 2}
+    assert all(type(e) is Fraction for e in x.numeric.values())
+    assert str(x) == "1.7^2 * 3.5^(1/4)"
+    assert SymbolicVolume(pow2=0.5, pow3=np.int64(2)) == SymbolicVolume(pow2=Fraction(1, 2), pow3=2)
+
+
+def test_arithmetic_with_a_non_expression_operand_is_a_type_error():
+    x = vol_so(3)
+    for bad in (lambda: x * 2, lambda: x / 2.0, lambda: 2 * x, lambda: 2.0 / x, lambda: x * Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            bad()
+
+
+def test_powers_take_integer_exponents_only():
+    x = vol_so(3)
+    for k in (np.int64(2), np.int32(-3)):
+        got = x**k
+        assert got == x ** int(k) and all(type(v) is Fraction for v in (got.pow2, got.pow3, got.pow_pi))
+    assert x ** np.int64(0) == SymbolicVolume()
+    for bad in (True, False, 0.5, 2.0, Fraction(2), "2", None):
+        with pytest.raises(InvalidArgumentError):
+            x**bad
 
 
 @pytest.mark.parametrize("base", [-2.0, 0.0, math.inf, math.nan])
@@ -291,6 +330,49 @@ def test_symbolic_log_agrees_with_float_product(n):
     for i in range(2, n + 1):
         direct_so *= math.pi ** (i / 2.0) / math.gamma(i / 2.0)
     assert math.isclose(math.exp(vol_so(n).log_value()), direct_so, rel_tol=1e-12)
+
+
+def test_inverse_gamma_half_product_equals_factor_product():
+    want = SymbolicVolume()
+    for n in range(1, 301):
+        if n >= 2:
+            want = want * gamma_half(n, -1)
+        fact, pow2, half_pi = _inverse_gamma_half_product(n)
+        got = SymbolicVolume(pow2=pow2, pow_pi=Fraction(half_pi, 2), factorial=fact)
+        assert got == want, n
+        assert got.factorial == fact and min(fact, default=3) >= 3 and all(fact.values()), n
+
+
+_LABELED = SiegelParams(1.7, 0.3)
+
+
+@pytest.mark.parametrize(
+    "builder",
+    [
+        vol_so,
+        vol_siegel,
+        lambda n: vol_siegel(n, _LABELED),
+        vol_quotient,
+        vol_quotient_rightmost,
+        ratio_C,
+        ratio_C_display,
+        vol_symmetric_space,
+        harder_volume,
+        normalization_ratio,
+        normalization_ratio_display,
+    ],
+    ids=["vol_so", "vol_siegel", "vol_siegel_labeled", "vol_quotient", "vol_quotient_rightmost",
+         "ratio_C", "ratio_C_display", "vol_symmetric_space", "harder_volume",
+         "normalization_ratio", "normalization_ratio_display"],
+)
+def test_builders_are_canonical_by_construction(builder):
+    for n in range(1 if builder is vol_so else 2, 201):
+        x = builder(n)
+        assert x == _rebuilt(x), n
+        assert all(type(v) is Fraction for v in (x.pow2, x.pow3, x.pow_pi)), n
+        assert all(type(e) is int and e for e in (*x.zeta_pow.values(), *x.factorial.values())), n
+        assert all(type(e) is Fraction and e for e in x.numeric.values()), n
+        assert min(x.factorial, default=3) >= 3, n
 
 
 # --- sphere and rotation-group volumes ---
