@@ -157,11 +157,11 @@ def _setting(flag, budgets: dict, key: str, default=None):
 
 def _siegel_params(args) -> SiegelParams:
     """``--t`` and ``--lambda`` of a command that reads them; an absent flag
-    is the canonical value."""
-    return SiegelParams(
-        MINIMAL_PARAMS.t if args.t is None else args.t,
-        MINIMAL_PARAMS.lam if args.lam is None else args.lam,
-    )
+    is the canonical value, and an absent ``--t`` the exact t^2 = 4/3."""
+    lam = MINIMAL_PARAMS.lam if args.lam is None else args.lam
+    if args.t is None:
+        return SiegelParams._of_square(MINIMAL_PARAMS.t2, lam)
+    return SiegelParams(args.t, lam)
 
 
 def _refuse(args, where: str, *dests: str) -> None:

@@ -13,10 +13,10 @@ the inequality chain on concrete witnesses, searches for witnesses by
 seeded importance sampling plus local refinement, and exhaustively
 enumerates the small-n candidate set together with the two-sided count
 bounds.  The search is one-sided: it can certify membership in the
-intersecting set, and can exclude only via the height bound; everything
-else stays ``unknown``.  The bounds are those of the canonical Siegel
-set (t = 2/sqrt(3), lambda = 1/2): :func:`find_witness` takes any set
-inside it, where an element above the height bound still cannot
+intersecting set, and can exclude only via the height bound, decided in
+integers; everything else stays ``unknown``.  The bounds are those of the
+canonical Siegel set (t^2 = 4/3, lambda = 1/2): :func:`find_witness` takes
+any set inside it, where an element above the height bound still cannot
 intersect, and refuses a larger one; :func:`enumerate_intersections`
 searches the canonical set alone, the one its lower bound ceil(C(n))
 counts for.
@@ -64,6 +64,7 @@ from .errors import (
     DimensionTooLargeError,
     InvalidArgumentError,
     InvalidWitnessError,
+    ToleranceNotMetError,
 )
 from .haar import (
     DEFAULT_B_MIN_FRACTION,
@@ -148,9 +149,16 @@ def height_bound(n: int) -> float:
     This is the constant the bound's own derivation produces; the
     published statements carry the smaller exponent (n^2 - n)/2, exposed
     in :func:`height_bound_variants`.  The larger exponent is the safe
-    choice for an exclusion test.
+    choice for an exclusion test.  From n = 22 on the bound is not finite
+    in float, and :class:`ToleranceNotMetError` says to use
+    :func:`log_height_bound`.
     """
-    return math.exp(log_height_bound(n))
+    try:
+        return math.exp(log_height_bound(n))
+    except OverflowError:
+        raise ToleranceNotMetError(
+            f"the height bound at n = {n} is not finite in float; use log_height_bound"
+        ) from None
 
 
 def height_bound_variants(n: int) -> dict[str, float]:
@@ -179,6 +187,16 @@ class FilterCheck:
             "lhs": self.lhs,
             "rhs": self.rhs,
         }
+
+
+def _height_check(gamma: UnimodularIntMatrix) -> FilterCheck:
+    """The height check of gamma, decided exactly: height <= sqrt(n)^(n^2-1)
+    iff height^2 <= n^(n^2-1) in integers, so an exclusion is a proof.  The
+    record keeps the floats of both sides as ``lhs`` and ``rhs``."""
+    n, height = gamma.n, gamma.height()
+    return FilterCheck(
+        "height_bound", (), height * height <= n ** (n * n - 1), float(height), height_bound(n)
+    )
 
 
 def _chain_passes(lhs, rhs):
@@ -224,14 +242,13 @@ class _ChainPlan:
                 for j in range(lo, hi + 1)
             ]
         names, indices, lhs_cols, rhs_cols, factors = zip(*rows)
-        height = float(gamma.height())
         return cls(
             names,
             indices,
             np.array(lhs_cols),
             np.array(rhs_cols),
             np.array(factors),
-            FilterCheck("height_bound", (), bool(_chain_passes(height, comp)), height, comp),
+            _height_check(gamma),
         )
 
 
@@ -592,8 +609,7 @@ def _search(
     chunks that keep every stack within ``_STACK_ROWS`` rows."""
     cands = []
     for gamma, rng in zip(gammas, rngs):
-        bound, height = height_bound(gamma.n), float(gamma.height())
-        head = FilterCheck("height_bound", (), height <= bound, height, bound)
+        head = _height_check(gamma)
         cand = _Candidate(gamma, rng, head)
         if not head.passed:
             cand.report = IntersectionReport(gamma, STATUS_EXCLUDED, None, [head], None)
@@ -714,10 +730,13 @@ def find_witness(
     backed by a clean trace.  Larger budgets extend the same sample
     sequence, so a witnessed report stays the same report, byte for byte,
     at every larger budget.  A ``budget`` that is not an integer >= 0
-    raises :class:`InvalidArgumentError`, and so does a ``p`` with ``t``
-    or ``lam`` above :data:`MINIMAL_PARAMS`: the height bound is proved
+    raises :class:`InvalidArgumentError`, and so does a ``p`` with ``t2``
+    or ``lam`` above :data:`MINIMAL_PARAMS`, compared exactly (a float ``t``
+    of 2/sqrt(3) states a set a sliver larger): the height bound is proved
     for the canonical set, and so for every set inside it, but not for a
-    larger one.
+    larger one.  A gamma of dimension n >= 6 raises
+    :class:`DimensionTooLargeError` before anything is built: the
+    3^(n(n-1)/2) boundary probes alone would be 14.3 million at n = 6.
 
     This is the one-candidate case of the lockstep search that
     :func:`enumerate_intersections` runs over all its candidates, so each of
@@ -735,11 +754,15 @@ def find_witness(
     one a point-by-point search of the same samples gives, bit for bit.
     """
     budget = as_count(budget, "budget")
-    if p.t > MINIMAL_PARAMS.t or p.lam > MINIMAL_PARAMS.lam:
+    if p.t2 > MINIMAL_PARAMS.t2 or p.lam > MINIMAL_PARAMS.lam:
         raise InvalidArgumentError(
             f"the height bound holds only inside the canonical Siegel set "
-            f"(t <= {MINIMAL_PARAMS.t!r}, lambda <= {MINIMAL_PARAMS.lam!r}), "
+            f"(t^2 <= {MINIMAL_PARAMS.t2}, lambda <= {MINIMAL_PARAMS.lam!r}), "
             f"got t={p.t!r}, lambda={p.lam!r}"
+        )
+    if gamma.n >= 6:
+        raise DimensionTooLargeError(
+            f"the witness search is desk-scale only (n <= 5), got n = {gamma.n}"
         )
     return _search([gamma], p, budget, [RngStream(0, 0) if rng is None else rng])[0]
 

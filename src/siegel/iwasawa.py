@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -51,21 +52,81 @@ MEMBERSHIP_OUTSIDE = "outside"
 MEMBERSHIP_BOUNDARY = "boundary"
 
 
-@dataclass(frozen=True)
+def _siegel_bound(value, name: str) -> float:
+    """A Siegel parameter by the real-number rule: a real number that is
+    not a bool (a string or a complex number is not one), positive and
+    finite as a float."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            bound = float(value)
+        except OverflowError:
+            bound = math.inf
+        if 0 < bound < math.inf:
+            return bound
+    raise InvalidArgumentError(
+        f"Siegel parameter {name} must be a positive finite real number, got {value!r}"
+    )
+
+
+def _least_root(t2: Fraction) -> float:
+    """The least float whose square is >= ``t2`` (a positive Fraction):
+    the float ratio bound of the exact set ``b**2 <= t2``.
+
+    A 64-bit integer square root of the scaled ``t2`` lands within an ulp
+    of the answer, and exact comparisons settle it.
+    """
+    num, den = t2.numerator, t2.denominator
+    shift = max(0, 64 - (num.bit_length() - den.bit_length()) // 2)
+    t = float(Fraction(math.isqrt((num << 2 * shift) // den), 1 << shift))
+    while Fraction(t) ** 2 < t2:
+        t = math.nextafter(t, math.inf)
+    while t > 0 and Fraction(below := math.nextafter(t, 0.0)) ** 2 >= t2:
+        t = below
+    return t
+
+
+@dataclass(frozen=True, init=False)
 class SiegelParams:
-    """Siegel-set parameters: ``b[i] <= t`` and ``|u[i, j]| <= lam``."""
+    """Siegel-set parameters: ``b[i] <= t`` and ``|u[i, j]| <= lam``.
+
+    The set is stated exactly by ``t2``, the square of the ratio bound as a
+    Fraction, and ``lam``, a float and so exact.  ``SiegelParams(t, lam)``
+    takes real numbers (not bools), positive and finite as floats, and
+    states ``t2 = Fraction(t)**2``.  ``t``, the float every predicate
+    reads, is derived from ``t2`` here alone: the least float whose square
+    is >= ``t2``, which is the given ``t`` itself.  Where ``t2`` is not the
+    square of a float (4/3 in :data:`MINIMAL_PARAMS`), the float predicate
+    ``b <= t`` admits a sliver of ``b`` above the exact bound, by less than
+    one ulp of ``t``.
+    """
 
     t: float
     lam: float
+    t2: Fraction
 
-    def __post_init__(self):
-        if not (0 < self.t < math.inf and 0 < self.lam < math.inf):
-            raise InvalidArgumentError("Siegel parameters must be positive and finite")
+    def __init__(self, t, lam):
+        t = _siegel_bound(t, "t")
+        self._state(Fraction(t) ** 2, _siegel_bound(lam, "lam"))
+
+    @classmethod
+    def _of_square(cls, t2: Fraction, lam) -> SiegelParams:
+        """The set ``b**2 <= t2``, ``|u| <= lam`` for an exact positive
+        ``t2`` that need not be the square of a float; ``lam`` is held to
+        the rule of the constructor."""
+        params = object.__new__(cls)
+        params._state(t2, _siegel_bound(lam, "lam"))
+        return params
+
+    def _state(self, t2: Fraction, lam: float) -> None:
+        object.__setattr__(self, "t", _least_root(t2))
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "t2", t2)
 
 
 #: Smallest parameters for which the Siegel set still covers SL(n,R)
-#: under right multiplication by SL(n,Z).
-MINIMAL_PARAMS = SiegelParams(t=2.0 / math.sqrt(3.0), lam=0.5)
+#: under right multiplication by SL(n,Z): t = 2/sqrt(3) stated exactly as
+#: t^2 = 4/3, and lam = 1/2.
+MINIMAL_PARAMS = SiegelParams._of_square(Fraction(4, 3), 0.5)
 
 
 def _real_array(g) -> np.ndarray:

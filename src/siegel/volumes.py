@@ -20,15 +20,18 @@ Gamma(m) = (m-1)! and Gamma(m + 1/2) = sqrt(pi) (2m)!/(4^m m!) (see
 ``log_value`` is one correctly rounded sum over the atoms, so equal
 quantities also evaluate to equal floats; log zeta(i) comes from a table
 of constants, as does :func:`zeta`.  :func:`growth_table` evaluates the
-same closed forms in log space with numpy.  Arbitrary positive constants
-(a non-canonical Siegel parameter t, say) are labeled numeric factors;
-they are the one part of a builder that goes through the constructor,
-which folds the exact ones into powers of 2 and 3.
+same closed forms in log space with numpy.  A numeric constant whose
+exact value is 2^a 3^b folds into the powers of 2 and 3, by one rule
+(:func:`_three_smooth`) in the constructor and in :func:`vol_siegel`,
+which reads its t-power from the exact t^2 of the parameters; any other
+positive constant (a non-canonical Siegel parameter t, say) is a labeled
+numeric factor.  No builder goes through the constructor.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -189,16 +192,24 @@ def _as_exponent(value, atom: str) -> Fraction:
     raise InvalidArgumentError(f"{atom} exponents must be finite numbers, got {value!r}")
 
 
-#: Numeric bases that are exact products of powers of 2 and 3:
-#: base -> (exponent of 2, exponent of 3) per unit exponent of the base.
-_EXACT_BASES = {
-    1.0: (0, 0),
-    2.0: (1, 0),
-    0.5: (-1, 0),
-    4.0: (2, 0),
-    3.0: (0, 1),
-    2.0 / math.sqrt(3.0): (1, Fraction(-1, 2)),
-}
+def _three_smooth(x) -> tuple[int, int] | None:
+    """``(a, b)`` with ``x == 2**a * 3**b`` exactly, or None when the exact
+    value of the positive number ``x`` (a rational or a binary float) is no
+    such product."""
+    exact = Fraction(x if isinstance(x, (float, numbers.Rational)) else float(x))
+    exps = []
+    for part in (exact.numerator, exact.denominator):
+        twos = (part & -part).bit_length() - 1
+        part >>= twos
+        threes = 0
+        while part % 3 == 0:
+            part //= 3
+            threes += 1
+        if part != 1:
+            return None
+        exps.append((twos, threes))
+    (a, b), (c, d) = exps
+    return a - c, b - d
 
 
 @dataclass(frozen=True)
@@ -248,16 +259,16 @@ class SymbolicVolume:
         if 0 in fact or 1 in fact or 2 in fact or not all(fact.values()):
             fold("pow2", self.pow2 + fact.get(2, 0))
             fold("factorial", {i: e for i, e in fact.items() if i > 2 and e})
-        numeric = self.numeric
-        if not (all(numeric.values()) and _EXACT_BASES.keys().isdisjoint(numeric)):
-            for base, e in numeric.items():
-                if base in _EXACT_BASES:
-                    p2, p3 = _EXACT_BASES[base]
-                    if p2:
-                        fold("pow2", self.pow2 + p2 * e)
-                    if p3:
-                        fold("pow3", self.pow3 + p3 * e)
-            fold("numeric", {b: e for b, e in numeric.items() if e and b not in _EXACT_BASES})
+        kept = {}
+        for base, e in self.numeric.items():
+            smooth = _three_smooth(base)
+            if smooth is not None:
+                fold("pow2", self.pow2 + smooth[0] * e)
+                fold("pow3", self.pow3 + smooth[1] * e)
+            elif e:
+                kept[base] = e
+        if kept != self.numeric:
+            fold("numeric", kept)
 
     @classmethod
     def _trusted(cls, pow2, pow3, pow_pi, zeta_pow, factorial, numeric) -> SymbolicVolume:
@@ -395,18 +406,33 @@ def vol_siegel(n: int, p: SiegelParams = MINIMAL_PARAMS) -> SymbolicVolume:
     """Volume of the Siegel set:
     (1/2) vol(SO(n)) (2 lam)^(n(n-1)/2) t^(n(n^2-1)/6) / ((n-1)!)^2.
 
-    For the canonical parameters (t = 2/sqrt(3), lam = 1/2) the t-power is
-    an exact power of 2 and 3; other parameters enter as labeled numeric
-    factors with exact exponents.
+    The t-power is read as (t^2)^(n(n^2-1)/12) from the exact ``p.t2`` and
+    the lam-power from the exact float ``lam``.  A factor whose exact value
+    is a product of powers of 2 and 3 folds into those, so at the canonical
+    parameters (t^2 = 4/3, lam = 1/2) the volume is exact; any other enters
+    as a labeled numeric factor, 2 lam or t, with an exact exponent.
     """
     n = as_count(n, "n", least=2)
     # (1/2) ((n-1)!)^-2: 1! is 1 and 2! is 2
-    half_fact = SymbolicVolume._trusted(
-        Fraction(-1 - 2 * (n == 3)), _ZERO, _ZERO, {}, {n - 1: -2} if n > 3 else {}, {}
+    pow2, pow3, numeric = Fraction(-1 - 2 * (n == 3)), _ZERO, {}
+    # (exact value, labeled base, exponent of the base per exponent of the
+    # value, exponent of the value); a t2 that is not 3-smooth is the square
+    # of the float t, as SiegelParams states every other set
+    factors = (
+        (2 * Fraction(p.lam), 2.0 * p.lam, 1, Fraction(n * (n - 1), 2)),
+        (p.t2, p.t, 2, Fraction(n * (n * n - 1), 12)),
     )
-    return vol_so(n) * half_fact * SymbolicVolume(
-        numeric=_add({2.0 * p.lam: Fraction(n * (n - 1), 2)}, {p.t: Fraction(n * (n * n - 1), 6)}),
-    )
+    for exact, base, root, e in factors:
+        smooth = _three_smooth(exact)
+        if smooth is not None:
+            pow2 += smooth[0] * e
+            pow3 += smooth[1] * e
+        elif base == math.inf:
+            raise InvalidArgumentError(f"numeric bases must be positive and finite, got {base}")
+        else:
+            numeric = _add(numeric, {base: root * e})
+    half_fact = {n - 1: -2} if n > 3 else {}
+    return vol_so(n) * SymbolicVolume._trusted(pow2, pow3, _ZERO, {}, half_fact, numeric)
 
 
 def vol_quotient(n: int) -> SymbolicVolume:

@@ -425,6 +425,33 @@ def test_siegel_volume_echoes_the_parameters_it_read(capsys):
     assert (result["t"], result["lambda"]) == (1.7, 0.3)
 
 
+def test_siegel_volume_states_the_canonical_t_exactly(capsys):
+    argv = ("volume", "--object", "siegel", "--n", "3")
+
+    def expression(*flags):
+        code, out, _ = run_cli(capsys, *argv, *flags)
+        assert code == 0
+        return json.loads(out)["result"]["expression"]
+
+    # an absent --t is t^2 = 4/3 exactly, with or without --lambda
+    assert expression() == "2^(11/2) * 3^(-2) * pi^2"
+    assert expression("--lambda", "0.7") == "2^(11/2) * 3^(-2) * pi^2 * 1.4^3"
+    # a float --t is that float: 1.5 folds into 2 and 3, the float of
+    # 2/sqrt(3) is a labeled base
+    assert expression("--t", "1.5") == "2^(-5/2) * 3^4 * pi^2"
+    assert expression("--t", repr(2.0 / math.sqrt(3.0))) == "2^(3/2) * pi^2 * 1.1547005383792517^4"
+
+
+def test_bounds_report_up_to_the_float_range(capsys):
+    code, out, _ = run_cli(capsys, "bounds", "--n", "21")
+    assert code == 0
+    assert json.loads(out)["result"]["height_bound_variants"]["exponent_n2_minus_1"] < math.inf
+    code, out, err = run_cli(capsys, "bounds", "--n", "22")
+    assert code == 1 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "ToleranceNotMetError" and "log_height_bound" in error["message"]
+
+
 def _documents(text):
     """Every JSON document of a stdout, in order, however it is laid out."""
     decoder, docs, at = json.JSONDecoder(), [], 0

@@ -136,3 +136,40 @@ def test_member_scan_flags_an_unreferenced_member():
 
 def test_every_class_member_is_used_by_the_package():
     assert unreferenced_members(package_modules()) == []
+
+
+def sqrt3_computations(source: str) -> list[int]:
+    """Lines that compute sqrt(3): a call of any ``sqrt`` on the constant 3,
+    or the constant 3 raised to a float constant."""
+
+    def three(node):
+        return isinstance(node, ast.Constant) and node.value == 3
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            hit = name == "sqrt" and node.args and three(node.args[0])
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            right = node.right
+            hit = three(node.left) and isinstance(right, ast.Constant) and isinstance(right.value, float)
+        else:
+            hit = False
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_scan_flags_a_square_root_of_three():
+    source = "import math\nx = 2 / math.sqrt(3.0)\ny = sqrt(3)\nz = 3 ** 0.5\nw = math.sqrt(2.0) * 3 ** 2\n"
+    assert sqrt3_computations(source) == [2, 3, 4]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "iwasawa.py"), ids=lambda p: p.name
+)
+def test_only_iwasawa_states_the_canonical_t(path):
+    # the canonical set is t^2 = 4/3 in iwasawa.MINIMAL_PARAMS; no other
+    # module derives its own float of 2/sqrt(3)
+    assert sqrt3_computations(path.read_text(encoding="utf-8")) == []

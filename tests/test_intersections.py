@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from siegel.errors import DimensionTooLargeError, InvalidArgumentError, InvalidWitnessError
+from siegel import intersections
+from siegel.errors import (
+    DimensionTooLargeError,
+    InvalidArgumentError,
+    InvalidWitnessError,
+    ToleranceNotMetError,
+)
 from siegel.haar import RngStream, SiegelCoordinatePoint, sample_siegel_block
 from siegel.intersections import (
     DEFAULT_WITNESS_TOL,
@@ -26,6 +32,7 @@ from siegel.intersections import (
     log_height_bound,
     reports_to_jsonl,
     sl_candidates,
+    _ChainPlan,
     _refine_points,
 )
 from siegel.iwasawa import (
@@ -283,11 +290,52 @@ def test_find_witness_refuses_a_set_beyond_the_canonical_one():
     assert gamma.height() > height_bound(2)
     assert membership_excess(np.eye(2), wide) < 0
     assert membership_excess(gamma.to_array(), wide) < 0
-    for p in (wide, SiegelParams(1.2, MINIMAL_PARAMS.lam)):
+    # a float t of 2/sqrt(3) states t^2 = 4/3 + 3.6e-16, a set a sliver larger
+    for p in (wide, SiegelParams(1.2, MINIMAL_PARAMS.lam), SiegelParams(MINIMAL_PARAMS.t, 0.5)):
         with pytest.raises(InvalidArgumentError, match="canonical"):
             find_witness(gamma, p, budget=0)
     # inside the canonical set the bound still excludes
     assert find_witness(gamma, SiegelParams(1.0, 0.4), budget=0).status == STATUS_EXCLUDED
+
+
+def _shear(n: int, entry: int) -> UnimodularIntMatrix:
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows[0][1] = entry
+    return UnimodularIntMatrix(rows)
+
+
+def test_height_exclusion_is_decided_in_integers():
+    # sqrt(4)^15 = 2^15 and sqrt(5)^24 = 5^12, while their floats from the
+    # log land below: a gamma exactly at the bound is not excluded
+    for n, edge in ((4, 2**15), (5, 5**12)):
+        assert height_bound(n) < edge
+        at, above = _ChainPlan.of(_shear(n, edge)).height, _ChainPlan.of(_shear(n, edge + 1)).height
+        assert at.passed and (at.lhs, at.rhs) == (float(edge), height_bound(n))
+        assert not above.passed
+        assert find_witness(_shear(n, edge + 1), budget=0).status == STATUS_EXCLUDED
+    report = find_witness(_shear(4, 2**15), budget=0)
+    assert report.status != STATUS_EXCLUDED
+    assert report.filter_trace[0] == FilterCheck("height_bound", (), True, 32768.0, height_bound(4))
+
+
+def test_find_witness_refuses_dimension_six_before_searching(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(intersections, "_search", refuse)
+    monkeypatch.setattr(intersections, "_probe_block", refuse)
+    for n in (6, 7):
+        with pytest.raises(DimensionTooLargeError, match="n <= 5"):
+            find_witness(UnimodularIntMatrix(np.eye(n, dtype=int).tolist()), budget=0)
+
+
+def test_height_bound_refuses_what_float_cannot_hold():
+    assert math.isfinite(height_bound(21)) and height_bound_variants(21)
+    for n in (22, 40):
+        for f in (height_bound, height_bound_variants):
+            with pytest.raises(ToleranceNotMetError, match="log_height_bound"):
+                f(n)
+        assert math.isfinite(log_height_bound(n))
 
 
 def test_witnessed_never_violates_height_bound():

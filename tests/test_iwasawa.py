@@ -236,6 +236,42 @@ def test_siegel_params_validation():
     assert MINIMAL_PARAMS.lam == 0.5
 
 
+@pytest.mark.parametrize(
+    "t, lam",
+    [(True, 0.5), (1.1, True), (False, 0.5), ("1.1", 0.5), (1.1, "0.5"), (1.1 + 0j, 0.5),
+     (1.1, 0.5j), (None, 0.5), (10**400, 0.5), (0.0, 0.5), (1.1, -0.5)],
+)
+def test_siegel_params_take_the_real_number_rule(t, lam):
+    with pytest.raises(InvalidArgumentError, match="positive finite real number"):
+        SiegelParams(t, lam)
+
+
+def test_minimal_params_state_the_canonical_set_exactly():
+    t, t2 = MINIMAL_PARAMS.t, MINIMAL_PARAMS.t2
+    assert t2 == Fraction(4, 3) and type(t2) is Fraction
+    assert Fraction(MINIMAL_PARAMS.lam) == Fraction(1, 2)
+    # the float every predicate reads: 2/sqrt(3) bit for bit, and the least
+    # float whose square is >= 4/3
+    assert t == 2.0 / math.sqrt(3.0) and t.hex() == "0x1.279a74590331dp+0"
+    assert Fraction(t) ** 2 >= t2 > Fraction(math.nextafter(t, 0.0)) ** 2
+    # a float t of 2/sqrt(3) states a set a sliver larger
+    assert SiegelParams(t, 0.5).t2 > t2 and SiegelParams(t, 0.5) != MINIMAL_PARAMS
+    with pytest.raises(AttributeError):
+        MINIMAL_PARAMS.t2 = Fraction(1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False)
+    | st.sampled_from([1e-320, 5e-324, 2.2250738585072014e-308, 1e300, 1.7976931348623157e308]),
+    st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False),
+)
+def test_float_siegel_params_read_their_own_t(t, lam):
+    p = SiegelParams(t, lam)
+    assert (p.t, p.lam, p.t2) == (t, lam, Fraction(t) ** 2)
+    assert type(p.t) is float and type(p.lam) is float
+
+
 def test_stacked_membership_excess_equals_single_calls(rng):
     for n in (2, 3, 4, 5):
         stack = np.array([random_sl(rng, n) for _ in range(64)])

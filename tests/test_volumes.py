@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from siegel.errors import InvalidArgumentError
@@ -12,6 +12,7 @@ from siegel.iwasawa import MINIMAL_PARAMS, SiegelParams
 from siegel.volumes import (
     _LOG_ZETA,
     _inverse_gamma_half_product,
+    _three_smooth,
     _ZETA,
     _ZETA_IS_ONE,
     GROWTH_CSV_HEADER,
@@ -160,6 +161,7 @@ def test_symbolic_log_matches_direct_evaluation(p, q, e, i):
 #: numeric bases, zero exponents and 0!, 1!, 2! (all folded), over index
 #: ranges small enough that products cancel atoms often
 _EXPONENT = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_EXPONENT_RANGE = _EXPONENT.filter(bool)
 _SYMBOLIC = st.builds(
     SymbolicVolume,
     pow2=_EXPONENT,
@@ -168,7 +170,7 @@ _SYMBOLIC = st.builds(
     zeta_pow=st.dictionaries(st.integers(2, 6) | st.integers(50, 60), st.integers(-2, 2), max_size=4),
     factorial=st.dictionaries(st.integers(0, 6), st.integers(-2, 2), max_size=4),
     numeric=st.dictionaries(
-        st.sampled_from([1.0, 2.0, 0.5, 4.0, 3.0, 2.0 / math.sqrt(3.0), 1.7, 0.3]),
+        st.sampled_from([1.0, 2.0, 0.5, 4.0, 3.0, 1.5, 9.0, 2.0 / math.sqrt(3.0), 1.7, 0.3]),
         st.one_of(_EXPONENT, st.integers(-2, 2)),
         max_size=3,
     ),
@@ -241,8 +243,26 @@ def test_construction_folds_exact_numeric_bases():
     assert (x.pow2, x.pow3, x.numeric) == (8, 2, {})
     assert all(type(v) is Fraction for v in (x.pow2, x.pow3, x.pow_pi))
     assert x == SymbolicVolume(pow2=8) * SymbolicVolume(pow3=2)
+    # every 3-smooth base folds, not only a listed few
+    y = SymbolicVolume(numeric={1.5: 1})
+    assert y == SymbolicVolume(pow2=-1, pow3=1) and y.log_value() == SymbolicVolume(pow2=-1, pow3=1).log_value()
+    # the float 2/sqrt(3) is a dyadic rational, not 2 * 3^(-1/2): a labeled base
     t = SymbolicVolume(numeric={2.0 / math.sqrt(3.0): 6})
-    assert (t.pow2, t.pow3, t.numeric) == (6, -3, {})
+    assert (t.pow2, t.pow3, t.numeric) == (0, 0, {2.0 / math.sqrt(3.0): 6})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-1074, 970), st.integers(0, 33), _EXPONENT_RANGE)
+def test_every_three_smooth_base_folds(a, b, e):
+    base = math.ldexp(3**b, a)
+    assume(0.0 < base < math.inf and Fraction(base) == 3**b * Fraction(2) ** a)
+    x = SymbolicVolume(numeric={base: e, 1.7: 1})
+    assert x == SymbolicVolume(pow2=a * e, pow3=b * e, numeric={1.7: 1})
+    assert x.numeric == {1.7: 1}
+    # the next float up is no such product unless it is one exactly
+    up = math.nextafter(base, math.inf)
+    if up < math.inf:
+        assert (up in SymbolicVolume(numeric={up: 1}).numeric) == (_three_smooth(up) is None)
 
 
 def test_constructor_domain_errors():
@@ -344,6 +364,10 @@ def test_inverse_gamma_half_product_equals_factor_product():
 
 
 _LABELED = SiegelParams(1.7, 0.3)
+#: t = 1.5 and 2 lam = 1.5 fold into powers of 2 and 3; 2 lam = t = 1.4
+#: is one labeled base
+_SMOOTH = SiegelParams(1.5, 0.75)
+_SHARED_BASE = SiegelParams(1.4, 0.7)
 
 
 @pytest.mark.parametrize(
@@ -352,6 +376,8 @@ _LABELED = SiegelParams(1.7, 0.3)
         vol_so,
         vol_siegel,
         lambda n: vol_siegel(n, _LABELED),
+        lambda n: vol_siegel(n, _SMOOTH),
+        lambda n: vol_siegel(n, _SHARED_BASE),
         vol_quotient,
         vol_quotient_rightmost,
         ratio_C,
@@ -361,7 +387,7 @@ _LABELED = SiegelParams(1.7, 0.3)
         normalization_ratio,
         normalization_ratio_display,
     ],
-    ids=["vol_so", "vol_siegel", "vol_siegel_labeled", "vol_quotient", "vol_quotient_rightmost",
+    ids=["vol_so", "vol_siegel", "vol_siegel_labeled", "vol_siegel_smooth", "vol_siegel_shared_base", "vol_quotient", "vol_quotient_rightmost",
          "ratio_C", "ratio_C_display", "vol_symmetric_space", "harder_volume",
          "normalization_ratio", "normalization_ratio_display"],
 )
@@ -430,6 +456,45 @@ def test_vol_siegel_minimal_values():
 def test_vol_siegel_unit_t():
     v = vol_siegel(2, SiegelParams(1.0, 0.5))
     assert v == SymbolicVolume(pow2=Fraction(1, 2)) * SymbolicVolume(pow_pi=1)
+
+
+def _ref_vol_siegel(n, t_power, lam):
+    """The docstring formula factor by factor through the checking
+    constructor, with the t-power given."""
+    return (
+        SymbolicVolume(pow2=-1) * vol_so(n) * SymbolicVolume(numeric={2.0 * lam: Fraction(n * (n - 1), 2)})
+        * t_power / SymbolicVolume(factorial={n - 1: 2})
+    )
+
+
+def test_vol_siegel_builds_without_the_checking_constructor(monkeypatch):
+    def t_power(p, n):
+        e = Fraction(n * (n * n - 1), 6)
+        if p.t2 == Fraction(4, 3):  # t = 2 * 3^(-1/2)
+            return SymbolicVolume(pow2=e, pow3=-e / 2)
+        return SymbolicVolume(numeric={p.t: e})
+
+    params = [MINIMAL_PARAMS, _LABELED, _SMOOTH, _SHARED_BASE, SiegelParams._of_square(Fraction(4, 3), 0.7)]
+    cases = [(n, p) for n in range(2, 41) for p in params]
+    want = [_ref_vol_siegel(n, t_power(p, n), p.lam) for n, p in cases]
+
+    def refuse(self):
+        raise AssertionError("the checking constructor ran")
+
+    monkeypatch.setattr(SymbolicVolume, "__post_init__", refuse)
+    got = [vol_siegel(n, p) for n, p in cases]
+    monkeypatch.undo()
+    for (n, p), x, y in zip(cases, got, want):
+        assert x == y and str(x) == str(y), (n, p)
+    assert vol_siegel(3, _SMOOTH).numeric == {} and vol_siegel(3, _SHARED_BASE).numeric == {1.4: 7}
+
+
+def test_vol_siegel_refuses_a_base_beyond_the_float_range():
+    # 2 lam = 2e308 is no float; 2 lam = 2^1024 is exact and folds
+    with pytest.raises(InvalidArgumentError, match="positive and finite"):
+        vol_siegel(2, SiegelParams(1.0, 1e308))
+    big = vol_siegel(2, SiegelParams(1.0, 2.0**1023))
+    assert big.numeric == {} and big.pow2 == vol_so(2).pow2 + 1023
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
