@@ -250,13 +250,87 @@ def sample_siegel_point(n: int, p: SiegelParams, b_min: float, rng) -> SiegelCoo
     return sample_siegel_block(n, p, [b_min], rng)[0]
 
 
-def _gauss_legendre_block(n: int, t: float, nodes: int) -> float:
-    """Product quadrature of (1/2) prod b**(i(n-i)-1) over (0, t]^(n-1).
+# The non-negative halves of the 64- and 32-node Gauss-Legendre rules on
+# [-1, 1], (node, weight) by ascending node, as
+# numpy.polynomial.legendre.leggauss gives them; its rules are symmetric
+# exactly.  Constants, like the zeta table of siegel.volumes: computing the
+# rules costs far more than the product quadrature that reads them, and
+# importing numpy.polynomial would load it into every process.
+_GAUSS_LEGENDRE_64_HALF = (
+    (0.02435029266342443, 0.048690957009139814),
+    (0.07299312178779904, 0.04857546744150351),
+    (0.12146281929612054, 0.048344762234802996),
+    (0.16964442042399283, 0.04799938859645842),
+    (0.21742364374000708, 0.04754016571483042),
+    (0.2646871622087674, 0.046968182816210076),
+    (0.31132287199021097, 0.04628479658131447),
+    (0.3572201583376681, 0.045491627927418184),
+    (0.4022701579639916, 0.044590558163756566),
+    (0.4463660172534641, 0.04358372452932355),
+    (0.48940314570705296, 0.04247351512365361),
+    (0.5312794640198946, 0.041262563242623576),
+    (0.571895646202634, 0.039953741132720544),
+    (0.6111553551723933, 0.03855015317861564),
+    (0.6489654712546573, 0.03705512854024009),
+    (0.6852363130542333, 0.0354722132568823),
+    (0.7198818501716109, 0.033805161837141794),
+    (0.7528199072605319, 0.032057928354851495),
+    (0.7839723589433414, 0.030234657072402554),
+    (0.8132653151227975, 0.028339672614259535),
+    (0.8406292962525803, 0.02637746971505491),
+    (0.8659993981540928, 0.0243527025687112),
+    (0.8893154459951141, 0.02227017380838297),
+    (0.9105221370785028, 0.020134823153530088),
+    (0.9295691721319396, 0.017951715775697284),
+    (0.9464113748584028, 0.01572603047602503),
+    (0.9610087996520538, 0.01346304789671786),
+    (0.973326827789911, 0.011168139460131028),
+    (0.983336253884626, 0.008846759826363397),
+    (0.9910133714767443, 0.006504457968978502),
+    (0.9963401167719552, 0.004147033260564499),
+    (0.9993050417357722, 0.00178328072169414),
+)
+_GAUSS_LEGENDRE_32_HALF = (
+    (0.048307665687738324, 0.09654008851472766),
+    (0.1444719615827965, 0.09563872007927471),
+    (0.23928736225213706, 0.09384439908080451),
+    (0.33186860228212767, 0.09117387869576378),
+    (0.42135127613063533, 0.08765209300440378),
+    (0.5068999089322294, 0.08331192422694671),
+    (0.5877157572407623, 0.07819389578707023),
+    (0.6630442669302152, 0.07234579410884834),
+    (0.7321821187402897, 0.06582222277636168),
+    (0.7944837959679424, 0.058684093478535565),
+    (0.84936761373257, 0.05099805926237609),
+    (0.8963211557660521, 0.042835898022226836),
+    (0.9349060759377397, 0.034273862913021765),
+    (0.9647622555875064, 0.025392065309262024),
+    (0.9856115115452684, 0.016274394730905743),
+    (0.9972638618494816, 0.007018610009470506),
+)
+
+
+def _symmetric_rule(half: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The whole rule (nodes, weights), read-only, from its non-negative half."""
+    x, w = np.array(half).T
+    rule = (np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w)))
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
+_GAUSS_LEGENDRE_64 = _symmetric_rule(_GAUSS_LEGENDRE_64_HALF)
+_GAUSS_LEGENDRE_32 = _symmetric_rule(_GAUSS_LEGENDRE_32_HALF)
+
+
+def _gauss_legendre_block(n: int, t: float, rule: tuple[np.ndarray, np.ndarray]) -> float:
+    """Product quadrature of (1/2) prod b**(i(n-i)-1) over (0, t]^(n-1),
+    with the Gauss-Legendre ``rule`` (nodes, weights) on [-1, 1].
 
     The integrand separates, so each dimension is a 1-d monomial integral,
     exact once the rule order exceeds the exponent.
     """
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = rule
     # map [-1, 1] -> [0, t]
     xs = 0.5 * t * (x + 1.0)
     ws = 0.5 * t * w
@@ -285,8 +359,8 @@ def a_integral_quadrature(n: int, t: float) -> float:
     """
     n = as_count(n, "n", least=2)
     _require_finite_t(t)
-    hi = _gauss_legendre_block(n, t, 64)
-    lo = _gauss_legendre_block(n, t, 32)
+    hi = _gauss_legendre_block(n, t, _GAUSS_LEGENDRE_64)
+    lo = _gauss_legendre_block(n, t, _GAUSS_LEGENDRE_32)
     if not (0.0 < hi < math.inf and abs(hi - lo) <= _QUADRATURE_REL_TOL * hi):
         raise ToleranceNotMetError(
             f"quadrature not certified: {hi!r} vs {lo!r} (rel_tol={_QUADRATURE_REL_TOL})"

@@ -189,14 +189,20 @@ class FilterCheck:
         }
 
 
+def _height_cap(n: int) -> int:
+    """The largest integer height the bound admits: height <= sqrt(n)^(n^2-1)
+    iff height <= isqrt(n^(n^2-1)), decided in integers."""
+    return math.isqrt(n ** (n * n - 1))
+
+
 def _height_check(gamma: UnimodularIntMatrix) -> FilterCheck:
-    """The height check of gamma, decided exactly: height <= sqrt(n)^(n^2-1)
-    iff height^2 <= n^(n^2-1) in integers, so an exclusion is a proof.  The
-    record keeps the floats of both sides as ``lhs`` and ``rhs``."""
-    n, height = gamma.n, gamma.height()
-    return FilterCheck(
-        "height_bound", (), height * height <= n ** (n * n - 1), float(height), height_bound(n)
-    )
+    """The height check of gamma against :func:`_height_cap`, decided
+    exactly, so an exclusion is a proof.  The record keeps the floats of
+    both sides as ``lhs`` and ``rhs``; float rounding is monotone, so
+    ``passed`` implies ``lhs <= rhs``, with equality between the two below
+    2^53."""
+    height, cap = gamma.height(), _height_cap(gamma.n)
+    return FilterCheck("height_bound", (), height <= cap, float(height), float(cap))
 
 
 def _chain_passes(lhs, rhs):
@@ -829,7 +835,8 @@ def enumerate_intersections(
     The canonical set is the one both count bounds are stated for: the
     height bound that fixes the candidates and excludes, and the volume
     ratio behind ``lower_bound``.  Candidates are exactly the SL(n,Z)
-    elements with height at most floor(height_bound(n)) (overridable via
+    elements with height at most the largest integer the height bound
+    admits, isqrt(n^(n^2-1)) (overridable via
     ``max_height``; at n = 3 the full bound is 81 and the exhaustive grid
     is astronomically large, so practical runs cap it).  Each candidate
     owns the stream (seed, candidate_index), so reports are deterministic.
@@ -844,7 +851,7 @@ def enumerate_intersections(
     if rng is None:
         rng = RngStream(0, 0)
     if max_height is None:
-        max_height = int(math.floor(height_bound(n)))
+        max_height = _height_cap(n)
     cap = as_count(max_height, "max_height")
     candidates = sl_candidates(n, cap)
     reports = _search(

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -85,6 +85,26 @@ def _least_root(t2: Fraction) -> float:
     return t
 
 
+def _three_smooth(x) -> tuple[int, int] | None:
+    """``(a, b)`` with ``x == 2**a * 3**b`` exactly, or None when the exact
+    value of the positive number ``x`` (a rational or a binary float) is no
+    such product."""
+    exact = Fraction(x if isinstance(x, (float, numbers.Rational)) else float(x))
+    exps = []
+    for part in (exact.numerator, exact.denominator):
+        twos = (part & -part).bit_length() - 1
+        part >>= twos
+        threes = 0
+        while part % 3 == 0:
+            part //= 3
+            threes += 1
+        if part != 1:
+            return None
+        exps.append((twos, threes))
+    (a, b), (c, d) = exps
+    return a - c, b - d
+
+
 @dataclass(frozen=True, init=False)
 class SiegelParams:
     """Siegel-set parameters: ``b[i] <= t`` and ``|u[i, j]| <= lam``.
@@ -98,11 +118,17 @@ class SiegelParams:
     square of a float (4/3 in :data:`MINIMAL_PARAMS`), the float predicate
     ``b <= t`` admits a sliver of ``b`` above the exact bound, by less than
     one ulp of ``t``.
+
+    The exact factorisations ``2**a * 3**b`` of ``2 lam`` and of ``t2`` (by
+    :func:`_three_smooth`, None where there is none) are taken once here,
+    for the Siegel-set volume to read.
     """
 
     t: float
     lam: float
     t2: Fraction
+    _lam2_smooth: tuple[int, int] | None = field(repr=False, compare=False)
+    _t2_smooth: tuple[int, int] | None = field(repr=False, compare=False)
 
     def __init__(self, t, lam):
         t = _siegel_bound(t, "t")
@@ -121,6 +147,8 @@ class SiegelParams:
         object.__setattr__(self, "t", _least_root(t2))
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "t2", t2)
+        object.__setattr__(self, "_lam2_smooth", _three_smooth(2 * Fraction(lam)))
+        object.__setattr__(self, "_t2_smooth", _three_smooth(t2))
 
 
 #: Smallest parameters for which the Siegel set still covers SL(n,R)

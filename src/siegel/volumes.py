@@ -17,15 +17,19 @@ for expressions from elsewhere.  The product prod_{i=2}^n Gamma(i/2)
 enters in closed form in the factorial/pi/2 basis, from
 Gamma(m) = (m-1)! and Gamma(m + 1/2) = sqrt(pi) (2m)!/(4^m m!) (see
 :func:`_inverse_gamma_half_product`), which keeps printed forms clean.
+:func:`vol_siegel` is one of these builders.  The exact 2^a 3^b
+factorisations of 2 lam and t^2 that it reads (or their absence) are
+taken once, when the :class:`~siegel.iwasawa.SiegelParams` is built, by
+the one fold rule :func:`~siegel.iwasawa._three_smooth` that the
+constructor also applies to numeric constants; any other positive
+constant (a non-canonical Siegel parameter t, say) is a labeled numeric
+factor.  No builder goes through
+the constructor, and division subtracts exponent maps in one pass.
 ``log_value`` is one correctly rounded sum over the atoms, so equal
-quantities also evaluate to equal floats; log zeta(i) comes from a table
-of constants, as does :func:`zeta`.  :func:`growth_table` evaluates the
-same closed forms in log space with numpy.  A numeric constant whose
-exact value is 2^a 3^b folds into the powers of 2 and 3, by one rule
-(:func:`_three_smooth`) in the constructor and in :func:`vol_siegel`,
-which reads its t-power from the exact t^2 of the parameters; any other
-positive constant (a non-canonical Siegel parameter t, say) is a labeled
-numeric factor.  No builder goes through the constructor.
+quantities also evaluate to equal floats; log zeta(i) and log i! (for
+i <= 2000) come from tables of constants, as does :func:`zeta`.
+:func:`growth_table` evaluates the same closed forms in log space with
+numpy.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from functools import partial
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .iwasawa import MINIMAL_PARAMS, SiegelParams, as_count, is_int
+from .iwasawa import MINIMAL_PARAMS, SiegelParams, _three_smooth, as_count, is_int
 
 _LN2 = math.log(2.0)
 _LN3 = math.log(3.0)
@@ -106,6 +110,13 @@ _ZETA = (
 )
 _LOG_ZETA = tuple(map(math.log, _ZETA))
 
+#: The largest n of :func:`growth_table`.
+_GROWTH_N_MAX = 2000
+
+# log i! = lgamma(i + 1) for i = 0 .. _GROWTH_N_MAX; a factorial atom beyond
+# the table calls lgamma itself, so every float is the same either way.
+_LOG_FACTORIAL = tuple(math.lgamma(i + 1.0) for i in range(_GROWTH_N_MAX + 1))
+
 _ZERO = Fraction(0)
 
 
@@ -134,10 +145,34 @@ def _add(*maps: dict) -> dict:
     return out
 
 
+def _sub(x: dict, y: dict) -> dict:
+    """Difference of exponent maps, ``x`` less ``y``; zero exponents are
+    dropped.  As in :func:`_add`, the larger map is copied (``y`` negated)
+    and the other merged into it; no negated copy of ``y`` is built unless
+    it is the larger."""
+    if len(x) >= len(y):
+        out, rest, sign = dict(x), y, -1
+    else:
+        out, rest, sign = {key: -exp for key, exp in y.items()}, x, 1
+    for key, exp in rest.items():
+        new = out.get(key, 0) + sign * exp
+        if new:
+            out[key] = new
+        else:
+            out.pop(key, None)
+    return out
+
+
 def _plus(x: Fraction, y: Fraction) -> Fraction:
     """``x + y`` for two Fraction exponents, with no Fraction arithmetic
     when either is zero."""
     return x + y if x and y else x or y
+
+
+def _minus(x: Fraction, y: Fraction) -> Fraction:
+    """``x - y`` for two Fraction exponents, with no Fraction arithmetic
+    when either is zero."""
+    return x - y if x and y else x or -y
 
 
 def _inverse_gamma_half_product(n: int) -> tuple[dict, int, int]:
@@ -181,6 +216,14 @@ def _check_integer_map(exponents: dict, least: int, atom: str) -> None:
         )
 
 
+def _is_numeric_base(base) -> bool:
+    """The real-number rule for a numeric base: a real number that is not a
+    bool (a string or a complex number is not one), positive and finite."""
+    return (
+        isinstance(base, numbers.Real) and not isinstance(base, bool) and 0.0 < base < math.inf
+    )
+
+
 def _as_exponent(value, atom: str) -> Fraction:
     """``value`` as an exact Fraction exponent; a bool, a string, a
     non-finite number or a type Fraction does not take is refused."""
@@ -190,26 +233,6 @@ def _as_exponent(value, atom: str) -> Fraction:
         except (TypeError, ValueError, OverflowError):
             pass
     raise InvalidArgumentError(f"{atom} exponents must be finite numbers, got {value!r}")
-
-
-def _three_smooth(x) -> tuple[int, int] | None:
-    """``(a, b)`` with ``x == 2**a * 3**b`` exactly, or None when the exact
-    value of the positive number ``x`` (a rational or a binary float) is no
-    such product."""
-    exact = Fraction(x if isinstance(x, (float, numbers.Rational)) else float(x))
-    exps = []
-    for part in (exact.numerator, exact.denominator):
-        twos = (part & -part).bit_length() - 1
-        part >>= twos
-        threes = 0
-        while part % 3 == 0:
-            part //= 3
-            threes += 1
-        if part != 1:
-            return None
-        exps.append((twos, threes))
-    (a, b), (c, d) = exps
-    return a - c, b - d
 
 
 @dataclass(frozen=True)
@@ -247,9 +270,9 @@ class SymbolicVolume:
                 fold(name, _as_exponent(getattr(self, name), name))
         _check_integer_map(self.zeta_pow, 2, "zeta")
         _check_integer_map(self.factorial, 0, "factorial")
-        if self.numeric and not all(0.0 < base < math.inf for base in self.numeric):
+        if self.numeric and not all(map(_is_numeric_base, self.numeric)):
             raise InvalidArgumentError(
-                f"numeric bases must be positive and finite, got {list(self.numeric)}"
+                f"numeric bases must be positive and finite real numbers, got {list(self.numeric)}"
             )
         if not all(type(e) is Fraction for e in self.numeric.values()):
             fold("numeric", {b: _as_exponent(e, "numeric") for b, e in self.numeric.items()})
@@ -303,7 +326,14 @@ class SymbolicVolume:
     def __truediv__(self, other: "SymbolicVolume") -> "SymbolicVolume":
         if not isinstance(other, SymbolicVolume):
             return NotImplemented
-        return self * other**-1
+        return SymbolicVolume._trusted(
+            _minus(self.pow2, other.pow2),
+            _minus(self.pow3, other.pow3),
+            _minus(self.pow_pi, other.pow_pi),
+            _sub(self.zeta_pow, other.zeta_pow),
+            _sub(self.factorial, other.factorial),
+            _sub(self.numeric, other.numeric),
+        )
 
     def __pow__(self, exp: int) -> "SymbolicVolume":
         if not is_int(exp):
@@ -333,7 +363,10 @@ class SymbolicVolume:
         ]
         # every zeta index is an integer >= 2; log zeta(i) is 0.0 from the cutoff on
         terms += [e * _LOG_ZETA[i - 2] for i, e in self.zeta_pow.items() if i < _ZETA_IS_ONE]
-        terms += [e * math.lgamma(i + 1.0) for i, e in self.factorial.items()]
+        terms += [
+            e * (_LOG_FACTORIAL[i] if i <= _GROWTH_N_MAX else math.lgamma(i + 1.0))
+            for i, e in self.factorial.items()
+        ]
         terms += [float(e) * math.log(base) for base, e in self.numeric.items()]
         return math.fsum(terms)
 
@@ -410,29 +443,43 @@ def vol_siegel(n: int, p: SiegelParams = MINIMAL_PARAMS) -> SymbolicVolume:
     the lam-power from the exact float ``lam``.  A factor whose exact value
     is a product of powers of 2 and 3 folds into those, so at the canonical
     parameters (t^2 = 4/3, lam = 1/2) the volume is exact; any other enters
-    as a labeled numeric factor, 2 lam or t, with an exact exponent.
+    as a labeled numeric factor, 2 lam or t, with an exact exponent.  The
+    factorisations of 2 lam and t^2 are taken once, by
+    :class:`~siegel.iwasawa.SiegelParams`; like the other builders, this one
+    writes the canonical exponent maps of the formula directly, with the
+    terms of :func:`vol_so` inlined.
     """
     n = as_count(n, "n", least=2)
-    # (1/2) ((n-1)!)^-2: 1! is 1 and 2! is 2
-    pow2, pow3, numeric = Fraction(-1 - 2 * (n == 3)), _ZERO, {}
-    # (exact value, labeled base, exponent of the base per exponent of the
-    # value, exponent of the value); a t2 that is not 3-smooth is the square
-    # of the float t, as SiegelParams states every other set
-    factors = (
-        (2 * Fraction(p.lam), 2.0 * p.lam, 1, Fraction(n * (n - 1), 2)),
-        (p.t2, p.t, 2, Fraction(n * (n * n - 1), 12)),
+    gamma_fact, gamma_pow2, half_pi = _inverse_gamma_half_product(n)
+    lam_e, t2_e = 6 * n * (n - 1), n * (n * n - 1)  # 12 times the exponents of 2 lam and t^2
+    # twelve times the power of 2 in vol_so(n) and in the 1/2, and in
+    # ((n-1)!)^-2 where 2! is 2 (n = 3; 1! is 1)
+    pow2 = 3 * (n - 1) * (n + 4) + 12 * gamma_pow2 - 12 - 24 * (n == 3)
+    pow3, numeric = 0, {}
+    if p._lam2_smooth is not None:
+        pow2 += p._lam2_smooth[0] * lam_e
+        pow3 += p._lam2_smooth[1] * lam_e
+    elif 2.0 * p.lam == math.inf:
+        raise InvalidArgumentError(f"numeric bases must be positive and finite, got {2.0 * p.lam}")
+    else:
+        numeric[2.0 * p.lam] = Fraction(lam_e, 12)
+    if p._t2_smooth is not None:
+        pow2 += p._t2_smooth[0] * t2_e
+        pow3 += p._t2_smooth[1] * t2_e
+    else:
+        # a t2 that is not 3-smooth is the square of the float t, as
+        # SiegelParams states every other set
+        numeric[p.t] = numeric.get(p.t, 0) + Fraction(t2_e, 6)
+    if n > 3:
+        gamma_fact[n - 1] = gamma_fact.get(n - 1, 0) - 2
+    return SymbolicVolume._trusted(
+        Fraction(pow2, 12),
+        Fraction(pow3, 12),
+        Fraction(n * n + n - 2 + 2 * half_pi, 4),
+        {},
+        gamma_fact,
+        numeric,
     )
-    for exact, base, root, e in factors:
-        smooth = _three_smooth(exact)
-        if smooth is not None:
-            pow2 += smooth[0] * e
-            pow3 += smooth[1] * e
-        elif base == math.inf:
-            raise InvalidArgumentError(f"numeric bases must be positive and finite, got {base}")
-        else:
-            numeric = _add(numeric, {base: root * e})
-    half_fact = {n - 1: -2} if n > 3 else {}
-    return vol_so(n) * SymbolicVolume._trusted(pow2, pow3, _ZERO, {}, half_fact, numeric)
 
 
 def vol_quotient(n: int) -> SymbolicVolume:
@@ -652,10 +699,11 @@ def growth_table(n_max: int) -> list[GrowthRow]:
     The exponents are exact integers and the three sums are numpy cumulative
     sums, so the table is O(n_max) and builds no :class:`SymbolicVolume`.
     """
-    if as_count(n_max, "n_max", least=2) > 2000:
-        raise InvalidArgumentError("n_max must be in [2, 2000]")
+    if as_count(n_max, "n_max", least=2) > _GROWTH_N_MAX:
+        raise InvalidArgumentError(f"n_max must be in [2, {_GROWTH_N_MAX}]")
     n = np.arange(2, n_max + 1, dtype=np.int64)
-    lgamma_n = np.array([math.lgamma(k) for k in range(2, n_max + 1)])
+    # lgamma(k) = log (k-1)! for k = 2..n_max
+    lgamma_n = np.array(_LOG_FACTORIAL[1:n_max])
     lgamma_half = np.array([math.lgamma(i / 2.0) for i in range(2, n_max + 1)])
     log_zeta = np.zeros(n_max - 1)
     log_zeta[: len(_LOG_ZETA)] = _LOG_ZETA[: n_max - 1]

@@ -246,6 +246,20 @@ def test_quadrature_matches_closed_form(n, t):
     assert abs(q - c) / c <= 1e-10
 
 
+def test_quadrature_rules_equal_fresh_leggauss_output():
+    # the two rules are constants; each equals a fresh leggauss call bit
+    # for bit and cannot be written to
+    for nodes, rule in ((64, haar._GAUSS_LEGENDRE_64), (32, haar._GAUSS_LEGENDRE_32)):
+        fresh = np.polynomial.legendre.leggauss(nodes)
+        for got, want in zip(rule, fresh):
+            assert got.tobytes() == want.tobytes() and not got.flags.writeable
+    # so the quadrature equals the 64-node product rule on fresh nodes
+    fresh = np.polynomial.legendre.leggauss(64)
+    for n in (2, 3, 4, 5, 8):
+        for t in (1.0, T_MIN, 2.0):
+            assert a_integral_quadrature(n, t) == haar._gauss_legendre_block(n, t, fresh), (n, t)
+
+
 def test_quadrature_rejects_impossible_tolerance(monkeypatch):
     monkeypatch.setattr(haar, "_QUADRATURE_REL_TOL", 0.0)
     with pytest.raises(ToleranceNotMetError):

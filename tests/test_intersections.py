@@ -184,7 +184,7 @@ def test_chain_reads_u_left_diagonal_of_the_anti_transpose():
             "diagonal_ratio": lambda k: (alpha[k - 1], sqrt_n * beta[k - 1]),
             "reverse_ratio": lambda k: (beta[k - 1], sqrt_n * alpha[k - 1]),
             "component_ratio": lambda i, j: (beta[j - 1], comp * alpha[i - 1]),
-            "height_bound": lambda: (float(gamma.height()), comp),
+            "height_bound": lambda: (float(gamma.height()), 2.0),  # isqrt(2^3)
         }
         checks = lemma_filter_chain(gamma, s)
         assert {c.name for c in checks} == set(expected)
@@ -195,12 +195,13 @@ def test_chain_reads_u_left_diagonal_of_the_anti_transpose():
 
 def test_witnessed_trace_holds_one_height_bound():
     # the search's own height check and the chain's last check compare the
-    # height against one value
-    for n, gamma in ((2, SHEAR), (3, I3)):
+    # height against one value, the largest integer height the bound admits
+    for gamma, cap in ((SHEAR, 2), (I3, 81)):
         rep = find_witness(gamma, rng=RngStream(1, 0))
         assert rep.status == STATUS_WITNESSED
-        bounds = [c.rhs for c in rep.filter_trace if c.name == "height_bound"]
-        assert bounds == [height_bound(n)] * 2
+        checks = [c for c in rep.filter_trace if c.name == "height_bound"]
+        assert [c.rhs for c in checks] == [float(cap)] * 2
+        assert all(c.passed == (c.lhs <= c.rhs) for c in checks)
 
 
 def test_chain_rejects_non_witness():
@@ -306,16 +307,19 @@ def _shear(n: int, entry: int) -> UnimodularIntMatrix:
 
 def test_height_exclusion_is_decided_in_integers():
     # sqrt(4)^15 = 2^15 and sqrt(5)^24 = 5^12, while their floats from the
-    # log land below: a gamma exactly at the bound is not excluded
+    # log land below: a gamma exactly at the bound is not excluded, and the
+    # record's rhs is the exact integer cap, so it agrees with the verdict
     for n, edge in ((4, 2**15), (5, 5**12)):
         assert height_bound(n) < edge
         at, above = _ChainPlan.of(_shear(n, edge)).height, _ChainPlan.of(_shear(n, edge + 1)).height
-        assert at.passed and (at.lhs, at.rhs) == (float(edge), height_bound(n))
-        assert not above.passed
+        assert at.passed and (at.lhs, at.rhs) == (float(edge), float(edge))
+        assert not above.passed and (above.lhs, above.rhs) == (float(edge + 1), float(edge))
+        for check in (at, above):
+            assert check.passed == (check.lhs <= check.rhs)
         assert find_witness(_shear(n, edge + 1), budget=0).status == STATUS_EXCLUDED
     report = find_witness(_shear(4, 2**15), budget=0)
     assert report.status != STATUS_EXCLUDED
-    assert report.filter_trace[0] == FilterCheck("height_bound", (), True, 32768.0, height_bound(4))
+    assert report.filter_trace[0] == FilterCheck("height_bound", (), True, 32768.0, 32768.0)
 
 
 def test_find_witness_refuses_dimension_six_before_searching(monkeypatch):
@@ -557,8 +561,8 @@ def reference_search(gamma, budget, rng, near_hit=0.08):
     the samples come from the same block schedule (16, 32, 64, ...), and
     every point is scored with single-matrix calls only."""
     n, gf = gamma.n, gamma.to_array()
-    head = FilterCheck("height_bound", (), gamma.height() <= height_bound(n),
-                       float(gamma.height()), height_bound(n))
+    cap = math.isqrt(n ** (n * n - 1))  # the largest integer height the bound admits
+    head = FilterCheck("height_bound", (), gamma.height() <= cap, float(gamma.height()), float(cap))
     if not head.passed:
         return IntersectionReport(gamma, STATUS_EXCLUDED, None, [head], None)
     rejected = []

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -315,7 +316,7 @@ def test_powers_take_integer_exponents_only():
             x**bad
 
 
-@pytest.mark.parametrize("base", [-2.0, 0.0, math.inf, math.nan])
+@pytest.mark.parametrize("base", [-2.0, 0.0, math.inf, math.nan, True, "2", 1j])
 def test_numeric_bases_are_checked_at_construction(base):
     with pytest.raises(InvalidArgumentError, match="positive and finite"):
         SymbolicVolume(numeric={base: 1})
@@ -370,27 +371,24 @@ _SMOOTH = SiegelParams(1.5, 0.75)
 _SHARED_BASE = SiegelParams(1.4, 0.7)
 
 
-@pytest.mark.parametrize(
-    "builder",
-    [
-        vol_so,
-        vol_siegel,
-        lambda n: vol_siegel(n, _LABELED),
-        lambda n: vol_siegel(n, _SMOOTH),
-        lambda n: vol_siegel(n, _SHARED_BASE),
-        vol_quotient,
-        vol_quotient_rightmost,
-        ratio_C,
-        ratio_C_display,
-        vol_symmetric_space,
-        harder_volume,
-        normalization_ratio,
-        normalization_ratio_display,
-    ],
-    ids=["vol_so", "vol_siegel", "vol_siegel_labeled", "vol_siegel_smooth", "vol_siegel_shared_base", "vol_quotient", "vol_quotient_rightmost",
-         "ratio_C", "ratio_C_display", "vol_symmetric_space", "harder_volume",
-         "normalization_ratio", "normalization_ratio_display"],
-)
+_BUILDERS = {
+    "vol_so": vol_so,
+    "vol_siegel": vol_siegel,
+    "vol_siegel_labeled": lambda n: vol_siegel(n, _LABELED),
+    "vol_siegel_smooth": lambda n: vol_siegel(n, _SMOOTH),
+    "vol_siegel_shared_base": lambda n: vol_siegel(n, _SHARED_BASE),
+    "vol_quotient": vol_quotient,
+    "vol_quotient_rightmost": vol_quotient_rightmost,
+    "ratio_C": ratio_C,
+    "ratio_C_display": ratio_C_display,
+    "vol_symmetric_space": vol_symmetric_space,
+    "harder_volume": harder_volume,
+    "normalization_ratio": normalization_ratio,
+    "normalization_ratio_display": normalization_ratio_display,
+}
+
+
+@pytest.mark.parametrize("builder", list(_BUILDERS.values()), ids=list(_BUILDERS))
 def test_builders_are_canonical_by_construction(builder):
     for n in range(1 if builder is vol_so else 2, 201):
         x = builder(n)
@@ -399,6 +397,54 @@ def test_builders_are_canonical_by_construction(builder):
         assert all(type(e) is int and e for e in (*x.zeta_pow.values(), *x.factorial.values())), n
         assert all(type(e) is Fraction and e for e in x.numeric.values()), n
         assert min(x.factorial, default=3) >= 3, n
+
+
+def test_division_equals_product_with_the_inverse():
+    # one-pass division against the product with the power -1, field for field
+    for n in range(2, 61):
+        xs = [builder(n) for builder in _BUILDERS.values()]
+        for a in xs:
+            for b in xs:
+                got, want = a / b, a * b**-1
+                assert vars(got) == vars(want) and str(got) == str(want), (n, str(a), str(b))
+                assert all(type(v) is Fraction for v in (got.pow2, got.pow3, got.pow_pi))
+
+
+def _log_value_reference(x):
+    """``log_value`` from its definition: the fsum of one term per atom,
+    log i! from ``math.lgamma`` for every i."""
+    terms = [float(x.pow2) * math.log(2.0), float(x.pow3) * math.log(3.0), float(x.pow_pi) * math.log(math.pi)]
+    terms += [e * math.log(zeta(i)) for i, e in x.zeta_pow.items()]
+    terms += [e * math.lgamma(i + 1.0) for i, e in x.factorial.items()]
+    terms += [float(e) * math.log(base) for base, e in x.numeric.items()]
+    return math.fsum(terms)
+
+
+def test_log_value_equals_the_lgamma_sum_bit_for_bit():
+    # factorial atoms inside the log i! table (i <= 2000) and beyond it
+    xs = [builder(n) for builder in _BUILDERS.values() for n in range(2, 61)]
+    xs += [builder(n) for builder in (vol_quotient, ratio_C, harder_volume) for n in (1999, 2000, 2001, 2500)]
+    xs += [
+        SymbolicVolume(factorial={5000: 1}),
+        SymbolicVolume(pow2=Fraction(1, 3), factorial={3: 2, 2000: -3, 2001: 2, 5000: 1}, numeric={1.7: 1}),
+    ]
+    for x in xs:
+        assert x.log_value() == _log_value_reference(x), str(x)
+
+
+def test_volume_queries_build_without_the_checking_constructor(monkeypatch):
+    def query(n):
+        return ratio_C(n), compare_ratio_forms(n), compare_quotient_forms(n)
+
+    want = [query(n) for n in range(2, 61)]
+
+    def refuse(self):
+        raise AssertionError("the checking constructor ran")
+
+    monkeypatch.setattr(SymbolicVolume, "__post_init__", refuse)
+    got = [query(n) for n in range(2, 61)]
+    monkeypatch.undo()
+    assert got == want
 
 
 # --- sphere and rotation-group volumes ---
@@ -782,6 +828,15 @@ def test_criterion_8_gap_closes_only_near_n_1710():
     assert round(gap[2000], 4) == 0.0521
     assert min(n for n, g in gap.items() if g <= 0.06) == 1710
     assert all(g <= 0.06 for n, g in gap.items() if n >= 1710)
+
+
+def test_growth_table_csv_bytes_are_pinned():
+    # the sha256 of the CSV as computed with one lgamma call per row; reading
+    # log i! from the table must not move a byte
+    text = growth_table_csv(growth_table(2000))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e7345f38c921f87f30fcb2244306e426c2ac94405989b039001f8bbef95fc006"
+    )
 
 
 def test_growth_table_bounds_checked():
