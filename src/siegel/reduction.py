@@ -18,14 +18,26 @@ carried across rounds, as in the incremental Gram-Schmidt update of LLL
 (Cohen, Alg. 2.6.3): the shears are unit upper triangular, so they change
 ``u`` but not ``a``; an exchange swaps two columns of ``R`` and one 2x2
 Givens rotation of rows i, i+1 makes it triangular again.  Size reduction
-is lazy, as in LLL: an exchange at i reads only ``a`` and u[i, i+1], and an
-integer shear changes neither ``a`` nor any u[k, k+1] modulo 1, so between
-QRs only the exchanged pair is sheared and the full sweep runs once, right
-after each QR.  ``R`` comes from an R-only QR (``k`` is never formed) only
-at the start and when the carried factor shows nothing left to do: that
-fresh round ends the call if it finds no exchange either, and otherwise the
-loop carries on from the fresh factor, so every status is decided on fresh,
-fully swept coordinates.
+is lazy, as in floating-point LLL (Schnorr and Euchner 1994): an exchange at
+i reads only ``a`` and u[i, i+1], and an integer shear changes neither ``a``
+nor any u[k, k+1] modulo 1, so an exchange shears only the pair it swaps and
+the full sweep runs once per run of exchanges, on the factor that ends it.
+
+After each fresh QR the ratios are scanned first.  If that QR ends the call
+(no ratio above t, or the budget spent), its factor is swept and the call
+stops; otherwise the exchanges start on the unswept factor.  After an
+exchange at i the scan resumes at i - 1, since the ratios below it did not
+change (LLL's index pointer).  When the carried factor shows no exchange
+left, or the budget is spent, its ``u`` is swept once and the swept basis
+``h = g @ m`` gets a fresh R-only QR (``k`` is never formed): that QR ends
+the call if it finds no exchange either, and otherwise the next run starts
+from its factor, so every status is decided on a fresh, fully swept factor.
+The sweep of that QR almost never shears, and then ``h`` itself is sigma.
+The exchanges and the final ``m`` are those of a full sweep after every QR
+(a size-reduced basis with a given Gram-Schmidt flag is unique, up to exact
+half-integer ties).  Readings of ``potential_trace`` are carried values:
+after an exchange ``a`` has been rotated from rows that were not swept, so
+they can differ in the last bits from a fresh QR of the same basis.
 
 Between QRs the loop runs on plain Python scalars, with no numpy call: ``a``
 and the rows of ``u`` are float lists read straight from the raw LAPACK
@@ -35,8 +47,8 @@ integer matrix ``m`` is a list of columns of Python ints and its inverse a
 list of rows, so a swap is a list swap with one negation on each and a shear
 is one scalar loop over a column of ``m`` and a row of the inverse.  Every
 float update is a single rounded operation (no fused multiply-add), the
-rotation included.  The float copy of ``m`` made for each later QR and for
-sigma raises :class:`NonInvertibleError` rather than round an entry of
+rotation included.  The float copy of ``m`` made for each later QR, and for
+sigma when the last QR's input cannot serve, raises :class:`NonInvertibleError` rather than round an entry of
 2**53 or more.  sigma @ gamma = g up to two float matrix products, and
 gamma's determinant is +1 by construction, a product of exact det +1 moves
 on Python ints.  Ratios sitting exactly on the threshold are left
@@ -135,19 +147,23 @@ def _shear(
     m_inv[i] = row_i
 
 
-def _size_reduce(u: list[list[float]], m: list[list[int]], m_inv: list[list[int]]) -> None:
-    """Push u[i][j] into [-1/2, 1/2] by unit upper integer shears, in place.
+def _size_reduce(u: list[list[float]], m: list[list[int]], m_inv: list[list[int]]) -> bool:
+    """Push u[i][j] into [-1/2, 1/2] by unit upper integer shears, in place;
+    return whether any shear was applied.
 
     One row sweep per i from the bottom row n - 2 up to 0: every
     r_j = round(u[i][j]), j > i, is read first (``round`` ties to even, as
     ``np.round`` does), then the shears col_j -= r_j col_i are applied.
-    Called once after each fresh QR; between QRs :func:`_exchange` shears
-    only the pair it swaps.
+    Called once on each factor that ends a run of exchanges; in between,
+    :func:`_exchange` shears only the pair it swaps.
     """
+    sheared = False
     for i in range(len(u) - 2, -1, -1):
         row = u[i]
         if shears := [(j, r) for j in range(i + 1, len(row)) if (r := round(row[j]))]:
             _shear(u, m, m_inv, i, shears)
+            sheared = True
+    return sheared
 
 
 def _exchange(
@@ -156,9 +172,9 @@ def _exchange(
     """Exchange columns i and i+1 of the working basis, in place.
 
     First the one shear col_i+1 -= round(u[i][i+1]) col_i on rows 0..i of
-    ``u``, on ``m`` and inverted onto ``m_inv`` (a no-op right after a full
-    sweep): the swap reads only ``a`` and u[i][i+1], so no other entry of
-    ``u`` needs reducing between fresh QRs.  Then the det-corrected swap
+    ``u``, on ``m`` and inverted onto ``m_inv``: the swap reads only ``a``
+    and u[i][i+1], so no other entry of ``u`` needs reducing before the run
+    of exchanges ends.  Then the det-corrected swap
     (col_i, col_i+1) <- (col_i+1, -col_i) on ``m`` and its inverse on the
     rows of ``m_inv``, and the same swap on the columns of
     ``R = diag(a) @ u`` followed by one Givens rotation of rows i, i+1 back
@@ -200,8 +216,14 @@ def siegel_reduce(
     ``status``, never silently truncated; a ``max_iter`` that is not an
     integer >= 0 raises :class:`InvalidArgumentError`.  Pass a list as
     ``potential_trace`` to record the reduction potential once per basis:
-    at the start and after each exchange, from the carried ``a`` (it never
-    increases).  A fresh QR of a basis already recorded adds no reading.
+    at the start and after each exchange (it never increases).  The
+    readings are carried values, from the ``a`` rotated by each exchange,
+    not from a fresh QR; a fresh QR of a basis already recorded adds none.
+
+    Each fresh QR is swept only if it ends the call; a run of exchanges
+    starts on the unswept factor, shears only each exchanged pair, and is
+    swept once before the fresh QR that confirms its end.  sigma is that
+    QR's input ``g @ m`` unless its sweep still shears.
     """
     g = as_square_matrix(g)
     n = g.shape[0]
@@ -210,38 +232,43 @@ def siegel_reduce(
 
     m = [[int(r == c) for r in range(n)] for c in range(n)]  # columns
     m_inv = [[int(r == c) for c in range(n)] for r in range(n)]  # rows
-    exchanges = refreshes = 0
-    fresh = True
+    exchanges = 0
     t = MINIMAL_PARAMS.t
+    # m is still the identity at the first QR, which factors g itself
+    a, u = _coordinate_lists(g)
+    refreshes = 1
+    if potential_trace is not None:
+        potential_trace.append(log_potential(a))
+    # the input g @ m of the latest later QR; the first QR's input may be the
+    # caller's own array, so it is never returned as sigma
+    h = None
     while True:
-        if fresh:
-            # m is still the identity in the first round
-            a, u = _coordinate_lists(g @ _exact_float(m) if refreshes else g)
-            refreshes += 1
-            if potential_trace is not None and refreshes == 1:
-                potential_trace.append(log_potential(a))
-            _size_reduce(u, m, m_inv)
         i = next((k for k in range(n - 1) if a[k] / a[k + 1] > t), None)
-        if not fresh and (i is None or exchanges >= max_iter):
-            # only a fresh factor may end the call: it confirms or corrects
-            # what the carried one shows
-            fresh = True
-            continue
-        if i is None:
-            status = STATUS_REDUCED
+        if i is None or exchanges >= max_iter:
+            # a fresh factor ends the call; sigma is its input unless the
+            # sweep still moves m
+            if _size_reduce(u, m, m_inv) or h is None:
+                h = g @ _exact_float(m)
+            status = STATUS_REDUCED if i is None else STATUS_BUDGET_EXHAUSTED
             break
-        if exchanges >= max_iter:
-            status = STATUS_BUDGET_EXHAUSTED
-            break
-        _exchange(a, u, m, m_inv, i)
-        exchanges += 1
-        if potential_trace is not None:
-            potential_trace.append(log_potential(a))
-        fresh = False
+        while True:
+            _exchange(a, u, m, m_inv, i)
+            exchanges += 1
+            if potential_trace is not None:
+                potential_trace.append(log_potential(a))
+            # ratios below i - 1 did not change and did not exceed t
+            i = next((k for k in range(max(i - 1, 0), n - 1) if a[k] / a[k + 1] > t), None)
+            if i is None or exchanges >= max_iter:
+                break
+        # only a fresh factor may end the call: it confirms or corrects what
+        # the carried one shows, on the basis swept once here
+        _size_reduce(u, m, m_inv)
+        h = g @ _exact_float(m)
+        a, u = _coordinate_lists(h)
+        refreshes += 1
 
-    sigma = g @ _exact_float(m)
     # m_inv is a product of exact det +1 moves on Python ints
     gamma = UnimodularIntMatrix._trusted(m_inv)
     return ReductionResult(
-        gamma=gamma, sigma=sigma, iterations=exchanges, status=status, refreshes=refreshes
+        gamma=gamma, sigma=h, iterations=exchanges, status=status, refreshes=refreshes
     )

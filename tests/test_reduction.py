@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from siegel import iwasawa
+from siegel import iwasawa, reduction
 from siegel.errors import InvalidArgumentError, NonInvertibleError, NotUnimodularError
 from siegel.iwasawa import (
     MINIMAL_PARAMS,
@@ -260,7 +260,8 @@ def test_refreshes_count_the_fresh_qrs():
 
 def fresh_qr_reduce(g, max_iter=None, p=P):
     """The reduction loop with one fresh R-only QR per round and a full
-    sweep after it: the reference the carried factor must reproduce."""
+    sweep after it: the reference the carried factor must reproduce.
+    Returns gamma, the exchange count, the status and sigma."""
     g = np.asarray(g, dtype=float)
     n = g.shape[0]
     if max_iter is None:
@@ -282,7 +283,7 @@ def fresh_qr_reduce(g, max_iter=None, p=P):
         m[i], m[i + 1] = m[i + 1], [-x for x in m[i]]
         m_inv[i], m_inv[i + 1] = m_inv[i + 1], [-x for x in m_inv[i]]
         exchanges += 1
-    return UnimodularIntMatrix(m_inv), exchanges, status
+    return UnimodularIntMatrix(m_inv), exchanges, status, g @ _exact_float(m)
 
 
 def reduction_corpus(n, seed):
@@ -341,10 +342,11 @@ def test_coordinate_lists_keep_the_pivot_guard(g):
 def test_carried_factor_equals_fresh_qr_per_round(n):
     for g in reduction_corpus(n, 7300 + n):
         res = siegel_reduce(g)
-        gamma, iterations, status = fresh_qr_reduce(g)
+        gamma, iterations, status, sigma = fresh_qr_reduce(g)
         assert res.gamma.entries == gamma.entries
         assert res.iterations == iterations
         assert res.status == status
+        assert res.sigma.tobytes() == sigma.tobytes()
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -354,10 +356,11 @@ def test_every_budget_stops_where_the_fresh_qr_reference_stops(n):
     for g in reduction_corpus(n, 7500 + n)[::3]:
         for k in range(siegel_reduce(g).iterations + 1):
             res = siegel_reduce(g, max_iter=k)
-            gamma, iterations, status = fresh_qr_reduce(g, max_iter=k)
+            gamma, iterations, status, sigma = fresh_qr_reduce(g, max_iter=k)
             assert res.gamma.entries == gamma.entries
             assert res.iterations == iterations
             assert res.status == status
+            assert res.sigma.tobytes() == sigma.tobytes()
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -383,3 +386,102 @@ def test_carried_potential_stays_on_the_fresh_one(n):
             assert len(trace) == k + 1
             (a,), _ = _siegel_coordinates(res.sigma[None])
             assert abs(trace[-1] - log_potential(a)) <= 1e-10
+
+
+def exact_siegel_member(s):
+    """Exact membership of the float matrix s in the canonical Siegel set
+    (t^2 = 4/3, lam = 1/2).  Floats are rationals, so G = s^T s is exact in
+    Fraction; its LDL^T has D_i = a_i^2 and L_ji = u_ij, and the constraints
+    are D_i <= (4/3) D_{i+1} and |L_ji| <= 1/2."""
+    cols = [[Fraction(x) for x in col] for col in np.asarray(s).T.tolist()]
+    n = len(cols)
+    gram = [[sum(x * y for x, y in zip(ci, cj)) for cj in cols] for ci in cols]
+    low = [[Fraction(0)] * n for _ in range(n)]
+    d = [Fraction(0)] * n
+    for j in range(n):
+        d[j] = gram[j][j] - sum(low[j][k] ** 2 * d[k] for k in range(j))
+        for i in range(j + 1, n):
+            low[i][j] = (gram[i][j] - sum(low[i][k] * low[j][k] * d[k] for k in range(j))) / d[j]
+    return all(d[i] <= Fraction(4, 3) * d[i + 1] for i in range(n - 1)) and all(
+        abs(low[i][j]) <= Fraction(1, 2) for j in range(n) for i in range(j + 1, n)
+    )
+
+
+def test_exact_member_oracle_decides_the_boundary():
+    # |u| = 1/2 exactly is a member (the set is closed), one ulp beyond is not
+    assert exact_siegel_member(unit_upper_stack([0.5, -0.5, 0.25], 3))
+    assert not exact_siegel_member(unit_upper_stack([0.5, np.nextafter(-0.5, -1.0), 0.25], 3))
+    # b^2 <= 4/3 is decided exactly: the float next to 2/sqrt(3) on the
+    # right side of the bound is a member, its neighbour beyond it is not
+    t = 2.0 / math.sqrt(3.0)
+    near = (np.nextafter(t, 0.0), t, np.nextafter(t, 2.0))
+    inside = max(x for x in near if Fraction(x) ** 2 <= Fraction(4, 3))
+    assert exact_siegel_member(np.diag([inside, 1.0]))
+    assert not exact_siegel_member(np.diag([np.nextafter(inside, 2.0), 1.0]))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_reduced_sigma_is_an_exact_member_mixed(n):
+    # the reduce-mixed recipe: 144 per n, half column-skewed to cond <= 1e7
+    rng = np.random.default_rng(2600 + n)
+    for k in range(144):
+        g = column_skewed_sl(rng, n, 1e5, 1e7) if k % 2 else random_sl(rng, n)
+        res = siegel_reduce(g)
+        assert res.status == STATUS_REDUCED
+        assert exact_siegel_member(res.sigma), g.tolist()
+
+
+def test_reduced_sigma_is_an_exact_member_criterion_6_slice():
+    # every 40th input of criterion 6 (its generator and seed 606, 10 000 per
+    # n = 2..5), 250 per n
+    rng = np.random.default_rng(606)
+    for n in range(2, 6):
+        for k in range(10_000):
+            g = random_sl(rng, n)
+            if k % 40 == 0:
+                res = siegel_reduce(g)
+                assert res.status == STATUS_REDUCED
+                assert exact_siegel_member(res.sigma), g.tolist()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_one_sweep_per_ending_qr_and_sigma_is_its_input(monkeypatch, n):
+    # log every QR (with its input), float copy of m, sweep, shear and
+    # exchange of each call on the seeded corpus
+    events = []
+
+    def logged(name, f):
+        def call(*args):
+            events.append((name, args[0]))
+            return f(*args)
+        return call
+
+    for name, attr in [("qr", "_coordinate_lists"), ("float", "_exact_float"),
+                       ("sweep", "_size_reduce"), ("shear", "_shear"), ("exchange", "_exchange")]:
+        monkeypatch.setattr(reduction, attr, logged(name, getattr(reduction, attr)))
+    confirmed = quiet = 0
+    for g in reduction_corpus(n, 7800 + n):
+        events.clear()
+        res = siegel_reduce(g)
+        kinds = [kind for kind, _ in events]
+        qr_inputs = [x for kind, x in events if kind == "qr"]
+        assert len(qr_inputs) == res.refreshes
+        # one sweep per QR, but none between the first QR and the first
+        # exchange: the sweep runs only on a factor that ends a run
+        assert kinds.count("sweep") == res.refreshes
+        if res.iterations:
+            assert "sweep" not in kinds[: kinds.index("exchange")]
+        last = len(kinds) - 1 - kinds[::-1].index("qr")
+        confirmed += res.refreshes > 1
+        if res.refreshes > 1 and "shear" not in kinds[last:]:
+            # the ending sweep shears nothing: no float copy of m beyond the
+            # ones the later QRs factor, and sigma is the last QR's input
+            quiet += 1
+            assert kinds.count("float") == res.refreshes - 1
+            assert res.sigma is qr_inputs[-1]
+        else:
+            assert kinds.count("float") == res.refreshes
+            assert all(res.sigma is not x for x in qr_inputs)
+    # a confirming QR of the swept basis almost never needs a shear; on this
+    # corpus it never does
+    assert quiet == confirmed > 0
