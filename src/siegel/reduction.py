@@ -48,12 +48,12 @@ list of rows, so a swap is a list swap with one negation on each and a shear
 is one scalar loop over a column of ``m`` and a row of the inverse.  Every
 float update is a single rounded operation (no fused multiply-add), the
 rotation included.  The float copy of ``m`` made for each later QR, and for
-sigma when the last QR's input cannot serve, raises :class:`NonInvertibleError` rather than round an entry of
-2**53 or more.  sigma @ gamma = g up to two float matrix products, and
-gamma's determinant is +1 by construction, a product of exact det +1 moves
-on Python ints.  Ratios sitting exactly on the threshold are left
-alone (the Siegel set is closed), so a result may legitimately sit on the
-boundary.
+sigma when the last QR's input cannot serve, raises
+:class:`NonInvertibleError` rather than round an entry of 2**53 or more.
+sigma @ gamma = g up to two float matrix products, and gamma's determinant
+is +1 by construction, a product of exact det +1 moves on Python ints.
+Ratios sitting exactly on the threshold are left alone (the Siegel set is
+closed), so a result may legitimately sit on the boundary.
 """
 
 from __future__ import annotations
@@ -202,6 +202,14 @@ def _exchange(
         uk[i], uk[j] = uk[j], -uk[i]
 
 
+def _first_over(a: list[float], t: float, start: int) -> int | None:
+    """First i >= start with a[i] / a[i+1] > t, or None."""
+    for i in range(start, len(a) - 1):
+        if a[i] / a[i + 1] > t:
+            return i
+    return None
+
+
 def siegel_reduce(
     g, max_iter: int | None = None, *, potential_trace: list | None = None
 ) -> ReductionResult:
@@ -230,8 +238,10 @@ def siegel_reduce(
     max_iter = 10 * n * n if max_iter is None else as_count(max_iter, "max_iter")
     _check_group_element(g)
 
-    m = [[int(r == c) for r in range(n)] for c in range(n)]  # columns
-    m_inv = [[int(r == c) for c in range(n)] for r in range(n)]  # rows
+    m = [[0] * n for _ in range(n)]  # columns
+    for k in range(n):
+        m[k][k] = 1
+    m_inv = [col[:] for col in m]  # rows
     exchanges = 0
     t = MINIMAL_PARAMS.t
     # m is still the identity at the first QR, which factors g itself
@@ -243,7 +253,7 @@ def siegel_reduce(
     # caller's own array, so it is never returned as sigma
     h = None
     while True:
-        i = next((k for k in range(n - 1) if a[k] / a[k + 1] > t), None)
+        i = _first_over(a, t, 0)
         if i is None or exchanges >= max_iter:
             # a fresh factor ends the call; sigma is its input unless the
             # sweep still moves m
@@ -257,7 +267,7 @@ def siegel_reduce(
             if potential_trace is not None:
                 potential_trace.append(log_potential(a))
             # ratios below i - 1 did not change and did not exceed t
-            i = next((k for k in range(max(i - 1, 0), n - 1) if a[k] / a[k + 1] > t), None)
+            i = _first_over(a, t, max(i - 1, 0))
             if i is None or exchanges >= max_iter:
                 break
         # only a fresh factor may end the call: it confirms or corrects what
