@@ -422,7 +422,7 @@ def test_exact_member_oracle_decides_the_boundary():
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_reduced_sigma_is_an_exact_member_mixed(n):
-    # the reduce-mixed recipe: 144 per n, half column-skewed to cond <= 1e7
+    # the reduce-mixed recipe: 144 per n, half column-skewed to cond in [1e5, 1e7]
     rng = np.random.default_rng(2600 + n)
     for k in range(144):
         g = column_skewed_sl(rng, n, 1e5, 1e7) if k % 2 else random_sl(rng, n)
