@@ -1,9 +1,14 @@
 """Haar-measure machinery in Siegel coordinates.
 
-The Haar measure of SL(n,R), written in the a-left order ``g = a u k``,
-carries the Jacobian ``prod_{i<j} a_i/a_j`` against ``dk da du``.  In the
-ratio coordinates ``b[i] = a[i]/a[i+1]`` that Jacobian becomes
-``prod b[i]**(i*(n-i))`` and the full integrand over the diagonal block is
+The Haar measure of SL(n,R), written in the k-left order ``g = k a u``
+(the order :func:`group_elements` builds, membership reads and
+:func:`siegel_density` integrates), carries the Jacobian
+``prod_{i<j} a_i/a_j`` against ``dk da du``: the Iwasawa integral formula
+(e.g. Knapp, *Lie Groups Beyond an Introduction*, ch. VIII).  In the
+a-left order ``g = a u k`` the factor is 1; at n = 2, ``x = y u_12``
+turns ``dx dy / y^2`` into ``du_12 dy / y``.  In the ratio coordinates
+``b[i] = a[i]/a[i+1]`` the Jacobian becomes ``prod b[i]**(i*(n-i))`` and
+the full integrand over the diagonal block is
 ``(1/2) * prod b[i]**(i*(n-i)-1)``.  This module evaluates those kernels,
 builds ``s = k @ diag(a) @ u`` from coordinates by one formula
 (:func:`group_elements`), samples Haar-uniform rotations and stacks of
@@ -14,9 +19,11 @@ Carlo) for the diagonal-block integral.
 The importance weight of a draw is ``exp(log_b @ e)`` with ``e[i] = i*(n-i)``;
 the Monte Carlo sums accumulate it relative to the largest log weight, so
 they neither overflow nor underflow, and a point reports its log.  Every
-dimension and count is an integer by :func:`siegel.iwasawa.as_count`; the
-integrators reject a non-finite ``t`` and raise ``ToleranceNotMetError``
-rather than return a value that is 0 or not finite in double precision.
+dimension and count is an integer by :func:`siegel.iwasawa.as_count`; a
+real argument must be a real number (not a bool, a string or a complex
+number), and a vector is read by the rule for matrix entries.  The
+integrators raise ``ToleranceNotMetError`` rather than return a value that
+is 0 or not finite in double precision.
 """
 
 from __future__ import annotations
@@ -35,6 +42,9 @@ from .errors import (
 from .iwasawa import (
     DET_TOL,
     SiegelParams,
+    _is_real,
+    _real_array,
+    _siegel_bound,
     a_from_b,
     as_count,
     matrix_to_json_dict,
@@ -77,7 +87,7 @@ def conjugation_jacobian(a) -> float:
     The map scales the (i, j) coordinate by ``a_i / a_j``, so the value is
     ``prod_{i<j} a_i / a_j``; evaluated in log space for stability.
     """
-    a = np.asarray(a, dtype=float)
+    a = _real_array(a)
     if np.any(a <= 0.0) or not np.all(np.isfinite(a)):
         raise NonPositiveEntryError("all diagonal entries must be positive")
     n = a.size
@@ -108,7 +118,7 @@ def siegel_density(b) -> float:
     range (0 or not finite), as it does for typical points from n = 20 on;
     a point's ``log_weight`` holds the same information in log space.
     """
-    b = np.asarray(b, dtype=float)
+    b = _real_array(b)
     if np.any(b <= 0.0) or not np.all(np.isfinite(b)):
         raise NonPositiveEntryError("all ratio coordinates must be positive")
     n = b.size + 1
@@ -201,7 +211,7 @@ class SiegelCoordinatePoint:
 def _block_log_lows(p: SiegelParams, b_lows) -> np.ndarray:
     """``log(b_lows)`` as a column, the lower ends of a block's log b draws;
     the sampler's one range check, ``0 < b_low < t`` for every entry."""
-    lows = np.asarray(b_lows, dtype=float).reshape(-1)
+    lows = _real_array(b_lows).reshape(-1)
     bad = ~((lows > 0.0) & (lows < p.t))
     if bad.any():
         b_min = float(lows[np.argmax(bad)])
@@ -344,11 +354,6 @@ def _gauss_legendre_block(n: int, t: float, rule: tuple[np.ndarray, np.ndarray])
 _QUADRATURE_REL_TOL = 1e-10
 
 
-def _require_finite_t(t: float) -> None:
-    if not (math.isfinite(t) and t > 0.0):
-        raise InvalidArgumentError(f"t must be positive and finite, got {t!r}")
-
-
 def a_integral_quadrature(n: int, t: float) -> float:
     """Diagonal-block integral (1/2) * Int_{(0,t]^{n-1}} prod b**(i(n-i)-1) db.
 
@@ -358,7 +363,7 @@ def a_integral_quadrature(n: int, t: float) -> float:
     is 0 or not finite in double precision is not certified either.
     """
     n = as_count(n, "n", least=2)
-    _require_finite_t(t)
+    t = _siegel_bound(t, "t")
     hi = _gauss_legendre_block(n, t, _GAUSS_LEGENDRE_64)
     lo = _gauss_legendre_block(n, t, _GAUSS_LEGENDRE_32)
     if not (0.0 < hi < math.inf and abs(hi - lo) <= _QUADRATURE_REL_TOL * hi):
@@ -433,13 +438,17 @@ def a_integral_mc(
     nor the sums of squares overflow or underflow.  Raises
     ``ToleranceNotMetError`` when the estimate is 0 or not finite, or its
     standard error is not finite, in double precision; ``InvalidArgumentError``
-    for a non-integer ``n`` or ``samples`` or a non-finite ``t``.
+    for a non-integer ``n`` or ``samples``, a ``t`` that is not a positive
+    finite real number or a ``b_min`` that is not a real number, and
+    ``InvalidRangeError`` unless ``0 < b_min < t``.
     """
     n = as_count(n, "n", least=2)
     samples = as_count(samples, "samples", least=2)
-    _require_finite_t(t)
+    t = _siegel_bound(t, "t")
     if b_min is None:
         b_min = t * DEFAULT_B_MIN_FRACTION
+    elif not _is_real(b_min):
+        raise InvalidArgumentError(f"b_min must be a real number, got {b_min!r}")
     if not (0.0 < b_min < t):
         raise InvalidRangeError(f"need 0 < b_min < t, got b_min={b_min}, t={t}")
     gen = rng.generator()
@@ -478,7 +487,7 @@ def a_integral_mc(
         std_error=std_error,
         samples=samples,
         seed=rng.seed,
-        b_min=b_min,
+        b_min=float(b_min),
         truncation_bound=trunc,
         effective_samples=total * total / total_sq,
     )

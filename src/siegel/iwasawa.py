@@ -52,11 +52,17 @@ MEMBERSHIP_OUTSIDE = "outside"
 MEMBERSHIP_BOUNDARY = "boundary"
 
 
+def _is_real(value) -> bool:
+    """The type test of the real-number rule: a real number and not a bool
+    (a string or a complex number is not one)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _siegel_bound(value, name: str) -> float:
-    """A Siegel parameter by the real-number rule: a real number that is
-    not a bool (a string or a complex number is not one), positive and
-    finite as a float."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+    """A Siegel parameter, or the ``t`` of an integrator, by the real-number
+    rule: a real number by :func:`_is_real`, positive and finite as a
+    float."""
+    if _is_real(value):
         try:
             bound = float(value)
         except OverflowError:
@@ -243,7 +249,8 @@ def _bareiss_det(rows: list[list[int]]) -> int:
 class UnimodularIntMatrix:
     """Element of SL(n,Z): exact integer entries, determinant exactly +1.
 
-    ``entries`` may be any square nested sequence of integers; it is stored
+    ``entries`` may be any square nested sequence of integers by
+    :func:`is_int` (a float, a string or a bool is not one); it is stored
     as a tuple of tuples of Python ints.
     """
 
@@ -253,6 +260,8 @@ class UnimodularIntMatrix:
         n = len(self.entries)
         if n < 1 or any(len(row) != n for row in self.entries):
             raise InvalidArgumentError("entries must form a square matrix")
+        if not all(is_int(x) for row in self.entries for x in row):
+            raise InvalidArgumentError(f"entries must be integers, got {self.entries!r}")
         object.__setattr__(
             self, "entries", tuple(tuple(int(x) for x in row) for row in self.entries)
         )
@@ -478,8 +487,8 @@ def siegel_membership(g, p: SiegelParams, tol: float, *, check: bool = True) -> 
     ``boundary`` otherwise.  The coordinates are the k-left factors of g,
     one (n, n) matrix; :func:`membership_excess` scores a stack.
     """
-    if not 0 <= tol < math.inf:
-        raise InvalidArgumentError(f"tol must be a finite number >= 0, got {tol!r}")
+    if not (_is_real(tol) and 0 <= tol < math.inf):
+        raise InvalidArgumentError(f"tol must be a finite real number >= 0, got {tol!r}")
     g = _real_array(g)
     if g.ndim != 2:
         raise InvalidArgumentError(

@@ -6,25 +6,23 @@ and pi and integer powers of zeta(i) and i!.
 so identities between formulas can be checked with zero drift; floats
 only appear when ``log_value``/``value`` are called.
 
-Every :class:`SymbolicVolume` is folded into one canonical form when it
-is built, so equal quantities have equal fields and ``==`` is exact.
-Products and integer powers of canonical expressions are canonical, so
-they are built without the constructor's checks.  Each builder writes the
-exponent maps of its docstring formula already in canonical form (0!, 1!
-dropped, 2! as a power of 2, no zero exponent) and wraps them the same
-way; the public constructor, with every check and its one fold rule, is
-for expressions from elsewhere.  The product prod_{i=2}^n Gamma(i/2)
-enters in closed form in the factorial/pi/2 basis, from
-Gamma(m) = (m-1)! and Gamma(m + 1/2) = sqrt(pi) (2m)!/(4^m m!) (see
+Every :class:`SymbolicVolume` is canonical (0! and 1! dropped, 2! as a
+power of 2, no zero exponent), so equal quantities have equal fields and
+``==`` is exact.  The factorial part of that rule is written once, in
+:func:`_fold_small_factorials`.  The public constructor checks its
+arguments and folds copies of its maps.  Each builder writes the exponent
+maps of its docstring formula over the formula's own index ranges, folds
+them by the same rule and wraps them without the constructor's checks,
+as products, one-pass quotients and integer powers of canonical
+expressions are wrapped.  The product prod_{i=2}^n Gamma(i/2) enters in
+closed form in the factorial/pi/2 basis, from Gamma(m) = (m-1)! and
+Gamma(m + 1/2) = sqrt(pi) (2m)!/(4^m m!) (see
 :func:`_inverse_gamma_half_product`), which keeps printed forms clean.
-:func:`vol_siegel` is one of these builders.  The exact 2^a 3^b
-factorisations of 2 lam and t^2 that it reads (or their absence) are
-taken once, when the :class:`~siegel.iwasawa.SiegelParams` is built, by
-the one fold rule :func:`~siegel.iwasawa._three_smooth` that the
-constructor also applies to numeric constants; any other positive
-constant (a non-canonical Siegel parameter t, say) is a labeled numeric
-factor.  No builder goes through
-the constructor, and division subtracts exponent maps in one pass.
+:func:`vol_siegel` reads the exact 2^a 3^b factorisations of 2 lam and
+t^2 (or their absence) that :class:`~siegel.iwasawa.SiegelParams` takes
+once, by :func:`~siegel.iwasawa._three_smooth`, the rule the constructor
+also applies to numeric constants; any other positive constant (a
+non-canonical Siegel parameter t, say) is a labeled numeric factor.
 ``log_value`` is one correctly rounded sum over the atoms, so equal
 quantities also evaluate to equal floats; log zeta(i) and log i! (for
 i <= 2000) come from tables of constants, as does :func:`zeta`.
@@ -35,15 +33,13 @@ numpy.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .iwasawa import MINIMAL_PARAMS, SiegelParams, _three_smooth, as_count, is_int
+from .iwasawa import MINIMAL_PARAMS, SiegelParams, _is_real, _three_smooth, as_count, is_int
 
 _LN2 = math.log(2.0)
 _LN3 = math.log(3.0)
@@ -175,6 +171,15 @@ def _minus(x: Fraction, y: Fraction) -> Fraction:
     return x - y if x and y else x or -y
 
 
+def _fold_small_factorials(factorial: dict) -> int:
+    """The small-factorial rule, in place on an exponent map of i!: 0! and
+    1! are 1 and are dropped, 2! is 2 and is removed; returns the exponent
+    of 2 that 2! carried."""
+    factorial.pop(0, None)
+    factorial.pop(1, None)
+    return factorial.pop(2, 0)
+
+
 def _inverse_gamma_half_product(n: int) -> tuple[dict, int, int]:
     """prod_{i=2}^n 1/Gamma(i/2) in canonical form, as ``(factorials, pow2,
     half_pi)``: an exponent map of i! (keys >= 3, no zero exponent), a
@@ -186,21 +191,12 @@ def _inverse_gamma_half_product(n: int) -> tuple[dict, int, int]:
     1/M! when n is odd (then n//2 = M; for even n, n//2 = M + 1), so
 
         prod_{i=2}^n 1/Gamma(i/2) = 2^(M(M+1)) pi^(-M/2) (M!)^[n odd] / prod_{m=1}^M (2m)!.
-
-    The 2! of m = 1 is a power of 2; the M! of odd n vanishes for M <= 1,
-    is a power of 2 for M = 2 and cancels its (2m)! for an even M >= 4.
     """
     M = (n - 1) // 2
-    fact = dict.fromkeys(range(4, 2 * M + 1, 2), -1)
-    pow2 = M * (M + 1) - (M > 0)
-    if n % 2 and M >= 2:
-        if M == 2:
-            pow2 += 1
-        elif M in fact:
-            del fact[M]
-        else:
-            fact[M] = 1
-    return fact, pow2, -M
+    fact = dict.fromkeys(range(2, 2 * M + 1, 2), -1)
+    if n % 2 and fact.pop(M, None) is None:
+        fact[M] = 1  # the M! of odd n, unless it cancels the (2m)! of 2m = M
+    return fact, M * (M + 1) + _fold_small_factorials(fact), -M
 
 
 def _check_integer_map(exponents: dict, least: int, atom: str) -> None:
@@ -219,9 +215,7 @@ def _check_integer_map(exponents: dict, least: int, atom: str) -> None:
 def _is_numeric_base(base) -> bool:
     """The real-number rule for a numeric base: a real number that is not a
     bool (a string or a complex number is not one), positive and finite."""
-    return (
-        isinstance(base, numbers.Real) and not isinstance(base, bool) and 0.0 < base < math.inf
-    )
+    return _is_real(base) and 0.0 < base < math.inf
 
 
 def _as_exponent(value, atom: str) -> Fraction:
@@ -243,7 +237,8 @@ class SymbolicVolume:
     Fractions, the maps give integer exponents per zeta(i) and i! factor,
     and ``numeric`` holds Fraction exponents of arbitrary positive finite
     floats.  The constructor converts scalar and numeric exponents to
-    Fractions and refuses a non-finite one.  Multiplication and division
+    Fractions, refuses a non-finite one and stores new maps, so the
+    caller's dicts are never shared.  Multiplication and division
     add exponents exactly; nothing is rounded until
     ``log_value``/``value``.
 
@@ -262,36 +257,35 @@ class SymbolicVolume:
     numeric: dict = field(default_factory=dict)  # float base -> Fraction exponent
 
     def __post_init__(self):
-        # The one folding rule.  Each step sets only what it changes, so
-        # canonical fields pass with a few checks.
-        fold = partial(object.__setattr__, self)
-        for name in ("pow2", "pow3", "pow_pi"):
-            if type(getattr(self, name)) is not Fraction:
-                fold(name, _as_exponent(getattr(self, name), name))
+        # Every check, in order, then one fold into new maps.
+        pow2, pow3, pow_pi = (
+            _as_exponent(getattr(self, name), name) for name in ("pow2", "pow3", "pow_pi")
+        )
         _check_integer_map(self.zeta_pow, 2, "zeta")
         _check_integer_map(self.factorial, 0, "factorial")
         if self.numeric and not all(map(_is_numeric_base, self.numeric)):
             raise InvalidArgumentError(
                 f"numeric bases must be positive and finite real numbers, got {list(self.numeric)}"
             )
-        if not all(type(e) is Fraction for e in self.numeric.values()):
-            fold("numeric", {b: _as_exponent(e, "numeric") for b, e in self.numeric.items()})
-        if not all(self.zeta_pow.values()):
-            fold("zeta_pow", {i: e for i, e in self.zeta_pow.items() if e})
-        fact = self.factorial
-        if 0 in fact or 1 in fact or 2 in fact or not all(fact.values()):
-            fold("pow2", self.pow2 + fact.get(2, 0))
-            fold("factorial", {i: e for i, e in fact.items() if i > 2 and e})
+        factorial = {i: e for i, e in self.factorial.items() if e}
+        pow2 += _fold_small_factorials(factorial)
         kept = {}
         for base, e in self.numeric.items():
+            e = _as_exponent(e, "numeric")
             smooth = _three_smooth(base)
             if smooth is not None:
-                fold("pow2", self.pow2 + smooth[0] * e)
-                fold("pow3", self.pow3 + smooth[1] * e)
+                pow2 += smooth[0] * e
+                pow3 += smooth[1] * e
             elif e:
                 kept[base] = e
-        if kept != self.numeric:
-            fold("numeric", kept)
+        self.__dict__.update(
+            pow2=pow2,
+            pow3=pow3,
+            pow_pi=pow_pi,
+            zeta_pow={i: e for i, e in self.zeta_pow.items() if e},
+            factorial=factorial,
+            numeric=kept,
+        )
 
     @classmethod
     def _trusted(cls, pow2, pow3, pow_pi, zeta_pow, factorial, numeric) -> SymbolicVolume:
@@ -300,8 +294,9 @@ class SymbolicVolume:
         A product or nonzero integer power of canonical instances is
         canonical: exponents stay Fractions, ``_add`` drops the zeros, and
         the index sets and numeric bases only merge, so no 0!, 1!, 2! or
-        exact numeric base can appear.  The volume builders write their
-        fields in this form directly.
+        exact numeric base can appear.  The volume builders wrap their
+        formulas' maps here once :func:`_fold_small_factorials` has folded
+        them.
         """
         obj = object.__new__(cls)
         obj.__dict__.update(
@@ -446,15 +441,15 @@ def vol_siegel(n: int, p: SiegelParams = MINIMAL_PARAMS) -> SymbolicVolume:
     as a labeled numeric factor, 2 lam or t, with an exact exponent.  The
     factorisations of 2 lam and t^2 are taken once, by
     :class:`~siegel.iwasawa.SiegelParams`; like the other builders, this one
-    writes the canonical exponent maps of the formula directly, with the
-    terms of :func:`vol_so` inlined.
+    writes the exponent maps of the formula, with the terms of
+    :func:`vol_so` inlined.
     """
     n = as_count(n, "n", least=2)
-    gamma_fact, gamma_pow2, half_pi = _inverse_gamma_half_product(n)
+    fact, gamma_pow2, half_pi = _inverse_gamma_half_product(n)
+    fact[n - 1] = fact.get(n - 1, 0) - 2
     lam_e, t2_e = 6 * n * (n - 1), n * (n * n - 1)  # 12 times the exponents of 2 lam and t^2
-    # twelve times the power of 2 in vol_so(n) and in the 1/2, and in
-    # ((n-1)!)^-2 where 2! is 2 (n = 3; 1! is 1)
-    pow2 = 3 * (n - 1) * (n + 4) + 12 * gamma_pow2 - 12 - 24 * (n == 3)
+    # twelve times the power of 2 in vol_so(n), in the 1/2 and in ((n-1)!)^-2
+    pow2 = 3 * (n - 1) * (n + 4) + 12 * (gamma_pow2 + _fold_small_factorials(fact)) - 12
     pow3, numeric = 0, {}
     if p._lam2_smooth is not None:
         pow2 += p._lam2_smooth[0] * lam_e
@@ -470,14 +465,12 @@ def vol_siegel(n: int, p: SiegelParams = MINIMAL_PARAMS) -> SymbolicVolume:
         # a t2 that is not 3-smooth is the square of the float t, as
         # SiegelParams states every other set
         numeric[p.t] = numeric.get(p.t, 0) + Fraction(t2_e, 6)
-    if n > 3:
-        gamma_fact[n - 1] = gamma_fact.get(n - 1, 0) - 2
     return SymbolicVolume._trusted(
         Fraction(pow2, 12),
         Fraction(pow3, 12),
         Fraction(n * n + n - 2 + 2 * half_pi, 4),
         {},
-        gamma_fact,
+        fact,
         numeric,
     )
 
@@ -491,13 +484,13 @@ def vol_quotient(n: int) -> SymbolicVolume:
     variant that drops a factor n!.
     """
     n = as_count(n, "n", least=2)
-    # 1/1! is 1 and 1/2! (for n >= 3) a power of 2
+    fact = dict.fromkeys(range(1, n), -1)
     return SymbolicVolume._trusted(
-        Fraction(1 - (n - 1) * (n - 2) - 2 * (n > 2), 2),
+        Fraction(1 - (n - 1) * (n - 2) + 2 * _fold_small_factorials(fact), 2),
         _ZERO,
         _ZERO,
         dict.fromkeys(range(2, n + 1), 1),
-        dict.fromkeys(range(3, n), -1),
+        fact,
         {},
     )
 
@@ -510,13 +503,13 @@ def vol_quotient_rightmost(n: int) -> SymbolicVolume:
     alternative for the dual-evaluation check, never used as the value.
     """
     n = as_count(n, "n", least=2)
-    # 1/2! is a power of 2
+    fact = dict.fromkeys(range(2, n + 1), -1)
     return SymbolicVolume._trusted(
-        Fraction(3 * n - n * n - 3, 2),
+        Fraction(3 * n - n * n - 1 + 2 * _fold_small_factorials(fact), 2),
         _ZERO,
         _ZERO,
         dict.fromkeys(range(2, n + 1), 1),
-        dict.fromkeys(range(3, n + 1), -1),
+        fact,
         {},
     )
 
@@ -533,24 +526,22 @@ def ratio_C(n: int) -> SymbolicVolume:
 def ratio_C_display(n: int) -> SymbolicVolume:
     """The displayed single-formula simplification of the same ratio.
 
-    2^((2n^3+9n^2+25n-30)/12) pi^((n^2+n-2)/4) prod i! /
-    (3^((n^3-n)/12) ((n-1)!)^2 prod Gamma(i/2) prod zeta(i)).
+    2^((2n^3+9n^2+25n-30)/12) pi^((n^2+n-2)/4) prod_{i=1}^{n-1} i! /
+    (3^((n^3-n)/12) ((n-1)!)^2 prod_{i=2}^n Gamma(i/2) zeta(i)).
     Disagrees with the direct quotient by 2^(3n-1); kept for the check.
     """
     n = as_count(n, "n", least=2)
     gamma_fact, gamma_pow2, half_pi = _inverse_gamma_half_product(n)
-    # prod_{i=1}^{n-1} i! / ((n-1)!)^2 = prod_{i=3}^{n-2} i! / (n-1)!, where
-    # 2! is a 2 in the product (n >= 4) or a 1/2 as (n-1)! (n = 3)
-    fact = dict.fromkeys(range(3, n - 1), 1)
-    if n > 3:
-        fact[n - 1] = -1
-    pow2 = gamma_pow2 + (n > 3) - (n == 3)
+    fact = dict.fromkeys(range(1, n), 1)
+    fact[n - 1] -= 2
+    fact = _add(fact, gamma_fact)
+    pow2 = gamma_pow2 + _fold_small_factorials(fact)
     return SymbolicVolume._trusted(
         Fraction(2 * n**3 + 9 * n**2 + 25 * n - 30 + 12 * pow2, 12),
         Fraction(n - n**3, 12),
         Fraction(n * n + n - 2 + 2 * half_pi, 4),
         dict.fromkeys(range(2, n + 1), -1),
-        _add(fact, gamma_fact),
+        fact,
         {},
     )
 
@@ -574,12 +565,10 @@ def harder_volume(n: int) -> SymbolicVolume:
     """
     n = as_count(n, "n", least=2)
     e = n * (n + 3)
-    # 2! is a 2 in the product (n >= 3) or a 1/2 as n! (n = 2)
-    fact = dict.fromkeys(range(3, n), 1)
-    if n > 2:
-        fact[n] = -1
+    fact = dict.fromkeys(range(1, n), 1)
+    fact[n] = -1
     return SymbolicVolume._trusted(
-        Fraction(-e - 2 * harder_tau(n) + (2 if n > 2 else -2), 2),
+        Fraction(-e - 2 * harder_tau(n) + 2 * _fold_small_factorials(fact), 2),
         _ZERO,
         Fraction(-e, 2),
         dict.fromkeys(range(2, n + 1), 1),
@@ -596,21 +585,21 @@ def normalization_ratio(n: int) -> SymbolicVolume:
 
 def normalization_ratio_display(n: int) -> SymbolicVolume:
     """The displayed simplification of the same conversion factor:
-    2^((n^2-5n-2)/4 - tau) (prod i!)^2 / (n! pi^((n^2+5n+2)/4) prod Gamma(i/2)).
+    2^((n^2-5n-2)/4 - tau) (prod_{i=1}^{n-1} i!)^2 /
+    (n! pi^((n^2+5n+2)/4) prod_{i=2}^n Gamma(i/2)).
     Disagrees with the direct quotient by 2^n; kept for the check."""
     n = as_count(n, "n", least=2)
     gamma_fact, gamma_pow2, half_pi = _inverse_gamma_half_product(n)
-    # (2!)^2 is a 2^2 in the squared product (n >= 3); 2! is a 1/2 as n! (n = 2)
-    fact = dict.fromkeys(range(3, n), 2)
-    if n > 2:
-        fact[n] = -1
-    pow2 = gamma_pow2 - harder_tau(n) + (2 if n > 2 else -1)
+    fact = dict.fromkeys(range(1, n), 2)
+    fact[n] = -1
+    fact = _add(fact, gamma_fact)
+    pow2 = gamma_pow2 - harder_tau(n) + _fold_small_factorials(fact)
     return SymbolicVolume._trusted(
         Fraction(n * n - 5 * n - 2 + 4 * pow2, 4),
         _ZERO,
         Fraction(2 * half_pi - n * n - 5 * n - 2, 4),
         {},
-        _add(fact, gamma_fact),
+        fact,
         {},
     )
 

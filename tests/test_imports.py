@@ -173,3 +173,34 @@ def test_only_iwasawa_states_the_canonical_t(path):
     # the canonical set is t^2 = 4/3 in iwasawa.MINIMAL_PARAMS; no other
     # module derives its own float of 2/sqrt(3)
     assert sqrt3_computations(path.read_text(encoding="utf-8")) == []
+
+
+def small_case_comparisons(source: str) -> list[int]:
+    """Lines that compare the bare name ``n`` or ``M`` with an integer
+    literal, as a builder does when it special-cases a small dimension."""
+
+    def bare(node):
+        return isinstance(node, ast.Name) and node.id in ("n", "M")
+
+    def literal(node):
+        return isinstance(node, ast.Constant) and type(node.value) is int
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            pairs = zip(operands, operands[1:])
+            if any(bare(x) and literal(y) or literal(x) and bare(y) for x, y in pairs):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_scan_flags_a_small_case_comparison():
+    source = "a = n == 3\nb = 2 < M\nc = n % 2 == 1\nd = m > 2\ne = 0 < n < k\nf = n > 2.0\n"
+    assert small_case_comparisons(source) == [1, 2, 5]
+
+
+def test_volumes_states_the_small_factorial_rule_once():
+    # 0!, 1! and 2! fold in volumes._fold_small_factorials; no builder
+    # special-cases a small n or M by hand
+    assert small_case_comparisons((PACKAGE / "volumes.py").read_text(encoding="utf-8")) == []

@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siegel import haar, intersections, iwasawa, volumes
-from siegel.errors import InvalidArgumentError, NonInvertibleError, NotUnimodularError
+from siegel.errors import (
+    InvalidArgumentError,
+    InvalidRangeError,
+    NonInvertibleError,
+    NotUnimodularError,
+)
 from siegel.iwasawa import (
     MINIMAL_PARAMS,
     SiegelParams,
@@ -184,6 +189,24 @@ def test_unimodular_det_checked_exactly():
         UnimodularIntMatrix([[2, 0], [0, 1]])
     # big entries keep exactness: 1 + 10**60 - 10**60 == 1
     assert UnimodularIntMatrix([[1 + 10**60, 10**30], [10**30, 1]]).det() == 1
+
+
+@pytest.mark.parametrize("entries", [
+    [[1.5, 0], [0, 1]],
+    [["1", "0"], ["0", "1"]],
+    [[True, False], [False, True]],
+    np.eye(2),
+], ids=["float", "string", "bool", "float array"])
+def test_unimodular_entries_take_the_integer_rule(entries):
+    # int() would read each of these as the identity
+    with pytest.raises(InvalidArgumentError, match="integers"):
+        UnimodularIntMatrix(entries)
+
+
+def test_unimodular_entries_may_be_numpy_integers():
+    m = UnimodularIntMatrix(np.array([[2, 1], [1, 1]], dtype=np.int64))
+    assert m.entries == ((2, 1), (1, 1))
+    assert all(type(x) is int for row in m.entries for x in row)
 
 
 def test_matrix_json_round_trip(rng):
@@ -487,9 +510,54 @@ _OUT_OF_DOMAIN = [
 ]
 
 
+#: every real argument outside the witness search, called with a bool, a
+#: string, a complex number or an int beyond the float range; every vector
+#: of reals, called with strings
+_NOT_A_REAL_NUMBER = [
+    'haar.a_integral_quadrature(2, True)',
+    'haar.a_integral_quadrature(2, "1.0")',
+    'haar.a_integral_quadrature(2, 1j)',
+    'haar.a_integral_quadrature(2, 10**400)',
+    'haar.a_integral_mc(3, True, 10, RNG)',
+    'haar.a_integral_mc(3, "1.0", 10, RNG)',
+    'haar.a_integral_mc(3, 1j, 10, RNG)',
+    'haar.a_integral_mc(3, 10**400, 10, RNG)',
+    'haar.a_integral_mc(3, 2.0, 10, RNG, b_min=True)',
+    'haar.a_integral_mc(3, 2.0, 10, RNG, b_min="0.1")',
+    'haar.a_integral_mc(3, 2.0, 10, RNG, b_min=0.1j)',
+    'iwasawa.siegel_membership(np.eye(2), MINIMAL_PARAMS, True)',
+    'iwasawa.siegel_membership(np.eye(2), MINIMAL_PARAMS, "0")',
+    'iwasawa.siegel_membership(np.eye(2), MINIMAL_PARAMS, 1e-9j)',
+    'haar.conjugation_jacobian(["2", "0.5"])',
+    'haar.siegel_density(["2", "0.5"])',
+    'haar.sample_siegel_block(2, MINIMAL_PARAMS, ["0.1"], RNG)',
+]
+
+
+def _eval_in_package(call):
+    return eval(call, {"haar": haar, "intersections": intersections, "iwasawa": iwasawa,
+                       "volumes": volumes, "np": np, "MINIMAL_PARAMS": MINIMAL_PARAMS,
+                       "RNG": haar.RngStream(0)})
+
+
 @pytest.mark.parametrize("call", _OUT_OF_DOMAIN)
 def test_every_dimension_size_and_height_takes_the_one_input_rule(call):
-    namespace = {"haar": haar, "intersections": intersections, "volumes": volumes,
-                 "np": np, "MINIMAL_PARAMS": MINIMAL_PARAMS, "RNG": haar.RngStream(0)}
     with pytest.raises(InvalidArgumentError):
-        eval(call, namespace)
+        _eval_in_package(call)
+
+
+@pytest.mark.parametrize("call", _NOT_A_REAL_NUMBER)
+def test_every_real_argument_takes_the_real_number_rule(call):
+    with pytest.raises(InvalidArgumentError):
+        _eval_in_package(call)
+
+
+def test_monte_carlo_range_rule_is_unchanged():
+    for b_min in (0.0, -0.1, 2.0, 3, math.nan):
+        with pytest.raises(InvalidRangeError):
+            haar.a_integral_mc(3, 2.0, 10, haar.RngStream(0), b_min=b_min)
+    # a real t and b_min of any numeric type are read, and the report holds
+    # b_min as a float
+    for t, b_min in ((2, Fraction(1, 4)), (np.float64(2.0), np.float32(0.25)), (Fraction(2), 1)):
+        report = haar.a_integral_mc(3, t, 10, haar.RngStream(0), b_min=b_min)
+        assert json.loads(json.dumps(report.to_json_dict()))["b_min"] == float(b_min)

@@ -290,6 +290,19 @@ def test_constructor_domain_errors():
             bad()
 
 
+def test_constructor_owns_its_maps():
+    zeta, fact, numeric = {3: 1}, {3: 1}, {1.7: Fraction(1)}
+    x = SymbolicVolume(zeta_pow=zeta, factorial=fact, numeric=numeric)
+    log = x.log_value()
+    zeta[3], fact[3], numeric[1.7] = 5, 5, Fraction(5)
+    assert (x.zeta_pow, x.factorial, x.numeric) == ({3: 1}, {3: 1}, {1.7: 1})
+    assert x.log_value() == log
+    # nor does the fold write into the caller's map
+    small = {1: 2, 2: 3, 3: 0, 4: 1}
+    assert SymbolicVolume(factorial=small) == SymbolicVolume(pow2=3, factorial={4: 1})
+    assert small == {1: 2, 2: 3, 3: 0, 4: 1}
+
+
 def test_constructor_makes_exponents_fractions():
     x = SymbolicVolume(numeric={3.5: 0.25, 1.7: 2})
     assert x.numeric == {3.5: Fraction(1, 4), 1.7: 2}
