@@ -11,7 +11,10 @@ accepts only the settings it reads, and its report echoes only those:
 the seed where random numbers are drawn (sample,
 enumerate-intersections), the tolerance overrides the command applied,
 t and lambda where decompose, volume and sample read them, and always
-the tool version, so runs can be reproduced byte for byte.
+the tool version, so runs can be reproduced byte for byte.  Every
+document is strict JSON (``allow_nan=False``): a ``volume`` whose value
+leaves the double range writes ``"value": null`` next to its
+``log_value``.
 Exit codes: 0 success, 1 computation error, 2 usage error.
 """
 
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -202,7 +206,13 @@ def _cmd_volume(args, config: RunConfig) -> dict:
     else:
         _refuse(args, f"--object {args.object}", "t", "lam")
         expr = build(args.n)
-    result.update(expression=str(expr), log_value=expr.log_value(), value=expr.value())
+    # a value that leaves the double range is null; log_value carries it
+    value = expr.value()
+    result.update(
+        expression=str(expr),
+        log_value=expr.log_value(),
+        value=value if 0.0 < value < math.inf else None,
+    )
     if form_check is not None:
         result["form_check"] = form_check(args.n).to_json_dict()
     return result
@@ -304,7 +314,7 @@ def _write(args, config: RunConfig, fmt: str, out) -> None:
     layout = {"indent": 2} if fmt == "pretty" else {"separators": (",", ":")}
 
     def dumps(doc) -> str:
-        return json.dumps(doc, sort_keys=True, **layout) + "\n"
+        return json.dumps(doc, sort_keys=True, allow_nan=False, **layout) + "\n"
 
     doc = {"command": args.command, "config": config.report_header(args.command)}
     if args.command == "enumerate-intersections":
@@ -412,18 +422,12 @@ def run(argv: list[str]) -> int:
             raise MalformedConfigError(f"{args.command} does not write csv; only growth-table does")
         _write(args, config, fmt, args.func(args, config))
         return 0
-    except SiegelError as exc:
+    except (SiegelError, OSError, ValueError, KeyError) as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, MalformedConfigError) and exc.line is not None:
             error["line"] = exc.line
             error["column"] = exc.column
-        sys.stderr.write(json.dumps(error, sort_keys=True) + "\n")
-        return 1
-    except (OSError, ValueError, KeyError) as exc:
-        sys.stderr.write(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True)
-            + "\n"
-        )
+        sys.stderr.write(json.dumps(error, sort_keys=True, allow_nan=False) + "\n")
         return 1
 
 

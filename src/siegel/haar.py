@@ -29,7 +29,7 @@ is 0 or not finite in double precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from .iwasawa import (
     _siegel_bound,
     a_from_b,
     as_count,
+    is_int,
     matrix_to_json_dict,
     unit_upper_stack,
 )
@@ -60,17 +61,34 @@ class RngStream:
 
     Identical keys always produce bitwise-identical draws; distinct
     stream indices give statistically independent streams, which is what
-    per-candidate sampling uses.
+    per-candidate sampling uses.  Both keys are integers by
+    :func:`~siegel.iwasawa.is_int`, checked at construction
+    (:class:`InvalidArgumentError` otherwise) and stored as Python ints.
     """
 
     seed: int
     stream_index: int = 0
+
+    def __post_init__(self):
+        for name in ("seed", "stream_index"):
+            value = getattr(self, name)
+            if not is_int(value):
+                raise InvalidArgumentError(f"RngStream {name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(
             entropy=self.seed & _MASK64, spawn_key=(self.stream_index & _MASK64,)
         )
         return np.random.default_rng(ss)
+
+
+def _as_stream(rng) -> RngStream:
+    """``rng`` if it is an :class:`RngStream`: a search or an estimate that
+    reports its seed takes a stream, not a bare generator."""
+    if not isinstance(rng, RngStream):
+        raise InvalidArgumentError(f"expected RngStream, got {type(rng)}")
+    return rng
 
 
 def _as_generator(rng) -> np.random.Generator:
@@ -400,15 +418,7 @@ class MonteCarloReport:
     effective_samples: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "std_error": self.std_error,
-            "samples": self.samples,
-            "seed": self.seed,
-            "b_min": self.b_min,
-            "truncation_bound": self.truncation_bound,
-            "effective_samples": self.effective_samples,
-        }
+        return asdict(self)
 
 
 DEFAULT_B_MIN_FRACTION = 1.0 / 16.0
@@ -439,7 +449,8 @@ def a_integral_mc(
     ``ToleranceNotMetError`` when the estimate is 0 or not finite, or its
     standard error is not finite, in double precision; ``InvalidArgumentError``
     for a non-integer ``n`` or ``samples``, a ``t`` that is not a positive
-    finite real number or a ``b_min`` that is not a real number, and
+    finite real number, a ``b_min`` that is not a real number or an ``rng``
+    that is not an :class:`RngStream` (the report records its seed), and
     ``InvalidRangeError`` unless ``0 < b_min < t``.
     """
     n = as_count(n, "n", least=2)
@@ -451,7 +462,7 @@ def a_integral_mc(
         raise InvalidArgumentError(f"b_min must be a real number, got {b_min!r}")
     if not (0.0 < b_min < t):
         raise InvalidRangeError(f"need 0 < b_min < t, got b_min={b_min}, t={t}")
-    gen = rng.generator()
+    gen = _as_stream(rng).generator()
     log_lo, log_hi = math.log(b_min), math.log(t)
     exponents = _weight_exponents(n)
     log_scale = math.log(0.5) + (n - 1) * math.log(log_hi - log_lo)

@@ -70,6 +70,7 @@ from .haar import (
     DEFAULT_B_MIN_FRACTION,
     RngStream,
     SiegelCoordinatePoint,
+    _as_stream,
     _assemble_block,
     _block_log_lows,
     _draw_block,
@@ -81,6 +82,7 @@ from .iwasawa import (
     SiegelParams,
     UnimodularIntMatrix,
     _bareiss_det,
+    _check_tolerance,
     _siegel_coordinates,
     _strict_upper_indices,
     a_from_b,
@@ -348,16 +350,14 @@ def lemma_filter_chain(
     :class:`InvalidWitnessError` unless both elements satisfy the
     membership constraints within ``membership_tol``, and
     :class:`InvalidArgumentError` for a ``membership_tol`` that is not a
-    finite number >= 0.  Every check is recorded and passes within a
-    relative slack of ``CHAIN_TOL``; on a genuine witness all of them are
-    expected to pass, and a failure is a loud signal of a numerical or
-    logical fault.  This is the one-pair case of the stacked chain the
-    witness search runs on every candidate witness.
+    finite real number >= 0, the rule of the ``tol`` of
+    :func:`~siegel.iwasawa.siegel_membership`.  Every check is recorded and
+    passes within a relative slack of ``CHAIN_TOL``; on a genuine witness
+    all of them are expected to pass, and a failure is a loud signal of a
+    numerical or logical fault.  This is the one-pair case of the stacked
+    chain the witness search runs on every candidate witness.
     """
-    if not 0 <= membership_tol < math.inf:
-        raise InvalidArgumentError(
-            f"membership_tol must be a finite number >= 0, got {membership_tol!r}"
-        )
+    _check_tolerance(membership_tol, "membership_tol")
     s = as_square_matrix(s)
     chain = _chain_stack(
         [_ChainPlan.of(gamma)], gamma.to_array()[None], s[None], np.array([membership_tol]), p
@@ -736,7 +736,8 @@ def find_witness(
     backed by a clean trace.  Larger budgets extend the same sample
     sequence, so a witnessed report stays the same report, byte for byte,
     at every larger budget.  A ``budget`` that is not an integer >= 0
-    raises :class:`InvalidArgumentError`, and so does a ``p`` with ``t2``
+    raises :class:`InvalidArgumentError`, and so do an ``rng`` that is not
+    an :class:`~siegel.haar.RngStream` and a ``p`` with ``t2``
     or ``lam`` above :data:`MINIMAL_PARAMS`, compared exactly (a float ``t``
     of 2/sqrt(3) states a set a sliver larger): the height bound is proved
     for the canonical set, and so for every set inside it, but not for a
@@ -770,7 +771,7 @@ def find_witness(
         raise DimensionTooLargeError(
             f"the witness search is desk-scale only (n <= 5), got n = {gamma.n}"
         )
-    return _search([gamma], p, budget, [RngStream(0, 0) if rng is None else rng])[0]
+    return _search([gamma], p, budget, [RngStream(0, 0) if rng is None else _as_stream(rng)])[0]
 
 
 def _primitive_rows(n: int, max_h: int) -> list[tuple[int, ...]]:
@@ -842,14 +843,15 @@ def enumerate_intersections(
     owns the stream (seed, candidate_index), so reports are deterministic.
     The candidates are searched in lockstep, and each report equals
     ``find_witness(gamma, MINIMAL_PARAMS, budget_per_candidate,
-    RngStream(seed, candidate_index))`` byte for byte.
+    RngStream(seed, candidate_index))`` byte for byte.  An ``rng`` that is
+    not an :class:`~siegel.haar.RngStream` raises
+    :class:`InvalidArgumentError`.
     """
     n = as_count(n, "n", least=2)
     if n > 3:
         raise DimensionTooLargeError("exhaustive enumeration is desk-scale only (n <= 3)")
     budget_per_candidate = as_count(budget_per_candidate, "budget_per_candidate")
-    if rng is None:
-        rng = RngStream(0, 0)
+    rng = RngStream(0, 0) if rng is None else _as_stream(rng)
     if max_height is None:
         max_height = _height_cap(n)
     cap = as_count(max_height, "max_height")

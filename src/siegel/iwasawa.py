@@ -58,6 +58,12 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _check_tolerance(tol, name: str) -> None:
+    """The tolerance rule: a real number by :func:`_is_real`, finite and >= 0."""
+    if not (_is_real(tol) and 0 <= tol < math.inf):
+        raise InvalidArgumentError(f"{name} must be a finite real number >= 0, got {tol!r}")
+
+
 def _siegel_bound(value, name: str) -> float:
     """A Siegel parameter, or the ``t`` of an integrator, by the real-number
     rule: a real number by :func:`_is_real`, positive and finite as a
@@ -487,8 +493,7 @@ def siegel_membership(g, p: SiegelParams, tol: float, *, check: bool = True) -> 
     ``boundary`` otherwise.  The coordinates are the k-left factors of g,
     one (n, n) matrix; :func:`membership_excess` scores a stack.
     """
-    if not (_is_real(tol) and 0 <= tol < math.inf):
-        raise InvalidArgumentError(f"tol must be a finite real number >= 0, got {tol!r}")
+    _check_tolerance(tol, "tol")
     g = _real_array(g)
     if g.ndim != 2:
         raise InvalidArgumentError(

@@ -33,7 +33,7 @@ numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -126,30 +126,16 @@ def zeta(s: int) -> float:
     return _ZETA[s - 2] if s < _ZETA_IS_ONE else 1.0
 
 
-def _add(*maps: dict) -> dict:
-    """Sum of exponent maps, keyed by atom; zero exponents are dropped.
-    The largest map is copied and the others are merged into it."""
-    *rest, largest = sorted(maps, key=len)
-    out = dict(largest)
-    for d in rest:
-        for key, exp in d.items():
-            new = out.get(key, 0) + exp
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-    return out
-
-
-def _sub(x: dict, y: dict) -> dict:
-    """Difference of exponent maps, ``x`` less ``y``; zero exponents are
-    dropped.  As in :func:`_add`, the larger map is copied (``y`` negated)
-    and the other merged into it; no negated copy of ``y`` is built unless
-    it is the larger."""
+def _merge(x: dict, y: dict, sign: int) -> dict:
+    """The exponent map of ``x * y**sign``, keyed by atom, for ``sign`` +1
+    (a product) or -1 (a quotient); zero exponents are dropped.  One pass:
+    the larger map is copied, negated only when it is the divisor, and the
+    other is merged into it."""
     if len(x) >= len(y):
-        out, rest, sign = dict(x), y, -1
+        out, rest = dict(x), y
     else:
-        out, rest, sign = {key: -exp for key, exp in y.items()}, x, 1
+        out = dict(y) if sign > 0 else {key: -exp for key, exp in y.items()}
+        rest, sign = x, 1
     for key, exp in rest.items():
         new = out.get(key, 0) + sign * exp
         if new:
@@ -159,16 +145,14 @@ def _sub(x: dict, y: dict) -> dict:
     return out
 
 
-def _plus(x: Fraction, y: Fraction) -> Fraction:
-    """``x + y`` for two Fraction exponents, with no Fraction arithmetic
-    when either is zero."""
-    return x + y if x and y else x or y
-
-
-def _minus(x: Fraction, y: Fraction) -> Fraction:
-    """``x - y`` for two Fraction exponents, with no Fraction arithmetic
-    when either is zero."""
-    return x - y if x and y else x or -y
+def _scalar(x: Fraction, y: Fraction, sign: int) -> Fraction:
+    """``x + sign * y`` for two Fraction exponents, with no Fraction
+    arithmetic when either is zero."""
+    if not y:
+        return x
+    if not x:
+        return y if sign > 0 else -y
+    return x + y if sign > 0 else x - y
 
 
 def _fold_small_factorials(factorial: dict) -> int:
@@ -291,10 +275,10 @@ class SymbolicVolume:
     def _trusted(cls, pow2, pow3, pow_pi, zeta_pow, factorial, numeric) -> SymbolicVolume:
         """Wrap fields already in canonical form, with no check or fold.
 
-        A product or nonzero integer power of canonical instances is
-        canonical: exponents stay Fractions, ``_add`` drops the zeros, and
-        the index sets and numeric bases only merge, so no 0!, 1!, 2! or
-        exact numeric base can appear.  The volume builders wrap their
+        A product, quotient or nonzero integer power of canonical instances
+        is canonical: exponents stay Fractions, :func:`_merge` drops the
+        zeros, and the index sets and numeric bases only merge, so no 0!,
+        1!, 2! or exact numeric base can appear.  The volume builders wrap their
         formulas' maps here once :func:`_fold_small_factorials` has folded
         them.
         """
@@ -306,29 +290,24 @@ class SymbolicVolume:
 
     # --- algebra ---
 
-    def __mul__(self, other: "SymbolicVolume") -> "SymbolicVolume":
+    def _combine(self, other, sign: int):
+        """``self * other**sign``: the one body of ``*`` (+1) and ``/`` (-1)."""
         if not isinstance(other, SymbolicVolume):
             return NotImplemented
         return SymbolicVolume._trusted(
-            _plus(self.pow2, other.pow2),
-            _plus(self.pow3, other.pow3),
-            _plus(self.pow_pi, other.pow_pi),
-            _add(self.zeta_pow, other.zeta_pow),
-            _add(self.factorial, other.factorial),
-            _add(self.numeric, other.numeric),
+            _scalar(self.pow2, other.pow2, sign),
+            _scalar(self.pow3, other.pow3, sign),
+            _scalar(self.pow_pi, other.pow_pi, sign),
+            _merge(self.zeta_pow, other.zeta_pow, sign),
+            _merge(self.factorial, other.factorial, sign),
+            _merge(self.numeric, other.numeric, sign),
         )
 
+    def __mul__(self, other: "SymbolicVolume") -> "SymbolicVolume":
+        return self._combine(other, 1)
+
     def __truediv__(self, other: "SymbolicVolume") -> "SymbolicVolume":
-        if not isinstance(other, SymbolicVolume):
-            return NotImplemented
-        return SymbolicVolume._trusted(
-            _minus(self.pow2, other.pow2),
-            _minus(self.pow3, other.pow3),
-            _minus(self.pow_pi, other.pow_pi),
-            _sub(self.zeta_pow, other.zeta_pow),
-            _sub(self.factorial, other.factorial),
-            _sub(self.numeric, other.numeric),
-        )
+        return self._combine(other, -1)
 
     def __pow__(self, exp: int) -> "SymbolicVolume":
         if not is_int(exp):
@@ -366,11 +345,12 @@ class SymbolicVolume:
         return math.fsum(terms)
 
     def value(self) -> float:
-        """Binary64 value; overflows to inf for astronomically large results."""
-        log = self.log_value()
-        if log > 709.0:
+        """Binary64 value, ``exp(log_value())``: inf only where that
+        overflows the double range, 0.0 where it underflows."""
+        try:
+            return math.exp(self.log_value())
+        except OverflowError:
             return math.inf
-        return math.exp(log)
 
     # --- pretty printing ---
 
@@ -534,7 +514,7 @@ def ratio_C_display(n: int) -> SymbolicVolume:
     gamma_fact, gamma_pow2, half_pi = _inverse_gamma_half_product(n)
     fact = dict.fromkeys(range(1, n), 1)
     fact[n - 1] -= 2
-    fact = _add(fact, gamma_fact)
+    fact = _merge(fact, gamma_fact, 1)
     pow2 = gamma_pow2 + _fold_small_factorials(fact)
     return SymbolicVolume._trusted(
         Fraction(2 * n**3 + 9 * n**2 + 25 * n - 30 + 12 * pow2, 12),
@@ -592,7 +572,7 @@ def normalization_ratio_display(n: int) -> SymbolicVolume:
     gamma_fact, gamma_pow2, half_pi = _inverse_gamma_half_product(n)
     fact = dict.fromkeys(range(1, n), 2)
     fact[n] = -1
-    fact = _add(fact, gamma_fact)
+    fact = _merge(fact, gamma_fact, 1)
     pow2 = gamma_pow2 - harder_tau(n) + _fold_small_factorials(fact)
     return SymbolicVolume._trusted(
         Fraction(n * n - 5 * n - 2 + 4 * pow2, 4),
@@ -617,13 +597,7 @@ class FormulaComparison:
     agrees: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "log_direct": self.log_direct,
-            "log_displayed": self.log_displayed,
-            "log_mismatch": self.log_mismatch,
-            "agrees": self.agrees,
-        }
+        return asdict(self)
 
 
 def _compare(label: str, direct: SymbolicVolume, displayed: SymbolicVolume) -> FormulaComparison:
@@ -663,13 +637,7 @@ class GrowthRow:
     log_height_bound: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "log_vol_siegel": self.log_vol_siegel,
-            "log_vol_quotient": self.log_vol_quotient,
-            "log_C": self.log_C,
-            "log_height_bound": self.log_height_bound,
-        }
+        return asdict(self)
 
 
 def growth_table(n_max: int) -> list[GrowthRow]:

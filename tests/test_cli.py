@@ -9,11 +9,37 @@ from siegel.haar import RngStream, sample_haar_so
 from siegel.errors import MalformedConfigError
 from siegel.intersections import enumerate_intersections, reports_to_jsonl
 from siegel.iwasawa import matrix_to_json_dict
+from siegel.volumes import GROWTH_CSV_HEADER
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+_STRICT = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
+def _documents(text):
+    """Every JSON document of a stdout, in order, however it is laid out;
+    Infinity and NaN are refused."""
+    docs, at = [], 0
+    while text[at:].strip():
+        at += len(text[at:]) - len(text[at:].lstrip())
+        doc, at = _STRICT.raw_decode(text, at)
+        docs.append(doc)
+    return docs
 
 
 def run_cli(capsys, *argv):
+    """Run the CLI in process.  Every stdout that is not the growth table's
+    CSV, and every stderr but argparse's usage text (exit code 2), must
+    parse as strict JSON documents."""
     code = run(list(argv))
     captured = capsys.readouterr()
+    if not captured.out.startswith(GROWTH_CSV_HEADER):
+        _documents(captured.out)
+    if code != 2:
+        _documents(captured.err)
     return code, captured.out, captured.err
 
 
@@ -452,14 +478,24 @@ def test_bounds_report_up_to_the_float_range(capsys):
     assert error["error"] == "ToleranceNotMetError" and "log_height_bound" in error["message"]
 
 
-def _documents(text):
-    """Every JSON document of a stdout, in order, however it is laid out."""
-    decoder, docs, at = json.JSONDecoder(), [], 0
-    while text[at:].strip():
-        at += len(text[at:]) - len(text[at:].lstrip())
-        doc, at = decoder.raw_decode(text, at)
-        docs.append(doc)
-    return docs
+@pytest.mark.parametrize(
+    "argv",
+    [*_COMMANDS.values(), ("volume", "--object", "ratio", "--n", "21"),
+     ("volume", "--object", "quotient", "--n", "25")],
+    ids=" ".join,
+)
+def test_every_document_is_strict_json(tmp_path, capsys, monkeypatch, argv):
+    # run_cli parses every document strictly; a volume outside the double
+    # range once printed "value":Infinity or "value":0.0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.json").write_text(json.dumps(matrix_to_json_dict(np.eye(2))))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    result = _documents(out)[-1].get("result", {})
+    if argv[1:3] == ("--object", "ratio"):
+        assert result["value"] is None and result["log_value"] > 709.0
+    elif argv[1:3] == ("--object", "quotient"):
+        assert result["value"] is None and result["log_value"] < -745.0
 
 
 @pytest.mark.parametrize("command", list(_COMMANDS))

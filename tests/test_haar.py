@@ -1,6 +1,5 @@
 import math
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -104,6 +103,19 @@ def test_haar_so_determinism_is_bitwise():
     assert np.array_equal(k1, k2)
     k3 = sample_haar_so(5, RngStream(7, 4))
     assert not np.array_equal(k1, k3)
+
+
+@pytest.mark.parametrize("keys", [(1.5,), (True,), ("1",), (np.float64(2.0),), (0, 1.0), (0, False)])
+def test_rng_stream_keys_take_the_integer_rule(keys):
+    with pytest.raises(InvalidArgumentError):
+        RngStream(*keys)
+
+
+def test_rng_stream_keys_may_be_numpy_integers():
+    stream = RngStream(np.int64(7), np.int32(3))
+    assert (type(stream.seed), type(stream.stream_index)) == (int, int)
+    assert stream == RngStream(7, 3)
+    assert np.array_equal(sample_haar_so(3, stream), sample_haar_so(3, RngStream(7, 3)))
 
 
 def test_haar_so_angle_is_uniform():
@@ -331,8 +343,11 @@ def test_mc_is_deterministic_per_stream():
 def test_mc_report_json_fields():
     rep = a_integral_mc(2, 1.0, 1000, RngStream(0))
     doc = rep.to_json_dict()
-    for key in ("estimate", "std_error", "samples", "seed", "b_min", "effective_samples"):
-        assert key in doc
+    assert list(doc) == [
+        "estimate", "std_error", "samples", "seed", "b_min", "truncation_bound",
+        "effective_samples",
+    ]
+    assert doc["samples"] == 1000 and doc["seed"] == 0
 
 
 def product_form_mc(n, t, samples, rng, b_min):
@@ -367,9 +382,11 @@ def test_mc_log_space_weights_match_the_product_form(n):
 
 
 @pytest.mark.parametrize("samples", [2, haar._MC_CHUNK, haar._MC_CHUNK + 3, 2 * haar._MC_CHUNK + 1])
-def test_mc_makes_one_uniform_call_per_chunk(samples):
+def test_mc_makes_one_uniform_call_per_chunk(samples, monkeypatch):
+    # the estimator takes only an RngStream; this one hands out a counting generator
     gen = CountingGenerator(8)
-    a_integral_mc(3, T_MIN, samples, SimpleNamespace(seed=8, generator=lambda: gen))
+    monkeypatch.setattr(RngStream, "generator", lambda self: gen)
+    a_integral_mc(3, T_MIN, samples, RngStream(8))
     assert gen.calls == ["uniform"] * -(-samples // haar._MC_CHUNK)
 
 

@@ -12,7 +12,7 @@ from siegel.errors import (
     InvalidWitnessError,
     ToleranceNotMetError,
 )
-from siegel.haar import RngStream, SiegelCoordinatePoint, sample_siegel_block
+from siegel.haar import RngStream, SiegelCoordinatePoint, a_integral_mc, sample_siegel_block
 from siegel.intersections import (
     DEFAULT_WITNESS_TOL,
     STATUS_EXCLUDED,
@@ -740,3 +740,18 @@ def test_refine_points_stacks_stragglers_with_points_that_stop_at_once():
         assert _bits(refined[i], finals[i]) == _bits(
             *_reference_refine(gamma.to_array(), point, STRICT_WITNESS_TOL)
         ), i
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rng: a_integral_mc(3, 2.0, 10, rng),
+        lambda rng: find_witness(UnimodularIntMatrix([[1, 1], [0, 1]]), rng=rng),
+        lambda rng: enumerate_intersections(2, 0, rng, max_height=1),
+    ],
+    ids=["a_integral_mc", "find_witness", "enumerate_intersections"],
+)
+def test_seeded_calls_take_only_a_stream(call):
+    # each reports or derives from the stream's seed; a bare generator has none
+    with pytest.raises(InvalidArgumentError):
+        call(np.random.default_rng(0))

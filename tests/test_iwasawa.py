@@ -510,9 +510,9 @@ _OUT_OF_DOMAIN = [
 ]
 
 
-#: every real argument outside the witness search, called with a bool, a
-#: string, a complex number or an int beyond the float range; every vector
-#: of reals, called with strings
+#: every real argument outside the witness search and the tolerance of its
+#: inequality chain, called with a bool, a string, a complex number or an
+#: int beyond the float range; every vector of reals, called with strings
 _NOT_A_REAL_NUMBER = [
     'haar.a_integral_quadrature(2, True)',
     'haar.a_integral_quadrature(2, "1.0")',
@@ -528,6 +528,10 @@ _NOT_A_REAL_NUMBER = [
     'iwasawa.siegel_membership(np.eye(2), MINIMAL_PARAMS, True)',
     'iwasawa.siegel_membership(np.eye(2), MINIMAL_PARAMS, "0")',
     'iwasawa.siegel_membership(np.eye(2), MINIMAL_PARAMS, 1e-9j)',
+    'intersections.lemma_filter_chain(iwasawa.UnimodularIntMatrix([[1, 1], [0, 1]]), np.eye(2),'
+    ' membership_tol=True)',
+    'intersections.lemma_filter_chain(iwasawa.UnimodularIntMatrix([[1, 1], [0, 1]]), np.eye(2),'
+    ' membership_tol="0")',
     'haar.conjugation_jacobian(["2", "0.5"])',
     'haar.siegel_density(["2", "0.5"])',
     'haar.sample_siegel_block(2, MINIMAL_PARAMS, ["0.1"], RNG)',

@@ -290,6 +290,25 @@ def test_constructor_domain_errors():
             bad()
 
 
+def test_value_is_the_exp_of_the_log_unless_it_overflows():
+    # 2^1023.5 is about 1.2712e308, a finite double; the value once read
+    # inf for every log above 709.0
+    big = SymbolicVolume(pow2=Fraction(2047, 2)).value()
+    assert math.isclose(big, 2.0**1023 * math.sqrt(2.0), rel_tol=1e-13)
+    assert SymbolicVolume(pow2=1025).value() == math.inf
+    assert SymbolicVolume(pow2=-1100).value() == 0.0
+
+
+def test_records_write_their_fields_in_order():
+    (row,) = growth_table(2)
+    assert list(row.to_json_dict()) == [
+        "n", "log_vol_siegel", "log_vol_quotient", "log_C", "log_height_bound"
+    ]
+    doc = compare_ratio_forms(3).to_json_dict()
+    assert list(doc) == ["label", "log_direct", "log_displayed", "log_mismatch", "agrees"]
+    assert doc["label"] == "siegel_ratio_forms" and doc["agrees"] is False
+
+
 def test_constructor_owns_its_maps():
     zeta, fact, numeric = {3: 1}, {3: 1}, {1.7: Fraction(1)}
     x = SymbolicVolume(zeta_pow=zeta, factorial=fact, numeric=numeric)
