@@ -423,8 +423,14 @@ class MonteCarloReport:
 
 DEFAULT_B_MIN_FRACTION = 1.0 / 16.0
 
-#: Monte Carlo draws per generator call; bounds the sampler's memory.
+#: Monte Carlo samples per chunk: the weights of one chunk are summed
+#: relative to its largest log weight, in one reused buffer of this many
+#: doubles (2 MiB).
 _MC_CHUNK = 1 << 18
+#: Rows of draws per generator call: one reused (_MC_BLOCK, n-1) buffer
+#: (128 KiB per coordinate), small enough that a block's draws are still in
+#: cache when the matrix-vector product reads them.
+_MC_BLOCK = 1 << 14
 
 
 def a_integral_mc(
@@ -440,10 +446,17 @@ def a_integral_mc(
     ``density(b) * prod(b) = exp(log_b @ e)`` with ``e[i] = i*(n-i)``, and the
     estimator multiplies the mean weight by ``(1/2) * log(t/b_min)**(n-1)``.
 
-    Each chunk of ``_MC_CHUNK`` draws is one uniform call, one matrix-vector
-    product and one ``exp`` per sample.  The weights are summed relative to
-    the chunk's largest log weight, the chunk sums are rescaled to the
-    overall largest one and combined with ``math.fsum``, and the scale
+    The samples run in chunks of ``_MC_CHUNK``.  A chunk's log weights are
+    filled block by block: ``_MC_BLOCK`` rows of draws at a time go into one
+    reused buffer (``gen.random``, then scaled and shifted in place: the
+    arithmetic of ``gen.uniform``) and their product with ``e`` into one
+    reused chunk buffer, which is exponentiated in place.  A call allocates
+    at most ``_MC_CHUNK + _MC_BLOCK*(n-1)`` doubles (2.9 MiB at n = 8)
+    whatever ``samples`` is, and a block's draws are still in cache when the
+    product reads them; the report equals that of one ``gen.uniform`` call
+    per chunk bit for bit.  The weights are summed relative to the chunk's
+    largest log weight, the chunk sums are rescaled to the overall largest
+    one and combined with ``math.fsum``, and the scale
     ``exp(log_scale + top)`` is applied once at the end, so neither the sums
     nor the sums of squares overflow or underflow.  Raises
     ``ToleranceNotMetError`` when the estimate is 0 or not finite, or its
@@ -465,13 +478,25 @@ def a_integral_mc(
     gen = _as_stream(rng).generator()
     log_lo, log_hi = math.log(b_min), math.log(t)
     exponents = _weight_exponents(n)
-    log_scale = math.log(0.5) + (n - 1) * math.log(log_hi - log_lo)
+    span = log_hi - log_lo
+    log_scale = math.log(0.5) + (n - 1) * math.log(span)
 
+    chunk_buf = np.empty(min(_MC_CHUNK, samples))
+    draws = np.empty((min(_MC_BLOCK, samples), n - 1))
     done = 0
     tops, sums, sq_sums = [], [], []
     while done < samples:
         m = min(_MC_CHUNK, samples - done)
-        log_w = gen.uniform(log_lo, log_hi, size=(m, n - 1)) @ exponents
+        log_w = chunk_buf[:m]
+        for s in range(0, m, _MC_BLOCK):
+            k = min(_MC_BLOCK, m - s)
+            x = draws[:k]
+            # Generator.uniform's arithmetic, low + (high - low) * next_double,
+            # on the same doubles in the same order
+            gen.random(out=x)
+            x *= span
+            x += log_lo
+            np.matmul(x, exponents, out=log_w[s : s + k])
         top = float(log_w.max())
         w = np.exp(np.subtract(log_w, top, out=log_w), out=log_w)
         tops.append(top)

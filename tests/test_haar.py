@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -154,11 +155,21 @@ def test_sample_siegel_point_invariants():
 
 
 class CountingGenerator(np.random.Generator):
-    """A generator that counts its calls of each drawing method."""
+    """A generator that counts its calls of each drawing method and records
+    the rows of each ``random`` draw into an ``out`` array; ``seed`` is a
+    PCG64 seed or the bit generator to draw from."""
 
     def __init__(self, seed):
-        super().__init__(np.random.PCG64(seed))
+        if not isinstance(seed, np.random.BitGenerator):
+            seed = np.random.PCG64(seed)
+        super().__init__(seed)
         self.calls = []
+        self.random_rows = []
+
+    def random(self, *args, **kwargs):
+        self.calls.append("random")
+        self.random_rows.append(len(kwargs["out"]))
+        return super().random(*args, **kwargs)
 
     def uniform(self, *args, **kwargs):
         self.calls.append("uniform")
@@ -381,13 +392,94 @@ def test_mc_log_space_weights_match_the_product_form(n):
     assert math.isclose(rep.std_error, std_error, rel_tol=1e-12)
 
 
-@pytest.mark.parametrize("samples", [2, haar._MC_CHUNK, haar._MC_CHUNK + 3, 2 * haar._MC_CHUNK + 1])
-def test_mc_makes_one_uniform_call_per_chunk(samples, monkeypatch):
+_MC_SAMPLE_COUNTS = [
+    2, haar._MC_BLOCK - 1, haar._MC_BLOCK + 1, haar._MC_CHUNK, haar._MC_CHUNK + 3,
+    2 * haar._MC_CHUNK + 1,
+]
+
+
+@pytest.mark.parametrize("samples", _MC_SAMPLE_COUNTS)
+def test_mc_draws_blocks_and_consumes_the_stream_as_uniform_would(samples, monkeypatch):
     # the estimator takes only an RngStream; this one hands out a counting generator
-    gen = CountingGenerator(8)
+    n = 3
+    gen = CountingGenerator(RngStream(8).generator().bit_generator)
     monkeypatch.setattr(RngStream, "generator", lambda self: gen)
-    a_integral_mc(3, T_MIN, samples, RngStream(8))
-    assert gen.calls == ["uniform"] * -(-samples // haar._MC_CHUNK)
+    a_integral_mc(n, T_MIN, samples, RngStream(8))
+    assert set(gen.calls) == {"random"}
+    assert max(gen.random_rows) <= haar._MC_BLOCK
+    assert sum(gen.random_rows) == samples
+    # no block straddles a chunk: each chunk's rows add up to the chunk
+    ends = np.cumsum(gen.random_rows)
+    chunk_ends = [min(c, samples) for c in range(haar._MC_CHUNK, samples + haar._MC_CHUNK, haar._MC_CHUNK)]
+    assert set(chunk_ends) <= set(ends.tolist())
+    monkeypatch.undo()
+    fresh = RngStream(8).generator()
+    fresh.random(samples * (n - 1))
+    assert gen.bit_generator.state == fresh.bit_generator.state
+
+
+def chunked_uniform_mc(n, t, samples, rng, b_min=None):
+    """Test-only oracle: the estimator drawing each chunk by one
+    ``gen.uniform`` call into a fresh array, with the same chunks, sums and
+    combination as :func:`a_integral_mc`."""
+    b_min = t * haar.DEFAULT_B_MIN_FRACTION if b_min is None else b_min
+    gen = rng.generator()
+    log_lo, log_hi = math.log(b_min), math.log(t)
+    exponents = haar._weight_exponents(n)
+    log_scale = math.log(0.5) + (n - 1) * math.log(log_hi - log_lo)
+    done = 0
+    tops, sums, sq_sums = [], [], []
+    while done < samples:
+        m = min(haar._MC_CHUNK, samples - done)
+        log_w = gen.uniform(log_lo, log_hi, size=(m, n - 1)) @ exponents
+        top = float(log_w.max())
+        w = np.exp(np.subtract(log_w, top, out=log_w), out=log_w)
+        tops.append(top)
+        sums.append(float(np.sum(w)))
+        sq_sums.append(float(np.dot(w, w)))
+        done += m
+    top = max(tops)
+    total = math.fsum(s * math.exp(c - top) for s, c in zip(sums, tops))
+    total_sq = math.fsum(s * math.exp(2.0 * (c - top)) for s, c in zip(sq_sums, tops))
+    mean = total / samples
+    var = max(total_sq / samples - mean * mean, 0.0) * samples / (samples - 1)
+    factor = float(np.exp(log_scale + top))
+    return haar.MonteCarloReport(
+        estimate=factor * mean,
+        std_error=factor * math.sqrt(var / samples),
+        samples=samples,
+        seed=rng.seed,
+        b_min=float(b_min),
+        truncation_bound=1.0 - float(np.prod(1.0 - (b_min / t) ** exponents)),
+        effective_samples=total * total / total_sq,
+    )
+
+
+# the counts of more than one block only at n = 2 and n = 5, to keep it short
+_MC_ORACLE_CASES = [(n, 2) for n in range(2, 9)] + [
+    (n, samples) for n in (2, 5) for samples in _MC_SAMPLE_COUNTS[1:]
+]
+
+
+@pytest.mark.parametrize(("n", "samples"), _MC_ORACLE_CASES)
+def test_mc_equals_one_uniform_call_per_chunk_bit_for_bit(n, samples):
+    for b_min in (None, T_MIN / 64.0):
+        rep = a_integral_mc(n, T_MIN, samples, RngStream(29, n), b_min=b_min)
+        assert rep == chunked_uniform_mc(n, T_MIN, samples, RngStream(29, n), b_min), b_min
+
+
+def test_mc_memory_is_one_chunk_and_one_block():
+    # a chunk's log weights and one block of draws: 2 MiB + 0.875 MiB at
+    # n = 8; a fresh draw array per chunk read 18 MiB
+    bound = 8 * (haar._MC_CHUNK + haar._MC_BLOCK * 7) + (1 << 20)
+    a_integral_mc(8, T_MIN, 1000, RngStream(0, 8))  # numpy's one-time set-up
+    tracemalloc.start()
+    try:
+        a_integral_mc(8, T_MIN, 10**6, RngStream(0, 8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 def test_mc_sums_of_squares_do_not_underflow():
