@@ -409,9 +409,8 @@ def test_mc_draws_blocks_and_consumes_the_stream_as_uniform_would(samples, monke
     assert max(gen.random_rows) <= haar._MC_BLOCK
     assert sum(gen.random_rows) == samples
     # no block straddles a chunk: each chunk's rows add up to the chunk
-    ends = np.cumsum(gen.random_rows)
-    chunk_ends = [min(c, samples) for c in range(haar._MC_CHUNK, samples + haar._MC_CHUNK, haar._MC_CHUNK)]
-    assert set(chunk_ends) <= set(ends.tolist())
+    chunk_ends = set(range(haar._MC_CHUNK, samples, haar._MC_CHUNK)) | {samples}
+    assert chunk_ends <= set(np.cumsum(gen.random_rows).tolist())
     monkeypatch.undo()
     fresh = RngStream(8).generator()
     fresh.random(samples * (n - 1))
@@ -470,7 +469,7 @@ def test_mc_equals_one_uniform_call_per_chunk_bit_for_bit(n, samples):
 
 def test_mc_memory_is_one_chunk_and_one_block():
     # a chunk's log weights and one block of draws: 2 MiB + 0.875 MiB at
-    # n = 8; a fresh draw array per chunk read 18 MiB
+    # n = 8; a fresh draw array per chunk peaks at 18 MiB
     bound = 8 * (haar._MC_CHUNK + haar._MC_BLOCK * 7) + (1 << 20)
     a_integral_mc(8, T_MIN, 1000, RngStream(0, 8))  # numpy's one-time set-up
     tracemalloc.start()
