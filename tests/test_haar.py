@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -361,15 +365,19 @@ def test_mc_report_json_fields():
     assert doc["samples"] == 1000 and doc["seed"] == 0
 
 
+#: Samples per chunk of the chunked test-only oracles below
+_ORACLE_CHUNK = 1 << 18
+
+
 def product_form_mc(n, t, samples, rng, b_min):
     """Test-only oracle: the estimator with ``exp`` of each draw, ``b**e`` and
-    a product per row, on the same draws in the same chunks."""
+    a product per row, on the same draws in chunks of ``_ORACLE_CHUNK``."""
     gen = rng.generator()
     i = np.arange(1, n)
     exponents = (i * (n - i)).astype(float)
     sums, sq_sums, done = [], [], 0
     while done < samples:
-        m = min(haar._MC_CHUNK, samples - done)
+        m = min(_ORACLE_CHUNK, samples - done)
         b = np.exp(gen.uniform(math.log(b_min), math.log(t), size=(m, n - 1)))
         w = np.prod(b ** exponents[None, :], axis=1)
         sums.append(float(np.sum(w)))
@@ -383,7 +391,7 @@ def product_form_mc(n, t, samples, rng, b_min):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_mc_log_space_weights_match_the_product_form(n):
-    samples = haar._MC_CHUNK + 3  # a full chunk and a chunk of three
+    samples = _ORACLE_CHUNK + 3  # a full chunk and a chunk of three
     b_min = T_MIN / 16.0
     rep = a_integral_mc(n, T_MIN, samples, RngStream(31, n))
     estimate, std_error = product_form_mc(n, T_MIN, samples, RngStream(31, n), b_min)
@@ -392,10 +400,9 @@ def test_mc_log_space_weights_match_the_product_form(n):
     assert math.isclose(rep.std_error, std_error, rel_tol=1e-12)
 
 
-_MC_SAMPLE_COUNTS = [
-    2, haar._MC_BLOCK - 1, haar._MC_BLOCK + 1, haar._MC_CHUNK, haar._MC_CHUNK + 3,
-    2 * haar._MC_CHUNK + 1,
-]
+# one block, a block and one row short of it or past it, whole and partial
+# chunks of the chunked oracle
+_MC_SAMPLE_COUNTS = [2, (1 << 14) - 1, (1 << 14) + 1, 1 << 18, (1 << 18) + 3, (1 << 19) + 1]
 
 
 @pytest.mark.parametrize("samples", _MC_SAMPLE_COUNTS)
@@ -408,35 +415,15 @@ def test_mc_draws_blocks_and_consumes_the_stream_as_uniform_would(samples, monke
     assert set(gen.calls) == {"random"}
     assert max(gen.random_rows) <= haar._MC_BLOCK
     assert sum(gen.random_rows) == samples
-    # no block straddles a chunk: each chunk's rows add up to the chunk
-    chunk_ends = set(range(haar._MC_CHUNK, samples, haar._MC_CHUNK)) | {samples}
-    assert chunk_ends <= set(np.cumsum(gen.random_rows).tolist())
     monkeypatch.undo()
     fresh = RngStream(8).generator()
     fresh.random(samples * (n - 1))
     assert gen.bit_generator.state == fresh.bit_generator.state
 
 
-def chunked_uniform_mc(n, t, samples, rng, b_min=None):
-    """Test-only oracle: the estimator drawing each chunk by one
-    ``gen.uniform`` call into a fresh array, with the same chunks, sums and
-    combination as :func:`a_integral_mc`."""
-    b_min = t * haar.DEFAULT_B_MIN_FRACTION if b_min is None else b_min
-    gen = rng.generator()
-    log_lo, log_hi = math.log(b_min), math.log(t)
-    exponents = haar._weight_exponents(n)
-    log_scale = math.log(0.5) + (n - 1) * math.log(log_hi - log_lo)
-    done = 0
-    tops, sums, sq_sums = [], [], []
-    while done < samples:
-        m = min(haar._MC_CHUNK, samples - done)
-        log_w = gen.uniform(log_lo, log_hi, size=(m, n - 1)) @ exponents
-        top = float(log_w.max())
-        w = np.exp(np.subtract(log_w, top, out=log_w), out=log_w)
-        tops.append(top)
-        sums.append(float(np.sum(w)))
-        sq_sums.append(float(np.dot(w, w)))
-        done += m
+def _mc_report(rng, samples, b_min, tops, sums, sq_sums, log_scale, exponents, t):
+    """The report of block or chunk sums relative to their tops, combined
+    as :func:`a_integral_mc` combines them."""
     top = max(tops)
     total = math.fsum(s * math.exp(c - top) for s, c in zip(sums, tops))
     total_sq = math.fsum(s * math.exp(2.0 * (c - top)) for s, c in zip(sq_sums, tops))
@@ -454,6 +441,51 @@ def chunked_uniform_mc(n, t, samples, rng, b_min=None):
     )
 
 
+def blocked_mc(n, t, samples, rng, b_min=None):
+    """Test-only exact oracle of :func:`a_integral_mc`'s arithmetic: the whole
+    sample drawn by one ``gen.random`` call, cut into ``_MC_BLOCK`` rows,
+    each block's log weights ``x @ (span*e)`` by ``@`` at every n, and the
+    constant ``sum(e)*log(b_min)`` in the scale."""
+    b_min = t * haar.DEFAULT_B_MIN_FRACTION if b_min is None else b_min
+    log_lo = math.log(b_min)
+    span = math.log(t) - log_lo
+    exponents = haar._weight_exponents(n)
+    log_scale = math.log(0.5) + (n - 1) * math.log(span) + float(exponents.sum()) * log_lo
+    draws = rng.generator().random((samples, n - 1))
+    tops, sums, sq_sums = [], [], []
+    for s in range(0, samples, haar._MC_BLOCK):
+        log_w = draws[s : s + haar._MC_BLOCK] @ (span * exponents)
+        top = float(log_w.max())
+        w = np.exp(log_w - top)
+        tops.append(top)
+        sums.append(float(np.sum(w)))
+        sq_sums.append(float(np.sum(w * w)))
+    return _mc_report(rng, samples, b_min, tops, sums, sq_sums, log_scale, exponents, t)
+
+
+def chunked_uniform_mc(n, t, samples, rng, b_min=None):
+    """Test-only oracle: the earlier kernel of :func:`a_integral_mc`, one
+    ``gen.uniform`` call per ``_ORACLE_CHUNK`` samples, log weights
+    ``log_b @ e`` and the sum of squares by ``np.dot``."""
+    b_min = t * haar.DEFAULT_B_MIN_FRACTION if b_min is None else b_min
+    gen = rng.generator()
+    log_lo, log_hi = math.log(b_min), math.log(t)
+    exponents = haar._weight_exponents(n)
+    log_scale = math.log(0.5) + (n - 1) * math.log(log_hi - log_lo)
+    done = 0
+    tops, sums, sq_sums = [], [], []
+    while done < samples:
+        m = min(_ORACLE_CHUNK, samples - done)
+        log_w = gen.uniform(log_lo, log_hi, size=(m, n - 1)) @ exponents
+        top = float(log_w.max())
+        w = np.exp(np.subtract(log_w, top, out=log_w), out=log_w)
+        tops.append(top)
+        sums.append(float(np.sum(w)))
+        sq_sums.append(float(np.dot(w, w)))
+        done += m
+    return _mc_report(rng, samples, b_min, tops, sums, sq_sums, log_scale, exponents, t)
+
+
 # the counts of more than one block only at n = 2 and n = 5, to keep it short
 _MC_ORACLE_CASES = [(n, 2) for n in range(2, 9)] + [
     (n, samples) for n in (2, 5) for samples in _MC_SAMPLE_COUNTS[1:]
@@ -461,20 +493,62 @@ _MC_ORACLE_CASES = [(n, 2) for n in range(2, 9)] + [
 
 
 @pytest.mark.parametrize(("n", "samples"), _MC_ORACLE_CASES)
-def test_mc_equals_one_uniform_call_per_chunk_bit_for_bit(n, samples):
+def test_mc_equals_the_blocked_oracle_bit_for_bit(n, samples):
     for b_min in (None, T_MIN / 64.0):
         rep = a_integral_mc(n, T_MIN, samples, RngStream(29, n), b_min=b_min)
-        assert rep == chunked_uniform_mc(n, T_MIN, samples, RngStream(29, n), b_min), b_min
+        assert rep == blocked_mc(n, T_MIN, samples, RngStream(29, n), b_min), b_min
 
 
-def test_mc_memory_is_one_chunk_and_one_block():
-    # a chunk's log weights and one block of draws: 2 MiB + 0.875 MiB at
-    # n = 8; a fresh draw array per chunk peaks at 18 MiB
-    bound = 8 * (haar._MC_CHUNK + haar._MC_BLOCK * 7) + (1 << 20)
-    a_integral_mc(8, T_MIN, 1000, RngStream(0, 8))  # numpy's one-time set-up
+@pytest.mark.parametrize(("n", "samples"), _MC_ORACLE_CASES)
+def test_mc_is_close_to_the_chunked_uniform_kernel(n, samples):
+    # folding log(b_min) into the scale and the pairwise sum of squares move
+    # the last bits only: 7e-14 relative at most on n = 2..8
+    for b_min in (None, T_MIN / 64.0):
+        rep = a_integral_mc(n, T_MIN, samples, RngStream(29, n), b_min=b_min)
+        old = chunked_uniform_mc(n, T_MIN, samples, RngStream(29, n), b_min)
+        for name in ("estimate", "std_error", "effective_samples"):
+            assert math.isclose(getattr(rep, name), getattr(old, name), rel_tol=1e-12), name
+        assert (rep.samples, rep.seed, rep.b_min, rep.truncation_bound) == (
+            old.samples, old.seed, old.b_min, old.truncation_bound
+        )
+
+
+_BLAS_THREADS_SCRIPT = """
+import json
+from siegel.haar import RngStream, a_integral_mc
+from siegel.iwasawa import MINIMAL_PARAMS
+t = MINIMAL_PARAMS.t
+print(json.dumps([
+    a_integral_mc(n, t, samples, RngStream(30, n), b_min=b_min).to_json_dict()
+    for n in range(2, 9) for samples in (10**5, 10**6) for b_min in (None, t / 64.0)
+]))
+"""
+
+
+def test_mc_reports_do_not_depend_on_the_blas_thread_count():
+    # the subprocesses import the package this test imported
+    src = os.path.dirname(os.path.dirname(haar.__file__))
+    docs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[name] = threads
+        out = subprocess.run(
+            [sys.executable, "-c", _BLAS_THREADS_SCRIPT],
+            env=env, capture_output=True, text=True, check=True, timeout=300,
+        )
+        docs.append(json.loads(out.stdout))
+    assert docs[0] == docs[1]
+
+
+def test_mc_memory_is_one_block():
+    # one block of draws and one of weights: 1 MiB at n = 8
+    n = 8
+    bound = 8 * haar._MC_BLOCK * n + (256 << 10)
+    a_integral_mc(n, T_MIN, 1000, RngStream(0, n))  # numpy's one-time set-up
     tracemalloc.start()
     try:
-        a_integral_mc(8, T_MIN, 10**6, RngStream(0, 8))
+        a_integral_mc(n, T_MIN, 10**6, RngStream(0, n))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
