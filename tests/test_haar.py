@@ -400,8 +400,8 @@ def test_mc_log_space_weights_match_the_product_form(n):
     assert math.isclose(rep.std_error, std_error, rel_tol=1e-12)
 
 
-# one block, a block and one row short of it or past it, whole and partial
-# chunks of the chunked oracle
+# two rows, one row short of a 2^14-row block and one past it, and whole and
+# partial chunks of the chunked oracle
 _MC_SAMPLE_COUNTS = [2, (1 << 14) - 1, (1 << 14) + 1, 1 << 18, (1 << 18) + 3, (1 << 19) + 1]
 
 
