@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,13 +40,14 @@ from siegel.iwasawa import (
     MINIMAL_PARAMS,
     SiegelParams,
     UnimodularIntMatrix,
+    a_from_b,
     decompose,
     membership_excess,
     unit_upper_stack,
 )
 from siegel.volumes import ratio_C
 
-from conftest import random_unimodular
+from conftest import exact_siegel_member, random_unimodular
 
 P = MINIMAL_PARAMS
 
@@ -280,6 +282,48 @@ def test_find_witness_large_shear_excluded_by_height_bound():
     assert rep.status == STATUS_EXCLUDED
     assert rep.witness is None
     assert any(c.name == "height_bound" and not c.passed for c in rep.filter_trace)
+
+
+def _svd_pair(gamma, t=P.t):
+    """s and gamma @ s, exact as Fraction matrices, from the SVD
+    ``gamma = k1 diag(sigma) k2``: ``s = k2^T diag(a)`` with
+    ``b[i] = (t/2) sigma[i+1]/sigma[i]``, so ``gamma s = k1 diag(sigma a)``,
+    whose ratios are all t/2 (a k2 of determinant -1 has its first row
+    flipped, and k1 its first column)."""
+    k1, sigma, k2 = np.linalg.svd(gamma.to_array())
+    if np.linalg.det(k2) < 0.0:
+        k2[0] *= -1.0
+        k1[:, 0] *= -1.0
+    s = k2.T * a_from_b(0.5 * t * sigma[1:] / sigma[:-1])
+    exact = [[Fraction(x) for x in row] for row in s.tolist()]
+    moved = [[sum(g * row[j] for g, row in zip(g_row, exact)) for j in range(gamma.n)]
+             for g_row in gamma.entries]
+    return exact, moved
+
+
+@pytest.mark.parametrize(
+    "gamma",
+    [BIG_SHEAR, ROT, UnimodularIntMatrix([[2, 3], [-3, -4]]),
+     UnimodularIntMatrix([[1, 2, -1], [0, 1, 3], [1, 2, 0]])],
+    ids=["shear-5", "rotation", "hyperbolic", "n3"],
+)
+def test_the_svd_pair_lies_in_the_siegel_set(gamma):
+    # the left action meets the k-left predicate, which is left-K-invariant:
+    # both s and gamma s are members, in exact arithmetic, whatever gamma is
+    s, moved = _svd_pair(gamma)
+    assert exact_siegel_member(s) and exact_siegel_member(moved)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the height bound calls [[1, 5], [0, 1]] excluded, yet its SVD pair lies in the set",
+)
+def test_find_witness_does_not_exclude_a_shear_whose_svd_pair_intersects():
+    # the same verdict test_find_witness_large_shear_excluded_by_height_bound
+    # pins; it is false under the package's own predicate
+    s, moved = _svd_pair(BIG_SHEAR)
+    assert exact_siegel_member(s) and exact_siegel_member(moved)
+    assert find_witness(BIG_SHEAR, MINIMAL_PARAMS, 400, RngStream(2024)).status != STATUS_EXCLUDED
 
 
 def test_find_witness_refuses_a_set_beyond_the_canonical_one():

@@ -26,7 +26,7 @@ from siegel.reduction import (
     siegel_reduce,
 )
 
-from conftest import column_skewed_sl, random_sl
+from conftest import column_skewed_sl, exact_siegel_member, random_sl
 
 P = MINIMAL_PARAMS
 
@@ -386,25 +386,6 @@ def test_carried_potential_stays_on_the_fresh_one(n):
             assert len(trace) == k + 1
             (a,), _ = _siegel_coordinates(res.sigma[None])
             assert abs(trace[-1] - log_potential(a)) <= 1e-10
-
-
-def exact_siegel_member(s):
-    """Exact membership of the float matrix s in the canonical Siegel set
-    (t^2 = 4/3, lam = 1/2).  Floats are rationals, so G = s^T s is exact in
-    Fraction; its LDL^T has D_i = a_i^2 and L_ji = u_ij, and the constraints
-    are D_i <= (4/3) D_{i+1} and |L_ji| <= 1/2."""
-    cols = [[Fraction(x) for x in col] for col in np.asarray(s).T.tolist()]
-    n = len(cols)
-    gram = [[sum(x * y for x, y in zip(ci, cj)) for cj in cols] for ci in cols]
-    low = [[Fraction(0)] * n for _ in range(n)]
-    d = [Fraction(0)] * n
-    for j in range(n):
-        d[j] = gram[j][j] - sum(low[j][k] ** 2 * d[k] for k in range(j))
-        for i in range(j + 1, n):
-            low[i][j] = (gram[i][j] - sum(low[i][k] * low[j][k] * d[k] for k in range(j))) / d[j]
-    return all(d[i] <= Fraction(4, 3) * d[i + 1] for i in range(n - 1)) and all(
-        abs(low[i][j]) <= Fraction(1, 2) for j in range(n) for i in range(j + 1, n)
-    )
 
 
 def test_exact_member_oracle_decides_the_boundary():
