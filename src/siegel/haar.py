@@ -22,9 +22,8 @@ integrator draws from a truncated power law instead, whose weights are
 bounded.  Every dimension and count is an integer by
 :func:`siegel.iwasawa.as_count`; a real argument must be a real number (not
 a bool, a string or a complex number), and a vector is read by the rule for
-matrix entries.  The
-integrators raise ``ToleranceNotMetError`` rather than return a value that
-is 0 or not finite in double precision.
+matrix entries.  The integrators raise ``ToleranceNotMetError`` rather than
+return a value that is 0 or not finite in double precision.
 """
 
 from __future__ import annotations
@@ -464,12 +463,13 @@ def a_integral_mc(
     most ``_MC_BLOCK*n`` doubles (1 MiB at n = 8) whatever ``samples`` is.
     Both sums are numpy's pairwise sums, not BLAS reductions, so the report
     does not depend on the BLAS thread count; the block sums are combined
-    with ``math.fsum``.  The scale is applied in log space, with the logs of
-    the mean and of the standard deviation, so only an estimate or a
-    standard error that is itself 0 or not finite in double precision
-    raises ``ToleranceNotMetError``, as does a sum of squared weights below
-    the normal double range (from n of about 640 on, where the effective
-    samples are far below one).  Raises ``InvalidArgumentError`` for a
+    with ``math.fsum``.  The scale is applied in log space to the log of the
+    mean weight, and the standard error is the estimate times the weights'
+    relative standard deviation over ``sqrt(samples)``, so only an estimate
+    that is itself 0 or not finite in double precision raises
+    ``ToleranceNotMetError``, as does a sum of squared weights below the
+    normal double range (from n of about 450 on, where the effective samples
+    are about one).  Raises ``InvalidArgumentError`` for a
     non-integer ``n`` or ``samples``, a ``t`` that is not a positive finite
     real number, a ``b_min`` that is not a real number or an ``rng`` that is
     not an :class:`RngStream` (the report records its seed), and
@@ -510,20 +510,21 @@ def a_integral_mc(
             np.multiply(w, np.add(x[i], offsets[i], out=x[i]), out=w)
         sums.append(float(np.sum(w)))
         sq_sums.append(float(np.sum(np.square(w, out=w))))
-    total = math.fsum(sums)
-    total_sq = math.fsum(sq_sums)
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0) * samples / (samples - 1)
-    with np.errstate(over="ignore", divide="ignore"):
-        log_estimate = log_scale + float(np.log(mean))
-        estimate = float(np.exp(log_estimate))
-        std_error = float(np.exp(log_scale + 0.5 * float(np.log(var / samples))))
-    if not (0.0 < estimate < math.inf and math.isfinite(std_error)
-            and total_sq >= sys.float_info.min):
+    total, total_sq = math.fsum(sums), math.fsum(sq_sums)
+    if not total_sq >= sys.float_info.min:
         raise ToleranceNotMetError(
-            f"estimate {estimate!r} +- {std_error!r} is not a positive finite double: "
-            f"its log is {log_estimate!r}, the sum of squared weights {total_sq!r}"
+            f"the squared weights sum to {total_sq!r}, below the normal double range"
         )
+    effective = total * (total / total_sq)
+    log_estimate = log_scale + math.log(total / samples)
+    with np.errstate(over="ignore"):
+        estimate = float(np.exp(log_estimate))
+    if not 0.0 < estimate < math.inf:
+        raise ToleranceNotMetError(
+            f"estimate {estimate!r} is not a positive finite double: its log is {log_estimate!r}"
+        )
+    # the relative variance of the weights is (samples/effective - 1) * samples/(samples - 1)
+    std_error = estimate * math.sqrt(max(samples / effective - 1.0, 0.0) / (samples - 1))
     trunc = 1.0 - float(np.prod(1.0 - ratio**exponents))
     return MonteCarloReport(
         estimate=estimate,
@@ -532,5 +533,5 @@ def a_integral_mc(
         seed=rng.seed,
         b_min=float(b_min),
         truncation_bound=trunc,
-        effective_samples=total * total / total_sq,
+        effective_samples=effective,
     )

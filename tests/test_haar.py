@@ -393,15 +393,15 @@ def power_law_mc(n, t, samples, rng, b_min):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
 @pytest.mark.parametrize("b_min", [T_MIN / 16.0, T_MIN / 64.0])
 def test_mc_weights_are_the_density_over_the_power_law(n, b_min):
-    # a full block and a block of three; the textbook form loses a few ulps
-    # in b**(e-1)/q(b), the kernel's weights none
+    # a full block and a block of three; the two forms round differently,
+    # 1.6e-15 relative at most here
     samples = haar._MC_BLOCK + 3
     rep = a_integral_mc(n, T_MIN, samples, RngStream(31, n), b_min=b_min)
     estimate, std_error, ess = power_law_mc(n, T_MIN, samples, RngStream(31, n), b_min)
     assert rep.b_min == b_min and rep.samples == samples
-    assert math.isclose(rep.estimate, estimate, rel_tol=1e-10)
-    assert math.isclose(rep.std_error, std_error, rel_tol=1e-8)
-    assert math.isclose(rep.effective_samples, ess, rel_tol=1e-10)
+    assert math.isclose(rep.estimate, estimate, rel_tol=1e-12)
+    assert math.isclose(rep.std_error, std_error, rel_tol=1e-12)
+    assert math.isclose(rep.effective_samples, ess, rel_tol=1e-12)
 
 
 # two samples, one short of a 2^14-sample block and one past it, and several
@@ -452,16 +452,16 @@ def blocked_mc(n, t, samples, rng, b_min=None):
         sums.append(float(np.sum(w)))
         sq_sums.append(float(np.sum(w * w)))
     total, total_sq = math.fsum(sums), math.fsum(sq_sums)
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0) * samples / (samples - 1)
+    effective = total * (total / total_sq)
+    estimate = float(np.exp(log_scale + math.log(total / samples)))
     return haar.MonteCarloReport(
-        estimate=float(np.exp(log_scale + float(np.log(mean)))),
-        std_error=float(np.exp(log_scale + 0.5 * float(np.log(var / samples)))),
+        estimate=estimate,
+        std_error=estimate * math.sqrt(max(samples / effective - 1.0, 0.0) / (samples - 1)),
         samples=samples,
         seed=rng.seed,
         b_min=float(b_min),
         truncation_bound=1.0 - float(np.prod(1.0 - ratio**exponents)),
-        effective_samples=total * total / total_sq,
+        effective_samples=effective,
     )
 
 
@@ -546,6 +546,15 @@ def test_mc_refuses_an_unrepresentable_estimate(n, t):
     # canonical t, above the double range; about e**-1001 at (20, 0.5), below it
     with pytest.raises(ToleranceNotMetError):
         a_integral_mc(n, t, 1000, RngStream(0))
+
+
+def test_mc_refuses_weights_whose_squares_underflow():
+    # the integral is about e**-4 here, but each of 499 factors averages
+    # 1/2 and the squared weights sum below the normal double range, where
+    # the effective samples are about one anyway
+    assert abs(math.log(a_integral_closed_form(500, 1.00025))) < 10.0
+    with pytest.raises(ToleranceNotMetError, match="squared weights"):
+        a_integral_mc(500, 1.00025, 1000, RngStream(0))
 
 
 def test_mc_reports_an_estimate_whose_scale_alone_overflows():
