@@ -473,7 +473,8 @@ def a_integral_mc(
     non-integer ``n`` or ``samples``, a ``t`` that is not a positive finite
     real number, a ``b_min`` that is not a real number or an ``rng`` that is
     not an :class:`RngStream` (the report records its seed), and
-    ``InvalidRangeError`` unless ``0 < b_min < t``.
+    ``InvalidRangeError`` unless ``0 < b_min < t``, exactly and with b_min
+    as a float.
     """
     n = as_count(n, "n", least=2)
     samples = as_count(samples, "samples", least=2)
@@ -482,7 +483,7 @@ def a_integral_mc(
         b_min = t * DEFAULT_B_MIN_FRACTION
     elif not _is_real(b_min):
         raise InvalidArgumentError(f"b_min must be a real number, got {b_min!r}")
-    if not (0.0 < b_min < t):
+    if not (0.0 < b_min < t and float(b_min) < t):
         raise InvalidRangeError(f"need 0 < b_min < t, got b_min={b_min}, t={t}")
     gen = _as_stream(rng).generator()
     exponents = _weight_exponents(n)

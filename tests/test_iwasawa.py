@@ -557,7 +557,9 @@ def test_every_real_argument_takes_the_real_number_rule(call):
 
 
 def test_monte_carlo_range_rule_is_unchanged():
-    for b_min in (0.0, -0.1, 2.0, 3, math.nan):
+    # a Fraction below t that rounds to t is out of range too: it once raised
+    # a bare ValueError from log(0)
+    for b_min in (0.0, -0.1, 2.0, 3, math.nan, Fraction(2) - Fraction(1, 10**30)):
         with pytest.raises(InvalidRangeError):
             haar.a_integral_mc(3, 2.0, 10, haar.RngStream(0), b_min=b_min)
     # a real t and b_min of any numeric type are read, and the report holds
