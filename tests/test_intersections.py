@@ -284,7 +284,7 @@ def test_find_witness_large_shear_excluded_by_height_bound():
     assert any(c.name == "height_bound" and not c.passed for c in rep.filter_trace)
 
 
-def _svd_pair(gamma, t=P.t):
+def _svd_pair(gamma):
     """s and gamma @ s, exact as Fraction matrices, from the SVD
     ``gamma = k1 diag(sigma) k2``: ``s = k2^T diag(a)`` with
     ``b[i] = (t/2) sigma[i+1]/sigma[i]``, so ``gamma s = k1 diag(sigma a)``,
@@ -294,7 +294,7 @@ def _svd_pair(gamma, t=P.t):
     if np.linalg.det(k2) < 0.0:
         k2[0] *= -1.0
         k1[:, 0] *= -1.0
-    s = k2.T * a_from_b(0.5 * t * sigma[1:] / sigma[:-1])
+    s = k2.T * a_from_b(0.5 * P.t * sigma[1:] / sigma[:-1])
     exact = [[Fraction(x) for x in row] for row in s.tolist()]
     moved = [[sum(g * row[j] for g, row in zip(g_row, exact)) for j in range(gamma.n)]
              for g_row in gamma.entries]
