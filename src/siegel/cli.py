@@ -164,7 +164,7 @@ def _siegel_params(args) -> SiegelParams:
     is the canonical value, and an absent ``--t`` the exact t^2 = 4/3."""
     lam = MINIMAL_PARAMS.lam if args.lam is None else args.lam
     if args.t is None:
-        return SiegelParams._of_square(MINIMAL_PARAMS.t2, lam)
+        return SiegelParams._canonical(lam)
     return SiegelParams(args.t, lam)
 
 

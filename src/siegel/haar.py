@@ -105,6 +105,8 @@ def conjugation_jacobian(a) -> float:
 
     The map scales the (i, j) coordinate by ``a_i / a_j``, so the value is
     ``prod_{i<j} a_i / a_j``; evaluated in log space for stability.
+    Raises ``ToleranceNotMetError`` where that product leaves the float
+    range (overflows, or underflows to 0), as :func:`siegel_density` does.
     """
     a = _real_array(a)
     if np.any(a <= 0.0) or not np.all(np.isfinite(a)):
@@ -115,7 +117,13 @@ def conjugation_jacobian(a) -> float:
         raise InvalidArgumentError(f"prod(a) = {prod!r}, expected 1 within {DET_TOL}")
     # sum_{i<j} (log a_i - log a_j) = sum_i (n - 2i + 1) log a_i  (1-based i)
     weights = n - 2.0 * np.arange(1, n + 1) + 1.0
-    return float(math.exp(np.dot(weights, np.log(a))))
+    try:
+        jacobian = math.exp(np.dot(weights, np.log(a)))
+    except OverflowError:
+        jacobian = math.inf
+    if jacobian == 0.0 or jacobian == math.inf:
+        raise ToleranceNotMetError(f"jacobian is {jacobian} in float at n = {n}; use log space")
+    return jacobian
 
 
 def siegel_density_exponents(n: int) -> np.ndarray:

@@ -199,10 +199,11 @@ def _height_cap(n: int) -> int:
 
 def _height_check(gamma: UnimodularIntMatrix) -> FilterCheck:
     """The height check of gamma against :func:`_height_cap`, decided
-    exactly, so an exclusion is a proof.  The record keeps the floats of
-    both sides as ``lhs`` and ``rhs``; float rounding is monotone, so
-    ``passed`` implies ``lhs <= rhs``, with equality between the two below
-    2^53."""
+    exactly, so an exclusion means the published bound fails (not that no
+    pair intersects under the k-left predicate: see the module caveat).
+    The record keeps the floats of both sides as ``lhs`` and ``rhs``; float
+    rounding is monotone, so ``passed`` implies ``lhs <= rhs``, with
+    equality between the two below 2^53."""
     height, cap = gamma.height(), _height_cap(gamma.n)
     return FilterCheck("height_bound", (), height <= cap, float(height), float(cap))
 
@@ -372,8 +373,9 @@ class IntersectionReport:
     """Per-candidate outcome of the witness search.
 
     ``witnessed`` carries a verified witness point and its residual
-    membership excess; ``excluded`` means the height bound (a proven
-    necessary condition) failed; ``unknown`` is an honest timeout.
+    membership excess; ``excluded`` means the published height bound
+    failed (heuristic under the k-left predicate: see the module caveat);
+    ``unknown`` is an honest timeout.
     ``rejected_witnesses`` counts the verified witnesses that the chain
     rejected before the verdict.
     """
@@ -723,7 +725,8 @@ def find_witness(
 ) -> IntersectionReport:
     """Search for s in the Siegel set with gamma @ s also in the set.
 
-    Order of business: the height bound (failing it proves exclusion),
+    Order of business: the height bound (where the published bound fails
+    the verdict is ``excluded``; see the module caveat),
     then deterministic boundary probes (kept when the pair excess is at
     most ``STRICT_WITNESS_TOL``), then seeded random points with diagonal
     ratios from ``t * DEFAULT_B_MIN_FRACTION`` (every other one from the

@@ -80,23 +80,6 @@ def _siegel_bound(value, name: str) -> float:
     )
 
 
-def _least_root(t2: Fraction) -> float:
-    """The least float whose square is >= ``t2`` (a positive Fraction):
-    the float ratio bound of the exact set ``b**2 <= t2``.
-
-    A 64-bit integer square root of the scaled ``t2`` lands within an ulp
-    of the answer, and exact comparisons settle it.
-    """
-    num, den = t2.numerator, t2.denominator
-    shift = max(0, 64 - (num.bit_length() - den.bit_length()) // 2)
-    t = float(Fraction(math.isqrt((num << 2 * shift) // den), 1 << shift))
-    while Fraction(t) ** 2 < t2:
-        t = math.nextafter(t, math.inf)
-    while t > 0 and Fraction(below := math.nextafter(t, 0.0)) ** 2 >= t2:
-        t = below
-    return t
-
-
 def _three_smooth(x) -> tuple[int, int] | None:
     """``(a, b)`` with ``x == 2**a * 3**b`` exactly, or None when the exact
     value of the positive number ``x`` (a rational or a binary float) is no
@@ -122,14 +105,14 @@ class SiegelParams:
     """Siegel-set parameters: ``b[i] <= t`` and ``|u[i, j]| <= lam``.
 
     The set is stated exactly by ``t2``, the square of the ratio bound as a
-    Fraction, and ``lam``, a float and so exact.  ``SiegelParams(t, lam)``
-    takes real numbers (not bools), positive and finite as floats, and
-    states ``t2 = Fraction(t)**2``.  ``t``, the float every predicate
-    reads, is derived from ``t2`` here alone: the least float whose square
-    is >= ``t2``, which is the given ``t`` itself.  Where ``t2`` is not the
-    square of a float (4/3 in :data:`MINIMAL_PARAMS`), the float predicate
-    ``b <= t`` admits a sliver of ``b`` above the exact bound, by less than
-    one ulp of ``t``.
+    Fraction, and ``lam``, a float and so exact; ``t`` is the float every
+    predicate reads.  ``SiegelParams(t, lam)`` takes real numbers (not
+    bools), positive and finite as floats, stores the float ``t`` it is
+    given and states ``t2 = Fraction(t)**2``.  The canonical set, whose
+    ``t2`` is 4/3 and so the square of no float, is stated by
+    :meth:`_canonical` alone: its ``t`` is 2/sqrt(3) rounded, the least
+    float whose square is >= 4/3, so the float predicate ``b <= t`` admits
+    a sliver of ``b`` above the exact bound, by less than one ulp of ``t``.
 
     The exact factorisations ``2**a * 3**b`` of ``2 lam`` and of ``t2`` (by
     :func:`_three_smooth`, None where there is none) are taken once here,
@@ -144,19 +127,18 @@ class SiegelParams:
 
     def __init__(self, t, lam):
         t = _siegel_bound(t, "t")
-        self._state(Fraction(t) ** 2, _siegel_bound(lam, "lam"))
+        self._state(t, Fraction(t) ** 2, _siegel_bound(lam, "lam"))
 
     @classmethod
-    def _of_square(cls, t2: Fraction, lam) -> SiegelParams:
-        """The set ``b**2 <= t2``, ``|u| <= lam`` for an exact positive
-        ``t2`` that need not be the square of a float; ``lam`` is held to
-        the rule of the constructor."""
+    def _canonical(cls, lam) -> SiegelParams:
+        """The canonical ratio bound, t^2 = 4/3 exactly, with ``lam`` held
+        to the rule of the constructor."""
         params = object.__new__(cls)
-        params._state(t2, _siegel_bound(lam, "lam"))
+        params._state(2.0 / math.sqrt(3.0), Fraction(4, 3), _siegel_bound(lam, "lam"))
         return params
 
-    def _state(self, t2: Fraction, lam: float) -> None:
-        object.__setattr__(self, "t", _least_root(t2))
+    def _state(self, t: float, t2: Fraction, lam: float) -> None:
+        object.__setattr__(self, "t", t)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "t2", t2)
         object.__setattr__(self, "_lam2_smooth", _three_smooth(2 * Fraction(lam)))
@@ -164,9 +146,9 @@ class SiegelParams:
 
 
 #: Smallest parameters for which the Siegel set still covers SL(n,R)
-#: under right multiplication by SL(n,Z): t = 2/sqrt(3) stated exactly as
-#: t^2 = 4/3, and lam = 1/2.
-MINIMAL_PARAMS = SiegelParams._of_square(Fraction(4, 3), 0.5)
+#: under right multiplication by SL(n,Z): the canonical t^2 = 4/3 (t the
+#: float 2/sqrt(3)) and lam = 1/2.
+MINIMAL_PARAMS = SiegelParams._canonical(0.5)
 
 
 def _real_array(g) -> np.ndarray:

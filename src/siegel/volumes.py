@@ -10,19 +10,22 @@ Every :class:`SymbolicVolume` is canonical (0! and 1! dropped, 2! as a
 power of 2, no zero exponent), so equal quantities have equal fields and
 ``==`` is exact.  The factorial part of that rule is written once, in
 :func:`_fold_small_factorials`.  The public constructor checks its
-arguments and folds copies of its maps.  Each builder writes the exponent
-maps of its docstring formula over the formula's own index ranges, folds
-them by the same rule and wraps them without the constructor's checks,
-as products, one-pass quotients and integer powers of canonical
-expressions are wrapped.  The product prod_{i=2}^n Gamma(i/2) enters in
-closed form in the factorial/pi/2 basis, from Gamma(m) = (m-1)! and
-Gamma(m + 1/2) = sqrt(pi) (2m)!/(4^m m!) (see
-:func:`_inverse_gamma_half_product`), which keeps printed forms clean.
-:func:`vol_siegel` reads the exact 2^a 3^b factorisations of 2 lam and
-t^2 (or their absence) that :class:`~siegel.iwasawa.SiegelParams` takes
-once, by :func:`~siegel.iwasawa._three_smooth`, the rule the constructor
-also applies to numeric constants; any other positive constant (a
-non-canonical Siegel parameter t, say) is a labeled numeric factor.
+arguments and folds copies of its maps.  Each builder writes only the
+exponents of its docstring formula, over the formula's own index ranges
+and with its power of 2 as an integer over one denominator, and hands
+them to :func:`_formula`, which folds 0!, 1! and 2! by the same rule and
+wraps them without the constructor's checks, as products, one-pass
+quotients and integer powers of canonical expressions are wrapped.  The
+product prod_{i=2}^n Gamma(i/2) enters in closed form in the
+factorial/pi/2 basis, from Gamma(m) = (m-1)! and Gamma(m + 1/2) =
+sqrt(pi) (2m)!/(4^m m!) (see :func:`_inverse_gamma_half_product`), which
+keeps printed forms clean.  :func:`vol_siegel` reads the exact 2^a 3^b
+factorisations of 2 lam and t^2 (or their absence) that
+:class:`~siegel.iwasawa.SiegelParams` takes once, by
+:func:`~siegel.iwasawa._three_smooth`, the rule the constructor also
+applies to numeric constants; any other positive constant (a
+non-canonical Siegel parameter t, say) is a labeled numeric factor, and
+the constructor takes one only where its log is a finite float.
 ``log_value`` is one correctly rounded sum over the atoms, so equal
 quantities also evaluate to equal floats; log zeta(i) and log i! (for
 i <= 2000) come from tables of constants, as does :func:`zeta`.
@@ -113,8 +116,6 @@ _GROWTH_N_MAX = 2000
 # the table calls lgamma itself, so every float is the same either way.
 _LOG_FACTORIAL = tuple(math.lgamma(i + 1.0) for i in range(_GROWTH_N_MAX + 1))
 
-_ZERO = Fraction(0)
-
 
 def zeta(s: int) -> float:
     """Riemann zeta at an integer s >= 2, correctly rounded to binary64.
@@ -198,8 +199,18 @@ def _check_integer_map(exponents: dict, least: int, atom: str) -> None:
 
 def _is_numeric_base(base) -> bool:
     """The real-number rule for a numeric base: a real number that is not a
-    bool (a string or a complex number is not one), positive and finite."""
-    return _is_real(base) and 0.0 < base < math.inf
+    bool (a string or a complex number is not one), positive and finite;
+    and either 2^a 3^b exactly, so that it folds, or with a finite float
+    log for ``log_value`` to read (a Fraction beyond the float range, such
+    as 10^400/3 or 10^-400, has none)."""
+    if not (_is_real(base) and 0.0 < base < math.inf):
+        return False
+    try:
+        if math.isfinite(math.log(base)):
+            return True
+    except (OverflowError, ValueError):
+        pass
+    return _three_smooth(base) is not None
 
 
 def _as_exponent(value, atom: str) -> Fraction:
@@ -278,9 +289,9 @@ class SymbolicVolume:
         A product, quotient or nonzero integer power of canonical instances
         is canonical: exponents stay Fractions, :func:`_merge` drops the
         zeros, and the index sets and numeric bases only merge, so no 0!,
-        1!, 2! or exact numeric base can appear.  The volume builders wrap their
-        formulas' maps here once :func:`_fold_small_factorials` has folded
-        them.
+        1!, 2! or exact numeric base can appear.  The volume builders are
+        wrapped here by :func:`_formula` alone, which folds their factorial
+        maps first.
         """
         obj = object.__new__(cls)
         obj.__dict__.update(
@@ -384,6 +395,30 @@ class SymbolicVolume:
         return " * ".join(parts) if parts else "1"
 
 
+def _formula(
+    den: int,
+    pow2: int,
+    factorial: dict,
+    pow3: Fraction = Fraction(0),
+    pow_pi: Fraction = Fraction(0),
+    zeta_pow: dict | None = None,
+    numeric: dict | None = None,
+) -> SymbolicVolume:
+    """A builder's formula in canonical form: 2^(pow2/den) times the i! of
+    ``factorial``, which 0!, 1! and 2! may enter and which is folded here
+    (a 2! adds ``den`` to the integer ``pow2``), and the other exponents,
+    already canonical.  Every map is the builder's own and is stored as it
+    is, without the constructor's checks."""
+    return SymbolicVolume._trusted(
+        Fraction(pow2 + den * _fold_small_factorials(factorial), den),
+        pow3,
+        pow_pi,
+        {} if zeta_pow is None else zeta_pow,
+        factorial,
+        {} if numeric is None else numeric,
+    )
+
+
 def vol_so(n: int) -> SymbolicVolume:
     """Volume of SO(n): 2^((n-1)(n/4+1)) * prod_{i=2}^n pi^(i/2)/Gamma(i/2).
 
@@ -394,13 +429,8 @@ def vol_so(n: int) -> SymbolicVolume:
     """
     n = as_count(n, "n", least=1)
     gamma_fact, gamma_pow2, half_pi = _inverse_gamma_half_product(n)
-    return SymbolicVolume._trusted(
-        Fraction((n - 1) * (n + 4) + 4 * gamma_pow2, 4),
-        _ZERO,
-        Fraction(n * n + n - 2 + 2 * half_pi, 4),
-        {},
-        gamma_fact,
-        {},
+    return _formula(
+        4, (n - 1) * (n + 4) + 4 * gamma_pow2, gamma_fact, pow_pi=Fraction(n * n + n - 2 + 2 * half_pi, 4)
     )
 
 
@@ -428,8 +458,8 @@ def vol_siegel(n: int, p: SiegelParams = MINIMAL_PARAMS) -> SymbolicVolume:
     fact, gamma_pow2, half_pi = _inverse_gamma_half_product(n)
     fact[n - 1] = fact.get(n - 1, 0) - 2
     lam_e, t2_e = 6 * n * (n - 1), n * (n * n - 1)  # 12 times the exponents of 2 lam and t^2
-    # twelve times the power of 2 in vol_so(n), in the 1/2 and in ((n-1)!)^-2
-    pow2 = 3 * (n - 1) * (n + 4) + 12 * (gamma_pow2 + _fold_small_factorials(fact)) - 12
+    # twelve times the power of 2 in vol_so(n) and in the 1/2
+    pow2 = 3 * (n - 1) * (n + 4) + 12 * gamma_pow2 - 12
     pow3, numeric = 0, {}
     if p._lam2_smooth is not None:
         pow2 += p._lam2_smooth[0] * lam_e
@@ -445,13 +475,13 @@ def vol_siegel(n: int, p: SiegelParams = MINIMAL_PARAMS) -> SymbolicVolume:
         # a t2 that is not 3-smooth is the square of the float t, as
         # SiegelParams states every other set
         numeric[p.t] = numeric.get(p.t, 0) + Fraction(t2_e, 6)
-    return SymbolicVolume._trusted(
-        Fraction(pow2, 12),
-        Fraction(pow3, 12),
-        Fraction(n * n + n - 2 + 2 * half_pi, 4),
-        {},
+    return _formula(
+        12,
+        pow2,
         fact,
-        numeric,
+        pow3=Fraction(pow3, 12),
+        pow_pi=Fraction(n * n + n - 2 + 2 * half_pi, 4),
+        numeric=numeric,
     )
 
 
@@ -465,14 +495,7 @@ def vol_quotient(n: int) -> SymbolicVolume:
     """
     n = as_count(n, "n", least=2)
     fact = dict.fromkeys(range(1, n), -1)
-    return SymbolicVolume._trusted(
-        Fraction(1 - (n - 1) * (n - 2) + 2 * _fold_small_factorials(fact), 2),
-        _ZERO,
-        _ZERO,
-        dict.fromkeys(range(2, n + 1), 1),
-        fact,
-        {},
-    )
+    return _formula(2, 1 - (n - 1) * (n - 2), fact, zeta_pow=dict.fromkeys(range(2, n + 1), 1))
 
 
 def vol_quotient_rightmost(n: int) -> SymbolicVolume:
@@ -484,14 +507,7 @@ def vol_quotient_rightmost(n: int) -> SymbolicVolume:
     """
     n = as_count(n, "n", least=2)
     fact = dict.fromkeys(range(2, n + 1), -1)
-    return SymbolicVolume._trusted(
-        Fraction(3 * n - n * n - 1 + 2 * _fold_small_factorials(fact), 2),
-        _ZERO,
-        _ZERO,
-        dict.fromkeys(range(2, n + 1), 1),
-        fact,
-        {},
-    )
+    return _formula(2, 3 * n - n * n - 1, fact, zeta_pow=dict.fromkeys(range(2, n + 1), 1))
 
 
 def ratio_C(n: int) -> SymbolicVolume:
@@ -514,15 +530,13 @@ def ratio_C_display(n: int) -> SymbolicVolume:
     gamma_fact, gamma_pow2, half_pi = _inverse_gamma_half_product(n)
     fact = dict.fromkeys(range(1, n), 1)
     fact[n - 1] -= 2
-    fact = _merge(fact, gamma_fact, 1)
-    pow2 = gamma_pow2 + _fold_small_factorials(fact)
-    return SymbolicVolume._trusted(
-        Fraction(2 * n**3 + 9 * n**2 + 25 * n - 30 + 12 * pow2, 12),
-        Fraction(n - n**3, 12),
-        Fraction(n * n + n - 2 + 2 * half_pi, 4),
-        dict.fromkeys(range(2, n + 1), -1),
-        fact,
-        {},
+    return _formula(
+        12,
+        2 * n**3 + 9 * n**2 + 25 * n - 30 + 12 * gamma_pow2,
+        _merge(fact, gamma_fact, 1),
+        pow3=Fraction(n - n**3, 12),
+        pow_pi=Fraction(n * n + n - 2 + 2 * half_pi, 4),
+        zeta_pow=dict.fromkeys(range(2, n + 1), -1),
     )
 
 
@@ -547,13 +561,12 @@ def harder_volume(n: int) -> SymbolicVolume:
     e = n * (n + 3)
     fact = dict.fromkeys(range(1, n), 1)
     fact[n] = -1
-    return SymbolicVolume._trusted(
-        Fraction(-e - 2 * harder_tau(n) + 2 * _fold_small_factorials(fact), 2),
-        _ZERO,
-        Fraction(-e, 2),
-        dict.fromkeys(range(2, n + 1), 1),
+    return _formula(
+        2,
+        -e - 2 * harder_tau(n),
         fact,
-        {},
+        pow_pi=Fraction(-e, 2),
+        zeta_pow=dict.fromkeys(range(2, n + 1), 1),
     )
 
 
@@ -572,15 +585,11 @@ def normalization_ratio_display(n: int) -> SymbolicVolume:
     gamma_fact, gamma_pow2, half_pi = _inverse_gamma_half_product(n)
     fact = dict.fromkeys(range(1, n), 2)
     fact[n] = -1
-    fact = _merge(fact, gamma_fact, 1)
-    pow2 = gamma_pow2 - harder_tau(n) + _fold_small_factorials(fact)
-    return SymbolicVolume._trusted(
-        Fraction(n * n - 5 * n - 2 + 4 * pow2, 4),
-        _ZERO,
-        Fraction(2 * half_pi - n * n - 5 * n - 2, 4),
-        {},
-        fact,
-        {},
+    return _formula(
+        4,
+        n * n - 5 * n - 2 + 4 * (gamma_pow2 - harder_tau(n)),
+        _merge(fact, gamma_fact, 1),
+        pow_pi=Fraction(2 * half_pi - n * n - 5 * n - 2, 4),
     )
 
 

@@ -75,6 +75,14 @@ def test_jacobian_rejects_bad_input():
         conjugation_jacobian([2.0, 2.0])
 
 
+def test_jacobian_refuses_a_value_outside_the_float_range():
+    # the log is +-921 at n = 2: exp overflows one way and underflows the other
+    for a in ([1e200, 1e-200], [1e-200, 1e200]):
+        with pytest.raises(ToleranceNotMetError):
+            conjugation_jacobian(a)
+    assert conjugation_jacobian([2.0, 0.5]) == 4.0
+
+
 def test_density_examples():
     assert siegel_density([0.37]) == 1.0  # exponent 1*(2-1)-1 = 0
     assert siegel_density([1.0, 1.0]) == 1.0

@@ -200,7 +200,50 @@ def test_scan_flags_a_small_case_comparison():
     assert small_case_comparisons(source) == [1, 2, 5]
 
 
+def callers(source: str, callee: str) -> set[str]:
+    """Qualified names (``function`` or ``Class.method``) of the functions
+    that call ``callee``, by its bare name or as an attribute."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == callee:
+                    found.add(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_scan_names_the_callers():
+    source = (
+        "x = f()\n"
+        "def g():\n    return [f(y) for y in h()]\n"
+        "class A:\n    def m(self):\n        return A.f(self.f)\n"
+        "    def k(self):\n        return f\n"
+    )
+    assert callers(source, "f") == {"<module>", "g", "A.m"}
+
+
 def test_volumes_states_the_small_factorial_rule_once():
-    # 0!, 1! and 2! fold in volumes._fold_small_factorials; no builder
-    # special-cases a small n or M by hand
-    assert small_case_comparisons((PACKAGE / "volumes.py").read_text(encoding="utf-8")) == []
+    # 0!, 1! and 2! fold in volumes._fold_small_factorials: the constructor,
+    # the Gamma(i/2) product and the builders' one wrapper call it, and no
+    # builder special-cases a small n or M by hand or wraps its own fields
+    source = (PACKAGE / "volumes.py").read_text(encoding="utf-8")
+    assert small_case_comparisons(source) == []
+    assert callers(source, "_fold_small_factorials") == {
+        "SymbolicVolume.__post_init__",
+        "_inverse_gamma_half_product",
+        "_formula",
+    }
+    assert callers(source, "_trusted") == {
+        "SymbolicVolume._combine",
+        "SymbolicVolume.__pow__",
+        "_formula",
+    }

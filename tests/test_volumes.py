@@ -354,6 +354,17 @@ def test_numeric_bases_are_checked_at_construction(base):
         SymbolicVolume(numeric={base: 1})
 
 
+def test_numeric_bases_without_a_finite_float_log_fold_or_are_refused():
+    # beyond the float range either way: log_value could not read them
+    for base in (Fraction(10**400, 3), Fraction(1, 10**400)):
+        with pytest.raises(InvalidArgumentError, match="positive and finite"):
+            SymbolicVolume(numeric={base: 1})
+    # 2^a 3^b folds exactly at any size, and an int keeps its exact log
+    assert SymbolicVolume(numeric={Fraction(2**2000, 3**700): 1}) == SymbolicVolume(pow2=2000, pow3=-700)
+    big = SymbolicVolume(numeric={10**400: 1})
+    assert big.numeric == {10**400: 1} and big.log_value() == math.log(10**400)
+
+
 def test_equal_expressions_evaluate_to_equal_floats():
     # log_value is one correctly rounded sum over the atoms, so it cannot
     # depend on the order in which equal expressions collected them
@@ -552,7 +563,7 @@ def test_vol_siegel_builds_without_the_checking_constructor(monkeypatch):
             return SymbolicVolume(pow2=e, pow3=-e / 2)
         return SymbolicVolume(numeric={p.t: e})
 
-    params = [MINIMAL_PARAMS, _LABELED, _SMOOTH, _SHARED_BASE, SiegelParams._of_square(Fraction(4, 3), 0.7)]
+    params = [MINIMAL_PARAMS, _LABELED, _SMOOTH, _SHARED_BASE, SiegelParams._canonical(0.7)]
     cases = [(n, p) for n in range(2, 41) for p in params]
     want = [_ref_vol_siegel(n, t_power(p, n), p.lam) for n, p in cases]
 
