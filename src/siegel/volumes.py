@@ -36,6 +36,7 @@ numpy.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
@@ -200,9 +201,9 @@ def _check_integer_map(exponents: dict, least: int, atom: str) -> None:
 def _is_numeric_base(base) -> bool:
     """The real-number rule for a numeric base: a real number that is not a
     bool (a string or a complex number is not one), positive and finite;
-    and either 2^a 3^b exactly, so that it folds, or with a finite float
-    log for ``log_value`` to read (a Fraction beyond the float range, such
-    as 10^400/3 or 10^-400, has none)."""
+    and either with a finite float log for ``log_value`` to read, or a
+    rational 2^a 3^b exactly, which folds (2^2000 does; 10^400/3, 10^-400
+    and a long double beyond the float range are refused)."""
     if not (_is_real(base) and 0.0 < base < math.inf):
         return False
     try:
@@ -210,7 +211,7 @@ def _is_numeric_base(base) -> bool:
             return True
     except (OverflowError, ValueError):
         pass
-    return _three_smooth(base) is not None
+    return isinstance(base, numbers.Rational) and _three_smooth(base) is not None
 
 
 def _as_exponent(value, atom: str) -> Fraction:

@@ -356,7 +356,7 @@ def test_numeric_bases_are_checked_at_construction(base):
 
 def test_numeric_bases_without_a_finite_float_log_fold_or_are_refused():
     # beyond the float range either way: log_value could not read them
-    for base in (Fraction(10**400, 3), Fraction(1, 10**400)):
+    for base in (Fraction(10**400, 3), Fraction(1, 10**400), np.longdouble("1e400"), np.longdouble("1e-400")):
         with pytest.raises(InvalidArgumentError, match="positive and finite"):
             SymbolicVolume(numeric={base: 1})
     # 2^a 3^b folds exactly at any size, and an int keeps its exact log
