@@ -2,8 +2,10 @@
 intersection bounds for the SL(n,Z) action.
 
 The package cross-verifies every closed-form quantity three ways where
-possible: exact symbolic algebra, independent numerical quadrature /
-Monte Carlo, and exhaustive small-case enumeration.
+possible: exact symbolic algebra, independent numerical quadrature, and
+exhaustive small-case enumeration.  The seeded Monte Carlo is not a fourth
+independent check: its scale is the closed form's normalising constant, so
+it checks the sampler and the product structure of its weight.
 """
 
 __version__ = "0.1.0"
@@ -35,8 +37,6 @@ from .haar import (
     a_integral_mc,
     a_integral_quadrature,
     conjugation_jacobian,
-    sample_haar_so,
-    sample_siegel_point,
     siegel_density,
 )
 from .volumes import (
@@ -104,8 +104,6 @@ __all__ = [
     "normalization_ratio",
     "ratio_C",
     "reports_to_jsonl",
-    "sample_haar_so",
-    "sample_siegel_point",
     "siegel_density",
     "siegel_membership",
     "siegel_reduce",

@@ -43,6 +43,7 @@ from .errors import (
 from .iwasawa import (
     DET_TOL,
     SiegelParams,
+    _finite_exp,
     _is_real,
     _real_array,
     _siegel_bound,
@@ -104,26 +105,22 @@ def conjugation_jacobian(a) -> float:
     """Determinant of ``u -> a u a^{-1}`` on strict upper coordinates.
 
     The map scales the (i, j) coordinate by ``a_i / a_j``, so the value is
-    ``prod_{i<j} a_i / a_j``; evaluated in log space for stability.
-    Raises ``ToleranceNotMetError`` where that product leaves the float
-    range (overflows, or underflows to 0), as :func:`siegel_density` does.
+    ``prod_{i<j} a_i / a_j``; evaluated in log space, where the unit
+    product is ``|sum(log a)| <= DET_TOL``.  Raises
+    ``ToleranceNotMetError`` where the value leaves the float range
+    (overflows, or underflows to 0), as :func:`siegel_density` does.
     """
     a = _real_array(a)
     if np.any(a <= 0.0) or not np.all(np.isfinite(a)):
         raise NonPositiveEntryError("all diagonal entries must be positive")
     n = a.size
-    prod = float(np.prod(a))
-    if abs(prod - 1.0) > DET_TOL:
-        raise InvalidArgumentError(f"prod(a) = {prod!r}, expected 1 within {DET_TOL}")
+    log_a = np.log(a)
+    log_det = float(np.sum(log_a))
+    if abs(log_det) > DET_TOL:
+        raise InvalidArgumentError(f"sum(log a) = {log_det!r}, expected 0 within {DET_TOL}")
     # sum_{i<j} (log a_i - log a_j) = sum_i (n - 2i + 1) log a_i  (1-based i)
     weights = n - 2.0 * np.arange(1, n + 1) + 1.0
-    try:
-        jacobian = math.exp(np.dot(weights, np.log(a)))
-    except OverflowError:
-        jacobian = math.inf
-    if jacobian == 0.0 or jacobian == math.inf:
-        raise ToleranceNotMetError(f"jacobian is {jacobian} in float at n = {n}; use log space")
-    return jacobian
+    return _finite_exp(np.dot(weights, log_a), f"the jacobian at n = {n}")
 
 
 def siegel_density_exponents(n: int) -> np.ndarray:
@@ -139,22 +136,18 @@ def _weight_exponents(n: int) -> np.ndarray:
 
 
 def siegel_density(b) -> float:
-    """Unnormalized density ``prod b[i]**(i*(n-i)-1)`` in ratio coordinates.
+    """Unnormalized density ``prod b[i]**(i*(n-i)-1)`` in ratio coordinates,
+    ``exp(log(b) @ (i*(n-i)-1))``.
 
-    Raises ``ToleranceNotMetError`` where that product leaves the float
-    range (0 or not finite), as it does for typical points from n = 20 on;
-    a point's ``log_weight`` holds the same information in log space.
+    Raises ``ToleranceNotMetError`` where the value leaves the float range
+    (0 or not finite), as it does for typical points from n = 20 on; a
+    point's ``log_weight`` holds the same information in log space.
     """
-    b = _real_array(b)
+    b = _real_array(b).ravel()
     if np.any(b <= 0.0) or not np.all(np.isfinite(b)):
         raise NonPositiveEntryError("all ratio coordinates must be positive")
     n = b.size + 1
-    # a product that leaves the float range raises below, without a warning
-    with np.errstate(over="ignore", under="ignore"):
-        density = float(np.prod(b ** siegel_density_exponents(n)))
-    if density == 0.0 or not math.isfinite(density):
-        raise ToleranceNotMetError(f"density is {density} in float at n = {n}; use log space")
-    return density
+    return _finite_exp(np.log(b) @ siegel_density_exponents(n), f"the density at n = {n}")
 
 
 def sample_haar_so_batch(n: int, size: int, rng) -> np.ndarray:
@@ -181,11 +174,6 @@ def _haar_so_from_normals(z: np.ndarray) -> np.ndarray:
     dets = np.linalg.det(q)
     q[dets < 0.0, :, -1] *= -1.0
     return q
-
-
-def sample_haar_so(n: int, rng) -> np.ndarray:
-    """One Haar-uniform element of SO(n)."""
-    return sample_haar_so_batch(n, 1, rng)[0]
 
 
 def group_elements(b, u, k) -> np.ndarray:
@@ -272,19 +260,12 @@ def sample_siegel_block(n: int, p: SiegelParams, b_lows, rng) -> SiegelCoordinat
     A block of m rows makes three generator calls whatever m is: all m*(n-1)
     log b, then all m*n(n-1)/2 u entries, then the m*n*n normals of the
     rotations, each row-major.  So the points depend on m, not only on the
-    stream: a block of m is not m blocks of one (a block of one is
-    :func:`sample_siegel_point`).  The Haar QR and sign fix run once on the
-    whole stack.
+    stream: a block of m is not m blocks of one.  The Haar QR and sign fix
+    run once on the whole stack.
     """
     n = as_count(n, "n", least=2)
     log_lows = _block_log_lows(p, b_lows)
     return _assemble_block(*_draw_block(n, p, log_lows, _as_generator(rng)))
-
-
-def sample_siegel_point(n: int, p: SiegelParams, b_min: float, rng) -> SiegelCoordinatePoint:
-    """Draw one coordinate point: b log-uniform on [b_min, t], u uniform
-    on the lam-box, k Haar on SO(n).  A block of one."""
-    return sample_siegel_block(n, p, [b_min], rng)[0]
 
 
 # The non-negative halves of the 64- and 32-node Gauss-Legendre rules on

@@ -64,7 +64,6 @@ from .errors import (
     DimensionTooLargeError,
     InvalidArgumentError,
     InvalidWitnessError,
-    ToleranceNotMetError,
 )
 from .haar import (
     DEFAULT_B_MIN_FRACTION,
@@ -83,6 +82,7 @@ from .iwasawa import (
     UnimodularIntMatrix,
     _bareiss_det,
     _check_tolerance,
+    _finite_exp,
     _siegel_coordinates,
     _strict_upper_indices,
     a_from_b,
@@ -155,12 +155,7 @@ def height_bound(n: int) -> float:
     in float, and :class:`ToleranceNotMetError` says to use
     :func:`log_height_bound`.
     """
-    try:
-        return math.exp(log_height_bound(n))
-    except OverflowError:
-        raise ToleranceNotMetError(
-            f"the height bound at n = {n} is not finite in float; use log_height_bound"
-        ) from None
+    return _finite_exp(log_height_bound(n), f"the height bound exp(log_height_bound({n}))")
 
 
 def height_bound_variants(n: int) -> dict[str, float]:

@@ -33,6 +33,7 @@ import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from .errors import (
     InvalidArgumentError,
     NonInvertibleError,
     NotUnimodularError,
+    ToleranceNotMetError,
 )
 
 # Numerical guards, sized for binary64 at n <= 50.
@@ -78,6 +80,19 @@ def _siegel_bound(value, name: str) -> float:
     raise InvalidArgumentError(
         f"Siegel parameter {name} must be a positive finite real number, got {value!r}"
     )
+
+
+def _finite_exp(log_value: float, what: str) -> float:
+    """``math.exp(log_value)``, the one step from a log-space result into a
+    float: :class:`ToleranceNotMetError`, naming ``what``, where the value
+    overflows or underflows to 0."""
+    try:
+        value = math.exp(log_value)
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise ToleranceNotMetError(f"{what} is {value} in float (log {log_value:.6g}); use log space")
+    return value
 
 
 def _three_smooth(x) -> tuple[int, int] | None:
@@ -233,6 +248,15 @@ def _bareiss_det(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1] if n else 1
 
 
+def _exact_floats(rows) -> np.ndarray:
+    """Float copy of the integer matrix ``rows``; an entry of 2**53 or more
+    in magnitude, from where not every integer is a float, raises
+    :class:`NonInvertibleError` rather than round."""
+    if max(map(abs, chain.from_iterable(rows))) >= 2**53:
+        raise NonInvertibleError("integer matrix entry exceeds 2**53, beyond exact float")
+    return np.array(rows, dtype=float)
+
+
 @dataclass(frozen=True)
 class UnimodularIntMatrix:
     """Element of SL(n,Z): exact integer entries, determinant exactly +1.
@@ -272,7 +296,9 @@ class UnimodularIntMatrix:
         return _bareiss_det([list(r) for r in self.entries])
 
     def to_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=float)
+        """The float matrix; :class:`NonInvertibleError` where an entry is
+        not exact in float (by :func:`_exact_floats`)."""
+        return _exact_floats(self.entries)
 
     def height(self) -> int:
         return max(abs(x) for row in self.entries for x in row)

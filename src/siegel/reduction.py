@@ -60,11 +60,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from .errors import NonInvertibleError
 from .iwasawa import (
     MINIMAL_PARAMS,
     UnimodularIntMatrix,
@@ -72,12 +70,11 @@ from .iwasawa import (
     as_square_matrix,
     _check_group_element,
     _coordinate_lists,
+    _exact_floats,
 )
 
 STATUS_REDUCED = "reduced"
 STATUS_BUDGET_EXHAUSTED = "budget_exhausted"
-#: integers from here on are not all exactly representable as floats
-_FLOAT_EXACT = 2**53
 
 
 @dataclass(frozen=True)
@@ -121,10 +118,9 @@ def log_potential(a: np.ndarray) -> float:
 
 def _exact_float(m: list[list[int]]) -> np.ndarray:
     """Float copy of the exact integer matrix with columns ``m``; an entry a
-    float cannot hold exactly raises rather than giving an inexact sigma."""
-    if max(map(abs, chain.from_iterable(m))) >= _FLOAT_EXACT:
-        raise NonInvertibleError("reduction matrix entry exceeds 2**53, beyond exact float")
-    return np.array(m, dtype=float).T.copy()
+    float cannot hold exactly raises rather than giving an inexact sigma
+    (by :func:`siegel.iwasawa._exact_floats`)."""
+    return _exact_floats(m).T.copy()
 
 
 def _shear(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from siegel.cli import DEFAULT_MC_SAMPLES, RunConfig, load_config, run
-from siegel.haar import RngStream, sample_haar_so
+from siegel.haar import RngStream, sample_haar_so_batch
 from siegel.errors import MalformedConfigError
 from siegel.intersections import enumerate_intersections, reports_to_jsonl
 from siegel.iwasawa import matrix_to_json_dict
@@ -556,7 +556,7 @@ def test_rotation_samples_are_sequential_haar_draws(capsys):
                            "--count", "4", "--seed", "7")
     assert code == 0
     gen = RngStream(7, 0).generator()
-    expected = [matrix_to_json_dict(sample_haar_so(3, gen)) for _ in range(4)]
+    expected = [matrix_to_json_dict(sample_haar_so_batch(3, 1, gen)[0]) for _ in range(4)]
     assert json.loads(out)["result"]["samples"] == expected
 
 

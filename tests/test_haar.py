@@ -24,10 +24,8 @@ from siegel.haar import (
     a_integral_mc,
     a_integral_quadrature,
     conjugation_jacobian,
-    sample_haar_so,
     sample_haar_so_batch,
     sample_siegel_block,
-    sample_siegel_point,
     siegel_density,
 )
 from siegel.iwasawa import MINIMAL_PARAMS, unit_upper_stack
@@ -83,6 +81,14 @@ def test_jacobian_refuses_a_value_outside_the_float_range():
     assert conjugation_jacobian([2.0, 0.5]) == 4.0
 
 
+def test_jacobian_refuses_a_value_outside_the_float_range_at_n_4():
+    # the product of a is 1, but np.prod(a) overflows one way and underflows
+    # to 0.0 the other; the jacobian itself is e^(+-3684)
+    for a in ([1e200, 1e200, 1e-200, 1e-200], [1e-200, 1e-200, 1e200, 1e200]):
+        with pytest.raises(ToleranceNotMetError):
+            conjugation_jacobian(a)
+
+
 def test_density_examples():
     assert siegel_density([0.37]) == 1.0  # exponent 1*(2-1)-1 = 0
     assert siegel_density([1.0, 1.0]) == 1.0
@@ -91,6 +97,16 @@ def test_density_examples():
         siegel_density([0.0, 1.0])
     with pytest.raises(ToleranceNotMetError):
         siegel_density([1e200, 1e200])  # overflows to inf
+
+
+@pytest.mark.parametrize("b, log_density", [
+    ([1e100, 1e-150, 1e100], -115.13),  # a partial product underflows to 0.0
+    ([1e200, 1e-200, 1e200], 460.52),  # a partial product overflows to inf
+])
+def test_density_in_range_is_exp_of_its_log(b, log_density):
+    want = math.exp(np.log(b) @ haar.siegel_density_exponents(4))
+    assert math.isclose(math.log(want), log_density, rel_tol=1e-4)
+    assert math.isclose(siegel_density(b), want, rel_tol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -111,10 +127,10 @@ def test_haar_so_invariants():
 
 
 def test_haar_so_determinism_is_bitwise():
-    k1 = sample_haar_so(5, RngStream(7, 3))
-    k2 = sample_haar_so(5, RngStream(7, 3))
+    k1 = sample_haar_so_batch(5, 1, RngStream(7, 3))
+    k2 = sample_haar_so_batch(5, 1, RngStream(7, 3))
     assert np.array_equal(k1, k2)
-    k3 = sample_haar_so(5, RngStream(7, 4))
+    k3 = sample_haar_so_batch(5, 1, RngStream(7, 4))
     assert not np.array_equal(k1, k3)
 
 
@@ -128,7 +144,9 @@ def test_rng_stream_keys_may_be_numpy_integers():
     stream = RngStream(np.int64(7), np.int32(3))
     assert (type(stream.seed), type(stream.stream_index)) == (int, int)
     assert stream == RngStream(7, 3)
-    assert np.array_equal(sample_haar_so(3, stream), sample_haar_so(3, RngStream(7, 3)))
+    assert np.array_equal(
+        sample_haar_so_batch(3, 1, stream), sample_haar_so_batch(3, 1, RngStream(7, 3))
+    )
 
 
 def test_haar_so_angle_is_uniform():
@@ -154,7 +172,7 @@ def test_sample_siegel_point_invariants():
     p = MINIMAL_PARAMS
     gen = RngStream(9).generator()
     for _ in range(200):
-        pt = sample_siegel_point(3, p, p.t / 16.0, gen)
+        pt = sample_siegel_block(3, p, [p.t / 16.0], gen)[0]
         assert np.all((pt.b > 0.0) & (pt.b <= p.t))
         assert np.max(np.abs(np.triu(pt.u, 1))) <= p.lam
         assert np.max(np.abs(pt.k.T @ pt.k - np.eye(3))) <= 1e-10
@@ -163,7 +181,7 @@ def test_sample_siegel_point_invariants():
             rel_tol=1e-12,
         )
     with pytest.raises(InvalidRangeError):
-        sample_siegel_point(3, p, 2.0 * p.t, gen)
+        sample_siegel_block(3, p, [2.0 * p.t], gen)
 
 
 class CountingGenerator(np.random.Generator):
@@ -198,15 +216,13 @@ def test_block_of_one_is_a_point_draw():
     p = MINIMAL_PARAMS
     for n in (2, 3, 5):
         for lo in (p.t / 16.0, p.t / math.sqrt(2.0)):
-            pt = sample_siegel_point(n, p, lo, RngStream(4, n))
             got = sample_siegel_block(n, p, [lo], RngStream(4, n))[0]
             gen = RngStream(4, n).generator()
             b = np.exp(gen.uniform(math.log(lo), math.log(p.t), size=n - 1))
             u_vals = gen.uniform(-p.lam, p.lam, size=n * (n - 1) // 2)
-            k = sample_haar_so(n, gen)
+            k = sample_haar_so_batch(n, 1, gen)[0]
             for name, want in (("b", b), ("u", unit_upper_stack(u_vals, n)), ("k", k)):
                 assert np.array_equal(getattr(got, name), want), (n, lo, name)
-                assert np.array_equal(getattr(pt, name), want), (n, lo, name)
 
 
 def test_block_draws_b_then_u_then_normals_as_whole_arrays():
@@ -243,14 +259,14 @@ def test_sample_siegel_point_materializes_as_member():
     p = MINIMAL_PARAMS
     gen = RngStream(10).generator()
     for _ in range(50):
-        pt = sample_siegel_point(3, p, p.t / 16.0, gen)
+        pt = sample_siegel_block(3, p, [p.t / 16.0], gen)[0]
         assert membership_excess(pt.to_group_element(), p) <= 1e-9
 
 
 @pytest.mark.parametrize("n", [20, 40])
 def test_log_weight_is_finite_where_the_weight_underflows(n):
     p = MINIMAL_PARAMS
-    pt = sample_siegel_point(n, p, p.t / 16.0, RngStream(0))
+    pt = sample_siegel_block(n, p, [p.t / 16.0], RngStream(0))[0]
     with pytest.raises(ToleranceNotMetError):
         siegel_density(pt.b)  # the product form underflows to 0.0
     assert -math.inf < pt.log_weight < 0.0

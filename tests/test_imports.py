@@ -247,3 +247,31 @@ def test_volumes_states_the_small_factorial_rule_once():
         "SymbolicVolume.__pow__",
         "_formula",
     }
+
+
+def package_callers(callee: str) -> set[str]:
+    """``module.function`` (or ``module.Class.method``) for each function of
+    the package that calls ``callee``."""
+    return {
+        f"{module}.{name}"
+        for module, text in package_modules().items()
+        for name in callers(text, callee)
+    }
+
+
+def test_one_path_each_from_log_space_and_from_exact_integers_into_floats():
+    # a log-space result becomes a float only through iwasawa._finite_exp,
+    # and an exact integer matrix only through iwasawa._exact_floats
+    assert package_callers("_finite_exp") == {
+        "haar.conjugation_jacobian",
+        "haar.siegel_density",
+        "intersections.height_bound",
+    }
+    assert package_callers("_exact_floats") == {
+        "iwasawa.UnimodularIntMatrix.to_array",
+        "reduction._exact_float",
+    }
+    # and the two kernels form no product of floats that could leave the range
+    haar = (PACKAGE / "haar.py").read_text(encoding="utf-8")
+    for callee in ("prod", "errstate"):
+        assert not callers(haar, callee) & {"conjugation_jacobian", "siegel_density"}

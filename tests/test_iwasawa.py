@@ -68,10 +68,10 @@ def test_decompose_round_trip(n, rng):
 
 def test_factor_uniqueness(rng):
     # a matrix already of the k-left form must return its own factors
-    from siegel.haar import RngStream, sample_haar_so
+    from siegel.haar import RngStream, sample_haar_so_batch
 
     for n in (2, 3, 5):
-        k = sample_haar_so(n, RngStream(5, n))
+        k = sample_haar_so_batch(n, 1, RngStream(5, n))[0]
         a = np.exp(rng.uniform(-0.8, 0.8, n))
         a /= np.prod(a) ** (1.0 / n)
         u = np.eye(n)
@@ -144,10 +144,10 @@ def test_unipotent_factor_has_no_negative_zeros():
 def test_membership_uses_k_left_coordinates(rng):
     # multiplying by a rotation on the left never changes the verdict
     p = MINIMAL_PARAMS
-    from siegel.haar import RngStream, sample_haar_so
+    from siegel.haar import RngStream, sample_haar_so_batch
 
     g = unit_upper_stack([0.3] * 3, 3)
-    k = sample_haar_so(3, RngStream(11, 0))
+    k = sample_haar_so_batch(3, 1, RngStream(11, 0))[0]
     assert siegel_membership(g, p, 1e-9) == siegel_membership(k @ g, p, 1e-9)
 
 
@@ -207,6 +207,16 @@ def test_unimodular_entries_may_be_numpy_integers():
     m = UnimodularIntMatrix(np.array([[2, 1], [1, 1]], dtype=np.int64))
     assert m.entries == ((2, 1), (1, 1))
     assert all(type(x) is int for row in m.entries for x in row)
+
+
+def test_to_array_refuses_an_entry_beyond_exact_float():
+    # 2**53 - 1 is the largest integer below which every integer is a float;
+    # 2**53 + 1 rounded to 2**53 and 10**400 overflowed
+    g = UnimodularIntMatrix([[1, -(2**53 - 1)], [0, 1]]).to_array()
+    assert g[0, 1] == -(2**53 - 1) and g.dtype == np.float64
+    for entry in (2**53 + 1, 10**400):
+        with pytest.raises(NonInvertibleError):
+            UnimodularIntMatrix([[1, entry], [0, 1]]).to_array()
 
 
 def test_matrix_json_round_trip(rng):
@@ -502,8 +512,8 @@ _OUT_OF_DOMAIN = [
     'intersections.height_bound_variants(2.5)',
     'intersections.sl_candidates(2.0, 1)',
     'intersections.sl_candidates(2, -1)',
-    'haar.sample_haar_so(1, RNG)',
-    'haar.sample_siegel_point(True, MINIMAL_PARAMS, 0.1, RNG)',
+    'haar.sample_haar_so_batch(1, 1, RNG)',
+    'haar.sample_siegel_block(True, MINIMAL_PARAMS, [0.1], RNG)',
     'haar.siegel_density_exponents(2.5)',
     'haar.a_integral_quadrature(1, 1.0)',
     'haar.a_integral_mc(3, 1.0, 1, RNG)',
