@@ -109,11 +109,15 @@ def conjugation_jacobian(a) -> float:
     product is ``|sum(log a)| <= DET_TOL``.  Raises
     ``ToleranceNotMetError`` where the value leaves the float range
     (overflows, or underflows to 0), as :func:`siegel_density` does.
+    ``a`` must be a vector of length n >= 2, else
+    :class:`InvalidArgumentError`.
     """
     a = _real_array(a)
+    if a.ndim != 1:
+        raise InvalidArgumentError(f"a must be a vector, got shape {a.shape}")
+    n = as_count(a.size, "len(a)", least=2)
     if np.any(a <= 0.0) or not np.all(np.isfinite(a)):
         raise NonPositiveEntryError("all diagonal entries must be positive")
-    n = a.size
     log_a = np.log(a)
     log_det = float(np.sum(log_a))
     if abs(log_det) > DET_TOL:

@@ -396,8 +396,8 @@ def _check_group_element(g: np.ndarray) -> None:
     s = np.linalg.svd(g, compute_uv=False)
     # the checks run on Python floats: on one small matrix, numpy scalar
     # operations and an errstate block cost about as much as the LAPACK calls
-    spectra = np.reshape(s, (-1, s.shape[-1])).tolist()
-    for d, (s0, *_, s1) in zip(np.ravel(det).tolist(), spectra):
+    spectra = s.reshape(-1, s.shape[-1]).tolist()
+    for d, (s0, *_, s1) in zip(det.reshape(-1).tolist(), spectra):
         if abs(d - 1.0) > DET_TOL:
             raise NotUnimodularError(f"det(g) = {np.float64(d)!r}, expected 1 within {DET_TOL}")
         # the ratio np.linalg.cond takes; an exactly singular matrix gives inf
@@ -442,14 +442,15 @@ def _coordinate_lists(g: np.ndarray) -> tuple[list[float], list[list[float]]]:
     the one rounded division of :func:`_factors_from_r`.
     """
     rows = np.linalg.qr(g, mode="raw")[0].T.tolist()
-    a = [abs(row[i]) for i, row in enumerate(rows)]
+    pivots = [row[i] for i, row in enumerate(rows)]
+    a = [abs(p) for p in pivots]
     if min(a) < SINGULAR_TOL:
         raise NonInvertibleError(f"column pivot {min(a):.3e} below {SINGULAR_TOL:.1e}")
     # x / x is exactly 1.0 and the strict lower triangle is exactly 0.0, so
     # both are written as constants; + 0.0 turns -0.0 into +0.0
     return a, [
-        [0.0] * i + [1.0] + [x / row[i] + 0.0 for x in row[i + 1:]]
-        for i, row in enumerate(rows)
+        [0.0] * i + [1.0] + [x / p + 0.0 for x in row[i + 1:]]
+        for i, (row, p) in enumerate(zip(rows, pivots))
     ]
 
 

@@ -5,6 +5,12 @@ Classical size-reduction/exchange reduction on the Iwasawa coordinates of
 the working matrix, every move realized by right multiplication with an
 exact integer matrix of determinant +1:
 
+* presort: before the first QR the columns of g are put in non-decreasing
+  order of squared norm by a stable sort, a standard start for LLL-style
+  reduction (Lenstra-Lenstra-Lovasz 1982, Schnorr-Euchner 1994) that leaves
+  fewer exchanges to make; the move is a signed permutation, one column
+  negated when the permutation is odd, and an ordered g is not moved.  It
+  is not an exchange: ``max_iter`` and ``iterations`` count exchanges only;
 * size reduction: integer column shears push every unipotent coordinate
   u[i, j] into [-1/2, 1/2] without touching the diagonal part, one row
   sweep per i from the bottom (as in Lenstra-Lenstra-Lovasz size reduction);
@@ -42,14 +48,16 @@ they can differ in the last bits from a fresh QR of the same basis.
 Between QRs the loop runs on plain Python scalars, with no numpy call: ``a``
 and the rows of ``u`` are float lists read straight from the raw LAPACK
 factor of each QR (bit for bit the ``a`` and ``u`` of
-:func:`siegel.iwasawa.decompose`; the first QR factors ``g`` itself), the
-integer matrix ``m`` is a list of columns of Python ints and its inverse a
-list of rows, so a swap is a list swap with one negation on each and a shear
-is one scalar loop over a column of ``m`` and a row of the inverse.  Every
-float update is a single rounded operation (no fused multiply-add), the
-rotation included.  The float copy of ``m`` made for each later QR, and for
-sigma when the last QR's input cannot serve, raises
-:class:`NonInvertibleError` rather than round an entry of 2**53 or more.
+:func:`siegel.iwasawa.decompose`; the first QR factors the norm-ordered
+copy of ``g``, gathered exactly from its columns), the integer matrix ``m``
+is a list of columns of Python ints, starting at the presort's signed
+permutation, and its inverse a list of rows, starting at its transpose, so
+a swap is a list swap with one negation on each and a shear is one scalar
+loop over a column of ``m`` and a row of the inverse.  Every float update
+is a single rounded operation (no fused multiply-add), the rotation
+included.  The float copy of ``m`` made for each later QR, and for sigma
+when the last QR's input cannot serve, raises :class:`NonInvertibleError`
+rather than round an entry of 2**53 or more.
 sigma @ gamma = g up to two float matrix products, and gamma's determinant
 is +1 by construction, a product of exact det +1 moves on Python ints.
 Ratios sitting exactly on the threshold are left alone (the Siegel set is
@@ -60,6 +68,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -121,6 +130,30 @@ def _exact_float(m: list[list[int]]) -> np.ndarray:
     float cannot hold exactly raises rather than giving an inexact sigma
     (by :func:`siegel.iwasawa._exact_floats`)."""
     return _exact_floats(m).T.copy()
+
+
+def _presorted(g: np.ndarray) -> tuple[list[list[int]], np.ndarray]:
+    """The start of a reduction of ``g``: its columns in non-decreasing order
+    of squared norm, by a stable sort (tied columns keep their order, so an
+    ordered ``g`` is not permuted).
+
+    Returns ``m``, that move as a signed permutation given by its list of
+    integer columns, with column 0 negated when the permutation is odd so
+    that its determinant is +1, and ``first``, the exact copy ``g @ m``
+    made by gathering (and negating) the columns of ``g``: no product
+    rounds.
+    """
+    n = g.shape[0]
+    norms = (g * g).sum(axis=0).tolist()
+    order = sorted(range(n), key=norms.__getitem__)
+    m = [[0] * n for _ in range(n)]
+    for k, j in enumerate(order):
+        m[k][j] = 1
+    first = g.take(order, axis=1)
+    if sum(x > y for x, y in combinations(order, 2)) % 2:
+        m[0][order[0]] = -1
+        first[:, 0] *= -1.0
+    return m, first
 
 
 def _shear(
@@ -216,13 +249,16 @@ def siegel_reduce(
     size reduction always rounds to |u| <= 1/2, so ``reduced`` means that
     sigma is a member at those parameters and no other set is promised.
 
+    The columns of g are first put in norm order by an exact signed
+    permutation (see the module docstring), which is not an exchange.
     Default budget is 10 n^2 exchange steps; exhausting it is reported in
     ``status``, never silently truncated; a ``max_iter`` that is not an
     integer >= 0 raises :class:`InvalidArgumentError`.  Pass a list as
     ``potential_trace`` to record the reduction potential once per basis:
-    at the start and after each exchange (it never increases).  The
-    readings are carried values, from the ``a`` rotated by each exchange,
-    not from a fresh QR; a fresh QR of a basis already recorded adds none.
+    at the start, of the norm-ordered basis, and after each exchange (it
+    never increases).  The readings are carried values, from the ``a``
+    rotated by each exchange, not from a fresh QR; a fresh QR of a basis
+    already recorded adds none.
 
     Each fresh QR is swept only if it ends the call; a run of exchanges
     starts on the unswept factor, shears only each exchanged pair, and is
@@ -234,19 +270,17 @@ def siegel_reduce(
     max_iter = 10 * n * n if max_iter is None else as_count(max_iter, "max_iter")
     _check_group_element(g)
 
-    m = [[0] * n for _ in range(n)]  # columns
-    for k in range(n):
-        m[k][k] = 1
-    m_inv = [col[:] for col in m]  # rows
+    m, first = _presorted(g)  # columns
+    # rows: a signed permutation's inverse is its transpose
+    m_inv = [col[:] for col in m]
     exchanges = 0
     t = MINIMAL_PARAMS.t
-    # m is still the identity at the first QR, which factors g itself
-    a, u = _coordinate_lists(g)
+    a, u = _coordinate_lists(first)
     refreshes = 1
     if potential_trace is not None:
         potential_trace.append(log_potential(a))
-    # the input g @ m of the latest later QR; the first QR's input may be the
-    # caller's own array, so it is never returned as sigma
+    # the input g @ m of the latest later QR; the first QR's gathered copy is
+    # never returned, so every sigma is a product g @ m
     h = None
     while True:
         i = _first_over(a, t, 0)

@@ -346,7 +346,9 @@ def test_explicit_zero_budget_is_honoured(tmp_path, capsys):
 
 def test_explicit_zero_max_iter_is_honoured(tmp_path, capsys):
     path = tmp_path / "m.json"
-    path.write_text(json.dumps(matrix_to_json_dict(np.diag([4.0, 0.25]))))
+    # columns already in norm order, so reducing it takes an exchange
+    g = np.diag([4.0, 0.25]) @ np.array([[1.0, 2.9], [0.0, 1.0]])
+    path.write_text(json.dumps(matrix_to_json_dict(g)))
     code, out, _ = run_cli(capsys, "reduce", "--input", str(path), "--max-iter", "0")
     assert code == 0
     doc = json.loads(out)["result"]

@@ -73,6 +73,14 @@ def test_jacobian_rejects_bad_input():
         conjugation_jacobian([2.0, 2.0])
 
 
+@pytest.mark.parametrize("a", [[], [1.0], 1.0, [[1.0, 1.0], [1.0, 1.0]]])
+def test_jacobian_takes_only_a_vector_of_length_two_or_more(a):
+    # no product over pairs exists below n = 2, and a scalar or a matrix is
+    # not a diagonal: each is refused by name, as siegel_density refuses b
+    with pytest.raises(InvalidArgumentError):
+        conjugation_jacobian(a)
+
+
 def test_jacobian_refuses_a_value_outside_the_float_range():
     # the log is +-921 at n = 2: exp overflows one way and underflows the other
     for a in ([1e200, 1e-200], [1e-200, 1e200]):

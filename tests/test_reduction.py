@@ -92,7 +92,8 @@ def test_potential_never_increases():
 
 
 def test_exchange_strictly_decreases_potential():
-    g = np.diag([4.0, 0.25])
+    # the columns are already in norm order, so the presort leaves an exchange
+    g = np.diag([4.0, 0.25]) @ np.array([[1.0, 2.9], [0.0, 1.0]])
     trace = []
     res = siegel_reduce(g, potential_trace=trace)
     assert res.iterations >= 1
@@ -113,10 +114,11 @@ def test_seeded_corpus_reduces(n):
 
 
 def test_budget_exhaustion_is_reported():
-    res = siegel_reduce(np.diag([8.0, 0.125]), max_iter=0)
+    g = np.diag([8.0, 0.125]) @ np.array([[1.0, 2.9], [0.0, 1.0]])
+    res = siegel_reduce(g, max_iter=0)
     assert res.status == STATUS_BUDGET_EXHAUSTED
     # the factorization invariant holds even on early exit
-    assert np.max(np.abs(res.sigma @ res.gamma.to_array() - np.diag([8.0, 0.125]))) <= 1e-9
+    assert np.max(np.abs(res.sigma @ res.gamma.to_array() - g)) <= 1e-9
 
 
 def test_non_unimodular_rejected():
@@ -248,11 +250,43 @@ def test_max_iter_must_be_a_nonnegative_integer(max_iter):
         siegel_reduce(np.diag([4.0, 0.25]), max_iter=max_iter)
 
 
+def assert_presorted(g):
+    """``reduction._presorted(g)`` gives a signed permutation ``m`` of
+    determinant +1 and ``first`` = g @ m exactly, its columns in
+    non-decreasing order of squared norm; returns the permutation order."""
+    m, first = reduction._presorted(g)
+    order = [next(j for j, x in enumerate(col) if x) for col in m]
+    assert sorted(order) == list(range(len(m)))
+    assert all(sum(map(abs, col)) == 1 for col in m)
+    assert UnimodularIntMatrix([list(row) for row in zip(*m)]).det() == 1
+    assert first is not g
+    assert np.array_equal(first, g @ _exact_float(m))
+    assert np.all(np.diff((first * first).sum(axis=0)) >= 0.0)
+    return order
+
+
+def test_presort_orders_columns_by_norm_with_a_signed_permutation():
+    # columns of squared norm 2, 1, 2: the tie keeps its order, and the one
+    # transposition is odd, so the first column of the sorted copy is negated
+    g = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    assert assert_presorted(g) == [1, 0, 2]
+    m, first = reduction._presorted(g)
+    assert m == [[0, -1, 0], [1, 0, 0], [0, 0, 1]]
+    assert np.array_equal(first, [[0.0, 1.0, 1.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    # equal norms everywhere: nothing moves, and the reduction leaves it
+    swapped = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    assert assert_presorted(swapped) == [0, 1, 2]
+    assert siegel_reduce(swapped).gamma.entries == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for n in range(2, 9):
+        for g in reduction_corpus(n, 7900 + n):
+            assert_presorted(g)
+
+
 def test_refreshes_count_the_fresh_qrs():
     # no exchange: the first QR already shows the reduced basis
     assert siegel_reduce(unit_upper_stack([7.3] * 3, 3)).refreshes == 1
     # an exchange is carried, so a fresh QR has to confirm the end
-    res = siegel_reduce(np.diag([4.0, 0.25]))
+    res = siegel_reduce(np.diag([4.0, 0.25]) @ np.array([[1.0, 2.9], [0.0, 1.0]]))
     assert res.iterations >= 1
     assert res.refreshes >= 2
     assert "refreshes" not in res.to_json_dict()
@@ -260,17 +294,18 @@ def test_refreshes_count_the_fresh_qrs():
 
 def fresh_qr_reduce(g, max_iter=None, p=P):
     """The reduction loop with one fresh R-only QR per round and a full
-    sweep after it: the reference the carried factor must reproduce.
-    Returns gamma, the exchange count, the status and sigma."""
+    sweep after it, from the same norm-ordered start: the reference the
+    carried factor must reproduce.  Returns gamma, the exchange count, the
+    status and sigma."""
     g = np.asarray(g, dtype=float)
     n = g.shape[0]
     if max_iter is None:
         max_iter = 10 * n * n
-    m = identity_columns(n)
-    m_inv = identity_columns(n)
+    m, h = reduction._presorted(g)
+    m_inv = [col[:] for col in m]
     exchanges = 0
     while True:
-        (a,), (u,) = _siegel_coordinates((g @ _exact_float(m))[None])
+        (a,), (u,) = _siegel_coordinates(h[None])
         _size_reduce(u.tolist(), m, m_inv)
         over = np.nonzero(b_from_a(a) > p.t)[0]
         if over.size == 0:
@@ -283,6 +318,7 @@ def fresh_qr_reduce(g, max_iter=None, p=P):
         m[i], m[i + 1] = m[i + 1], [-x for x in m[i]]
         m_inv[i], m_inv[i + 1] = m_inv[i + 1], [-x for x in m_inv[i]]
         exchanges += 1
+        h = g @ _exact_float(m)
     return UnimodularIntMatrix(m_inv), exchanges, status, g @ _exact_float(m)
 
 
