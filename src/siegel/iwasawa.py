@@ -442,16 +442,16 @@ def _coordinate_lists(g: np.ndarray) -> tuple[list[float], list[list[float]]]:
     the one rounded division of :func:`_factors_from_r`.
     """
     rows = np.linalg.qr(g, mode="raw")[0].T.tolist()
-    pivots = [row[i] for i, row in enumerate(rows)]
-    a = [abs(p) for p in pivots]
+    a = [abs(row[i]) for i, row in enumerate(rows)]
     if min(a) < SINGULAR_TOL:
         raise NonInvertibleError(f"column pivot {min(a):.3e} below {SINGULAR_TOL:.1e}")
     # x / x is exactly 1.0 and the strict lower triangle is exactly 0.0, so
     # both are written as constants; + 0.0 turns -0.0 into +0.0
-    return a, [
-        [0.0] * i + [1.0] + [x / p + 0.0 for x in row[i + 1:]]
-        for i, (row, p) in enumerate(zip(rows, pivots))
-    ]
+    u = []
+    for i, row in enumerate(rows):
+        p = row[i]
+        u.append([0.0] * i + [1.0] + [x / p + 0.0 for x in row[i + 1:]])
+    return a, u
 
 
 def decompose(g, *, check: bool = True) -> IwasawaFactors:
