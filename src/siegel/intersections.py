@@ -772,15 +772,10 @@ def find_witness(
     return _search([gamma], p, budget, [RngStream(0, 0) if rng is None else _as_stream(rng)])[0]
 
 
-def _primitive_rows(n: int, max_h: int) -> list[tuple[int, ...]]:
-    rows = []
-    for row in _iter_product(range(-max_h, max_h + 1), repeat=n):
-        g = 0
-        for x in row:
-            g = math.gcd(g, abs(x))
-        if g == 1:
-            rows.append(row)
-    return rows
+#: Largest box of integer matrices, (2 max_h + 1)^(n^2), that
+#: :func:`sl_candidates` walks; it bounds the loop's work, so a larger box
+#: could not finish.
+_MAX_CANDIDATE_BOX = 10**9
 
 
 def sl_candidates(n: int, max_h: int) -> list[UnimodularIntMatrix]:
@@ -789,12 +784,24 @@ def sl_candidates(n: int, max_h: int) -> list[UnimodularIntMatrix]:
 
     Rows with gcd != 1 can never appear in a determinant-1 matrix.  For
     each prefix of n - 1 primitive rows, ``det = x . c`` with ``c`` the
-    integer cofactor vector of the prefix, so the last rows are exactly
-    the primitive rows x with ``x . c == 1`` (none when the prefix is
-    rank-deficient and c vanishes).
+    integer cofactor vector of the prefix (the cofactor expansion along the
+    last row), so the last rows are exactly the primitive rows x with
+    ``x . c == 1``.  That exact expansion proves each determinant, so the
+    candidates are built unchecked.  A box of (2 max_h + 1)^(n^2) integer
+    matrices above ``_MAX_CANDIDATE_BOX`` raises
+    :class:`DimensionTooLargeError` before any row is built: at n = 3 the
+    full height cap of 81 would take years.
     """
     n = as_count(n, "n", least=2)
-    rows = _primitive_rows(n, as_count(max_h, "max_h"))
+    max_h = as_count(max_h, "max_h")
+    if (2 * max_h + 1) ** (n * n) > _MAX_CANDIDATE_BOX:
+        raise DimensionTooLargeError(
+            f"the candidate grid (2 max_h + 1)^(n^2) exceeds {_MAX_CANDIDATE_BOX}, "
+            f"got n = {n}, max_h = {max_h}"
+        )
+    rows = [
+        row for row in _iter_product(range(-max_h, max_h + 1), repeat=n) if math.gcd(*row) == 1
+    ]
     row_array = np.array(rows, dtype=np.int64).reshape(len(rows), n)
     out: list[UnimodularIntMatrix] = []
     for prefix in _iter_product(rows, repeat=n - 1):
@@ -802,10 +809,8 @@ def sl_candidates(n: int, max_h: int) -> list[UnimodularIntMatrix]:
             (-1) ** (n - 1 + j) * _bareiss_det([r[:j] + r[j + 1:] for r in prefix])
             for j in range(n)
         ]
-        if not any(c):
-            continue
         for i in np.flatnonzero(row_array @ np.array(c, dtype=np.int64) == 1):
-            out.append(UnimodularIntMatrix(prefix + (rows[i],)))
+            out.append(UnimodularIntMatrix._trusted(prefix + (rows[i],)))
     return out
 
 
@@ -836,8 +841,9 @@ def enumerate_intersections(
     ratio behind ``lower_bound``.  Candidates are exactly the SL(n,Z)
     elements with height at most the largest integer the height bound
     admits, isqrt(n^(n^2-1)) (overridable via
-    ``max_height``; at n = 3 the full bound is 81 and the exhaustive grid
-    is astronomically large, so practical runs cap it).  Each candidate
+    ``max_height``).  At n = 3 that bound is 81, whose grid
+    :func:`sl_candidates` refuses with :class:`DimensionTooLargeError`, so
+    n = 3 needs a ``max_height`` of at most 4.  Each candidate
     owns the stream (seed, candidate_index), so reports are deterministic.
     The candidates are searched in lockstep, and each report equals
     ``find_witness(gamma, MINIMAL_PARAMS, budget_per_candidate,

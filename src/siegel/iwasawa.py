@@ -282,8 +282,11 @@ class UnimodularIntMatrix:
 
     @classmethod
     def _trusted(cls, rows: list[list[int]]) -> UnimodularIntMatrix:
-        """Wrap rows of Python ints already known to have determinant +1
-        (a product of exact det +1 moves), with no conversion or check."""
+        """Wrap rows of Python ints already proved to have determinant +1,
+        with no conversion or check.  Each caller states its proof: a
+        product of exact det +1 moves (:func:`siegel.reduction.siegel_reduce`)
+        or a cofactor expansion equal to 1
+        (:func:`siegel.intersections.sl_candidates`)."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "entries", tuple(map(tuple, rows)))
         return obj
@@ -318,7 +321,14 @@ def matrix_to_json_dict(g: np.ndarray) -> dict:
 def matrix_from_json_dict(obj: dict) -> np.ndarray:
     """The (n, n) float matrix of ``{"n": n, "entries": [...]}``, entries
     row-major; ``n`` is held to :func:`as_count` and the entries to the
-    real-number rule of every matrix argument."""
+    real-number rule of every matrix argument.  A document that is not an
+    object, or lacks ``n`` or ``entries``, raises
+    :class:`InvalidArgumentError`."""
+    if not isinstance(obj, dict):
+        raise InvalidArgumentError(f"a matrix document must be an object, got {type(obj).__name__}")
+    missing = sorted({"n", "entries"} - obj.keys())
+    if missing:
+        raise InvalidArgumentError(f"a matrix document needs n and entries, missing {missing}")
     n = as_count(obj["n"], "n", least=2)
     flat = _real_array(obj["entries"])
     if flat.size != n * n:

@@ -129,11 +129,23 @@ def test_computation_error_exit_code(tmp_path, capsys):
     {"n": 2.9, "entries": ["1", 0, 0, "1"]},  # was read as the 2x2 identity
     {"n": 2, "entries": ["1", 0, 0, "1"]},
     {"n": 2.0, "entries": [1.0, 0.0, 0.0, 1.0]},
+    [1, 2],  # these three were a traceback, the last a KeyError
+    "x",
+    None,
+    {"n": 2},
 ])
 def test_decompose_refuses_a_malformed_matrix_file(tmp_path, capsys, doc):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "decompose", "--input", str(path))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "InvalidArgumentError"
+
+
+def test_reduce_refuses_a_matrix_document_that_is_not_an_object(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps([1.0, 0.0, 0.0, 1.0]))
+    code, out, err = run_cli(capsys, "reduce", "--input", str(path))
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "InvalidArgumentError"
 
@@ -178,6 +190,14 @@ def test_enumerate_without_candidates_prints_only_the_summary(capsys):
     assert code == 0
     assert out.count("\n") == 1
     assert json.loads(out)["summary"]["candidates"] == 0
+
+
+def test_enumerate_n3_without_a_height_cap_is_refused(capsys):
+    # the default n = 3 cap of 81 spans a grid that could not finish
+    code, out, err = run_cli(capsys, "enumerate-intersections", "--n", "3")
+    assert code == 1 and out == ""
+    err = json.loads(err)
+    assert err["error"] == "DimensionTooLargeError" and "max_h = 81" in err["message"]
 
 
 def test_load_config_defaults_and_overrides(tmp_path):

@@ -259,6 +259,20 @@ def package_callers(callee: str) -> set[str]:
     }
 
 
+def test_every_unchecked_constructor_call_has_a_stated_proof():
+    # _trusted skips the validation of its class: SymbolicVolume's three
+    # callers keep canonical form, and UnimodularIntMatrix's two prove
+    # det = +1, by a product of det +1 moves and by a cofactor expansion
+    # equal to 1; a new caller must state what proves its determinant
+    assert package_callers("_trusted") == {
+        "volumes.SymbolicVolume._combine",
+        "volumes.SymbolicVolume.__pow__",
+        "volumes._formula",
+        "reduction.siegel_reduce",
+        "intersections.sl_candidates",
+    }
+
+
 def test_one_path_each_from_log_space_and_from_exact_integers_into_floats():
     # a log-space result becomes a float only through iwasawa._finite_exp,
     # and an exact integer matrix only through iwasawa._exact_floats

@@ -474,6 +474,47 @@ def test_candidate_enumeration_n3_small_cap():
     assert len(cands) == len(brute) == 3480
 
 
+def test_candidate_enumeration_n3_cap2_matches_the_triple_product():
+    # the candidates are built unchecked, so an independent int64 brute
+    # force over all 5^3 rows pins them: keep (a, b, c) where
+    # a . (b x c) == 1, in lexicographic order
+    rows = np.array(list(itertools.product(range(-2, 3), repeat=3)), dtype=np.int64)
+    b, c = np.repeat(rows, len(rows), axis=0), np.tile(rows, (len(rows), 1))
+    det = rows @ np.cross(b, c).T
+    brute = [
+        (tuple(rows[i]), tuple(b[j]), tuple(c[j])) for i, j in np.argwhere(det == 1)
+    ]
+    cands = sl_candidates(3, 2)
+    assert len(cands) == 67704
+    assert [c.entries for c in cands] == brute
+
+
+@pytest.mark.parametrize("n, max_h", [(2, 5), (3, 2)])
+def test_unchecked_candidates_are_exact_unimodular(n, max_h):
+    for gamma in sl_candidates(n, max_h):
+        assert all(type(x) is int for row in gamma.entries for x in row)
+        assert UnimodularIntMatrix(gamma.entries).det() == 1
+
+
+def test_candidate_grid_that_cannot_finish_is_refused_before_any_row(monkeypatch):
+    # (2 max_h + 1)^(n^2) bounds the work: 177^4 is under the limit, 179^4
+    # and 11^9 are over, and so is the default n = 3 cap of 81
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(intersections, "_iter_product", no_rows)
+    for call in (
+        lambda: sl_candidates(3, 81),
+        lambda: sl_candidates(3, 5),
+        lambda: sl_candidates(2, 89),
+        lambda: enumerate_intersections(3),
+    ):
+        with pytest.raises(DimensionTooLargeError, match="max_h"):
+            call()
+    with pytest.raises(AssertionError, match="a row was built"):
+        sl_candidates(2, 88)
+
+
 def test_enumerate_intersections_n2():
     reports, summary = enumerate_intersections(
         2, budget_per_candidate=150, rng=RngStream(2024)
