@@ -479,14 +479,14 @@ def test_candidate_enumeration_n3_cap2_matches_the_triple_product():
     # force over all 5^3 rows pins them: keep (a, b, c) where
     # a . (b x c) == 1, in lexicographic order
     rows = np.array(list(itertools.product(range(-2, 3), repeat=3)), dtype=np.int64)
-    b, c = np.repeat(rows, len(rows), axis=0), np.tile(rows, (len(rows), 1))
-    det = rows @ np.cross(b, c).T
+    mid, last = np.repeat(rows, len(rows), axis=0), np.tile(rows, (len(rows), 1))
+    det = rows @ np.cross(mid, last).T
     brute = [
-        (tuple(rows[i]), tuple(b[j]), tuple(c[j])) for i, j in np.argwhere(det == 1)
+        (tuple(rows[i]), tuple(mid[j]), tuple(last[j])) for i, j in np.argwhere(det == 1)
     ]
     cands = sl_candidates(3, 2)
     assert len(cands) == 67704
-    assert [c.entries for c in cands] == brute
+    assert [gamma.entries for gamma in cands] == brute
 
 
 @pytest.mark.parametrize("n, max_h", [(2, 5), (3, 2)])
