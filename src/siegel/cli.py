@@ -262,7 +262,7 @@ def _cmd_sample(args, config: RunConfig) -> dict:
             raise MalformedConfigError("--count must be >= 1")
     result: dict = {"what": args.what, "n": args.n, "count": count}
     if args.what == "rotation":
-        batch = sample_haar_so_batch(args.n, count, stream.generator())
+        batch = sample_haar_so_batch(args.n, count, stream)
         result["samples"] = [matrix_to_json_dict(q) for q in batch]
     elif args.what == "point":
         b_min = args.b_min if args.b_min is not None else p.t * DEFAULT_B_MIN_FRACTION

@@ -10,11 +10,12 @@ turns ``dx dy / y^2`` into ``du_12 dy / y``.  In the ratio coordinates
 ``b[i] = a[i]/a[i+1]`` the Jacobian becomes ``prod b[i]**(i*(n-i))`` and
 the full integrand over the diagonal block is
 ``(1/2) * prod b[i]**(i*(n-i)-1)``.  This module evaluates those kernels,
-builds ``s = k @ diag(a) @ u`` from coordinates by one formula
-(:func:`group_elements`), samples Haar-uniform rotations and stacks of
-Siegel coordinate points, and provides two independent numerical
-integrators (product Gauss-Legendre quadrature and importance-sampled Monte
-Carlo) for the diagonal-block integral.
+builds ``s = k @ diag(a) @ u`` from coordinates (:func:`group_elements`,
+through the one product of the factors,
+``siegel.iwasawa._group_elements_from_a``), samples Haar-uniform rotations
+and stacks of Siegel coordinate points, and provides two independent
+numerical integrators (product Gauss-Legendre quadrature and
+importance-sampled Monte Carlo) for the diagonal-block integral.
 
 A sampled point reports the log of its importance weight under the
 log-uniform proposal, ``log(b) @ e`` with ``e[i] = i*(n-i)``; the Monte Carlo
@@ -44,6 +45,7 @@ from .iwasawa import (
     DET_TOL,
     SiegelParams,
     _finite_exp,
+    _group_elements_from_a,
     _is_real,
     _real_array,
     _siegel_bound,
@@ -54,9 +56,6 @@ from .iwasawa import (
     unit_upper_stack,
 )
 
-_MASK64 = (1 << 64) - 1
-
-
 @dataclass(frozen=True)
 class RngStream:
     """Reproducible random stream keyed by (seed, stream_index).
@@ -64,8 +63,10 @@ class RngStream:
     Identical keys always produce bitwise-identical draws; distinct
     stream indices give statistically independent streams, which is what
     per-candidate sampling uses.  Both keys are integers by
-    :func:`~siegel.iwasawa.is_int`, checked at construction
-    (:class:`InvalidArgumentError` otherwise) and stored as Python ints.
+    :func:`~siegel.iwasawa.is_int` in [0, 2**64), the range of numpy's
+    seed words, checked at construction (:class:`InvalidArgumentError`
+    otherwise, rather than fold two seeds onto one stream) and stored as
+    Python ints.
     """
 
     seed: int
@@ -74,14 +75,14 @@ class RngStream:
     def __post_init__(self):
         for name in ("seed", "stream_index"):
             value = getattr(self, name)
-            if not is_int(value):
-                raise InvalidArgumentError(f"RngStream {name} must be an integer, got {value!r}")
+            if not (is_int(value) and 0 <= value < 2**64):
+                raise InvalidArgumentError(
+                    f"RngStream {name} must be an integer in [0, 2**64), got {value!r}"
+                )
             object.__setattr__(self, name, int(value))
 
     def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(
-            entropy=self.seed & _MASK64, spawn_key=(self.stream_index & _MASK64,)
-        )
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_index,))
         return np.random.default_rng(ss)
 
 
@@ -185,12 +186,6 @@ def group_elements(b, u, k) -> np.ndarray:
     coordinates ``b`` (..., n-1), ``u`` and ``k`` (..., n, n); the three
     broadcast, so a stack in any of them gives a stack of elements."""
     return _group_elements_from_a(k, a_from_b(b), u)
-
-
-def _group_elements_from_a(k, a, u) -> np.ndarray:
-    """``s = k @ diag(a) @ u`` for the diagonal ``a`` (..., n) itself, for
-    callers that hold ``a`` already; broadcasts as :func:`group_elements`."""
-    return k @ (a[..., None] * u)
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product as _iter_product
@@ -73,7 +74,6 @@ from .haar import (
     _assemble_block,
     _block_log_lows,
     _draw_block,
-    _group_elements_from_a,
     group_elements,
 )
 from .iwasawa import (
@@ -83,6 +83,7 @@ from .iwasawa import (
     _bareiss_det,
     _check_tolerance,
     _finite_exp,
+    _group_elements_from_a,
     _siegel_coordinates,
     _strict_upper_indices,
     a_from_b,
@@ -162,7 +163,7 @@ def height_bound_variants(n: int) -> dict[str, float]:
     """All published forms of the bound, keyed by their exponent of sqrt(n)."""
     return {
         "exponent_n2_minus_1": height_bound(n),
-        "exponent_n2_minus_n": math.exp((n * n - n) / 2.0 * math.log(n)),
+        "exponent_n2_minus_n": _finite_exp((n * n - n) / 2.0 * math.log(n), f"sqrt({n})^(n^2 - n)"),
     }
 
 
@@ -866,13 +867,9 @@ def enumerate_intersections(
         budget_per_candidate,
         [RngStream(rng.seed, idx) for idx in range(len(candidates))],
     )
-    counts = {
-        STATUS_WITNESSED: sum(r.status == STATUS_WITNESSED for r in reports),
-        STATUS_EXCLUDED: sum(r.status == STATUS_EXCLUDED for r in reports),
-        STATUS_UNKNOWN: sum(r.status == STATUS_UNKNOWN for r in reports),
-    }
+    counts = Counter(r.status for r in reports)
     log_lower, log_upper = count_bounds(n)
-    lower_bound = math.ceil(math.exp(log_lower))
+    lower_bound = math.ceil(_finite_exp(log_lower, f"the lower bound C({n})"))
     summary = {
         "n": n,
         "candidates": len(candidates),

@@ -7,6 +7,9 @@ the three groups intersect trivially, so the factors are unique).  The
 successive ratios ``b[i] = a[i] / a[i+1]`` are the natural coordinates on
 the diagonal part: the Siegel set with parameters ``(t, lam)`` is the set
 of ``g`` whose factors satisfy ``b[i] <= t`` and ``|u[i, j]| <= lam``.
+The product ``k @ diag(a) @ u`` itself is formed in one place,
+``_group_elements_from_a``, for the factors here and for the coordinate
+points of :mod:`siegel.haar`.
 
 Only :func:`decompose` forms ``k``.  Membership, the reduction and the
 inequality chain read ``(a, u)`` alone, so they share one private kernel:
@@ -184,31 +187,28 @@ def _real_array(g) -> np.ndarray:
     return arr.astype(float, copy=False)
 
 
-def as_square_matrix(g) -> np.ndarray:
-    """Validate and return ``g`` as an (n, n) float array with finite entries."""
-    arr = _real_array(g)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise InvalidArgumentError(f"expected a square matrix, got shape {arr.shape}")
-    if arr.shape[0] < 2:
-        raise InvalidArgumentError(f"dimension must be >= 2, got {arr.shape[0]}")
+def _square_matrices(arr: np.ndarray, ndim: int) -> np.ndarray:
+    """``arr``, a real array by :func:`_real_array`, held to the one rule of
+    both matrix readers: ``ndim`` axes, the last two square of dimension
+    n >= 2, every entry finite."""
+    if arr.ndim != ndim or arr.shape[-1] != arr.shape[-2] or arr.shape[-1] < 2:
+        what = "a square matrix" if ndim == 2 else "a stack of square matrices"
+        raise InvalidArgumentError(f"expected {what} of dimension >= 2, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise InvalidArgumentError("matrix entries must be finite")
     return arr
+
+
+def as_square_matrix(g) -> np.ndarray:
+    """Validate and return ``g`` as an (n, n) float array with finite entries."""
+    return _square_matrices(_real_array(g), 2)
 
 
 def as_matrix_stack(g) -> np.ndarray:
     """Validate ``g`` as an (m, n, n) float stack with finite entries; a
     single (n, n) matrix is returned as the stack of one."""
     arr = _real_array(g)
-    if arr.ndim != 3:
-        return as_square_matrix(arr)[None]
-    if arr.shape[1] != arr.shape[2] or arr.shape[1] < 2:
-        raise InvalidArgumentError(
-            f"expected a stack of square matrices of dimension >= 2, got shape {arr.shape}"
-        )
-    if not np.isfinite(arr).all():
-        raise InvalidArgumentError("matrix entries must be finite")
-    return arr
+    return _square_matrices(arr, 3) if arr.ndim == 3 else _square_matrices(arr, 2)[None]
 
 
 def is_int(value) -> bool:
@@ -361,6 +361,13 @@ def a_from_b(b: np.ndarray) -> np.ndarray:
     return np.exp(log_a, out=log_a)
 
 
+def _group_elements_from_a(k, a, u) -> np.ndarray:
+    """``k @ diag(a) @ u`` for the diagonal ``a`` (..., n) itself, the one
+    product of the three factors; ``k`` and ``u`` (..., n, n) and ``a``
+    broadcast, so a stack in any of them gives a stack of elements."""
+    return k @ (a[..., None] * u)
+
+
 @dataclass(frozen=True)
 class IwasawaFactors:
     """Factors of ``g = k @ diag(a) @ u`` (k-left order).
@@ -382,7 +389,7 @@ class IwasawaFactors:
         return b_from_a(self.a)
 
     def reconstruct(self) -> np.ndarray:
-        return self.k @ (self.a[:, None] * self.u)
+        return _group_elements_from_a(self.k, self.a, self.u)
 
     def max_errors(self, source: np.ndarray) -> dict:
         """Invariant residuals: orthogonality, det(k), prod(a), reconstruction
@@ -491,7 +498,13 @@ def membership_excess(g, p: SiegelParams, *, check: bool = True):
     matrix of the stack.
     """
     g = _real_array(g)
-    stack = as_matrix_stack(g)
+    excess = _stack_excess(as_matrix_stack(g), p, check)
+    return float(excess[0]) if g.ndim == 2 else excess
+
+
+def _stack_excess(stack: np.ndarray, p: SiegelParams, check: bool) -> np.ndarray:
+    """The excesses of :func:`membership_excess` for a validated (m, n, n)
+    stack."""
     if check:
         _check_group_element(stack)
     a, u = _siegel_coordinates(stack)
@@ -500,8 +513,7 @@ def membership_excess(g, p: SiegelParams, *, check: bool = True):
     # never exceed an |u| entry
     excess_b = b_from_a(a).max(axis=-1) - p.t
     excess_u = (np.abs(u) - np.eye(u.shape[-1])).max(axis=(-2, -1)) - p.lam
-    excess = np.maximum(excess_b, excess_u)
-    return float(excess[0]) if g.ndim == 2 else excess
+    return np.maximum(excess_b, excess_u)
 
 
 def siegel_membership(g, p: SiegelParams, tol: float, *, check: bool = True) -> str:
@@ -519,7 +531,7 @@ def siegel_membership(g, p: SiegelParams, tol: float, *, check: bool = True) -> 
             f"siegel_membership classifies one (n, n) matrix, got shape {g.shape}; "
             "membership_excess scores a stack"
         )
-    excess = membership_excess(g, p, check=check)
+    excess = _stack_excess(_square_matrices(g, 2)[None], p, check)[0]
     if excess <= -tol:
         return MEMBERSHIP_INSIDE
     if excess > tol:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -685,15 +685,14 @@ def growth_table(n_max: int) -> list[GrowthRow]:
     return [GrowthRow(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
-GROWTH_CSV_HEADER = "n,log_vol_siegel,log_vol_quotient,log_C,log_height_bound"
+_GROWTH_FIELDS = tuple(f.name for f in fields(GrowthRow))
+GROWTH_CSV_HEADER = ",".join(_GROWTH_FIELDS)
 
 
 def growth_table_csv(rows: list[GrowthRow]) -> str:
-    """CSV with 17 significant digits (binary64 round-trip exact)."""
+    """CSV of the :class:`GrowthRow` fields, each with 17 significant digits
+    (binary64 round-trip exact; the integer ``n`` prints as itself)."""
     lines = [GROWTH_CSV_HEADER]
     for r in rows:
-        lines.append(
-            "%d,%.17g,%.17g,%.17g,%.17g"
-            % (r.n, r.log_vol_siegel, r.log_vol_quotient, r.log_C, r.log_height_bound)
-        )
+        lines.append(",".join("%.17g" % getattr(r, name) for name in _GROWTH_FIELDS))
     return "\n".join(lines) + "\n"

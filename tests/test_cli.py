@@ -582,6 +582,15 @@ def test_rotation_samples_are_sequential_haar_draws(capsys):
     assert json.loads(out)["result"]["samples"] == expected
 
 
+@pytest.mark.parametrize("seed", [str(2**64), "-1"])
+def test_sample_refuses_a_seed_outside_the_seed_words(capsys, seed):
+    # 2**64 drew the samples of seed 0, and -1 those of 2**64 - 1, each
+    # echoing its own seed
+    code, out, err = run_cli(capsys, "sample", "--what", "rotation", "--n", "2", "--seed", seed)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "InvalidArgumentError"
+
+
 def test_report_lines_are_reports_to_jsonl_byte_for_byte(capsys):
     # a replay of the search may rebuild the CLI's report lines from the
     # library; every JSON document the CLI writes has the one compact layout

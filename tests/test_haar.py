@@ -148,6 +148,22 @@ def test_rng_stream_keys_take_the_integer_rule(keys):
         RngStream(*keys)
 
 
+@pytest.mark.parametrize("keys", [(2**64,), (-1,), (0, 2**64), (0, -1), (np.int64(-1),)])
+def test_rng_stream_keys_outside_the_seed_words_are_refused(keys):
+    # numpy seeds from 64-bit words: a key outside [0, 2**64) would be folded
+    # onto one inside it, RngStream(2**64) drawing as RngStream(0)
+    with pytest.raises(InvalidArgumentError, match=r"\[0, 2\*\*64\)"):
+        RngStream(*keys)
+
+
+def test_rng_stream_keys_span_the_seed_words():
+    # the largest key is taken as it is, not folded onto another
+    last = 2**64 - 1
+    draw = RngStream(last, last).generator().random()
+    assert draw == RngStream(np.uint64(last), last).generator().random()
+    assert draw != RngStream(0, last).generator().random()
+
+
 def test_rng_stream_keys_may_be_numpy_integers():
     stream = RngStream(np.int64(7), np.int32(3))
     assert (type(stream.seed), type(stream.stream_index)) == (int, int)

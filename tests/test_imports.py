@@ -175,6 +175,57 @@ def test_only_iwasawa_states_the_canonical_t(path):
     assert sqrt3_computations(path.read_text(encoding="utf-8")) == []
 
 
+def diagonal_products(source: str) -> list[str]:
+    """Qualified names of the functions that form ``x @ (d[..., None] * y)``:
+    a matrix product with a diagonal, broadcast by a ``None`` axis, scaling
+    the rows of the right factor."""
+
+    def scaled_rows(node):
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)):
+            return False
+        index = getattr(node.left, "slice", None)
+        parts = index.elts if isinstance(index, ast.Tuple) else [index]
+        return any(isinstance(p, ast.Constant) and p.value is None for p in parts)
+
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.BinOp) and isinstance(child.op, ast.MatMult):
+                if scaled_rows(child.right):
+                    found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_scan_flags_a_diagonal_product():
+    source = (
+        "x = k @ (a[..., None] * u)\n"
+        "def f(k, a, u):\n    return k @ (a[:, None] * u)\n"
+        "def g(k, a, u):\n    return k @ (a * u) + (a[:, None] * u) @ k\n"
+    )
+    assert diagonal_products(source) == ["<module>", "f"]
+
+
+def test_only_iwasawa_forms_k_diag_a_u():
+    # g = k @ diag(a) @ u is formed in one place, iwasawa._group_elements_from_a;
+    # the factors' reconstruction and haar's coordinate points call it
+    found = {
+        f"{module}.{name}"
+        for module, text in package_modules().items()
+        for name in diagonal_products(text)
+    }
+    assert found == {"iwasawa._group_elements_from_a"}
+    assert {"iwasawa.IwasawaFactors.reconstruct", "haar.group_elements"} <= package_callers(
+        "_group_elements_from_a"
+    )
+
+
 def small_case_comparisons(source: str) -> list[int]:
     """Lines that compare the bare name ``n`` or ``M`` with an integer
     literal, as a builder does when it special-cases a small dimension."""
@@ -280,6 +331,8 @@ def test_one_path_each_from_log_space_and_from_exact_integers_into_floats():
         "haar.conjugation_jacobian",
         "haar.siegel_density",
         "intersections.height_bound",
+        "intersections.height_bound_variants",
+        "intersections.enumerate_intersections",
     }
     assert package_callers("_exact_floats") == {
         "iwasawa.UnimodularIntMatrix.to_array",

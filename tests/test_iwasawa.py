@@ -447,11 +447,57 @@ _NOT_REAL = {
     lambda g: membership_excess(g, MINIMAL_PARAMS),
     lambda g: membership_excess([g, g], MINIMAL_PARAMS),
     lambda g: membership_excess(g, MINIMAL_PARAMS, check=False),
-], ids=["siegel_reduce", "decompose", "membership_excess", "membership_stack", "unchecked"])
+    lambda g: as_square_matrix(g),
+    lambda g: as_matrix_stack(g),
+    lambda g: as_matrix_stack([g, g]),
+], ids=["siegel_reduce", "decompose", "membership_excess", "membership_stack", "unchecked",
+        "as_square_matrix", "as_matrix_stack", "as_matrix_stack_of_two"])
 @pytest.mark.parametrize("kind", list(_NOT_REAL))
 def test_matrix_entries_must_be_real_numbers(call, kind):
     with pytest.raises(InvalidArgumentError):
         call(_NOT_REAL[kind])
+
+
+#: real arrays both matrix readers refuse by their one shape and entry rule
+_MALFORMED = {
+    "scalar": 1.0,
+    "vector": [1.0, 1.0],
+    "not square": np.ones((2, 3)),
+    "one by one": [[1.0]],
+    "nan": [[math.nan, 0.0], [0.0, 1.0]],
+    "inf": [[1.0, math.inf], [0.0, 1.0]],
+    "stack not square": np.ones((2, 2, 3)),
+    "stack of one by one": np.ones((2, 1, 1)),
+    "stack with nan": np.array([np.eye(2), [[1.0, math.nan], [0.0, 1.0]]]),
+    "four axes": np.ones((1, 2, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("kind", list(_MALFORMED))
+def test_both_matrix_readers_hold_one_rule(kind):
+    g = _MALFORMED[kind]
+    with pytest.raises(InvalidArgumentError):
+        as_matrix_stack(g)
+    with pytest.raises(InvalidArgumentError):
+        as_square_matrix(g)
+
+
+def test_each_membership_call_reads_and_checks_its_matrix_once(monkeypatch):
+    # siegel_membership and membership_excess convert and check their matrix
+    # once, not once per layer they pass it through
+    calls = {"_real_array": 0, "_square_matrices": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(iwasawa, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(iwasawa, name, counted)
+    g = [[1.0, 0.4], [0.0, 1.0]]
+    assert siegel_membership(g, MINIMAL_PARAMS, 1e-9) == "inside"
+    assert calls == {"_real_array": 1, "_square_matrices": 1}
+    for arg in (g, [g, g]):
+        calls.update(dict.fromkeys(calls, 0))
+        membership_excess(arg, MINIMAL_PARAMS)
+        assert calls["_square_matrices"] == 1
 
 
 def test_ragged_stack_is_refused():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 from fractions import Fraction
@@ -17,6 +18,7 @@ from siegel.volumes import (
     _ZETA,
     _ZETA_IS_ONE,
     GROWTH_CSV_HEADER,
+    GrowthRow,
     SymbolicVolume,
     compare_normalization_forms,
     compare_quotient_forms,
@@ -813,6 +815,17 @@ def test_growth_table_csv_shape():
     # 17-significant-digit floats round-trip
     val = float(lines[1].split(",")[1])
     assert val == growth_table(5)[0].log_vol_siegel
+
+
+def test_growth_csv_columns_are_the_row_fields():
+    # the header and every row follow the GrowthRow fields, in their order,
+    # and each row reads back as the row it was written from
+    rows = growth_table(60)
+    header, *lines = growth_table_csv(rows).splitlines()
+    assert header.split(",") == [f.name for f in dataclasses.fields(GrowthRow)]
+    for row, line in zip(rows, lines, strict=True):
+        n, *logs = line.split(",")
+        assert GrowthRow(int(n), *map(float, logs)) == row
 
 
 def test_growth_table_matches_symbolic_rows_to_1e12():
