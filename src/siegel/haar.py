@@ -87,19 +87,12 @@ class RngStream:
 
 
 def _as_stream(rng) -> RngStream:
-    """``rng`` if it is an :class:`RngStream`: a search or an estimate that
-    reports its seed takes a stream, not a bare generator."""
+    """``rng`` if it is an :class:`RngStream`: every seeded call of the
+    package, sampler, estimate or search, takes a stream, not a bare
+    generator, so each result is reproduced from the key it was drawn by."""
     if not isinstance(rng, RngStream):
         raise InvalidArgumentError(f"expected RngStream, got {type(rng)}")
     return rng
-
-
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise InvalidArgumentError(f"expected RngStream or numpy Generator, got {type(rng)}")
 
 
 def conjugation_jacobian(a) -> float:
@@ -146,9 +139,13 @@ def siegel_density(b) -> float:
 
     Raises ``ToleranceNotMetError`` where the value leaves the float range
     (0 or not finite), as it does for typical points from n = 20 on; a
-    point's ``log_weight`` holds the same information in log space.
+    point's ``log_weight`` holds the same information in log space.  ``b``
+    must be a vector, as ``a`` of :func:`conjugation_jacobian` must, else
+    :class:`InvalidArgumentError`.
     """
-    b = _real_array(b).ravel()
+    b = _real_array(b)
+    if b.ndim != 1:
+        raise InvalidArgumentError(f"b must be a vector, got shape {b.shape}")
     if np.any(b <= 0.0) or not np.all(np.isfinite(b)):
         raise NonPositiveEntryError("all ratio coordinates must be positive")
     n = b.size + 1
@@ -161,12 +158,13 @@ def sample_haar_so_batch(n: int, size: int, rng) -> np.ndarray:
     QR of iid standard normals, rescaled so the triangular factor has a
     positive diagonal (Haar on O(n)); when det = -1 the last column is
     negated, which maps the reflection component onto SO(n) preserving
-    the measure.
+    the measure.  ``rng`` is an :class:`RngStream`, else
+    :class:`InvalidArgumentError`; each call draws from the start of its
+    stream, so the stack is a function of ``(n, size, rng)``.
     """
     n = as_count(n, "n", least=2)
     size = as_count(size, "size")
-    gen = _as_generator(rng)
-    return _haar_so_from_normals(gen.standard_normal((size, n, n)))
+    return _haar_so_from_normals(_as_stream(rng).generator().standard_normal((size, n, n)))
 
 
 def _haar_so_from_normals(z: np.ndarray) -> np.ndarray:
@@ -260,11 +258,13 @@ def sample_siegel_block(n: int, p: SiegelParams, b_lows, rng) -> SiegelCoordinat
     log b, then all m*n(n-1)/2 u entries, then the m*n*n normals of the
     rotations, each row-major.  So the points depend on m, not only on the
     stream: a block of m is not m blocks of one.  The Haar QR and sign fix
-    run once on the whole stack.
+    run once on the whole stack.  ``rng`` is an :class:`RngStream`, else
+    :class:`InvalidArgumentError`, and each call draws from the start of
+    its stream, as :func:`sample_haar_so_batch` does.
     """
     n = as_count(n, "n", least=2)
     log_lows = _block_log_lows(p, b_lows)
-    return _assemble_block(*_draw_block(n, p, log_lows, _as_generator(rng)))
+    return _assemble_block(*_draw_block(n, p, log_lows, _as_stream(rng).generator()))
 
 
 # The non-negative halves of the 64- and 32-node Gauss-Legendre rules on

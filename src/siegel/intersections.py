@@ -844,19 +844,25 @@ def enumerate_intersections(
     admits, isqrt(n^(n^2-1)) (overridable via
     ``max_height``).  At n = 3 that bound is 81, whose grid
     :func:`sl_candidates` refuses with :class:`DimensionTooLargeError`, so
-    n = 3 needs a ``max_height`` of at most 4.  Each candidate
-    owns the stream (seed, candidate_index), so reports are deterministic.
-    The candidates are searched in lockstep, and each report equals
-    ``find_witness(gamma, MINIMAL_PARAMS, budget_per_candidate,
-    RngStream(seed, candidate_index))`` byte for byte.  An ``rng`` that is
-    not an :class:`~siegel.haar.RngStream` raises
-    :class:`InvalidArgumentError`.
+    n = 3 needs a ``max_height`` of at most 4.
+
+    The stream rule: ``rng`` is an :class:`~siegel.haar.RngStream` with
+    ``stream_index`` 0 (``RngStream(0)`` when omitted), and candidate i
+    owns the stream (seed, i), so reports are deterministic and every key
+    of ``rng`` takes effect.  A bare generator, or a stream with a nonzero
+    index, which the candidates' own indices would override, raises
+    :class:`InvalidArgumentError`.  The candidates are searched in
+    lockstep, and each report equals ``find_witness(gamma, MINIMAL_PARAMS,
+    budget_per_candidate, RngStream(seed, candidate_index))`` byte for
+    byte.
     """
     n = as_count(n, "n", least=2)
     if n > 3:
         raise DimensionTooLargeError("exhaustive enumeration is desk-scale only (n <= 3)")
     budget_per_candidate = as_count(budget_per_candidate, "budget_per_candidate")
     rng = RngStream(0, 0) if rng is None else _as_stream(rng)
+    if rng.stream_index:
+        raise InvalidArgumentError(f"rng must have stream_index 0, got {rng.stream_index}")
     if max_height is None:
         max_height = _height_cap(n)
     cap = as_count(max_height, "max_height")

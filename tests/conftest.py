@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from siegel import iwasawa
+from siegel.haar import RngStream
 from siegel.iwasawa import UnimodularIntMatrix
 from siegel.volumes import SymbolicVolume
 
@@ -120,6 +121,20 @@ def vol_so_recursive(n: int) -> SymbolicVolume:
     for m in range(2, n + 1):
         out = out * SymbolicVolume(pow2=Fraction(m - 1, 2)) * sphere_volume(m - 1)
     return out
+
+
+class SharedStream(RngStream):
+    """An :class:`RngStream` whose every ``generator()`` call hands out the
+    one generator ``gen``, so calls that each draw from the start of their
+    stream draw one after another from ``gen`` instead: the sequential draws
+    a test replays, or the calls a counting generator records."""
+
+    def __init__(self, gen: np.random.Generator):
+        super().__init__(0)
+        object.__setattr__(self, "gen", gen)
+
+    def generator(self) -> np.random.Generator:
+        return self.gen
 
 
 @pytest.fixture

@@ -245,9 +245,12 @@ def test_criterion_08_growth_asymptotics():
     assert positive and increasing
     assert bounds_ok
     assert timing_ok
-    # At n = 1000 the true gap is ~9.7%: the n^2 log n corrections are
-    # still 10% of the n^3 term there and first fall under 6% at
-    # n = 1710.  The band is asserted as stated and fails honestly.
+    # At n = 1000 the true gap is ~9.7%: by the expansion of log C(n)
+    # (log_C_expansion in test_volumes.py, checked against this table for
+    # n = 50..2000 to within 1/(480 n^2) plus rounding), the terms after
+    # c3 n^3, led by n^2 ln n / 4 + (ln 2 + ln(pi)/4 - 3/8) n^2, are still
+    # 9.7% of it there and first fall under 6% at n = 1710.  The band is
+    # asserted as stated and fails honestly.
     assert limit_ok, (
         f"log_C(1000)/1000^3 = {ratio:.6f} is {limit_gap:.1%} from the limit "
         f"{limit:.6f}; the 6% band is unattainable at n = 1000"

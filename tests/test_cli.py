@@ -11,6 +11,8 @@ from siegel.intersections import enumerate_intersections, reports_to_jsonl
 from siegel.iwasawa import matrix_to_json_dict
 from siegel.volumes import GROWTH_CSV_HEADER
 
+from conftest import SharedStream
+
 
 def _refuse_constant(name):
     raise ValueError(f"{name} is not JSON (RFC 8259)")
@@ -577,8 +579,8 @@ def test_rotation_samples_are_sequential_haar_draws(capsys):
     code, out, _ = run_cli(capsys, "sample", "--what", "rotation", "--n", "3",
                            "--count", "4", "--seed", "7")
     assert code == 0
-    gen = RngStream(7, 0).generator()
-    expected = [matrix_to_json_dict(sample_haar_so_batch(3, 1, gen)[0]) for _ in range(4)]
+    stream = SharedStream(RngStream(7, 0).generator())
+    expected = [matrix_to_json_dict(sample_haar_so_batch(3, 1, stream)[0]) for _ in range(4)]
     assert json.loads(out)["result"]["samples"] == expected
 
 

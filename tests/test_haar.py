@@ -30,7 +30,7 @@ from siegel.haar import (
 )
 from siegel.iwasawa import MINIMAL_PARAMS, unit_upper_stack
 
-from conftest import a_integral_closed_form
+from conftest import SharedStream, a_integral_closed_form
 
 T_MIN = MINIMAL_PARAMS.t
 
@@ -105,6 +105,14 @@ def test_density_examples():
         siegel_density([0.0, 1.0])
     with pytest.raises(ToleranceNotMetError):
         siegel_density([1e200, 1e200])  # overflows to inf
+
+
+@pytest.mark.parametrize("b", [[[0.5, 0.7]], [[0.5], [0.7]], 0.5, [[1.0, 1.0], [1.0, 1.0]]])
+def test_density_takes_only_a_vector(b):
+    # by the rule of conjugation_jacobian: [[0.5, 0.7]] was flattened and
+    # read as the n = 3 point (0.5, 0.7), and a scalar as an n = 2 point
+    with pytest.raises(InvalidArgumentError, match="b must be a vector"):
+        siegel_density(b)
 
 
 @pytest.mark.parametrize("b, log_density", [
@@ -194,9 +202,9 @@ def test_haar_so_entry_mean_is_centered():
 
 def test_sample_siegel_point_invariants():
     p = MINIMAL_PARAMS
-    gen = RngStream(9).generator()
+    stream = SharedStream(RngStream(9).generator())
     for _ in range(200):
-        pt = sample_siegel_block(3, p, [p.t / 16.0], gen)[0]
+        pt = sample_siegel_block(3, p, [p.t / 16.0], stream)[0]
         assert np.all((pt.b > 0.0) & (pt.b <= p.t))
         assert np.max(np.abs(np.triu(pt.u, 1))) <= p.lam
         assert np.max(np.abs(pt.k.T @ pt.k - np.eye(3))) <= 1e-10
@@ -205,7 +213,7 @@ def test_sample_siegel_point_invariants():
             rel_tol=1e-12,
         )
     with pytest.raises(InvalidRangeError):
-        sample_siegel_block(3, p, [2.0 * p.t], gen)
+        sample_siegel_block(3, p, [2.0 * p.t], stream)
 
 
 class CountingGenerator(np.random.Generator):
@@ -244,7 +252,7 @@ def test_block_of_one_is_a_point_draw():
             gen = RngStream(4, n).generator()
             b = np.exp(gen.uniform(math.log(lo), math.log(p.t), size=n - 1))
             u_vals = gen.uniform(-p.lam, p.lam, size=n * (n - 1) // 2)
-            k = sample_haar_so_batch(n, 1, gen)[0]
+            k = sample_haar_so_batch(n, 1, SharedStream(gen))[0]
             for name, want in (("b", b), ("u", unit_upper_stack(u_vals, n)), ("k", k)):
                 assert np.array_equal(getattr(got, name), want), (n, lo, name)
 
@@ -257,7 +265,7 @@ def test_block_draws_b_then_u_then_normals_as_whole_arrays():
         gen = RngStream(21, n).generator()
         log_b = gen.uniform(np.log(lows)[:, None], math.log(p.t), size=(37, n - 1))
         u_vals = gen.uniform(-p.lam, p.lam, size=(37, n * (n - 1) // 2))
-        ks = sample_haar_so_batch(n, 37, gen)
+        ks = sample_haar_so_batch(n, 37, SharedStream(gen))
         group = block.to_group_element()
         for i in range(37):
             got = block[i]
@@ -272,7 +280,7 @@ def test_block_draws_b_then_u_then_normals_as_whole_arrays():
 @pytest.mark.parametrize("m", [1, 2, 16, 257])
 def test_block_makes_three_generator_calls_whatever_its_size(m):
     gen = CountingGenerator(5)
-    block = sample_siegel_block(3, MINIMAL_PARAMS, [0.1] * m, gen)
+    block = sample_siegel_block(3, MINIMAL_PARAMS, [0.1] * m, SharedStream(gen))
     assert block.b.shape == (m, 2)
     assert gen.calls == ["uniform", "uniform", "standard_normal"]
 
@@ -281,9 +289,9 @@ def test_sample_siegel_point_materializes_as_member():
     from siegel.iwasawa import membership_excess
 
     p = MINIMAL_PARAMS
-    gen = RngStream(10).generator()
+    stream = SharedStream(RngStream(10).generator())
     for _ in range(50):
-        pt = sample_siegel_block(3, p, [p.t / 16.0], gen)[0]
+        pt = sample_siegel_block(3, p, [p.t / 16.0], stream)[0]
         assert membership_excess(pt.to_group_element(), p) <= 1e-9
 
 

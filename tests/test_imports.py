@@ -342,3 +342,47 @@ def test_one_path_each_from_log_space_and_from_exact_integers_into_floats():
     haar = (PACKAGE / "haar.py").read_text(encoding="utf-8")
     for callee in ("prod", "errstate"):
         assert not callers(haar, callee) & {"conjugation_jacobian", "siegel_density"}
+
+
+def stream_readers(source: str) -> dict[str, bool]:
+    """For each function other than ``_as_stream`` itself with a parameter
+    named ``rng``, whether it passes that name to ``_as_stream``."""
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name != "_as_stream":
+            params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            if any(a.arg == "rng" for a in params):
+                found[node.name] = any(
+                    isinstance(call, ast.Call)
+                    and getattr(call.func, "id", None) == "_as_stream"
+                    and [getattr(arg, "id", None) for arg in call.args] == ["rng"]
+                    for call in ast.walk(node)
+                )
+    return found
+
+
+def test_scan_flags_an_rng_not_read_as_a_stream():
+    source = (
+        "def good(n, rng):\n    return _as_stream(rng).generator()\n"
+        "def bad(n, *, rng=None):\n    return rng.generator()\n"
+        "def other(gen):\n    return _as_stream(gen)\n"
+        "def _as_stream(rng):\n    return rng\n"
+    )
+    assert stream_readers(source) == {"good": True, "bad": False}
+
+
+def test_every_rng_is_read_through_as_stream():
+    # RngStream is the one random input: a sampler, estimate or search reads
+    # its rng through haar._as_stream, which refuses a bare generator
+    readers = {
+        f"{module}.{name}": screened
+        for module, text in package_modules().items()
+        for name, screened in stream_readers(text).items()
+    }
+    assert readers == {
+        "haar.sample_haar_so_batch": True,
+        "haar.sample_siegel_block": True,
+        "haar.a_integral_mc": True,
+        "intersections.find_witness": True,
+        "intersections.enumerate_intersections": True,
+    }

@@ -13,7 +13,13 @@ from siegel.errors import (
     InvalidWitnessError,
     ToleranceNotMetError,
 )
-from siegel.haar import RngStream, SiegelCoordinatePoint, a_integral_mc, sample_siegel_block
+from siegel.haar import (
+    RngStream,
+    SiegelCoordinatePoint,
+    a_integral_mc,
+    sample_haar_so_batch,
+    sample_siegel_block,
+)
 from siegel.intersections import (
     DEFAULT_WITNESS_TOL,
     STATUS_EXCLUDED,
@@ -47,7 +53,7 @@ from siegel.iwasawa import (
 )
 from siegel.volumes import ratio_C
 
-from conftest import exact_siegel_member, random_unimodular
+from conftest import SharedStream, exact_siegel_member, random_unimodular
 
 P = MINIMAL_PARAMS
 
@@ -671,12 +677,12 @@ def reference_search(gamma, budget, rng, near_hit=0.08):
         exc = excess(point)
         if exc <= STRICT_WITNESS_TOL and (rep := attempt(point, exc)):
             return rep
-    gen = rng.generator()
+    stream = SharedStream(rng.generator())
     drawn, size = 0, 16
     while drawn < budget:
         # each block is drawn at its full size; rows past the budget are not scored
         lows = [P.t / math.sqrt(2.0) if i % 2 else P.t / 16.0 for i in range(size)]
-        block = sample_siegel_block(n, P, lows, gen)
+        block = sample_siegel_block(n, P, lows, stream)
         for i in range(min(size, budget - drawn)):
             point = block[i]
             if excess(point) <= near_hit:
@@ -782,11 +788,11 @@ def test_chunked_search_keeps_every_report_and_bounds_its_stacks(monkeypatch):
 def _stream_point(rng, index, n):
     """Sample ``index`` of a search stream: its blocks of 16, 32, 64, ...
     drawn in order, as find_witness draws them."""
-    gen = rng.generator()
+    stream = SharedStream(rng.generator())
     start, size = 0, 16
     while True:
         lows = [P.t / math.sqrt(2.0) if i % 2 else P.t / 16.0 for i in range(size)]
-        block = sample_siegel_block(n, P, lows, gen)
+        block = sample_siegel_block(n, P, lows, stream)
         if index < start + size:
             return block[index - start]
         start, size = start + size, size * 2
@@ -833,10 +839,26 @@ def test_refine_points_stacks_stragglers_with_points_that_stop_at_once():
         lambda rng: a_integral_mc(3, 2.0, 10, rng),
         lambda rng: find_witness(UnimodularIntMatrix([[1, 1], [0, 1]]), rng=rng),
         lambda rng: enumerate_intersections(2, 0, rng, max_height=1),
+        lambda rng: sample_haar_so_batch(2, 1, rng),
+        lambda rng: sample_siegel_block(2, P, [0.1], rng),
     ],
-    ids=["a_integral_mc", "find_witness", "enumerate_intersections"],
+    ids=[
+        "a_integral_mc",
+        "find_witness",
+        "enumerate_intersections",
+        "sample_haar_so_batch",
+        "sample_siegel_block",
+    ],
 )
 def test_seeded_calls_take_only_a_stream(call):
-    # each reports or derives from the stream's seed; a bare generator has none
-    with pytest.raises(InvalidArgumentError):
+    # each reports or derives from the stream's key, so its result is
+    # reproduced from that key; a bare generator has none
+    with pytest.raises(InvalidArgumentError, match="expected RngStream"):
         call(np.random.default_rng(0))
+
+
+def test_enumeration_refuses_a_stream_index_it_would_drop():
+    # candidate i searches the stream (seed, i) whatever the index of rng,
+    # so RngStream(5, 3) gave the reports of RngStream(5, 0)
+    with pytest.raises(InvalidArgumentError, match="stream_index 0, got 3"):
+        enumerate_intersections(2, 0, RngStream(5, 3), max_height=1)

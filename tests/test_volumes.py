@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import math
 from fractions import Fraction
@@ -884,6 +885,97 @@ def test_criterion_8_gap_closes_only_near_n_1710():
     assert round(gap[2000], 4) == 0.0521
     assert min(n for n, g in gap.items() if g <= 0.06) == 1710
     assert all(g <= 0.06 for n, g in gap.items() if n >= 1710)
+
+
+# zeta'(-1) = 1/12 - ln A, with A = 1.2824271291006226368... the
+# Glaisher-Kinkelin constant (DLMF 5.17)
+ZETA_PRIME_AT_MINUS_ONE = -0.16542114370045092921
+
+
+@functools.cache
+def log_C_constant(dps):
+    """c0 = 1/2 zeta'(-1) + 3/4 ln 2 - ln 8pi - sum_{i>=2} ln zeta(i) at
+    ``dps`` digits; the terms from i = 200 on add less than 2^-198."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        log_zeta_sum = mpmath.fsum(mpmath.log(mpmath.zeta(i)) for i in range(2, 200))
+        return (
+            ZETA_PRIME_AT_MINUS_ONE / 2
+            + 3 * mpmath.log(2) / 4
+            - mpmath.log(8 * mpmath.pi)
+            - log_zeta_sum
+        )
+
+
+def log_C_expansion(n):
+    """The large-n expansion of log C(n), summed in mpmath at its working
+    precision:
+
+        log C(n) = c3 n^3 + 1/4 n^2 ln n + (ln 2 + 1/4 ln pi - 3/8) n^2
+                   - 7/4 n ln n + (7/4 - 7/6 ln 2 + 1/12 ln 3 + 1/4 ln pi) n
+                   + 23/24 ln n + c0 - 5/(24 n) + R(n),
+
+    c3 = ln 2/6 - ln 3/12, c0 = 1/2 zeta'(-1) + 3/4 ln 2 - ln 8pi
+    - sum_{i>=2} ln zeta(i) = -3.6176919682...
+
+    Derivation.  With the Barnes G function, G(z+1) = Gamma(z) G(z),
+    sum_{i=2}^n ln Gamma(i) = ln G(n+1), and the even and odd i of
+    sum_{i=2}^n ln Gamma(i/2) give ln G(n/2 + 1) + ln G(n/2 + 1/2)
+    - ln G(1/2) - 1/2 ln pi for either parity of n.  The growth table's
+    closed form is then the polynomial part, plus ln G(n+1) - ln G(n/2+1)
+    - ln G(n/2+1/2) - 2 ln Gamma(n), minus sum_{i=2}^n ln zeta(i); and
+    ln G(1/2) = 1/24 ln 2 - 1/4 ln pi + 3/2 zeta'(-1).  Each ln G(z+1) takes
+    Barnes' expansion (DLMF 5.17.5) (z^2/2 - 1/12) ln z - 3/4 z^2
+    + z/2 ln 2pi + zeta'(-1) - 1/(240 z^2) + 1/(1008 z^4) - ..., and
+    ln Gamma(n) takes Stirling's series through 1/(12 n), whose next term
+    is -1/(360 n^3); at z = (n-1)/2, ln z = ln(n/2) + ln(1 - 1/n) is
+    expanded about n/2.  The terms above are those through 1/n.
+
+    The remainder R(n): the n^-2 terms are the three -1/(240 z^2), at
+    z = n, n/2 and (n-1)/2 with signs +, - and -, giving 7/240, and the
+    h^2 term of -((n-1)^2/8 - 1/12) ln(1 - h), h = 1/n, giving -1/32;
+    together -1/480.  The n^-3 terms are 1/30 from 1/(60 (n-1)^2), -17/720
+    from the same logarithm and +1/180 from Stirling's -1/(360 n^3), so
+
+        R(n) = -1/(480 n^2) + 11/(720 n^3) + 1/(2016 n^4) + O(n^-5)
+               + sum_{i>n} ln zeta(i),
+
+    the last below 2^(1-n).  For n >= 50 the n^-3 term, of the other sign,
+    outweighs all later ones together, so -1/(480 n^2) < R(n) < 0: the bound is
+    C/n^2 with C = 1/480.
+    """
+    import mpmath
+
+    n = mpmath.mpf(n)
+    ln2, ln3, lnpi, ln_n = mpmath.log(2), mpmath.log(3), mpmath.log(mpmath.pi), mpmath.log(n)
+    return (
+        (ln2 / 6 - ln3 / 12) * n**3
+        + n**2 * ln_n / 4
+        + (ln2 + lnpi / 4 - mpmath.mpf(3) / 8) * n**2
+        - mpmath.mpf(7) / 4 * n * ln_n
+        + (mpmath.mpf(7) / 4 - 7 * ln2 / 6 + ln3 / 12 + lnpi / 4) * n
+        + mpmath.mpf(23) / 24 * ln_n
+        + log_C_constant(mpmath.mp.dps)
+        - 5 / (24 * n)
+    )
+
+
+def test_growth_table_follows_the_log_C_expansion():
+    # the expansion explains criterion 8: at n = 1000 its n^2 ln n and n^2
+    # terms are still 9.7% of c3 n^3.  The table adds its cubic terms, four
+    # to eight times log C(n), in floats, with a rounding error of a few
+    # units of roundoff of their size: 4 ulp of it is allowed on top of C/n^2
+    mpmath = pytest.importorskip("mpmath")
+    c = 1.0 / 480.0
+    with mpmath.workdps(30):
+        rows = growth_table(2000)[48:]
+        assert (rows[0].n, rows[-1].n) == (50, 2000)
+        for row in rows:
+            n = row.n
+            cubic = n**3 * (math.log(2.0) / 6.0 + math.log(3.0) / 12.0)
+            residual = float(mpmath.mpf(row.log_C) - log_C_expansion(n))
+            assert abs(residual) <= c / n**2 + 4.0 * math.ulp(cubic), (n, residual * n**2)
 
 
 def test_growth_table_csv_bytes_are_pinned():
