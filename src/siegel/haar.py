@@ -393,12 +393,16 @@ class MonteCarloReport:
     importance weights.  The weights are bounded, so it is a fixed share of
     ``samples`` at each n, about 3/4 per coordinate: 0.89 at n = 2 and 0.13
     at n = 8 for the default b_min.
+
+    ``seed`` and ``stream_index`` are the key of the :class:`RngStream` the
+    samples were drawn from, so the report reproduces from what it prints.
     """
 
     estimate: float
     std_error: float
     samples: int
     seed: int
+    stream_index: int
     b_min: float
     truncation_bound: float
     effective_samples: float
@@ -460,7 +464,7 @@ def a_integral_mc(
     are about one).  Raises ``InvalidArgumentError`` for a
     non-integer ``n`` or ``samples``, a ``t`` that is not a positive finite
     real number, a ``b_min`` that is not a real number or an ``rng`` that is
-    not an :class:`RngStream` (the report records its seed), and
+    not an :class:`RngStream` (the report records its key), and
     ``InvalidRangeError`` unless ``0 < b_min < t``, exactly and with b_min
     as a float.
     """
@@ -520,6 +524,7 @@ def a_integral_mc(
         std_error=std_error,
         samples=samples,
         seed=rng.seed,
+        stream_index=rng.stream_index,
         b_min=float(b_min),
         truncation_bound=trunc,
         effective_samples=effective,

@@ -18,8 +18,10 @@ positive-diagonal sign fix applied once, equal bit for bit to the ``a``
 and ``u`` of :func:`decompose`.  The reduction, whose loop runs on Python
 scalars, reads the same LAPACK factor of one matrix straight into Python
 lists, with the same guard, the same sign fix and the same bits.  The det
-and condition guards take one determinant and one singular-value call for
-a whole stack.
+and condition guard takes one LU determinant for a whole stack; a
+condition bound from the squared column norms clears most matrices, and
+only those it cannot clear share one singular-value call.  The reduction's
+presort reads the column norms the guard returns.
 
 The mirror order ``g = u @ diag(a) @ k`` (unipotent part on the left) has
 no function of its own: with ``J`` the reversal matrix, its ``a`` is the
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -51,6 +54,11 @@ from .errors import (
 DET_TOL = 1e-9
 SINGULAR_TOL = 1e-12
 COND_MAX = 1e12
+# The SVD-free clearance of _check_group_element: its condition bound must
+# sit this factor under COND_MAX, its LU determinant error bound under this
+# share of |det|.
+_COND_MARGIN = 10.0
+_DET_SLACK = 0.1
 
 MEMBERSHIP_INSIDE = "inside"
 MEMBERSHIP_OUTSIDE = "outside"
@@ -403,24 +411,86 @@ class IwasawaFactors:
         }
 
 
-def _check_group_element(g: np.ndarray) -> None:
+@np.errstate(over="ignore")
+def _squared_column_norms(g: np.ndarray) -> np.ndarray:
+    """``(g * g).sum(axis=-2)``: a square that overflows gives inf, without
+    a warning."""
+    return (g * g).sum(axis=-2)
+
+
+def _check_group_element(g: np.ndarray) -> list[list[float]]:
     """Raise for the first matrix of ``g``, one (n, n) matrix or an (m, n, n)
     stack, whose determinant is not 1 within ``DET_TOL`` or whose 2-norm
     condition number exceeds ``COND_MAX``; a matrix's determinant is checked
-    before its condition.  One determinant and one singular-value call cover
-    the whole stack."""
-    det = np.linalg.det(g)
-    s = np.linalg.svd(g, compute_uv=False)
+    before its condition.  Returns the squared column norms ``c`` it read,
+    ``(g * g).sum(axis=-2)``, as one list of n floats per matrix.
+
+    One LU determinant covers the whole stack.  A matrix that passes it is
+    cleared of the condition check without a singular-value call when its
+    column norms certify it.  Guggenheimer, Edelman and Johnson (College
+    Math. J. 26, 1995) bound ``cond(B) < 2 / |det B|`` for ``B`` with unit
+    columns; with ``B = g D^-1``, ``D = diag(sqrt(c))``, and
+    ``cond(g) <= cond(B) cond(D)`` this gives::
+
+        cond(g) < 2 sqrt(prod(c) max(c) / min(c)) / |det g|
+
+    The bound is read with the computed determinant ``d``, so the error
+    of the LU determinant is capped first.  After Higham (Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Thm. 9.3) the computed
+    factors are exact for ``g + E`` with ``|E| <= gamma_n |L||U|``; partial
+    pivoting keeps column j of ``U`` within ``2**(n-1)`` times the largest
+    entry of column j of ``g``, so column j of ``E`` is at most
+    ``n**1.5 gamma_n 2**n`` times its norm, and by multilinearity and
+    Hadamard's inequality ``|d - det g|`` is at most about
+    ``n**3.5 eps 2**n sqrt(prod(c))``.  A matrix is cleared when
+
+    * the cap ``n**4 eps 2**n sqrt(prod(c)) <= _DET_SLACK |d|`` holds, so
+      ``|det g| >= 0.9 |d|``, with room for the rounding of ``c``; it fails
+      from n = 30 on, where every matrix takes the singular values;
+    * the bound with ``d`` is at most ``COND_MAX / _COND_MARGIN``; the
+      margin covers the 1/0.9 of the determinant and the singular values'
+      own error, so their ratio would not exceed ``COND_MAX`` either;
+    * ``prod(c)`` is finite and at least 1/2.  Hadamard gives
+      ``prod(c) >= det**2``, near 1, so less means that the product
+      underflowed.  A partial product that went subnormal and came back to
+      1/2 needs ``max(c) / min(c) >= 2**(4 * 1021 / n - 1)``, which the
+      bound refuses at every n < 30.
+
+    Every other matrix before the first failing determinant takes the
+    singular values, in one call on their sub-stack, and the first of them
+    whose ratio exceeds ``COND_MAX`` raises; the determinant error is raised
+    only after them.  So the raise and its message are those of a
+    determinant and singular-value check of every matrix in stack order.
+    """
+    n = g.shape[-1]
+    stack = g.reshape(-1, n, n)
+    norms = _squared_column_norms(g).reshape(-1, n).tolist()
+    # the cap fails from n = 30 on, so 2**64 stands for every larger power
+    lu_scale = n**4 * 2.0 ** min(n, 64) * sys.float_info.epsilon
+    cond_limit = min(COND_MAX, sys.float_info.max) / _COND_MARGIN
     # the checks run on Python floats: on one small matrix, numpy scalar
-    # operations and an errstate block cost about as much as the LAPACK calls
-    spectra = s.reshape(-1, s.shape[-1]).tolist()
-    for d, (s0, *_, s1) in zip(det.reshape(-1).tolist(), spectra):
+    # operations cost about as much as the LAPACK calls
+    unsure, bad_det = [], None
+    for i, (d, c) in enumerate(zip(np.linalg.det(stack).tolist(), norms)):
         if abs(d - 1.0) > DET_TOL:
-            raise NotUnimodularError(f"det(g) = {np.float64(d)!r}, expected 1 within {DET_TOL}")
-        # the ratio np.linalg.cond takes; an exactly singular matrix gives inf
-        cond = s0 / s1 if s1 else math.inf
-        if not math.isfinite(cond) or cond > COND_MAX:
-            raise NonInvertibleError(f"condition number {cond:.3e} exceeds {COND_MAX:.1e}")
+            bad_det = d
+            break
+        prod = math.prod(c)
+        if not (
+            0.5 <= prod < math.inf
+            and lu_scale * math.sqrt(prod) <= _DET_SLACK * abs(d)
+            and 2.0 * math.sqrt(prod * max(c) / min(c)) <= cond_limit * abs(d)
+        ):
+            unsure.append(i)
+    if unsure:
+        for s0, *_, s1 in np.linalg.svd(stack[unsure], compute_uv=False).tolist():
+            # the ratio np.linalg.cond takes; an exactly singular matrix gives inf
+            cond = s0 / s1 if s1 else math.inf
+            if not math.isfinite(cond) or cond > COND_MAX:
+                raise NonInvertibleError(f"condition number {cond:.3e} exceeds {COND_MAX:.1e}")
+    if bad_det is not None:
+        raise NotUnimodularError(f"det(g) = {np.float64(bad_det)!r}, expected 1 within {DET_TOL}")
+    return norms
 
 
 def _factors_from_r(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -8,9 +8,11 @@ exact integer matrix of determinant +1:
 * presort: before the first QR the columns of g are put in non-decreasing
   order of squared norm by a stable sort, a standard start for LLL-style
   reduction (Lenstra-Lenstra-Lovasz 1982, Schnorr-Euchner 1994) that leaves
-  fewer exchanges to make; the move is a signed permutation, one column
-  negated when the permutation is odd, and an ordered g is not moved.  It
-  is not an exchange: ``max_iter`` and ``iterations`` count exchanges only;
+  fewer exchanges to make.  The norms are the ones the det/condition guard
+  of :mod:`siegel.iwasawa` read for its condition bound.  The move is a
+  signed permutation, one column negated when the permutation is odd, and
+  an ordered g is not moved.  It is not an exchange: ``max_iter`` and
+  ``iterations`` count exchanges only;
 * size reduction: integer column shears push every unipotent coordinate
   u[i, j] into [-1/2, 1/2] without touching the diagonal part, one row
   sweep per i from the bottom (as in Lenstra-Lenstra-Lovasz size reduction);
@@ -133,9 +135,11 @@ def _exact_float(m: list[list[int]]) -> np.ndarray:
 
 
 def _presorted(g: np.ndarray) -> tuple[list[list[int]], np.ndarray]:
-    """The start of a reduction of ``g``: its columns in non-decreasing order
-    of squared norm, by a stable sort (tied columns keep their order, so an
-    ordered ``g`` is not permuted).
+    """The start of a reduction of ``g``: the det/condition guard of
+    :func:`siegel.iwasawa.decompose`, then the columns of ``g`` in
+    non-decreasing order of the squared norms that guard read, by a stable
+    sort (tied columns keep their order, so an ordered ``g`` is not
+    permuted).
 
     Returns ``m``, that move as a signed permutation given by its list of
     integer columns, with column 0 negated when the permutation is odd so
@@ -144,7 +148,7 @@ def _presorted(g: np.ndarray) -> tuple[list[list[int]], np.ndarray]:
     rounds.
     """
     n = g.shape[0]
-    norms = (g * g).sum(axis=0).tolist()
+    norms = _check_group_element(g)[0]
     order = sorted(range(n), key=norms.__getitem__)
     m = [[0] * n for _ in range(n)]
     for k, j in enumerate(order):
@@ -268,7 +272,6 @@ def siegel_reduce(
     g = as_square_matrix(g)
     n = g.shape[0]
     max_iter = 10 * n * n if max_iter is None else as_count(max_iter, "max_iter")
-    _check_group_element(g)
 
     m, first = _presorted(g)  # columns
     # rows: a signed permutation's inverse is its transpose

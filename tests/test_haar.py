@@ -415,10 +415,19 @@ def test_mc_report_json_fields():
     rep = a_integral_mc(2, 1.0, 1000, RngStream(0))
     doc = rep.to_json_dict()
     assert list(doc) == [
-        "estimate", "std_error", "samples", "seed", "b_min", "truncation_bound",
-        "effective_samples",
+        "estimate", "std_error", "samples", "seed", "stream_index", "b_min",
+        "truncation_bound", "effective_samples",
     ]
-    assert doc["samples"] == 1000 and doc["seed"] == 0
+    assert doc["samples"] == 1000 and doc["seed"] == 0 and doc["stream_index"] == 0
+
+
+def test_mc_report_reproduces_from_its_key():
+    # two streams of one seed give different reports, each telling its index
+    reports = [a_integral_mc(3, 1.1, 1000, RngStream(5, i)) for i in (0, 3)]
+    assert reports[0].estimate != reports[1].estimate
+    for rep in reports:
+        again = a_integral_mc(3, 1.1, 1000, RngStream(rep.seed, rep.stream_index))
+        assert again == rep
 
 
 def power_law_mc(n, t, samples, rng, b_min):
@@ -515,6 +524,7 @@ def blocked_mc(n, t, samples, rng, b_min=None):
         std_error=estimate * math.sqrt(max(samples / effective - 1.0, 0.0) / (samples - 1)),
         samples=samples,
         seed=rng.seed,
+        stream_index=rng.stream_index,
         b_min=float(b_min),
         truncation_bound=1.0 - float(np.prod(1.0 - ratio**exponents)),
         effective_samples=effective,

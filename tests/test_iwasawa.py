@@ -431,6 +431,131 @@ def test_guard_takes_exactly_singular_input_without_warning(monkeypatch):
             _check_group_element(np.array([good, singular]))
 
 
+def svd_inputs(monkeypatch):
+    """Record the input of every ``np.linalg.svd`` call from here on; returns
+    the list the inputs are appended to."""
+    seen = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return seen
+
+
+def clearance_corpus(rng, n):
+    """SL(n,R) elements with their columns scaled apart (det kept) to cond in
+    [10**e, 10**(e + 0.5)], e = 8, 8.5, ..., 12.5: both sides of the
+    SVD-free clearance and of COND_MAX."""
+    return [column_skewed_sl(rng, n, 10.0**e, 10.0 ** (e + 0.5)) for e in np.arange(8.0, 13.0, 0.5)]
+
+
+def test_guard_clears_without_svd_only_what_the_svd_passes(monkeypatch):
+    rng = np.random.default_rng(8900)
+    # the largest and smallest column norm at most 10**12 apart (10**+-6)
+    mats = [
+        g for n in range(2, 9) for _ in range(3) for g in clearance_corpus(rng, n)
+        if np.ptp(np.log10((g * g).sum(axis=0))) <= 24.0
+    ]
+    expected = [reference_guard([g]) for g in mats]
+    seen = svd_inputs(monkeypatch)
+    cleared = []
+    for g, exp in zip(mats, expected):
+        seen.clear()
+        assert guard_outcome(_check_group_element, g) == exp
+        assert len(seen) <= 1
+        cleared.append(not seen)
+    kinds = {(exp and exp[0], c) for exp, c in zip(expected, cleared)}
+    # a cleared matrix is one the singular values pass, and the corpus holds
+    # matrices the bound cannot clear on both sides of COND_MAX
+    assert kinds == {(None, True), (None, False), (NonInvertibleError, False)}
+
+
+def test_guard_does_not_clear_an_underflowed_or_overflowed_norm_product(monkeypatch):
+    # cond 1e200: prod(c) underflows to 0; cond 1e320: a square overflows
+    under = np.diag([1e-100, 1e-100, 1e100, 1e100])
+    over = np.diag([1e-160, 1e160])
+    with np.errstate(over="ignore"):
+        expected = [reference_guard([g]) for g in (under, over)]
+    assert expected[1] == (NonInvertibleError, "condition number inf exceeds 1.0e+12")
+    seen = svd_inputs(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for g, exp in zip((under, over), expected):
+            assert exp[0] is NonInvertibleError
+            assert guard_outcome(_check_group_element, g) == exp
+            assert guard_outcome(decompose, g) == exp
+            assert guard_outcome(siegel_reduce, g) == exp
+    assert len(seen) == 6
+
+
+def stack_pool(rng, n):
+    """Matrices of four kinds: cleared without the SVD, passed by it, failed
+    by it, and failing the determinant check."""
+    det_fail = random_sl(rng, n)
+    det_fail[:, 0] *= 1.0 + 4.0 * iwasawa.DET_TOL
+    pool = {
+        "cleared": random_sl(rng, n),
+        "passed": column_skewed_sl(rng, n, 1e11, 10.0**11.5),
+        "cond_fail": column_skewed_sl(rng, n, 2e12, 1e13),
+        "det_fail": det_fail,
+    }
+    assert reference_guard([pool["passed"]]) is None
+    assert reference_guard([pool["cond_fail"]])[0] is NonInvertibleError
+    return pool
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_stack_guard_takes_one_svd_of_the_unsure_before_the_first_bad_det(n, monkeypatch):
+    rng = np.random.default_rng(8950 + n)
+    pool = stack_pool(rng, n)
+    kinds = list(pool)
+    layouts = [
+        # the first failing matrix fails its det and takes no SVD, and
+        # nothing after it is checked
+        ["cleared", "det_fail", "cond_fail", "passed"],
+        # the first failing matrix is SVD-checked, in a sub-stack without
+        # the cleared one, before the det failure behind it
+        ["cleared", "passed", "cond_fail", "det_fail"],
+        ["passed", "cleared", "det_fail", "cond_fail"],
+        ["cleared", "passed", "cleared", "cond_fail", "passed", "det_fail", "cond_fail"],
+        ["cleared", "passed", "cleared"],
+    ] + [[kinds[i] for i in rng.integers(0, 4, size=5)] for _ in range(24)]
+    expected = [reference_guard([pool[k] for k in layout]) for layout in layouts]
+    seen = svd_inputs(monkeypatch)
+    excess = lambda stack: membership_excess(stack, MINIMAL_PARAMS)
+    for layout, exp in zip(layouts, expected):
+        stack = np.array([pool[k] for k in layout])
+        head = layout[: layout.index("det_fail")] if "det_fail" in layout else layout
+        unsure = [pool[k] for k in head if k != "cleared"]
+        for check in (_check_group_element, excess):
+            seen.clear()
+            assert guard_outcome(check, stack) == exp
+            if unsure:
+                assert len(seen) == 1 and np.array_equal(seen[0], unsure)
+            else:
+                assert seen == []
+
+
+def test_reduction_corpus_takes_no_svd(monkeypatch):
+    # the plain and column-skewed (cond <= 1e7) inputs of the reduction tests
+    rng = np.random.default_rng(8990)
+    mats = [
+        g for n in range(2, 9)
+        for g in [random_sl(rng, n) for _ in range(12)]
+        + [column_skewed_sl(rng, n, 1e5, 1e7) for _ in range(12)]
+    ]
+    seen = svd_inputs(monkeypatch)
+    for g in mats:
+        siegel_reduce(g)
+        decompose(g)
+    for n in range(2, 9):
+        membership_excess(np.array([g for g in mats if g.shape[0] == n]), MINIMAL_PARAMS)
+    assert seen == []
+
+
 #: real matrices numpy would misread: a complex entry (its imaginary part
 #: dropped with a warning), a string (parsed as a number), ragged rows
 _NOT_REAL = {

@@ -1,9 +1,10 @@
 """Print the sha256 digests of a fixed list of ``siegel`` CLI calls.
 
-Each call runs in process through ``siegel.cli.run`` with its standard
-output and standard error captured, and prints one line:
+Each call runs in process through ``siegel.cli.run`` with its own standard
+input, its standard output and standard error captured, and prints one
+line, ending in the name of the standard input it read, if any:
 
-    <sha256 of stdout> <sha256 of stderr> <exit code> <argv>
+    <sha256 of stdout> <sha256 of stderr> <exit code> <argv> [< <input>]
 
 Run it from the repository root in two checkouts and ``diff`` the outputs to
 check that a change keeps the CLI's bytes:
@@ -26,8 +27,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from siegel import cli  # noqa: E402
 
-#: A unimodular 3x3 matrix, read from standard input by decompose and reduce.
-MATRIX = json.dumps({"n": 3, "entries": [2, 1, 0, 1, 1, 0, 3, 1, 1]})
+#: The matrices decompose and reduce read from standard input, by name: a
+#: unimodular 3x3 matrix, one of determinant 2 and one of determinant 1 and
+#: condition number 1e14, which the group-element guard refuses.
+MATRICES = {
+    "unimodular": json.dumps({"n": 3, "entries": [2, 1, 0, 1, 1, 0, 3, 1, 1]}),
+    "det-2": json.dumps({"n": 2, "entries": [2, 0, 0, 1]}),
+    "cond-1e14": json.dumps({"n": 2, "entries": [1e7, 0, 0, 1e-7]}),
+}
 
 #: The CLI seeds the witness-n2-refine benchmark workload derives from its
 #: seed 0.
@@ -43,25 +50,31 @@ CALLS = [
         for seed in WITNESS_SEEDS
     ),
     ["enumerate-intersections", "--n", "3", "--max-height", "1", "--budget", "2"],
-    ["decompose", "--input", "-"],
-    ["reduce", "--input", "-"],
+    *(
+        [command, "--input", "-", "<", name]
+        for name in MATRICES
+        for command in ("decompose", "reduce")
+    ),
     ["bounds", "--n", "21"],
     ["volume", "--object", "ratio", "--n", "60"],
     ["volume", "--object", "siegel", "--n", "3", "--t", "1.2", "--lambda", "0.4"],
 ]
 
 
-def digest_line(argv: list[str]) -> str:
-    """Run one call and format its line; standard input holds ``MATRIX``."""
+def digest_line(call: list[str]) -> str:
+    """Run one call and format its line.  A call ending in ``<`` and a name
+    reads that entry of ``MATRICES`` as its standard input; every other call
+    reads an empty one."""
+    argv, stdin_name = (call[:-2], call[-1]) if call[-2:-1] == ["<"] else (call, None)
     out, err = io.StringIO(), io.StringIO()
-    stdin, sys.stdin = sys.stdin, io.StringIO(MATRIX)
+    stdin, sys.stdin = sys.stdin, io.StringIO(MATRICES.get(stdin_name, ""))
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.run(argv)
     finally:
         sys.stdin = stdin
     digests = (hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err))
-    return " ".join([*digests, str(code), *argv])
+    return " ".join([*digests, str(code), *call])
 
 
 def main() -> int:
