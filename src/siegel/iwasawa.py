@@ -18,10 +18,13 @@ positive-diagonal sign fix applied once, equal bit for bit to the ``a``
 and ``u`` of :func:`decompose`.  The reduction, whose loop runs on Python
 scalars, reads the same LAPACK factor of one matrix straight into Python
 lists, with the same guard, the same sign fix and the same bits.  The det
-and condition guard takes one LU determinant for a whole stack; a
-condition bound from the squared column norms clears most matrices, and
-only those it cannot clear share one singular-value call.  The reduction's
-presort reads the column norms the guard returns.
+and condition guard reads one raw Householder QR of a whole stack: the
+determinant from its pivots and reflectors, and a condition bound from the
+squared column norms that clears most matrices; only those it cannot clear
+share one singular-value call.  Checked membership reads its coordinates
+from that same QR, and the reduction's presort makes it of its
+norm-ordered copy, whose coordinates start the reduction: one
+factorization per checked basis.
 
 The mirror order ``g = u @ diag(a) @ k`` (unipotent part on the left) has
 no function of its own: with ``J`` the reversal matrix, its ``a`` is the
@@ -418,35 +421,83 @@ def _squared_column_norms(g: np.ndarray) -> np.ndarray:
     return (g * g).sum(axis=-2)
 
 
-def _check_group_element(g: np.ndarray) -> list[list[float]]:
+def _check_group_element(g: np.ndarray) -> np.ndarray:
     """Raise for the first matrix of ``g``, one (n, n) matrix or an (m, n, n)
     stack, whose determinant is not 1 within ``DET_TOL`` or whose 2-norm
-    condition number exceeds ``COND_MAX``; a matrix's determinant is checked
-    before its condition.  Returns the squared column norms ``c`` it read,
-    ``(g * g).sum(axis=-2)``, as one list of n floats per matrix.
+    condition number exceeds ``COND_MAX``, by :func:`_check_factored` on one
+    raw Householder QR of the stack.  Returns that QR's ``h``, (m, n, n): the
+    transpose of each LAPACK factor, whose upper triangle is ``R``."""
+    n = g.shape[-1]
+    stack = g.reshape(-1, n, n)
+    h, tau = np.linalg.qr(stack, mode="raw")
+    pivots = np.diagonal(h, axis1=-2, axis2=-1).tolist()
+    _check_factored(stack, pivots, tau.tolist(), _squared_column_norms(stack).tolist())
+    return h
 
-    One LU determinant covers the whole stack.  A matrix that passes it is
-    cleared of the condition check without a singular-value call when its
-    column norms certify it.  Guggenheimer, Edelman and Johnson (College
-    Math. J. 26, 1995) bound ``cond(B) < 2 / |det B|`` for ``B`` with unit
-    columns; with ``B = g D^-1``, ``D = diag(sqrt(c))``, and
-    ``cond(g) <= cond(B) cond(D)`` this gives::
+
+def _checked_rows(g: np.ndarray, moved: np.ndarray, norms: list[float]) -> list[list[float]]:
+    """The rows of ``R`` of one raw QR of ``moved``, the (n, n) matrix ``g``
+    with its columns put in another order and some negated (the reduction's
+    presort), after :func:`_check_factored` of ``g`` on that factor;
+    ``norms`` are the squared column norms of ``moved``.  The move keeps the
+    determinant and the singular values, so the check decides for ``g``,
+    and a singular-value call, where one is needed, is of ``g`` itself."""
+    h, tau = np.linalg.qr(moved, mode="raw")
+    rows = h.T.tolist()
+    _check_factored(g[None], [[row[i] for i, row in enumerate(rows)]], [tau.tolist()], [norms])
+    return rows
+
+
+def _householder_det(pivots: list[float], tau: list[float]) -> float:
+    """The determinant ``(-1)**k * prod(pivots)`` of a matrix from its raw
+    Householder QR: ``pivots`` the diagonal of ``R``, ``tau`` the reflector
+    scalars and ``k`` the count of nonzero ones.  Under LAPACK's dgeqrf
+    convention ``tau = 0`` exactly where the reflector is the identity, and
+    every other reflector has determinant -1."""
+    d = math.prod(pivots)
+    return -d if (len(tau) - tau.count(0.0)) % 2 else d
+
+
+def _check_factored(
+    stack: np.ndarray, pivots: list[list[float]], taus: list[list[float]],
+    norms: list[list[float]],
+) -> None:
+    """Raise for the first matrix of the (m, n, n) ``stack`` whose
+    determinant is not 1 within ``DET_TOL`` or whose 2-norm condition number
+    exceeds ``COND_MAX``; a matrix's determinant is checked before its
+    condition.  Each matrix is read from one raw Householder QR of it, or of
+    it with its columns moved by a signed permutation of determinant +1:
+    ``pivots`` the diagonal of ``R``, ``taus`` the reflector scalars, and
+    ``norms`` the squared column norms ``c`` in the factor's column order,
+    one list of n floats per matrix.
+
+    The determinant ``d`` is :func:`_householder_det` of the factor.  After
+    Higham (Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    Thm. 19.4) the computed ``R`` is the exact factor of ``g + E``, ``Q``
+    exactly orthogonal, with every column of ``E`` within ``gt sqrt(c_j)``
+    in 2-norm, ``gt = C n**2 u / (1 - C n**2 u)``, ``u = eps / 2`` and ``C``
+    a small constant: the condition number does not enter, and unlike the
+    LU of partial pivoting there is no growth factor.  By multilinearity
+    and Hadamard's inequality ``|det(g + E) - det g| <= ((1 + gt)**n - 1)
+    sqrt(prod(c))``, about ``C n**3 u sqrt(prod(c))``, and the n - 1
+    products of the pivots add ``(n - 1) u |d|``, with ``|d|`` at most about
+    ``sqrt(prod(c))`` by Hadamard again.  So ``n**4 eps sqrt(prod(c))``,
+    that is ``2 n**4 u sqrt(prod(c))``, bounds the error of ``d`` for any
+    constant ``C`` up to ``2 n - 1``.
+
+    A matrix whose determinant passes is cleared of the condition check
+    without a singular-value call when its column norms certify it.
+    Guggenheimer, Edelman and Johnson (College Math. J. 26, 1995) bound
+    ``cond(B) < 2 / |det B|`` for ``B`` with unit columns; with
+    ``B = g D^-1``, ``D = diag(sqrt(c))``, and ``cond(g) <= cond(B) cond(D)``
+    this gives::
 
         cond(g) < 2 sqrt(prod(c) max(c) / min(c)) / |det g|
 
-    The bound is read with the computed determinant ``d``, so the error
-    of the LU determinant is capped first.  After Higham (Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., Thm. 9.3) the computed
-    factors are exact for ``g + E`` with ``|E| <= gamma_n |L||U|``; partial
-    pivoting keeps column j of ``U`` within ``2**(n-1)`` times the largest
-    entry of column j of ``g``, so column j of ``E`` is at most
-    ``n**1.5 gamma_n 2**n`` times its norm, and by multilinearity and
-    Hadamard's inequality ``|d - det g|`` is at most about
-    ``n**3.5 eps 2**n sqrt(prod(c))``.  A matrix is cleared when
+    A matrix is cleared when
 
-    * the cap ``n**4 eps 2**n sqrt(prod(c)) <= _DET_SLACK |d|`` holds, so
-      ``|det g| >= 0.9 |d|``, with room for the rounding of ``c``; it fails
-      from n = 30 on, where every matrix takes the singular values;
+    * the cap ``n**4 eps sqrt(prod(c)) <= _DET_SLACK |d|`` holds, so
+      ``|det g| >= 0.9 |d|``, with room for the rounding of ``c``;
     * the bound with ``d`` is at most ``COND_MAX / _COND_MARGIN``; the
       margin covers the 1/0.9 of the determinant and the singular values'
       own error, so their ratio would not exceed ``COND_MAX`` either;
@@ -454,32 +505,33 @@ def _check_group_element(g: np.ndarray) -> list[list[float]]:
       ``prod(c) >= det**2``, near 1, so less means that the product
       underflowed.  A partial product that went subnormal and came back to
       1/2 needs ``max(c) / min(c) >= 2**(4 * 1021 / n - 1)``, which the
-      bound refuses at every n < 30.
+      bound refuses at n < 56 and a check of that spread refuses beyond.
 
     Every other matrix before the first failing determinant takes the
-    singular values, in one call on their sub-stack, and the first of them
-    whose ratio exceeds ``COND_MAX`` raises; the determinant error is raised
-    only after them.  So the raise and its message are those of a
-    determinant and singular-value check of every matrix in stack order.
+    singular values of the matrix itself, in one call on their sub-stack,
+    and the first of them whose ratio exceeds ``COND_MAX`` raises; the
+    determinant error is raised only after them.  So the raise and its
+    message are those of a determinant and singular-value check of every
+    matrix in stack order.
     """
-    n = g.shape[-1]
-    stack = g.reshape(-1, n, n)
-    norms = _squared_column_norms(g).reshape(-1, n).tolist()
-    # the cap fails from n = 30 on, so 2**64 stands for every larger power
-    lu_scale = n**4 * 2.0 ** min(n, 64) * sys.float_info.epsilon
+    n = stack.shape[-1]
+    qr_scale = n**4 * sys.float_info.epsilon
     cond_limit = min(COND_MAX, sys.float_info.max) / _COND_MARGIN
+    spread_max = 2.0 ** min(4 * 1021 / n - 1, 1023)
     # the checks run on Python floats: on one small matrix, numpy scalar
     # operations cost about as much as the LAPACK calls
     unsure, bad_det = [], None
-    for i, (d, c) in enumerate(zip(np.linalg.det(stack).tolist(), norms)):
+    for i, (p, tau, c) in enumerate(zip(pivots, taus, norms)):
+        d = _householder_det(p, tau)
         if abs(d - 1.0) > DET_TOL:
             bad_det = d
             break
-        prod = math.prod(c)
+        prod, hi, lo = math.prod(c), max(c), min(c)
         if not (
             0.5 <= prod < math.inf
-            and lu_scale * math.sqrt(prod) <= _DET_SLACK * abs(d)
-            and 2.0 * math.sqrt(prod * max(c) / min(c)) <= cond_limit * abs(d)
+            and qr_scale * math.sqrt(prod) <= _DET_SLACK * abs(d)
+            and 2.0 * math.sqrt(prod * hi / lo) <= cond_limit * abs(d)
+            and hi < spread_max * lo
         ):
             unsure.append(i)
     if unsure:
@@ -489,8 +541,7 @@ def _check_group_element(g: np.ndarray) -> list[list[float]]:
             if not math.isfinite(cond) or cond > COND_MAX:
                 raise NonInvertibleError(f"condition number {cond:.3e} exceeds {COND_MAX:.1e}")
     if bad_det is not None:
-        raise NotUnimodularError(f"det(g) = {np.float64(bad_det)!r}, expected 1 within {DET_TOL}")
-    return norms
+        raise NotUnimodularError(f"det(g) = {bad_det!r}, expected 1 within {DET_TOL}")
 
 
 def _factors_from_r(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -519,26 +570,41 @@ def _siegel_coordinates(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, u
 
 
-def _coordinate_lists(g: np.ndarray) -> tuple[list[float], list[list[float]]]:
-    """``a`` and the rows of ``u`` of one validated (n, n) matrix as Python
-    float lists, equal bit for bit to the ``a`` and ``u`` of
-    :func:`_siegel_coordinates`.
+def _factor_rows(g: np.ndarray) -> list[list[float]]:
+    """The rows of the LAPACK factor of one raw QR of the validated (n, n)
+    matrix ``g``, as Python float lists: row i holds ``R[i, j]`` for j >= i
+    (the entries left of the diagonal are reflector data no reader reads)."""
+    return np.linalg.qr(g, mode="raw")[0].T.tolist()
 
-    The same LAPACK factor, read without the array passes: the raw QR's
-    transpose holds ``R`` on and above its diagonal, and each entry takes
-    the one rounded division of :func:`_factors_from_r`.
-    """
-    rows = np.linalg.qr(g, mode="raw")[0].T.tolist()
+
+def _pivot_moduli(rows: list[list[float]]) -> list[float]:
+    """``a`` of the factor with rows ``rows``, by :func:`_factor_rows`, with
+    the pivot guard of :func:`_factors_from_r`."""
     a = [abs(row[i]) for i, row in enumerate(rows)]
     if min(a) < SINGULAR_TOL:
         raise NonInvertibleError(f"column pivot {min(a):.3e} below {SINGULAR_TOL:.1e}")
+    return a
+
+
+def _unit_rows(rows: list[list[float]]) -> list[list[float]]:
+    """The rows of ``u`` of the factor with rows ``rows``, each entry the one
+    rounded division of :func:`_factors_from_r`, so bit for bit its ``u``."""
     # x / x is exactly 1.0 and the strict lower triangle is exactly 0.0, so
     # both are written as constants; + 0.0 turns -0.0 into +0.0
     u = []
     for i, row in enumerate(rows):
         p = row[i]
         u.append([0.0] * i + [1.0] + [x / p + 0.0 for x in row[i + 1:]])
-    return a, u
+    return u
+
+
+def _coordinate_lists(g: np.ndarray) -> tuple[list[float], list[list[float]]]:
+    """``a`` and the rows of ``u`` of one validated (n, n) matrix as Python
+    float lists, equal bit for bit to the ``a`` and ``u`` of
+    :func:`_siegel_coordinates`: the same LAPACK factor, read without the
+    array passes."""
+    rows = _factor_rows(g)
+    return _pivot_moduli(rows), _unit_rows(rows)
 
 
 def decompose(g, *, check: bool = True) -> IwasawaFactors:
@@ -547,7 +613,10 @@ def decompose(g, *, check: bool = True) -> IwasawaFactors:
     Computed with a Householder QR and a positive-diagonal sign fix, which
     yields exactly the Gram-Schmidt factors (they are unique) with better
     rounding behavior.  ``check=False`` skips the det/condition guards for
-    hot loops that already know their input.
+    hot loops that already know their input.  With them, the guard's raw
+    R-only QR comes first, one more factorization of ``g`` than the complete
+    QR: about 7 us at n = 2..8 on a 2-vCPU x86-64 host, where the LU
+    determinant it replaced took about 2.5 us.
     """
     g = as_square_matrix(g)
     if check:
@@ -576,8 +645,11 @@ def _stack_excess(stack: np.ndarray, p: SiegelParams, check: bool) -> np.ndarray
     """The excesses of :func:`membership_excess` for a validated (m, n, n)
     stack."""
     if check:
-        _check_group_element(stack)
-    a, u = _siegel_coordinates(stack)
+        # the guard's raw QR holds R: np.linalg.qr(stack, mode="r") is this
+        # triu, bit for bit
+        _, a, u = _factors_from_r(np.triu(_check_group_element(stack).swapaxes(-1, -2)))
+    else:
+        a, u = _siegel_coordinates(stack)
     # rounding is monotone, so max(x) - c == max(x - c) bit for bit; |u| - I
     # leaves the strict upper |u| as they are and zeros elsewhere, which
     # never exceed an |u| entry

@@ -8,11 +8,12 @@ exact integer matrix of determinant +1:
 * presort: before the first QR the columns of g are put in non-decreasing
   order of squared norm by a stable sort, a standard start for LLL-style
   reduction (Lenstra-Lenstra-Lovasz 1982, Schnorr-Euchner 1994) that leaves
-  fewer exchanges to make.  The norms are the ones the det/condition guard
-  of :mod:`siegel.iwasawa` read for its condition bound.  The move is a
-  signed permutation, one column negated when the permutation is odd, and
-  an ordered g is not moved.  It is not an exchange: ``max_iter`` and
-  ``iterations`` count exchanges only;
+  fewer exchanges to make.  The move is a signed permutation, one column
+  negated when the permutation is odd, and an ordered g is not moved.  The
+  det/condition guard of :mod:`siegel.iwasawa` reads the one QR of the
+  ordered copy, which keeps det and singular values, and the first ``a``
+  and ``u`` come from that same QR.  It is not an exchange: ``max_iter``
+  and ``iterations`` count exchanges only;
 * size reduction: integer column shears push every unipotent coordinate
   u[i, j] into [-1/2, 1/2] without touching the diagonal part, one row
   sweep per i from the bottom (as in Lenstra-Lenstra-Lovasz size reduction);
@@ -31,16 +32,19 @@ i reads only ``a`` and u[i, i+1], and an integer shear changes neither ``a``
 nor any u[k, k+1] modulo 1, so an exchange shears only the pair it swaps and
 the full sweep runs once per run of exchanges, on the factor that ends it.
 
-After each fresh QR the ratios are scanned first.  If that QR ends the call
-(no ratio above t, or the budget spent), its factor is swept and the call
-stops; otherwise the exchanges start on the unswept factor.  After an
-exchange at i the scan resumes at i - 1, since the ratios below it did not
-change (LLL's index pointer).  When the carried factor shows no exchange
+After each fresh QR ``a`` is read and the ratios are scanned first.  If
+that QR ends the call (no ratio above t, or the budget spent), each
+quotient u[i, j] = R[i, j] / R[i, i] is tested against 1/2 without building
+``u``; only when one rounds away from 0 is ``u`` built and swept, and the
+call stops.  Otherwise ``u`` is built and the exchanges start on the
+unswept factor.  After an exchange at i the scan resumes at i - 1, since
+the ratios below it did not change (LLL's index pointer).  When the carried factor shows no exchange
 left, or the budget is spent, its ``u`` is swept once and the swept basis
 ``h = g @ m`` gets a fresh R-only QR (``k`` is never formed): that QR ends
 the call if it finds no exchange either, and otherwise the next run starts
 from its factor, so every status is decided on a fresh, fully swept factor.
-The sweep of that QR almost never shears, and then ``h`` itself is sigma.
+The sweep of that QR almost never shears, and then ``h`` itself is sigma
+and its ``u`` is never built.
 The exchanges and the final ``m`` are those of a full sweep after every QR
 (a size-reduced basis with a given Gram-Schmidt flag is unique, up to exact
 half-integer ties).  Readings of ``potential_trace`` are carried values:
@@ -49,13 +53,14 @@ they can differ in the last bits from a fresh QR of the same basis.
 
 Between QRs the loop runs on plain Python scalars, with no numpy call: ``a``
 and the rows of ``u`` are float lists read straight from the raw LAPACK
-factor of each QR (bit for bit the ``a`` and ``u`` of
-:func:`siegel.iwasawa.decompose`; the first QR factors the norm-ordered
-copy of ``g``, gathered exactly from its columns), the integer matrix ``m``
-is a list of columns of Python ints, starting at the presort's signed
-permutation, and its inverse a list of rows, starting at its transpose, so
-a swap is a list swap with one negation on each and a shear is one scalar
-loop over a column of ``m`` and a row of the inverse.  Every float update
+factor of each QR by the one list reader of :mod:`siegel.iwasawa` (bit for
+bit the ``a`` and ``u`` of :func:`siegel.iwasawa.decompose`; the first QR
+factors the norm-ordered copy of ``g``, gathered exactly from its
+columns), the integer matrix ``m`` is a list of columns of Python ints,
+starting at the presort's signed permutation, and its inverse a list of
+rows, starting at its transpose, so a swap is a list swap with one negation
+on each and a shear is one scalar loop over a column of ``m`` and a row of
+the inverse.  Every float update
 is a single rounded operation (no fused multiply-add), the rotation
 included.  The float copy of ``m`` made for each later QR, and for sigma
 when the last QR's input cannot serve, raises :class:`NonInvertibleError`
@@ -79,9 +84,13 @@ from .iwasawa import (
     UnimodularIntMatrix,
     as_count,
     as_square_matrix,
-    _check_group_element,
+    _checked_rows,
     _coordinate_lists,
     _exact_floats,
+    _factor_rows,
+    _pivot_moduli,
+    _squared_column_norms,
+    _unit_rows,
 )
 
 STATUS_REDUCED = "reduced"
@@ -134,21 +143,20 @@ def _exact_float(m: list[list[int]]) -> np.ndarray:
     return _exact_floats(m).T.copy()
 
 
-def _presorted(g: np.ndarray) -> tuple[list[list[int]], np.ndarray]:
-    """The start of a reduction of ``g``: the det/condition guard of
-    :func:`siegel.iwasawa.decompose`, then the columns of ``g`` in
-    non-decreasing order of the squared norms that guard read, by a stable
-    sort (tied columns keep their order, so an ordered ``g`` is not
-    permuted).
+def _presorted(g: np.ndarray) -> tuple[list[list[int]], np.ndarray, list[list[float]]]:
+    """The start of a reduction of ``g``: its columns in non-decreasing order
+    of squared norm, by a stable sort (tied columns keep their order, so an
+    ordered ``g`` is not permuted), and the one QR of that copy, which the
+    det/condition guard of :func:`siegel.iwasawa.decompose` reads first.
 
     Returns ``m``, that move as a signed permutation given by its list of
     integer columns, with column 0 negated when the permutation is odd so
-    that its determinant is +1, and ``first``, the exact copy ``g @ m``
-    made by gathering (and negating) the columns of ``g``: no product
-    rounds.
+    that its determinant is +1; ``first``, the exact copy ``g @ m`` made by
+    gathering (and negating) the columns of ``g``: no product rounds; and
+    the rows of the ``R`` of ``first``, by :func:`siegel.iwasawa._checked_rows`.
     """
     n = g.shape[0]
-    norms = _check_group_element(g)[0]
+    norms = _squared_column_norms(g).tolist()
     order = sorted(range(n), key=norms.__getitem__)
     m = [[0] * n for _ in range(n)]
     for k, j in enumerate(order):
@@ -157,7 +165,7 @@ def _presorted(g: np.ndarray) -> tuple[list[list[int]], np.ndarray]:
     if sum(x > y for x, y in combinations(order, 2)) % 2:
         m[0][order[0]] = -1
         first[:, 0] *= -1.0
-    return m, first
+    return m, first, _checked_rows(g, first, [norms[j] for j in order])
 
 
 def _shear(
@@ -180,9 +188,8 @@ def _shear(
     m_inv[i] = row_i
 
 
-def _size_reduce(u: list[list[float]], m: list[list[int]], m_inv: list[list[int]]) -> bool:
-    """Push u[i][j] into [-1/2, 1/2] by unit upper integer shears, in place;
-    return whether any shear was applied.
+def _size_reduce(u: list[list[float]], m: list[list[int]], m_inv: list[list[int]]) -> None:
+    """Push u[i][j] into [-1/2, 1/2] by unit upper integer shears, in place.
 
     One row sweep per i from the bottom row n - 2 up to 0: every
     r_j = round(u[i][j]), j > i, is read first (``round`` ties to even, as
@@ -190,13 +197,26 @@ def _size_reduce(u: list[list[float]], m: list[list[int]], m_inv: list[list[int]
     Called once on each factor that ends a run of exchanges; in between,
     :func:`_exchange` shears only the pair it swaps.
     """
-    sheared = False
     for i in range(len(u) - 2, -1, -1):
         row = u[i]
         if shears := [(j, r) for j in range(i + 1, len(row)) if (r := round(row[j]))]:
             _shear(u, m, m_inv, i, shears)
-            sheared = True
-    return sheared
+
+
+def _sweep_due(rows: list[list[float]]) -> bool:
+    """Whether :func:`_size_reduce` would shear the ``u`` of the factor with
+    rows ``rows``, read without building it: whether some
+    u[i][j] = R[i][j] / R[i][i], the division of
+    :func:`siegel.iwasawa._unit_rows`, has ``round(u[i][j]) != 0``, that is
+    |u[i][j]| > 1/2 (``round`` takes the tie 1/2 to 0).  The lowest row
+    holding one is swept unchanged, so it shears; without one, no row does.
+    """
+    for i, row in enumerate(rows):
+        p = row[i]
+        for x in row[i + 1:]:
+            if abs(x / p) > 0.5:
+                return True
+    return False
 
 
 def _exchange(
@@ -205,9 +225,9 @@ def _exchange(
     """Exchange columns i and i+1 of the working basis, in place.
 
     First the one shear col_i+1 -= round(u[i][i+1]) col_i on rows 0..i of
-    ``u``, on ``m`` and inverted onto ``m_inv``: the swap reads only ``a``
-    and u[i][i+1], so no other entry of ``u`` needs reducing before the run
-    of exchanges ends.  Then the det-corrected swap
+    ``u``, on ``m`` and inverted onto ``m_inv``, as :func:`_shear` makes it:
+    the swap reads only ``a`` and u[i][i+1], so no other entry of ``u`` needs
+    reducing before the run of exchanges ends.  Then the det-corrected swap
     (col_i, col_i+1) <- (col_i+1, -col_i) on ``m`` and its inverse on the
     rows of ``m_inv``, and the same swap on the columns of
     ``R = diag(a) @ u`` followed by one Givens rotation of rows i, i+1 back
@@ -216,7 +236,10 @@ def _exchange(
     j = i + 1
     ui, uj = u[i], u[j]
     if r := round(ui[j]):
-        _shear(u, m, m_inv, i, [(j, r)])
+        for uk in u[:j]:
+            uk[j] -= uk[i] * r
+        m[j] = [x - r * y for x, y in zip(m[j], m[i])]
+        m_inv[i] = [x + r * y for x, y in zip(m_inv[i], m_inv[j])]
     m[i], m[j] = m[j], [-x for x in m[i]]
     m_inv[i], m_inv[j] = m_inv[j], [-x for x in m_inv[i]]
     # rows i, i+1 of R, columns swapped: block [[a_i u_ij, -a_i], [a_j, 0]]
@@ -264,21 +287,21 @@ def siegel_reduce(
     rotated by each exchange, not from a fresh QR; a fresh QR of a basis
     already recorded adds none.
 
-    Each fresh QR is swept only if it ends the call; a run of exchanges
-    starts on the unswept factor, shears only each exchanged pair, and is
-    swept once before the fresh QR that confirms its end.  sigma is that
-    QR's input ``g @ m`` unless its sweep still shears.
+    A fresh QR that ends the call is swept only if its sweep shears; a run
+    of exchanges starts on the unswept factor, shears only each exchanged
+    pair, and is swept once before the fresh QR that confirms its end.
+    sigma is that QR's input ``g @ m`` unless its sweep still shears.
     """
     g = as_square_matrix(g)
     n = g.shape[0]
     max_iter = 10 * n * n if max_iter is None else as_count(max_iter, "max_iter")
 
-    m, first = _presorted(g)  # columns
+    m, _, rows = _presorted(g)  # columns
     # rows: a signed permutation's inverse is its transpose
     m_inv = [col[:] for col in m]
     exchanges = 0
     t = MINIMAL_PARAMS.t
-    a, u = _coordinate_lists(first)
+    a = _pivot_moduli(rows)
     refreshes = 1
     if potential_trace is not None:
         potential_trace.append(log_potential(a))
@@ -288,12 +311,16 @@ def siegel_reduce(
     while True:
         i = _first_over(a, t, 0)
         if i is None or exchanges >= max_iter:
-            # a fresh factor ends the call; sigma is its input unless the
-            # sweep still moves m
-            if _size_reduce(u, m, m_inv) or h is None:
+            # a fresh factor ends the call; its u is built only for a sweep
+            # that shears, and sigma is its input unless that sweep moves m
+            swept = _sweep_due(rows)
+            if swept:
+                _size_reduce(_unit_rows(rows), m, m_inv)
+            if swept or h is None:
                 h = g @ _exact_float(m)
             status = STATUS_REDUCED if i is None else STATUS_BUDGET_EXHAUSTED
             break
+        u = _unit_rows(rows)
         while True:
             _exchange(a, u, m, m_inv, i)
             exchanges += 1
@@ -307,7 +334,8 @@ def siegel_reduce(
         # the carried one shows, on the basis swept once here
         _size_reduce(u, m, m_inv)
         h = g @ _exact_float(m)
-        a, u = _coordinate_lists(h)
+        rows = _factor_rows(h)
+        a = _pivot_moduli(rows)
         refreshes += 1
 
     # m_inv is a product of exact det +1 moves on Python ints

@@ -360,19 +360,109 @@ def test_coordinate_kernel_equals_decompose(n, rng):
         assert np.all(np.tril(stack_u, -1) == 0.0)
 
 
+def exact_det(g) -> Fraction:
+    """The exact determinant of a float matrix: every float is dyadic, so
+    each column times a power of 2 is integer; the integer determinant by
+    fraction-free elimination, over the product of the scales."""
+    cols = [[Fraction(x) for x in col] for col in np.asarray(g, dtype=float).T.tolist()]
+    scales = [max(x.denominator for x in col) for col in cols]
+    ints = [[int(x * s) for x in col] for col, s in zip(cols, scales)]
+    return Fraction(iwasawa._bareiss_det(ints), math.prod(scales))
+
+
+def householder_cap(g) -> float:
+    """The error bound of a determinant read from a Householder QR of ``g``:
+    n**4 eps sqrt(prod(c)), c the squared column norms."""
+    n = g.shape[-1]
+    return n**4 * np.finfo(float).eps * math.sqrt(math.prod((g * g).sum(axis=0).tolist()))
+
+
+class ReportedDet:
+    """The expected message of a determinant refusal of ``g``, whose exact
+    determinant is ``det``: equal to ``det(g) = d, expected 1 within
+    DET_TOL`` with ``d`` printed as a plain float that has the sign of
+    ``det`` and lies within :func:`householder_cap` of it."""
+
+    def __init__(self, det: Fraction, g):
+        self.det, self.cap = det, householder_cap(g)
+
+    def __eq__(self, other):
+        try:
+            d = float(other.partition(", ")[0].removeprefix("det(g) = "))
+        except ValueError:
+            return False
+        return (
+            other == f"det(g) = {d!r}, expected 1 within {iwasawa.DET_TOL}"
+            and (d > 0) == (self.det > 0)
+            and abs(Fraction(d) - self.det) <= self.cap
+        )
+
+    def __repr__(self):
+        return f"ReportedDet({float(self.det)!r} +- {self.cap:.1e})"
+
+
 def reference_guard(stack):
-    """The per-matrix guard loop: np.linalg.det, then np.linalg.cond, each
-    matrix in order; returns the first error as (type, message), or None."""
+    """The per-matrix guard loop: the exact determinant, then np.linalg.cond,
+    each matrix in order; returns the first error as (type, message), or
+    None, the message of a determinant error as a :class:`ReportedDet`."""
     for g in stack:
-        det = np.linalg.det(g)
-        if abs(det - 1.0) > iwasawa.DET_TOL:
-            return NotUnimodularError, f"det(g) = {det!r}, expected 1 within {iwasawa.DET_TOL}"
+        det = exact_det(g)
+        if abs(det - 1) > iwasawa.DET_TOL:
+            return NotUnimodularError, ReportedDet(det, g)
         cond = np.linalg.cond(g)
         if not np.isfinite(cond) or cond > iwasawa.COND_MAX:
             return NonInvertibleError, (
                 f"condition number {cond:.3e} exceeds {iwasawa.COND_MAX:.1e}"
             )
     return None
+
+
+def det_corpus(rng):
+    """Matrices of known determinant sign across n = 2..40: SL(n,R) elements
+    with one column negated or not (det +-1), signed permutations, upper
+    triangular matrices (every reflector the identity, tau = 0) and lower
+    triangular ones, columns skewed to cond 1e10 to 1e11, and det 2."""
+    mats = []
+    for n in (2, 3, 4, 5, 8, 13, 20, 30, 40):
+        flip = np.ones(n)
+        flip[0] = -1.0
+        g = random_sl(rng, n)
+        tri = np.triu(rng.standard_normal((n, n)))
+        tri[np.diag_indices(n)] = rng.choice([-1.0, 1.0], size=n) * rng.uniform(0.5, 2.0, size=n)
+        mats += [g, g * flip, np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], size=n),
+                 tri, tri.T.copy(), 2.0 ** (1.0 / n) * g]
+        if n <= 20:
+            skewed = column_skewed_sl(rng, n, 1e10, 1e11)
+            mats += [skewed, skewed * flip]
+    return mats
+
+
+def test_householder_det_has_the_exact_sign_within_the_cap():
+    rng = np.random.default_rng(8700)
+    taus_zero = 0
+    for g in det_corpus(rng):
+        h, tau = np.linalg.qr(g, mode="raw")
+        d = iwasawa._householder_det(np.diagonal(h).tolist(), tau.tolist())
+        exact = exact_det(g)
+        assert (d > 0) == (exact > 0)
+        assert abs(Fraction(d) - exact) <= householder_cap(g)
+        taus_zero += not tau.any()
+    # the upper triangular inputs take the identity for every reflector
+    assert taus_zero >= 9
+
+
+@pytest.mark.parametrize("g, d", [
+    (np.diag([1.0, -1.0]), -1.0),
+    ([[0.0, 1.0], [1.0, 0.0]], -1.0),
+    (np.eye(3)[::-1], -1.0),
+    (np.diag([2.0, 1.0]), 2.0),
+])
+def test_det_refusal_prints_a_plain_float(g, d):
+    message = f"det(g) = {d!r}, expected 1 within 1e-09"
+    for call in (decompose, siegel_reduce, lambda g: membership_excess(g, MINIMAL_PARAMS)):
+        with pytest.raises(NotUnimodularError) as exc:
+            call(g)
+        assert str(exc.value) == message
 
 
 def guard_outcome(check, g):
@@ -404,6 +494,8 @@ def test_guard_decides_as_the_det_and_cond_loop(n):
     assert {o and o[0] for o in outcomes} == {None, NotUnimodularError, NonInvertibleError}
     for g, expected in zip(mats, outcomes):
         assert guard_outcome(_check_group_element, g) == expected
+        # the reduction checks g on the QR of its presorted copy
+        assert guard_outcome(siegel_reduce, g) == expected
     # a stack raises the error of its first failing matrix, det before cond
     excess = lambda stack: membership_excess(stack, MINIMAL_PARAMS)
     for _ in range(12):
@@ -491,6 +583,20 @@ def test_guard_does_not_clear_an_underflowed_or_overflowed_norm_product(monkeypa
     assert len(seen) == 6
 
 
+def test_guard_does_not_trust_a_norm_product_that_went_subnormal_and_back():
+    # n = 128 squared column norms whose running product sinks to the least
+    # subnormal, loses the factors 1.49 there and comes back: the product
+    # reads 6.7e7 for 1.95e11, and the bound with it, 4.4e10, would clear a
+    # matrix whose true bound is 1.0e12; the spread of the norms refuses it
+    n = 128
+    norms = [2.0 ** (-1074 / 53)] * 53 + [1.49] * 20 + [2.0**20] * 55
+    assert math.prod(norms) < 1e8 < 1e11 < math.prod(map(Fraction, norms))
+    g = np.eye(n)
+    g[0, 0], g[1, 1] = 10.0**6.5, 10.0**-6.5
+    with pytest.raises(NonInvertibleError, match="condition number"):
+        iwasawa._check_factored(g[None], [[1.0] * n], [[0.0] * n], [norms])
+
+
 def stack_pool(rng, n):
     """Matrices of four kinds: cleared without the SVD, passed by it, failed
     by it, and failing the determinant check."""
@@ -554,6 +660,54 @@ def test_reduction_corpus_takes_no_svd(monkeypatch):
     for n in range(2, 9):
         membership_excess(np.array([g for g in mats if g.shape[0] == n]), MINIMAL_PARAMS)
     assert seen == []
+
+
+def test_guard_clears_gaussian_sl_at_n_20_and_30_without_svd(monkeypatch):
+    # the Householder determinant has no 2**n growth, so its cap still holds
+    # at these n (measured on 100 Gaussian SL(n): 100 at n = 20, 99 at
+    # n = 30; an LU cap with 2**n clears 2 and 0 of them)
+    rng = np.random.default_rng(9000)
+    mats = {n: np.array([random_sl(rng, n) for _ in range(12)]) for n in (20, 30)}
+    seen = svd_inputs(monkeypatch)
+    for stack in mats.values():
+        for g in stack:
+            decompose(g)
+            membership_excess(g, MINIMAL_PARAMS)
+        membership_excess(stack, MINIMAL_PARAMS)
+    assert seen == []
+
+
+def test_one_factorization_per_checked_basis(monkeypatch):
+    # the guard reads its determinant from the QR that membership reads its
+    # coordinates from; decompose adds its complete QR, and no LU is taken
+    qr_inputs = []
+    qr = np.linalg.qr
+
+    def recording(a, *args, **kwargs):
+        qr_inputs.append(np.array(a))
+        return qr(a, *args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("np.linalg.det called")
+
+    rng = np.random.default_rng(9100)
+    stacks = [np.array([random_sl(rng, n) for _ in range(4)]) for n in (2, 5, 8)]
+    monkeypatch.setattr(np.linalg, "qr", recording)
+    monkeypatch.setattr(np.linalg, "det", refused)
+    for stack in stacks:
+        for call, calls in [
+            (lambda: membership_excess(stack, MINIMAL_PARAMS), 1),
+            (lambda: membership_excess(stack[0], MINIMAL_PARAMS), 1),
+            (lambda: siegel_membership(stack[0], MINIMAL_PARAMS, 1e-9), 1),
+            (lambda: decompose(stack[0]), 2),
+        ]:
+            qr_inputs.clear()
+            call()
+            assert len(qr_inputs) == calls
+    # the excess read from the guard's factor is the unchecked excess
+    assert membership_excess(stack, MINIMAL_PARAMS).tolist() == (
+        membership_excess(stack, MINIMAL_PARAMS, check=False).tolist()
+    )
 
 
 #: real matrices numpy would misread: a complex entry (its imaginary part

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,9 @@ from siegel.iwasawa import (
     SiegelParams,
     UnimodularIntMatrix,
     _coordinate_lists,
+    _pivot_moduli,
     _siegel_coordinates,
+    _unit_rows,
     b_from_a,
     decompose,
     siegel_membership,
@@ -22,6 +25,7 @@ from siegel.reduction import (
     STATUS_REDUCED,
     _exact_float,
     _size_reduce,
+    _sweep_due,
     log_potential,
     siegel_reduce,
 )
@@ -252,9 +256,10 @@ def test_max_iter_must_be_a_nonnegative_integer(max_iter):
 
 def assert_presorted(g):
     """``reduction._presorted(g)`` gives a signed permutation ``m`` of
-    determinant +1 and ``first`` = g @ m exactly, its columns in
-    non-decreasing order of squared norm; returns the permutation order."""
-    m, first = reduction._presorted(g)
+    determinant +1, ``first`` = g @ m exactly, its columns in
+    non-decreasing order of squared norm, and the rows of the R of its QR;
+    returns the permutation order."""
+    m, first, rows = reduction._presorted(g)
     order = [next(j for j, x in enumerate(col) if x) for col in m]
     assert sorted(order) == list(range(len(m)))
     assert all(sum(map(abs, col)) == 1 for col in m)
@@ -262,6 +267,7 @@ def assert_presorted(g):
     assert first is not g
     assert np.array_equal(first, g @ _exact_float(m))
     assert np.all(np.diff((first * first).sum(axis=0)) >= 0.0)
+    assert (_pivot_moduli(rows), _unit_rows(rows)) == _coordinate_lists(first)
     return order
 
 
@@ -270,7 +276,7 @@ def test_presort_orders_columns_by_norm_with_a_signed_permutation():
     # transposition is odd, so the first column of the sorted copy is negated
     g = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     assert assert_presorted(g) == [1, 0, 2]
-    m, first = reduction._presorted(g)
+    m, first, _ = reduction._presorted(g)
     assert m == [[0, -1, 0], [1, 0, 0], [0, 0, 1]]
     assert np.array_equal(first, [[0.0, 1.0, 1.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     # equal norms everywhere: nothing moves, and the reduction leaves it
@@ -301,7 +307,7 @@ def fresh_qr_reduce(g, max_iter=None, p=P):
     n = g.shape[0]
     if max_iter is None:
         max_iter = 10 * n * n
-    m, h = reduction._presorted(g)
+    m, h, _ = reduction._presorted(g)
     m_inv = [col[:] for col in m]
     exchanges = 0
     while True:
@@ -463,42 +469,91 @@ def test_reduced_sigma_is_an_exact_member_criterion_6_slice():
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_one_sweep_per_ending_qr_and_sigma_is_its_input(monkeypatch, n):
-    # log every QR (with its input), float copy of m, sweep, shear and
-    # exchange of each call on the seeded corpus
+    # log every QR (with its input), float copy of m, test of an ending
+    # factor, u built, sweep, shear and exchange of each call on the seeded
+    # corpus, one letter each
     events = []
 
     def logged(name, f):
-        def call(*args):
+        def call(*args, **kwargs):
             events.append((name, args[0]))
-            return f(*args)
+            return f(*args, **kwargs)
         return call
 
-    for name, attr in [("qr", "_coordinate_lists"), ("float", "_exact_float"),
-                       ("sweep", "_size_reduce"), ("shear", "_shear"), ("exchange", "_exchange")]:
+    monkeypatch.setattr(np.linalg, "qr", logged("q", np.linalg.qr))
+    for name, attr in [("f", "_exact_float"), ("d", "_sweep_due"), ("u", "_unit_rows"),
+                       ("w", "_size_reduce"), ("s", "_shear"), ("x", "_exchange")]:
         monkeypatch.setattr(reduction, attr, logged(name, getattr(reduction, attr)))
     confirmed = quiet = 0
     for g in reduction_corpus(n, 7800 + n):
         events.clear()
         res = siegel_reduce(g)
-        kinds = [kind for kind, _ in events]
-        qr_inputs = [x for kind, x in events if kind == "qr"]
+        kinds = "".join(kind for kind, _ in events)
+        qr_inputs = [x for kind, x in events if kind == "q"]
         assert len(qr_inputs) == res.refreshes
-        # one sweep per QR, but none between the first QR and the first
-        # exchange: the sweep runs only on a factor that ends a run
-        assert kinds.count("sweep") == res.refreshes
-        if res.iterations:
-            assert "sweep" not in kinds[: kinds.index("exchange")]
-        last = len(kinds) - 1 - kinds[::-1].index("qr")
+        # a QR that starts a run builds u, exchanges on it unswept, sweeps it
+        # once and copies m for the next QR; the one that ends the call is
+        # tested, and builds u and sweeps only when the sweep shears
+        assert re.fullmatch(r"q(ux+ws*fq)*d(uws+f|f)?", kinds), kinds
+        swept = "u" in kinds[kinds.index("d"):]
         confirmed += res.refreshes > 1
-        if res.refreshes > 1 and "shear" not in kinds[last:]:
-            # the ending sweep shears nothing: no float copy of m beyond the
+        if res.refreshes > 1 and not swept:
+            # the ending factor shears nothing: no float copy of m beyond the
             # ones the later QRs factor, and sigma is the last QR's input
             quiet += 1
-            assert kinds.count("float") == res.refreshes - 1
+            assert kinds.endswith("d")
+            assert kinds.count("f") == res.refreshes - 1
             assert res.sigma is qr_inputs[-1]
         else:
-            assert kinds.count("float") == res.refreshes
+            assert kinds.count("f") == res.refreshes
             assert all(res.sigma is not x for x in qr_inputs)
     # a confirming QR of the swept basis almost never needs a shear; on this
     # corpus it never does
     assert quiet == confirmed > 0
+
+
+def test_sweep_test_reads_the_sweep_without_building_u():
+    # pivots of both signs, some powers of 2 so that quotients land exactly
+    # on +-1/2 and their neighbours; the test must say whether the sweep of
+    # the u built from the same rows shears
+    rng = np.random.default_rng(7950)
+    half = [0.5, -0.5, np.nextafter(0.5, 1.0), np.nextafter(-0.5, -1.0),
+            np.nextafter(0.5, 0.0), 1.5, 0.0, -0.0]
+    outcomes = set()
+    for _ in range(400):
+        n = int(rng.integers(2, 9))
+        pivots = rng.choice([-1.0, 1.0], size=n) * np.where(
+            rng.random(n) < 0.5, 2.0 ** rng.integers(-3, 4, size=n), rng.uniform(0.1, 10.0, size=n)
+        )
+        rows = []
+        for i, p in enumerate(pivots):
+            quotients = np.where(rng.random(n) < 0.7, rng.choice(half, size=n),
+                                 rng.uniform(-0.5, 0.5, size=n))
+            rows.append([float(x) for x in rng.standard_normal(i)] + [float(p)]
+                        + [float(q * p) for q in quotients[i + 1:]])
+        m, m_inv = identity_columns(n), identity_columns(n)
+        _size_reduce(_unit_rows(rows), m, m_inv)
+        sheared = m != identity_columns(n)
+        assert _sweep_due(rows) == sheared
+        outcomes.add(sheared)
+    assert outcomes == {True, False}
+
+
+def test_reduction_takes_one_qr_per_basis_and_no_lu(monkeypatch):
+    corpus = [g for n in range(2, 9) for g in reduction_corpus(n, 7850 + n)]
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        calls.append(a)
+        return qr(a, *args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("np.linalg.det called")
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    monkeypatch.setattr(np.linalg, "det", refused)
+    for g in corpus:
+        calls.clear()
+        res = siegel_reduce(g)
+        assert len(calls) == res.refreshes

@@ -27,12 +27,28 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from siegel import cli  # noqa: E402
 
+
+
+def gaussian_sl(seed: int, n: int) -> list[float]:
+    """The entries of a seeded Gaussian n x n matrix rescaled to
+    determinant +1, row-major."""
+    g = np.random.default_rng(seed).standard_normal((n, n))
+    d = np.linalg.det(g)
+    g /= abs(d) ** (1.0 / n)
+    if d < 0:
+        g[:, 0] *= -1.0
+    return g.ravel().tolist()
+
+
 #: The matrices decompose and reduce read from standard input, by name: a
-#: unimodular 3x3 matrix, one of determinant 2 and one of determinant 1 and
-#: condition number 1e14, which the group-element guard refuses.
+#: unimodular 3x3 matrix, a Gaussian one of n = 24, one of determinant 2, one
+#: of determinant -1 and one of determinant 1 and condition number 1e14; the
+#: group-element guard refuses the last three.
 MATRICES = {
     "unimodular": json.dumps({"n": 3, "entries": [2, 1, 0, 1, 1, 0, 3, 1, 1]}),
+    "gaussian-24": json.dumps({"n": 24, "entries": gaussian_sl(24, 24)}),
     "det-2": json.dumps({"n": 2, "entries": [2, 0, 0, 1]}),
+    "det-minus-1": json.dumps({"n": 2, "entries": [0, 1, 1, 0]}),
     "cond-1e14": json.dumps({"n": 2, "entries": [1e7, 0, 0, 1e-7]}),
 }
 
