@@ -615,8 +615,8 @@ def decompose(g, *, check: bool = True) -> IwasawaFactors:
     rounding behavior.  ``check=False`` skips the det/condition guards for
     hot loops that already know their input.  With them, the guard's raw
     R-only QR comes first, one more factorization of ``g`` than the complete
-    QR: about 7 us at n = 2..8 on a 2-vCPU x86-64 host, where the LU
-    determinant it replaced took about 2.5 us.
+    QR: 2.5 to 3 times the cost of an LU determinant, about 9 against
+    3.5 us at n = 2..8 on a 2-vCPU x86-64 host.
     """
     g = as_square_matrix(g)
     if check:

@@ -38,14 +38,13 @@ quotient u[i, j] = R[i, j] / R[i, i] is tested against 1/2 without building
 ``u``; only when one rounds away from 0 is ``u`` built and swept, and the
 call stops.  Otherwise ``u`` is built and the exchanges start on the
 unswept factor.  After an exchange at i the scan resumes at i - 1, since
-the ratios below it did not change (LLL's index pointer).  When the carried factor shows no exchange
-left, or the budget is spent, its ``u`` is swept once and the swept basis
-``h = g @ m`` gets a fresh R-only QR (``k`` is never formed): that QR ends
-the call if it finds no exchange either, and otherwise the next run starts
-from its factor, so every status is decided on a fresh, fully swept factor.
-The sweep of that QR almost never shears, and then ``h`` itself is sigma
-and its ``u`` is never built.
-The exchanges and the final ``m`` are those of a full sweep after every QR
+the ratios below it did not change (LLL's index pointer).  When the
+carried factor shows no exchange left, or the budget is spent, its ``u`` is
+swept once and the swept basis ``h = g @ m`` gets a fresh R-only QR (``k``
+is never formed): that QR ends the call if it finds no exchange either, and
+otherwise the next run starts from its factor, so every status is decided
+on a fresh, fully swept factor.  The sweep of that QR almost never shears,
+and then ``h`` itself is sigma and its ``u`` is never built.  The exchanges and the final ``m`` are those of a full sweep after every QR
 (a size-reduced basis with a given Gram-Schmidt flag is unique, up to exact
 half-integer ties).  Readings of ``potential_trace`` are carried values:
 after an exchange ``a`` has been rotated from rows that were not swept, so
@@ -60,9 +59,8 @@ columns), the integer matrix ``m`` is a list of columns of Python ints,
 starting at the presort's signed permutation, and its inverse a list of
 rows, starting at its transpose, so a swap is a list swap with one negation
 on each and a shear is one scalar loop over a column of ``m`` and a row of
-the inverse.  Every float update
-is a single rounded operation (no fused multiply-add), the rotation
-included.  The float copy of ``m`` made for each later QR, and for sigma
+the inverse.  Every float update is a single rounded operation (no fused
+multiply-add), the rotation included.  The float copy of ``m`` made for each later QR, and for sigma
 when the last QR's input cannot serve, raises :class:`NonInvertibleError`
 rather than round an entry of 2**53 or more.
 sigma @ gamma = g up to two float matrix products, and gamma's determinant

@@ -28,7 +28,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from siegel import cli  # noqa: E402
 
 
-
 def gaussian_sl(seed: int, n: int) -> list[float]:
     """The entries of a seeded Gaussian n x n matrix rescaled to
     determinant +1, row-major."""
