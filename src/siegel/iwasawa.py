@@ -58,7 +58,7 @@ DET_TOL = 1e-9
 SINGULAR_TOL = 1e-12
 COND_MAX = 1e12
 # The SVD-free clearance of _check_group_element: its condition bound must
-# sit this factor under COND_MAX, its LU determinant error bound under this
+# sit this factor under COND_MAX, its determinant error bound under this
 # share of |det|.
 _COND_MARGIN = 10.0
 _DET_SLACK = 0.1
@@ -421,18 +421,17 @@ def _squared_column_norms(g: np.ndarray) -> np.ndarray:
     return (g * g).sum(axis=-2)
 
 
-def _check_group_element(g: np.ndarray) -> np.ndarray:
+def _check_group_element(g: np.ndarray, raw: tuple | None = None) -> None:
     """Raise for the first matrix of ``g``, one (n, n) matrix or an (m, n, n)
     stack, whose determinant is not 1 within ``DET_TOL`` or whose 2-norm
-    condition number exceeds ``COND_MAX``, by :func:`_check_factored` on one
-    raw Householder QR of the stack.  Returns that QR's ``h``, (m, n, n): the
-    transpose of each LAPACK factor, whose upper triangle is ``R``."""
+    condition number exceeds ``COND_MAX``, by :func:`_check_factored` on
+    ``raw``, the raw Householder QR ``(h, tau)`` of the stack, made here
+    when not given."""
     n = g.shape[-1]
     stack = g.reshape(-1, n, n)
-    h, tau = np.linalg.qr(stack, mode="raw")
+    h, tau = np.linalg.qr(stack, mode="raw") if raw is None else raw
     pivots = np.diagonal(h, axis1=-2, axis2=-1).tolist()
     _check_factored(stack, pivots, tau.tolist(), _squared_column_norms(stack).tolist())
-    return h
 
 
 def _checked_rows(g: np.ndarray, moved: np.ndarray, norms: list[float]) -> list[list[float]]:
@@ -453,8 +452,22 @@ def _householder_det(pivots: list[float], tau: list[float]) -> float:
     Householder QR: ``pivots`` the diagonal of ``R``, ``tau`` the reflector
     scalars and ``k`` the count of nonzero ones.  Under LAPACK's dgeqrf
     convention ``tau = 0`` exactly where the reflector is the identity, and
-    every other reflector has determinant -1."""
-    d = math.prod(pivots)
+    every other reflector has determinant -1.
+
+    The mantissas are multiplied apart from the exponents, so no partial
+    product leaves the normal range: each step rounds as ``math.prod``
+    does where its partial products stay normal, and only the result is
+    rounded once more, where it is subnormal.  An exponent past the float
+    range gives an infinite determinant."""
+    mant, exp = 1.0, 0
+    for p in pivots:
+        f, e = math.frexp(p)
+        mant, k = math.frexp(mant * f)
+        exp += e + k
+    try:
+        d = math.ldexp(mant, exp)
+    except OverflowError:
+        d = math.copysign(math.inf, mant)
     return -d if (len(tau) - tau.count(0.0)) % 2 else d
 
 
@@ -481,9 +494,10 @@ def _check_factored(
     and Hadamard's inequality ``|det(g + E) - det g| <= ((1 + gt)**n - 1)
     sqrt(prod(c))``, about ``C n**3 u sqrt(prod(c))``, and the n - 1
     products of the pivots add ``(n - 1) u |d|``, with ``|d|`` at most about
-    ``sqrt(prod(c))`` by Hadamard again.  So ``n**4 eps sqrt(prod(c))``,
-    that is ``2 n**4 u sqrt(prod(c))``, bounds the error of ``d`` for any
-    constant ``C`` up to ``2 n - 1``.
+    ``sqrt(prod(c))`` by Hadamard again; the product keeps its exponent
+    apart, so no partial product underflows or overflows on the way.  So
+    ``n**4 eps sqrt(prod(c))``, that is ``2 n**4 u sqrt(prod(c))``, bounds
+    the error of ``d`` for any constant ``C`` up to ``2 n - 1``.
 
     A matrix whose determinant passes is cleared of the condition check
     without a singular-value call when its column norms certify it.
@@ -562,11 +576,16 @@ def _factors_from_r(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return diag / a, a, r / diag[..., :, None] + 0.0
 
 
-def _siegel_coordinates(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _siegel_coordinates(stack: np.ndarray, check: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """``a`` (m, n) and ``u`` (m, n, n) of every matrix of a validated
-    (m, n, n) stack, from an R-only QR; ``k`` is never formed.  Each row
-    equals the ``a`` and ``u`` of :func:`decompose` bit for bit."""
-    _, a, u = _factors_from_r(np.linalg.qr(stack, mode="r"))
+    (m, n, n) stack, from one raw QR; ``k`` is never formed.  Each row
+    equals the ``a`` and ``u`` of :func:`decompose` bit for bit.  With
+    ``check``, :func:`_check_group_element` reads that same QR first."""
+    raw = np.linalg.qr(stack, mode="raw")
+    if check:
+        _check_group_element(stack, raw)
+    # numpy's mode="r" is this triu of the same LAPACK factor, bit for bit
+    _, a, u = _factors_from_r(np.triu(raw[0].swapaxes(-1, -2)))
     return a, u
 
 
@@ -644,12 +663,7 @@ def membership_excess(g, p: SiegelParams, *, check: bool = True):
 def _stack_excess(stack: np.ndarray, p: SiegelParams, check: bool) -> np.ndarray:
     """The excesses of :func:`membership_excess` for a validated (m, n, n)
     stack."""
-    if check:
-        # the guard's raw QR holds R: np.linalg.qr(stack, mode="r") is this
-        # triu, bit for bit
-        _, a, u = _factors_from_r(np.triu(_check_group_element(stack).swapaxes(-1, -2)))
-    else:
-        a, u = _siegel_coordinates(stack)
+    a, u = _siegel_coordinates(stack, check)
     # rounding is monotone, so max(x) - c == max(x - c) bit for bit; |u| - I
     # leaves the strict upper |u| as they are and zeros elsewhere, which
     # never exceed an |u| entry

@@ -44,8 +44,9 @@ swept once and the swept basis ``h = g @ m`` gets a fresh R-only QR (``k``
 is never formed): that QR ends the call if it finds no exchange either, and
 otherwise the next run starts from its factor, so every status is decided
 on a fresh, fully swept factor.  The sweep of that QR almost never shears,
-and then ``h`` itself is sigma and its ``u`` is never built.  The exchanges and the final ``m`` are those of a full sweep after every QR
-(a size-reduced basis with a given Gram-Schmidt flag is unique, up to exact
+and then ``h`` itself is sigma and its ``u`` is never built.  The exchanges
+and the final ``m`` are those of a full sweep after every QR (a
+size-reduced basis with a given Gram-Schmidt flag is unique, up to exact
 half-integer ties).  Readings of ``potential_trace`` are carried values:
 after an exchange ``a`` has been rotated from rows that were not swept, so
 they can differ in the last bits from a fresh QR of the same basis.
@@ -60,9 +61,9 @@ starting at the presort's signed permutation, and its inverse a list of
 rows, starting at its transpose, so a swap is a list swap with one negation
 on each and a shear is one scalar loop over a column of ``m`` and a row of
 the inverse.  Every float update is a single rounded operation (no fused
-multiply-add), the rotation included.  The float copy of ``m`` made for each later QR, and for sigma
-when the last QR's input cannot serve, raises :class:`NonInvertibleError`
-rather than round an entry of 2**53 or more.
+multiply-add), the rotation included.  The float copy of ``m`` made for
+each later QR, and for sigma when the last QR's input cannot serve, raises
+:class:`NonInvertibleError` rather than round an entry of 2**53 or more.
 sigma @ gamma = g up to two float matrix products, and gamma's determinant
 is +1 by construction, a product of exact det +1 moves on Python ints.
 Ratios sitting exactly on the threshold are left alone (the Siegel set is
@@ -141,7 +142,7 @@ def _exact_float(m: list[list[int]]) -> np.ndarray:
     return _exact_floats(m).T.copy()
 
 
-def _presorted(g: np.ndarray) -> tuple[list[list[int]], np.ndarray, list[list[float]]]:
+def _presorted(g: np.ndarray) -> tuple[list[list[int]], list[list[float]]]:
     """The start of a reduction of ``g``: its columns in non-decreasing order
     of squared norm, by a stable sort (tied columns keep their order, so an
     ordered ``g`` is not permuted), and the one QR of that copy, which the
@@ -149,9 +150,9 @@ def _presorted(g: np.ndarray) -> tuple[list[list[int]], np.ndarray, list[list[fl
 
     Returns ``m``, that move as a signed permutation given by its list of
     integer columns, with column 0 negated when the permutation is odd so
-    that its determinant is +1; ``first``, the exact copy ``g @ m`` made by
-    gathering (and negating) the columns of ``g``: no product rounds; and
-    the rows of the ``R`` of ``first``, by :func:`siegel.iwasawa._checked_rows`.
+    that its determinant is +1, and the rows of the ``R`` of the copy
+    ``g @ m``, by :func:`siegel.iwasawa._checked_rows`; the copy is made by
+    gathering (and negating) the columns of ``g``, so no product rounds.
     """
     n = g.shape[0]
     norms = _squared_column_norms(g).tolist()
@@ -163,7 +164,7 @@ def _presorted(g: np.ndarray) -> tuple[list[list[int]], np.ndarray, list[list[fl
     if sum(x > y for x, y in combinations(order, 2)) % 2:
         m[0][order[0]] = -1
         first[:, 0] *= -1.0
-    return m, first, _checked_rows(g, first, [norms[j] for j in order])
+    return m, _checked_rows(g, first, [norms[j] for j in order])
 
 
 def _shear(
@@ -223,9 +224,9 @@ def _exchange(
     """Exchange columns i and i+1 of the working basis, in place.
 
     First the one shear col_i+1 -= round(u[i][i+1]) col_i on rows 0..i of
-    ``u``, on ``m`` and inverted onto ``m_inv``, as :func:`_shear` makes it:
-    the swap reads only ``a`` and u[i][i+1], so no other entry of ``u`` needs
-    reducing before the run of exchanges ends.  Then the det-corrected swap
+    ``u``, on ``m`` and inverted onto ``m_inv``: the swap reads only ``a``
+    and u[i][i+1], so no other entry of ``u`` needs reducing before the run
+    of exchanges ends.  Then the det-corrected swap
     (col_i, col_i+1) <- (col_i+1, -col_i) on ``m`` and its inverse on the
     rows of ``m_inv``, and the same swap on the columns of
     ``R = diag(a) @ u`` followed by one Givens rotation of rows i, i+1 back
@@ -234,10 +235,7 @@ def _exchange(
     j = i + 1
     ui, uj = u[i], u[j]
     if r := round(ui[j]):
-        for uk in u[:j]:
-            uk[j] -= uk[i] * r
-        m[j] = [x - r * y for x, y in zip(m[j], m[i])]
-        m_inv[i] = [x + r * y for x, y in zip(m_inv[i], m_inv[j])]
+        _shear(u, m, m_inv, i, [(j, r)])
     m[i], m[j] = m[j], [-x for x in m[i]]
     m_inv[i], m_inv[j] = m_inv[j], [-x for x in m_inv[i]]
     # rows i, i+1 of R, columns swapped: block [[a_i u_ij, -a_i], [a_j, 0]]
@@ -294,7 +292,7 @@ def siegel_reduce(
     n = g.shape[0]
     max_iter = 10 * n * n if max_iter is None else as_count(max_iter, "max_iter")
 
-    m, _, rows = _presorted(g)  # columns
+    m, rows = _presorted(g)  # columns
     # rows: a signed permutation's inverse is its transpose
     m_inv = [col[:] for col in m]
     exchanges = 0

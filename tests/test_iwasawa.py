@@ -372,9 +372,11 @@ def exact_det(g) -> Fraction:
 
 def householder_cap(g) -> float:
     """The error bound of a determinant read from a Householder QR of ``g``:
-    n**4 eps sqrt(prod(c)), c the squared column norms."""
+    n**4 eps sqrt(prod(c)), c the squared column norms, with the product
+    taken in log space, where it neither underflows nor overflows."""
     n = g.shape[-1]
-    return n**4 * np.finfo(float).eps * math.sqrt(math.prod((g * g).sum(axis=0).tolist()))
+    log_norms = np.log(np.hypot.reduce(np.abs(g), axis=0)).tolist()
+    return n**4 * np.finfo(float).eps * math.exp(math.fsum(log_norms))
 
 
 class ReportedDet:
@@ -417,12 +419,28 @@ def reference_guard(stack):
     return None
 
 
+#: diagonal matrices whose pivot products leave the normal float range on
+#: the way to their determinant: at n = 130 the running product of the
+#: pivots 1e-5 (first, as the reduction's presort orders them) underflows to
+#: 0; at n = 4 it sinks to the subnormal 1e-320, where it keeps about four
+#: digits, and comes back
+FAR_PIVOTS = {
+    "det 1, n = 130, small first": np.diag([1e-5] * 65 + [1e5] * 65),
+    "det 1, n = 130, large first": np.diag([1e5] * 65 + [1e-5] * 65),
+    "det 1 + 4e-9, n = 130": np.diag([1e-5 * (1.0 + 4e-9)] + [1e-5] * 64 + [1e5] * 65),
+    "det 1, n = 4, cond 1e320": np.diag([1e-160, 1e-160, 1e160, 1e160]),
+    "det 2, n = 4, cond 2e320": np.diag([2e-160, 1e-160, 1e160, 1e160]),
+    "det -1, n = 4, cond 1e320": np.diag([-1e-160, 1e-160, 1e160, 1e160]),
+}
+
+
 def det_corpus(rng):
     """Matrices of known determinant sign across n = 2..40: SL(n,R) elements
     with one column negated or not (det +-1), signed permutations, upper
     triangular matrices (every reflector the identity, tau = 0) and lower
-    triangular ones, columns skewed to cond 1e10 to 1e11, and det 2."""
-    mats = []
+    triangular ones, columns skewed to cond 1e10 to 1e11, and det 2; and the
+    :data:`FAR_PIVOTS`."""
+    mats = list(FAR_PIVOTS.values())
     for n in (2, 3, 4, 5, 8, 13, 20, 30, 40):
         flip = np.ones(n)
         flip[0] = -1.0
@@ -503,6 +521,28 @@ def test_guard_decides_as_the_det_and_cond_loop(n):
         expected = reference_guard(stack)
         assert guard_outcome(_check_group_element, stack) == expected
         assert guard_outcome(excess, stack) == expected
+
+
+@pytest.mark.parametrize("name", list(FAR_PIVOTS))
+def test_guard_decides_as_the_det_and_cond_loop_where_pivot_products_leave_the_range(name):
+    # a running product of the pivots would read det 0 for the n = 130
+    # matrices and 0.99998887 for the det 1 one of n = 4, which the
+    # determinant check would refuse before the condition check
+    g = FAR_PIVOTS[name]
+    with np.errstate(over="ignore"):
+        expected = reference_guard([g])
+    if g.shape[0] == 4:
+        assert expected[0] is (NonInvertibleError if "det 1," in name else NotUnimodularError)
+    else:
+        assert (expected is None) == ("det 1," in name)
+    excess = lambda g: membership_excess(g, MINIMAL_PARAMS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (_check_group_element, decompose, excess, siegel_reduce):
+            assert guard_outcome(call, g) == expected
+    if expected is None:
+        res = siegel_reduce(g)
+        assert res.status == "reduced" and res.iterations == 0
 
 
 def test_guard_takes_exactly_singular_input_without_warning(monkeypatch):

@@ -256,16 +256,15 @@ def test_max_iter_must_be_a_nonnegative_integer(max_iter):
 
 def assert_presorted(g):
     """``reduction._presorted(g)`` gives a signed permutation ``m`` of
-    determinant +1, ``first`` = g @ m exactly, its columns in
-    non-decreasing order of squared norm, and the rows of the R of its QR;
-    returns the permutation order."""
-    m, first, rows = reduction._presorted(g)
+    determinant +1, with ``first`` = g @ m in non-decreasing order of
+    squared column norm, and the rows of the R of the QR of ``first``,
+    bit for bit; returns the permutation order."""
+    m, rows = reduction._presorted(g)
     order = [next(j for j, x in enumerate(col) if x) for col in m]
     assert sorted(order) == list(range(len(m)))
     assert all(sum(map(abs, col)) == 1 for col in m)
     assert UnimodularIntMatrix([list(row) for row in zip(*m)]).det() == 1
-    assert first is not g
-    assert np.array_equal(first, g @ _exact_float(m))
+    first = g @ _exact_float(m)
     assert np.all(np.diff((first * first).sum(axis=0)) >= 0.0)
     assert (_pivot_moduli(rows), _unit_rows(rows)) == _coordinate_lists(first)
     return order
@@ -276,9 +275,9 @@ def test_presort_orders_columns_by_norm_with_a_signed_permutation():
     # transposition is odd, so the first column of the sorted copy is negated
     g = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     assert assert_presorted(g) == [1, 0, 2]
-    m, first, _ = reduction._presorted(g)
+    m, _ = reduction._presorted(g)
     assert m == [[0, -1, 0], [1, 0, 0], [0, 0, 1]]
-    assert np.array_equal(first, [[0.0, 1.0, 1.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    assert np.array_equal(g @ _exact_float(m), [[0.0, 1.0, 1.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     # equal norms everywhere: nothing moves, and the reduction leaves it
     swapped = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     assert assert_presorted(swapped) == [0, 1, 2]
@@ -307,7 +306,8 @@ def fresh_qr_reduce(g, max_iter=None, p=P):
     n = g.shape[0]
     if max_iter is None:
         max_iter = 10 * n * n
-    m, h, _ = reduction._presorted(g)
+    m, _ = reduction._presorted(g)
+    h = g @ _exact_float(m)
     m_inv = [col[:] for col in m]
     exchanges = 0
     while True:
@@ -491,10 +491,11 @@ def test_one_sweep_per_ending_qr_and_sigma_is_its_input(monkeypatch, n):
         kinds = "".join(kind for kind, _ in events)
         qr_inputs = [x for kind, x in events if kind == "q"]
         assert len(qr_inputs) == res.refreshes
-        # a QR that starts a run builds u, exchanges on it unswept, sweeps it
-        # once and copies m for the next QR; the one that ends the call is
-        # tested, and builds u and sweeps only when the sweep shears
-        assert re.fullmatch(r"q(ux+ws*fq)*d(uws+f|f)?", kinds), kinds
+        # a QR that starts a run builds u, exchanges on it unswept (each
+        # exchange shears at most its own pair), sweeps it once and copies m
+        # for the next QR; the one that ends the call is tested, and builds
+        # u and sweeps only when the sweep shears
+        assert re.fullmatch(r"q(u(xs?)+ws*fq)*d(uws+f|f)?", kinds), kinds
         swept = "u" in kinds[kinds.index("d"):]
         confirmed += res.refreshes > 1
         if res.refreshes > 1 and not swept:
