@@ -168,38 +168,32 @@ def _presorted(g: np.ndarray) -> tuple[list[list[int]], list[list[float]]]:
 
 
 def _shear(
-    u: list[list[float]], m: list[list[int]], m_inv: list[list[int]], i: int,
-    shears: list[tuple[int, int]],
+    u: list[list[float]], m: list[list[int]], m_inv: list[list[int]], i: int, j: int, r: int
 ) -> None:
-    """col_j -= r col_i for every (j, r) in ``shears`` (all j > i), in place:
-    on rows 0..i of ``u`` and on ``m`` on the right, inverted onto ``m_inv``
-    on the left.  ``u`` is a list of rows, ``m`` a list of columns and
-    ``m_inv`` a list of rows."""
+    """col_j -= r col_i (j > i), in place: on rows 0..i of ``u`` and on ``m``
+    on the right, inverted onto ``m_inv`` on the left.  ``u`` is a list of
+    rows, ``m`` a list of columns and ``m_inv`` a list of rows."""
     for uk in u[: i + 1]:
-        uki = uk[i]
-        for j, r in shears:
-            uk[j] -= uki * r
-    col_i = m[i]
-    row_i = m_inv[i]
-    for j, r in shears:
-        m[j] = [x - r * y for x, y in zip(m[j], col_i)]
-        row_i = [x + r * y for x, y in zip(row_i, m_inv[j])]
-    m_inv[i] = row_i
+        uk[j] -= uk[i] * r
+    m[j] = [x - r * y for x, y in zip(m[j], m[i])]
+    m_inv[i] = [x + r * y for x, y in zip(m_inv[i], m_inv[j])]
 
 
 def _size_reduce(u: list[list[float]], m: list[list[int]], m_inv: list[list[int]]) -> None:
     """Push u[i][j] into [-1/2, 1/2] by unit upper integer shears, in place.
 
-    One row sweep per i from the bottom row n - 2 up to 0: every
-    r_j = round(u[i][j]), j > i, is read first (``round`` ties to even, as
-    ``np.round`` does), then the shears col_j -= r_j col_i are applied.
+    One row sweep per i from the bottom row n - 2 up to 0, one shear
+    col_j -= r_j col_i per r_j = round(u[i][j]) != 0, j > i (``round`` ties
+    to even, as ``np.round`` does).  A shear of column j writes no other
+    entry of row i, so each r_j is the one the row held before the sweep.
     Called once on each factor that ends a run of exchanges; in between,
     :func:`_exchange` shears only the pair it swaps.
     """
     for i in range(len(u) - 2, -1, -1):
         row = u[i]
-        if shears := [(j, r) for j in range(i + 1, len(row)) if (r := round(row[j]))]:
-            _shear(u, m, m_inv, i, shears)
+        for j in range(i + 1, len(row)):
+            if r := round(row[j]):
+                _shear(u, m, m_inv, i, j, r)
 
 
 def _sweep_due(rows: list[list[float]]) -> bool:
@@ -235,7 +229,7 @@ def _exchange(
     j = i + 1
     ui, uj = u[i], u[j]
     if r := round(ui[j]):
-        _shear(u, m, m_inv, i, [(j, r)])
+        _shear(u, m, m_inv, i, j, r)
     m[i], m[j] = m[j], [-x for x in m[i]]
     m_inv[i], m_inv[j] = m_inv[j], [-x for x in m_inv[i]]
     # rows i, i+1 of R, columns swapped: block [[a_i u_ij, -a_i], [a_j, 0]]
