@@ -634,8 +634,9 @@ def decompose(g, *, check: bool = True) -> IwasawaFactors:
     rounding behavior.  ``check=False`` skips the det/condition guards for
     hot loops that already know their input.  With them, the guard's raw
     R-only QR comes first, one more factorization of ``g`` than the complete
-    QR: 2.5 to 3 times the cost of an LU determinant, about 9 against
-    3.5 us at n = 2..8 on a 2-vCPU x86-64 host.
+    QR: about twice the cost of an LU determinant, so a checked call takes
+    about 36 to 41 us at n = 2..8 where an LU guard took 28 to 32 us, on a
+    2-vCPU x86-64 host.
     """
     g = as_square_matrix(g)
     if check:

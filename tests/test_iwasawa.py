@@ -525,8 +525,8 @@ def test_guard_decides_as_the_det_and_cond_loop(n):
 
 @pytest.mark.parametrize("name", list(FAR_PIVOTS))
 def test_guard_decides_as_the_det_and_cond_loop_where_pivot_products_leave_the_range(name):
-    # a running product of the pivots would read det 0 for the n = 130
-    # matrices and 0.99998887 for the det 1 one of n = 4, which the
+    # a running product of the pivots would read det 0 or inf for the
+    # n = 130 matrices and 0.99998887 for the det 1 one of n = 4, which the
     # determinant check would refuse before the condition check
     g = FAR_PIVOTS[name]
     with np.errstate(over="ignore"):
