@@ -16,8 +16,9 @@ inequality chain read ``(a, u)`` alone, so they share one private kernel:
 an R-only QR of a stack, with the singular-pivot guard and the
 positive-diagonal sign fix applied once, equal bit for bit to the ``a``
 and ``u`` of :func:`decompose`.  The reduction, whose loop runs on Python
-scalars, reads the same LAPACK factor of one matrix straight into Python
-lists, with the same guard, the same sign fix and the same bits.  The det
+scalars, reads the same LAPACK factor of one matrix into Python lists, its
+rows with their signed pivots, with the same pivot guard; it carries that
+``R`` itself and builds neither ``a`` nor ``u``.  The det
 and condition guard reads one raw Householder QR of a whole stack: the
 determinant from its pivots and reflectors, and a condition bound from the
 squared column norms that clears most matrices; only those it cannot clear
@@ -603,27 +604,6 @@ def _pivot_moduli(rows: list[list[float]]) -> list[float]:
     if min(a) < SINGULAR_TOL:
         raise NonInvertibleError(f"column pivot {min(a):.3e} below {SINGULAR_TOL:.1e}")
     return a
-
-
-def _unit_rows(rows: list[list[float]]) -> list[list[float]]:
-    """The rows of ``u`` of the factor with rows ``rows``, each entry the one
-    rounded division of :func:`_factors_from_r`, so bit for bit its ``u``."""
-    # x / x is exactly 1.0 and the strict lower triangle is exactly 0.0, so
-    # both are written as constants; + 0.0 turns -0.0 into +0.0
-    u = []
-    for i, row in enumerate(rows):
-        p = row[i]
-        u.append([0.0] * i + [1.0] + [x / p + 0.0 for x in row[i + 1:]])
-    return u
-
-
-def _coordinate_lists(g: np.ndarray) -> tuple[list[float], list[list[float]]]:
-    """``a`` and the rows of ``u`` of one validated (n, n) matrix as Python
-    float lists, equal bit for bit to the ``a`` and ``u`` of
-    :func:`_siegel_coordinates`: the same LAPACK factor, read without the
-    array passes."""
-    rows = _factor_rows(g)
-    return _pivot_moduli(rows), _unit_rows(rows)
 
 
 def decompose(g, *, check: bool = True) -> IwasawaFactors:

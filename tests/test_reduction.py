@@ -11,10 +11,10 @@ from siegel.iwasawa import (
     MINIMAL_PARAMS,
     SiegelParams,
     UnimodularIntMatrix,
-    _coordinate_lists,
+    _factor_rows,
+    _factors_from_r,
     _pivot_moduli,
     _siegel_coordinates,
-    _unit_rows,
     b_from_a,
     decompose,
     siegel_membership,
@@ -23,9 +23,9 @@ from siegel.iwasawa import (
 from siegel.reduction import (
     STATUS_BUDGET_EXHAUSTED,
     STATUS_REDUCED,
+    ReductionResult,
     _exact_float,
     _size_reduce,
-    _sweep_due,
     log_potential,
     siegel_reduce,
 )
@@ -258,7 +258,8 @@ def assert_presorted(g):
     """``reduction._presorted(g)`` gives a signed permutation ``m`` of
     determinant +1, with ``first`` = g @ m in non-decreasing order of
     squared column norm, and the rows of the R of the QR of ``first``,
-    bit for bit; returns the permutation order."""
+    whose ``a`` and ``u`` are those of the stack kernel bit for bit;
+    returns the permutation order."""
     m, rows = reduction._presorted(g)
     order = [next(j for j, x in enumerate(col) if x) for col in m]
     assert sorted(order) == list(range(len(m)))
@@ -266,7 +267,10 @@ def assert_presorted(g):
     assert UnimodularIntMatrix([list(row) for row in zip(*m)]).det() == 1
     first = g @ _exact_float(m)
     assert np.all(np.diff((first * first).sum(axis=0)) >= 0.0)
-    assert (_pivot_moduli(rows), _unit_rows(rows)) == _coordinate_lists(first)
+    (a,), (u,) = _siegel_coordinates(first[None])
+    _, a_rows, u_rows = _factors_from_r(np.triu(rows))
+    assert a_rows.tobytes() == a.tobytes() and u_rows.tobytes() == u.tobytes()
+    assert _pivot_moduli(rows) == a.tolist()
     return order
 
 
@@ -348,22 +352,22 @@ def negated_columns(g, rng):
 
 
 @pytest.mark.parametrize("n", range(2, 9))
-def test_coordinate_lists_equal_the_stack_kernel(n):
-    # the reduction's list reader and the stack kernel read the same LAPACK
-    # factor; a, the strict upper u (+0.0, never -0.0), the exact unit
-    # diagonal and the zero lower triangle must all agree bit for bit
+def test_json_b_and_u_max_equal_decompose(n):
+    # the JSON form reads b and u_max from the raw LAPACK factor of sigma;
+    # they must be those of decompose bit for bit, for reduced sigmas and for
+    # any other sigma, pivots of both signs and |u| > 1/2 among them
     rng = np.random.default_rng(7700 + n)
     corpus = reduction_corpus(n, 7700 + n)
-    mats = corpus + [negated_columns(g, rng) for g in corpus] + [-np.eye(n), np.eye(n)[::-1]]
-    stack_a, stack_u = _siegel_coordinates(np.array(mats))
-    for g, a_row, u_row in zip(mats, stack_a, stack_u):
-        a, u = _coordinate_lists(g)
-        assert np.array(a).tobytes() == a_row.tobytes()
-        assert np.array(u).tobytes() == u_row.tobytes()
-        zeros = np.array(u)[np.array(u) == 0.0]
-        assert zeros.size >= n * (n - 1) // 2 and not np.any(np.signbit(zeros))
-        assert all(type(x) is float for x in a)
-        assert all(type(x) is float for row in u for x in row)
+    mats = corpus + [negated_columns(g, rng) for g in corpus]
+    sigmas = mats + [siegel_reduce(g).sigma for g in mats] + [-np.eye(n), np.eye(n)[::-1]]
+    identity = UnimodularIntMatrix(identity_columns(n))
+    for sigma in sigmas:
+        doc = ReductionResult(identity, sigma, 0, STATUS_REDUCED, 1).to_json_dict()
+        f = decompose(sigma, check=False)
+        assert np.array(doc["b"]).tobytes() == f.b.tobytes()
+        u_max = np.abs(f.u[np.triu_indices(n, k=1)]).max()
+        assert np.array(doc["u_max"]).tobytes() == u_max.tobytes()
+        assert all(type(x) is float for x in [*doc["b"], doc["u_max"]])
 
 
 @pytest.mark.parametrize("g", [
@@ -371,12 +375,12 @@ def test_coordinate_lists_equal_the_stack_kernel(n):
     [[1.0, 0.0, 0.0], [0.0, 1e-13, 0.0], [0.0, 0.0, 1e13]],
     [[0.0, 0.0], [0.0, 1.0]],
 ])
-def test_coordinate_lists_keep_the_pivot_guard(g):
+def test_factor_rows_keep_the_pivot_guard(g):
     g = np.array(g)
     with pytest.raises(NonInvertibleError) as stacked:
         _siegel_coordinates(g[None])
     with pytest.raises(NonInvertibleError) as listed:
-        _coordinate_lists(g)
+        _pivot_moduli(_factor_rows(g))
     assert str(listed.value) == str(stacked.value)
 
 
@@ -469,9 +473,8 @@ def test_reduced_sigma_is_an_exact_member_criterion_6_slice():
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_one_sweep_per_ending_qr_and_sigma_is_its_input(monkeypatch, n):
-    # log every QR (with its input), float copy of m, test of an ending
-    # factor, u built, sweep, shear and exchange of each call on the seeded
-    # corpus, one letter each
+    # log every QR (with its input), float copy of m, sweep, shear and
+    # exchange of each call on the seeded corpus, one letter each
     events = []
 
     def logged(name, f):
@@ -481,8 +484,8 @@ def test_one_sweep_per_ending_qr_and_sigma_is_its_input(monkeypatch, n):
         return call
 
     monkeypatch.setattr(np.linalg, "qr", logged("q", np.linalg.qr))
-    for name, attr in [("f", "_exact_float"), ("d", "_sweep_due"), ("u", "_unit_rows"),
-                       ("w", "_size_reduce"), ("s", "_shear"), ("x", "_exchange")]:
+    for name, attr in [("f", "_exact_float"), ("w", "_size_reduce"), ("s", "_shear"),
+                       ("x", "_exchange")]:
         monkeypatch.setattr(reduction, attr, logged(name, getattr(reduction, attr)))
     confirmed = quiet = 0
     for g in reduction_corpus(n, 7800 + n):
@@ -491,18 +494,18 @@ def test_one_sweep_per_ending_qr_and_sigma_is_its_input(monkeypatch, n):
         kinds = "".join(kind for kind, _ in events)
         qr_inputs = [x for kind, x in events if kind == "q"]
         assert len(qr_inputs) == res.refreshes
-        # a QR that starts a run builds u, exchanges on it unswept (each
+        # a QR that starts a run exchanges on its factor unswept (each
         # exchange shears at most its own pair), sweeps it once and copies m
-        # for the next QR; the one that ends the call is tested, and builds
-        # u and sweeps only when the sweep shears
-        assert re.fullmatch(r"q(u(xs?)+ws*fq)*d(uws+f|f)?", kinds), kinds
-        swept = "u" in kinds[kinds.index("d"):]
+        # for the next QR; the one that ends the call is swept once, and m is
+        # copied again only when that sweep shears or no later QR was made
+        assert re.fullmatch(r"q((xs?)+ws*fq)*w(s+f|f)?", kinds), kinds
+        swept = "s" in kinds[kinds.rindex("w"):]
         confirmed += res.refreshes > 1
         if res.refreshes > 1 and not swept:
             # the ending factor shears nothing: no float copy of m beyond the
             # ones the later QRs factor, and sigma is the last QR's input
             quiet += 1
-            assert kinds.endswith("d")
+            assert kinds.endswith("w")
             assert kinds.count("f") == res.refreshes - 1
             assert res.sigma is qr_inputs[-1]
         else:
@@ -513,30 +516,37 @@ def test_one_sweep_per_ending_qr_and_sigma_is_its_input(monkeypatch, n):
     assert quiet == confirmed > 0
 
 
-def test_sweep_test_reads_the_sweep_without_building_u():
-    # pivots of both signs, some powers of 2 so that quotients land exactly
-    # on +-1/2 and their neighbours; the test must say whether the sweep of
-    # the u built from the same rows shears
+def test_r_sweep_shears_where_the_u_sweep_shears():
+    # pivots of both signs, quotients on +-1/2, their neighbours and +-0.0:
+    # the sweep of R in place must report a shear exactly when the sweep of
+    # the u of decompose's division (_factors_from_r) shears, and where
+    # every pivot is a power of 2 and so every operation exact up to that
+    # scale, it must make the same moves
     rng = np.random.default_rng(7950)
     half = [0.5, -0.5, np.nextafter(0.5, 1.0), np.nextafter(-0.5, -1.0),
-            np.nextafter(0.5, 0.0), 1.5, 0.0, -0.0]
+            np.nextafter(0.5, 0.0), np.nextafter(-0.5, 0.0), 1.5, 0.0, -0.0]
     outcomes = set()
     for _ in range(400):
         n = int(rng.integers(2, 9))
-        pivots = rng.choice([-1.0, 1.0], size=n) * np.where(
-            rng.random(n) < 0.5, 2.0 ** rng.integers(-3, 4, size=n), rng.uniform(0.1, 10.0, size=n)
+        exact = rng.random() < 0.5
+        pivots = rng.choice([-1.0, 1.0], size=n) * (
+            2.0 ** rng.integers(-3, 4, size=n) if exact else rng.uniform(0.1, 10.0, size=n)
         )
         rows = []
         for i, p in enumerate(pivots):
             quotients = np.where(rng.random(n) < 0.7, rng.choice(half, size=n),
-                                 rng.uniform(-0.5, 0.5, size=n))
+                                 rng.uniform(-2.0, 2.0, size=n))
             rows.append([float(x) for x in rng.standard_normal(i)] + [float(p)]
                         + [float(q * p) for q in quotients[i + 1:]])
+        _, _, u = _factors_from_r(np.triu(rows))
         m, m_inv = identity_columns(n), identity_columns(n)
-        _size_reduce(_unit_rows(rows), m, m_inv)
-        sheared = m != identity_columns(n)
-        assert _sweep_due(rows) == sheared
-        outcomes.add(sheared)
+        u_sheared = _size_reduce(u.tolist(), m, m_inv)
+        assert u_sheared == (m != identity_columns(n))
+        r_m, r_m_inv = identity_columns(n), identity_columns(n)
+        assert _size_reduce(rows, r_m, r_m_inv) == u_sheared
+        if exact:
+            assert (r_m, r_m_inv) == (m, m_inv)
+        outcomes.add(u_sheared)
     assert outcomes == {True, False}
 
 

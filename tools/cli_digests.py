@@ -39,13 +39,22 @@ def gaussian_sl(seed: int, n: int) -> list[float]:
     return g.ravel().tolist()
 
 
+def column_skewed_sl(seed: int, n: int) -> list[float]:
+    """``gaussian_sl(seed, n)`` with its columns scaled apart by up to
+    10**2.5 each way, the scales' product 1, row-major."""
+    d = np.random.default_rng(seed + 1).uniform(-2.5, 2.5, size=n)
+    return (np.reshape(gaussian_sl(seed, n), (n, n)) * 10.0 ** (d - d.mean())).ravel().tolist()
+
+
 #: The matrices decompose and reduce read from standard input, by name: a
-#: unimodular 3x3 matrix, a Gaussian one of n = 24, one of determinant 2, one
-#: of determinant -1 and one of determinant 1 and condition number 1e14; the
-#: group-element guard refuses the last three.
+#: unimodular 3x3 matrix, a Gaussian one of n = 24, a column-skewed one of
+#: n = 8 whose reduction makes 5 exchanges and a confirming QR, one of
+#: determinant 2, one of determinant -1 and one of determinant 1 and
+#: condition number 1e14; the group-element guard refuses the last three.
 MATRICES = {
     "unimodular": json.dumps({"n": 3, "entries": [2, 1, 0, 1, 1, 0, 3, 1, 1]}),
     "gaussian-24": json.dumps({"n": 24, "entries": gaussian_sl(24, 24)}),
+    "skewed-8": json.dumps({"n": 8, "entries": column_skewed_sl(68, 8)}),
     "det-2": json.dumps({"n": 2, "entries": [2, 0, 0, 1]}),
     "det-minus-1": json.dumps({"n": 2, "entries": [0, 1, 1, 0]}),
     "cond-1e14": json.dumps({"n": 2, "entries": [1e7, 0, 0, 1e-7]}),
@@ -70,6 +79,8 @@ CALLS = [
         for name in MATRICES
         for command in ("decompose", "reduce")
     ),
+    # the budget runs out after the first exchange
+    ["reduce", "--max-iter", "1", "--input", "-", "<", "skewed-8"],
     ["bounds", "--n", "21"],
     ["volume", "--object", "ratio", "--n", "60"],
     ["volume", "--object", "siegel", "--n", "3", "--t", "1.2", "--lambda", "0.4"],
