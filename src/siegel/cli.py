@@ -6,12 +6,13 @@ enumerate-intersections, bounds.  Each command returns its report and
 :func:`run` alone writes it to stdout: one JSON document per invocation
 (enumerate-intersections first writes one per candidate), on one line
 under ``--format json`` and indented under ``pretty``.  Only
-growth-table writes ``csv``; every other command refuses it.  A command
-accepts only the settings it reads, and its report echoes only those:
-the seed where random numbers are drawn (sample,
-enumerate-intersections), the tolerance overrides the command applied,
-t and lambda where decompose, volume and sample read them, and always
-the tool version, so runs can be reproduced byte for byte.  Every
+growth-table writes ``csv``; every other command refuses it.  Every
+setting is a flag, else its built-in default; there is no config file.
+A command accepts only the flags it reads, and its report echoes what
+took effect: a ``config`` header of the tool version, plus the seed where
+random numbers are drawn (sample, enumerate-intersections), and t and
+lambda in the result where decompose, volume and sample read them, so a
+run is reproduced byte for byte from its command line.  Every
 document is strict JSON (``allow_nan=False``): a ``volume`` whose value
 leaves the double range writes ``"value": null`` next to its
 ``log_value``.
@@ -24,7 +25,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,91 +72,20 @@ from .intersections import (
 #: the commands that draw random numbers: only they take ``--seed`` and
 #: echo the seed
 _SEEDED_COMMANDS = ("sample", "enumerate-intersections")
-#: ``membership_tol`` is the slack of the ``decompose`` membership verdict;
-#: no other command applies it, so no other report echoes it.
-TOLERANCE_KEYS = ("membership_tol",)
-#: the least value of each budget, flag or config: 0 exchanges or 0 random
-#: samples per candidate are valid runs, a Monte Carlo estimate (mean and
-#: standard error) needs two
-_BUDGET_LEAST = {"max_iter": 0, "budget_per_candidate": 0, "mc_samples": 2}
+#: the slack of the ``decompose`` membership verdict
+_MEMBERSHIP_TOL = 1e-9
 OUTPUT_FORMATS = ("json", "csv", "pretty")
 DEFAULT_MC_SAMPLES = 100_000
 
 
-@dataclass
-class RunConfig:
-    """Effective run configuration; each report echoes the part its command reads."""
-
-    seed: int = 0
-    tolerances: dict = field(default_factory=dict)
-    output_format: str = "json"
-    budgets: dict = field(default_factory=dict)
-
-    def report_header(self, command: str) -> dict:
-        tolerances = self.tolerances if command == "decompose" else {}
-        header = {"tolerances": dict(sorted(tolerances.items())), "tool_version": __version__}
-        if command in _SEEDED_COMMANDS:
-            header["seed"] = self.seed
-        return header
-
-
-def _config_int(key: str, value) -> int:
-    # JSON integers only: bool is an int subclass, and a float or string
-    # would otherwise be truncated or parsed
-    if type(value) is not int:
-        raise MalformedConfigError(f"config key {key!r} must be an integer, got {value!r}")
+def _setting(value: int | None, flag: str, least: int, default=None):
+    """The value of the count ``flag``, else ``default``; a given value below
+    ``least`` is refused before anything runs."""
+    if value is None:
+        return default
+    if value < least:
+        raise MalformedConfigError(f"{flag} must be >= {least}")
     return value
-
-
-def load_config(path: str | None) -> RunConfig:
-    """Read a flat JSON object; unknown keys and values of the wrong type
-    are rejected, absent keys default."""
-    cfg = RunConfig()
-    if path is None:
-        return cfg
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise MalformedConfigError(
-            f"config is not valid JSON: {exc.msg}", line=exc.lineno, column=exc.colno
-        ) from exc
-    except OSError as exc:
-        raise MalformedConfigError(f"cannot read config: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise MalformedConfigError("config must be a flat JSON object")
-    for key, value in raw.items():
-        if key == "seed":
-            cfg.seed = _config_int(key, value)
-        elif key == "output_format":
-            if value not in OUTPUT_FORMATS:
-                raise MalformedConfigError(f"unknown output_format {value!r}")
-            cfg.output_format = value
-        elif key in TOLERANCE_KEYS:
-            if type(value) not in (int, float) or not 0 <= value <= sys.float_info.max:
-                raise MalformedConfigError(
-                    f"config key {key!r} must be a finite number >= 0, got {value!r}"
-                )
-            cfg.tolerances[key] = float(value)
-        elif key in _BUDGET_LEAST:
-            cfg.budgets[key] = _bounded(key, _config_int(key, value))
-        else:
-            raise MalformedConfigError(f"unknown config key {key!r}")
-    return cfg
-
-
-def _bounded(key: str, value: int) -> int:
-    if value < _BUDGET_LEAST[key]:
-        raise MalformedConfigError(f"budget {key} must be >= {_BUDGET_LEAST[key]}")
-    return value
-
-
-def _setting(flag, budgets: dict, key: str, default=None):
-    """Effective value of a setting: explicit flag (held to the config key's
-    bound), else ``budgets[key]``, else default."""
-    if flag is not None:
-        return _bounded(key, flag)
-    return budgets.get(key, default)
 
 
 def _siegel_params(args) -> SiegelParams:
@@ -196,7 +125,7 @@ _VOLUMES = {
 }
 
 
-def _cmd_volume(args, config: RunConfig) -> dict:
+def _cmd_volume(args) -> dict:
     build, form_check = _VOLUMES[args.object]
     result: dict = {"object": args.object, "n": args.n}
     if args.object == "siegel":
@@ -218,13 +147,12 @@ def _cmd_volume(args, config: RunConfig) -> dict:
     return result
 
 
-def _cmd_growth_table(args, config: RunConfig) -> list:
+def _cmd_growth_table(args) -> list:
     return growth_table(args.n_max)
 
 
-def _cmd_decompose(args, config: RunConfig) -> dict:
+def _cmd_decompose(args) -> dict:
     g = _read_matrix(args.input)
-    tol = config.tolerances.get("membership_tol", 1e-9)
     p = _siegel_params(args)
     f = decompose(g)
     iu = np.triu_indices(f.n, k=1)
@@ -235,31 +163,30 @@ def _cmd_decompose(args, config: RunConfig) -> dict:
         "b": [float(x) for x in f.b],
         "u_max": float(np.max(np.abs(f.u[iu]))),
         # decompose has just run the det/condition guard on g
-        "membership": siegel_membership(g, p, tol, check=False),
+        "membership": siegel_membership(g, p, _MEMBERSHIP_TOL, check=False),
         "t": p.t,
         "lambda": p.lam,
         "residuals": f.max_errors(g),
     }
 
 
-def _cmd_reduce(args, config: RunConfig) -> dict:
-    max_iter = _setting(args.max_iter, config.budgets, "max_iter")
+def _cmd_reduce(args) -> dict:
+    max_iter = _setting(args.max_iter, "--max-iter", 0)
     return siegel_reduce(_read_matrix(args.input), max_iter=max_iter).to_json_dict()
 
 
-def _cmd_sample(args, config: RunConfig) -> dict:
+def _cmd_sample(args) -> dict:
     if args.what == "rotation":
         _refuse(args, "--what rotation", "t", "lam", "b_min")
     elif args.what == "a-integral":
         _refuse(args, "--what a-integral", "lam")
-    stream = RngStream(config.seed, 0)
+    stream = RngStream(args.seed, 0)
     p = _siegel_params(args)
+    # a Monte Carlo estimate (mean and standard error) needs two samples
     if args.what == "a-integral":
-        count = _setting(args.count, config.budgets, "mc_samples", DEFAULT_MC_SAMPLES)
+        count = _setting(args.count, "--count", 2, DEFAULT_MC_SAMPLES)
     else:
-        count = 1 if args.count is None else args.count
-        if count < 1:
-            raise MalformedConfigError("--count must be >= 1")
+        count = _setting(args.count, "--count", 1, 1)
     result: dict = {"what": args.what, "n": args.n, "count": count}
     if args.what == "rotation":
         batch = sample_haar_so_batch(args.n, count, stream)
@@ -278,17 +205,17 @@ def _cmd_sample(args, config: RunConfig) -> dict:
     return result
 
 
-def _cmd_enumerate(args, config: RunConfig) -> tuple:
-    budget = _setting(args.budget, config.budgets, "budget_per_candidate", DEFAULT_BUDGET)
+def _cmd_enumerate(args) -> tuple:
+    budget = _setting(args.budget, "--budget", 0, DEFAULT_BUDGET)
     return enumerate_intersections(
         args.n,
         budget_per_candidate=budget,
-        rng=RngStream(config.seed, 0),
+        rng=RngStream(args.seed, 0),
         max_height=args.max_height,
     )
 
 
-def _cmd_bounds(args, config: RunConfig) -> dict:
+def _cmd_bounds(args) -> dict:
     log_lower, log_upper = count_bounds(args.n)
     return {
         "n": args.n,
@@ -299,7 +226,7 @@ def _cmd_bounds(args, config: RunConfig) -> dict:
     }
 
 
-def _write(args, config: RunConfig, fmt: str, out) -> None:
+def _write(args, out) -> None:
     """Write a command's report to stdout, the only place the CLI does.
 
     ``csv`` is the growth table's rows.  ``json`` and ``pretty`` are the
@@ -308,15 +235,18 @@ def _write(args, config: RunConfig, fmt: str, out) -> None:
     ``result``; ``enumerate-intersections`` first writes one document per
     candidate report and then its ``summary`` in place of a ``result``.
     """
-    if fmt == "csv":
+    if args.format == "csv":
         sys.stdout.write(growth_table_csv(out))
         return
-    layout = {"indent": 2} if fmt == "pretty" else {"separators": (",", ":")}
+    layout = {"indent": 2} if args.format == "pretty" else {"separators": (",", ":")}
 
     def dumps(doc) -> str:
         return json.dumps(doc, sort_keys=True, allow_nan=False, **layout) + "\n"
 
-    doc = {"command": args.command, "config": config.report_header(args.command)}
+    header = {"tool_version": __version__}
+    if args.command in _SEEDED_COMMANDS:
+        header["seed"] = args.seed
+    doc = {"command": args.command, "config": header}
     if args.command == "enumerate-intersections":
         reports, doc["summary"] = out
         sys.stdout.write("".join(dumps(r.to_json_dict()) for r in reports))
@@ -336,13 +266,13 @@ def _add_siegel_params(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _global_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
-    # declared on the main parser with real defaults and on every
-    # subparser with SUPPRESS, so the flags work on either side of the
+def _format_option(parser: argparse.ArgumentParser, default: str) -> None:
+    # declared on the main parser with the real default and on every
+    # subparser with SUPPRESS, so the flag works on either side of the
     # subcommand without the subparser default clobbering a given value
-    d = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--config", default=d, help="path to a flat JSON config")
-    parser.add_argument("--format", choices=OUTPUT_FORMATS, default=d)
+    parser.add_argument(
+        "--format", choices=OUTPUT_FORMATS, default=default, help="output layout (default json)"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,9 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="siegel",
         description="Siegel sets for SL(n,R): decomposition, volumes, reduction, intersections",
     )
-    _global_options(parser, suppress=False)
+    _format_option(parser, "json")
     common = argparse.ArgumentParser(add_help=False)
-    _global_options(common, suppress=True)
+    _format_option(common, argparse.SUPPRESS)
     commands = parser.add_subparsers(dest="command", required=True)
 
     sub = commands.add_parser("volume", help="closed-form volumes and ratios", parents=[common])
@@ -401,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in _SEEDED_COMMANDS:
         commands.choices[name].add_argument(
-            "--seed", type=int, default=None, help="override the config seed"
+            "--seed", type=int, default=0, help="seed of the random stream (default 0)"
         )
     return parser
 
@@ -414,19 +344,12 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
     try:
-        config = load_config(args.config)
-        if getattr(args, "seed", None) is not None:
-            config.seed = args.seed
-        fmt = args.format or config.output_format
-        if fmt == "csv" and args.command != "growth-table":
+        if args.format == "csv" and args.command != "growth-table":
             raise MalformedConfigError(f"{args.command} does not write csv; only growth-table does")
-        _write(args, config, fmt, args.func(args, config))
+        _write(args, args.func(args))
         return 0
     except (SiegelError, OSError, ValueError, KeyError) as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
-        if isinstance(exc, MalformedConfigError) and exc.line is not None:
-            error["line"] = exc.line
-            error["column"] = exc.column
         sys.stderr.write(json.dumps(error, sort_keys=True, allow_nan=False) + "\n")
         return 1
 

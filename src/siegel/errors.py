@@ -38,12 +38,4 @@ class DimensionTooLargeError(SiegelError, ValueError):
 
 
 class MalformedConfigError(SiegelError, ValueError):
-    """Config file is not valid, or contains unknown keys.
-
-    ``line`` and ``column`` are set when the file failed to parse.
-    """
-
-    def __init__(self, message, line=None, column=None):
-        super().__init__(message)
-        self.line = line
-        self.column = column
+    """A CLI flag is given where nothing reads it, or out of range."""

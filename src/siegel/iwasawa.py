@@ -435,19 +435,6 @@ def _check_group_element(g: np.ndarray, raw: tuple | None = None) -> None:
     _check_factored(stack, pivots, tau.tolist(), _squared_column_norms(stack).tolist())
 
 
-def _checked_rows(g: np.ndarray, moved: np.ndarray, norms: list[float]) -> list[list[float]]:
-    """The rows of ``R`` of one raw QR of ``moved``, the (n, n) matrix ``g``
-    with its columns put in another order and some negated (the reduction's
-    presort), after :func:`_check_factored` of ``g`` on that factor;
-    ``norms`` are the squared column norms of ``moved``.  The move keeps the
-    determinant and the singular values, so the check decides for ``g``,
-    and a singular-value call, where one is needed, is of ``g`` itself."""
-    h, tau = np.linalg.qr(moved, mode="raw")
-    rows = h.T.tolist()
-    _check_factored(g[None], [[row[i] for i, row in enumerate(rows)]], [tau.tolist()], [norms])
-    return rows
-
-
 def _householder_det(pivots: list[float], tau: list[float]) -> float:
     """The determinant ``(-1)**k * prod(pivots)`` of a matrix from its raw
     Householder QR: ``pivots`` the diagonal of ``R``, ``tau`` the reflector
@@ -590,20 +577,28 @@ def _siegel_coordinates(stack: np.ndarray, check: bool = False) -> tuple[np.ndar
     return a, u
 
 
-def _factor_rows(g: np.ndarray) -> list[list[float]]:
+def _factor_rows(moved: np.ndarray, checked: tuple | None = None) -> list[list[float]]:
     """The rows of the LAPACK factor of one raw QR of the validated (n, n)
-    matrix ``g``, as Python float lists: row i holds ``R[i, j]`` for j >= i
-    (the entries left of the diagonal are reflector data no reader reads)."""
-    return np.linalg.qr(g, mode="raw")[0].T.tolist()
+    matrix ``moved``, as Python float lists: row i holds ``R[i, j]`` for
+    j >= i (the entries left of the diagonal are reflector data no reader
+    reads), after the pivot guard of :func:`_factors_from_r`.
 
-
-def _pivot_moduli(rows: list[list[float]]) -> list[float]:
-    """``a`` of the factor with rows ``rows``, by :func:`_factor_rows`, with
-    the pivot guard of :func:`_factors_from_r`."""
-    a = [abs(row[i]) for i, row in enumerate(rows)]
-    if min(a) < SINGULAR_TOL:
-        raise NonInvertibleError(f"column pivot {min(a):.3e} below {SINGULAR_TOL:.1e}")
-    return a
+    With ``checked = (g, norms)``, :func:`_check_factored` of ``g`` reads
+    that factor before the pivot guard: ``moved`` is ``g`` with its columns
+    put in another order and some negated (the reduction's presort), and
+    ``norms`` are the squared column norms of ``moved``.  The move keeps the
+    determinant and the singular values, so the check decides for ``g``,
+    and a singular-value call, where one is needed, is of ``g`` itself."""
+    h, tau = np.linalg.qr(moved, mode="raw")
+    rows = h.T.tolist()
+    pivots = [row[i] for i, row in enumerate(rows)]
+    if checked is not None:
+        g, norms = checked
+        _check_factored(g[None], [pivots], [tau.tolist()], [norms])
+    least = min(map(abs, pivots))
+    if least < SINGULAR_TOL:
+        raise NonInvertibleError(f"column pivot {least:.3e} below {SINGULAR_TOL:.1e}")
+    return rows
 
 
 def decompose(g, *, check: bool = True) -> IwasawaFactors:

@@ -87,10 +87,8 @@ from .iwasawa import (
     UnimodularIntMatrix,
     as_count,
     as_square_matrix,
-    _checked_rows,
     _exact_floats,
     _factor_rows,
-    _pivot_moduli,
     _squared_column_norms,
 )
 
@@ -119,7 +117,7 @@ class ReductionResult:
         # b and u_max of decompose(sigma) bit for bit: the same LAPACK factor,
         # the same pivot guard and the same divisions
         rows = _factor_rows(self.sigma)
-        a = _pivot_moduli(rows)
+        a = _moduli(rows)
         return {
             "gamma": self.gamma.to_json_dict(),
             "iterations": self.iterations,
@@ -156,8 +154,9 @@ def _presorted(g: np.ndarray) -> tuple[list[list[int]], list[list[float]]]:
     Returns ``m``, that move as a signed permutation given by its list of
     integer columns, with column 0 negated when the permutation is odd so
     that its determinant is +1, and the rows of the ``R`` of the copy
-    ``g @ m``, by :func:`siegel.iwasawa._checked_rows`; the copy is made by
-    gathering (and negating) the columns of ``g``, so no product rounds.
+    ``g @ m``, by :func:`siegel.iwasawa._factor_rows` with the check of
+    ``g``; the copy is made by gathering (and negating) the columns of
+    ``g``, so no product rounds.
     """
     n = g.shape[0]
     norms = _squared_column_norms(g).tolist()
@@ -169,7 +168,7 @@ def _presorted(g: np.ndarray) -> tuple[list[list[int]], list[list[float]]]:
     if sum(x > y for x, y in combinations(order, 2)) % 2:
         m[0][order[0]] = -1
         first[:, 0] *= -1.0
-    return m, _checked_rows(g, first, [norms[j] for j in order])
+    return m, _factor_rows(first, (g, [norms[j] for j in order]))
 
 
 def _shear(
@@ -290,7 +289,6 @@ def siegel_reduce(
     m_inv = [col[:] for col in m]
     exchanges = 0
     t = MINIMAL_PARAMS.t
-    _pivot_moduli(rows)
     refreshes = 1
     if potential_trace is not None:
         potential_trace.append(log_potential(_moduli(rows)))
@@ -320,7 +318,6 @@ def siegel_reduce(
         _size_reduce(rows, m, m_inv)
         h = g @ _exact_float(m)
         rows = _factor_rows(h)
-        _pivot_moduli(rows)
         refreshes += 1
 
     # m_inv is a product of exact det +1 moves on Python ints

@@ -1,12 +1,13 @@
+import argparse
 import json
 import math
 
 import numpy as np
 import pytest
 
-from siegel.cli import DEFAULT_MC_SAMPLES, RunConfig, load_config, run
+from siegel import __version__
+from siegel.cli import DEFAULT_MC_SAMPLES, build_parser, run
 from siegel.haar import RngStream, sample_haar_so_batch
-from siegel.errors import MalformedConfigError
 from siegel.intersections import enumerate_intersections, reports_to_jsonl
 from siegel.iwasawa import matrix_to_json_dict
 from siegel.volumes import GROWTH_CSV_HEADER
@@ -98,9 +99,7 @@ def test_sample_report_embeds_config(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    assert doc["config"]["seed"] == 7
-    assert doc["config"]["tool_version"]
-    assert "tolerances" in doc["config"]
+    assert doc["config"] == {"seed": 7, "tool_version": __version__}
     assert len(doc["result"]["samples"]) == 2
 
 
@@ -117,6 +116,10 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "volume", "--object", "so")  # missing --n
     assert code == 2
+    # there is no config file: --config is an unknown flag on either side
+    for argv in (("--config", "x.json", "bounds", "--n", "2"),
+                 ("bounds", "--n", "2", "--config", "x.json")):
+        assert run_cli(capsys, *argv)[:2] == (2, "")
 
 
 def test_computation_error_exit_code(tmp_path, capsys):
@@ -202,143 +205,82 @@ def test_enumerate_n3_without_a_height_cap_is_refused(capsys):
     assert err["error"] == "DimensionTooLargeError" and "max_h = 81" in err["message"]
 
 
-def test_load_config_defaults_and_overrides(tmp_path):
-    assert load_config(None) == RunConfig()
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"seed": 42}))
-    cfg = load_config(str(path))
-    assert cfg.seed == 42 and cfg.output_format == "json"
-    path.write_text(json.dumps({"seed": 1, "membership_tol": 1e-8, "max_iter": 50}))
-    cfg = load_config(str(path))
-    assert cfg.tolerances == {"membership_tol": 1e-8}
-    assert cfg.budgets == {"max_iter": 50}
+def test_decompose_membership_verdict_has_a_fixed_slack(tmp_path, capsys):
+    # the slack is 1e-9 and no flag sets it: |u| 1e-4 inside lambda = 1/2
+    # is inside, 5e-10 outside it on the boundary, 2e-9 outside it outside
+    def membership(u):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(matrix_to_json_dict(np.array([[1.0, u], [0.0, 1.0]]))))
+        code, out, _ = run_cli(capsys, "decompose", "--input", str(path))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["config"] == {"tool_version": __version__}
+        return doc["result"]["membership"]
 
-
-@pytest.mark.parametrize("key", ["det_tol", "ortho_tol", "recon_tol", "singular_tol", "witness_tol"])
-def test_config_rejects_tolerances_nothing_applies(tmp_path, capsys, key):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({key: 1e-8}))
-    with pytest.raises(MalformedConfigError):
-        load_config(str(path))
-    code, _, err = run_cli(capsys, "--config", str(path), "bounds", "--n", "2")
-    assert code == 1
-    assert json.loads(err)["error"] == "MalformedConfigError"
-
-
-def test_config_membership_tol_is_echoed_and_applied(tmp_path, capsys):
-    # |u| sits 1e-4 inside lambda = 1/2: inside at the default slack of
-    # 1e-9, on the boundary once the slack is 1e-3
-    matrix = tmp_path / "m.json"
-    matrix.write_text(json.dumps(matrix_to_json_dict(np.array([[1.0, 0.4999], [0.0, 1.0]]))))
-    code, out, _ = run_cli(capsys, "decompose", "--input", str(matrix))
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["config"]["tolerances"] == {}
-    assert doc["result"]["membership"] == "inside"
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"membership_tol": 1e-3}))
-    code, out, _ = run_cli(capsys, "--config", str(path), "decompose", "--input", str(matrix))
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["config"]["tolerances"] == {"membership_tol": 1e-3}
-    assert doc["result"]["membership"] == "boundary"
-    # no other command applies the slack, so none echoes it
-    code, out, _ = run_cli(capsys, "--config", str(path), "reduce", "--input", str(matrix))
-    assert code == 0
-    assert json.loads(out)["config"]["tolerances"] == {}
+    assert membership(0.4999) == "inside"
+    assert membership(0.5 + 5e-10) == "boundary"
+    assert membership(0.5 + 2e-9) == "outside"
 
 
 @pytest.mark.parametrize(
-    "config",
-    [{"max_iter": 2.7}, {"seed": 1.9}, {"membership_tol": True}, {"membership_tol": "abc"},
-     {"seed": True}],
-)
-def test_config_rejects_wrong_types(tmp_path, capsys, config):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config))
-    with pytest.raises(MalformedConfigError, match=repr(next(iter(config)))):
-        load_config(str(path))
-    code, _, err = run_cli(capsys, "--config", str(path), "bounds", "--n", "2")
-    assert code == 1
-    assert json.loads(err)["error"] == "MalformedConfigError"
-
-
-@pytest.mark.parametrize(
-    "key, flag_argv, value",
+    "flag_argv, value, least",
     [
-        ("max_iter", ("reduce", "--input", "m.json", "--max-iter"), -1),
-        ("budget_per_candidate", ("enumerate-intersections", "--n", "2", "--budget"), -3),
-        ("mc_samples", ("sample", "--what", "a-integral", "--n", "2", "--count"), 0),
-        ("mc_samples", ("sample", "--n", "2", "--count"), -2),
-        ("mc_samples", ("sample", "--what", "rotation", "--n", "2", "--count"), 0),
-        ("mc_samples", ("sample", "--what", "a-integral", "--n", "2", "--count"), 1),
+        (("reduce", "--input", "m.json", "--max-iter"), -1, 0),
+        (("enumerate-intersections", "--n", "2", "--budget"), -3, 0),
+        (("sample", "--what", "a-integral", "--n", "2", "--count"), 0, 2),
+        (("sample", "--what", "a-integral", "--n", "2", "--count"), 1, 2),
+        (("sample", "--n", "2", "--count"), -2, 1),
+        (("sample", "--what", "rotation", "--n", "2", "--count"), 0, 1),
     ],
+    ids=lambda x: " ".join(x) if isinstance(x, tuple) else str(x),
 )
-def test_flags_follow_the_config_bounds(tmp_path, capsys, monkeypatch, key, flag_argv, value):
-    # a budget below its least value fails alike as a flag and as a config
-    # key, before any input is read, and nothing is printed on stdout; a
-    # point or rotation --count is held to 1 on its own (mc_samples does
-    # not apply to it)
+def test_count_flags_below_their_least_are_refused(tmp_path, capsys, monkeypatch, flag_argv,
+                                                   value, least):
+    # a count below its least value fails before any input is read, and
+    # nothing is printed on stdout; the message names the flag
     monkeypatch.chdir(tmp_path)
     (tmp_path / "m.json").write_text(json.dumps(matrix_to_json_dict(np.eye(2))))
     code, out, err = run_cli(capsys, *flag_argv, str(value))
     assert code == 1 and out == ""
-    least = {"max_iter": 0, "budget_per_candidate": 0, "mc_samples": 2}[key]
-    message = f"budget {key} must be >= {least}"
-    if key == "mc_samples" and "a-integral" not in flag_argv:
-        message = "--count must be >= 1"
+    message = f"{flag_argv[-1]} must be >= {least}"
     assert json.loads(err) == {"error": "MalformedConfigError", "message": message}
-    (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
-    with pytest.raises(MalformedConfigError, match=key):
-        load_config("cfg.json")
-    code, out, err = run_cli(capsys, "--config", "cfg.json", *flag_argv[:-1])
-    assert code == 1 and out == ""
-    assert json.loads(err)["error"] == "MalformedConfigError"
 
 
-def test_load_config_rejects_unknown_keys(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"unknown_key": 1}))
-    with pytest.raises(MalformedConfigError):
-        load_config(str(path))
-
-
-def test_load_config_reports_parse_position(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text('{"seed": }')
-    with pytest.raises(MalformedConfigError) as exc_info:
-        load_config(str(path))
-    assert exc_info.value.line == 1
-    assert exc_info.value.column is not None
-
-
-def test_config_file_drives_run(tmp_path, capsys):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"seed": 11, "output_format": "pretty"}))
+def test_seed_flag_drives_the_run_and_defaults_to_0(capsys):
     sample = ("sample", "--what", "point", "--n", "2")
-    code, out, _ = run_cli(capsys, "--config", str(path), *sample)
+    code, out, _ = run_cli(capsys, "--format", "pretty", *sample, "--seed", "11")
     assert code == 0
     assert '"seed": 11' in out  # pretty-printed
-    # an explicit --seed beats the config's
-    code, out, _ = run_cli(capsys, "--config", str(path), *sample, "--seed", "5")
+    code, out, _ = run_cli(capsys, *sample)
     assert code == 0
-    assert '"seed": 5' in out
-    path.write_text(json.dumps({"seed": 11}))
-    code, out, _ = run_cli(capsys, "--config", str(path), "enumerate-intersections",
-                           "--n", "2", "--max-height", "0")
+    assert json.loads(out)["config"] == {"seed": 0, "tool_version": __version__}
+    code, out, _ = run_cli(capsys, "enumerate-intersections", "--n", "2", "--max-height", "0",
+                           "--seed", "11")
     assert code == 0
     doc = json.loads(out)
     assert doc["config"]["seed"] == doc["summary"]["seed"] == 11
 
 
-def test_malformed_config_is_a_clean_failure(tmp_path, capsys):
-    path = tmp_path / "cfg.json"
-    path.write_text('{"seed": }')
-    code, _, err = run_cli(capsys, "--config", str(path), "bounds", "--n", "2")
-    assert code == 1
-    doc = json.loads(err)
-    assert doc["error"] == "MalformedConfigError"
-    assert doc["line"] == 1
+def _option_strings(parser: argparse.ArgumentParser) -> set[str]:
+    return {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+
+
+def test_settable_surface_is_pinned():
+    # every flag of the main parser and of each subcommand; a new setting
+    # must be added here
+    parser = build_parser()
+    assert _option_strings(parser) == {"--format"}
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {name: _option_strings(sub) for name, sub in commands.choices.items()} == {
+        "volume": {"--format", "--object", "--n", "--t", "--lambda"},
+        "growth-table": {"--format", "--n-max"},
+        "decompose": {"--format", "--input", "--t", "--lambda"},
+        "reduce": {"--format", "--input", "--max-iter"},
+        "sample": {"--format", "--what", "--n", "--count", "--b-min", "--t", "--lambda",
+                   "--seed"},
+        "enumerate-intersections": {"--format", "--n", "--budget", "--max-height", "--seed"},
+        "bounds": {"--format", "--n"},
+    }
 
 
 def test_parser_rejects_global_flag_anywhere(capsys):
@@ -349,21 +291,16 @@ def test_parser_rejects_global_flag_anywhere(capsys):
     assert out1 == out2
 
 
-def test_explicit_zero_budget_is_honoured(tmp_path, capsys):
+def test_explicit_zero_budget_is_honoured(capsys):
     def budget(*argv):
         code, out, _ = run_cli(capsys, "enumerate-intersections", "--n", "2",
                                "--max-height", "1", "--seed", "3", *argv)
         assert code == 0
         return json.loads(out.strip().split("\n")[-1])["summary"]["budgets"]
 
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"budget_per_candidate": 7}))
     assert budget("--budget", "0") == {"budget_per_candidate": 0}
-    assert budget("--config", str(path), "--budget", "0") == {"budget_per_candidate": 0}
-    assert budget("--config", str(path)) == {"budget_per_candidate": 7}
+    assert budget("--budget", "7") == {"budget_per_candidate": 7}
     assert budget() == {"budget_per_candidate": 400}
-    path.write_text(json.dumps({"budget_per_candidate": 0}))
-    assert budget("--config", str(path)) == {"budget_per_candidate": 0}
 
 
 def test_explicit_zero_max_iter_is_honoured(tmp_path, capsys):
@@ -377,28 +314,18 @@ def test_explicit_zero_max_iter_is_honoured(tmp_path, capsys):
     assert doc["iterations"] == 0 and doc["status"] != "reduced"
     code, out, _ = run_cli(capsys, "reduce", "--input", str(path))
     assert json.loads(out)["result"]["status"] == "reduced"
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"max_iter": 0}))
-    code, out, _ = run_cli(capsys, "--config", str(config), "reduce", "--input", str(path))
-    assert code == 0
-    doc = json.loads(out)["result"]
-    assert doc["iterations"] == 0 and doc["status"] != "reduced"
 
 
-def test_explicit_count_beats_config_mc_samples(tmp_path, capsys):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"mc_samples": 300}))
-
+def test_explicit_count_sets_the_a_integral_samples(capsys):
     def samples(*argv):
-        code, out, _ = run_cli(capsys, "--config", str(path), "sample", "--what",
-                               "a-integral", "--n", "2", *argv)
+        code, out, _ = run_cli(capsys, "sample", "--what", "a-integral", "--n", "2", *argv)
         assert code == 0
         result = json.loads(out)["result"]
         assert result["count"] == result["report"]["samples"]
         return result["count"]
 
     assert samples("--count", "200") == 200
-    assert samples() == 300
+    assert samples("--count", "2") == 2
 
 
 def test_a_integral_beyond_double_range_exits_1_without_output(capsys):
@@ -543,10 +470,8 @@ def test_only_growth_table_writes_csv(tmp_path, capsys, monkeypatch, command):
     # refused before anything is computed: decompose and reduce would
     # otherwise fail on their missing input file
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "cfg.json").write_text(json.dumps({"output_format": "csv"}))
     argv = _COMMANDS[command]
-    for extra in (("--format", "csv") + argv, argv + ("--format", "csv"),
-                  ("--config", "cfg.json") + argv):
+    for extra in (("--format", "csv") + argv, argv + ("--format", "csv")):
         code, out, err = run_cli(capsys, *extra)
         assert (code, out) == (1, "")
         assert json.loads(err)["error"] == "MalformedConfigError"

@@ -13,7 +13,6 @@ from siegel.iwasawa import (
     UnimodularIntMatrix,
     _factor_rows,
     _factors_from_r,
-    _pivot_moduli,
     _siegel_coordinates,
     b_from_a,
     decompose,
@@ -270,7 +269,7 @@ def assert_presorted(g):
     (a,), (u,) = _siegel_coordinates(first[None])
     _, a_rows, u_rows = _factors_from_r(np.triu(rows))
     assert a_rows.tobytes() == a.tobytes() and u_rows.tobytes() == u.tobytes()
-    assert _pivot_moduli(rows) == a.tolist()
+    assert reduction._moduli(rows) == a.tolist()
     return order
 
 
@@ -380,7 +379,7 @@ def test_factor_rows_keep_the_pivot_guard(g):
     with pytest.raises(NonInvertibleError) as stacked:
         _siegel_coordinates(g[None])
     with pytest.raises(NonInvertibleError) as listed:
-        _pivot_moduli(_factor_rows(g))
+        _factor_rows(g)
     assert str(listed.value) == str(stacked.value)
 
 

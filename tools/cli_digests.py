@@ -82,6 +82,9 @@ CALLS = [
     # the budget runs out after the first exchange
     ["reduce", "--max-iter", "1", "--input", "-", "<", "skewed-8"],
     ["bounds", "--n", "21"],
+    # the global flag on either side of the subcommand
+    ["--format", "pretty", "bounds", "--n", "2"],
+    ["bounds", "--n", "2", "--format", "pretty"],
     ["volume", "--object", "ratio", "--n", "60"],
     ["volume", "--object", "siegel", "--n", "3", "--t", "1.2", "--lambda", "0.4"],
 ]
