@@ -116,10 +116,23 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "volume", "--object", "so")  # missing --n
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--config", "x.json", "bounds", "--n", "2"), "invalid choice: 'x.json'"),
+        (("bounds", "--n", "2", "--config", "x.json"), "unrecognized arguments: --config x.json"),
+    ],
+    ids=["before", "after"],
+)
+def test_config_flag_is_a_usage_error(capsys, argv, message):
     # there is no config file: --config is an unknown flag on either side
-    for argv in (("--config", "x.json", "bounds", "--n", "2"),
-                 ("bounds", "--n", "2", "--config", "x.json")):
-        assert run_cli(capsys, *argv)[:2] == (2, "")
+    # of the subcommand, refused by the parser with nothing on stdout
+    # (before it, the parser reads the file name as the subcommand)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 def test_computation_error_exit_code(tmp_path, capsys):
@@ -259,6 +272,56 @@ def test_seed_flag_drives_the_run_and_defaults_to_0(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["config"]["seed"] == doc["summary"]["seed"] == 11
+
+
+@pytest.mark.parametrize(
+    "flag_argv, value",
+    [
+        (("reduce", "--input", "m.json", "--max-iter"), "2.7"),
+        (("sample", "--what", "point", "--n", "2", "--seed"), "1.9"),
+        (("sample", "--what", "point", "--n", "2", "--seed"), "True"),
+        (("sample", "--what", "a-integral", "--n", "2", "--count"), "abc"),
+        (("enumerate-intersections", "--n", "2", "--budget"), "1e3"),
+    ],
+    ids=lambda x: " ".join(x) if isinstance(x, tuple) else x,
+)
+def test_integer_flags_refuse_other_values(tmp_path, capsys, monkeypatch, flag_argv, value):
+    # a seed, count or budget that is not an integer is a usage error that
+    # names the flag; nothing runs and nothing is printed on stdout
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.json").write_text(json.dumps(matrix_to_json_dict(np.eye(2))))
+    code, out, err = run_cli(capsys, *flag_argv, value)
+    assert (code, out) == (2, "")
+    assert f"argument {flag_argv[-1]}: invalid int value: '{value}'" in err
+
+
+@pytest.mark.parametrize(
+    "name", ["det_tol", "ortho_tol", "recon_tol", "singular_tol", "witness_tol", "membership_tol"]
+)
+def test_no_flag_sets_a_tolerance(tmp_path, capsys, monkeypatch, name):
+    # every tolerance is a module constant: spelling one as a flag, even on
+    # decompose, which applies the membership slack, is a usage error
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.json").write_text(json.dumps(matrix_to_json_dict(np.eye(2))))
+    flag = "--" + name.replace("_", "-")
+    code, out, err = run_cli(capsys, "decompose", "--input", "m.json", flag, "1e-3")
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {flag} 1e-3" in err
+
+
+def test_flag_defaults():
+    # an absent flag takes its default; the counts stay None until the
+    # command resolves them, so a given 0 is told from an absent flag
+    parser = build_parser()
+    args = parser.parse_args(["sample", "--n", "2"])
+    assert (args.format, args.seed, args.what, args.count) == ("json", 0, "point", None)
+    assert parser.parse_args(["reduce", "--input", "m.json"]).max_iter is None
+    args = parser.parse_args(["enumerate-intersections", "--n", "2"])
+    assert (args.format, args.seed, args.budget) == ("json", 0, None)
+    # a --format given on either side is not clobbered by a default
+    for argv in (["--format", "pretty", "bounds", "--n", "2"],
+                 ["bounds", "--n", "2", "--format", "pretty"]):
+        assert parser.parse_args(argv).format == "pretty"
 
 
 def _option_strings(parser: argparse.ArgumentParser) -> set[str]:
